@@ -132,15 +132,11 @@ def _bench_one(name, config, store_root, scenario_cache):
     # trajectories is exactly as discriminating as comparing converged
     # ones (any divergence shows up at the first differing iterate).
     identity = AdmmSettings(max_iterations=300)
-    attach_solver = AdmmSolver(attached.mrf, identity)
-    fresh_solver = AdmmSolver(fresh_mrf, AdmmSettings(max_iterations=300))
-    attach_run = attach_solver.solve()
-    fresh_run = fresh_solver.solve()
+    attach_run = AdmmSolver(attached.mrf, identity).solve()
+    fresh_run = AdmmSolver(fresh_mrf, identity).solve()
     assert attach_run.iterations == fresh_run.iterations
     assert np.array_equal(attach_run.x, fresh_run.x)
     assert attach_run.energy == fresh_run.energy
-    attach_solver.close()
-    fresh_solver.close()
 
     # Best-of-reps: both lanes are single-process microbenchmarks, so
     # min is the noise-robust estimator (means smear scheduler blips

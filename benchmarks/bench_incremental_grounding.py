@@ -84,13 +84,11 @@ def _assert_identical_solves(patched, fresh) -> None:
     assert structure_fingerprint(patched) == structure_fingerprint(fresh)
     assert mrf_fingerprint(patched) == mrf_fingerprint(fresh)
     identity = AdmmSettings(max_iterations=150)
-    a_solver, b_solver = AdmmSolver(patched, identity), AdmmSolver(fresh, identity)
-    a, b = a_solver.solve(), b_solver.solve()
+    a = AdmmSolver(patched, identity).solve()
+    b = AdmmSolver(fresh, identity).solve()
     assert a.iterations == b.iterations
     assert np.array_equal(a.x, b.x)
     assert a.energy == b.energy
-    a_solver.close()
-    b_solver.close()
 
 
 def _bench_program_lane() -> dict:
@@ -161,7 +159,6 @@ def _bench_collective_lane(scenario_cache) -> dict:
         fresh = GroundedCollective(problem, settings, shard_size=GROUND_SHARD_SIZE)
         full_seconds = time.perf_counter() - start
         _assert_identical_solves(patched.mrf, fresh.mrf)
-        fresh.close()
         per_edit.append(
             {
                 "edit": type(edit).__name__,

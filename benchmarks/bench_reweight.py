@@ -11,7 +11,7 @@ workloads:
    pre-refactor path paid, per update, a fresh plan + ground + solver
    compile + cold ADMM solve; the reweight path rewrites the cached
    :class:`~repro.selection.collective.GroundedCollective`'s weight
-   vector in place and warm-resolves on its compiled partition.  A
+   vector in place and warm-resolves on its compiled solver.  A
    separate matched-chain verification pass asserts that a reweighted
    solve is **bit-identical** to a freshly ground one given the same
    warm state — the timing gap is speed, not drift;
@@ -88,7 +88,7 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     problem = _problem(scenario_cache)
 
     # Lane A — pre-refactor default: every weight update re-plans,
-    # re-grounds, re-compiles the solver partition, and solves cold
+    # re-grounds, re-compiles the solver arrays, and solves cold
     # (the historical solve_collective carried no state between calls).
     fresh_seconds = []
     fresh_energies = []
@@ -104,7 +104,7 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
         assert result.converged
 
     # Lane B — ground once, then per update an in-place weight rewrite +
-    # warm re-solve on the same compiled partition.
+    # warm re-solve on the same compiled solver.
     ground_start = time.perf_counter()
     grounded = GroundedCollective(
         problem, CollectiveSettings(), shard_size=GROUND_SHARD_SIZE

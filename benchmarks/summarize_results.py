@@ -72,46 +72,6 @@ def _rows_parallel_engine(data: dict) -> list[list[str]]:
     ]
 
 
-def _rows_partitioned_admm(data: dict) -> list[list[str]]:
-    return [
-        [
-            "partitioned ADMM",
-            f"flat vs thread-mapped blocks ({data.get('num_blocks', '?')} blocks, "
-            f"{data.get('num_terms', '?')} terms, per iteration)",
-            _fmt_seconds(data["flat_sec_per_iter"]),
-            _fmt_seconds(data["threaded_sec_per_iter"]),
-            _fmt_speedup(data["thread_speedup_vs_flat"]),
-        ]
-    ]
-
-
-def _rows_admm_ipc(data: dict) -> list[list[str]]:
-    return [
-        [
-            "ADMM per-iteration IPC",
-            f"v/x slice payloads vs shared-state acks "
-            f"({data.get('num_blocks', '?')} blocks, "
-            f"{data.get('num_copies', '?')} copies, bytes per iteration)",
-            _fmt_bytes(data["legacy_bytes_per_iter"]),
-            _fmt_bytes(data["shared_bytes_per_iter"]),
-            _fmt_speedup(data["ipc_reduction"]),
-        ]
-    ]
-
-
-def _rows_persistent_pool(data: dict) -> list[list[str]]:
-    return [
-        [
-            "persistent pool + shared memory",
-            f"fresh pool/full payloads vs warm pool/descriptors "
-            f"({data.get('workers', '?')} workers, per map)",
-            _fmt_seconds(data["legacy_fresh_sec_per_map"]),
-            _fmt_seconds(data["shared_sec_per_map"]),
-            _fmt_speedup(data["dispatch_overhead_drop"]),
-        ]
-    ]
-
-
 def _rows_reweight(data: dict) -> list[list[str]]:
     return [
         [
@@ -187,9 +147,6 @@ def _rows_incremental(data: dict) -> list[list[str]]:
 KNOWN_ARTIFACTS = {
     "sharded_grounding.json": _rows_sharded_grounding,
     "parallel_engine_build.json": _rows_parallel_engine,
-    "partitioned_admm.json": _rows_partitioned_admm,
-    "admm_ipc.json": _rows_admm_ipc,
-    "persistent_pool.json": _rows_persistent_pool,
     "reweight.json": _rows_reweight,
     "grounding_store.json": _rows_grounding_store,
     "incremental.json": _rows_incremental,

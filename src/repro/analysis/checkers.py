@@ -1,4 +1,4 @@
-"""The five repro-lint rules.
+"""The four syntactic repro-lint rules.
 
 Each rule encodes an invariant this codebase already relies on (see
 docs/lint.md for the incident history behind every one):
@@ -6,8 +6,6 @@ docs/lint.md for the incident history behind every one):
 * RPL001 — callables shipped to process pools must be module-level.
 * RPL002 — fingerprint/merge/selection paths must not iterate unordered
   containers or call seed-dependent ``hash()``.
-* RPL003 — ``SharedMemory(create=True)`` needs a driver-owned release;
-  ``unlink()`` belongs only in recognized release paths.
 * RPL004 — executor initializers must carry the ``scope`` hook.
 * RPL005 — no blocking pool operations while holding a registry lock.
 
@@ -25,9 +23,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.visitor import (
     COMPREHENSION_NODES,
     ModuleInfo,
-    ancestors,
     call_keyword,
-    enclosing_class,
     enclosing_function,
     parent,
     statements_of,
@@ -321,106 +317,6 @@ class DeterminismChecker(Checker):
         return None
 
 
-class SharedMemoryLifecycleChecker(Checker):
-    """RPL003: every ``SharedMemory(create=True)`` needs an owner.
-
-    Only modules importing ``multiprocessing.shared_memory`` are in
-    scope, which keeps ``pathlib.Path.unlink`` out of reach.  A create
-    site must sit inside a class exposing a ``release``/``close``
-    method — its own, or inherited from a recognized segment-owner base
-    (the ``SharedSegmentOwner`` hierarchy in ``repro.psl.partition``:
-    ``SharedPartitionBuffers`` and ``SharedSolveState`` allocate in
-    ``__init__`` and inherit the one real release) — or inside a
-    ``try/finally``; ``unlink()`` may only appear in a recognized
-    release-path function.
-    """
-
-    rule = "RPL003"
-    name = "shared-memory-lifecycle"
-    description = "SharedMemory(create=True) must have a driver-owned release"
-    release_owners = frozenset({"release", "close", "cleanup", "unlink", "__exit__"})
-    #: Class names whose instances own their segment's lifecycle even
-    #: when release()/close() is inherited rather than defined in the
-    #: class body (AST checking is single-module; base-class bodies may
-    #: live elsewhere, so ownership is recognized by name).
-    segment_owner_classes = frozenset(
-        {"SharedSegmentOwner", "SharedPartitionBuffers", "SharedSolveState"}
-    )
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return module.imports_module("multiprocessing.shared_memory")
-
-    def check(self, module: ModuleInfo) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            findings.extend(self._check_create(module, node))
-            findings.extend(self._check_unlink(module, node))
-        return findings
-
-    def _check_create(self, module: ModuleInfo, call: ast.Call):
-        if terminal_name(call.func) != "SharedMemory":
-            return
-        kw = call_keyword(call, "create")
-        if kw is None or not (
-            isinstance(kw.value, ast.Constant) and kw.value.value is True
-        ):
-            return
-        if self._inside_try_finally(call):
-            return
-        owner = enclosing_class(call)
-        if owner is not None and self._class_has_release(owner):
-            return
-        yield self.finding(
-            module,
-            call,
-            "SharedMemory(create=True) without a driver-owned release: "
-            "allocate inside a class exposing release()/close(), or wrap "
-            "in try/finally — leaked segments survive the process",
-        )
-
-    def _check_unlink(self, module: ModuleInfo, call: ast.Call):
-        if not (isinstance(call.func, ast.Attribute) and call.func.attr == "unlink"):
-            return
-        # Path.unlink(missing_ok=...) is filesystem, not shared memory.
-        if call_keyword(call, "missing_ok") is not None:
-            return
-        func = enclosing_function(call)
-        if func is not None and func.name in self.release_owners:
-            return
-        if self._inside_try_finally(call):
-            return
-        yield self.finding(
-            module,
-            call,
-            "unlink() outside a recognized release path "
-            f"({'/'.join(sorted(self.release_owners))}); shared-memory "
-            "teardown must stay driver-owned so workers never race the "
-            "segment away",
-        )
-
-    @staticmethod
-    def _inside_try_finally(node: ast.AST) -> bool:
-        for anc in ancestors(node):
-            if isinstance(anc, ast.Try) and anc.finalbody:
-                return True
-        return False
-
-    @classmethod
-    def _class_has_release(cls, cls_node: ast.ClassDef) -> bool:
-        if cls_node.name in cls.segment_owner_classes:
-            return True
-        for base in cls_node.bases:
-            if terminal_name(base) in cls.segment_owner_classes:
-                return True
-        for stmt in cls_node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if stmt.name in cls.release_owners:
-                    return True
-        return False
-
-
 class InitializerScopeChecker(Checker):
     """RPL004: worker initializers must expose the ``scope`` hook.
 
@@ -576,7 +472,6 @@ def default_checkers() -> list[Checker]:
     return [
         ProcessMapSafetyChecker(),
         DeterminismChecker(),
-        SharedMemoryLifecycleChecker(),
         InitializerScopeChecker(),
         LockHoldChecker(),
     ]

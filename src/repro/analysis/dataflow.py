@@ -1,18 +1,12 @@
 """Forward dataflow engine for the flow-aware (RPL01x) lint rules.
 
 The engine runs a small abstract interpretation over each function
-body, propagating a four-fact lattice:
+body, propagating a two-fact lattice:
 
-* ``UNPICKLABLE``   — the value cannot cross a process boundary
+* ``UNPICKLABLE`` — the value cannot cross a process boundary
   (lambdas, nested functions/closures, objects holding them).
-* ``SEGMENT_OWNER`` — the value owns a shared-memory segment's
-  lifecycle (``SharedMemory(create=True)`` or a ``SharedSegmentOwner``
-  subclass instance).
-* ``LOCK_HELD``     — the value is a lock currently held (used by the
+* ``LOCK_HELD``   — the value is a lock currently held (used by the
   lock-order pass to seed acquisition contexts).
-* ``STAGED_VIEW``   — the value aliases memory staged into a shared
-  segment (``.buf`` views, staging-call results); mutating it bypasses
-  the ``write_weights``/``state_token`` protocol.
 
 Values are :class:`AbstractValue`: a frozenset of facts plus, per
 fact, a **witness chain** — the ``(path, line, note)`` steps the fact
@@ -33,30 +27,21 @@ height).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.callgraph import (
     FunctionId,
     FunctionInfo,
     Project,
 )
-from repro.analysis.visitor import call_keyword, terminal_name
+from repro.analysis.visitor import terminal_name
 
 #: The concrete facts the RPL01x rules consume.
-FACTS = ("UNPICKLABLE", "SEGMENT_OWNER", "LOCK_HELD", "STAGED_VIEW")
+FACTS = ("UNPICKLABLE", "LOCK_HELD")
 
 #: Witness chains are capped so pathological call graphs cannot grow
 #: them without bound (termination + readable messages).
 MAX_CHAIN_STEPS = 12
-
-#: Class names whose instances own a shared segment's lifecycle (kept
-#: in sync with the syntactic RPL003 checker).
-SEGMENT_OWNER_CLASSES = frozenset(
-    {"SharedSegmentOwner", "SharedPartitionBuffers", "SharedSolveState"}
-)
-
-#: Calls whose result aliases shared staged memory.
-STAGING_CALLS = frozenset({"ndarray", "frombuffer", "as_view"})
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -173,23 +158,10 @@ class Summary:
       its return value (chains rooted at the generating line).
     * ``return_params`` — parameter indices whose value flows to the
       return (so argument facts propagate through the call).
-    * ``released_params`` / ``mutated_params`` — parameter indices on
-      which a release (``close``/``release``/``unlink``) or a direct
-      mutation (subscript/attribute store, ``fill``) happens, possibly
-      transitively through further calls.
-    * ``returns_fresh_segment`` — convenience flag: the return value
-      carries ``SEGMENT_OWNER`` born inside this function (ownership
-      transfers to the caller).
     """
 
     returns: AbstractValue = BOTTOM
     return_params: frozenset[int] = frozenset()
-    released_params: frozenset[int] = frozenset()
-    mutated_params: frozenset[int] = frozenset()
-
-    @property
-    def returns_fresh_segment(self) -> bool:
-        return self.returns.has("SEGMENT_OWNER")
 
 
 EMPTY_SUMMARY = Summary()
@@ -201,35 +173,10 @@ class _FnState:
 
     fn: FunctionInfo
     returns: AbstractValue = BOTTOM
-    released: set[str] = field(default_factory=set)
-    mutated: set[str] = field(default_factory=set)
-    #: name -> earliest line where a release on it was observed.
-    released_at: dict[str, int] = field(default_factory=dict)
-    #: (name, line, description) for each in-place mutation event, in
-    #: visit order (the RPL013 pass consumes these).
-    mutation_events: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def note_release(self, name: str, line: int) -> None:
-        self.released.add(name)
-        previous = self.released_at.get(name)
-        if previous is None or line < previous:
-            self.released_at[name] = line
-
-    def note_mutation(self, name: str, line: int, what: str) -> None:
-        self.mutated.add(name)
-        self.mutation_events.append((name, line, what))
 
 
 class DataflowEngine:
     """Summary computation + per-function abstract interpretation."""
-
-    #: method names that release a segment owner.
-    release_methods = frozenset({"close", "release", "unlink", "shutdown"})
-    #: method names that mutate their receiver in place.
-    mutating_methods = frozenset(
-        {"fill", "sort", "append", "extend", "update", "setdefault", "pop",
-         "clear", "resize"}
-    )
 
     def __init__(self, project: Project):
         self.project = project
@@ -299,17 +246,9 @@ class DataflowEngine:
             for index in range(len(params))
             if state.returns.has(_param_fact(index))
         )
-        released = frozenset(
-            index for index, name in enumerate(params) if name in state.released
-        )
-        mutated = frozenset(
-            index for index, name in enumerate(params) if name in state.mutated
-        )
         return Summary(
             returns=strip_facts(state.returns, "PARAM"),
             return_params=return_params,
-            released_params=released,
-            mutated_params=mutated,
         )
 
     # ------------------------------------------------------------------
@@ -326,27 +265,21 @@ class DataflowEngine:
         initializer kwargs): the environment is flow-joined over the
         whole body, which over- rather than under-approximates.
         """
-        env, _state = self.function_state(fn)
-        return self._eval(expr, dict(env), _FnState(fn=fn))
+        return self._eval(expr, dict(self.function_env(fn)), _FnState(fn=fn))
 
-    def function_state(
-        self, fn: FunctionInfo
-    ) -> tuple[dict[str, AbstractValue], _FnState]:
-        """Cached (final environment, event state) of one full-body run.
+    def function_env(self, fn: FunctionInfo) -> dict[str, AbstractValue]:
+        """Cached final environment of one full-body run.
 
         Parameters are fact-free here (the summary path binds PARAM
-        markers instead); the event state carries every release and
-        mutation observed, with line numbers, for the RPL011/RPL013
-        passes.
+        markers instead).
         """
-        cache = getattr(self, "_state_cache", None)
+        cache = getattr(self, "_env_cache", None)
         if cache is None:
-            cache = self._state_cache = {}
+            cache = self._env_cache = {}
         if fn.id not in cache:
             env: dict[str, AbstractValue] = {}
-            state = _FnState(fn=fn)
-            self._exec_block(fn.node.body, env, state)
-            cache[fn.id] = (env, state)
+            self._exec_block(fn.node.body, env, _FnState(fn=fn))
+            cache[fn.id] = env
         return cache[fn.id]
 
     # ------------------------------------------------------------------
@@ -378,7 +311,6 @@ class DataflowEngine:
             self._bind(stmt.target, self._eval(stmt.value, env, state), env, state)
         elif isinstance(stmt, ast.AugAssign):
             value = self._eval(stmt.value, env, state)
-            self._note_mutation(stmt.target, env, state)
             if isinstance(stmt.target, ast.Name):
                 env[stmt.target.id] = join(
                     env.get(stmt.target.id, BOTTOM), value
@@ -443,23 +375,8 @@ class DataflowEngine:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._bind(element, value, env, state)
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            self._note_mutation(target, env, state)
         elif isinstance(target, ast.Starred):
             self._bind(target.value, value, env, state)
-
-    def _note_mutation(self, target, env, state) -> None:
-        """Record a store *through* a name (``x.attr = ...``/``x[i] = ...``)."""
-        base = target
-        while isinstance(base, (ast.Attribute, ast.Subscript)):
-            base = base.value
-        name = terminal_name(base) if not isinstance(base, ast.Name) else base.id
-        if name is not None:
-            what = (
-                "subscript store" if isinstance(target, ast.Subscript)
-                else "attribute store"
-            )
-            state.note_mutation(name, getattr(target, "lineno", 0), what)
 
     # ------------------------------------------------------------------
     # expressions
@@ -477,31 +394,12 @@ class DataflowEngine:
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, env, state)
         if isinstance(expr, ast.Attribute):
+            # A bound method / attribute of an unpicklable object
+            # carries the taint.
             base = self._eval(expr.value, env, state)
-            if expr.attr == "buf" and base.has("SEGMENT_OWNER"):
-                return join(
-                    extend(
-                        AbstractValue(
-                            frozenset({"STAGED_VIEW"}),
-                            (("STAGED_VIEW", base.chain("SEGMENT_OWNER")),),
-                        ),
-                        (here, expr.lineno, "view of the shared segment "
-                         "taken here (.buf)"),
-                    ),
-                    base,
-                )
-            # A bound method / attribute of an unpicklable or staged
-            # object carries the taint; segment *ownership* does not
-            # transfer to attribute reads.
-            kept = base.facts & {"UNPICKLABLE", "STAGED_VIEW"}
-            if not kept:
+            if not base.has("UNPICKLABLE"):
                 return BOTTOM
-            origins = tuple(
-                (fact, chain) for fact, chain in base.origins
-                if fact in kept or fact.startswith("PARAM")
-            )
-            kept = kept | {f for f in base.facts if f.startswith("PARAM")}
-            return AbstractValue(facts=frozenset(kept), origins=origins)
+            return _tainted_part(base)
         if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
             return join_all(self._eval(e, env, state) for e in expr.elts)
         if isinstance(expr, ast.Dict):
@@ -526,19 +424,8 @@ class DataflowEngine:
             self._bind(expr.target, value, env, state)
             return value
         if isinstance(expr, ast.Subscript):
-            # Indexing a staged view yields a staged view; indexing a
-            # container of unpicklables yields an unpicklable.
-            base = self._eval(expr.value, env, state)
-            kept = base.facts & {"UNPICKLABLE", "STAGED_VIEW"}
-            kept |= {f for f in base.facts if f.startswith("PARAM")}
-            if not kept:
-                return BOTTOM
-            return AbstractValue(
-                facts=frozenset(kept),
-                origins=tuple(
-                    (f, c) for f, c in base.origins if f in kept
-                ),
-            )
+            # Indexing a container of unpicklables yields an unpicklable.
+            return _tainted_part(self._eval(expr.value, env, state))
         # Constants, comparisons, arithmetic, f-strings, comprehensions:
         # no fact flow we track.
         return BOTTOM
@@ -549,15 +436,6 @@ class DataflowEngine:
         callee_name = terminal_name(call.func)
 
         # --- intrinsic fact generators -------------------------------
-        if callee_name == "SharedMemory":
-            kw = call_keyword(call, "create")
-            if kw is not None and isinstance(kw.value, ast.Constant) and kw.value.value is True:
-                return value_of(
-                    "SEGMENT_OWNER",
-                    (here, call.lineno,
-                     "SharedMemory(create=True) allocated here"),
-                )
-            return BOTTOM
         if callee_name in ("Lock", "RLock"):
             return value_of(
                 "LOCK_HELD", (here, call.lineno, f"{callee_name}() created here")
@@ -571,30 +449,6 @@ class DataflowEngine:
             return extend(
                 inner, (here, call.lineno, "wrapped in functools.partial here")
             ) if not inner.is_bottom() else BOTTOM
-        if callee_name in STAGING_CALLS and call_keyword(call, "buffer") is not None:
-            buffer_value = self._eval(call_keyword(call, "buffer").value, env, state)
-            if buffer_value.has("SEGMENT_OWNER") or buffer_value.has("STAGED_VIEW"):
-                return extend(
-                    AbstractValue(
-                        frozenset({"STAGED_VIEW"}),
-                        (("STAGED_VIEW",
-                          buffer_value.chain("SEGMENT_OWNER")
-                          or buffer_value.chain("STAGED_VIEW")),),
-                    ),
-                    (here, call.lineno,
-                     f"array view over the shared buffer built here "
-                     f"({callee_name}(buffer=...))"),
-                )
-
-        # --- constructor of a segment-owner class --------------------
-        if callee_name is not None and self.project.class_has_base(
-            callee_name, SEGMENT_OWNER_CLASSES
-        ):
-            return value_of(
-                "SEGMENT_OWNER",
-                (here, call.lineno,
-                 f"segment owner {callee_name}(...) constructed here"),
-            )
 
         # --- project-function calls: instantiate the summary ---------
         targets = self.project.resolve_call(fn.module, call, fn.class_name)
@@ -625,47 +479,25 @@ class DataflowEngine:
                              f"passed through {label}() and returned here"),
                         ),
                     )
-            # Transitive release/mutation of our own names through the call.
-            for index in summary.released_params:
-                if index < len(call.args) and isinstance(call.args[index], ast.Name):
-                    state.note_release(call.args[index].id, call.lineno)
-            for index in summary.mutated_params:
-                if index < len(call.args) and isinstance(call.args[index], ast.Name):
-                    state.note_mutation(
-                        call.args[index].id, call.lineno,
-                        f"mutated inside {label}()",
-                    )
 
-        # --- method calls on our own names ---------------------------
-        if isinstance(call.func, ast.Attribute):
-            receiver = call.func.value
-            receiver_name = (
-                receiver.id if isinstance(receiver, ast.Name) else None
+        if isinstance(call.func, ast.Attribute) and not targets:
+            # Opaque method call: taint still flows receiver->result.
+            result = join(
+                result, _tainted_part(self._eval(call.func.value, env, state))
             )
-            if receiver_name is not None:
-                if call.func.attr in self.release_methods:
-                    state.note_release(receiver_name, call.lineno)
-                if call.func.attr in self.mutating_methods:
-                    state.note_mutation(
-                        receiver_name, call.lineno, f".{call.func.attr}(...)"
-                    )
-            if not targets:
-                # Opaque method call: taint still flows receiver->result
-                # for the picklability/staging facts.
-                base = self._eval(receiver, env, state)
-                kept = base.facts & {"UNPICKLABLE", "STAGED_VIEW"}
-                kept |= {f for f in base.facts if f.startswith("PARAM")}
-                if kept:
-                    result = join(
-                        result,
-                        AbstractValue(
-                            facts=frozenset(kept),
-                            origins=tuple(
-                                (f, c) for f, c in base.origins if f in kept
-                            ),
-                        ),
-                    )
         return result
+
+
+def _tainted_part(base: AbstractValue) -> AbstractValue:
+    """The ``UNPICKLABLE`` and PARAM-marker facts of *base*, or bottom."""
+    kept = base.facts & {"UNPICKLABLE"}
+    kept |= {f for f in base.facts if f.startswith("PARAM")}
+    if not kept:
+        return BOTTOM
+    return AbstractValue(
+        facts=frozenset(kept),
+        origins=tuple((f, c) for f, c in base.origins if f in kept),
+    )
 
 
 def _join_envs(into: dict[str, AbstractValue], other: dict[str, AbstractValue]) -> None:

@@ -20,7 +20,7 @@ def normalize_path(path: str) -> str:
 class Finding:
     """One rule violation: where it is, which rule, and why it matters."""
 
-    rule: str  # "RPL001"..."RPL013"
+    rule: str  # "RPL001"..."RPL012"
     message: str
     path: str  # normalized (forward slashes), as scanned
     line: int  # 1-based

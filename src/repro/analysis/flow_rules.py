@@ -5,21 +5,13 @@ these rules consume the whole-program call graph
 (:mod:`repro.analysis.callgraph`) and the forward dataflow engine
 (:mod:`repro.analysis.dataflow`) to follow a value *through* calls:
 
-* **RPL010** — transitive process-map taint: a closure, lambda, bound
-  method, or staged-view-holding object that reaches ``executor.map``
-  / ``initializer=`` through any call chain (subsumes RPL001's
-  literal-only check; literal sites stay RPL001's so each incident has
-  exactly one rule).
-* **RPL011** — segment-escape: a ``SharedMemory(create=True)`` /
-  ``SharedSegmentOwner`` value allocated in a function must reach a
-  ``close()``/``release()`` owner on every path *including raise
-  edges*, or escape to a caller (returned / stored on an instance).
+* **RPL010** — transitive process-map taint: a closure, lambda, or
+  bound method that reaches ``executor.map`` / ``initializer=`` through
+  any call chain (subsumes RPL001's literal-only check; literal sites
+  stay RPL001's so each incident has exactly one rule).
 * **RPL012** — lock-order cycles: the global lock-acquisition graph
   built from ``with <lock>:`` nesting across functions *and* their
   callees must be acyclic.
-* **RPL013** — stale-stage mutation: once a partition/database value
-  has been staged into shared memory, raw in-place writes to it that
-  bypass the ``write_weights``/``state_token`` protocol are flagged.
 
 Every finding carries the witnessing chain (``Finding.chain``): the
 ``path:line`` steps the offending value or lock context travelled
@@ -38,16 +30,9 @@ from repro.analysis.callgraph import (
     module_name_for_path,
 )
 from repro.analysis.checkers import Checker, ProcessMapSafetyChecker
-from repro.analysis.dataflow import (
-    DataflowEngine,
-    SEGMENT_OWNER_CLASSES,
-)
+from repro.analysis.dataflow import DataflowEngine
 from repro.analysis.findings import Finding
-from repro.analysis.visitor import (
-    ancestors,
-    call_keyword,
-    terminal_name,
-)
+from repro.analysis.visitor import call_keyword, terminal_name
 
 
 class FlowChecker(Checker):
@@ -168,206 +153,6 @@ def _pool_callable_sites(call: ast.Call):
 def _is_executor_receiver(expr: ast.AST) -> bool:
     name = terminal_name(expr)
     return name is not None and "executor" in name.lower()
-
-
-# ----------------------------------------------------------------------
-# RPL011 — segment-escape analysis
-
-
-class SegmentEscapeChecker(FlowChecker):
-    """RPL011: allocated segments must reach a release on every path.
-
-    Subsumes RPL003's single-function heuristic: allocation is
-    recognized through call chains (a helper returning a fresh
-    ``SharedMemory`` taints its caller), release is recognized
-    transitively (passing the segment to a function that releases its
-    parameter counts), and the raise-edge check demands the release
-    survive an exception thrown between allocation and release.
-    """
-
-    rule = "RPL011"
-    name = "segment-escape"
-    description = "shared segments must reach close()/release() on every path"
-
-    def check_project(self, project, engine) -> list[Finding]:
-        findings: list[Finding] = []
-        for fn in _functions_in_order(project):
-            if self._owner_method(project, fn):
-                continue
-            findings.extend(self._check_function(project, engine, fn))
-        return findings
-
-    @staticmethod
-    def _owner_method(project: Project, fn: FunctionInfo) -> bool:
-        """Methods of a release-owning class manage their own segment."""
-        if fn.class_name is None:
-            return False
-        if project.class_has_base(fn.class_name, SEGMENT_OWNER_CLASSES):
-            return True
-        for _mod, cls_node in project.classes.get(fn.class_name, []):
-            for stmt in cls_node.body:
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if stmt.name in ("release", "close", "__exit__", "cleanup"):
-                        return True
-        return False
-
-    def _check_function(self, project, engine, fn) -> list[Finding]:
-        creations = self._creation_sites(project, engine, fn)
-        if not creations:
-            return []
-        env, state = engine.function_state(fn)
-        findings = []
-        for name, assign, value in creations:
-            if self._escapes(fn, name):
-                continue
-            release_line = state.released_at.get(name)
-            with_managed = self._with_managed(fn, name)
-            chain = value.chain("SEGMENT_OWNER") or (
-                (fn.module.path, assign.lineno, "segment allocated here"),
-            )
-            if release_line is None and not with_managed:
-                findings.append(
-                    self.flow_finding(
-                        fn.module.path,
-                        assign,
-                        f"shared segment bound to '{name}' never reaches a "
-                        "close()/release() in this function and does not "
-                        "escape to a caller — leaked segments survive the "
-                        "process",
-                        chain=chain,
-                    )
-                )
-                continue
-            if with_managed or self._release_protected(fn, assign, name):
-                continue
-            if self._raise_possible_between(fn, assign.lineno, release_line):
-                findings.append(
-                    self.flow_finding(
-                        fn.module.path,
-                        assign,
-                        f"shared segment bound to '{name}' is released only "
-                        "on the fall-through path — an exception raised "
-                        f"between allocation and the release at line "
-                        f"{release_line} leaks the segment; wrap the region "
-                        "in try/finally (or hand the segment to an owner "
-                        "object)",
-                        chain=chain
-                        + ((fn.module.path, release_line,
-                            "unprotected release here"),),
-                    )
-                )
-        return findings
-
-    def _creation_sites(self, project, engine, fn):
-        """(var name, assign stmt, value) for fresh segments born in *fn*."""
-        sites = []
-        for node in _walk_function_body(fn.node):
-            if not isinstance(node, ast.Assign):
-                continue
-            if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
-                continue
-            expr = node.value
-            if not isinstance(expr, ast.Call):
-                continue
-            if not self._creates_segment(project, engine, fn, expr):
-                continue
-            value = engine.eval_in_function(fn, expr)
-            sites.append((node.targets[0].id, node, value))
-        return sites
-
-    @staticmethod
-    def _creates_segment(project, engine, fn, call: ast.Call) -> bool:
-        callee = terminal_name(call.func)
-        if callee == "SharedMemory":
-            kw = call_keyword(call, "create")
-            return (
-                kw is not None
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-            )
-        if callee is not None and project.class_has_base(
-            callee, SEGMENT_OWNER_CLASSES
-        ):
-            return True
-        for target in project.resolve_call(fn.module, call, fn.class_name):
-            if engine.summary(target).returns_fresh_segment:
-                return True
-        return False
-
-    @staticmethod
-    def _escapes(fn: FunctionInfo, name: str) -> bool:
-        """Returned, yielded, or stored onto an instance — the caller owns it."""
-        for node in _walk_function_body(fn.node):
-            if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                value = node.value
-                if value is not None and any(
-                    isinstance(sub, ast.Name) and sub.id == name
-                    for sub in ast.walk(value)
-                ):
-                    return True
-            elif isinstance(node, ast.Assign):
-                stores_attr = any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                )
-                if stores_attr and any(
-                    isinstance(sub, ast.Name) and sub.id == name
-                    for sub in ast.walk(node.value)
-                ):
-                    return True
-        return False
-
-    @staticmethod
-    def _with_managed(fn: FunctionInfo, name: str) -> bool:
-        for node in _walk_function_body(fn.node):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if (
-                        isinstance(item.context_expr, ast.Name)
-                        and item.context_expr.id == name
-                    ):
-                        return True
-        return False
-
-    @staticmethod
-    def _release_protected(fn: FunctionInfo, assign: ast.Assign, name: str) -> bool:
-        """The release of *name* survives raise edges.
-
-        True when the allocation sits under a ``try`` with a
-        ``finally``, or when any ``finally`` block in the function
-        touches *name* (the idiomatic ``seg = alloc(); try: ...
-        finally: seg.close()`` shape allocates just *before* the try).
-        """
-        for anc in ancestors(assign):
-            if isinstance(anc, ast.Try) and anc.finalbody:
-                return True
-        for node in _walk_function_body(fn.node):
-            if isinstance(node, ast.Try) and node.finalbody:
-                for stmt in node.finalbody:
-                    if any(
-                        isinstance(sub, ast.Name) and sub.id == name
-                        for sub in ast.walk(stmt)
-                    ):
-                        return True
-        return False
-
-    @staticmethod
-    def _raise_possible_between(
-        fn: FunctionInfo, start_line: int, end_line: int
-    ) -> bool:
-        """Any call/raise strictly between allocation and release lines."""
-        for node in _walk_function_body(fn.node):
-            line = getattr(node, "lineno", None)
-            if line is None or not (start_line < line < end_line):
-                continue
-            if isinstance(node, (ast.Raise,)):
-                return True
-            if isinstance(node, ast.Call):
-                # The release call itself (or sibling calls on the same
-                # statement line) does not count as a raise edge.
-                if line != end_line:
-                    return True
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -588,124 +373,11 @@ class LockOrderChecker(FlowChecker):
         return path, line, chain[: 12]
 
 
-# ----------------------------------------------------------------------
-# RPL013 — stale-stage mutation
-
-
-class StaleStageMutationChecker(FlowChecker):
-    """RPL013: no raw writes to state already staged into shared memory.
-
-    Once ``SharedPartitionBuffers(partition)`` (or any staging
-    constructor) has copied a value's arrays into a segment, in-place
-    writes to that value silently diverge from what workers see; every
-    mutation must flow through the sanctioned mutators
-    (``write_weights`` / ``set_rule_weights`` / ``set_potential_weights``
-    / ``state_token`` bumps), which re-stage or version the change.
-    """
-
-    rule = "RPL013"
-    name = "stale-stage-mutation"
-    description = "no in-place writes to values already staged into shared memory"
-
-    #: calls that stage their arguments into shared memory.
-    staging_constructors = frozenset(
-        {"SharedPartitionBuffers", "SharedSolveState"}
-    )
-    #: functions allowed to mutate staged state (they re-stage/version).
-    sanctioned_mutators = frozenset(
-        {"write_weights", "set_rule_weights", "set_potential_weights",
-         "state_token", "bump_state", "reweight", "_write", "_stage"}
-    )
-
-    def check_project(self, project, engine) -> list[Finding]:
-        findings = []
-        for fn in _functions_in_order(project):
-            if fn.name in self.sanctioned_mutators:
-                continue
-            findings.extend(self._check_function(project, engine, fn))
-        return findings
-
-    def _check_function(self, project, engine, fn) -> list[Finding]:
-        staged: dict[str, tuple[int, str]] = {}  # name -> (line, stager)
-        for node in _walk_function_body(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            stager = self._staging_callee(project, engine, fn, node)
-            if stager is None:
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Name):
-                    line, _ = staged.get(arg.id, (node.lineno, stager))
-                    staged[arg.id] = (min(line, node.lineno), stager)
-        if not staged:
-            return []
-
-        _env, state = engine.function_state(fn)
-        findings = []
-        reported: set[tuple[str, int]] = set()
-        for name, line, what in state.mutation_events:
-            if name not in staged:
-                continue
-            staged_line, stager = staged[name]
-            if line <= staged_line or (name, line) in reported:
-                continue
-            if self._sanctioned(fn, line):
-                continue
-            reported.add((name, line))
-            findings.append(
-                Finding(
-                    rule=self.rule,
-                    message=(
-                        f"in-place write to '{name}' ({what}) after it was "
-                        f"staged into shared memory by {stager}(...) at "
-                        f"line {staged_line}; workers keep the stale copy — "
-                        "route the change through "
-                        "write_weights()/set_rule_weights() so it is "
-                        "re-staged (or bump state_token())"
-                    ),
-                    path=fn.module.path,
-                    line=line,
-                    chain=(
-                        (fn.module.path, staged_line,
-                         f"'{name}' staged into shared memory here "
-                         f"({stager})"),
-                        (fn.module.path, line,
-                         f"raw {what} to '{name}' here bypasses the "
-                         "re-staging protocol"),
-                    ),
-                )
-            )
-        return findings
-
-    def _staging_callee(self, project, engine, fn, call: ast.Call) -> str | None:
-        callee = terminal_name(call.func)
-        if callee in self.staging_constructors:
-            return callee
-        if callee is not None and project.class_has_base(
-            callee, frozenset(self.staging_constructors)
-        ):
-            return callee
-        return None
-
-    def _sanctioned(self, fn: FunctionInfo, line: int) -> bool:
-        """The mutation statement sits inside a sanctioned-mutator call."""
-        for node in _walk_function_body(fn.node):
-            if (
-                isinstance(node, ast.Call)
-                and getattr(node, "lineno", None) == line
-                and terminal_name(node.func) in self.sanctioned_mutators
-            ):
-                return True
-        return False
-
-
 def flow_checkers() -> list[FlowChecker]:
     """Fresh instances of every RPL01x rule, in rule order."""
     return [
         TransitiveProcessMapTaintChecker(),
-        SegmentEscapeChecker(),
         LockOrderChecker(),
-        StaleStageMutationChecker(),
     ]
 
 

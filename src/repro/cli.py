@@ -80,19 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entries per grounding shard (default: sharding module default)",
     )
     select.add_argument(
-        "--solve-executor",
-        default=None,
-        help="where the partitioned ADMM block updates run: serial, thread[:N] "
-        "or process[:N] (persistent pool + shared-memory blocks)",
-    )
-    select.add_argument(
-        "--solve-block-size",
-        type=int,
-        default=None,
-        help="terms per ADMM partition block (default: inherit the grounding "
-        "shard structure)",
-    )
-    select.add_argument(
         "--grounding-store",
         default=None,
         help="disk grounding-store directory: attach a previously spilled "
@@ -131,19 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="entries per grounding shard (default: sharding module default)",
-    )
-    sweep.add_argument(
-        "--solve-executor",
-        default=None,
-        help="where the partitioned ADMM block updates run: serial, thread[:N] "
-        "or process[:N] (persistent pool + shared-memory blocks)",
-    )
-    sweep.add_argument(
-        "--solve-block-size",
-        type=int,
-        default=None,
-        help="terms per ADMM partition block (default: inherit the grounding "
-        "shard structure)",
     )
     sweep.add_argument(
         "--cache-dir",
@@ -257,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repro-lint invariant checkers (RPL001-RPL005 "
-        "syntactic, RPL010-RPL013 flow)",
+        help="run the repro-lint invariant checkers (RPL001/002/004/005 "
+        "syntactic, RPL010/012 flow)",
     )
     lint.add_argument(
         "paths",
@@ -272,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="flow",
         default=False,
         help="also run the whole-program flow pass (call graph + "
-        "dataflow, rules RPL010-RPL013)",
+        "dataflow, rules RPL010 and RPL012)",
     )
     lint.add_argument(
         "--no-flow",
@@ -329,7 +303,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     import time
     from functools import partial
 
-    from repro.psl.admm import AdmmSettings
     from repro.selection.collective import CollectiveSettings, solve_collective
 
     scenario = load_scenario(args.scenario)
@@ -338,8 +311,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
     knobs = (
         args.ground_executor,
         args.ground_shard_size,
-        args.solve_executor,
-        args.solve_block_size,
         args.grounding_store,
     )
     if "collective" in methods and (
@@ -348,9 +319,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
         methods["collective"] = partial(
             solve_collective,
             settings=CollectiveSettings(
-                admm=AdmmSettings(
-                    executor=args.solve_executor, block_size=args.solve_block_size
-                ),
                 ground_executor=args.ground_executor,
                 ground_shard_size=args.ground_shard_size,
                 grounding_store=args.grounding_store,
@@ -465,8 +433,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         ground_executor=args.ground_executor,
         ground_shard_size=args.ground_shard_size,
-        solve_executor=args.solve_executor,
-        solve_block_size=args.solve_block_size,
         grounding_store=args.grounding_store,
         incremental=not args.no_incremental,
     )

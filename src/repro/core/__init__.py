@@ -55,10 +55,6 @@ from repro.mappings import Atom, StTgd, Variable, atom, parse_tgd, parse_tgds, v
 from repro.psl import (
     AdmmSettings,
     PslProgram,
-    SharedBlockArrays,
-    SharedPartitionBuffers,
-    TermPartition,
-    build_partition,
     lit,
 )
 from repro.selection.weight_learning import learn_weights, training_pairs_from_scenarios
@@ -83,10 +79,6 @@ from repro.selection import (
 
 __all__ = [
     "AdmmSettings",
-    "SharedBlockArrays",
-    "SharedPartitionBuffers",
-    "TermPartition",
-    "build_partition",
     "Atom",
     "CollectiveSettings",
     "Constant",

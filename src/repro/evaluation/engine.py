@@ -27,10 +27,7 @@ runner:
   runs keep one solver per lane, parallel runs execute the lanes as
   waves and ship each cell's chained state
   (:class:`~repro.selection.collective.CollectiveWarmPayload`) to the
-  lane's next cell inside the work unit;
-* **partitioned solving** — the ADMM solver's block partition and
-  executor (``solve_executor``/``solve_block_size``) ride the same
-  settings into every cell.
+  lane's next cell inside the work unit.
 
 :func:`repro.evaluation.harness.run_methods`, the CLI ``sweep``/``select``
 commands, and :mod:`benchmarks.sweeps` all sit on top of this module.
@@ -53,7 +50,6 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.ibench.scenario import Scenario
 from repro.selection.baselines import select_all, solve_independent
-from repro.psl.admm import AdmmSettings
 from repro.selection.collective import (
     CollectiveSettings,
     CollectiveWarmPayload,
@@ -501,13 +497,6 @@ class EvaluationEngine:
             process-pool workers.
         ground_shard_size: entries per grounding shard (``None`` → the
             sharding default).
-        solve_executor: executor spec for the partitioned ADMM solver's
-            per-block local updates — ``"thread[:N]"`` for in-process
-            parallelism, ``"process[:N]"`` for multi-core (a persistent
-            worker pool plus shared-memory block arrays keep the
-            per-iteration dispatch cheap); forwarded to every cell.
-        solve_block_size: terms per ADMM partition block (``None`` →
-            inherit the grounding shard structure recorded in the MRF).
         grounding_store: root directory of a cross-process disk
             :class:`~repro.psl.store.GroundingStore` for the collective
             method's compiled groundings — a cold process *attaches*
@@ -536,8 +525,6 @@ class EvaluationEngine:
         cache_dir: str | Path | None = None,
         ground_executor: MapExecutor | str | None = None,
         ground_shard_size: int | None = None,
-        solve_executor: MapExecutor | str | None = None,
-        solve_block_size: int | None = None,
         grounding_store: str | Path | None = None,
         incremental: bool = True,
     ):
@@ -554,14 +541,13 @@ class EvaluationEngine:
         )
         self.incremental = bool(incremental)
         self.collective_settings: CollectiveSettings | None = None
-        knobs = (ground_executor, ground_shard_size, solve_executor, solve_block_size)
         if (
-            any(knob is not None for knob in knobs)
+            ground_executor is not None
+            or ground_shard_size is not None
             or self.grounding_store is not None
             or not self.incremental
         ):
             self.collective_settings = CollectiveSettings(
-                admm=AdmmSettings(executor=solve_executor, block_size=solve_block_size),
                 ground_executor=ground_executor,
                 ground_shard_size=ground_shard_size,
                 grounding_store=self.grounding_store,

@@ -1,22 +1,21 @@
 """Pluggable map-style executors for embarrassingly parallel work.
 
-The selection pipeline, the evaluation engine, sharded grounding, and
-the partitioned ADMM solver all fan out over independent, picklable work
-units (one per candidate, per grid cell, per grounding shard, per solver
-block).  This module gives them a common, minimal execution abstraction:
+The selection pipeline, the evaluation engine, sharded grounding and
+incremental re-grounding all fan out over independent, picklable work
+units (one per candidate, per grid cell, per grounding shard).  This
+module gives them a common, minimal execution abstraction:
 
 * :class:`SerialExecutor` — in-process ``map``; zero overhead, always
   available, shares in-process caches with the caller;
 * :class:`ThreadExecutor` — a shared ``ThreadPoolExecutor``; cheap
   per-call dispatch and shared memory, a good backend for numpy-heavy
-  steps (which release the GIL) mapped many times, e.g. the per-block
-  ADMM local updates;
+  steps (which release the GIL);
 * :class:`ProcessExecutor` — ``concurrent.futures.ProcessPoolExecutor``
   with chunked dispatch; true multi-core parallelism for CPU-bound pure
   Python work.  In **persistent** mode the worker pool outlives
   individual ``map`` calls (created lazily, initializer applied once per
-  worker), so a caller that maps thousands of times — the per-iteration
-  ADMM block updates — pays the pool spawn once, not per map.
+  worker), so a caller that maps many times — repeated sharded
+  grounds, grid waves — pays the pool spawn once, not per map.
 
 All executors preserve input order, so callers get deterministic merges
 for free.  The parallel ``map`` paths *stream*: they return a generator
@@ -155,17 +154,16 @@ class ThreadExecutor:
     Threads share the caller's memory, so work units need not be
     picklable and large arrays travel for free — but pure-Python work
     still serializes on the GIL.  The sweet spot is numpy-dominated
-    steps mapped many times (the partitioned ADMM local updates: one
-    ``map`` per iteration), where per-call pool reuse matters and the
+    steps mapped many times, where per-call pool reuse matters and the
     heavy ops release the GIL.  Instances pickle as their configuration
     only; the pool is rebuilt lazily wherever they land.
 
     The pool is kept for the instance's lifetime (idle threads are
     joined at interpreter exit); :func:`resolve_executor` hands out one
     shared instance per worker count, so resolving ``"thread:N"`` once
-    per solver does not accumulate pools.  Because instances are shared,
+    per caller does not accumulate pools.  Because instances are shared,
     a :meth:`map` issued *from one of the pool's own worker threads*
-    (e.g. an engine grid on ``thread:2`` whose cells solve with
+    (e.g. an engine grid on ``thread:2`` whose cells ground with
     ``thread:2``) runs inline instead of queueing: the nested tasks
     would otherwise wait behind the very jobs occupying every worker —
     a deadlock, not a slowdown.
@@ -298,8 +296,7 @@ class ProcessExecutor:
       across calls, discarded in forked children (like
       :class:`ThreadExecutor`), shut down by :meth:`close` (the executor
       is a context manager) or at interpreter exit.  This is what makes
-      process-backed per-iteration maps (the ADMM block updates) and
-      repeated sharded grounds actually fast.
+      repeated sharded grounds and grid waves actually fast.
 
     Work is dispatched in chunks to amortize IPC.  The returned
     generator keeps a bounded window of chunks in flight (submitting the
@@ -439,8 +436,8 @@ class ProcessExecutor:
         # Ceil-divide so a small map fills one in-flight window (about
         # 2×workers chunks) instead of degenerating to one item per
         # chunk: every chunk is an IPC round trip, and a latency-bound
-        # per-iteration map (the ADMM block updates) lives or dies by
-        # the round-trip count.  Large maps still hit the _CHUNK_CAP.
+        # map lives or dies by the round-trip count.  Large maps still
+        # hit the _CHUNK_CAP.
         chunksize = max(
             1, min(_CHUNK_CAP, -(-len(items) // (self.max_workers * 2)))
         )

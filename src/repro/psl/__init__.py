@@ -13,14 +13,6 @@ this package re-implements the needed core in pure Python + numpy:
 """
 
 from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState
-from repro.psl.partition import (
-    BlockArrays,
-    SharedBlockArrays,
-    SharedPartitionBuffers,
-    SharedSolveState,
-    TermPartition,
-    build_partition,
-)
 from repro.psl.database import Database
 from repro.psl.hlmrf import HardConstraint, HingeLossMRF, HingePotential
 from repro.psl.learning import RuleLearningResult, learn_rule_weights, rule_features
@@ -47,10 +39,6 @@ from repro.psl.sharding import (
 __all__ = [
     "AdmmResult",
     "AdmmSettings",
-    "BlockArrays",
-    "SharedBlockArrays",
-    "SharedPartitionBuffers",
-    "SharedSolveState",
     "AdmmSolver",
     "AdmmWarmState",
     "Database",
@@ -72,8 +60,6 @@ __all__ = [
     "Rule",
     "RuleVariable",
     "V",
-    "TermPartition",
-    "build_partition",
     "ground_shards",
     "learn_rule_weights",
     "lit",

@@ -1,29 +1,19 @@
-"""Consensus ADMM for HL-MRF MAP inference, partitioned by term blocks.
+"""Consensus ADMM for HL-MRF MAP inference.
 
 Follows the algorithm of Bach et al. (JMLR 2017): every potential and
 hard constraint becomes a subproblem holding local copies of its
 variables; a consensus vector z (clipped to [0,1]) ties the copies
 together.  Every subproblem's minimizer has the closed form
 ``x = v - lambda * a`` for a per-term scalar ``lambda``, so one ADMM
-iteration is a handful of vectorized segment operations — no generic QP
-solver needed.
+iteration is a handful of vectorized segment operations over the MRF's
+:class:`~repro.psl.partition.FlatTermArrays` — no generic QP solver
+needed.
 
 Term kinds:
     linear hinge   w*max(0, a^T x + b)      lambda in {0, w/rho, d/||a||^2}
     squared hinge  w*max(0, a^T x + b)^2    lambda = 2*w*s/rho
     hard <=        project onto halfspace   lambda = max(0, d)/||a||^2
     hard ==        project onto hyperplane  lambda = d/||a||^2
-
-The local x-update is independent per term, so the solver runs it per
-*block* of the :class:`~repro.psl.partition.TermPartition` compiled from
-the MRF: by default the shard structure recorded at grounding time
-(:meth:`~repro.psl.hlmrf.HingeLossMRF.term_partition`), optionally
-re-chunked via :attr:`AdmmSettings.block_size`.  Blocks map through any
-order-preserving :class:`~repro.executors.MapExecutor`
-(:attr:`AdmmSettings.executor`); the consensus and dual steps
-scatter-gather across the blocks' disjoint copy slices.  Because blocks
-tile the flat term order, the solve is numerically identical (same
-iterates, residuals, energy) for every block size and executor.
 """
 
 from __future__ import annotations
@@ -33,52 +23,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.executors import (
-    MapExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    resolve_executor,
+from repro.psl.hlmrf import (
+    KIND_EQ,
+    KIND_HINGE,
+    KIND_LEQ,
+    KIND_SQUARED,
+    HingeLossMRF,
 )
-from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import (
-    SharedPartitionBuffers,
-    SharedSolveState,
-    TermPartition,
-    apply_block_x_update,
-    apply_shared_solve_update,
-    block_x_update,
-    build_partition,
-)
+from repro.psl.partition import FlatTermArrays, solver_arrays
 
 
 @dataclass
 class AdmmSettings:
-    """Solver knobs; the defaults suit the paper's problem sizes.
-
-    ``executor`` selects where the per-block local x-updates run —
-    ``None``/``"serial"`` (default), ``"thread[:N]"`` (in-process
-    parallelism: blocks share the consensus state in memory and the
-    numpy-heavy steps release the GIL), or ``"process[:N]"``
-    (multi-core parallelism: a *persistent* worker pool reused across
-    the per-iteration maps, with the block CSR arrays *and* the live
-    consensus state placed once in ``multiprocessing.shared_memory`` so
-    each iteration ships only O(num_blocks) bytes of
-    ``(name, index, rho, generation)`` payloads — equivalence-tested
-    bit-identical to serial).  Use string specs when the settings
-    object must stay picklable inside engine work units.  ``block_size``
-    overrides the grounding-recorded partition with uniform runs of that
-    many terms; ``None`` keeps the shard structure the MRF carries.
-    Neither knob changes any iterate — only where and in what chunks the
-    arithmetic happens.
-    """
+    """Solver knobs; the defaults suit the paper's problem sizes."""
 
     rho: float = 1.0
     max_iterations: int = 5000
     epsilon_abs: float = 1e-5
     epsilon_rel: float = 1e-4
     check_every: int = 10
-    executor: MapExecutor | str | None = None
-    block_size: int | None = None
 
     def validate(self) -> None:
         """Reject settings that would crash or loop forever mid-solve.
@@ -111,25 +74,24 @@ class AdmmWarmState:
     with the same grounding structure; :meth:`AdmmSolver.solve` ignores
     a state that fails :meth:`matches`.
 
-    ``num_terms`` records the block-structure signature of the producing
-    partition.  The dual vector's layout is the flat copy order —
-    independent of how terms were grouped into blocks — so a state taken
-    at one block size remains valid after re-partitioning (a different
-    ``block_size``, a different grounding shard size); what it must
-    *not* survive is a structurally different MRF that happens to match
-    on raw array shapes, which the term count rejects.
+    ``num_terms`` records the term count of the producing MRF.  The dual
+    vector's layout is the flat copy order — independent of the
+    grounding shard size — so a state survives a re-ground at another
+    shard size; what it must *not* survive is a structurally different
+    MRF that happens to match on raw array shapes, which the term count
+    rejects.
     """
 
     z: np.ndarray
     u: np.ndarray
     num_terms: int | None = None
 
-    def matches(self, partition: TermPartition) -> bool:
-        """Is this state structurally valid for *partition*'s problem?"""
+    def matches(self, arrays: FlatTermArrays) -> bool:
+        """Is this state structurally valid for *arrays*' problem?"""
         return (
-            self.z.shape == (partition.num_variables,)
-            and self.u.shape == (partition.num_copies,)
-            and (self.num_terms is None or self.num_terms == partition.num_terms)
+            self.z.shape == (arrays.num_variables,)
+            and self.u.shape == (arrays.num_copies,)
+            and (self.num_terms is None or self.num_terms == arrays.num_terms)
         )
 
 
@@ -170,40 +132,72 @@ def _convergence(
     return primal, dual, primal < eps and dual < eps
 
 
+def _hinge_kernel(
+    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
+) -> np.ndarray:
+    w_over_rho = weight / rho
+    full_step_ok = d0 - w_over_rho * normsq >= 0.0
+    return np.where(d0 <= 0.0, 0.0, np.where(full_step_ok, w_over_rho, d0 / normsq))
+
+
+def _squared_kernel(
+    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
+) -> np.ndarray:
+    s = d0 / (1.0 + 2.0 * weight * normsq / rho)
+    return np.where(d0 <= 0.0, 0.0, 2.0 * weight * s / rho)
+
+
+def _leq_kernel(
+    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
+) -> np.ndarray:
+    return np.maximum(0.0, d0) / normsq
+
+
+def _eq_kernel(
+    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
+) -> np.ndarray:
+    return d0 / normsq
+
+
+#: Closed-form ``lambda`` kernel per term kind (module docstring).
+_KIND_KERNELS = (
+    (KIND_HINGE, _hinge_kernel),
+    (KIND_SQUARED, _squared_kernel),
+    (KIND_LEQ, _leq_kernel),
+    (KIND_EQ, _eq_kernel),
+)
+
+
 class AdmmSolver:
-    """Block-partitioned consensus-ADMM solver for one HL-MRF.
+    """Serial consensus-ADMM solver for one HL-MRF.
 
-    The partition is compiled **once** per solver and reused across
-    solves: because the HL-MRF energy is linear in the potential
-    weights, a weight-only change never touches the compiled structure.
-    Mutate weights on the MRF (``set_group_weights`` and friends) — or
-    pass ``weights=`` straight to :meth:`solve` — and the solver syncs
-    its partition in place (:attr:`~repro.psl.hlmrf.HingeLossMRF.
-    weights_version` tells it when), writing through any live
-    shared-memory staging so persistent pool workers see the new
-    weights without re-staging or pool recycling.
-
-    On a multi-worker process executor the shared-memory block staging
-    is likewise created once and kept for the solver's lifetime; it is
-    released by :meth:`close` (also on context-manager exit and when
-    the solver is garbage collected), so one-shot
-    ``AdmmSolver(mrf).solve()`` uses still unlink their segment as soon
-    as the solver goes away.
+    The flat term arrays and the per-kind index sets of the local step
+    are compiled **once** per solver and reused across solves: because
+    the HL-MRF energy is linear in the potential weights, a weight-only
+    change never touches the compiled structure.  Mutate weights on the
+    MRF (``set_group_weights`` and friends) — or pass ``weights=``
+    straight to :meth:`solve` — and the solver syncs its arrays in place
+    (:attr:`~repro.psl.hlmrf.HingeLossMRF.weights_version` tells it
+    when).
     """
 
     def __init__(self, mrf: HingeLossMRF, settings: AdmmSettings | None = None):
         self._mrf = mrf
         self._settings = settings or AdmmSettings()
         self._settings.validate()
-        self._partition = build_partition(mrf, self._settings.block_size)
-        self._executor = resolve_executor(self._settings.executor)
+        self._arrays = solver_arrays(mrf)
         self._weights_version = mrf.weights_version
-        self._shared: SharedPartitionBuffers | None = None
-        self._solve_state: SharedSolveState | None = None
+        #: (kernel, term indices of that kind, their normsq), for every
+        #: kind present — the kind masks of the local step, precompiled.
+        self._kinds = tuple(
+            (kernel, idx, self._arrays.normsq[idx])
+            for kind, kernel in _KIND_KERNELS
+            if len(idx := np.flatnonzero(self._arrays.kind == kind))
+        )
 
     @property
-    def partition(self) -> TermPartition:
-        return self._partition
+    def arrays(self) -> FlatTermArrays:
+        return self._arrays
 
     @property
     def mrf(self) -> HingeLossMRF:
@@ -213,120 +207,34 @@ class AdmmSolver:
     def settings(self) -> AdmmSettings:
         return self._settings
 
-    def close(self) -> None:
-        """Release the solver's shared-memory staging (idempotent)."""
-        state, self._solve_state = self._solve_state, None
-        if state is not None:
-            state.release()
-        shared, self._shared = self._shared, None
-        if shared is not None:
-            shared.release()
-
-    def __enter__(self) -> "AdmmSolver":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def _sync_weights(self) -> None:
-        """Pull the MRF's current weights into the compiled partition.
+        """Pull the MRF's current weights into the compiled arrays.
 
         No-op unless the MRF's ``weights_version`` moved since the last
-        sync; then the partition's flat weight vector is rewritten in
-        place (blocks hold views) and any live shared-memory staging
-        gets the write-through.
+        sync; then the flat weight vector is rewritten in place.
         """
         if self._mrf.weights_version == self._weights_version:
             return
-        self._partition.set_potential_weights(self._mrf.potential_weights())
-        if self._shared is not None and not self._shared.released:
-            self._shared.write_weights(self._partition)
+        self._arrays.set_potential_weights(self._mrf.potential_weights())
         self._weights_version = self._mrf.weights_version
 
-    def _local_updates(
-        self,
-        z: np.ndarray,
-        u: np.ndarray,
-        x_local: np.ndarray,
-        rho: float,
-        generation: int,
-        state: SharedSolveState | None = None,
-    ) -> None:
-        """Run every block's x-update, scattering into *x_local*.
+    def _x_update(self, v: np.ndarray, rho: float) -> np.ndarray:
+        """The local step of every term: ``x = v - lambda[term] * a``.
 
-        Blocks own disjoint slices of the copy range, so scattering the
-        mapped results back is race-free and order-independent; the
-        executor only changes where the arithmetic runs.  With *state*
-        (the solver's shared solve state, on a multi-worker process
-        executor) *z*, *u*, and *x_local* are views into the shared
-        segment: the mapped payloads are ``(name, index, rho,
-        generation)`` tuples, workers compute their own ``v`` slice and
-        write ``x`` in place, and the results are acks — nothing
-        problem-sized crosses the process boundary.
+        *v* is ``z[var] - u``.  The per-term scalar ``lambda`` comes from
+        each kind's closed-form kernel over its precompiled index set
+        (``np.flatnonzero`` keeps mask order, so every element sees the
+        same arithmetic a boolean-mask dispatch would give).
         """
-        partition = self._partition
-        if state is not None:
-            name = state.name
-            payloads = [
-                (name, index, rho, generation)
-                for index in range(partition.num_blocks)
-            ]
-            for _ack in self._executor.map(apply_shared_solve_update, payloads):
-                pass  # drain: the map barrier is the iteration barrier
-            return
-        if isinstance(self._executor, SerialExecutor) or partition.num_blocks <= 1:
-            for block in partition.blocks:
-                sl = block.copy_slice
-                x_local[sl] = block_x_update(block, z[block.var] - u[sl], rho)
-            return
-        # Thread executors (and any custom in-process MapExecutor) share
-        # the driver's memory natively: ship the raw blocks.
-        payloads = [
-            (block, z[block.var] - u[block.copy_slice], rho)
-            for block in partition.blocks
-        ]
-        results = self._executor.map(apply_block_x_update, payloads)
-        for x_block, block in zip(results, partition.blocks):
-            x_local[block.copy_slice] = x_block
-
-    def _wants_shared_state(self) -> bool:
-        """Should this solve run on shared-memory consensus state?
-
-        Only a multi-worker process executor benefits: its per-iteration
-        maps would otherwise pickle every block's ``v`` slice out and
-        ``x`` block back on every iteration.  Thread/serial executors
-        share memory natively, and a single-worker process executor
-        falls back to in-driver execution anyway.
-        """
-        return (
-            isinstance(self._executor, ProcessExecutor)
-            and self._executor.max_workers > 1
-            and self._partition.num_blocks > 1
-        )
-
-    def _ensure_shared_state(self) -> SharedSolveState | None:
-        """Stage (or reuse) this solver's shared-memory solve state.
-
-        Both segments are solver-owned and kept across solves: re-solves
-        of the same structure (weight sweeps, learning epochs) reuse the
-        staged block arrays and consensus buffers — weight changes write
-        through in :meth:`_sync_weights` — and :meth:`close` /
-        ``__del__`` unlinks them, so a one-shot
-        ``AdmmSolver(mrf).solve()`` still releases promptly when the
-        solver object dies, even if a solve raised.  If the block
-        staging had to be rebuilt, the solve state is rebuilt with it
-        (its manifest embeds the block descriptors by segment name).
-        """
-        if not self._wants_shared_state():
-            return None
-        if self._shared is None or self._shared.released:
-            self._shared = SharedPartitionBuffers(self._partition)
-            if self._solve_state is not None:
-                self._solve_state.release()
-                self._solve_state = None
-        if self._solve_state is None or self._solve_state.released:
-            self._solve_state = SharedSolveState(self._partition, self._shared.blocks)
-        return self._solve_state
+        arrays = self._arrays
+        num_terms = arrays.num_terms
+        dot = np.bincount(arrays.term, weights=arrays.coeff * v, minlength=num_terms)
+        d0 = dot + arrays.offset
+        lam = np.zeros(num_terms)
+        weight = arrays.weight
+        for kernel, idx, normsq in self._kinds:
+            lam[idx] = kernel(d0[idx], weight[idx], normsq, rho)
+        return v - lam[arrays.term] * arrays.coeff
 
     def solve(
         self,
@@ -339,16 +247,15 @@ class AdmmSolver:
         *warm_start* seeds only the consensus vector; *warm_state* (from a
         previous :attr:`AdmmResult.state`) additionally restores the local
         duals and takes precedence when it structurally matches this
-        problem (see :meth:`AdmmWarmState.matches` — a re-partitioned
-        solve of the same MRF still qualifies).
+        problem (see :meth:`AdmmWarmState.matches`).
 
         *weights* re-weights the (unchanged) ground structure before
         solving: a mapping applies per origin group
         (:meth:`~repro.psl.hlmrf.HingeLossMRF.set_group_weights`), an
         array replaces the full per-potential vector.  Combined with
         *warm_state* from the previous solve this is the fast path of
-        iterative reweighting: same compiled partition, same shared
-        staging, a handful of warm iterations.
+        iterative reweighting: same compiled arrays, a handful of warm
+        iterations.
         """
         if weights is not None:
             if hasattr(weights, "items"):
@@ -357,9 +264,9 @@ class AdmmSolver:
                 self._mrf.set_potential_weights(weights)
         self._sync_weights()
         settings = self._settings
-        partition = self._partition
-        n, copies = partition.num_variables, partition.num_copies
-        use_state = warm_state is not None and warm_state.matches(partition)
+        arrays = self._arrays
+        n, copies = arrays.num_variables, arrays.num_copies
+        use_state = warm_state is not None and warm_state.matches(arrays)
         if use_state:
             z = np.clip(warm_state.z.astype(np.float64), 0.0, 1.0)
         elif warm_start is not None:
@@ -369,25 +276,11 @@ class AdmmSolver:
         if copies == 0:
             return AdmmResult(
                 z, 0, True, 0.0, 0.0, self._mrf.energy(z),
-                state=AdmmWarmState(z.copy(), np.zeros(0), partition.num_terms),
+                state=AdmmWarmState(z.copy(), np.zeros(0), arrays.num_terms),
             )
 
-        var = partition.var
+        var = arrays.var
         u = warm_state.u.astype(np.float64).copy() if use_state else np.zeros(copies)
-
-        state = self._ensure_shared_state()
-        if state is not None:
-            # Rebind the working arrays to the shared-segment views: the
-            # whole loop below then runs in place on memory the pool
-            # workers see directly, and nothing per-iteration is pickled.
-            np.copyto(state.z, z)
-            z = state.z
-            np.copyto(state.u, u)
-            u = state.u
-            x_local = state.x_buffer(0)
-            np.copyto(x_local, z[var])
-        else:
-            x_local = z[var].copy()
         scratch = np.empty(copies)
         z_old = z.copy()
         rho = settings.rho
@@ -397,16 +290,14 @@ class AdmmSolver:
         checked_at = -1
 
         for iteration in range(1, settings.max_iterations + 1):
-            # --- local updates: x_local = v - lambda[term] * a, per block
-            if state is not None:
-                x_local = state.x_buffer(iteration)
-            self._local_updates(z, u, x_local, rho, iteration, state)
+            # --- local updates: x_local = v - lambda[term] * a --------
+            x_local = self._x_update(z[var] - u, rho)
 
-            # --- consensus update: gather every block's copies --------
+            # --- consensus update -------------------------------------
             np.add(x_local, u, out=scratch)
             np.copyto(z_old, z)
             zsum = np.bincount(var, weights=scratch, minlength=n)
-            zsum /= partition.degree
+            zsum /= arrays.degree
             np.clip(zsum, 0.0, 1.0, out=z)
 
             # --- dual update ------------------------------------------
@@ -431,13 +322,11 @@ class AdmmSolver:
             )
 
         return AdmmResult(
-            # On the shared path z is a segment view that close() will
-            # invalidate; the result must own its memory either way.
-            x=z.copy() if state is not None else z,
+            x=z,
             iterations=iteration,
             converged=converged,
             primal_residual=primal,
             dual_residual=dual,
             energy=self._mrf.energy(z),
-            state=AdmmWarmState(z.copy(), u.copy(), partition.num_terms),
+            state=AdmmWarmState(z.copy(), u.copy(), arrays.num_terms),
         )

@@ -210,10 +210,9 @@ class HingeLossMRF:
 
     Every :meth:`add_term_block` call also records the block's extent in
     the potential and constraint lists, so the shard structure chosen at
-    grounding time survives into the model; :meth:`term_partition` hands
-    those extents to the partitioned ADMM solver
-    (:mod:`repro.psl.partition`) as contiguous runs of the flat
-    potentials-then-constraints term order.
+    grounding time survives into the model; the splice engine
+    (:mod:`repro.psl.delta`) and the grounding store
+    (:mod:`repro.psl.store`) read those extents back.
 
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
     potential weights, so weights are first-class mutable state, kept
@@ -223,7 +222,7 @@ class HingeLossMRF:
     contiguous per-potential vector (:meth:`potential_weights`).
     :meth:`set_group_weights` / :meth:`set_group_potential_weights` /
     :meth:`set_potential_weights` rewrite weights in place (bumping
-    :attr:`weights_version` so compiled solver partitions know to
+    :attr:`weights_version` so compiled solver arrays know to
     resync) without touching structure — the "ground once, reweight
     many" contract: a reweighted MRF is element-for-element identical to
     one freshly grounded at the new weights, provided no weight crosses
@@ -572,46 +571,8 @@ class HingeLossMRF:
             (pot_before, len(self.potentials), con_before, len(self.constraints))
         )
 
-    def term_partition(self) -> tuple[tuple[int, int], ...]:
-        """Block boundaries as ``[lo, hi)`` runs of the flat term order.
-
-        The flat term order is the one the ADMM solver uses: all
-        potentials in list order, then all constraints.  A grounding
-        block whose extent holds both potentials and constraints
-        contributes two runs (its potential slice and its constraint
-        slice), so every run is contiguous in the flat order — the
-        property that makes the partitioned solver's consensus
-        accumulation bit-identical to the flat one.
-
-        On the legacy incremental path (no :meth:`add_term_block` calls),
-        or whenever the recorded extents do not exactly tile the
-        potential/constraint lists (mixed bulk + incremental
-        construction), the partition degrades to a single run covering
-        everything — always safe, never wrong.
-        """
-        num_potentials, num_constraints = len(self.potentials), len(self.constraints)
-        total = num_potentials + num_constraints
-        if total == 0:
-            return ()
-        pot_runs: list[tuple[int, int]] = []
-        con_runs: list[tuple[int, int]] = []
-        next_pot = next_con = 0
-        for pot_lo, pot_hi, con_lo, con_hi in self._block_extents:
-            if pot_lo != next_pot or con_lo != next_con:
-                return ((0, total),)
-            next_pot, next_con = pot_hi, con_hi
-            if pot_hi > pot_lo:
-                pot_runs.append((pot_lo, pot_hi))
-            if con_hi > con_lo:
-                con_runs.append((con_lo, con_hi))
-        if next_pot != num_potentials or next_con != num_constraints:
-            return ((0, total),)
-        return tuple(pot_runs) + tuple(
-            (num_potentials + lo, num_potentials + hi) for lo, hi in con_runs
-        )
-
     def _energy_arrays(self) -> tuple[np.ndarray, ...]:
-        """Partition-style structure arrays for the vectorized energy path.
+        """Flat CSR structure arrays for the vectorized energy path.
 
         Cached, keyed on the potential count: the potentials list is
         append-only, and reweighting replaces entries with
@@ -684,7 +645,7 @@ class HingeLossMRF:
     def energy(self, x) -> float:
         """Total weighted hinge loss at *x* (ignores constraints).
 
-        Computed on cached partition-style arrays — one gather, one
+        Computed on cached flat CSR arrays — one gather, one
         per-term ``bincount``, one dot with the live weight vector —
         instead of a Python loop over potentials.  Validated against the
         per-potential sum in tests; float summation order differs, so

@@ -23,7 +23,7 @@ Because the energy is linear in the weights, the ground structure is
 the ``floor`` guarantees that).  Learning therefore grounds **once** per
 call into a :class:`~repro.psl.program.GroundedProgram` and then only
 rewrites weights in place between epochs: the MAP solve reuses one
-compiled ADMM partition and Phi comes from the grounded artifact's
+compiled ADMM solver and Phi comes from the grounded artifact's
 recorded origin groups, not a fresh grounding.  The historical
 implementation re-ground three times per epoch (once for the solve, once
 per ``rule_features`` call); results here are bit-identical to that
@@ -87,7 +87,7 @@ def learn_rule_weights(
     raw potentials are left untouched.  The program is ground exactly
     once (``program.grounding_count`` moves by one); every epoch then
     reweights the grounded artifact in place and re-solves on the same
-    compiled partition.
+    compiled solver.
     """
     if floor <= 0:
         raise InferenceError(
@@ -99,27 +99,27 @@ def learn_rule_weights(
     weights: dict[Rule, float] = {r: float(r.weight) for r in soft_rules}
     energy_gaps: list[float] = []
 
-    with program.ground_program(weights, settings=admm) as grounded:
-        mrf = grounded.mrf
-        for _ in range(epochs):
-            grounded.set_rule_weights(weights)
-            solved = grounded.solve()
-            prediction = {
-                atom: float(solved.x[mrf.index_of(atom)])
-                for atom in program.database.targets_in_order
-            }
-            phi_prediction = grounded.rule_features(prediction)
-            phi_truth = grounded.rule_features(truth)
-            energy_prediction = sum(
-                weights[r] * phi_prediction.get(r, 0.0) for r in soft_rules
-            )
-            energy_truth = sum(weights[r] * phi_truth.get(r, 0.0) for r in soft_rules)
-            gap = energy_truth - energy_prediction
-            energy_gaps.append(gap)
-            if gap <= 1e-6:
-                break
-            for r in soft_rules:
-                delta = phi_prediction.get(r, 0.0) - phi_truth.get(r, 0.0)
-                weights[r] = max(floor, weights[r] + learning_rate * delta)
+    grounded = program.ground_program(weights, settings=admm)
+    mrf = grounded.mrf
+    for _ in range(epochs):
+        grounded.set_rule_weights(weights)
+        solved = grounded.solve()
+        prediction = {
+            atom: float(solved.x[mrf.index_of(atom)])
+            for atom in program.database.targets_in_order
+        }
+        phi_prediction = grounded.rule_features(prediction)
+        phi_truth = grounded.rule_features(truth)
+        energy_prediction = sum(
+            weights[r] * phi_prediction.get(r, 0.0) for r in soft_rules
+        )
+        energy_truth = sum(weights[r] * phi_truth.get(r, 0.0) for r in soft_rules)
+        gap = energy_truth - energy_prediction
+        energy_gaps.append(gap)
+        if gap <= 1e-6:
+            break
+        for r in soft_rules:
+            delta = phi_prediction.get(r, 0.0) - phi_truth.get(r, 0.0)
+            weights[r] = max(floor, weights[r] + learning_rate * delta)
 
     return RuleLearningResult(weights, energy_gaps)

@@ -1,49 +1,20 @@
-"""Block-partitioned term arrays for consensus ADMM.
+"""Flat term arrays: one HL-MRF compiled into consensus-ADMM layout.
 
 The consensus-ADMM formulation of Bach et al. (JMLR 2017) decomposes by
 term: every potential/constraint subproblem has the closed-form local
 minimizer ``x = v - lambda * a`` and touches shared state only through
-the consensus vector ``z`` and its local duals.  The flat solver
-exploited that per *array element*; this module exploits it per *block*:
-the shard boundaries recorded at grounding time
-(:meth:`~repro.psl.hlmrf.HingeLossMRF.term_partition`) — or a uniform
-``block_size`` re-chunking — split the term range into contiguous runs,
-and each run gets its own CSR-style :class:`BlockArrays`.
-
-The per-iteration contract, relied on by :class:`~repro.psl.admm.AdmmSolver`:
-
-* :func:`block_x_update` is a pure function of one block plus its slice
-  of ``v = z[var] - u``, so blocks can run through any order-preserving
-  :class:`~repro.executors.MapExecutor` (serial, threads, processes);
-* every temporary it allocates is O(block), so the solver's transient
-  working set is bounded by the largest block — not the whole program —
-  on top of the persistent ADMM state (``z``, ``u``, ``x_local``) and
-  the consensus scatter-gather buffers;
-* block boundaries never split a term, and blocks concatenate to exactly
-  the flat potentials-then-constraints ordering, so per-term reductions
-  and the consensus accumulation see the same values in the same order
-  as the flat solver — the partitioned serial solve is numerically
-  identical (same iterates, residuals, energy) for **any** block size.
-
-For process-backed executors, :class:`SharedPartitionBuffers` copies the
-blocks' arrays once into a ``multiprocessing.shared_memory`` segment and
-hands out :class:`SharedBlockArrays` stand-ins that pickle as a tiny
-attach-by-name descriptor, and :class:`SharedSolveState` puts the
-per-iteration consensus state (``z``, ``u``, a double-buffered
-``x_local``) in a second driver-owned segment whose manifest embeds
-those descriptors — so a process-mapped x-update ships only
-``(segment name, block index, rho, generation)`` per block and returns
-an ack: O(num_blocks) bytes per iteration, independent of problem size.
-The driver owns both segments' unlinks.
+the consensus vector ``z`` and its local duals.  :class:`FlatTermArrays`
+holds every term of one MRF in that layout — CSR rows of variable
+copies, potentials first, then constraints — and is the single
+compiled form the solver (:mod:`repro.psl.admm`), the grounding store
+(:mod:`repro.psl.store`) and the splice engine (:mod:`repro.psl.delta`)
+share.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 from itertools import chain, repeat
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -55,199 +26,21 @@ from repro.psl.hlmrf import (
     KIND_SQUARED,
     HingeLossMRF,
 )
-from repro.psl.sharding import iter_slices
-
-
-@dataclass(frozen=True)
-class BlockArrays:
-    """One contiguous run of terms in solver layout (CSR over copies).
-
-    ``term`` holds *block-local* term indices (0-based within the
-    block), so per-term reductions stay O(block); ``var`` holds *global*
-    variable indices, because variables are shared across blocks and
-    only the consensus step resolves them.  ``term_lo``/``copy_lo``
-    locate the block inside the flat term/copy ranges — the scatter
-    offsets of the consensus/dual steps.
-    """
-
-    term_lo: int
-    copy_lo: int
-    kind: np.ndarray  # int64[num_terms], KIND_* values
-    offset: np.ndarray  # float64[num_terms]
-    weight: np.ndarray  # float64[num_terms]
-    normsq: np.ndarray  # float64[num_terms], max(||a||^2, 1e-12)
-    var: np.ndarray  # int64[num_copies], global variable index
-    term: np.ndarray  # int64[num_copies], block-local term index
-    coeff: np.ndarray  # float64[num_copies]
-    #: per-kind index arrays, indexed by the KIND_* constants — the kind
-    #: masks of the local step, precompiled once at partition-build time
-    #: so :func:`block_x_update` dispatches closed-form kernels over
-    #: fixed index sets instead of recomputing masks every iteration.
-    kind_index: tuple[np.ndarray, ...]
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.kind)
-
-    @property
-    def num_copies(self) -> int:
-        return len(self.var)
-
-    @property
-    def copy_slice(self) -> slice:
-        return slice(self.copy_lo, self.copy_lo + len(self.var))
-
-
-#: The four term kinds in index order — KIND_HINGE..KIND_EQ are 0..3,
-#: so a block's ``kind_index[k]`` is the index set of kind constant *k*.
-_KINDS = (KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ)
-
-
-def _kind_index(kind: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Precompile one block's per-kind term index sets."""
-    return tuple(np.flatnonzero(kind == k) for k in _KINDS)
-
-
-def _hinge_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    w_over_rho = weight / rho
-    full_step_ok = d0 - w_over_rho * normsq >= 0.0
-    return np.where(d0 <= 0.0, 0.0, np.where(full_step_ok, w_over_rho, d0 / normsq))
-
-
-def _squared_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    s = d0 / (1.0 + 2.0 * weight * normsq / rho)
-    return np.where(d0 <= 0.0, 0.0, 2.0 * weight * s / rho)
-
-
-def _leq_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    return np.maximum(0.0, d0) / normsq
-
-
-def _eq_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    return d0 / normsq
-
-
-#: Closed-form ``lambda`` kernels (module docstring of
-#: :mod:`repro.psl.admm`), indexed like ``kind_index``.
-_KIND_KERNELS = (_hinge_kernel, _squared_kernel, _leq_kernel, _eq_kernel)
-
-
-def block_x_update(block: BlockArrays, v: np.ndarray, rho: float) -> np.ndarray:
-    """One block's ADMM local step: ``x = v - lambda[term] * a``.
-
-    *v* is the block's slice of ``z[var] - u``.  The per-term scalar
-    ``lambda`` is computed by the closed-form kernel of each kind,
-    dispatched over the block's precompiled ``kind_index`` sets —
-    ``np.flatnonzero`` preserves the mask order, so the result is bit
-    for bit what the historical per-iteration boolean-mask version
-    produced.  Everything here is elementwise or a per-term ``bincount``
-    over block-local indices, so temporaries stay O(block).  Pure and
-    picklable — safe under any executor.
-    """
-    num_terms = block.num_terms
-    dot = np.bincount(block.term, weights=block.coeff * v, minlength=num_terms)
-    d0 = dot + block.offset
-    lam = np.zeros(num_terms)
-    for kernel, idx in zip(_KIND_KERNELS, block.kind_index):
-        if len(idx):
-            lam[idx] = kernel(d0[idx], block.weight[idx], block.normsq[idx], rho)
-    return v - lam[block.term] * block.coeff
-
-
-def apply_block_x_update(
-    payload: tuple[BlockArrays, np.ndarray, float],
-) -> np.ndarray:
-    """Executor-map adapter for :func:`block_x_update` (module-level,
-    picklable)."""
-    block, v, rho = payload
-    return block_x_update(block, v, rho)
-
-
-@dataclass(frozen=True)
-class TermPartition:
-    """All of one MRF's solver arrays, split into per-block CSR runs.
-
-    ``var`` and ``degree`` are the global consensus structures (the
-    concatenation of the blocks' copy→variable maps, and each variable's
-    copy count); the blocks carry everything term-local.  Blocks tile
-    the flat term range in order, so ``concat(block.var for blocks) ==
-    var`` — the invariant behind the solver's scatter-gather.
-
-    ``term_weights`` is the flat per-term weight vector (potentials
-    first, then a zero per constraint); every block's ``weight`` array
-    is a *view* into it, so :meth:`set_potential_weights` rewrites the
-    weights of an already-compiled partition in place — the solver-side
-    half of the ground-once/reweight-many contract.  Structure
-    (coefficients, offsets, norms, the consensus maps) never changes.
-    """
-
-    num_variables: int
-    num_terms: int
-    blocks: tuple[BlockArrays, ...]
-    var: np.ndarray  # int64[num_copies], global copy -> variable
-    degree: np.ndarray  # float64[num_variables], max(copy count, 1)
-    #: flat float64[num_terms]; blocks' ``weight`` arrays are views of it.
-    term_weights: np.ndarray = None  # type: ignore[assignment]
-    num_potentials: int = 0
-
-    def set_potential_weights(self, weights: np.ndarray) -> None:
-        """Overwrite the potential weights of this compiled partition.
-
-        *weights* is the MRF's contiguous per-potential vector
-        (constraint terms have no weight).  Writes through the flat
-        array, so every block — each holds a view — sees the new values
-        with zero re-compilation.
-        """
-        if len(weights) != self.num_potentials:
-            raise InferenceError(
-                f"expected {self.num_potentials} potential weights, "
-                f"got {len(weights)}"
-            )
-        self.term_weights[: self.num_potentials] = weights
-
-    @property
-    def num_copies(self) -> int:
-        return len(self.var)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def max_block_terms(self) -> int:
-        return max((b.num_terms for b in self.blocks), default=0)
-
-    @property
-    def max_block_copies(self) -> int:
-        return max((b.num_copies for b in self.blocks), default=0)
-
-    def boundaries(self) -> tuple[tuple[int, int], ...]:
-        return tuple((b.term_lo, b.term_lo + b.num_terms) for b in self.blocks)
 
 
 @dataclass(frozen=True)
 class FlatTermArrays:
-    """One MRF's flat solver arrays, before any block chunking.
+    """One MRF's flat solver arrays.
 
-    The single intermediate between an MRF and its
-    :class:`TermPartition`: :func:`compile_term_arrays` assembles it from
-    the potential/constraint lists, and the grounding store
-    (:mod:`repro.psl.store`) spills exactly these arrays to disk and
-    re-attaches them as read-only mmap views — every field except
-    ``weight`` is structure, immutable once grounded, so zero-copy
-    attach is safe.  ``weight`` is the flat per-term weight vector the
-    partition's blocks will hold views of; it **must be writable**
-    (:meth:`TermPartition.set_potential_weights` rewrites it in place),
-    so the attach path substitutes a fresh in-memory copy for the
-    mmapped original.
+    The single compiled form of an MRF: :func:`compile_term_arrays`
+    assembles it from the potential/constraint lists, the ADMM solver
+    iterates on it, and the grounding store (:mod:`repro.psl.store`)
+    spills exactly these arrays to disk and re-attaches them as
+    read-only mmap views — every field except ``weight`` is structure,
+    immutable once grounded, so zero-copy attach is safe.  ``weight`` is
+    the flat per-term weight vector; it **must be writable**
+    (:meth:`set_potential_weights` rewrites it in place), so the attach
+    path substitutes a fresh in-memory copy for the mmapped original.
     """
 
     num_variables: int
@@ -270,9 +63,23 @@ class FlatTermArrays:
     def num_copies(self) -> int:
         return len(self.var)
 
+    def set_potential_weights(self, weights: np.ndarray) -> None:
+        """Overwrite the potential weights of these compiled arrays.
+
+        *weights* is the MRF's contiguous per-potential vector
+        (constraint terms have no weight); structure never changes —
+        the solver-side half of the ground-once/reweight-many contract.
+        """
+        if len(weights) != self.num_potentials:
+            raise InferenceError(
+                f"expected {self.num_potentials} potential weights, "
+                f"got {len(weights)}"
+            )
+        self.weight[: self.num_potentials] = weights
+
 
 def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
-    """Assemble *mrf*'s flat solver arrays (the first half of a partition).
+    """Assemble *mrf*'s flat solver arrays.
 
     Array assembly is single-pass ``np.fromiter`` over generator chains
     — no intermediate Python lists, no per-copy interpreter loop.  The
@@ -340,30 +147,17 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     )
 
 
-def build_partition(
-    mrf: HingeLossMRF, block_size: int | None = None
-) -> TermPartition:
-    """Compile *mrf* into a :class:`TermPartition` (built once per solver).
-
-    With *block_size* unset the partition follows the block extents the
-    MRF recorded at grounding time (``mrf.term_partition()``) — one run
-    per shard-emitted term block, or a single run on the legacy
-    incremental path.  A *block_size* (>= 1) re-chunks the flat term
-    range into uniform runs of that many terms instead, decoupling the
-    solve granularity from the grounding shard size.  Either way the
-    blocks are views into one set of flat arrays, so partitioning adds
-    O(num_copies) construction work and essentially no extra memory.
+def solver_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
+    """*mrf*'s flat arrays at its current weights (compiled once per solver).
 
     An MRF carrying precompiled :class:`FlatTermArrays` (attribute
-    ``_compiled`` — seeded by the grounding store's mmap attach path)
-    skips array assembly entirely: the blocks become zero-copy views
-    into the attached arrays.  The precompiled weights may be the
+    ``_compiled`` — seeded at grounding time and by the grounding
+    store's mmap attach path) skips array assembly: the solver works on
+    those arrays directly.  The precompiled weights may be the
     grounding-time ones, so they are resynced from the MRF's live weight
     vector here — the solver snapshots ``weights_version`` at
     construction and only re-syncs on a later change.
     """
-    if block_size is not None and block_size < 1:
-        raise InferenceError(f"block_size must be >= 1, got {block_size}")
     num_terms = len(mrf.potentials) + len(mrf.constraints)
     flat = getattr(mrf, "_compiled", None)
     if (
@@ -371,510 +165,6 @@ def build_partition(
         or flat.num_potentials != len(mrf.potentials)
         or flat.num_terms != num_terms
     ):
-        flat = compile_term_arrays(mrf)
-    else:
-        flat.weight[: flat.num_potentials] = mrf.potential_weights()
-
-    if block_size is not None:
-        bounds = tuple(iter_slices(flat.num_terms, block_size))
-    else:
-        bounds = mrf.term_partition()
-
-    term_ptr, term = flat.term_ptr, flat.term
-    blocks = []
-    for lo, hi in bounds:
-        copy_lo, copy_hi = int(term_ptr[lo]), int(term_ptr[hi])
-        kind = flat.kind[lo:hi]
-        blocks.append(
-            BlockArrays(
-                term_lo=lo,
-                copy_lo=copy_lo,
-                kind=kind,
-                offset=flat.offset[lo:hi],
-                weight=flat.weight[lo:hi],
-                normsq=flat.normsq[lo:hi],
-                var=flat.var[copy_lo:copy_hi],
-                term=term[copy_lo:copy_hi] - lo,
-                coeff=flat.coeff[copy_lo:copy_hi],
-                kind_index=_kind_index(kind),
-            )
-        )
-    return TermPartition(
-        num_variables=flat.num_variables,
-        num_terms=flat.num_terms,
-        blocks=tuple(blocks),
-        var=flat.var,
-        degree=flat.degree,
-        term_weights=flat.weight,
-        num_potentials=flat.num_potentials,
-    )
-
-
-# -- shared-memory block views -------------------------------------------------
-
-#: Field layout of one block inside a shared segment: term-indexed
-#: arrays first, then copy-indexed ones.  All dtypes are 8 bytes, so
-#: packing them back to back keeps every view aligned.
-_TERM_FIELDS: tuple[tuple[str, type], ...] = (
-    ("kind", np.int64),
-    ("offset", np.float64),
-    ("weight", np.float64),
-    ("normsq", np.float64),
-)
-_COPY_FIELDS: tuple[tuple[str, type], ...] = (
-    ("var", np.int64),
-    ("term", np.int64),
-    ("coeff", np.float64),
-)
-#: The precompiled per-kind index sets, mirrored alongside the CSR
-#: arrays so pool workers dispatch kernels without recomputing masks.
-#: One field per KIND_* constant, in kind order; lengths vary per block.
-_INDEX_FIELDS: tuple[str, ...] = (
-    "hinge_index",
-    "squared_index",
-    "leq_index",
-    "eq_index",
-)
-_ALL_FIELDS = _TERM_FIELDS + _COPY_FIELDS
-_FIELD_DTYPES = dict(_ALL_FIELDS) | {field: np.int64 for field in _INDEX_FIELDS}
-
-#: Most recent shared segments this process has attached to, by name —
-#: LRU: hits reinsert, eviction drops the least recently used.  One
-#: solve touches one segment many times (every block of every
-#: iteration), so caching the attachment makes re-attach free; the bound
-#: keeps a long-lived pool worker from accumulating mappings of segments
-#: long since unlinked by their drivers while staying above any
-#: realistic number of concurrently streaming solves.  Deliberate
-#: residual: with no further attach there is no hook left to run the
-#: sweep, so an idle persistent worker keeps the *last* solve's
-#: segment(s) mapped until the next process-backed solve, a pool
-#: recycle, or worker exit — the same bounded warm-state trade-off as
-#: the grounding database snapshot the pool initializer installs.
-_ATTACHED_SEGMENTS: dict[str, shared_memory.SharedMemory] = {}
-_ATTACH_CACHE_SIZE = 16
-
-
-def _sweep_dead_segments() -> None:
-    """Drop cached attachments whose segment the driver already unlinked.
-
-    A mapping keeps the physical memory alive even after unlink, so
-    without the sweep a worker would pin up to the cache bound's worth
-    of finished solves' segments.  Linux-only liveness check (names live
-    under ``/dev/shm``); elsewhere the LRU bound is the only limit.
-    """
-    for name in list(_ATTACHED_SEGMENTS):
-        if not os.path.exists(f"/dev/shm/{name}"):
-            stale = _ATTACHED_SEGMENTS.pop(name)
-            # Drop the parsed solve-state views first so they stop
-            # pinning the mapping we are about to close.
-            _SOLVE_VIEWS.pop(name, None)
-            try:
-                stale.close()
-            except BufferError:
-                pass
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    segment = _ATTACHED_SEGMENTS.pop(name, None)
-    if segment is not None:
-        _ATTACHED_SEGMENTS[name] = segment  # refresh recency
-        return segment
-    if os.path.isdir("/dev/shm"):
-        # Cache miss = a new solve's segment arriving: a cheap moment to
-        # release mappings of segments whose solves have finished.
-        _sweep_dead_segments()
-    try:
-        # Only the creating driver owns the unlink; 3.13+ can say so.
-        segment = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        # Older Pythons register every attachment with the resource
-        # tracker, which (a) forks a whole tracker process inside each
-        # pool worker on first attach and (b) *unlinks* the registered
-        # segment when the worker exits — destroying the driver-owned
-        # segment out from under everyone else.  Attach with
-        # registration suppressed instead; the driver's own handle stays
-        # tracked and its release() does the one real unlink.
-        from multiprocessing import resource_tracker
-
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-    while len(_ATTACHED_SEGMENTS) >= _ATTACH_CACHE_SIZE:
-        evicted = next(iter(_ATTACHED_SEGMENTS))
-        stale = _ATTACHED_SEGMENTS.pop(evicted)
-        _SOLVE_VIEWS.pop(evicted, None)
-        try:
-            stale.close()
-        except BufferError:
-            pass  # a live view still references it; dropped when it dies
-    _ATTACHED_SEGMENTS[name] = segment
-    return segment
-
-
-class SharedBlockArrays:
-    """A :class:`BlockArrays` stand-in whose arrays live in shared memory.
-
-    Duck-types everything :func:`block_x_update` (and the solver's
-    scatter-gather) reads — ``kind``/``offset``/``weight``/``normsq``
-    per term, ``var``/``term``/``coeff`` per copy, plus the extent
-    properties — as zero-copy numpy views into a
-    ``multiprocessing.shared_memory`` segment.  Pickles as the segment
-    name plus a byte-offset layout (a few hundred bytes, independent of
-    block size); unpickling attaches the segment by name and rebuilds
-    the views lazily, so shipping one of these to a pool worker costs
-    O(1) IPC no matter how large the block is.
-
-    The segment is owned by the driver's :class:`SharedPartitionBuffers`
-    — views must not be used after the driver releases it.
-    """
-
-    def __init__(
-        self,
-        shm_name: str,
-        term_lo: int,
-        copy_lo: int,
-        layout: dict[str, tuple[int, int]],
-        buf: memoryview | None = None,
-    ):
-        self.shm_name = shm_name
-        self.term_lo = term_lo
-        self.copy_lo = copy_lo
-        self._layout = layout  # field -> (byte offset, length)
-        self._views: dict[str, np.ndarray] | None = None
-        if buf is not None:
-            self._build_views(buf)
-
-    def _build_views(self, buf: memoryview) -> None:
-        self._views = {
-            field: np.ndarray(
-                (length,), dtype=_FIELD_DTYPES[field], buffer=buf, offset=offset
-            )
-            for field, (offset, length) in self._layout.items()
-        }
-
-    def _view(self, field: str) -> np.ndarray:
-        if self._views is None:
-            self._build_views(_attach_segment(self.shm_name).buf)
-        return self._views[field]
-
-    def _drop_views(self) -> None:
-        self._views = None
-
-    kind = property(lambda self: self._view("kind"))
-    offset = property(lambda self: self._view("offset"))
-    weight = property(lambda self: self._view("weight"))
-    normsq = property(lambda self: self._view("normsq"))
-    var = property(lambda self: self._view("var"))
-    term = property(lambda self: self._view("term"))
-    coeff = property(lambda self: self._view("coeff"))
-
-    @property
-    def kind_index(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._view(field) for field in _INDEX_FIELDS)
-
-    @property
-    def num_terms(self) -> int:
-        return self._layout["kind"][1]
-
-    @property
-    def num_copies(self) -> int:
-        return self._layout["var"][1]
-
-    @property
-    def copy_slice(self) -> slice:
-        return slice(self.copy_lo, self.copy_lo + self.num_copies)
-
-    def __getstate__(self) -> dict:
-        return {
-            "shm_name": self.shm_name,
-            "term_lo": self.term_lo,
-            "copy_lo": self.copy_lo,
-            "layout": self._layout,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            state["shm_name"], state["term_lo"], state["copy_lo"], state["layout"]
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedBlockArrays(shm={self.shm_name!r}, term_lo={self.term_lo}, "
-            f"terms={self.num_terms}, copies={self.num_copies})"
-        )
-
-
-class SharedSegmentOwner:
-    """Base for driver-owned ``multiprocessing.shared_memory`` segments.
-
-    Subclasses allocate ``self._segment`` in their constructors; this
-    base owns the one real teardown: :meth:`release` (idempotent; also
-    run by ``__del__`` and on context-manager exit) drops any exported
-    views, closes the driver's mapping, and **unlinks** the segment,
-    after which attach-by-name fails and worker mappings die with their
-    processes.  ``repro lint``'s RPL003 recognizes subclasses of this
-    base as segment owners, so inheriting the lifecycle keeps the
-    checker's create/unlink discipline machine-verified.
-    """
-
-    _segment: shared_memory.SharedMemory | None = None
-
-    def _drop_exports(self) -> None:
-        """Drop live numpy views so the mapping can close (subclass hook)."""
-
-    @property
-    def name(self) -> str | None:
-        return self._segment.name if self._segment is not None else None
-
-    @property
-    def released(self) -> bool:
-        return self._segment is None
-
-    def release(self) -> None:
-        """Close and unlink the segment (idempotent, driver-owned)."""
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        self._drop_exports()
-        try:
-            segment.close()
-        except BufferError:
-            pass  # an outstanding view pins the mapping; unlink regardless
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    def __del__(self) -> None:
-        try:
-            self.release()
-        except Exception:
-            pass
-
-
-class SharedPartitionBuffers(SharedSegmentOwner):
-    """Driver-owned shared-memory copies of a partition's block arrays.
-
-    Construction copies every block's arrays (and precompiled kind index
-    sets) once into a single fresh ``multiprocessing.shared_memory``
-    segment and exposes them as :attr:`blocks` —
-    :class:`SharedBlockArrays` parallel to ``partition.blocks``.  The
-    driver that built the buffers owns the segment (see
-    :class:`SharedSegmentOwner`); callers must release on every exit
-    path — the ADMM solver ties the segment to its own lifetime so even
-    a raising solve cannot leak it.
-    """
-
-    def __init__(self, partition: TermPartition):
-        layouts: list[dict[str, tuple[int, int]]] = []
-        total = 0
-        for block in partition.blocks:
-            layout: dict[str, tuple[int, int]] = {}
-            for field, dtype in _TERM_FIELDS:
-                layout[field] = (total, block.num_terms)
-                total += block.num_terms * np.dtype(dtype).itemsize
-            for field, dtype in _COPY_FIELDS:
-                layout[field] = (total, block.num_copies)
-                total += block.num_copies * np.dtype(dtype).itemsize
-            for field, idx in zip(_INDEX_FIELDS, block.kind_index):
-                layout[field] = (total, len(idx))
-                total += len(idx) * np.dtype(np.int64).itemsize
-            layouts.append(layout)
-        self._segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        self.blocks: tuple[SharedBlockArrays, ...] = ()
-        try:
-            blocks = []
-            for block, layout in zip(partition.blocks, layouts):
-                shared = SharedBlockArrays(
-                    self._segment.name,
-                    block.term_lo,
-                    block.copy_lo,
-                    layout,
-                    buf=self._segment.buf,
-                )
-                for field, _ in _ALL_FIELDS:
-                    np.copyto(
-                        shared._view(field), getattr(block, field), casting="same_kind"
-                    )
-                for field, idx in zip(_INDEX_FIELDS, block.kind_index):
-                    np.copyto(shared._view(field), idx, casting="same_kind")
-                # Drop the driver-side views right away: the driver reads
-                # through the regular partition, and live exports would make
-                # the mapping impossible to close on release.
-                shared._drop_views()
-                blocks.append(shared)
-            self.blocks = tuple(blocks)
-        except BaseException:
-            # A failed copy must not strand the created segment — no
-            # caller holds a handle to release yet.
-            self.release()
-            raise
-
-    def _drop_exports(self) -> None:
-        for block in self.blocks:
-            block._drop_views()
-
-    def write_weights(self, partition: TermPartition) -> None:
-        """Push *partition*'s current block weights into the shared segment.
-
-        The weight write-through of the ground-once/reweight-many
-        pipeline: after an in-place
-        :meth:`TermPartition.set_potential_weights`, this copies each
-        block's (view-backed) weight array over its shared-memory
-        mirror.  Worker processes hold zero-copy views into the same
-        segment, so persistent pool workers observe the new weights on
-        their next block update — no re-staging, no descriptor changes,
-        no pool recycling.  Structure fields are never rewritten.
-        """
-        if self._segment is None:
-            raise InferenceError("shared partition buffers already released")
-        buf = self._segment.buf
-        for block, mirror in zip(partition.blocks, self.blocks):
-            offset, length = mirror._layout["weight"]
-            view = np.ndarray((length,), dtype=np.float64, buffer=buf, offset=offset)
-            np.copyto(view, block.weight, casting="same_kind")
-            del view  # a live export would pin the mapping on release
-
-
-# -- shared solve state (zero-IPC per-iteration consensus arrays) --------------
-
-#: Byte size of a solve-state segment's header: three little-endian
-#: int64s — num_variables, num_copies, manifest byte length.
-_STATE_HEADER_BYTES = 24
-
-
-def _state_views(
-    buf: memoryview, n: int, copies: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Map a solve-state segment's arrays: z, u, x[0], x[1], manifest offset."""
-    offset = _STATE_HEADER_BYTES
-    z = np.ndarray((n,), dtype=np.float64, buffer=buf, offset=offset)
-    offset += 8 * n
-    u = np.ndarray((copies,), dtype=np.float64, buffer=buf, offset=offset)
-    offset += 8 * copies
-    x0 = np.ndarray((copies,), dtype=np.float64, buffer=buf, offset=offset)
-    offset += 8 * copies
-    x1 = np.ndarray((copies,), dtype=np.float64, buffer=buf, offset=offset)
-    offset += 8 * copies
-    return z, u, x0, x1, offset
-
-
-class SharedSolveState(SharedSegmentOwner):
-    """Driver-owned shared-memory consensus state for one ADMM solver.
-
-    Holds the full per-iteration state — consensus vector :attr:`z`,
-    duals :attr:`u`, and a double-buffered local-copy vector ``x`` — in
-    one ``multiprocessing.shared_memory`` segment, followed by a pickled
-    manifest (extents plus the partition's :class:`SharedBlockArrays`
-    descriptors) that workers parse once per segment.  With it, a
-    process-mapped ADMM iteration ships only ``(segment name, block
-    index, rho, generation)`` per block — O(num_blocks) bytes,
-    independent of problem size: workers compute their
-    ``v = z[var] - u[copy_slice]`` from zero-copy views, write ``x``
-    straight into the generation's buffer, and the map result
-    degenerates to an ack (see :func:`apply_shared_solve_update`).
-
-    ``x`` is double-buffered by generation parity: the buffer written in
-    iteration *g* is not the one any straggling writer of an adjacent
-    generation could touch.  The solver's one-map-per-iteration barrier
-    already serializes generations, so this is belt and braces that also
-    keeps the layout safe for pipelined executors.
-
-    Like :class:`SharedPartitionBuffers`, the creating driver owns the
-    unlink (:meth:`release`); worker attachments are cached per process
-    and swept once the driver unlinks.
-    """
-
-    z: np.ndarray | None = None
-    u: np.ndarray | None = None
-
-    def __init__(
-        self, partition: TermPartition, blocks: tuple[SharedBlockArrays, ...]
-    ):
-        n, copies = partition.num_variables, partition.num_copies
-        manifest = pickle.dumps(
-            tuple(blocks), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        size = _STATE_HEADER_BYTES + 8 * (n + 3 * copies) + len(manifest)
-        self._segment = shared_memory.SharedMemory(create=True, size=max(size, 1))
-        try:
-            buf = self._segment.buf
-            header = np.ndarray((3,), dtype=np.int64, buffer=buf)
-            header[:] = (n, copies, len(manifest))
-            del header  # a live export would pin the mapping on release
-            z, u, x0, x1, manifest_at = _state_views(buf, n, copies)
-            buf[manifest_at : manifest_at + len(manifest)] = manifest
-            self.z, self.u = z, u
-            self._x = (x0, x1)
-        except BaseException:
-            self.release()
-            raise
-
-    def x_buffer(self, generation: int) -> np.ndarray:
-        """The local-copy buffer that *generation*'s workers write."""
-        return self._x[generation & 1]
-
-    def _drop_exports(self) -> None:
-        self.z = None
-        self.u = None
-        self._x = ()
-
-
-@dataclass(frozen=True)
-class _SolveStateViews:
-    """A worker's parsed, cached view of one solve-state segment."""
-
-    z: np.ndarray
-    u: np.ndarray
-    x: tuple[np.ndarray, np.ndarray]
-    blocks: tuple[SharedBlockArrays, ...]
-
-
-#: Parsed solve-state views by segment name — populated on a worker's
-#: first payload for a solve, dropped alongside the corresponding
-#: attach-cache entry (dead-segment sweep / LRU eviction) so finished
-#: solves release their memory.
-_SOLVE_VIEWS: dict[str, _SolveStateViews] = {}
-
-
-def _solve_state_views(name: str) -> _SolveStateViews:
-    views = _SOLVE_VIEWS.get(name)
-    if views is None:
-        buf = _attach_segment(name).buf
-        n, copies, manifest_len = (
-            int(v) for v in np.ndarray((3,), dtype=np.int64, buffer=buf)
-        )
-        z, u, x0, x1, manifest_at = _state_views(buf, n, copies)
-        blocks = pickle.loads(bytes(buf[manifest_at : manifest_at + manifest_len]))
-        views = _SolveStateViews(z=z, u=u, x=(x0, x1), blocks=blocks)
-        _SOLVE_VIEWS[name] = views
-    return views
-
-
-def apply_shared_solve_update(payload: tuple[str, int, float, int]) -> int:
-    """Executor-map adapter for the zero-IPC ADMM local step.
-
-    *payload* is ``(solve-state segment name, block index, rho,
-    generation)`` — a few dozen bytes.  Everything else comes out of
-    shared memory: the block's CSR arrays via the manifest's
-    attach-by-name descriptors, ``v = z[var] - u[copy_slice]`` from the
-    live consensus views (exactly the slice the driver would have
-    pickled), and the block's x-update written straight into the
-    generation's buffer.  Returns the block index as the ack.
-    """
-    name, index, rho, generation = payload
-    state = _solve_state_views(name)
-    block = state.blocks[index]
-    sl = block.copy_slice
-    v = state.z[block.var] - state.u[sl]
-    state.x[generation & 1][sl] = block_x_update(block, v, rho)
-    return index
+        return compile_term_arrays(mrf)
+    flat.set_potential_weights(mrf.potential_weights())
+    return flat

@@ -476,7 +476,7 @@ class PslProgram:
         *structure* and treats the rule weights as a mutable vector:
         :meth:`GroundedProgram.set_rule_weights` rewrites them in place
         and :meth:`GroundedProgram.solve` reuses one compiled ADMM
-        partition across every reweighted solve.  This is the artifact
+        solver across every reweighted solve.  This is the artifact
         weight learning iterates on — one grounding per learning run,
         not three per epoch.
         """
@@ -505,7 +505,7 @@ class GroundedProgram:
       weight crosses zero (the MRF rejects zero crossings, since
       zero-weight potentials are dropped at grounding time);
     * :meth:`solve` — MAP inference on one lazily compiled, persistently
-      reused ADMM partition (pass ``warm_state`` from the previous
+      reused ADMM solver (pass ``warm_state`` from the previous
       epoch's result to also reuse the dual state);
     * :meth:`rule_features` — Phi_r, the per-rule unweighted hinge
       masses at an assignment, read from the recorded per-potential
@@ -529,7 +529,7 @@ class GroundedProgram:
 
     @property
     def solver(self) -> AdmmSolver:
-        """The artifact's persistent solver (partition compiled once)."""
+        """The artifact's persistent solver (arrays compiled once)."""
         if self._solver is None:
             self._solver = AdmmSolver(self.mrf, self._settings)
         return self._solver
@@ -543,7 +543,7 @@ class GroundedProgram:
         warm_start: np.ndarray | None = None,
         warm_state: AdmmWarmState | None = None,
     ) -> AdmmResult:
-        """MAP-solve the current weights on the reused compiled partition."""
+        """MAP-solve the current weights on the reused compiled solver."""
         return self.solver.solve(warm_start, warm_state=warm_state)
 
     def assignment_vector(self, assignment: Mapping[GroundAtom, float]) -> np.ndarray:
@@ -582,14 +582,3 @@ class GroundedProgram:
                 weighted / potential.weight if potential.weight > 0 else 0.0
             )
         return features
-
-    def close(self) -> None:
-        """Release solver-held resources (shared-memory staging)."""
-        if self._solver is not None:
-            self._solver.close()
-
-    def __enter__(self) -> "GroundedProgram":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

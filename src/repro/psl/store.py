@@ -1,9 +1,9 @@
 """Content-addressed, disk-persistent store of compiled HL-MRF groundings.
 
-Ground once per structure, *ever*: PRs 5–7 made warm reuse of a grounded
-structure nearly free inside one process (in-place reweighting, the
-per-process grounding cache, shared-memory staging), but every new
-process lifetime still paid the dominant grounding cost from scratch.
+Ground once per structure, *ever*: in-place reweighting and the
+per-process grounding cache make warm reuse of a grounded structure
+nearly free inside one process, but every new process lifetime would
+still pay the grounding cost from scratch.
 This module spills a compiled grounding — the flat
 :class:`~repro.psl.partition.FlatTermArrays` CSR arrays plus the MRF's
 variable table, origin-group registry, and folded-constant masses — to
@@ -14,8 +14,8 @@ re-attaches it in a fresh process as a solve-ready
 * the solver arrays come back as **read-only mmap views** (zero-copy;
   the kernel shares the page cache across a whole fleet of workers
   attaching the same entry), seeded onto the MRF as precompiled
-  :class:`~repro.psl.partition.FlatTermArrays` so
-  :func:`~repro.psl.partition.build_partition` skips array assembly;
+  :class:`~repro.psl.partition.FlatTermArrays` so the ADMM solver
+  (:func:`~repro.psl.partition.solver_arrays`) skips array assembly;
 * only the per-term weight vector is materialized as a writable
   in-memory copy — weights are the mutable half of the
   ground-once/reweight-many contract and get rewritten on attach;

@@ -38,8 +38,7 @@ bounded window of results in flight — and the deterministic merge
 reproduces the serial compilation byte for byte under any
 :class:`~repro.executors.MapExecutor` and any shard size.  The shard
 boundaries survive into the merged MRF as term-block extents, which the
-partitioned ADMM solver (:mod:`repro.psl.partition`) reuses as its
-default solve partition.
+incremental splice engine (:mod:`repro.psl.delta`) patches by.
 """
 
 from __future__ import annotations
@@ -114,14 +113,8 @@ class CollectiveSettings:
 
     ``ground_executor``/``ground_shard_size`` select where and how finely
     the HL-MRF grounding shards run (``None`` → serial, default shard
-    size).  The solve-side twins live on ``admm``:
-    :attr:`~repro.psl.admm.AdmmSettings.executor` maps the partitioned
-    ADMM block updates, and
-    :attr:`~repro.psl.admm.AdmmSettings.block_size` re-chunks the term
-    partition (by default the solver inherits the grounding shard
-    structure the MRF records).  Use string specs (``"process:4"``) when
-    the settings object itself must stay picklable, e.g. inside engine
-    work units.
+    size).  Use string specs (``"process:4"``) when the settings object
+    itself must stay picklable, e.g. inside engine work units.
     """
 
     weights: ObjectiveWeights = DEFAULT_WEIGHTS
@@ -132,7 +125,7 @@ class CollectiveSettings:
     ground_shard_size: int | None = None
     #: Reuse a per-process :class:`GroundedCollective` across solves of
     #: the same problem structure: weight-only changes reweight the
-    #: cached MRF in place and re-solve on its compiled ADMM partition
+    #: cached MRF in place and re-solve on its compiled ADMM arrays
     #: instead of re-grounding (results are bit-identical to the
     #: re-grounding path).  Set False to force a fresh ground per call.
     reuse_grounding: bool = True
@@ -466,8 +459,8 @@ def collective_structure_key(
 
     * the coverage entries (fact index + per-candidate support degrees)
       and shared-error entries (fact index + owner group) — shard *size*
-      deliberately excluded, since solves are bit-identical under any
-      term partition;
+      deliberately excluded, since it never changes the flat term order
+      the solver iterates on;
     * the candidates whose folded prior penalty is positive at the
       requesting weights (``prior_included``) and the component
       zero-pattern flags: zero-weight potentials are dropped at
@@ -579,8 +572,7 @@ class GroundedCollective:
     weights in place for a new :class:`ObjectiveWeights` — coverage and
     error-mediator groups uniformly, per-candidate priors through the
     recorded plan components — and :attr:`solver` reuses one compiled
-    ADMM partition (plus any shared-memory staging) across every
-    reweighted solve.  A reweighted artifact is element-for-element
+    ADMM solver across every reweighted solve.  A reweighted artifact is element-for-element
     identical to a fresh grounding at the new weights, so solves from it
     are bit-identical to the re-grounding path.
 
@@ -612,7 +604,7 @@ class GroundedCollective:
         self.records: tuple[ShardRecord, ...] | None = tuple(records)
         self.splice_stats: SpliceStats | None = None
         # Pre-compile the flat arrays while the ground is hot: the ADMM
-        # partition wants them anyway, and a later patch slices straight
+        # solver wants them anyway, and a later patch slices straight
         # from them instead of recompiling the whole artifact first.
         if getattr(self.mrf, "_compiled", None) is None:
             self.mrf._compiled = compile_term_arrays(self.mrf)
@@ -762,7 +754,7 @@ class GroundedCollective:
 
     @property
     def solver(self) -> AdmmSolver:
-        """The artifact's persistent solver (partition compiled once)."""
+        """The artifact's persistent solver (arrays compiled once)."""
         if self._solver is None:
             self._solver = AdmmSolver(self.mrf, self._admm)
         return self._solver
@@ -771,7 +763,7 @@ class GroundedCollective:
         """The persistent solver, rebuilt only if *admm* settings differ."""
         admm = admm if admm is not None else AdmmSettings()
         if admm != self._admm:
-            self.close()
+            self._solver = None
             self._admm = admm
         return self.solver
 
@@ -816,12 +808,6 @@ class GroundedCollective:
             ],
         )
         self.weights = weights
-
-    def close(self) -> None:
-        """Release solver-held resources (idempotent)."""
-        solver, self._solver = self._solver, None
-        if solver is not None:
-            solver.close()
 
 
 def patch_collective(
@@ -920,15 +906,8 @@ class CollectiveGroundingCache:
     from different threads never share (and mid-solve reweight) one
     artifact; entries hold strong problem references, making identity
     keys collision-safe, and the LRU bound keeps the footprint at a few
-    problems' worth of structure per process.
-
-    Thread-safe: a lock guards the map itself, and LRU eviction only
-    ``close()``\\ es entries the *evicting* thread owns (its own thread
-    id in the key).  An evicted entry owned by another thread may still
-    be mid-solve there, so its resources (shared-memory staging) are
-    left to garbage collection — released when that thread drops its
-    reference — instead of being unlinked out from under a running
-    solve.
+    problems' worth of structure per process.  Thread-safe: a lock
+    guards the map itself.
     """
 
     def __init__(self, capacity: int = 4):
@@ -980,7 +959,6 @@ class CollectiveGroundingCache:
         me = threading.get_ident()
         key = (me, id(problem), bool(settings.squared_hinges), shard_size)
         lineage = getattr(problem, "lineage", None)
-        stale = None
         with self._lock:
             entry = self._entries.get(key)
             if (
@@ -994,10 +972,8 @@ class CollectiveGroundingCache:
                     self._remember_token(me, lineage.token, key)
             else:
                 if entry is not None:
-                    stale = self._entries.pop(key)
+                    del self._entries[key]
                 entry = None
-        if stale is not None:
-            stale.close()  # this thread owns the key, so nobody else solves on it
         if entry is not None:
             # Reweight outside the lock: the entry is thread-private (the
             # thread id is in its key), so no other thread can touch it.
@@ -1007,7 +983,6 @@ class CollectiveGroundingCache:
         patched = fresh is not None
         if fresh is None:
             fresh = self._attach_or_ground(problem, settings, executor, shard_size)
-        evicted: list[tuple[tuple, GroundedCollective]] = []
         with self._lock:
             self.misses += 1
             if patched:
@@ -1016,11 +991,7 @@ class CollectiveGroundingCache:
             if lineage is not None:
                 self._remember_token(me, lineage.token, key)
             while len(self._entries) > self.capacity:
-                evicted.append(self._entries.popitem(last=False))
-        for evicted_key, evicted_entry in evicted:
-            if evicted_key[0] == me:
-                evicted_entry.close()
-            # Foreign-thread entries: leave release to GC (see class doc).
+                self._entries.popitem(last=False)
         return fresh
 
     def _try_patch(
@@ -1117,20 +1088,13 @@ class CollectiveGroundingCache:
         return fresh
 
     def clear(self) -> None:
-        """Drop (and close) every cached artifact.
-
-        Only call when no thread is solving on a cached artifact (e.g.
-        test teardown); closing releases shared-memory staging.
-        """
+        """Drop every cached artifact and reset the counters."""
         with self._lock:
-            entries = list(self._entries.values())
             self._entries.clear()
             self._token_keys.clear()
             self.hits = self.misses = 0
             self.disk_hits = self.disk_misses = 0
             self.patch_hits = 0
-        for entry in entries:
-            entry.close()
 
 
 #: Per-process artifact cache consumed by :func:`solve_collective` when
@@ -1200,7 +1164,7 @@ def solve_collective(
     solve of the same problem structure (e.g. the cells of a
     weight-sweep lane) only *reweights* the cached
     :class:`GroundedCollective` and re-solves on its compiled ADMM
-    partition — bit-identical to re-grounding, minus the grounding.
+    arrays — bit-identical to re-grounding, minus the grounding.
     Pass *grounded* to manage the artifact explicitly (it is reweighted
     to ``settings.weights`` first).
 

@@ -298,137 +298,6 @@ class TestRPL002Determinism:
         assert hits == []
 
 
-SHM_IMPORT = "from multiprocessing.shared_memory import SharedMemory\n"
-
-
-class TestRPL003SharedMemoryLifecycle:
-    def test_unowned_create_is_flagged(self):
-        hits = rules_hit(
-            {
-                "repro/psl/seg.py": SHM_IMPORT
-                + src(
-                    """
-                    def allocate(size):
-                        return SharedMemory(create=True, size=size)
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert len(hits) == 1 and "create=True" in hits[0].message
-
-    def test_unlink_outside_release_path_is_flagged(self):
-        hits = rules_hit(
-            {
-                "repro/psl/seg.py": SHM_IMPORT
-                + src(
-                    """
-                    def teardown(segment):
-                        segment.unlink()
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert len(hits) == 1
-
-    def test_create_inside_owning_class_is_clean(self):
-        hits = rules_hit(
-            {
-                "repro/psl/seg.py": SHM_IMPORT
-                + src(
-                    """
-                    class Buffers:
-                        def __init__(self, size):
-                            self._segment = SharedMemory(create=True, size=size)
-
-                        def release(self):
-                            self._segment.close()
-                            self._segment.unlink()
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert hits == []
-
-    def test_create_in_segment_owner_subclass_is_clean(self):
-        # SharedPartitionBuffers / SharedSolveState inherit release()
-        # from SharedSegmentOwner — ownership is recognized via the base
-        # name even with no release/close in the class's own body.
-        hits = rules_hit(
-            {
-                "repro/psl/seg.py": SHM_IMPORT
-                + src(
-                    """
-                    class SharedSolveState(SharedSegmentOwner):
-                        def __init__(self, size):
-                            self._segment = SharedMemory(create=True, size=size)
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert hits == []
-
-    def test_create_in_unrecognized_subclass_is_flagged(self):
-        # Inheriting from a base the checker doesn't know is not
-        # ownership: without release/close in the body, still flagged.
-        hits = rules_hit(
-            {
-                "repro/psl/seg.py": SHM_IMPORT
-                + src(
-                    """
-                    class Buffers(SomethingElse):
-                        def __init__(self, size):
-                            self._segment = SharedMemory(create=True, size=size)
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert len(hits) == 1
-
-    def test_create_under_try_finally_is_clean(self):
-        hits = rules_hit(
-            {
-                "repro/psl/seg.py": SHM_IMPORT
-                + src(
-                    """
-                    def scratch(size):
-                        segment = None
-                        try:
-                            segment = SharedMemory(create=True, size=size)
-                            return bytes(segment.buf)
-                        finally:
-                            if segment is not None:
-                                segment.close()
-                                segment.unlink()
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert hits == []
-
-    def test_module_without_shared_memory_import_is_out_of_scope(self):
-        hits = rules_hit(
-            {
-                "repro/evaluation/files.py": src(
-                    """
-                    def cleanup(tmp):
-                        tmp.unlink(missing_ok=True)
-
-                    def drop(tmp):
-                        tmp.unlink()
-                    """
-                )
-            },
-            "RPL003",
-        )
-        assert hits == []
-
-
 class TestRPL004InitializerScope:
     def test_initializer_without_scope_hook_is_flagged(self):
         hits = rules_hit(

@@ -38,7 +38,7 @@ def engine_of(sources: dict[str, str]) -> tuple[Project, DataflowEngine]:
 def generated_values() -> list[AbstractValue]:
     """A small but structured slice of the value space.
 
-    Every subset of the four facts, each fact witnessed by one of three
+    Every subset of the facts, each fact witnessed by one of three
     distinct chains (different lengths and orderings), so chain
     selection inside ``join`` is genuinely exercised.
     """
@@ -121,33 +121,6 @@ class TestSummaries:
         summary = engine.summary(FunctionId("repro.m", "ident"))
         assert summary.return_params == frozenset({0})
         assert summary.returns.is_bottom()
-
-    def test_fresh_segment_summary(self):
-        _, engine = engine_of(
-            {
-                "src/repro/m.py": (
-                    "from multiprocessing.shared_memory import SharedMemory\n"
-                    "def alloc():\n"
-                    "    return SharedMemory(create=True, size=64)\n"
-                )
-            }
-        )
-        summary = engine.summary(FunctionId("repro.m", "alloc"))
-        assert summary.returns_fresh_segment
-
-    def test_transitive_release_param(self):
-        _, engine = engine_of(
-            {
-                "src/repro/m.py": (
-                    "def _teardown(seg):\n"
-                    "    seg.close()\n"
-                    "def outer(seg):\n"
-                    "    _teardown(seg)\n"
-                )
-            }
-        )
-        summary = engine.summary(FunctionId("repro.m", "outer"))
-        assert summary.released_params == frozenset({0})
 
     def test_unpicklable_flows_through_chain(self):
         _, engine = engine_of(

@@ -56,10 +56,10 @@ def test_infer_assignment_follows_target_insertion_order():
 def test_assignment_vector_reports_earliest_missing_target():
     people = ["alice", "bob", "carol"]
     program, votes = _voting_program(people)
-    with program.ground_program({}) as grounded:
-        partial = {votes("alice", "left"): 1.0}  # bob AND carol missing
-        with pytest.raises(InferenceError) as excinfo:
-            grounded.assignment_vector(partial)
+    grounded = program.ground_program({})
+    partial = {votes("alice", "left"): 1.0}  # bob AND carol missing
+    with pytest.raises(InferenceError) as excinfo:
+        grounded.assignment_vector(partial)
     # targets_in_order makes the first-inserted missing atom the one
     # reported, whatever the per-process hash seed says.
     assert "bob" in str(excinfo.value)

@@ -184,13 +184,12 @@ def test_warm_payload_roundtrips_through_work_units():
 
 
 def test_thread_grid_with_thread_solver_terminates():
-    # Engine cells on "thread:2" whose collective solves also use
-    # "thread:2" share one pool; the nested block maps must run inline
+    # Engine cells on "thread:2" whose collective grounds also use
+    # "thread:2" share one pool; the nested shard maps must run inline
     # instead of deadlocking behind their own parent jobs.
     engine = EvaluationEngine(
         methods=("collective",),
         executor="thread:2",
-        solve_executor="thread:2",
         ground_executor="thread:2",
     )
     sweep = engine.sweep(
@@ -215,9 +214,10 @@ def test_engine_threads_solve_options_into_collective():
     tuned = EvaluationEngine(
         methods=("collective",),
         warm_start=False,
-        solve_executor="thread:2",
-        solve_block_size=8,
+        ground_executor="thread:2",
+        ground_shard_size=8,
     )
+    assert tuned.collective_settings.ground_shard_size == 8
     a = plain.run_grid([SMALL])
     b = tuned.run_grid([SMALL])
     assert [c.run.selected for c in a.cells] == [c.run.selected for c in b.cells]

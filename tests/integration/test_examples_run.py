@@ -1,30 +1,26 @@
 """Every example script must run cleanly (they are living documentation)."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tests.subprocess_env import child_env
+
 EXAMPLES = sorted((Path(__file__).parents[2] / "examples").glob("*.py"))
-SRC = Path(__file__).parents[2] / "src"
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs_cleanly(script):
     # The examples import `repro`; make the src layout visible to the
     # subprocess whether or not the package is pip-installed.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p
-    )
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=300,
-        env=env,
+        env=child_env(),
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip(), "example produced no output"

@@ -1,29 +1,19 @@
-"""Unit tests for the term-partition layer under the ADMM solver.
+"""Unit tests for the flat term arrays under the ADMM solver.
 
-The contract: block boundaries recorded at grounding time (or a uniform
-``block_size`` re-chunking) tile the flat potentials-then-constraints
-term order without ever splitting a term, and the per-block arrays
-concatenate back to exactly the flat solver arrays.
+The contract: an MRF compiles into one set of flat CSR arrays in
+potentials-then-constraints term order, whatever mix of bulk
+(``add_term_block``) and incremental construction produced it; the
+block extents recorded at grounding time slice those arrays into
+contiguous runs without ever splitting a term (the splice engine and
+the grounding store rely on that), and the solver precompiles its
+per-kind index sets once.
 """
 
-import os
-import pickle
-from multiprocessing import shared_memory
-
 import numpy as np
-import pytest
 
-from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import (
-    _KINDS,
-    SharedBlockArrays,
-    SharedPartitionBuffers,
-    SharedSolveState,
-    _attach_segment,
-    apply_shared_solve_update,
-    block_x_update,
-    build_partition,
-)
+from repro.psl.admm import AdmmSolver
+from repro.psl.hlmrf import KIND_EQ, KIND_HINGE, KIND_LEQ, KIND_SQUARED, HingeLossMRF
+from repro.psl.partition import compile_term_arrays, solver_arrays
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder
 from repro.selection.collective import CollectiveSettings, ground_collective
@@ -42,312 +32,145 @@ def _legacy_mrf() -> HingeLossMRF:
     return mrf
 
 
+def _block_terms(b: int, terms_per_block: int):
+    for t in range(terms_per_block):
+        i = b * terms_per_block + t
+        yield ([(X(i), 1.0), (X(i + 1), -1.0)], 0.1 * t, 1.0 + b), ([(X(i), 1.0)], -0.75)
+
+
 def _block_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> HingeLossMRF:
     mrf = HingeLossMRF()
     for b in range(num_blocks):
         builder = TermBlockBuilder()
-        for t in range(terms_per_block):
-            i = b * terms_per_block + t
-            builder.add_potential([(X(i), 1.0), (X(i + 1), -1.0)], 0.1 * t, 1.0 + b)
-            builder.add_constraint([(X(i), 1.0)], -0.75)
+        for potential, constraint in _block_terms(b, terms_per_block):
+            builder.add_potential(*potential)
+            builder.add_constraint(*constraint)
         atoms, block = builder.finish()
         mrf.add_term_block(atoms, block)
     return mrf
 
 
+def _incrementally_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> HingeLossMRF:
+    """The same terms as :func:`_block_built_mrf`, in the same flat order."""
+    mrf = HingeLossMRF()
+    terms = [t for b in range(num_blocks) for t in _block_terms(b, terms_per_block)]
+    for (pairs, offset, weight), _ in terms:
+        mrf.add_potential(dict(pairs), offset, weight=weight)
+    for _, (pairs, offset) in terms:
+        mrf.add_constraint(dict(pairs), offset)
+    return mrf
+
+
 def test_legacy_mrf_partitions_as_single_run():
-    mrf = _legacy_mrf()
-    assert mrf.term_partition() == ((0, 4),)
-    partition = build_partition(mrf)
-    assert partition.num_blocks == 1
-    assert partition.num_terms == 4
+    # Incremental construction compiles to one flat run of all terms,
+    # potentials first, then constraints.
+    arrays = compile_term_arrays(_legacy_mrf())
+    assert arrays.num_terms == 4 and arrays.num_potentials == 2
+    assert list(arrays.kind) == [KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ]
+    assert list(arrays.term_ptr) == [0, 2, 3, 5, 6]
+    assert list(arrays.weight) == [2.0, 1.0, 0.0, 0.0]
 
 
 def test_empty_mrf_has_no_blocks():
     mrf = HingeLossMRF()
-    assert mrf.term_partition() == ()
-    partition = build_partition(mrf)
-    assert partition.num_blocks == 0
-    assert partition.num_copies == 0
+    assert mrf._block_extents == []
+    arrays = compile_term_arrays(mrf)
+    assert arrays.num_terms == 0
+    assert arrays.num_copies == 0
 
 
 def test_block_built_mrf_records_extents_per_shard():
     mrf = _block_built_mrf(num_blocks=3, terms_per_block=4)
-    runs = mrf.term_partition()
-    # Each add_term_block holds potentials AND constraints, so it
-    # contributes one run in the potential range and one in the
-    # constraint range: 3 blocks -> 6 runs tiling all 24 terms.
-    assert len(runs) == 6
-    assert runs[0][0] == 0
-    flat = []
-    for lo, hi in runs:
-        assert lo < hi
-        flat.extend(range(lo, hi))
-    assert sorted(flat) == list(range(24))
-    # Potential runs come first (flat order is potentials then constraints).
-    assert runs[:3] == ((0, 4), (4, 8), (8, 12))
-    assert runs[3:] == ((12, 16), (16, 20), (20, 24))
+    # One (pot_lo, pot_hi, con_lo, con_hi) extent per add_term_block call,
+    # tiling both the potential and the constraint lists in order.
+    assert mrf._block_extents == [(0, 4, 0, 4), (4, 8, 4, 8), (8, 12, 8, 12)]
 
 
 def test_mixed_bulk_and_incremental_falls_back_to_single_run():
     mrf = _block_built_mrf(num_blocks=2, terms_per_block=2)
     mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)  # incremental append
-    runs = mrf.term_partition()
-    assert runs == ((0, len(mrf.potentials) + len(mrf.constraints)),)
-
-
-def test_nonpositive_block_size_rejected():
-    from repro.errors import InferenceError
-
-    mrf = _legacy_mrf()
-    for bad in (0, -1, -256):
-        with pytest.raises(InferenceError):
-            build_partition(mrf, block_size=bad)
-
-
-def test_uniform_block_size_overrides_recorded_extents():
-    mrf = _block_built_mrf(num_blocks=2, terms_per_block=3)
-    partition = build_partition(mrf, block_size=5)
-    assert partition.boundaries() == ((0, 5), (5, 10), (10, 12))
-    assert partition.max_block_terms == 5
+    arrays = compile_term_arrays(mrf)
+    assert arrays.num_potentials == len(mrf.potentials) == 5
+    assert arrays.num_terms == len(mrf.potentials) + len(mrf.constraints)
+    # The appended potential lands at the end of the potential range.
+    assert arrays.var[arrays.term_ptr[4]] == mrf.index_of(X(0))
 
 
 def test_blocks_concatenate_to_flat_arrays():
+    # Each recorded extent is a contiguous run of CSR rows: slicing the
+    # flat arrays by extent and concatenating (potentials, then
+    # constraints) gives back exactly the flat arrays.
     mrf = _block_built_mrf()
-    for block_size in (None, 1, 4, 7, 1000):
-        partition = build_partition(mrf, block_size=block_size)
-        var = np.concatenate([b.var for b in partition.blocks])
-        coeff = np.concatenate([b.coeff for b in partition.blocks])
-        term = np.concatenate(
-            [b.term + b.term_lo for b in partition.blocks]
-        )
-        assert np.array_equal(var, partition.var)
-        flat = build_partition(mrf, block_size=10**9)
-        assert np.array_equal(coeff, np.concatenate([b.coeff for b in flat.blocks]))
-        assert np.array_equal(term, flat.blocks[0].term)
-        # copy slices tile the copy range in order, without gaps
-        offsets = [b.copy_lo for b in partition.blocks]
-        ends = [b.copy_lo + b.num_copies for b in partition.blocks]
-        assert offsets[0] == 0 and ends[-1] == partition.num_copies
-        assert offsets[1:] == ends[:-1]
+    arrays = compile_term_arrays(mrf)
+    num_potentials = arrays.num_potentials
+    runs = [(lo, hi) for lo, hi, _, _ in mrf._block_extents] + [
+        (num_potentials + lo, num_potentials + hi)
+        for _, _, lo, hi in mrf._block_extents
+    ]
+    ptr = arrays.term_ptr
+    for field in ("var", "coeff", "term"):
+        flat = getattr(arrays, field)
+        pieces = np.concatenate([flat[ptr[lo] : ptr[hi]] for lo, hi in runs])
+        assert np.array_equal(pieces, flat)
+    assert np.array_equal(
+        np.concatenate([arrays.kind[lo:hi] for lo, hi in runs]), arrays.kind
+    )
 
 
 def test_partition_degree_counts_every_copy():
     mrf = _legacy_mrf()
-    partition = build_partition(mrf)
+    arrays = compile_term_arrays(mrf)
     degree = np.maximum(
-        np.bincount(partition.var, minlength=mrf.num_variables).astype(float), 1.0
+        np.bincount(arrays.var, minlength=mrf.num_variables).astype(float), 1.0
     )
-    assert np.array_equal(partition.degree, degree)
+    assert np.array_equal(arrays.degree, degree)
 
 
 def test_collective_grounding_blocks_survive_into_partition():
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    mrf, _, stats = ground_collective(
-        problem, CollectiveSettings(), shard_size=4
-    )
-    partition = build_partition(mrf)
+    mrf, _, stats = ground_collective(problem, CollectiveSettings(), shard_size=4)
     assert stats.num_shards > 1
-    assert partition.num_blocks > 1
-    # No block exceeds what one grounding shard emitted.
-    assert partition.max_block_terms <= stats.peak_shard_terms
-    assert sum(b.num_terms for b in partition.blocks) == partition.num_terms
-
-
-_BLOCK_FIELDS = ("kind", "offset", "weight", "normsq", "var", "term", "coeff")
-
-
-def test_shared_blocks_mirror_partition_arrays_exactly():
-    partition = build_partition(_block_built_mrf(), block_size=5)
-    with SharedPartitionBuffers(partition) as shared:
-        assert len(shared.blocks) == partition.num_blocks
-        for block, mirror in zip(partition.blocks, shared.blocks):
-            assert isinstance(mirror, SharedBlockArrays)
-            assert mirror.term_lo == block.term_lo
-            assert mirror.copy_lo == block.copy_lo
-            assert mirror.copy_slice == block.copy_slice
-            assert mirror.num_terms == block.num_terms
-            assert mirror.num_copies == block.num_copies
-            for field in _BLOCK_FIELDS:
-                original = getattr(block, field)
-                view = getattr(mirror, field)
-                assert view.dtype == original.dtype
-                assert np.array_equal(view, original)
-
-
-def test_shared_blocks_pickle_as_small_attach_by_name_descriptors():
-    mrf = _block_built_mrf(num_blocks=2, terms_per_block=600)
-    partition = build_partition(mrf)
-    rng = np.random.default_rng(11)
-    with SharedPartitionBuffers(partition) as shared:
-        for block, mirror in zip(partition.blocks, shared.blocks):
-            payload = pickle.dumps(mirror)
-            # The whole point of the shared segment: the per-iteration
-            # payload no longer scales with the block.
-            assert len(payload) < len(pickle.dumps(block)) / 4
-            clone = pickle.loads(payload)
-            assert clone.shm_name == shared.name
-            for field in _BLOCK_FIELDS:
-                assert np.array_equal(getattr(clone, field), getattr(block, field))
-            v = rng.normal(size=block.num_copies)
-            # ...and the local step over the attached views is the exact
-            # same arithmetic: bit-identical results.
-            assert np.array_equal(
-                block_x_update(clone, v, rho=1.0), block_x_update(block, v, rho=1.0)
-            )
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-def test_attach_cache_drops_unlinked_segments():
-    import repro.psl.partition as partition_module
-
-    partition = build_partition(_block_built_mrf())
-    first = SharedPartitionBuffers(partition)
-    name = first.name
-    _attach_segment(name)
-    first.release()  # driver unlinks; the cached mapping must not pin it
-    second = SharedPartitionBuffers(partition)
-    _attach_segment(second.name)  # cache miss -> sweep of dead segments
-    assert name not in partition_module._ATTACHED_SEGMENTS
-    second.release()
-
-
-def test_shared_partition_buffers_unlink_lifecycle():
-    partition = build_partition(_block_built_mrf())
-    shared = SharedPartitionBuffers(partition)
-    name = shared.name
-    assert name is not None and not shared.released
-    # Attachable by name while the driver keeps it alive.
-    assert _attach_segment(name).size >= 8
-    shared.release()
-    assert shared.released and shared.name is None
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)  # driver-owned unlink happened
-    shared.release()  # idempotent
+    # One recorded extent per grounding shard, none larger than a shard.
+    assert len(mrf._block_extents) == stats.num_shards
+    for pot_lo, pot_hi, con_lo, con_hi in mrf._block_extents:
+        assert (pot_hi - pot_lo) + (con_hi - con_lo) <= stats.peak_shard_terms
+    # The shard structure never reaches the solver arrays.
+    whole, _, _ = ground_collective(problem, CollectiveSettings(), shard_size=10**9)
+    sharded, single = compile_term_arrays(mrf), compile_term_arrays(whole)
+    for field in ("kind", "offset", "weight", "term_ptr", "var", "coeff", "degree"):
+        assert np.array_equal(getattr(sharded, field), getattr(single, field))
 
 
 def test_block_x_update_matches_whole_problem_update():
-    mrf = _block_built_mrf()
-    fine = build_partition(mrf, block_size=3)
-    flat = build_partition(mrf, block_size=10**9)
+    # The local step of a block-built MRF is the local step of the same
+    # terms built one by one: construction never changes the arithmetic.
+    blocks = AdmmSolver(_block_built_mrf())
+    whole = AdmmSolver(_incrementally_built_mrf())
+    assert blocks.arrays.num_copies == whole.arrays.num_copies
     rng = np.random.default_rng(5)
-    v = rng.normal(size=flat.num_copies)
-    whole = block_x_update(flat.blocks[0], v, rho=1.0)
-    pieces = np.concatenate(
-        [
-            block_x_update(b, v[b.copy_lo : b.copy_lo + b.num_copies], rho=1.0)
-            for b in fine.blocks
-        ]
-    )
-    assert np.array_equal(whole, pieces)
+    v = rng.normal(size=whole.arrays.num_copies)
+    assert np.array_equal(blocks._x_update(v, 1.0), whole._x_update(v, 1.0))
 
 
 def test_kind_index_precompiles_the_kind_masks():
-    mrf = _legacy_mrf()  # one block with all four kinds
-    partition = build_partition(mrf)
-    for block in partition.blocks:
-        assert len(block.kind_index) == len(_KINDS)
-        for kind, idx in zip(_KINDS, block.kind_index):
-            assert np.array_equal(idx, np.flatnonzero(block.kind == kind))
-        # Together the index sets cover every term exactly once.
-        assert sorted(np.concatenate(block.kind_index)) == list(
-            range(block.num_terms)
-        )
+    solver = AdmmSolver(_legacy_mrf())  # all four kinds present
+    kind = solver.arrays.kind
+    assert len(solver._kinds) == 4
+    for (_, idx, normsq), k in zip(
+        solver._kinds, (KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ)
+    ):
+        assert np.array_equal(idx, np.flatnonzero(kind == k))
+        assert np.array_equal(normsq, solver.arrays.normsq[idx])
+    # Together the index sets cover every term exactly once.
+    covered = np.concatenate([idx for _, idx, _ in solver._kinds])
+    assert sorted(covered) == list(range(solver.arrays.num_terms))
 
 
-def test_shared_blocks_mirror_kind_index():
-    partition = build_partition(_legacy_mrf())
-    with SharedPartitionBuffers(partition) as shared:
-        for block, mirror in zip(partition.blocks, shared.blocks):
-            mirrored = mirror.kind_index
-            assert len(mirrored) == len(block.kind_index)
-            for idx, idx_view in zip(block.kind_index, mirrored):
-                assert idx_view.dtype == np.int64
-                assert np.array_equal(idx_view, idx)
-            clone = pickle.loads(pickle.dumps(mirror))
-            for idx, idx_view in zip(block.kind_index, clone.kind_index):
-                assert np.array_equal(idx_view, idx)
-
-
-def _staged(partition):
-    buffers = SharedPartitionBuffers(partition)
-    state = SharedSolveState(partition, buffers.blocks)
-    return buffers, state
-
-
-def test_shared_solve_state_worker_update_matches_in_driver_math():
-    partition = build_partition(_block_built_mrf(), block_size=5)
-    buffers, state = _staged(partition)
-    try:
-        rng = np.random.default_rng(7)
-        state.z[:] = rng.uniform(size=partition.num_variables)
-        state.u[:] = rng.normal(scale=0.1, size=partition.num_copies)
-        for generation in (1, 2):  # both parity buffers
-            for index, block in enumerate(partition.blocks):
-                ack = apply_shared_solve_update(
-                    (state.name, index, 1.5, generation)
-                )
-                assert ack == index
-                v = state.z[block.var] - state.u[block.copy_slice]
-                assert np.array_equal(
-                    state.x_buffer(generation)[block.copy_slice],
-                    block_x_update(block, v, 1.5),
-                )
-    finally:
-        state.release()
-        buffers.release()
-
-
-def test_shared_solve_state_unlink_lifecycle():
-    partition = build_partition(_block_built_mrf())
-    buffers, state = _staged(partition)
-    name = state.name
-    assert name is not None and not state.released
-    assert _attach_segment(name).size >= 8
-    state.release()
-    assert state.released and state.name is None
-    assert state.z is None and state.u is None
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)  # driver-owned unlink happened
-    state.release()  # idempotent
-    buffers.release()
-
-
-def test_concurrent_solve_states_are_independent():
-    partition = build_partition(_block_built_mrf())
-    buffers_a, state_a = _staged(partition)
-    buffers_b, state_b = _staged(partition)
-    try:
-        assert state_a.name != state_b.name
-        state_a.z[:] = 0.25
-        state_b.z[:] = 0.75
-        state_a.release()
-        buffers_a.release()
-        # Releasing one solve's segments leaves the other fully usable.
-        assert np.all(state_b.z == 0.75)
-        assert apply_shared_solve_update((state_b.name, 0, 1.0, 1)) == 0
-    finally:
-        state_b.release()
-        buffers_b.release()
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
-def test_solve_view_cache_drops_with_dead_segments():
-    import repro.psl.partition as partition_module
-
-    partition = build_partition(_block_built_mrf())
-    buffers, state = _staged(partition)
-    name = state.name
-    apply_shared_solve_update((name, 0, 1.0, 1))  # populates the view cache
-    assert name in partition_module._SOLVE_VIEWS
-    state.release()
-    buffers.release()
-    # Next attach (a new solve arriving) sweeps the dead segment's
-    # mapping and its parsed views together.
-    buffers2, state2 = _staged(partition)
-    apply_shared_solve_update((state2.name, 0, 1.0, 1))
-    assert name not in partition_module._SOLVE_VIEWS
-    assert name not in partition_module._ATTACHED_SEGMENTS
-    state2.release()
-    buffers2.release()
+def test_solver_arrays_reuse_precompiled_and_resync_weights():
+    mrf = _block_built_mrf()
+    mrf._compiled = compile_term_arrays(mrf)
+    mrf.set_potential_weights([2.5] * len(mrf.potentials))
+    arrays = solver_arrays(mrf)
+    assert arrays is mrf._compiled
+    assert np.array_equal(arrays.weight[: arrays.num_potentials], mrf.potential_weights())

@@ -2,8 +2,7 @@
 
 The contract under test, at every layer: the HL-MRF energy is linear in
 the potential weights, so a *reweighted* artifact — MRF, compiled ADMM
-partition, shared-memory staging, grounded program, grounded collective
-— must be element-for-element identical to one freshly ground at the new
+arrays, grounded program, grounded collective — must be element-for-element identical to one freshly ground at the new
 weights, and solves from it bit-identical to the re-grounding path.
 """
 
@@ -17,7 +16,7 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmSettings, AdmmSolver
 from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import SharedPartitionBuffers, build_partition
+from repro.psl.partition import compile_term_arrays
 from repro.psl.predicate import Predicate
 from repro.psl.program import PslProgram
 from repro.psl.rule import lit
@@ -138,33 +137,20 @@ def test_set_potential_weights_full_vector():
         _grouped_mrf().set_potential_weights([4.0, 3.0, 2.0, 1.0])
 
 
-# -- partition / solver reweight ----------------------------------------------
+# -- compiled arrays / solver reweight ----------------------------------------
 
 
 def test_partition_weight_views_see_in_place_writes():
     mrf = _grouped_mrf()
-    partition = build_partition(mrf)
+    arrays = compile_term_arrays(mrf)
+    structure = arrays.coeff.copy()
     mrf.set_group_weights({"a": 6.0, "b": 0.25})
-    partition.set_potential_weights(mrf.potential_weights())
-    fresh = build_partition(mrf)
-    assert np.array_equal(partition.term_weights, fresh.term_weights)
-    for old_block, new_block in zip(partition.blocks, fresh.blocks):
-        assert np.array_equal(old_block.weight, new_block.weight)
+    arrays.set_potential_weights(mrf.potential_weights())
+    fresh = compile_term_arrays(mrf)
+    assert np.array_equal(arrays.weight, fresh.weight)
+    assert np.array_equal(arrays.coeff, structure)  # structure left alone
     with pytest.raises(InferenceError):
-        partition.set_potential_weights(np.ones(99))
-
-
-def test_shared_buffers_weight_write_through():
-    partition = build_partition(_grouped_mrf(), block_size=2)
-    with SharedPartitionBuffers(partition) as shared:
-        partition.term_weights[: partition.num_potentials] = [9.0, 8.0, 7.0, 6.0]
-        shared.write_weights(partition)
-        for block, mirror in zip(partition.blocks, shared.blocks):
-            assert np.array_equal(mirror.weight, block.weight)
-            # Structure fields were left alone.
-            assert np.array_equal(mirror.coeff, block.coeff)
-    with pytest.raises(InferenceError):
-        shared.write_weights(partition)  # released
+        arrays.set_potential_weights(np.ones(99))
 
 
 def test_solver_reweighted_solve_matches_fresh_solver():
@@ -299,9 +285,9 @@ def test_grounding_cache_reweights_hits_and_regrouds_on_pattern_change():
 
 
 def test_grounding_cache_concurrent_threads_with_tiny_capacity():
-    # Thread-keyed entries + lock + owner-only eviction close: threads
-    # churning distinct problems through a capacity-1 cache must never
-    # see another thread's artifact closed (released solver) mid-use.
+    # Thread-keyed entries + lock: threads churning distinct problems
+    # through a capacity-1 cache must never disturb each other's
+    # artifacts mid-use.
     import threading
 
     problems = [_problem() for _ in range(3)]

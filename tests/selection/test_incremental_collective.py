@@ -46,17 +46,14 @@ def _edit_fact(chain: MutableSelection):
 
 def _assert_same_artifact(patched: GroundedCollective, problem, settings) -> None:
     fresh = GroundedCollective(problem, settings)
-    try:
-        assert structure_fingerprint(patched.mrf) == structure_fingerprint(fresh.mrf)
-        assert mrf_fingerprint(patched.mrf) == mrf_fingerprint(fresh.mrf)
-        a = solve_collective(problem, settings, grounded=patched)
-        b = solve_collective(problem, settings, grounded=fresh)
-        assert a.iterations == b.iterations
-        assert a.objective == b.objective
-        assert a.selected == b.selected
-        assert a.fractional == b.fractional
-    finally:
-        fresh.close()
+    assert structure_fingerprint(patched.mrf) == structure_fingerprint(fresh.mrf)
+    assert mrf_fingerprint(patched.mrf) == mrf_fingerprint(fresh.mrf)
+    a = solve_collective(problem, settings, grounded=patched)
+    b = solve_collective(problem, settings, grounded=fresh)
+    assert a.iterations == b.iterations
+    assert a.objective == b.objective
+    assert a.selected == b.selected
+    assert a.fractional == b.fractional
 
 
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
@@ -72,8 +69,6 @@ def test_patch_matches_scratch(executor, shard_size):
     assert patched is not None
     assert patched.splice_stats.reused_shards > 0
     _assert_same_artifact(patched, child, settings)
-    parent.close()
-    patched.close()
 
 
 def test_patch_reweights_to_the_new_settings():
@@ -86,8 +81,6 @@ def test_patch_reweights_to_the_new_settings():
     patched = patch_collective(parent, child, reweighted, shard_size=2)
     assert patched is not None
     _assert_same_artifact(patched, child, reweighted)
-    parent.close()
-    patched.close()
 
 
 def test_multi_step_chain_patches_every_revision():
@@ -143,7 +136,6 @@ def test_squared_hinge_mismatch_declines_patch():
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
     squared = CollectiveSettings(squared_hinges=True)
     assert patch_collective(parent, child, squared, shard_size=2) is None
-    parent.close()
 
 
 def test_shard_size_mismatch_skips_patch_tier():

@@ -81,10 +81,8 @@ def test_select_solver_knobs(tmp_path, capsys):
                 str(path),
                 "--method",
                 "collective",
-                "--solve-executor",
+                "--ground-executor",
                 "thread:2",
-                "--solve-block-size",
-                "16",
                 "--ground-shard-size",
                 "8",
             ]
@@ -108,9 +106,9 @@ def test_sweep_solver_knobs(capsys):
                 "1",
                 "--levels",
                 "0",
-                "--solve-executor",
+                "--ground-executor",
                 "serial",
-                "--solve-block-size",
+                "--ground-shard-size",
                 "4",
             ]
         )
@@ -118,6 +116,13 @@ def test_sweep_solver_knobs(capsys):
     )
     out = capsys.readouterr().out
     assert "collective" in out
+
+
+@pytest.mark.parametrize("command", ["select", "sweep"])
+def test_no_solve_executor_flags(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--solve-" not in capsys.readouterr().out
 
 
 def test_generate_respects_kind_restriction(tmp_path, capsys):

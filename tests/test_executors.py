@@ -15,7 +15,6 @@ import sys
 import textwrap
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 
 import pytest
 
@@ -26,6 +25,7 @@ from repro.executors import (
     ThreadExecutor,
     resolve_executor,
 )
+from tests.subprocess_env import child_env
 
 # Module-level so process workers (fork or spawn-with-import) can
 # unpickle them by reference.
@@ -238,7 +238,7 @@ def _nested_map(executor):
 
 def test_thread_executor_nested_map_does_not_deadlock():
     # Shared "thread:N" instances serve both an engine grid and the
-    # solvers inside its cells; nested maps used to queue behind their
+    # grounding inside its cells; nested maps used to queue behind their
     # own parents and hang forever.
     executor = ThreadExecutor(2)
     results = list(executor.map(_nested_map(executor), [0, 1, 2, 3]))
@@ -465,13 +465,9 @@ def test_nested_persistent_pools_exit_cleanly():
         print("clean-exit")
         """
     )
-    env = dict(
-        os.environ,
-        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-    )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env=env,
+        env=child_env(),
         timeout=120,  # the regression is an exit-time deadlock
         capture_output=True,
         text=True,

@@ -31,14 +31,15 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "persistent_pool.json").write_text(
+    (tmp_path / "sharded_grounding.json").write_text(
         json.dumps(
             {
                 "host_cpus": 4,
-                "workers": 2,
-                "legacy_fresh_sec_per_map": 0.016,
-                "shared_sec_per_map": 0.002,
-                "dispatch_overhead_drop": 8.0,
+                "num_shards": 16,
+                "total_terms": 9000,
+                "sharded_serial_seconds": 0.016,
+                "sharded_process_seconds": 0.002,
+                "process_speedup_vs_sharded_serial": 8.0,
             }
         )
     )
@@ -69,6 +70,7 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
     assert "| benchmark" in text
     assert "10.0×" in text and "8.0×" in text
     assert "reweight many (sweep)" in text
+    assert "sharded grounding" in text
     assert "reweight many (learning)" in text
     assert "grounding store cold start (large)" in text
     assert "7.5×" in text
