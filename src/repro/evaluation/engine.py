@@ -365,11 +365,11 @@ def run_scenario(
         generate_seconds = problem_seconds = 0.0
 
     if include_gold:
-        from repro.selection.objective import objective_value
+        from repro.selection.objective import objective_evaluator
 
         gold = frozenset(scenario.gold_indices)
         run = score_selection(
-            scenario, problem, "gold", gold, objective_value(problem, gold), 0.0
+            scenario, problem, "gold", gold, objective_evaluator(problem)(gold), 0.0
         )
         cells.append(
             GridCell(

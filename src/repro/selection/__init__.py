@@ -54,6 +54,7 @@ from repro.selection.objective import (
     ObjectiveBreakdown,
     ObjectiveWeights,
     objective_breakdown,
+    objective_evaluator,
     objective_value,
 )
 
@@ -85,6 +86,7 @@ __all__ = [
     "merge_candidate_tables",
     "problem_fingerprint",
     "objective_breakdown",
+    "objective_evaluator",
     "objective_value",
     "drop_certain_unexplained",
     "drop_useless_candidates",

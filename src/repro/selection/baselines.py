@@ -13,7 +13,7 @@ from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
     ObjectiveWeights,
-    objective_value,
+    objective_evaluator,
 )
 
 
@@ -23,7 +23,7 @@ def select_all(
 ) -> SelectionResult:
     """The trivial baseline M = C."""
     selected = frozenset(range(problem.num_candidates))
-    return SelectionResult(selected, objective_value(problem, selected, weights))
+    return SelectionResult(selected, objective_evaluator(problem, weights)(selected))
 
 
 def select_none(
@@ -31,7 +31,7 @@ def select_none(
     weights: ObjectiveWeights = DEFAULT_WEIGHTS,
 ) -> SelectionResult:
     """The trivial baseline M = {} (the overfitting guard of the appendix)."""
-    return SelectionResult(frozenset(), objective_value(problem, [], weights))
+    return SelectionResult(frozenset(), objective_evaluator(problem, weights)([]))
 
 
 def solve_independent(
@@ -47,13 +47,12 @@ def solve_independent(
     failure mode the *collective* formulation exists to avoid.  The
     returned objective is the true F of the resulting set.
     """
-    baseline = objective_value(problem, [], weights)
+    evaluate = objective_evaluator(problem, weights)
+    baseline = evaluate([])
     selected = frozenset(
-        i
-        for i in range(problem.num_candidates)
-        if objective_value(problem, [i], weights) < baseline
+        i for i in range(problem.num_candidates) if evaluate([i]) < baseline
     )
-    return SelectionResult(selected, objective_value(problem, selected, weights))
+    return SelectionResult(selected, evaluate(selected))
 
 
 def select_top_k_coverage(
@@ -62,9 +61,7 @@ def select_top_k_coverage(
     weights: ObjectiveWeights = DEFAULT_WEIGHTS,
 ) -> SelectionResult:
     """Pick the k candidates with the largest total cover mass."""
-    ranked = sorted(
-        range(problem.num_candidates),
-        key=lambda i: (-sum(problem.covers[i].values()), i),
-    )
+    mass = problem.objective_index().cover_mass().tolist()
+    ranked = sorted(range(problem.num_candidates), key=lambda i: (-mass[i], i))
     selected = frozenset(ranked[: max(0, k)])
-    return SelectionResult(selected, objective_value(problem, selected, weights))
+    return SelectionResult(selected, objective_evaluator(problem, weights)(selected))

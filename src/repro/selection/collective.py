@@ -85,7 +85,7 @@ from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
     ObjectiveWeights,
-    objective_value,
+    objective_evaluator,
 )
 
 #: The model's predicates.  Module-level so shard work units can rebuild
@@ -905,12 +905,14 @@ class CollectiveGroundingCache:
     re-ground.  The thread id is part of the key so concurrent solves
     from different threads never share (and mid-solve reweight) one
     artifact; entries hold strong problem references, making identity
-    keys collision-safe, and the LRU bound keeps the footprint at a few
-    problems' worth of structure per process.  Thread-safe: a lock
-    guards the map itself.
+    keys collision-safe.  The default LRU bound of two entries holds an
+    edit chain's parent and current revision (what the patch tier needs)
+    and keeps the footprint at two problems' worth of structure per
+    process; a serial weight sweep over more seeds than that re-grounds
+    each cell.  Thread-safe: a lock guards the map itself.
     """
 
-    def __init__(self, capacity: int = 4):
+    def __init__(self, capacity: int = 2):
         self.capacity = capacity
         self._entries: OrderedDict[tuple, GroundedCollective] = OrderedDict()
         #: Lineage token -> cache key, per thread: the index the patch
@@ -1230,9 +1232,7 @@ def solve_collective(
         }
     )
 
-    def discrete_objective(selected: frozenset) -> Fraction:
-        return objective_value(problem, selected, settings.weights)
-
+    discrete_objective = objective_evaluator(problem, settings.weights)
     selected = round_solution(
         fractional,
         discrete_objective,

@@ -4,11 +4,14 @@ Mapping selection is NP-hard (Theorem 1; reduction in
 :mod:`repro.theory.set_cover_reduction`), so exact solving is only viable
 for small candidate sets.  Two strategies are provided:
 
-* :func:`solve_exhaustive` — enumerate all 2^n subsets (n <= ~18);
+* :func:`solve_exhaustive` — enumerate all 2^n subsets (n <= ~18) under
+  the reference :func:`~repro.selection.objective.objective_value`, the
+  oracle the tests hold the indexed searches to;
 * :func:`solve_branch_and_bound` — depth-first search with an admissible
   lower bound that assumes every still-undecided candidate contributes
-  its coverage for free.  Orders of magnitude faster in practice and the
-  default for the evaluation's "exact" baseline.
+  its coverage for free, run on the problem's integer index
+  (:mod:`repro.selection.index`).  Orders of magnitude faster in practice
+  and the default for the evaluation's "exact" baseline.
 
 Both return provably optimal selections for the exact objective of
 :mod:`repro.selection.objective`.
@@ -20,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from repro.datamodel.instance import Fact
+import numpy as np
+
+from repro.selection.index import ObjectiveIndex
 from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
@@ -66,52 +71,41 @@ def solve_exhaustive(
     return SelectionResult(best, best_value)
 
 
+def decision_order(index: ObjectiveIndex) -> list[int]:
+    """Candidates by descending total cover: they tighten the bound fastest."""
+    mass = index.cover_mass().tolist()
+    return sorted(range(index.num_candidates), key=lambda i: -mass[i])
+
+
+def suffix_best(index: ObjectiveIndex, order: list[int]) -> np.ndarray:
+    """``suffix[k][t]``: best cover numerator of fact t among ``order[k:]``.
+
+    ``suffix[len(order)]`` is all zeros.
+    """
+    suffix = np.zeros((len(order) + 1, index.num_facts), dtype=np.int64)
+    for k in range(len(order) - 1, -1, -1):
+        suffix[k] = suffix[k + 1]
+        facts, nums = index.cover_row(order[k])
+        suffix[k, facts] = np.maximum(suffix[k + 1, facts], nums)
+    return suffix
+
+
 class _BranchAndBound:
-    """DFS over include/exclude decisions with an admissible bound."""
+    """DFS over include/exclude decisions with an admissible bound.
+
+    The bound at depth k is the objective if every fact's cover also
+    reached the best cover among the undecided candidates ``order[k:]``
+    for free.
+    """
 
     def __init__(self, problem: SelectionProblem, weights: ObjectiveWeights):
-        self._problem = problem
-        self._weights = weights
-        # Decide high-coverage candidates first: they tighten the bound fastest.
-        self._order = sorted(
-            range(problem.num_candidates),
-            key=lambda i: -sum(problem.covers[i].values()),
-        )
-        # suffix_best[k][t] = best cover of t among still-undecided candidates
-        # order[k:]; suffix_best[n] is empty.
-        n = len(self._order)
-        self._suffix_best: list[dict[Fact, Fraction]] = [{} for _ in range(n + 1)]
-        for k in range(n - 1, -1, -1):
-            merged = dict(self._suffix_best[k + 1])
-            for t, d in problem.covers[self._order[k]].items():
-                if d > merged.get(t, Fraction(0)):
-                    merged[t] = d
-            self._suffix_best[k] = merged
+        index = problem.objective_index()
+        self._order = decision_order(index)
+        self._suffix_best = suffix_best(index, self._order)
         self._incremental = IncrementalObjective(problem, weights)
         self._best_value = self._incremental.value
         self._best_set: frozenset[int] = frozenset()
         self._nodes = 0
-
-    def _lower_bound(self, depth: int) -> Fraction:
-        """Objective if all remaining coverage came for free (admissible)."""
-        problem, w = self._problem, self._weights
-        inc = self._incremental
-        optimistic_unexplained = Fraction(0)
-        suffix = self._suffix_best[depth]
-        selected = inc.selected
-        for t in problem.j_facts:
-            cover = problem.max_cover(t, selected)
-            future = suffix.get(t)
-            if future is not None and future > cover:
-                cover = future
-            optimistic_unexplained += 1 - cover
-        current = inc.value
-        achieved_unexplained = (
-            current
-            - w.errors * Fraction(len(problem.union_error_facts(selected)))
-            - w.size * Fraction(sum(problem.sizes[i] for i in selected))
-        )
-        return current - achieved_unexplained + w.explains * optimistic_unexplained
 
     def solve(self) -> SelectionResult:
         self._dfs(0)
@@ -125,7 +119,7 @@ class _BranchAndBound:
             self._best_set = inc.selected
         if depth == len(self._order):
             return
-        if self._lower_bound(depth) >= self._best_value:
+        if inc.bound(self._suffix_best[depth]) >= self._best_value:
             return
         i = self._order[depth]
         # Branch 1: include candidate i (only promising when it covers anything

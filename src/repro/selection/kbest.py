@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.selection.exact import SelectionResult
+from repro.selection.exact import SelectionResult, decision_order, suffix_best
 from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
@@ -47,21 +47,10 @@ class _KBestSearch:
     """B&B enumerating every selection within the evolving k-th-best bound."""
 
     def __init__(self, problem: SelectionProblem, k: int, weights: ObjectiveWeights):
-        self._problem = problem
         self._k = k
-        self._weights = weights
-        self._order = sorted(
-            range(problem.num_candidates),
-            key=lambda i: -sum(problem.covers[i].values()),
-        )
-        n = len(self._order)
-        self._suffix_best: list[dict] = [{} for _ in range(n + 1)]
-        for depth in range(n - 1, -1, -1):
-            merged = dict(self._suffix_best[depth + 1])
-            for t, d in problem.covers[self._order[depth]].items():
-                if d > merged.get(t, Fraction(0)):
-                    merged[t] = d
-            self._suffix_best[depth] = merged
+        index = problem.objective_index()
+        self._order = decision_order(index)
+        self._suffix_best = suffix_best(index, self._order)
         self._incremental = IncrementalObjective(problem, weights)
         # Max-heap (negated values) of the best k (value, selection) found.
         self._heap: list[tuple[Fraction, frozenset[int]]] = []
@@ -82,26 +71,6 @@ class _KBestSearch:
             return None
         return -self._heap[0][0]
 
-    def _lower_bound(self, depth: int) -> Fraction:
-        problem, w = self._problem, self._weights
-        inc = self._incremental
-        selected = inc.selected
-        optimistic = Fraction(0)
-        suffix = self._suffix_best[depth]
-        for t in problem.j_facts:
-            cover = problem.max_cover(t, selected)
-            future = suffix.get(t)
-            if future is not None and future > cover:
-                cover = future
-            optimistic += 1 - cover
-        current = inc.value
-        achieved = (
-            current
-            - w.errors * Fraction(len(problem.union_error_facts(selected)))
-            - w.size * Fraction(sum(problem.sizes[i] for i in selected))
-        )
-        return current - achieved + w.explains * optimistic
-
     def run(self) -> KBestResult:
         self._dfs(0)
         ranked = sorted(((-v, s) for v, s in self._heap))
@@ -115,7 +84,7 @@ class _KBestSearch:
         if depth == len(self._order):
             return
         bound = self._bound()
-        if bound is not None and self._lower_bound(depth) > bound:
+        if bound is not None and inc.bound(self._suffix_best[depth]) > bound:
             return
         i = self._order[depth]
         inc.add(i)

@@ -42,6 +42,7 @@ from repro.datamodel.values import LabeledNull, NullFactory
 from repro.errors import SelectionError
 from repro.homomorphism.covers import CoverComputer, creates
 from repro.mappings.tgd import StTgd
+from repro.selection.index import ObjectiveIndex
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,23 @@ class SelectionProblem:
     @property
     def num_candidates(self) -> int:
         return len(self.candidates)
+
+    def objective_index(self) -> ObjectiveIndex:
+        """The integer index of these tables, built on first use.
+
+        The tables are treated as immutable from then on.  The index is
+        derived state: :meth:`__getstate__` leaves it out, so pickles and
+        :func:`problem_fingerprint` do not depend on whether it was built.
+        """
+        index = getattr(self, "_objective_index", None)
+        if index is None:
+            index = self._objective_index = ObjectiveIndex(self)
+        return index
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_objective_index", None)
+        return state
 
     def max_cover(self, t: Fact, selected: Iterable[int]) -> Fraction:
         """explains(M, t): best cover of t over the selected candidates."""

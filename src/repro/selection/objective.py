@@ -11,14 +11,23 @@ is exactly Eq. (4); in general it is Eq. (9).  The weighted form is the
 appendix's Theorem 1 generalization (NP-hard for any positive weights).
 Values are exact :class:`fractions.Fraction`s so the appendix table is
 reproduced to the digit.
+
+:func:`objective_value` and :func:`objective_breakdown` are the literal
+reference.  Searches evaluate F through the problem's integer index
+instead (:func:`objective_evaluator`, :class:`IncrementalObjective`),
+which returns the same exact values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from numbers import Rational
+from typing import Callable, Iterable
 
+import numpy as np
+
+from repro.selection.index import CoverColumns, ScaledWeights
 from repro.selection.metrics import SelectionProblem
 
 
@@ -34,7 +43,10 @@ class ObjectiveWeights:
     optimization problem changes character (e.g. ``size=0`` makes adding
     error-free candidates free), so complexity guarantees no longer carry
     over.  Negative weights are rejected: they would invert a term's
-    meaning and break every solver's pruning arguments.
+    meaning and break every solver's pruning arguments.  Weights must be
+    exact rationals (``int`` or ``Fraction``): the solvers evaluate F in
+    integer arithmetic over a common denominator
+    (:mod:`repro.selection.index`), which a float cannot join.
     """
 
     explains: Fraction = Fraction(1)
@@ -47,6 +59,8 @@ class ObjectiveWeights:
             ("errors", self.errors),
             ("size", self.size),
         ):
+            if not isinstance(w, Rational):
+                raise TypeError(f"weight {label} must be an int or Fraction, got {w!r}")
             if w < 0:
                 raise ValueError(f"weight {label} must be non-negative, got {w}")
 
@@ -96,11 +110,33 @@ def objective_value(
     return objective_breakdown(problem, selected, weights).total
 
 
+def objective_evaluator(
+    problem: SelectionProblem,
+    weights: ObjectiveWeights = DEFAULT_WEIGHTS,
+) -> Callable[[Iterable[int]], Fraction]:
+    """``selected -> F(selected)`` on the problem's integer index.
+
+    Returns exactly :func:`objective_value`'s number at a fraction of its
+    cost; use it wherever many selections of one problem are evaluated.
+    """
+    index = problem.objective_index()
+    scaled = ScaledWeights.of(weights, index.denominator)
+
+    def evaluate(selected: Iterable[int]) -> Fraction:
+        return scaled.value(*index.components(selected))
+
+    return evaluate
+
+
 class IncrementalObjective:
     """Incrementally maintained objective for search algorithms.
 
-    Supports O(changed-facts) add/remove of one candidate, which makes
-    greedy and branch-and-bound search over thousands of moves cheap.
+    Runs on the problem's :class:`~repro.selection.index.ObjectiveIndex`
+    and keeps integer state: the best cover numerator of every J fact,
+    per-error-fact owner counts and the selected size.  ``add`` and
+    ``delta_add`` touch only the candidate's own cover and error rows;
+    ``remove`` recomputes the best cover of only the removed candidate's
+    facts.  Every value equals :func:`objective_value` exactly.
     """
 
     def __init__(
@@ -108,73 +144,78 @@ class IncrementalObjective:
         problem: SelectionProblem,
         weights: ObjectiveWeights = DEFAULT_WEIGHTS,
     ):
-        self._problem = problem
-        self._weights = weights
-        self._selected: set[int] = set()
-        self._error_owners: dict = {}
-        self._unexplained = Fraction(len(problem.j_facts))
-        self._size = Fraction(0)
+        index = problem.objective_index()
+        self._index = index
+        self._scaled = ScaledWeights.of(weights, index.denominator)
+        self._mask = np.zeros(index.num_candidates, dtype=bool)
+        self._best = np.zeros(index.num_facts, dtype=np.int64)
+        self._explained = 0
+        self._owners = np.zeros(index.num_error_facts, dtype=np.int64)
+        self._errors = 0
+        self._size = 0
+        self._columns = CoverColumns(index)
 
     @property
     def selected(self) -> frozenset[int]:
-        return frozenset(self._selected)
+        return frozenset(np.flatnonzero(self._mask).tolist())
 
     @property
     def value(self) -> Fraction:
-        w = self._weights
-        return (
-            w.explains * self._unexplained
-            + w.errors * Fraction(len(self._error_owners))
-            + w.size * self._size
+        return self._scaled.value(
+            self._index.full_cover - self._explained, self._errors, self._size
+        )
+
+    def bound(self, future: np.ndarray) -> Fraction:
+        """F if every fact's cover also rose to *future* (per fact id) for free.
+
+        With *future* the best covers the undecided candidates could add,
+        this is the admissible lower bound of branch-and-bound search.
+        """
+        explained = int(np.maximum(self._best, future).sum())
+        return self._scaled.value(
+            self._index.full_cover - explained, self._errors, self._size
         )
 
     def add(self, i: int) -> None:
         """Select candidate *i* (no-op if already selected)."""
-        if i in self._selected:
+        if self._mask[i]:
             return
-        problem = self._problem
-        for t, degree in problem.covers[i].items():
-            old = problem.max_cover(t, self._selected)
-            if degree > old:
-                self._unexplained -= degree - old
-        for f in problem.error_facts[i]:
-            self._error_owners.setdefault(f, set()).add(i)
-        self._size += problem.sizes[i]
-        self._selected.add(i)
+        index = self._index
+        facts, nums = index.cover_row(i)
+        old = self._best[facts]
+        new = np.maximum(old, nums)
+        self._explained += int((new - old).sum())
+        self._best[facts] = new
+        errors = index.error_row(i)
+        owners = self._owners[errors]
+        self._errors += int(np.count_nonzero(owners == 0))
+        self._owners[errors] = owners + 1
+        self._size += int(index.sizes[i])
+        self._mask[i] = True
 
     def remove(self, i: int) -> None:
         """Deselect candidate *i* (no-op if not selected)."""
-        if i not in self._selected:
+        if not self._mask[i]:
             return
-        problem = self._problem
-        self._selected.remove(i)
-        for t, degree in problem.covers[i].items():
-            new = problem.max_cover(t, self._selected)
-            if degree > new:
-                self._unexplained += degree - new
-        for f in problem.error_facts[i]:
-            owners = self._error_owners.get(f)
-            if owners is not None:
-                owners.discard(i)
-                if not owners:
-                    del self._error_owners[f]
-        self._size -= problem.sizes[i]
+        index = self._index
+        self._mask[i] = False
+        facts, _ = index.cover_row(i)
+        if len(facts):
+            new = self._columns.best_cover(facts, self._mask)
+            self._explained -= int((self._best[facts] - new).sum())
+            self._best[facts] = new
+        errors = index.error_row(i)
+        owners = self._owners[errors] - 1
+        self._owners[errors] = owners
+        self._errors -= int(np.count_nonzero(owners == 0))
+        self._size -= int(index.sizes[i])
 
     def delta_add(self, i: int) -> Fraction:
         """Change in F if candidate *i* were added (without mutating)."""
-        if i in self._selected:
+        if self._mask[i]:
             return Fraction(0)
-        problem, w = self._problem, self._weights
-        gain = Fraction(0)
-        for t, degree in problem.covers[i].items():
-            old = problem.max_cover(t, self._selected)
-            if degree > old:
-                gain += degree - old
-        new_errors = sum(
-            1 for f in problem.error_facts[i] if f not in self._error_owners
-        )
-        return (
-            -w.explains * gain
-            + w.errors * Fraction(new_errors)
-            + w.size * Fraction(problem.sizes[i])
-        )
+        index = self._index
+        facts, nums = index.cover_row(i)
+        gain = int(np.maximum(nums - self._best[facts], 0).sum())
+        new_errors = int(np.count_nonzero(self._owners[index.error_row(i)] == 0))
+        return self._scaled.value(-gain, new_errors, int(index.sizes[i]))

@@ -201,3 +201,34 @@ def test_randomized_rounding_considers_extremes():
         return 0 if not selected else 1  # empty set is optimal
 
     assert randomized_rounding(fractional, objective, trials=4, seed=0) == frozenset()
+
+
+def _recording_objective(calls):
+    def objective(selected: frozenset):
+        calls.append(selected)
+        return 0  # nothing ever improves, so every visit is recorded
+
+    return objective
+
+
+#: ``sorted(range(12), key=repr)``: "10" and "11" sort before "2".
+REPR_ORDER = [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
+
+
+def test_local_search_flips_items_in_repr_order():
+    calls = []
+    universe = {i: 0.5 for i in range(12)}
+    local_search(frozenset(), universe, _recording_objective(calls))
+    assert calls[0] == frozenset()
+    flipped = [next(iter(s)) for s in calls[1:]]
+    assert flipped == REPR_ORDER == sorted(range(12), key=repr)
+
+
+def test_threshold_sweep_grows_prefixes_in_value_then_repr_order():
+    calls = []
+    # Two value levels, so ties inside each level fall back to repr order.
+    fractional = {i: 0.9 if i % 2 == 0 else 0.4 for i in range(12)}
+    threshold_sweep(fractional, _recording_objective(calls))
+    assert calls[0] == frozenset()
+    added = [next(iter(b - a)) for a, b in zip(calls, calls[1:])]
+    assert added == [0, 10, 2, 4, 6, 8, 1, 11, 3, 5, 7, 9]

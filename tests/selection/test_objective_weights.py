@@ -1,4 +1,4 @@
-"""Validation contract of ObjectiveWeights: zeros graded off, negatives rejected."""
+"""Validation contract of ObjectiveWeights: zeros graded off, negatives and floats rejected."""
 
 from fractions import Fraction
 
@@ -19,6 +19,15 @@ def test_negative_weight_rejected():
     for kwargs in ({"explains": -1}, {"errors": Fraction(-1, 2)}, {"size": -3}):
         with pytest.raises(ValueError, match="non-negative"):
             ObjectiveWeights(**{k: Fraction(v) for k, v in kwargs.items()})
+
+
+def test_non_rational_weight_rejected():
+    # The indexed objective is exact rational arithmetic; a float weight
+    # would make it disagree with the reference in the last digits.
+    for kwargs in ({"explains": 1.5}, {"errors": 0.0}, {"size": float("nan")}):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            ObjectiveWeights(**kwargs)
+    assert ObjectiveWeights(explains=2).explains == 2
 
 
 def test_zero_weight_accepted_and_disables_term(problem):
