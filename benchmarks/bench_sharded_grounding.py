@@ -6,7 +6,7 @@ caps, so the ground program is the dominant data structure):
 
 1. **equivalence** — the sharded build is fingerprint-identical to the
    serial ``build_program(...)[0].ground()`` path for every shard size
-   and executor tested;
+   tested;
 2. **bounded peak working set** — the driver never materializes more
    than one shard's term block between merges, so the peak intermediate
    size is O(shard size), not O(program).  Verified two ways: the
@@ -15,12 +15,10 @@ caps, so the ground program is the dominant data structure):
    dict-based monolithic build (recorded; asserted only with
    ``REPRO_ASSERT_SHARD_MEMORY=1`` since allocator behaviour is
    host-dependent);
-3. **build time** — serial-vs-sharded build seconds, including a
-   process-pool run.  The multi-core speedup is recorded to
-   ``benchmarks/results/sharded_grounding.json`` (a CI artifact); like
-   the parallel-engine bench, the speedup assertion is opt-in via
-   ``REPRO_ASSERT_SPEEDUP=1`` because 1-core dev containers cannot win
-   and shared runners are too noisy to gate merges on.
+3. **build time** — monolithic vs sharded build seconds, recorded to
+   ``benchmarks/results/sharded_grounding_build.txt``.  Grounding runs
+   on the calling thread; the table is a diagnostic, nothing is
+   asserted on it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import os
 import time
 import tracemalloc
 
-from benchmarks._common import record_json, record_result
+from benchmarks._common import record_result
 
 from repro.evaluation.reporting import format_table
 from repro.ibench.config import ScenarioConfig
@@ -68,12 +66,9 @@ def test_sharded_build_matches_serial_bytes(scenario_cache):
     problem = _problem(scenario_cache)
     settings = CollectiveSettings()
     reference = mrf_fingerprint(_serial_build(problem, settings))
-    for executor in ("serial", "process:2"):
-        for shard_size in (1, SHARD_SIZE, None):
-            mrf, _, _ = ground_collective(
-                problem, settings, executor=executor, shard_size=shard_size
-            )
-            assert mrf_fingerprint(mrf) == reference, (executor, shard_size)
+    for shard_size in (1, SHARD_SIZE, None):
+        mrf, _, _ = ground_collective(problem, settings, shard_size=shard_size)
+        assert mrf_fingerprint(mrf) == reference, shard_size
 
 
 def test_sharded_build_peak_working_set(scenario_cache):
@@ -86,9 +81,7 @@ def test_sharded_build_peak_working_set(scenario_cache):
     tracemalloc.stop()
 
     tracemalloc.start()
-    sharded, _, stats = ground_collective(
-        problem, settings, executor="serial", shard_size=SHARD_SIZE
-    )
+    sharded, _, stats = ground_collective(problem, settings, shard_size=SHARD_SIZE)
     _, sharded_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -128,42 +121,24 @@ def test_sharded_build_peak_working_set(scenario_cache):
 def test_sharded_build_time(benchmark, scenario_cache):
     problem = _problem(scenario_cache)
     settings = CollectiveSettings()
-    workers = max(2, os.cpu_count() or 1)
 
     start = time.perf_counter()
     serial_mrf = _serial_build(problem, settings)
     monolithic_seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    sharded_serial, _, stats = ground_collective(
-        problem, settings, executor="serial", shard_size=SHARD_SIZE
-    )
-    sharded_serial_seconds = time.perf_counter() - start
-
-    executor = f"process:{workers}"
-    sharded_process = benchmark.pedantic(
-        lambda: ground_collective(
-            problem, settings, executor=executor, shard_size=SHARD_SIZE
-        )[0],
+    sharded_mrf, _, stats = benchmark.pedantic(
+        lambda: ground_collective(problem, settings, shard_size=SHARD_SIZE),
         rounds=1,
         iterations=1,
     )
-    sharded_process_seconds = benchmark.stats.stats.mean
+    sharded_seconds = benchmark.stats.stats.mean
 
-    assert mrf_fingerprint(serial_mrf) == mrf_fingerprint(sharded_serial)
-    assert mrf_fingerprint(serial_mrf) == mrf_fingerprint(sharded_process)
-
-    speedup = (
-        sharded_serial_seconds / sharded_process_seconds
-        if sharded_process_seconds
-        else float("inf")
-    )
+    assert mrf_fingerprint(serial_mrf) == mrf_fingerprint(sharded_mrf)
     table = format_table(
         ["path", "seconds"],
         [
             ["monolithic serial", monolithic_seconds],
-            [f"sharded serial (size={SHARD_SIZE})", sharded_serial_seconds],
-            [f"sharded {executor}", sharded_process_seconds],
+            [f"sharded serial (size={SHARD_SIZE})", sharded_seconds],
         ],
         title=(
             f"HL-MRF build: {stats.total_terms} terms, {stats.num_shards} shards, "
@@ -171,22 +146,3 @@ def test_sharded_build_time(benchmark, scenario_cache):
         ),
     )
     record_result("sharded_grounding_build", table)
-    record_json(
-        "sharded_grounding",
-        {
-            "config": repr(CONFIG),
-            "host_cpus": os.cpu_count(),
-            "num_candidates": problem.num_candidates,
-            "num_j_facts": len(problem.j_facts),
-            "total_terms": stats.total_terms,
-            "num_shards": stats.num_shards,
-            "shard_size": SHARD_SIZE,
-            "peak_shard_terms": stats.peak_shard_terms,
-            "monolithic_seconds": monolithic_seconds,
-            "sharded_serial_seconds": sharded_serial_seconds,
-            "sharded_process_seconds": sharded_process_seconds,
-            "process_speedup_vs_sharded_serial": speedup,
-        },
-    )
-    if os.environ.get("REPRO_ASSERT_SPEEDUP") == "1" and (os.cpu_count() or 1) >= 4:
-        assert speedup >= 1.5, f"expected parallel win on {os.cpu_count()} CPUs: {speedup:.2f}x"

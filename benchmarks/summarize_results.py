@@ -6,7 +6,7 @@ machine-readable twin of its stdout table under ``benchmarks/results/``
 an artifact per run; this script folds whichever of the known artifacts
 are present into a single EXPERIMENTS-style speedup table
 (``results/SUMMARY.md``), so the recorded multi-core numbers read as one
-document instead of five JSON blobs — the "pull the recorded speedup
+document instead of four JSON blobs — the "pull the recorded speedup
 numbers into EXPERIMENTS-style results" item of the ROADMAP.
 
 Usage::
@@ -45,19 +45,6 @@ def _fmt_bytes(value: float) -> str:
     if value >= 1024:
         return f"{value / 1024:.2f} KiB"
     return f"{value:.0f} B"
-
-
-def _rows_sharded_grounding(data: dict) -> list[list[str]]:
-    return [
-        [
-            "sharded grounding",
-            f"serial shards vs process pool ({data.get('num_shards', '?')} shards, "
-            f"{data.get('total_terms', '?')} terms)",
-            _fmt_seconds(data["sharded_serial_seconds"]),
-            _fmt_seconds(data["sharded_process_seconds"]),
-            _fmt_speedup(data["process_speedup_vs_sharded_serial"]),
-        ]
-    ]
 
 
 def _rows_parallel_engine(data: dict) -> list[list[str]]:
@@ -145,7 +132,6 @@ def _rows_incremental(data: dict) -> list[list[str]]:
 
 #: filename -> row extractor.  Order fixes the table's row order.
 KNOWN_ARTIFACTS = {
-    "sharded_grounding.json": _rows_sharded_grounding,
     "parallel_engine_build.json": _rows_parallel_engine,
     "reweight.json": _rows_reweight,
     "grounding_store.json": _rows_grounding_store,

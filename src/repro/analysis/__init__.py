@@ -2,7 +2,7 @@
 
 Two layers (see docs/lint.md):
 
-* **Syntactic** (RPL001, RPL002, RPL004, RPL005,
+* **Syntactic** (RPL001, RPL002, RPL005,
   :mod:`repro.analysis.checkers`) — fast per-module AST pattern matches.
 * **Flow** (RPL010, RPL012, :mod:`repro.analysis.flow_rules`) — a
   whole-program call graph (:mod:`repro.analysis.callgraph`) plus a

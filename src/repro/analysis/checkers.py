@@ -1,4 +1,4 @@
-"""The four syntactic repro-lint rules.
+"""The three syntactic repro-lint rules.
 
 Each rule encodes an invariant this codebase already relies on (see
 docs/lint.md for the incident history behind every one):
@@ -6,13 +6,9 @@ docs/lint.md for the incident history behind every one):
 * RPL001 — callables shipped to process pools must be module-level.
 * RPL002 — fingerprint/merge/selection paths must not iterate unordered
   containers or call seed-dependent ``hash()``.
-* RPL004 — executor initializers must carry the ``scope`` hook.
 * RPL005 — no blocking pool operations while holding a registry lock.
 
-Checkers are per-module (:meth:`Checker.check`), with an optional
-cross-module :meth:`Checker.finalize` for whole-codebase facts (RPL004
-needs to see every ``fn.scope = ...`` assignment before judging any
-``initializer=fn`` site).
+Checkers are per-module (:meth:`Checker.check`).
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from repro.analysis.visitor import (
 
 
 class Checker:
-    """Base class: one rule ID, per-module checks, optional finalize."""
+    """Base class: one rule ID, per-module checks."""
 
     rule = "RPL000"
     name = "base"
@@ -48,10 +44,6 @@ class Checker:
 
     def check(self, module: ModuleInfo) -> list[Finding]:
         raise NotImplementedError
-
-    def finalize(self) -> list[Finding]:
-        """Called once after every module was checked."""
-        return []
 
     def finding(
         self, module: ModuleInfo, node: ast.AST, message: str
@@ -84,8 +76,8 @@ class ProcessMapSafetyChecker(Checker):
     """RPL001: work units shipped to executors must pickle by reference.
 
     Flags lambdas, nested-function names, and bound methods passed as
-    the callable to ``<executor>.map(...)`` or as ``initializer=`` to
-    executor/pool constructors.  ``functools.partial`` over a
+    the callable to ``<executor>.map(...)`` or as the ``initializer``
+    keyword of executor/pool constructors.  ``functools.partial`` over a
     module-level function is accepted (that is the codebase's idiom for
     pre-binding shared arguments, e.g. ``metrics.build_selection_problem``).
     """
@@ -132,7 +124,7 @@ class ProcessMapSafetyChecker(Checker):
         kw = call_keyword(call, "initializer")
         if kw is not None and kw.value is not None:
             yield from self._judge_callable(
-                module, call, kw.value, context=f"initializer= of {callee}"
+                module, call, kw.value, context=f"initializer of {callee}"
             )
 
     def _judge_callable(
@@ -317,77 +309,6 @@ class DeterminismChecker(Checker):
         return None
 
 
-class InitializerScopeChecker(Checker):
-    """RPL004: worker initializers must expose the ``scope`` hook.
-
-    ``executors.initializer_scope`` runs ``initializer.scope(*initargs)``
-    as a context manager on the serial fallback path; an initializer
-    without a ``scope`` attribute silently skips resource setup there.
-    The check is cross-module: sites are collected per module, and the
-    set of ``fn.scope = ...`` assignments anywhere in the codebase is
-    consulted in :meth:`finalize`.
-    """
-
-    rule = "RPL004"
-    name = "initializer-scope"
-    description = "initializer= functions must have a .scope hook"
-
-    def __init__(self) -> None:
-        #: (module, call node, function name) for every initializer site.
-        self._sites: list[tuple[ModuleInfo, ast.Call, str]] = []
-        #: function names that get ``.scope`` assigned somewhere.
-        self._scoped_names: set[str] = set()
-
-    def check(self, module: ModuleInfo) -> list[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                self._record_scope_assignment(node)
-            elif isinstance(node, ast.Call):
-                self._record_initializer_site(module, node)
-        return []
-
-    def _record_scope_assignment(self, assign: ast.Assign) -> None:
-        for target in assign.targets:
-            if isinstance(target, ast.Attribute) and target.attr == "scope":
-                owner = terminal_name(target.value)
-                if owner:
-                    self._scoped_names.add(owner)
-
-    def _record_initializer_site(self, module: ModuleInfo, call: ast.Call) -> None:
-        kw = call_keyword(call, "initializer")
-        if kw is None or kw.value is None:
-            return
-        value = kw.value
-        name = None
-        if isinstance(value, ast.Name):
-            # Only judge names we can resolve statically: module-level
-            # functions and imports.  Parameters/locals forwarding an
-            # initializer (e.g. sharding.ground_shards) are out of reach.
-            if module.is_module_level_callable(value.id):
-                name = value.id
-        elif isinstance(value, ast.Attribute):
-            name = value.attr
-        if name is not None:
-            self._sites.append((module, call, name))
-
-    def finalize(self) -> list[Finding]:
-        findings = []
-        for module, call, name in self._sites:
-            if name in self._scoped_names:
-                continue
-            findings.append(
-                self.finding(
-                    module,
-                    call,
-                    f"initializer '{name}' has no .scope attribute assigned "
-                    "anywhere; executors.initializer_scope needs it to set "
-                    "up worker state on the serial fallback path (see "
-                    "program.install_shared_database for the pattern)",
-                )
-            )
-        return findings
-
-
 class LockHoldChecker(Checker):
     """RPL005: no blocking pool operations while holding a lock.
 
@@ -468,11 +389,10 @@ class LockHoldChecker(Checker):
 
 
 def default_checkers() -> list[Checker]:
-    """Fresh checker instances (RPL004 carries cross-module state)."""
+    """Fresh checker instances."""
     return [
         ProcessMapSafetyChecker(),
         DeterminismChecker(),
-        InitializerScopeChecker(),
         LockHoldChecker(),
     ]
 

@@ -6,7 +6,7 @@ these rules consume the whole-program call graph
 (:mod:`repro.analysis.dataflow`) to follow a value *through* calls:
 
 * **RPL010** — transitive process-map taint: a closure, lambda, or
-  bound method that reaches ``executor.map`` / ``initializer=`` through
+  bound method that reaches ``executor.map`` / an ``initializer`` through
   any call chain (subsumes RPL001's literal-only check; literal sites
   stay RPL001's so each incident has exactly one rule).
 * **RPL012** — lock-order cycles: the global lock-acquisition graph
@@ -147,7 +147,7 @@ def _pool_callable_sites(call: ast.Call):
         if looks_like_pool:
             kw = call_keyword(call, "initializer")
             if kw is not None and kw.value is not None:
-                yield kw.value, f"initializer= of {callee}"
+                yield kw.value, f"initializer of {callee}"
 
 
 def _is_executor_receiver(expr: ast.AST) -> bool:

@@ -69,8 +69,6 @@ def _run(
         for checker in checkers:
             if checker.applies_to(module):
                 raw.extend(checker.check(module))
-    for checker in checkers:
-        raw.extend(checker.finalize())
 
     if flow:
         if flow_checkers is None:

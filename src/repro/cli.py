@@ -69,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="where the selection problem is built: serial, thread[:N] or process[:N]",
     )
     select.add_argument(
-        "--ground-executor",
-        default=None,
-        help="where the collective HL-MRF grounding shards run: serial, thread[:N] or process[:N]",
-    )
-    select.add_argument(
         "--ground-shard-size",
         type=int,
         default=None,
@@ -107,11 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         help="where grid cells run: serial, thread[:N] or process[:N]",
-    )
-    sweep.add_argument(
-        "--ground-executor",
-        default=None,
-        help="where the collective HL-MRF grounding shards run: serial, thread[:N] or process[:N]",
     )
     sweep.add_argument(
         "--ground-shard-size",
@@ -308,18 +298,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     names = list(METHOD_REGISTRY) if args.method == "all" else [args.method]
     methods = {name: METHOD_REGISTRY[name] for name in names}
-    knobs = (
-        args.ground_executor,
-        args.ground_shard_size,
-        args.grounding_store,
-    )
+    knobs = (args.ground_shard_size, args.grounding_store)
     if "collective" in methods and (
         any(knob is not None for knob in knobs) or args.no_incremental
     ):
         methods["collective"] = partial(
             solve_collective,
             settings=CollectiveSettings(
-                ground_executor=args.ground_executor,
                 ground_shard_size=args.ground_shard_size,
                 grounding_store=args.grounding_store,
                 incremental=not args.no_incremental,
@@ -431,7 +416,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         executor=args.executor,
         warm_start=not args.no_warm_start,
         cache_dir=args.cache_dir,
-        ground_executor=args.ground_executor,
         ground_shard_size=args.ground_shard_size,
         grounding_store=args.grounding_store,
         incremental=not args.no_incremental,

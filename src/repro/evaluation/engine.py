@@ -15,10 +15,10 @@ runner:
   per process, so a config appearing in several grids is generated and
   chased once; with a ``cache_dir`` the cache also spills to disk keyed
   by config hash, so repeated benchmark *sessions* skip generation too;
-* **sharded grounding** — the collective method's HL-MRF compilation can
-  run through executor-mapped shards
-  (:func:`~repro.selection.collective.ground_collective`) via the
-  engine's ``ground_executor``/``ground_shard_size`` knobs;
+* **sharded grounding** — the collective method's HL-MRF compilation
+  runs shard by shard
+  (:func:`~repro.selection.collective.ground_collective`), with the
+  shard granularity set by the engine's ``ground_shard_size`` knob;
 * **per-cell timing** — every :class:`GridCell` records scenario
   generation, problem build, and solve time separately;
 * **warm starting** — the collective method chains ADMM warm starts
@@ -303,8 +303,8 @@ class ConfigCells:
 
     ``cache_dir`` (if set) points the executing process's scenario cache
     at the shared on-disk cache; ``collective_settings`` configures the
-    collective solver (sharded-grounding executor/shard size, ADMM
-    block/executor knobs, weights…) wherever the unit runs.
+    collective solver (grounding shard size, grounding store, ADMM
+    settings, weights…) wherever the unit runs.
     ``warm_payload`` carries the previous lane cell's chained collective
     warm-start state (fractional vectors + full ADMM state) into the
     executing process — the engine's wave scheduler sets it so
@@ -491,10 +491,6 @@ class EvaluationEngine:
             private cache (with *cache_dir* applied, when given).
         cache_dir: directory for the persistent scenario/problem cache;
             ``None`` keeps caching in-memory only.
-        ground_executor: executor spec for the collective method's
-            sharded HL-MRF grounding (``"serial"``, ``"thread[:N]"``,
-            ``"process[:N]"``); forwarded to every cell, including
-            process-pool workers.
         ground_shard_size: entries per grounding shard (``None`` → the
             sharding default).
         grounding_store: root directory of a cross-process disk
@@ -523,7 +519,6 @@ class EvaluationEngine:
         warm_start: bool = True,
         cache: ScenarioCache | None = None,
         cache_dir: str | Path | None = None,
-        ground_executor: MapExecutor | str | None = None,
         ground_shard_size: int | None = None,
         grounding_store: str | Path | None = None,
         incremental: bool = True,
@@ -542,13 +537,11 @@ class EvaluationEngine:
         self.incremental = bool(incremental)
         self.collective_settings: CollectiveSettings | None = None
         if (
-            ground_executor is not None
-            or ground_shard_size is not None
+            ground_shard_size is not None
             or self.grounding_store is not None
             or not self.incremental
         ):
             self.collective_settings = CollectiveSettings(
-                ground_executor=ground_executor,
                 ground_shard_size=ground_shard_size,
                 grounding_store=self.grounding_store,
                 incremental=self.incremental,

@@ -1,9 +1,8 @@
 """Pluggable map-style executors for embarrassingly parallel work.
 
-The selection pipeline, the evaluation engine, sharded grounding and
-incremental re-grounding all fan out over independent, picklable work
-units (one per candidate, per grid cell, per grounding shard).  This
-module gives them a common, minimal execution abstraction:
+The selection-problem build and the evaluation engine fan out over
+independent, picklable work units (one per candidate, per grid cell).
+This module gives them a common, minimal execution abstraction:
 
 * :class:`SerialExecutor` — in-process ``map``; zero overhead, always
   available, shares in-process caches with the caller;
@@ -13,15 +12,15 @@ module gives them a common, minimal execution abstraction:
 * :class:`ProcessExecutor` — ``concurrent.futures.ProcessPoolExecutor``
   with chunked dispatch; true multi-core parallelism for CPU-bound pure
   Python work.  In **persistent** mode the worker pool outlives
-  individual ``map`` calls (created lazily, initializer applied once per
-  worker), so a caller that maps many times — repeated sharded
-  grounds, grid waves — pays the pool spawn once, not per map.
+  individual ``map`` calls (created lazily), so a caller that maps many
+  times — grid waves, candidate chases — pays the pool spawn once, not
+  per map.
 
 All executors preserve input order, so callers get deterministic merges
 for free.  The parallel ``map`` paths *stream*: they return a generator
 that keeps only a bounded window of work in flight, so a caller that
-merges results one by one (sharded grounding) holds O(window) results,
-not O(all work units).  ``resolve_executor`` turns user-facing specs
+merges results one by one holds O(window) results, not O(all work
+units).  ``resolve_executor`` turns user-facing specs
 (``"serial"``, ``"thread[:N]"``, ``"process[:8]"``) into executor
 objects — the form the CLI exposes — handing out one shared (and, for
 processes, persistent) instance per backend and worker count.
@@ -34,7 +33,6 @@ import threading
 import weakref
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence, TypeVar
 
@@ -96,9 +94,9 @@ def _close_process_executors_at_exit(force: bool = False) -> None:
       ``multiprocessing.util._exit_function``, skipping
       ``threading._shutdown`` entirely — but running util finalizers.
       Without this hook, a worker that resolved ``"process:N"`` for its
-      own nested maps (an engine cell grounding/solving through process
-      executors) would join its inner pool's processes at exit while
-      nothing ever told them to stop: a deadlock that freezes the whole
+      own nested maps (an engine cell building its problem through a
+      process executor) would join its inner pool's processes at exit
+      while nothing ever told them to stop: a deadlock that freezes the whole
       grid at shutdown.
 
     *force* (the multiprocessing-finalizer path, where no thread will
@@ -163,10 +161,10 @@ class ThreadExecutor:
     shared instance per worker count, so resolving ``"thread:N"`` once
     per caller does not accumulate pools.  Because instances are shared,
     a :meth:`map` issued *from one of the pool's own worker threads*
-    (e.g. an engine grid on ``thread:2`` whose cells ground with
-    ``thread:2``) runs inline instead of queueing: the nested tasks
-    would otherwise wait behind the very jobs occupying every worker —
-    a deadlock, not a slowdown.
+    (e.g. an engine grid on ``thread:2`` whose cells build their
+    problems with ``thread:2``) runs inline instead of queueing: the
+    nested tasks would otherwise wait behind the very jobs occupying
+    every worker — a deadlock, not a slowdown.
     """
 
     def __init__(self, max_workers: int | None = None):
@@ -237,42 +235,6 @@ def _run_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
     return [fn(item) for item in chunk]
 
 
-def initializer_scope(initializer: Callable[..., None], initargs: tuple):
-    """Run *initializer* for the calling thread, scoped when possible.
-
-    The one place the initializer scope-hook protocol lives: an
-    initializer exposing a ``scope`` attribute (a context-manager
-    factory taking *initargs*, e.g.
-    :func:`repro.psl.program.install_shared_database`) is entered so the
-    state it installs is restored on exit; one without the hook is
-    called bare and keeps the classic run-once contract.  Used by the
-    process executor's serial fallback and by any caller that must run a
-    worker initializer on the calling thread
-    (:func:`repro.psl.sharding.ground_shards`).
-    """
-    scope = getattr(initializer, "scope", None)
-    if scope is not None:
-        return scope(*initargs)
-    initializer(*initargs)
-    return nullcontext()
-
-
-def _initarg_tokens(initargs: tuple) -> tuple:
-    """Current state tokens of initializer arguments (None when untracked).
-
-    Identity comparison alone cannot see *in-place mutation* of a
-    payload between maps; arguments may expose a ``state_token()``
-    method (e.g. :meth:`repro.psl.database.Database.state_token`) whose
-    value changes with their contents, and a persistent pool is only
-    reused while the tokens recorded at pool creation still match.
-    """
-    tokens = []
-    for arg in initargs:
-        token = getattr(arg, "state_token", None)
-        tokens.append(token() if callable(token) else None)
-    return tuple(tokens)
-
-
 #: Upper bound on items per dispatched chunk.  Deriving chunk size only
 #: from ``len(items)`` would make the streaming window's memory O(n)
 #: in disguise (2×workers chunks of n/(4×workers) items each is half the
@@ -296,7 +258,7 @@ class ProcessExecutor:
       across calls, discarded in forked children (like
       :class:`ThreadExecutor`), shut down by :meth:`close` (the executor
       is a context manager) or at interpreter exit.  This is what makes
-      repeated sharded grounds and grid waves actually fast.
+      repeated grid waves actually fast.
 
     Work is dispatched in chunks to amortize IPC.  The returned
     generator keeps a bounded window of chunks in flight (submitting the
@@ -306,17 +268,9 @@ class ProcessExecutor:
     generator early, in-flight chunks are cancelled (and, in fresh-pool
     mode, the pool is shut down) — nothing keeps running unobserved.
 
-    *initializer*/*initargs* run once per worker process — the hook for
-    shipping a large shared payload (e.g. a grounding database) once per
-    worker instead of once per work unit.  A persistent pool remembers
-    the initializer it was built with: later maps with the same
-    initializer (or none) reuse the warm workers, a *different*
-    initializer recycles the pool so stale worker state can never leak
-    between programs.  On the serial fallback (one item or one worker)
-    the initializer runs in the calling process — scoped, when it
-    exposes a ``scope`` context-manager attribute (e.g.
-    :func:`repro.psl.program.install_shared_database`), so the driver's
-    globals are restored once the map completes.
+    Workers hold no per-map state: every work unit carries what it
+    needs, so any map can run on the warm pool.  One item or one worker
+    runs serially in the calling process.
 
     Instances pickle as their configuration only; the pool is rebuilt
     lazily wherever they land.
@@ -331,11 +285,8 @@ class ProcessExecutor:
     def _discard_pool(self) -> None:
         """Forget the pool without shutdown (fresh state / after fork)."""
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_initializer: Callable[..., None] | None = None
-        self._pool_initargs: tuple = ()
-        self._pool_init_tokens: tuple = ()
-        #: Live streaming maps per pool — a pool displaced by an
-        #: initializer recycle (or close()) while another thread's
+        #: Live streaming maps per pool — a pool displaced by a
+        #: broken-pool recycle (or close()) while another thread's
         #: stream is still submitting to it must not be shut down under
         #: that stream; the last stream to finish retires it instead.
         self._active: dict[ProcessPoolExecutor, int] = {}
@@ -359,9 +310,6 @@ class ProcessExecutor:
         self._drain_zombies()
         with self._lock:
             pool, self._pool = self._pool, None
-            self._pool_initializer = None
-            self._pool_initargs = ()
-            self._pool_init_tokens = ()
             defer = (
                 not force and pool is not None and self._active.get(pool, 0) > 0
             )
@@ -422,17 +370,10 @@ class ProcessExecutor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> Iterator[R]:
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         items = list(items)
         if len(items) <= 1 or self.max_workers <= 1:
-            return self._serial(fn, items, initializer, initargs)
+            return map(fn, items)
         # Ceil-divide so a small map fills one in-flight window (about
         # 2×workers chunks) instead of degenerating to one item per
         # chunk: every chunk is an IPC round trip, and a latency-bound
@@ -443,9 +384,9 @@ class ProcessExecutor:
         )
         chunks = [items[lo : lo + chunksize] for lo in range(0, len(items), chunksize)]
         if not self.persistent:
-            return self._stream_fresh(fn, chunks, initializer, initargs)
+            return self._stream_fresh(fn, chunks)
         self._drain_zombies()
-        pool = self._ensure_pool(initializer, initargs)
+        pool = self._ensure_pool()
         released = [False]
         stream = self._stream_persistent(fn, chunks, pool, released)
         # A generator that is never started never runs its finally; the
@@ -463,7 +404,7 @@ class ProcessExecutor:
     ) -> Iterator[R]:
         # _ensure_pool registered this stream on the pool (atomically
         # with the reuse-vs-recycle decision); deregistering in a finally
-        # lets a concurrent initializer recycle defer the old pool's
+        # lets a concurrent recycle or close() defer the old pool's
         # shutdown until the last stream on it drains.
         try:
             yield from self._windowed(fn, chunks, pool)
@@ -480,55 +421,12 @@ class ProcessExecutor:
             # released flag makes this a no-op after the except above).
             self._release_stream(pool, released)
 
-    def _serial(
-        self,
-        fn: Callable[[T], R],
-        items: list[T],
-        initializer: Callable[..., None] | None,
-        initargs: tuple,
-    ) -> Iterator[R]:
-        """The in-driver fallback, with the initializer scoped if possible.
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The persistent pool, recycled when its workers broke.
 
-        :func:`initializer_scope` enters the initializer's ``scope``
-        context manager (when it has one) around the map instead of
-        calling it bare, so whatever it installs into the driver's
-        globals is restored once the map completes — running it bare
-        would leave worker-targeted state (e.g. a shared grounding
-        database) permanently installed in the driver.
-        """
-        if initializer is None:
-            yield from map(fn, items)
-            return
-        with initializer_scope(initializer, initargs):
-            yield from map(fn, items)
-
-    def _same_initializer(
-        self, initializer: Callable[..., None], initargs: tuple
-    ) -> bool:
-        return (
-            initializer is self._pool_initializer
-            and len(initargs) == len(self._pool_initargs)
-            and all(a is b for a, b in zip(initargs, self._pool_initargs))
-            and _initarg_tokens(initargs) == self._pool_init_tokens
-        )
-
-    def _ensure_pool(
-        self, initializer: Callable[..., None] | None, initargs: tuple
-    ) -> ProcessPoolExecutor:
-        """The persistent pool, recycled when unusable for this map.
-
-        A map without an initializer runs on whatever pool exists (worker
-        state is irrelevant to it); a map *with* one gets a pool whose
-        workers ran exactly that initializer — reusing the warm pool when
-        it already did, rebuilding otherwise.  "The same initializer"
-        means same callable and argument identities AND unchanged
-        argument :func:`state tokens <_initarg_tokens>` — a payload
-        mutated in place (a re-grounded program's database after new
-        ``observe``/``add_target`` calls) changes its token, so warm
-        workers holding a stale pickled snapshot are never reused.  A
-        pool whose worker died (``BrokenProcessPool``) is recycled too:
-        the fresh-pool-per-map design self-healed from crashed workers,
-        and a shared registry instance must not stay poisoned forever.
+        A pool whose worker died (``BrokenProcessPool``) is rebuilt: the
+        fresh-pool-per-map design self-healed from crashed workers, and
+        a shared registry instance must not stay poisoned forever.
         A displaced pool that another thread's stream is still consuming
         is retired by that stream's exit instead of being shut down
         under it.
@@ -543,29 +441,15 @@ class ProcessExecutor:
         with self._lock:
             pool = self._pool
             broken = pool is not None and getattr(pool, "_broken", False)
-            if (
-                pool is not None
-                and not broken
-                and (
-                    initializer is None
-                    or self._same_initializer(initializer, initargs)
-                )
-            ):
+            if pool is not None and not broken:
                 self._active[pool] = self._active.get(pool, 0) + 1
                 return pool
             stale, self._pool = pool, None
             if stale is not None and self._active.get(stale, 0) > 0:
                 stale = None  # live streams retire it on exit
             _register_exit_close()
-            pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=initializer,
-                initargs=initargs,
-            )
+            pool = ProcessPoolExecutor(max_workers=self.max_workers)
             self._pool = pool
-            self._pool_initializer = initializer
-            self._pool_initargs = tuple(initargs)
-            self._pool_init_tokens = _initarg_tokens(initargs)
             self._active[pool] = 1
         if stale is not None:
             # Outside the lock: draining a displaced pool (its running
@@ -575,15 +459,9 @@ class ProcessExecutor:
         return pool
 
     def _stream_fresh(
-        self,
-        fn: Callable[[T], R],
-        chunks: list[list[T]],
-        initializer: Callable[..., None] | None,
-        initargs: tuple,
+        self, fn: Callable[[T], R], chunks: list[list[T]]
     ) -> Iterator[R]:
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=initializer, initargs=initargs
-        )
+        pool = ProcessPoolExecutor(max_workers=self.max_workers)
         try:
             yield from self._windowed(fn, chunks, pool)
         finally:

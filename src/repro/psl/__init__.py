@@ -7,7 +7,7 @@ this package re-implements the needed core in pure Python + numpy:
 * first-order rules with Lukasiewicz semantics (:mod:`repro.psl.rule`),
 * grounding against an observation database (:mod:`repro.psl.grounding`),
 * hinge-loss MRFs (:mod:`repro.psl.hlmrf`),
-* sharded, executor-mapped grounding (:mod:`repro.psl.sharding`),
+* sharded grounding (:mod:`repro.psl.sharding`),
 * consensus-ADMM MAP inference (:mod:`repro.psl.admm`),
 * discrete rounding utilities (:mod:`repro.psl.rounding`).
 """

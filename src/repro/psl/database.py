@@ -35,8 +35,7 @@ JOURNAL_LIMIT = 65536
 
 #: Per-process counter feeding database salts.  Combined with the pid so
 #: two databases created in different processes differ too; a *pickled
-#: copy* keeps its salt (snapshots of one lineage share tokens, which is
-#: exactly what executor initializer reuse compares).
+#: copy* keeps its salt (snapshots of one lineage share tokens).
 _SALT_COUNTER = itertools.count()
 
 
@@ -248,15 +247,13 @@ class Database:
     def state_token(self) -> object:
         """A ``(salt, version)`` pair identifying this exact snapshot.
 
-        The executor initializer-reuse hook (see
-        :meth:`repro.executors.ProcessExecutor.map`): a persistent pool
-        whose workers hold a pickled snapshot of this database may be
-        reused only while the token matches — an in-place
-        ``observe``/``add_target`` after a ground would otherwise leave
-        the workers grounding against a stale copy.  The salt is unique
-        per database lineage (pickled snapshots keep it), so tokens of
-        *distinct* databases never compare equal; feed the token back to
-        :meth:`delta_since` for the atom-level diff.
+        Every ``observe``/``add_target``/retraction bumps the version, so
+        an unchanged token means an unchanged database — the check
+        incremental grounding (:mod:`repro.psl.delta`) makes before
+        reusing a grounding.  The salt is unique per database lineage
+        (pickled snapshots keep it), so tokens of *distinct* databases
+        never compare equal; feed the token back to :meth:`delta_since`
+        for the atom-level diff.
         """
         return (self._salt, self._version)
 

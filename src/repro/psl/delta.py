@@ -12,12 +12,11 @@ artifact at the *flat-array* level:
 * :func:`match_shards` pairs a new shard plan against the old records by
   *content key* (:func:`shard_key`): shards whose work is byte-identical
   are reused, everything else re-grounds.
-* :func:`splice_grounding` executes only the fresh shards (on any
-  :class:`~repro.executors.MapExecutor`), slices the reused shards' term
-  ranges straight out of the old MRF's compiled CSR arrays (dead ranges
-  — shards with no match — are simply never copied), remaps variable
-  indices through the old→new atom table, and reassembles a
-  solve-ready :class:`~repro.psl.hlmrf.HingeLossMRF` via
+* :func:`splice_grounding` builds only the fresh shards, slices the
+  reused shards' term ranges straight out of the old MRF's compiled CSR
+  arrays (dead ranges — shards with no match — are simply never
+  copied), remaps variable indices through the old→new atom table, and
+  reassembles a solve-ready :class:`~repro.psl.hlmrf.HingeLossMRF` via
   :func:`~repro.psl.hlmrf.rebuild_mrf`, pre-seeded compiled arrays
   included.  The result is **fingerprint-identical** to a from-scratch
   ground of the new plan — the bit-identity suite asserts it — because
@@ -41,18 +40,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.executors import (
-    MapExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
-    initializer_scope,
-    resolve_executor,
-)
 from repro.psl.database import DatabaseDelta
 from repro.psl.hlmrf import (
     KIND_HINGE,
@@ -62,11 +54,7 @@ from repro.psl.hlmrf import (
 )
 from repro.psl.partition import FlatTermArrays, compile_term_arrays
 from repro.psl.predicate import GroundAtom
-from repro.psl.sharding import (
-    GroundingShard,
-    ShardResult,
-    ground_shard,
-)
+from repro.psl.sharding import GroundingShard, ShardResult
 
 
 @dataclass(frozen=True)
@@ -217,43 +205,12 @@ def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate([np.asarray(p, dtype=dtype) for p in parts])
 
 
-def map_fresh_shards(
-    shards: Sequence[GroundingShard],
-    executor: MapExecutor | str | None,
-    initializer: tuple[Callable[..., None], tuple] | None = None,
-):
-    """Build *shards* through *executor*, honouring the initializer hook.
-
-    The same dispatch contract as :func:`~repro.psl.sharding.
-    ground_shards`: pool initializer on a process executor, scoped
-    in-process run otherwise, rejected on a thread executor.
-    """
-    executor = resolve_executor(executor)
-    if initializer is None:
-        return executor.map(ground_shard, list(shards))
-    if isinstance(executor, ProcessExecutor):
-        init_fn, init_args = initializer
-        return executor.map(
-            ground_shard, list(shards), initializer=init_fn, initargs=init_args
-        )
-    if isinstance(executor, ThreadExecutor):
-        raise InferenceError(
-            "incremental grounding initializer is not supported on a "
-            "thread executor; embed the data in the shards instead"
-        )
-    init_fn, init_args = initializer
-    with initializer_scope(init_fn, init_args):
-        return list(executor.map(ground_shard, list(shards)))
-
-
 def splice_grounding(
     old_mrf: HingeLossMRF,
     old_records: Sequence[ShardRecord],
     shards: Sequence[GroundingShard],
     reuse: Sequence[int | None],
     targets: Sequence[GroundAtom],
-    executor: MapExecutor | str | None = None,
-    initializer: tuple[Callable[..., None], tuple] | None = None,
     group_weights: Mapping[Hashable, float] | None = None,
     member_weights: Mapping[Hashable, Sequence[float]] | None = None,
 ) -> SpliceResult | None:
@@ -296,13 +253,9 @@ def splice_grounding(
 
     # -- re-ground only the fresh shards ----------------------------------
     fresh_positions = [i for i, source in enumerate(reuse) if source is None]
-    fresh_results: dict[int, ShardResult] = {}
-    if fresh_positions:
-        built = map_fresh_shards(
-            [shards[i] for i in fresh_positions], executor, initializer
-        )
-        for position, result in zip(fresh_positions, built):
-            fresh_results[position] = result
+    fresh_results: dict[int, ShardResult] = {
+        position: shards[position].build() for position in fresh_positions
+    }
 
     # -- variable table: pinned targets, then shard-introduced atoms ------
     variables: list[GroundAtom] = list(targets)
@@ -588,12 +541,10 @@ class IncrementalProgramGrounding:
         self,
         program,
         weight_overrides: Mapping | None = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
     ):
         self.program = program
         self.weight_overrides = dict(weight_overrides or {})
-        self.executor = executor
         self.shard_size = shard_size
         self.mrf: HingeLossMRF | None = None
         self.records: tuple[ShardRecord, ...] = ()
@@ -603,25 +554,20 @@ class IncrementalProgramGrounding:
         self._token: object = None
         self.refresh()
 
-    def _shards(self, embed_database: bool) -> list[GroundingShard]:
-        return self.program.grounding_shards(
-            self.weight_overrides, self.shard_size, embed_database=embed_database
-        )
+    def _shards(self) -> list[GroundingShard]:
+        return self.program.grounding_shards(self.weight_overrides, self.shard_size)
 
     def _full_ground(self) -> HingeLossMRF:
         # Spec list used only as the key source — grounding_shards is
         # deterministic, so it matches the shards ground_sharded builds.
-        spec = self._shards(embed_database=True)
+        spec = self._shards()
         records: list[ShardRecord] = []
 
         def observe(result: ShardResult) -> None:
             records.append(record_for(spec[result.order], result))
 
         mrf, _ = self.program.ground_sharded(
-            self.weight_overrides,
-            executor=self.executor,
-            shard_size=self.shard_size,
-            observer=observe,
+            self.weight_overrides, shard_size=self.shard_size, observer=observe
         )
         mrf._compiled = compile_term_arrays(mrf)
         self.records = tuple(records)
@@ -663,11 +609,7 @@ class IncrementalProgramGrounding:
         return self.mrf
 
     def _patch(self, delta: DatabaseDelta) -> SpliceResult | None:
-        from repro.psl.program import install_shared_database, shared_database
-
-        executor = resolve_executor(self.executor)
-        strip = isinstance(executor, ProcessExecutor)
-        shards = self._shards(embed_database=not strip)
+        shards = self._shards()
         if len(shards) != len(self.records):
             return None  # program structure changed: full re-ground
         reuse: list[int | None] = [
@@ -676,18 +618,10 @@ class IncrementalProgramGrounding:
             else i
             for i, shard in enumerate(shards)
         ]
-        targets = self.program.database.targets_in_order
-        if not strip:
-            return splice_grounding(
-                self.mrf, self.records, shards, reuse, targets, executor
-            )
-        with shared_database(self.program.database):
-            return splice_grounding(
-                self.mrf,
-                self.records,
-                shards,
-                reuse,
-                targets,
-                executor,
-                initializer=(install_shared_database, (self.program.database,)),
-            )
+        return splice_grounding(
+            self.mrf,
+            self.records,
+            shards,
+            reuse,
+            self.program.database.targets_in_order,
+        )

@@ -17,15 +17,12 @@ engine.  Typical use::
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import GroundingError, InferenceError
-from repro.executors import MapExecutor, ProcessExecutor, resolve_executor
 from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.database import Database
 from repro.psl.grounding import ground_rule, linearize
@@ -62,80 +59,19 @@ class InferenceResult:
         return self.admm.converged
 
 
-#: Per-thread shared-database handle installed by
-#: :func:`install_shared_database` — what rule shards fall back to when
-#: their own ``database`` field was stripped for shipping.  Thread-local
-#: rather than a plain global so concurrent grounds from different
-#: threads (each installing its own database on the executor's serial
-#: fallback) cannot read each other's handle and silently ground
-#: against the wrong program's data.  Process-pool workers are
-#: single-threaded, so the pool initializer and the shard builds see
-#: the same slot.
-_SHARED = threading.local()
-
-
-def _shared_database() -> Database | None:
-    return getattr(_SHARED, "database", None)
-
-
-def install_shared_database(database: Database | None) -> None:
-    """Pool-initializer hook: make *database* this thread's shared handle.
-
-    Grounding a many-rule program through a process pool used to pickle
-    the whole database into every :class:`RuleGroundingShard` —
-    O(rules × database) IPC.  Installing it once per worker (via
-    ``ProcessExecutor.map(initializer=...)``) lets the shards travel as
-    just rule + weight.  In the *driving* process use the scoped
-    :func:`shared_database` instead, so the handle cannot outlive the
-    grounding run it belongs to.
-    """
-    _SHARED.database = database
-
-
-@contextmanager
-def shared_database(database: Database) -> "Iterator[None]":
-    """Scope *database* as this thread's shared handle, then restore.
-
-    The driver-side counterpart of :func:`install_shared_database`: the
-    executor's serial fallback may run stripped shards (and their
-    initializer) in the calling process, and without a scope the handle
-    would leak across grounding runs — a later stripped shard belonging
-    to a *different* program would silently ground against the stale
-    database instead of raising.
-    """
-    previous = _shared_database()
-    _SHARED.database = database
-    try:
-        yield
-    finally:
-        _SHARED.database = previous
-
-
-#: Scope hook consumed by :meth:`repro.executors.ProcessExecutor.map`'s
-#: serial fallback: instead of calling the initializer bare — which
-#: would permanently install the grounding database into the *driver's*
-#: shared slot — the fallback enters ``initializer.scope(*initargs)``
-#: around the map, restoring the previous handle once it completes.
-install_shared_database.scope = shared_database
-
-
 @dataclass(frozen=True)
 class RuleGroundingShard:
     """One rule's groundings as a sharded work unit.
 
-    ``database`` is the grounding data (observations + targets) — either
-    embedded in the shard (in-process executors, where "shipping" is a
-    reference copy) or ``None``, meaning the executing process's shared
-    handle installed by :func:`install_shared_database` (process pools,
-    where embedding would pickle the database once per rule).
+    ``database`` is the grounding data (observations + targets).
     :func:`~repro.psl.grounding.ground_rule` enumerates in canonical
-    order, so the emitted block is reproducible anywhere either way.
+    order, so the emitted block is reproducible.
     """
 
     order: int
     rule: Rule
     weight: float | None
-    database: Database | None = None
+    database: Database
 
     def content_key(self):
         """Spec identity for incremental grounding (rule + weight).
@@ -149,12 +85,7 @@ class RuleGroundingShard:
         return ("rule-shard", self.rule, self.weight)
 
     def build(self) -> ShardResult:
-        database = self.database if self.database is not None else _shared_database()
-        if database is None:
-            raise GroundingError(
-                "RuleGroundingShard has no database: embed one in the shard or "
-                "install a shared one via install_shared_database()"
-            )
+        database = self.database
         builder = TermBlockBuilder()
         for grounding in ground_rule(self.rule, database):
             coefficients, constant = linearize(grounding, database)
@@ -279,7 +210,6 @@ class PslProgram:
     def ground(
         self,
         weight_overrides: Mapping[Rule, float] | None = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
     ) -> HingeLossMRF:
         """Ground all rules and compile the HL-MRF.
@@ -288,26 +218,21 @@ class PslProgram:
         without mutating the (frozen) rules — the hook weight learning
         uses to re-ground cheaply between epochs.
 
-        With *executor* and/or *shard_size* set, grounding runs through
-        the sharded path of :mod:`repro.psl.sharding`: one shard per
-        rule plus sliced raw potentials/constraints, merged back
-        deterministically into an MRF fingerprint-identical to the
-        serial one.  The default (both ``None``) is the serial in-process
-        path.
+        With *shard_size* set, grounding runs through the sharded path
+        of :mod:`repro.psl.sharding`: one shard per rule plus sliced raw
+        potentials/constraints, merged back deterministically into an
+        MRF fingerprint-identical to the unsharded one.
         """
-        if executor is None and shard_size is None:
+        if shard_size is None:
             mrf, _ = self.ground_with_origins(weight_overrides)
             return mrf
-        mrf, _ = self.ground_sharded(
-            weight_overrides, executor=executor, shard_size=shard_size
-        )
+        mrf, _ = self.ground_sharded(weight_overrides, shard_size=shard_size)
         return mrf
 
     def grounding_shards(
         self,
         weight_overrides: Mapping[Rule, float] | None = None,
         shard_size: int | None = None,
-        embed_database: bool = True,
     ) -> list[GroundingShard]:
         """The program's grounding work as picklable shard specs.
 
@@ -315,20 +240,13 @@ class PslProgram:
         constraint slices) matches the serial compilation order of
         :meth:`ground_with_origins`, so merging the specs in order
         reproduces the serial potential/constraint sequences exactly.
-
-        With ``embed_database=False`` the rule shards carry only rule +
-        weight and resolve their data through the per-process shared
-        handle of :func:`install_shared_database` — the payload diet the
-        process-pool path uses so a many-rule program ships its database
-        once per worker, not once per rule.
         """
         overrides = weight_overrides or {}
-        database = self.database if embed_database else None
         shards: list[GroundingShard] = []
         for rule in self._rules:
             shards.append(
                 RuleGroundingShard(
-                    len(shards), rule, overrides.get(rule, rule.weight), database
+                    len(shards), rule, overrides.get(rule, rule.weight), self.database
                 )
             )
         for lo, hi in iter_slices(len(self._raw_potentials), shard_size):
@@ -348,45 +266,24 @@ class PslProgram:
     def ground_sharded(
         self,
         weight_overrides: Mapping[Rule, float] | None = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
         observer=None,
     ) -> tuple[HingeLossMRF, GroundingStats]:
-        """Ground through executor-mapped shards; also returns merge stats.
+        """Ground shard by shard; also returns merge stats.
 
         Target atoms are interned up front in insertion order — the same
         variable order the serial path produces — then shard term blocks
-        are merged in spec order.  On a process executor the database is
-        shipped once per worker (pool initializer) instead of being
-        pickled into every rule shard; in-process executors keep it
-        embedded, where it costs nothing.
+        are merged in spec order.
         """
         self.grounding_count += 1
         mrf = HingeLossMRF()
         for atom in self.database.targets_in_order:
             mrf.variable_index(atom)
-        executor = resolve_executor(executor)
-        strip_database = isinstance(executor, ProcessExecutor) and bool(self._rules)
-        shards = self.grounding_shards(
-            weight_overrides, shard_size, embed_database=not strip_database
+        return ground_shards(
+            self.grounding_shards(weight_overrides, shard_size),
+            mrf=mrf,
+            observer=observer,
         )
-        if not strip_database:
-            return ground_shards(shards, executor=executor, mrf=mrf, observer=observer)
-        # The scope covers the executor's serial fallback, which runs
-        # stripped shards in this process.  Workers get the handle through
-        # the pool initializer; on a persistent executor they (and their
-        # database snapshot) outlive this ground so the next ground of
-        # the same unchanged program reuses warm workers — the snapshot
-        # is replaced when a ground ships a different or mutated
-        # database (state_token), and freed by executor.close().
-        with shared_database(self.database):
-            return ground_shards(
-                shards,
-                executor=executor,
-                mrf=mrf,
-                initializer=(install_shared_database, (self.database,)),
-                observer=observer,
-            )
 
     def ground_with_origins(
         self,
@@ -431,7 +328,6 @@ class PslProgram:
         warm_start: Mapping[GroundAtom, float] | None = None,
         weight_overrides: Mapping[Rule, float] | None = None,
         warm_state: "AdmmWarmState | None" = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
     ) -> InferenceResult:
         """Ground, solve MAP by ADMM, and read back target truths.
@@ -439,10 +335,10 @@ class PslProgram:
         *warm_start* seeds consensus values per atom; *warm_state* (a
         previous result's ``admm.state``) restores the full ADMM state
         and is only honoured when the grounding structure is unchanged
-        (the solver checks the shapes).  *executor*/*shard_size* select
-        the sharded grounding path (see :meth:`ground`).
+        (the solver checks the shapes).  *shard_size* selects the
+        sharded grounding path (see :meth:`ground`).
         """
-        mrf = self.ground(weight_overrides, executor=executor, shard_size=shard_size)
+        mrf = self.ground(weight_overrides, shard_size=shard_size)
         start = None
         if warm_start:
             start = np.full(mrf.num_variables, 0.5)
@@ -467,7 +363,6 @@ class PslProgram:
         self,
         weight_overrides: Mapping[Rule, float] | None = None,
         settings: AdmmSettings | None = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
     ) -> "GroundedProgram":
         """Ground once into a reusable weight-mutable artifact.
@@ -480,7 +375,7 @@ class PslProgram:
         weight learning iterates on — one grounding per learning run,
         not three per epoch.
         """
-        mrf = self.ground(weight_overrides, executor=executor, shard_size=shard_size)
+        mrf = self.ground(weight_overrides, shard_size=shard_size)
         return GroundedProgram(self, mrf, settings)
 
     # -- introspection ---------------------------------------------------------

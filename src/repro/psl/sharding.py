@@ -10,12 +10,16 @@ shard's atoms once and appends its terms via
 :meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so:
 
 * the merged MRF is **fingerprint-identical** to the serial dict-based
-  path for any shard size and any order-preserving
-  :class:`~repro.executors.MapExecutor` (shards are merged in spec
-  order, and term order inside a shard matches the serial loop);
-* peak intermediate memory is **O(largest shard)** on the streaming
-  serial path — only one shard's block is alive between merges — instead
-  of O(whole program) worth of per-potential dicts.
+  path for any shard size (shards run and merge in spec order on the
+  calling thread, and term order inside a shard matches the serial
+  loop);
+* peak intermediate memory is **O(largest shard)** — only one shard's
+  block is alive between merges — instead of O(whole program) worth of
+  per-potential dicts.
+
+Shards stay the unit of *reuse*, not of parallelism: incremental
+grounding (:mod:`repro.psl.delta`) and the grounding store splice
+per-shard records.
 
 The work-unit/merge pattern mirrors
 :mod:`repro.selection.metrics`' parallel problem build (PR 1): pure,
@@ -35,13 +39,6 @@ from typing import Callable, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.executors import (
-    MapExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
-    initializer_scope,
-    resolve_executor,
-)
 from repro.psl.hlmrf import (
     KIND_EQ,
     KIND_HINGE,
@@ -226,10 +223,10 @@ class ShardResult:
 class GroundingShard(Protocol):
     """A picklable grounding work unit.
 
-    ``order`` fixes the shard's position in the merge (specs are mapped
+    ``order`` fixes the shard's position in the merge (specs are built
     and merged in spec order; the field double-checks nothing reordered
-    them).  ``build`` runs anywhere — worker process or in-line — and
-    must be pure: same spec, same block, byte for byte.
+    them).  ``build`` must be pure: same spec, same block, byte for
+    byte.
     """
 
     order: int
@@ -238,19 +235,14 @@ class GroundingShard(Protocol):
         ...
 
 
-def ground_shard(shard: GroundingShard) -> ShardResult:
-    """Executor-map adapter: run one shard (module-level, picklable)."""
-    return shard.build()
-
-
 @dataclass
 class GroundingStats:
     """Counters of one sharded grounding run.
 
-    ``peak_shard_terms``/``peak_shard_entries`` bound the working set the
-    driver materializes between merges: on the streaming serial path only
-    one shard's block is alive at a time, so the peak working set is the
-    largest shard — not the whole program.  The sharded-grounding bench
+    ``peak_shard_terms``/``peak_shard_entries`` bound the working set
+    materialized between merges: only one shard's block is alive at a
+    time, so the peak working set is the largest shard — not the whole
+    program.  The sharded-grounding bench
     asserts exactly that.
     """
 
@@ -279,79 +271,37 @@ class GroundingStats:
 
 def ground_shards(
     shards: Sequence[GroundingShard],
-    executor: MapExecutor | str | None = None,
     mrf: HingeLossMRF | None = None,
-    initializer: "tuple[Callable[..., None], tuple]" | None = None,
     observer: "Callable[[ShardResult], None]" | None = None,
 ) -> tuple[HingeLossMRF, GroundingStats]:
-    """Execute *shards* through *executor* and merge them deterministically.
+    """Build *shards* in spec order and merge them deterministically.
 
-    Shards run through ``executor.map`` (order-preserving by the
-    :class:`~repro.executors.MapExecutor` contract) and are merged in
-    spec order, so the resulting MRF is independent of where the shards
-    ran.  Pass *mrf* to merge into a pre-seeded MRF (e.g. one whose
-    target variables were interned up front to pin the variable order).
-    Results stream one at a time on every path — serially trivially, and
-    through :meth:`~repro.executors.ProcessExecutor.map`'s bounded
-    in-flight window on the parallel path — so nothing but O(window)
-    shard blocks is held between merges.
-
-    *initializer* is an optional ``(callable, args)`` pair that must run
-    once in every process executing shards *before* any shard builds —
-    the hook producers use to ship a shared payload (e.g. a grounding
-    database) once per worker instead of once per shard.  On a
-    :class:`~repro.executors.ProcessExecutor` it becomes the pool
-    initializer (on a persistent executor the warm pool is reused when a
-    later ground brings the *same* payload, and recycled — workers
-    re-initialized — when it brings a different one); on executors that
-    run shards on the *calling thread* (serial and serial-like) it runs
-    here, scoped through the initializer's ``scope`` hook when it has
-    one so the payload cannot outlive the merge.  It is rejected for
-    :class:`~repro.executors.ThreadExecutor`, whose pool threads would
-    not see a thread-scoped payload installed here — embed the data in
-    the shards instead (in-process, that costs nothing).
+    Each shard is built on the calling thread and merged before the next
+    one builds, so only one shard block is held at a time.  Pass *mrf*
+    to merge into a pre-seeded MRF (e.g. one whose target variables were
+    interned up front to pin the variable order).
 
     *observer* (when given) is called with each :class:`ShardResult`
     right after it merges — the hook incremental grounding
     (:mod:`repro.psl.delta`) uses to capture per-shard records (atom
     tables, observed groups, folded constants) without a second pass.
-    Results stream, so the observer must not retain more than it needs.
+    The observer must not retain more than it needs.
     """
-    executor = resolve_executor(executor)
     mrf = mrf if mrf is not None else HingeLossMRF()
     stats = GroundingStats()
-    ordered = list(shards)
-
-    def merge(results) -> tuple[HingeLossMRF, GroundingStats]:
-        for position, result in enumerate(results):
-            if result.order != position:
-                raise InferenceError(
-                    f"shard results arrived out of order: expected {position}, "
-                    f"got {result.order}"
-                )
-            before = (len(mrf.potentials), len(mrf.constraints))
-            mrf.add_term_block(result.atoms, result.block)
-            stats.observe(result, mrf, before)
-            if observer is not None:
-                observer(result)
-        return mrf, stats
-
-    if initializer is None:
-        return merge(executor.map(ground_shard, ordered))
-    if isinstance(executor, ProcessExecutor):
-        init_fn, init_args = initializer
-        return merge(
-            executor.map(ground_shard, ordered, initializer=init_fn, initargs=init_args)
-        )
-    if isinstance(executor, ThreadExecutor):
-        raise InferenceError(
-            "ground_shards initializer is not supported on a thread "
-            "executor (pool threads would not see a thread-scoped "
-            "payload); embed the data in the shards instead"
-        )
-    init_fn, init_args = initializer
-    with initializer_scope(init_fn, init_args):
-        return merge(executor.map(ground_shard, ordered))
+    for position, shard in enumerate(shards):
+        result = shard.build()
+        if result.order != position:
+            raise InferenceError(
+                f"shard specs out of order: expected {position}, "
+                f"got {result.order}"
+            )
+        before = (len(mrf.potentials), len(mrf.constraints))
+        mrf.add_term_block(result.atoms, result.block)
+        stats.observe(result, mrf, before)
+        if observer is not None:
+            observer(result)
+    return mrf, stats
 
 
 def iter_slices(count: int, shard_size: int | None) -> Iterable[tuple[int, int]]:

@@ -27,16 +27,14 @@ produce identical ground facts) are mediated through an auxiliary
 ``sum over K_C - J`` of the objective.
 
 **Sharded grounding.**  The HL-MRF is compiled straight from the
-:class:`~repro.selection.metrics.SelectionProblem` in executor-mapped
-shards (:mod:`repro.psl.sharding`): coverage shards over slices of
+:class:`~repro.selection.metrics.SelectionProblem` in shards
+(:mod:`repro.psl.sharding`): coverage shards over slices of
 ``j_facts``, error shards over slices of the shared-error owner groups,
 prior shards over slices of the candidate list.  Each shard is a small
-picklable spec carrying only its slice of the tables, so the peak
-working set of a build is O(largest shard) — the serial path streams
-merges one shard at a time, and the process pool's map keeps only a
-bounded window of results in flight — and the deterministic merge
-reproduces the serial compilation byte for byte under any
-:class:`~repro.executors.MapExecutor` and any shard size.  The shard
+spec carrying only its slice of the tables; shards build and merge one
+at a time in spec order on the calling thread, so the peak working set
+of a build is O(largest shard), and the deterministic merge reproduces
+the monolithic compilation byte for byte for any shard size.  The shard
 boundaries survive into the merged MRF as term-block extents, which the
 incremental splice engine (:mod:`repro.psl.delta`) patches by.
 """
@@ -56,7 +54,6 @@ import numpy as np
 from repro.errors import InferenceError
 
 from repro.datamodel.instance import Fact
-from repro.executors import MapExecutor
 from repro.psl.admm import AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.delta import (
     ShardRecord,
@@ -88,8 +85,8 @@ from repro.selection.objective import (
     objective_evaluator,
 )
 
-#: The model's predicates.  Module-level so shard work units can rebuild
-#: atom keys in worker processes that compare equal to the driver's.
+#: The model's predicates.  Module-level so shard specs (and pickled or
+#: stored groundings) rebuild atom keys that compare equal.
 IN_PREDICATE = Predicate("inMap", 1, closed=False)
 EXPLAINED_PREDICATE = Predicate("explained", 1, closed=False)
 ERROR_PREDICATE = Predicate("errorOf", 1, closed=False)
@@ -111,17 +108,17 @@ GROUP_PRIOR = "prior"
 class CollectiveSettings:
     """Knobs of the collective selector.
 
-    ``ground_executor``/``ground_shard_size`` select where and how finely
-    the HL-MRF grounding shards run (``None`` → serial, default shard
-    size).  Use string specs (``"process:4"``) when the settings object
-    itself must stay picklable, e.g. inside engine work units.
+    ``ground_shard_size`` sets how finely the HL-MRF grounding is
+    sharded (``None`` → default shard size); shards are the unit the
+    patch tier re-grounds.  Grounding always runs on the calling
+    thread.  Every field is picklable, so settings travel inside engine
+    work units.
     """
 
     weights: ObjectiveWeights = DEFAULT_WEIGHTS
     admm: AdmmSettings = field(default_factory=AdmmSettings)
     squared_hinges: bool = False
     rounding_local_search: bool = True
-    ground_executor: MapExecutor | str | None = None
     ground_shard_size: int | None = None
     #: Reuse a per-process :class:`GroundedCollective` across solves of
     #: the same problem structure: weight-only changes reweight the
@@ -412,15 +409,14 @@ def plan_collective_grounding(
 def ground_collective(
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
-    executor: MapExecutor | str | None = None,
     shard_size: int | None = None,
     records_out: list[ShardRecord] | None = None,
 ) -> tuple[HingeLossMRF, CollectivePlan, GroundingStats]:
-    """Ground *problem*'s HL-MRF through executor-mapped shards.
+    """Ground *problem*'s HL-MRF shard by shard.
 
-    *executor*/*shard_size* default to the settings' values.  The result
-    is fingerprint-identical to the serial ``build_program(...)[0]
-    .ground()`` path for any executor and any shard size.
+    *shard_size* defaults to the settings' value.  The result is
+    fingerprint-identical to the monolithic ``build_program(...)[0]
+    .ground()`` path for any shard size.
 
     When *records_out* is a list, one :class:`~repro.psl.delta.
     ShardRecord` per shard is appended in merge (spec) order — the
@@ -428,8 +424,6 @@ def ground_collective(
     shards out of this MRF later.
     """
     settings = settings or CollectiveSettings()
-    if executor is None:
-        executor = settings.ground_executor
     if shard_size is None:
         shard_size = settings.ground_shard_size
     plan = plan_collective_grounding(problem, settings, shard_size)
@@ -441,7 +435,7 @@ def ground_collective(
         observer = lambda result: records_out.append(
             record_for(plan.shards[result.order], result)
         )
-    mrf, stats = ground_shards(plan.shards, executor=executor, mrf=mrf, observer=observer)
+    mrf, stats = ground_shards(plan.shards, mrf=mrf, observer=observer)
     return mrf, plan, stats
 
 
@@ -586,7 +580,6 @@ class GroundedCollective:
         self,
         problem: SelectionProblem,
         settings: CollectiveSettings | None = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
     ):
         settings = settings or CollectiveSettings()
@@ -594,8 +587,7 @@ class GroundedCollective:
         self.squared = bool(settings.squared_hinges)
         records: list[ShardRecord] = []
         self.mrf, self.plan, self.stats = ground_collective(
-            problem, settings, executor=executor, shard_size=shard_size,
-            records_out=records,
+            problem, settings, shard_size=shard_size, records_out=records
         )
         #: Per-shard splice index (same order as ``plan.shards``), the
         #: input :func:`patch_collective` matches a successor problem's
@@ -814,7 +806,6 @@ def patch_collective(
     cached: GroundedCollective,
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
-    executor: MapExecutor | str | None = None,
     shard_size: int | None = None,
 ) -> GroundedCollective | None:
     """Patch *cached* (a parent revision's artifact) into *problem*'s.
@@ -835,8 +826,6 @@ def patch_collective(
     artifact.
     """
     settings = settings or CollectiveSettings()
-    if executor is None:
-        executor = settings.ground_executor
     if shard_size is None:
         shard_size = settings.ground_shard_size
     if bool(settings.squared_hinges) != cached.squared:
@@ -858,7 +847,6 @@ def patch_collective(
         plan.shards,
         reuse,
         plan.targets,
-        executor,
         group_weights={
             GROUP_EXPLAINS: float(weights.explains),
             GROUP_ERRORS: float(weights.errors),
@@ -949,13 +937,10 @@ class CollectiveGroundingCache:
         self,
         problem: SelectionProblem,
         settings: CollectiveSettings | None = None,
-        executor: MapExecutor | str | None = None,
         shard_size: int | None = None,
     ) -> GroundedCollective:
         """A reweighted cached artifact for *problem*, or a fresh ground."""
         settings = settings or CollectiveSettings()
-        if executor is None:
-            executor = settings.ground_executor
         if shard_size is None:
             shard_size = settings.ground_shard_size
         me = threading.get_ident()
@@ -981,10 +966,10 @@ class CollectiveGroundingCache:
             # thread id is in its key), so no other thread can touch it.
             entry.reweight(settings.weights)
             return entry
-        fresh = self._try_patch(problem, settings, executor, shard_size, me, lineage)
+        fresh = self._try_patch(problem, settings, shard_size, me, lineage)
         patched = fresh is not None
         if fresh is None:
-            fresh = self._attach_or_ground(problem, settings, executor, shard_size)
+            fresh = self._attach_or_ground(problem, settings, shard_size)
         with self._lock:
             self.misses += 1
             if patched:
@@ -1000,7 +985,6 @@ class CollectiveGroundingCache:
         self,
         problem: SelectionProblem,
         settings: CollectiveSettings,
-        executor: MapExecutor | str | None,
         shard_size: int | None,
         me: int,
         lineage,
@@ -1028,9 +1012,7 @@ class CollectiveGroundingCache:
         parent_lineage = getattr(parent.problem, "lineage", None)
         if parent_lineage is None or parent_lineage.token != lineage.parent:
             return None
-        patched = patch_collective(
-            parent, problem, settings, executor=executor, shard_size=shard_size
-        )
+        patched = patch_collective(parent, problem, settings, shard_size=shard_size)
         if patched is not None and settings.grounding_store:
             store = GroundingStore(settings.grounding_store)
             store.put(
@@ -1044,7 +1026,6 @@ class CollectiveGroundingCache:
         self,
         problem: SelectionProblem,
         settings: CollectiveSettings,
-        executor: MapExecutor | str | None,
         shard_size: int | None,
     ) -> GroundedCollective:
         """The disk tier below the in-memory LRU (runs outside the lock).
@@ -1082,7 +1063,7 @@ class CollectiveGroundingCache:
                     self.disk_hits += 1
                     return attached
         fresh = GroundedCollective(  # ground outside the lock, it is slow
-            problem, settings, executor=executor, shard_size=shard_size
+            problem, settings, shard_size=shard_size
         )
         if store is not None and key is not None:
             self.disk_misses += 1
@@ -1152,15 +1133,14 @@ def solve_collective(
     warm_start: Mapping[int, float] | None = None,
     warm_state: AdmmWarmState | None = None,
     warm_start_aux: Mapping[tuple[str, int], float] | None = None,
-    ground_executor: MapExecutor | str | None = None,
     ground_shard_size: int | None = None,
     grounded: GroundedCollective | None = None,
 ) -> CollectiveResult:
     """Run the paper's pipeline: relax, infer with ADMM, round, score.
 
-    Grounding runs through :func:`ground_collective` — sharded, on
-    *ground_executor* (default: the settings' executor, serial if unset)
-    — so huge problems never materialize a monolithic dict-based program.
+    Grounding runs through :func:`ground_collective` — sharded, on the
+    calling thread — so huge problems never materialize a monolithic
+    dict-based program.
     With ``settings.reuse_grounding`` (the default) the grounding is
     served from the per-process :data:`GROUNDING_CACHE`: a repeated
     solve of the same problem structure (e.g. the cells of a
@@ -1187,7 +1167,7 @@ def solve_collective(
     settings = settings or CollectiveSettings()
     if grounded is None and settings.reuse_grounding:
         grounded = GROUNDING_CACHE.grounded(
-            problem, settings, executor=ground_executor, shard_size=ground_shard_size
+            problem, settings, shard_size=ground_shard_size
         )
     elif grounded is not None:
         grounded.reweight(settings.weights)
@@ -1196,7 +1176,7 @@ def solve_collective(
         solver = grounded.solver_for(settings.admm)
     else:
         mrf, plan, stats = ground_collective(
-            problem, settings, executor=ground_executor, shard_size=ground_shard_size
+            problem, settings, shard_size=ground_shard_size
         )
         solver = AdmmSolver(mrf, settings.admm)
 

@@ -298,75 +298,6 @@ class TestRPL002Determinism:
         assert hits == []
 
 
-class TestRPL004InitializerScope:
-    def test_initializer_without_scope_hook_is_flagged(self):
-        hits = rules_hit(
-            {
-                "repro/psl/boot.py": src(
-                    """
-                    def install(db):
-                        global _DB
-                        _DB = db
-
-                    def launch(executor_cls, db):
-                        return executor_cls(initializer=install, initargs=(db,))
-                    """
-                )
-            },
-            "RPL004",
-        )
-        assert len(hits) == 1 and "'install'" in hits[0].message
-
-    def test_scope_assignment_in_another_module_clears_it(self):
-        hits = rules_hit(
-            {
-                "repro/psl/boot.py": src(
-                    """
-                    def install(db):
-                        global _DB
-                        _DB = db
-
-                    def launch(executor_cls, db):
-                        return executor_cls(initializer=install, initargs=(db,))
-                    """
-                ),
-                "repro/psl/hooks.py": src(
-                    """
-                    from repro.psl.boot import install
-                    from contextlib import contextmanager
-
-                    @contextmanager
-                    def shared(db):
-                        yield
-
-                    install.scope = shared
-                    """
-                ),
-            },
-            "RPL004",
-        )
-        assert hits == []
-
-    def test_forwarded_parameter_initializer_is_skipped(self):
-        # sharding.ground_shards unpacks (init_fn, init_args) from a
-        # parameter; static analysis cannot judge it and must not guess.
-        hits = rules_hit(
-            {
-                "repro/psl/fwd.py": src(
-                    """
-                    def ground(executor, shards, initializer):
-                        init_fn, init_args = initializer
-                        return executor.map(
-                            tuple, shards, initializer=init_fn, initargs=init_args
-                        )
-                    """
-                )
-            },
-            "RPL004",
-        )
-        assert hits == []
-
-
 class TestRPL005LockHoldDiscipline:
     def test_shutdown_under_lock_is_flagged(self):
         hits = rules_hit(

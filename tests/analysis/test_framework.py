@@ -44,7 +44,7 @@ class TestSuppressionParsing:
 
     def test_bare_disable_covers_all_rules(self):
         table = parse_suppressions(["f()  # repro-lint: disable"])
-        for rule in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005"):
+        for rule in ("RPL001", "RPL002", "RPL005", "RPL010", "RPL012"):
             assert is_suppressed(table, 1, rule)
 
     def test_comment_only_pragma_shields_next_code_line(self):
@@ -103,14 +103,14 @@ class TestBaselineRatchet:
 
     def test_roundtrip_and_note_preserved(self, tmp_path):
         original = Baseline(
-            [BaselineEntry("a.py", "RPL004", 1, note="thread pool")]
+            [BaselineEntry("a.py", "RPL005", 1, note="thread pool")]
         )
         path = tmp_path / "baseline.json"
         original.save(path)
         loaded = Baseline.load(path)
         assert loaded.entries == original.entries
         regenerated = baseline_from_findings(
-            [finding(rule="RPL004", path="a.py")], previous=loaded
+            [finding(rule="RPL005", path="a.py")], previous=loaded
         )
         assert regenerated.entries[0].note == "thread pool"
 
@@ -149,7 +149,7 @@ class TestBaselineRewrite:
         previous = Baseline(
             [
                 BaselineEntry("src/repro/psl/x.py", "RPL002", 2),
-                BaselineEntry("src/repro/other.py", "RPL004", 1, note="pool"),
+                BaselineEntry("src/repro/other.py", "RPL005", 1, note="pool"),
             ]
         )
         rewritten = baseline_from_findings(
@@ -184,7 +184,7 @@ class TestReporters:
         return LintReport(
             new=[finding(line=7)],
             baselined=[
-                Finding("RPL004", "m", "src/repro/e.py", 1, baselined=True)
+                Finding("RPL005", "m", "src/repro/e.py", 1, baselined=True)
             ],
             suppressed_count=2,
             files_scanned=4,
@@ -210,7 +210,7 @@ class TestReporters:
                 "chain",
             }
         flags = {item["rule"]: item["baselined"] for item in payload["findings"]}
-        assert flags == {"RPL002": False, "RPL004": True}
+        assert flags == {"RPL002": False, "RPL005": True}
 
     def test_json_chain_structure(self):
         report = LintReport(

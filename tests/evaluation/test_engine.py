@@ -184,14 +184,9 @@ def test_warm_payload_roundtrips_through_work_units():
 
 
 def test_thread_grid_with_thread_solver_terminates():
-    # Engine cells on "thread:2" whose collective grounds also use
-    # "thread:2" share one pool; the nested shard maps must run inline
-    # instead of deadlocking behind their own parent jobs.
-    engine = EvaluationEngine(
-        methods=("collective",),
-        executor="thread:2",
-        ground_executor="thread:2",
-    )
+    # Engine cells on "thread:2" ground and solve on the pool threads;
+    # the grid must finish and match the serial grid cell for cell.
+    engine = EvaluationEngine(methods=("collective",), executor="thread:2")
     sweep = engine.sweep(
         ScenarioConfig(num_primitives=2, rows_per_relation=6),
         "pi_corresp",
@@ -214,7 +209,6 @@ def test_engine_threads_solve_options_into_collective():
     tuned = EvaluationEngine(
         methods=("collective",),
         warm_start=False,
-        ground_executor="thread:2",
         ground_shard_size=8,
     )
     assert tuned.collective_settings.ground_shard_size == 8
@@ -377,7 +371,6 @@ def test_engine_threads_ground_options_into_collective():
     sharded = EvaluationEngine(
         methods=("collective",),
         warm_start=False,
-        ground_executor="serial",
         ground_shard_size=2,
     )
     a = plain.run_grid([SMALL])

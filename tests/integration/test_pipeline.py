@@ -8,6 +8,7 @@ from repro.ibench.generator import generate_scenario
 from repro.selection.collective import solve_collective
 from repro.selection.exact import solve_branch_and_bound
 from repro.selection.greedy import solve_greedy
+from repro.selection.objective import objective_value
 
 
 def _runs(scenario):
@@ -57,19 +58,40 @@ def test_collective_beats_all_candidates_f1_under_corresp_noise(noisy_runs):
     assert noisy_runs["collective"].data.f1 >= noisy_runs["all-candidates"].data.f1
 
 
-def test_collective_tracks_exact_optimum_on_medium_scenario():
-    scenario = generate_scenario(
-        ScenarioConfig(num_primitives=3, seed=42, rows_per_relation=10, pi_corresp=50)
-    )
-    problem = scenario.selection_problem()
+def _assert_collective_tracks_exact(config):
+    problem = generate_scenario(config).selection_problem()
     exact = solve_branch_and_bound(problem)
     collective = solve_collective(problem)
     greedy = solve_greedy(problem)
+    for result in (exact, collective, greedy):
+        assert result.objective == objective_value(problem, result.selected)
     assert exact.objective <= collective.objective <= greedy.objective * 2
     # Relative optimality gap within 10% on scenarios of this size.
     if exact.objective > 0:
         gap = float(collective.objective - exact.objective) / float(exact.objective)
         assert gap <= 0.10
+
+
+def test_collective_tracks_exact_optimum_on_medium_scenario():
+    _assert_collective_tracks_exact(
+        ScenarioConfig(num_primitives=3, seed=42, rows_per_relation=10, pi_corresp=50)
+    )
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("primitives", (3, 4, 6, 8))
+def test_collective_tracks_exact_optimum_at_noise_25(primitives, seed):
+    # Every noise level at 25: small enough for exact branch-and-bound.
+    _assert_collective_tracks_exact(
+        ScenarioConfig(
+            num_primitives=primitives,
+            seed=seed,
+            rows_per_relation=10,
+            pi_corresp=25,
+            pi_errors=25,
+            pi_unexplained=25,
+        )
+    )
 
 
 @pytest.mark.parametrize("kind", ["CP", "ADD", "DL", "ADL", "ME", "VP", "VNM"])

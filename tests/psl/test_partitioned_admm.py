@@ -5,8 +5,9 @@
 iteration).  The contract under test: the solver produces the
 *identical* run — same iterates, same iteration count, same residuals,
 same energy, same dual state — on fingerprint-verified collective
-problems and on random MRFs alike, whatever term blocks, shard size or
-grounding executor built the MRF.  Not approximately: bit for bit.
+problems and on random MRFs alike, whatever term blocks or shard size
+built the MRF and wherever it was ground.  Not approximately: bit for
+bit.
 """
 
 import functools
@@ -27,6 +28,7 @@ from repro.selection.collective import (
     solve_collective,
 )
 from repro.selection.metrics import build_selection_problem
+from tests.work_units import run_on
 
 X = Predicate("x", 1, closed=False)
 
@@ -231,8 +233,8 @@ def _collective_problem():
 def _collective_mrf(shard_size: int | None = 8, executor: str | None = None) -> HingeLossMRF:
     problem = _collective_problem()
     settings = CollectiveSettings()
-    mrf, _, _ = ground_collective(
-        problem, settings, executor=executor, shard_size=shard_size
+    mrf, _, _ = run_on(
+        executor, ground_collective, problem, settings, shard_size=shard_size
     )
     # Fingerprint-verified: the sharded grounding reproduced the serial
     # reference compilation, so the solve equivalence below is measured
@@ -260,7 +262,8 @@ def test_partitioned_matches_flat_reference_on_random_mrfs(seed, block_size):
 def test_partitioned_matches_flat_reference_on_collective_problem(
     block_size, executor
 ):
-    # block_size/executor: the grounding shard size and shard executor.
+    # block_size/executor: the grounding shard size and the executor the
+    # grounding runs as a work unit of.
     mrf = _collective_mrf(block_size, executor)
     reference = _ReferenceFlatSolver(mrf).solve()
     result = AdmmSolver(mrf).solve()
@@ -271,7 +274,7 @@ def test_partitioned_matches_flat_reference_on_collective_problem(
 
 @pytest.mark.parametrize("block_size", [32, None])
 def test_process_executor_blocks_match_reference(block_size):
-    # Shards ground on a process pool: a truncated run must still be
+    # Grounded in a process-pool worker: a truncated run must still be
     # bit-identical to the reference.
     mrf = _collective_mrf(block_size, "process:2")
     settings = AdmmSettings(max_iterations=4, check_every=2)
@@ -283,9 +286,9 @@ def test_process_executor_blocks_match_reference(block_size):
 @pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
 def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
     # The ground-once/reweight-many acceptance contract, measured against
-    # the frozen reference solver: reweighting a cached grounding (ground
-    # on *executor*) in place and re-solving must reproduce — bit for
-    # bit — the run of a solver built on a *fresh* grounding at the new
+    # the frozen reference solver: reweighting a cached grounding
+    # (ground as a work unit of *executor*) in place and re-solving must
+    # reproduce — bit for bit — the run of a solver built on a *fresh* grounding at the new
     # weights.
     from fractions import Fraction
 
@@ -300,8 +303,8 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
     problem = build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )
-    grounded = GroundedCollective(
-        problem, CollectiveSettings(), executor=executor, shard_size=8
+    grounded = run_on(
+        executor, GroundedCollective, problem, CollectiveSettings(), shard_size=8
     )
     settings = AdmmSettings(max_iterations=40, check_every=5)
     solver = AdmmSolver(grounded.mrf, settings)
@@ -326,8 +329,8 @@ def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
 ):
     # The disk-store acceptance contract, measured against the frozen
     # reference solver: attaching a spilled grounding (mmap; the writer
-    # ground on *executor*) and reweighting it must reproduce — bit for
-    # bit — the run of a solver built on a *fresh* grounding at the new
+    # ground as a work unit of *executor*) and reweighting it must
+    # reproduce — bit for bit — the run of a solver built on a *fresh* grounding at the new
     # weights, with no grounding work on the attach path.
     from fractions import Fraction
 
@@ -347,7 +350,7 @@ def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
         scenario.source, scenario.target, scenario.candidates
     )
     base = CollectiveSettings()
-    writer = GroundedCollective(problem, base, executor=executor, shard_size=8)
+    writer = run_on(executor, GroundedCollective, problem, base, shard_size=8)
     store = GroundingStore(tmp_path)
     key = collective_structure_key(problem, base)
     assert store.put(key, writer.mrf, extra=writer.store_extra())

@@ -135,68 +135,23 @@ def test_grounding_counts_reported():
     assert result.num_potentials >= 3
 
 
-def _shared_database_installed(_):
-    from repro.psl.program import _shared_database
-
-    return _shared_database() is not None
-
-
-def test_process_serial_fallback_scopes_shared_database():
-    # A 1-worker ProcessExecutor runs stripped rule shards (and their
-    # install_shared_database initializer) in the driver; the handle
-    # must be visible during the map and restored — not permanently
-    # installed — afterwards.
-    from repro.executors import ProcessExecutor
-    from repro.psl.database import Database
-    from repro.psl.program import _shared_database, install_shared_database
-
-    assert install_shared_database.scope is not None
-    database = Database()
-    results = list(
-        ProcessExecutor(1).map(
-            _shared_database_installed,
-            [0, 1],
-            initializer=install_shared_database,
-            initargs=(database,),
-        )
-    )
-    assert results == [True, True]
-    assert _shared_database() is None
-
-
 def test_reground_after_mutation_matches_serial_on_shared_process_executor():
-    # Regression: the shared persistent "process:2" executor ships the
-    # database once per worker; after observe()/add_target() mutate it
-    # in place, a re-ground must NOT reuse workers holding the stale
-    # snapshot (Database.state_token feeds the executor's reuse check).
+    # The shared persistent "process:2" pool keeps its workers across
+    # maps; a re-ground after observe()/add_target() mutate the program
+    # must ground the mutated database there, never a stale copy.
     from repro.psl.sharding import mrf_fingerprint
+    from tests.work_units import run_on
 
     program, friend, leans, votes = _voting_program()
     program.observe(friend("a", "b"))
     program.observe(leans("a", "left"))
     program.target(votes("a", "left"))
     program.target(votes("b", "left"))
-    first = program.ground(executor="process:2")
+    first = run_on("process:2", program.ground, shard_size=2)
     assert mrf_fingerprint(first) == mrf_fingerprint(program.ground())
 
     program.observe(friend("b", "c"))
     program.target(votes("c", "left"))
-    second = program.ground(executor="process:2")
+    second = run_on("process:2", program.ground, shard_size=2)
     assert mrf_fingerprint(second) == mrf_fingerprint(program.ground())
     assert mrf_fingerprint(second) != mrf_fingerprint(first)
-
-
-def test_ground_sharded_single_worker_process_matches_serial():
-    from repro.executors import ProcessExecutor
-    from repro.psl.program import _shared_database
-    from repro.psl.sharding import mrf_fingerprint
-
-    program, friend, leans, votes = _voting_program()
-    program.observe(friend("a", "b"))
-    program.observe(leans("a", "left"))
-    program.target(votes("a", "left"))
-    program.target(votes("b", "left"))
-    serial = program.ground()
-    sharded = program.ground(executor=ProcessExecutor(1))
-    assert mrf_fingerprint(sharded) == mrf_fingerprint(serial)
-    assert _shared_database() is None  # nothing leaked into the driver

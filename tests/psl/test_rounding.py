@@ -1,5 +1,9 @@
 """Unit tests for threshold-sweep and local-search rounding."""
 
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
 from repro.psl.rounding import local_search, round_solution, threshold_sweep
 
 
@@ -232,3 +236,72 @@ def test_threshold_sweep_grows_prefixes_in_value_then_repr_order():
     assert calls[0] == frozenset()
     added = [next(iter(b - a)) for a, b in zip(calls, calls[1:])]
     assert added == [0, 10, 2, 4, 6, 8, 1, 11, 3, 5, 7, 9]
+
+
+# -- monotone descent (the MM property of the rounding step) -----------------
+
+
+@st.composite
+def objective_tables(draw):
+    """(fractional values, exact F table over every subset, a start set)."""
+    items = range(draw(st.integers(min_value=0, max_value=8)))
+    # One seeded generator per table: 2**8 per-entry draws would make
+    # every example slow without shrinking any better.
+    rng = draw(st.randoms(use_true_random=False))
+    table = {
+        frozenset(i for i in items if mask >> i & 1): Fraction(
+            rng.randint(-40, 40), rng.randint(1, 12)
+        )
+        for mask in range(2 ** len(items))
+    }
+    fractional = {i: draw(st.floats(min_value=0, max_value=1)) for i in items}
+    start = frozenset(i for i in items if draw(st.booleans()))
+    return fractional, table, start
+
+
+def _recording(table, calls):
+    def objective(selected: frozenset):
+        calls.append(selected)
+        return table[selected]
+
+    return objective
+
+
+def _accepted_path(calls, result):
+    """The states a 1-flip search moved through, read off its probes.
+
+    ``calls[0]`` evaluates the start; every later call probes one flip
+    of the current state.  A probe was accepted iff the next probe is
+    one flip away from it: the next probe is one flip from exactly one
+    of the old state and the accepted probe, never both.
+    """
+    path = [calls[0]]
+    probes = calls[1:]
+    for probe, following in zip(probes, probes[1:]):
+        assert len(probe ^ path[-1]) == 1
+        if len(following ^ probe) == 1:
+            path.append(probe)
+    if probes and result == probes[-1] != path[-1]:
+        path.append(probes[-1])
+    assert path[-1] == result
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(objective_tables())
+def test_local_search_accepts_only_strictly_decreasing_flips(case):
+    fractional, table, start = case
+    calls: list[frozenset] = []
+    result = local_search(start, fractional, _recording(table, calls))
+    values = [table[state] for state in _accepted_path(calls, result)]
+    assert all(later < earlier for earlier, later in zip(values, values[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(objective_tables())
+def test_rounding_never_ends_above_the_sweep_or_the_empty_set(case):
+    fractional, table, _ = case
+    objective = _recording(table, [])
+    swept = threshold_sweep(fractional, objective)
+    rounded = round_solution(fractional, objective)
+    assert table[rounded] <= table[swept] <= table[frozenset()]

@@ -1,9 +1,10 @@
 """Shard/serial equivalence properties of the sharded grounding path.
 
-The contract under test: for ANY executor and ANY shard size — including
-degenerate single-entry and empty shards — the sharded merge produces an
-MRF that is byte-identical (variables, potentials, constraints, constant
-energy, energies at random points) to the serial dict-based compilation.
+The contract under test: for ANY shard size — including degenerate
+single-entry and empty shards — the sharded merge produces an MRF that
+is byte-identical (variables, potentials, constraints, constant energy,
+energies at random points) to the serial dict-based compilation, also
+when the grounding runs as a work unit of a thread or process pool.
 """
 
 import numpy as np
@@ -31,6 +32,7 @@ from repro.selection.collective import (
     ground_collective,
 )
 from repro.selection.metrics import build_selection_problem
+from tests.work_units import run_on
 
 SHARD_SIZES = (1, 2, 7, None)
 EXECUTORS = ("serial", "process:2")
@@ -75,7 +77,7 @@ def _sample_program() -> PslProgram:
 def test_program_sharded_ground_matches_serial(executor, shard_size):
     program = _sample_program()
     serial = program.ground()
-    sharded, stats = program.ground_sharded(executor=executor, shard_size=shard_size)
+    sharded, stats = run_on(executor, program.ground_sharded, shard_size=shard_size)
     _assert_identical(serial, sharded)
     assert stats.num_shards == len(program.grounding_shards(shard_size=shard_size))
     assert stats.num_potentials == len(serial.potentials)
@@ -86,7 +88,6 @@ def test_program_sharded_ground_matches_serial(executor, shard_size):
 def test_program_ground_dispatches_to_sharded_path():
     program = _sample_program()
     _assert_identical(program.ground(), program.ground(shard_size=2))
-    _assert_identical(program.ground(), program.ground(executor="serial"))
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -97,8 +98,8 @@ def test_collective_sharded_ground_matches_serial(executor, shard_size):
     settings = CollectiveSettings()
     program, _ = build_program(problem, settings)
     serial = program.ground()
-    sharded, plan, stats = ground_collective(
-        problem, settings, executor=executor, shard_size=shard_size
+    sharded, plan, stats = run_on(
+        executor, ground_collective, problem, settings, shard_size=shard_size
     )
     _assert_identical(serial, sharded)
     assert len(plan.in_atoms) == problem.num_candidates
@@ -199,8 +200,12 @@ def test_structure_fingerprint_identical_across_executors_and_shards(
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
     reference, _, _ = ground_collective(problem, CollectiveSettings())
-    mrf, _, _ = ground_collective(
-        problem, CollectiveSettings(), executor=executor, shard_size=shard_size
+    mrf, _, _ = run_on(
+        executor,
+        ground_collective,
+        problem,
+        CollectiveSettings(),
+        shard_size=shard_size,
     )
     assert structure_fingerprint(mrf) == structure_fingerprint(reference)
 
@@ -280,7 +285,7 @@ def test_sharded_ground_deterministic_with_repr_colliding_constants():
     program.rule([lit(p, "X")], [lit(q, "X")], weight=1.0)
     serial = program.ground()
     for executor in EXECUTORS:
-        sharded, _ = program.ground_sharded(executor=executor, shard_size=1)
+        sharded, _ = run_on(executor, program.ground_sharded, shard_size=1)
         _assert_identical(serial, sharded)
 
 
@@ -288,99 +293,3 @@ def test_iter_slices_covers_range_exactly():
     assert list(iter_slices(0, 4)) == []
     assert list(iter_slices(10, 4)) == [(0, 4), (4, 8), (8, 10)]
     assert list(iter_slices(3, None))[0] == (0, 3)
-
-
-# -- rule-shard payload diet (database shipped once per worker) ---------------
-
-
-def test_rule_shards_can_travel_without_database():
-    from repro.psl.program import RuleGroundingShard, install_shared_database
-
-    program = _sample_program()
-    lean = program.grounding_shards(embed_database=False)
-    fat = program.grounding_shards()
-    rule_shards = [s for s in lean if isinstance(s, RuleGroundingShard)]
-    assert rule_shards and all(s.database is None for s in rule_shards)
-    assert all(
-        s.database is program.database
-        for s in fat
-        if isinstance(s, RuleGroundingShard)
-    )
-    # Without a shared handle the stripped shard must fail loudly...
-    from repro.errors import GroundingError
-
-    install_shared_database(None)
-    with pytest.raises(GroundingError):
-        rule_shards[0].build()
-    # ...and with one installed it emits exactly the embedded shard's block.
-    install_shared_database(program.database)
-    try:
-        lean_result = rule_shards[0].build()
-        fat_result = fat[0].build()
-        assert lean_result.atoms == fat_result.atoms
-        assert lean_result.block.num_terms == fat_result.block.num_terms
-        assert np.array_equal(lean_result.block.coefficient, fat_result.block.coefficient)
-    finally:
-        install_shared_database(None)
-
-
-@pytest.mark.parametrize("executor", ["process:2", "process:1"])
-def test_process_grounding_with_shared_database_matches_serial(executor):
-    # ground_sharded strips the database from rule shards on process
-    # executors and ships it through the pool initializer (including the
-    # one-worker serial fallback, where the initializer runs in-process).
-    program = _sample_program()
-    serial = program.ground()
-    sharded, _ = program.ground_sharded(executor=executor, shard_size=2)
-    _assert_identical(serial, sharded)
-
-
-def test_shared_database_handle_is_scoped_to_the_grounding_run():
-    # The one-worker fallback runs the initializer in this process; the
-    # handle must not outlive the run, or a later stripped shard of a
-    # *different* program would silently ground against a stale database.
-    import repro.psl.program as program_module
-
-    program = _sample_program()
-    assert program_module._shared_database() is None
-    program.ground_sharded(executor="process:1", shard_size=2)
-    assert program_module._shared_database() is None
-    stray = program.grounding_shards(embed_database=False)[0]
-    with pytest.raises(Exception):
-        stray.build()  # fails loudly instead of using a leaked handle
-
-
-def test_initializer_rejected_on_thread_executor():
-    # The shared-payload hook is thread-scoped; a thread pool's workers
-    # would never see it, so the combination must fail loudly up front.
-    from repro.psl.program import install_shared_database
-
-    program = _sample_program()
-    shards = program.grounding_shards(embed_database=False, shard_size=2)
-    with pytest.raises(InferenceError):
-        ground_shards(
-            shards,
-            executor="thread:2",
-            initializer=(install_shared_database, (program.database,)),
-        )
-
-
-def test_concurrent_grounds_do_not_cross_shared_databases():
-    # The shared handle is thread-local: two threads grounding different
-    # programs through the stripped-payload path (process:1 falls back
-    # in-process) must each see their own database.
-    from concurrent.futures import ThreadPoolExecutor
-
-    programs = [_sample_program() for _ in range(2)]
-    programs[1].observe(programs[1].predicate("friend", 2)("c", "b"), 0.4)
-    references = [mrf_fingerprint(p.ground()) for p in programs]
-    assert references[0] != references[1]
-
-    def ground(i: int) -> bytes:
-        mrf, _ = programs[i].ground_sharded(executor="process:1", shard_size=2)
-        return mrf_fingerprint(mrf)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for _ in range(3):
-            results = list(pool.map(ground, [0, 1]))
-            assert results == references

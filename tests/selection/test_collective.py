@@ -169,13 +169,10 @@ def test_warm_started_collective_chains_aux_state():
     assert second.selected == first.selected
 
 
-def test_sharded_ground_executor_matches_serial_solve(problems):
+def test_sharded_ground_matches_default_solve(problems):
     for problem in problems:
         serial = solve_collective(problem)
-        sharded = solve_collective(
-            problem,
-            CollectiveSettings(ground_executor="serial", ground_shard_size=1),
-        )
+        sharded = solve_collective(problem, CollectiveSettings(ground_shard_size=1))
         assert sharded.selected == serial.selected
         assert sharded.objective == serial.objective
         assert sharded.grounding is not None

@@ -3,8 +3,8 @@
 Contract under test: for a lineage-linked edit chain,
 :func:`patch_collective` / the cache's patch tier produce an artifact
 whose MRF fingerprints — and whole ADMM solve trajectory — equal a
-from-scratch ground of the edited problem, under every executor and
-shard size.  Plus the tier ordering (patch > disk attach > fresh), the
+from-scratch ground of the edited problem, for every shard size and
+wherever the patch runs.  Plus the tier ordering (patch > disk attach > fresh), the
 ``incremental=False`` opt-out, and the decline paths.
 """
 
@@ -29,6 +29,7 @@ from repro.selection.collective import (
     solve_collective,
 )
 from repro.selection.objective import ObjectiveWeights
+from tests.work_units import run_on
 
 SHARD_SIZES = (1, 2, 7, None)
 EXECUTORS = ("serial", "process:2")
@@ -63,8 +64,8 @@ def test_patch_matches_scratch(executor, shard_size):
     settings = CollectiveSettings()
     parent = GroundedCollective(chain.problem, settings, shard_size=shard_size)
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    patched = patch_collective(
-        parent, child, settings, executor=executor, shard_size=shard_size
+    patched = run_on(
+        executor, patch_collective, parent, child, settings, shard_size=shard_size
     )
     assert patched is not None
     assert patched.splice_stats.reused_shards > 0

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -81,8 +83,6 @@ def test_select_solver_knobs(tmp_path, capsys):
                 str(path),
                 "--method",
                 "collective",
-                "--ground-executor",
-                "thread:2",
                 "--ground-shard-size",
                 "8",
             ]
@@ -106,8 +106,6 @@ def test_sweep_solver_knobs(capsys):
                 "1",
                 "--levels",
                 "0",
-                "--ground-executor",
-                "serial",
                 "--ground-shard-size",
                 "4",
             ]
@@ -122,7 +120,10 @@ def test_sweep_solver_knobs(capsys):
 def test_no_solve_executor_flags(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert "--solve-" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--solve-" not in out
+    # Grounding runs on the calling thread: shard size is its only knob.
+    assert set(re.findall(r"--ground-[a-z-]+", out)) == {"--ground-shard-size"}
 
 
 def test_generate_respects_kind_restriction(tmp_path, capsys):

@@ -1,11 +1,10 @@
-"""Tests for the executor abstraction: spec resolution, streaming, init.
+"""Tests for the executor abstraction: spec resolution and streaming.
 
 Covers the ``resolve_executor`` edge cases (bad worker counts, object
 passthrough), the bounded-window streaming behaviour of
 ``ProcessExecutor.map`` and its in-flight cleanup on errors/abandonment,
-persistent-pool lifecycle (reuse, initializer recycling, close), scoped
-serial-fallback initializers, and the thread backend's pickling
-contract.
+persistent-pool lifecycle (reuse, broken-pool recycling, close), and
+the thread backend's pickling contract.
 """
 
 import os
@@ -14,7 +13,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-from contextlib import contextmanager
 
 import pytest
 
@@ -27,56 +25,15 @@ from repro.executors import (
 )
 from tests.subprocess_env import child_env
 
+
 # Module-level so process workers (fork or spawn-with-import) can
 # unpickle them by reference.
-_INIT_VALUE = 0
-
-
-def _install_value(value):
-    global _INIT_VALUE
-    _INIT_VALUE = value
-
-
-def _read_value(_):
-    return _INIT_VALUE
-
-
 def _square(x):
     return x * x
 
 
 def _pid(_):
     return os.getpid()
-
-
-def _pid_and_value(_):
-    return (os.getpid(), _INIT_VALUE)
-
-
-_SCOPED_VALUE = 0
-
-
-def _install_scoped(value):
-    global _SCOPED_VALUE
-    _SCOPED_VALUE = value
-
-
-@contextmanager
-def _scoped(value):
-    global _SCOPED_VALUE
-    previous = _SCOPED_VALUE
-    _SCOPED_VALUE = value
-    try:
-        yield
-    finally:
-        _SCOPED_VALUE = previous
-
-
-_install_scoped.scope = _scoped
-
-
-def _read_scoped(_):
-    return _SCOPED_VALUE
 
 
 # -- resolve_executor edge cases ---------------------------------------------
@@ -165,7 +122,7 @@ def test_process_map_preserves_order():
 
 def test_process_map_streams_lazily():
     # The parallel path returns a generator (the pool's owner), not a
-    # materialized list: sharded grounding merges results as they arrive.
+    # materialized list: callers merge results as they arrive.
     executor = ProcessExecutor(2)
     result = executor.map(_square, list(range(8)))
     assert not isinstance(result, (list, tuple))
@@ -178,27 +135,6 @@ def test_process_map_serial_fallbacks():
     assert list(one_item) == [9]
     one_worker = ProcessExecutor(1).map(_square, [2, 3])
     assert list(one_worker) == [4, 9]
-
-
-def test_process_map_initializer_reaches_workers():
-    executor = ProcessExecutor(2)
-    results = list(
-        executor.map(
-            _read_value, list(range(8)), initializer=_install_value, initargs=(7,)
-        )
-    )
-    assert results == [7] * 8
-
-
-def test_process_map_initializer_on_serial_fallback():
-    _install_value(0)
-    executor = ProcessExecutor(1)
-    results = list(
-        executor.map(
-            _read_value, [1, 2], initializer=_install_value, initargs=(5,)
-        )
-    )
-    assert results == [5, 5]
 
 
 def test_process_map_propagates_worker_exceptions():
@@ -237,9 +173,9 @@ def _nested_map(executor):
 
 
 def test_thread_executor_nested_map_does_not_deadlock():
-    # Shared "thread:N" instances serve both an engine grid and the
-    # grounding inside its cells; nested maps used to queue behind their
-    # own parents and hang forever.
+    # A shared "thread:N" instance can be resolved again inside its own
+    # jobs (a grid cell building its problem on "thread:N"); nested maps
+    # used to queue behind their own parents and hang forever.
     executor = ThreadExecutor(2)
     results = list(executor.map(_nested_map(executor), [0, 1, 2, 3]))
     assert results == [0 + 1, 1 + 4, 4 + 9, 9 + 16]
@@ -282,80 +218,6 @@ def test_persistent_pool_reuses_workers_across_maps():
         # Three fresh pools could show up to six distinct workers; one
         # persistent pool shows at most max_workers across all maps.
         assert 1 <= len(pids) <= 2
-
-
-def test_persistent_pool_initializer_once_then_recycle_on_change():
-    with ProcessExecutor(2, persistent=True) as executor:
-        seen: set[int] = set()
-        for _ in range(2):
-            results = list(
-                executor.map(
-                    _pid_and_value,
-                    list(range(8)),
-                    initializer=_install_value,
-                    initargs=(7,),
-                )
-            )
-            assert {value for _, value in results} == {7}
-            seen.update(pid for pid, _ in results)
-        # An initializer-less map rides the same warm pool: the worker
-        # state installed once per worker is still there.
-        bare = list(executor.map(_pid_and_value, list(range(8))))
-        assert {value for _, value in bare} == {7}
-        seen.update(pid for pid, _ in bare)
-        assert len(seen) <= 2
-        # A *different* payload must recycle the pool — reusing workers
-        # initialized for another program would silently compute against
-        # stale state.
-        recycled = list(
-            executor.map(
-                _pid_and_value,
-                list(range(8)),
-                initializer=_install_value,
-                initargs=(9,),
-            )
-        )
-        assert {value for _, value in recycled} == {9}
-        assert {pid for pid, _ in recycled}.isdisjoint(seen)
-
-
-class _TokenPayload:
-    """A mutable initializer payload that tracks its own state version."""
-
-    def __init__(self):
-        self.value = 0
-
-    def state_token(self):
-        return self.value
-
-
-def _install_payload(payload):
-    _install_value(payload.value)
-
-
-def test_persistent_pool_recycles_when_initarg_mutates_in_place():
-    # Identity comparison alone cannot see in-place mutation: workers
-    # hold a pickled snapshot of the payload, so reusing the warm pool
-    # after the payload changed would compute against stale state (the
-    # re-ground-after-observe() bug).  state_token() makes the mutation
-    # visible and forces a recycle.
-    payload = _TokenPayload()
-    with ProcessExecutor(2, persistent=True) as executor:
-        first = list(
-            executor.map(
-                _read_value, list(range(8)), initializer=_install_payload,
-                initargs=(payload,),
-            )
-        )
-        assert first == [0] * 8
-        payload.value = 5  # same object, new contents
-        second = list(
-            executor.map(
-                _read_value, list(range(8)), initializer=_install_payload,
-                initargs=(payload,),
-            )
-        )
-        assert second == [5] * 8  # fresh workers saw the new snapshot
 
 
 def test_persistent_pool_close_is_idempotent_and_reusable():
@@ -420,24 +282,18 @@ def test_persistent_pool_recovers_from_dead_worker():
         assert set(executor.map(_pid, list(range(8))))  # recycled and healthy
 
 
-def test_initializer_recycle_defers_shutdown_under_live_stream():
-    # An engine grid on threads can hold two concurrent grounds on the
-    # one shared process executor; the second ground's different
-    # initializer recycles the pool, which must not be shut down under
-    # the first ground's still-streaming map.
+def test_close_defers_shutdown_under_live_stream():
+    # The shared process executor can serve two threads at once; a
+    # graceful close() from one must not shut the pool down under the
+    # other's still-streaming map.
     with ProcessExecutor(2, persistent=True) as executor:
-        first = executor.map(
-            _read_value, list(range(12)), initializer=_install_value, initargs=(7,)
-        )
-        assert next(first) == 7  # stream live on the first pool
-        second = list(
-            executor.map(
-                _read_value, list(range(12)), initializer=_install_value, initargs=(9,)
-            )
-        )
-        assert second == [9] * 12
-        assert list(first) == [7] * 11  # old stream drains on the old pool
-        assert executor._active == {}  # ...which was retired on exit
+        first = executor.map(_square, list(range(12)))
+        assert next(first) == 0  # stream live on the first pool
+        executor.close()
+        assert executor._pool is None
+        assert list(executor.map(_square, [1, 2])) == [1, 4]  # a fresh pool
+        assert list(first) == [i * i for i in range(1, 12)]  # old pool drains
+        assert executor._active == {}  # ...and was retired on exit
 
 
 def test_nested_persistent_pools_exit_cleanly():
@@ -546,28 +402,3 @@ def test_process_stream_early_abandon_shuts_down_cleanly():
     assert next(gen) == 0
     gen.close()  # must cancel the window and shut the pool down, not hang
     assert list(executor.map(_square, [3])) == [9]
-
-
-# -- scoped serial-fallback initializers --------------------------------------
-
-
-@pytest.mark.parametrize("persistent", [False, True])
-def test_serial_fallback_scopes_initializer_with_scope_hook(persistent):
-    executor = ProcessExecutor(1, persistent=persistent)
-    gen = executor.map(
-        _read_scoped, [1, 2], initializer=_install_scoped, initargs=(5,)
-    )
-    assert _SCOPED_VALUE == 0  # nothing installed before consumption
-    assert list(gen) == [5, 5]
-    assert _SCOPED_VALUE == 0  # ...and the previous value is restored
-
-
-def test_serial_fallback_without_scope_hook_runs_initializer_bare():
-    _install_value(0)
-    assert list(
-        ProcessExecutor(1).map(
-            _read_value, [1, 2], initializer=_install_value, initargs=(6,)
-        )
-    ) == [6, 6]
-    assert _INIT_VALUE == 6  # unscoped initializers keep the old contract
-    _install_value(0)

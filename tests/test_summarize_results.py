@@ -31,15 +31,14 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "sharded_grounding.json").write_text(
+    (tmp_path / "parallel_engine_build.json").write_text(
         json.dumps(
             {
                 "host_cpus": 4,
-                "num_shards": 16,
-                "total_terms": 9000,
-                "sharded_serial_seconds": 0.016,
-                "sharded_process_seconds": 0.002,
-                "process_speedup_vs_sharded_serial": 8.0,
+                "workers": 4,
+                "serial_seconds": 1.6,
+                "parallel_seconds": 0.2,
+                "speedup": 8.0,
             }
         )
     )
@@ -70,7 +69,7 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
     assert "| benchmark" in text
     assert "10.0×" in text and "8.0×" in text
     assert "reweight many (sweep)" in text
-    assert "sharded grounding" in text
+    assert "parallel problem build" in text
     assert "reweight many (learning)" in text
     assert "grounding store cold start (large)" in text
     assert "7.5×" in text
@@ -107,7 +106,7 @@ def test_summarizes_the_repo_results_when_present():
     results = SCRIPT.parent / "results"
     if not any(
         (results / name).exists()
-        for name in ("sharded_grounding.json", "reweight.json")
+        for name in ("parallel_engine_build.json", "reweight.json")
     ):  # pragma: no cover - depends on prior bench runs
         return
     result = _run("--results-dir", str(results), "--output", "/dev/null")
