@@ -29,16 +29,21 @@ def match_body(
 ) -> Iterator[dict[Variable, Value]]:
     """Enumerate assignments of body variables satisfying all atoms in *instance*.
 
-    A straightforward backtracking join: atoms are matched left to right,
-    narrowing candidate facts by relation and by already-bound variables.
-    Yields each satisfying assignment exactly once, in an order that
-    depends only on the instance's contents (facts are scanned in sorted
-    repr order, never in set-iteration order) — so chase runs, and the
-    null labels they hand out, are reproducible across processes
-    regardless of hash randomization.
+    A backtracking join over the instance's
+    :class:`~repro.datamodel.instance.MatchIndex`: atoms are matched
+    left to right (smallest relation first), and each atom scans the
+    shortest posting list among its constant terms and its variables
+    already bound, or its whole relation bucket when none is.  Buckets
+    and postings are ``repr``-sorted subsequences of one order, so every
+    choice of list yields the same facts in the same order.  Yields each
+    satisfying assignment exactly once, in an order that depends only on
+    the instance's contents (never on set-iteration order) — so chase
+    runs, and the null labels they hand out, are reproducible across
+    processes regardless of hash randomization.
     """
-    ordered = sorted(body, key=lambda a: len(instance.facts_of(a.relation)))
-    buckets = [sorted(instance.facts_of(a.relation), key=repr) for a in ordered]
+    join_index = instance.match_index()
+    facts = join_index.ordered
+    ordered = sorted(body, key=lambda a: len(join_index.bucket(a.relation)))
     seen: set[tuple] = set()
 
     def extend(index: int, assignment: dict[Variable, Value]) -> Iterator[dict[Variable, Value]]:
@@ -49,7 +54,9 @@ def match_body(
                 yield dict(assignment)
             return
         atom = ordered[index]
-        for f in buckets[index]:
+        known = [assignment.get(t) if is_variable(t) else t for t in atom.terms]
+        for rank in join_index.lookup(atom.relation, known):
+            f = facts[rank]
             if f.arity != atom.arity:
                 continue
             local: dict[Variable, Value] = {}

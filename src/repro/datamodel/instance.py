@@ -1,15 +1,19 @@
 """Database instances: sets of facts over a schema.
 
 Facts hold :class:`~repro.datamodel.values.Constant` or
-:class:`~repro.datamodel.values.LabeledNull` values.  Instances index facts
-by relation name, which keeps homomorphism search and cover computation
-close to linear in practice.
+:class:`~repro.datamodel.values.LabeledNull` values.  Instances bucket
+facts by relation name.  An instance that facts are matched *against*
+(the target example J, the source a chase joins over, a scoring
+reference) also builds a :class:`MatchIndex` on first use: postings
+``(relation, position, value) -> facts`` in ``repr``-sorted order, so a
+match visits only the facts sharing one of the query's known values
+instead of a whole relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.values import Constant, LabeledNull, Value, is_null
 from repro.errors import InstanceError
@@ -67,12 +71,92 @@ def fact(relation: str, *values: object) -> Fact:
     return Fact(relation, wrapped)
 
 
+class MatchIndex:
+    """Which facts of an instance can a fact map onto, by known values.
+
+    ``ordered`` holds the instance's facts sorted by ``repr`` (ties keep
+    insertion order); a fact's *rank* is its position there.  Relation
+    buckets and the postings ``(relation, position, value) -> ranks``
+    are ascending rank tuples, so whichever list a lookup scans, the
+    survivors come out in the same order.  The index is immutable: the
+    owning :class:`Instance` drops it on any edit.
+    """
+
+    __slots__ = ("ordered", "_buckets", "_columns")
+
+    def __init__(self, facts: Iterable[Fact]):
+        self.ordered: tuple[Fact, ...] = tuple(sorted(facts, key=repr))
+        buckets: dict[str, list[int]] = {}
+        columns: dict[str, list[dict[Value, list[int]]]] = {}
+        for rank, f in enumerate(self.ordered):
+            buckets.setdefault(f.relation, []).append(rank)
+            relation_columns = columns.setdefault(f.relation, [])
+            while len(relation_columns) < len(f.values):
+                relation_columns.append({})
+            for column, value in zip(relation_columns, f.values):
+                column.setdefault(value, []).append(rank)
+        self._buckets = {name: tuple(ranks) for name, ranks in buckets.items()}
+        #: relation -> one ``value -> ranks`` dict per attribute position.
+        self._columns = {
+            name: [{v: tuple(ranks) for v, ranks in column.items()} for column in cols]
+            for name, cols in columns.items()
+        }
+
+    def bucket(self, relation: str) -> tuple[int, ...]:
+        """Ranks of all facts of *relation*, ascending."""
+        return self._buckets.get(relation, ())
+
+    def lookup(self, relation: str, known: Sequence[Value | None]) -> tuple[int, ...]:
+        """Ranks of a superset of the *relation* facts agreeing with *known*.
+
+        ``known[i]`` is the value required at position ``i``, or None
+        where any value will do.  Returns the shortest posting list among
+        the known positions (ascending), the whole relation bucket when
+        none is known, and nothing when a known value occurs nowhere or
+        *known* is longer than any fact of the relation.
+        """
+        best = self._buckets.get(relation, ())
+        columns = self._columns.get(relation, ())
+        if len(known) > len(columns):
+            return ()
+        for column, value in zip(columns, known):
+            if value is None:
+                continue
+            posting = column.get(value, ())
+            if len(posting) < len(best):
+                if not posting:
+                    return ()
+                best = posting
+        return best
+
+    def candidates(
+        self, f: Fact, fixed: Mapping[LabeledNull, Value] | None = None
+    ) -> tuple[int, ...]:
+        """Ranks of a superset of the facts *f* can map onto, ascending.
+
+        Known positions are *f*'s constants and its nulls bound in
+        *fixed*.  Callers still test each candidate with
+        :func:`~repro.homomorphism.search.fact_matches`.
+        """
+        pinned = fixed or {}
+        return self.lookup(
+            f.relation,
+            [pinned.get(v) if isinstance(v, LabeledNull) else v for v in f.values],
+        )
+
+
 class Instance:
     """A set of facts, indexed by relation name.
 
     Supports set-like operations used throughout the library: membership,
     union, difference, iteration, and per-relation access.
+    :meth:`match_index` adds a lazily built :class:`MatchIndex`; it is
+    derived state, dropped on :meth:`add`/:meth:`discard` and left out
+    of pickles.
     """
+
+    #: The built :class:`MatchIndex`; an instance attribute only while valid.
+    _match_index: MatchIndex | None = None
 
     def __init__(self, facts: Iterable[Fact] = ()):
         # dict-as-ordered-set buckets so ``__iter__`` yields facts in
@@ -90,6 +174,8 @@ class Instance:
         if f in bucket:
             return False
         bucket[f] = None
+        if self._match_index is not None:
+            del self._match_index
         return True
 
     def discard(self, f: Fact) -> bool:
@@ -99,8 +185,25 @@ class Instance:
             del bucket[f]
             if not bucket:
                 del self._by_relation[f.relation]
+            if self._match_index is not None:
+                del self._match_index
             return True
         return False
+
+    def match_index(self) -> MatchIndex:
+        """The :class:`MatchIndex` of the current facts, built on first use."""
+        index = self._match_index
+        if index is None:
+            index = self._match_index = MatchIndex(self)
+        return index
+
+    def __getstate__(self) -> dict:
+        # The index is derived: an instance pickles to the same bytes
+        # whether or not it was ever matched against.
+        state = self.__dict__
+        if "_match_index" in state:
+            state = {k: v for k, v in state.items() if k != "_match_index"}
+        return state
 
     def facts_of(self, relation_name: str) -> frozenset[Fact]:
         """All facts of one relation (empty frozenset if none)."""
@@ -135,7 +238,11 @@ class Instance:
         return Instance(f for f in self if f not in other)
 
     def copy(self) -> "Instance":
-        return Instance(self)
+        # Same facts in the same insertion order, so the index carries over.
+        duplicate = Instance(self)
+        if self._match_index is not None:
+            duplicate._match_index = self._match_index
+        return duplicate
 
     @property
     def nulls(self) -> set[LabeledNull]:

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from repro.chase.engine import exchanged_instance
 from repro.datamodel.instance import Instance
-from repro.homomorphism.search import fact_matches, has_fact_homomorphism
+from repro.homomorphism.search import image_ranks
 from repro.mappings.tgd import StTgd
 
 
@@ -43,21 +43,25 @@ def instance_precision_recall(result: Instance, reference: Instance) -> Precisio
     Precision: fraction of result facts with a homomorphic image in the
     reference.  Recall: fraction of reference facts some result fact maps
     onto.  An empty result has precision 1 (it asserts nothing wrong).
+    One pass over the result answers both through the reference's
+    :class:`~repro.datamodel.instance.MatchIndex`: a result fact counts
+    for precision if it reaches any reference fact, and recall counts the
+    reference facts reached.
     """
     if len(result) == 0:
         return PrecisionRecall(1.0, 0.0 if len(reference) else 1.0)
-    matched = sum(1 for f in result if has_fact_homomorphism(f, reference))
+    matched = 0
+    reached: set[int] = set()
+    for f in result:
+        images = list(image_ranks(f, reference))
+        if images:
+            matched += 1
+            reached.update(images)
     precision = matched / len(result)
 
     if len(reference) == 0:
         return PrecisionRecall(precision, 1.0)
-    covered = 0
-    for t in reference:
-        if any(
-            fact_matches(f, t) is not None for f in result.facts_of(t.relation)
-        ):
-            covered += 1
-    recall = covered / len(reference)
+    recall = len(reached) / len(reference)
     return PrecisionRecall(precision, recall)
 
 

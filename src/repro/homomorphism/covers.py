@@ -28,15 +28,20 @@ from fractions import Fraction
 
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, Value, is_null
-from repro.homomorphism.search import fact_matches, has_fact_homomorphism
+from repro.homomorphism.search import fact_matches, has_fact_homomorphism, image_ranks
 
 
 class CoverComputer:
     """Computes cover degrees of J-facts by one candidate's chase instance.
 
     Construction indexes the chase instance by null so corroboration
-    checks touch only the facts sharing the null; results of the
-    corroboration subquery are memoized.
+    checks touch only the facts sharing the null.  Every "which J facts
+    can this chase fact map onto" question goes through J's
+    :class:`~repro.datamodel.instance.MatchIndex`.
+
+    :meth:`table` is the fast path problem builds use: it works from the
+    chase side.  :meth:`degree` is the literal per-J-fact reference that
+    :meth:`table` must agree with.
     """
 
     def __init__(self, chase_instance: Instance, target_example: Instance):
@@ -48,36 +53,28 @@ class CoverComputer:
             # so _facts_with_null's key order is chase-order stable.
             for n in dict.fromkeys(f.nulls):
                 self._facts_with_null.setdefault(n, []).append(f)
-        self._corroboration_cache: dict[tuple[Fact, LabeledNull, Value], bool] = {}
 
     def _is_corroborated(self, origin: Fact, null: LabeledNull, image: Value) -> bool:
         """Does *null* (bound to *image*) occur in another chase fact mapping into J?"""
-        key = (origin, null, image)
-        cached = self._corroboration_cache.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        for witness in self._facts_with_null.get(null, ()):
-            if witness == origin:
-                continue
-            if has_fact_homomorphism(witness, self._j, fixed={null: image}):
-                result = True
-                break
-        self._corroboration_cache[key] = result
-        return result
+        fixed = {null: image}
+        return any(
+            witness != origin and has_fact_homomorphism(witness, self._j, fixed)
+            for witness in self._facts_with_null.get(null, ())
+        )
+
+    def _explained(self, chase_fact: Fact, target_fact: Fact) -> int:
+        """Positions of *target_fact* explained by *chase_fact*, which maps onto it."""
+        explained = 0
+        for value, image in zip(chase_fact.values, target_fact.values):
+            if not is_null(value) or self._is_corroborated(chase_fact, value, image):
+                explained += 1
+        return explained
 
     def degree_via(self, chase_fact: Fact, target_fact: Fact) -> Fraction:
         """Cover degree of *target_fact* via the single *chase_fact* (0 if no hom)."""
-        binding = fact_matches(chase_fact, target_fact)
-        if binding is None:
+        if fact_matches(chase_fact, target_fact) is None:
             return Fraction(0)
-        explained = 0
-        for value, image in zip(chase_fact.values, target_fact.values):
-            if not is_null(value):
-                explained += 1
-            elif self._is_corroborated(chase_fact, value, image):
-                explained += 1
-        return Fraction(explained, target_fact.arity)
+        return Fraction(self._explained(chase_fact, target_fact), target_fact.arity)
 
     def degree(self, target_fact: Fact) -> Fraction:
         """Best cover degree of *target_fact* over all chase facts (the paper's covers)."""
@@ -91,6 +88,31 @@ class CoverComputer:
                 if best == 1:
                     break
         return best
+
+    def table(self, reported: Instance | None = None) -> dict[Fact, Fraction]:
+        """Every non-zero cover degree, keyed in J's ``repr`` order.
+
+        Each chase fact visits only the J facts it maps onto and keeps
+        the best explained-position count per J fact; one ``Fraction``
+        is made per entry at the end.  *reported* (default: J) names the
+        J facts to report — sampling passes its sample — while
+        corroboration always searches the whole J.  The result equals
+        ``{t: degree(t)}`` over *reported* in ``repr`` order, zeros
+        left out.
+        """
+        reported = self._j if reported is None else reported
+        ordered = reported.match_index().ordered
+        best: dict[int, int] = {}
+        for chase_fact in self._chase:
+            for rank in image_ranks(chase_fact, reported):
+                explained = self._explained(chase_fact, ordered[rank])
+                if explained > best.get(rank, 0):
+                    best[rank] = explained
+        table: dict[Fact, Fraction] = {}
+        for rank in sorted(best):
+            t = ordered[rank]
+            table[t] = Fraction(best[rank], t.arity)
+        return table
 
 
 def covers(chase_instance: Instance, target_fact: Fact, target_example: Instance) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from repro.datamodel.instance import Fact, Instance
-from repro.datamodel.values import LabeledNull, Value, is_null
+from repro.datamodel.values import LabeledNull, Value
 
 
 def fact_matches(
@@ -27,12 +27,13 @@ def fact_matches(
     must agree position-wise; a null may bind to any value but must bind
     consistently across positions.
     """
-    if f.relation != target.relation or f.arity != target.arity:
+    if f.relation != target.relation or len(f.values) != len(target.values):
         return None
+    pinned = fixed or {}
     binding: dict[LabeledNull, Value] = {}
     for mine, theirs in zip(f.values, target.values):
-        if is_null(mine):
-            bound = (fixed or {}).get(mine, binding.get(mine))
+        if isinstance(mine, LabeledNull):
+            bound = pinned.get(mine, binding.get(mine))
             if bound is None:
                 binding[mine] = theirs
             elif bound != theirs:
@@ -42,6 +43,27 @@ def fact_matches(
     return binding
 
 
+def image_ranks(
+    f: Fact,
+    instance: Instance,
+    fixed: Mapping[LabeledNull, Value] | None = None,
+) -> Iterator[int]:
+    """Ranks of the facts of *instance* that *f* maps onto (given *fixed*).
+
+    A rank is a position in ``instance.match_index().ordered`` (``repr``
+    order); ranks come out ascending.  Candidates come from the
+    instance's :class:`~repro.datamodel.instance.MatchIndex` (the
+    shortest posting list among the positions whose image is known), and
+    :func:`fact_matches` stays the final test, so the answer is exactly
+    the facts a full scan of the relation would accept.
+    """
+    index = instance.match_index()
+    ordered = index.ordered
+    for rank in index.candidates(f, fixed):
+        if fact_matches(f, ordered[rank], fixed) is not None:
+            yield rank
+
+
 def fact_homomorphisms(
     f: Fact,
     instance: Instance,
@@ -49,12 +71,12 @@ def fact_homomorphisms(
 ) -> Iterator[dict[LabeledNull, Value]]:
     """All ways of mapping the single fact *f* into *instance*.
 
-    Yields the null bindings (excluding the entries of *fixed*).
+    Yields the null bindings (excluding the entries of *fixed*), one per
+    image, in the image order of :func:`image_ranks`.
     """
-    # repro-lint: disable=RPL002 -- existential enumeration: callers
-    # consume all bindings or test emptiness, never the order.
-    for candidate in instance.facts_of(f.relation):
-        binding = fact_matches(f, candidate, fixed)
+    index = instance.match_index()
+    for rank in index.candidates(f, fixed):
+        binding = fact_matches(f, index.ordered[rank], fixed)
         if binding is not None:
             yield binding
 
@@ -65,7 +87,7 @@ def has_fact_homomorphism(
     fixed: Mapping[LabeledNull, Value] | None = None,
 ) -> bool:
     """True iff the single fact *f* maps into *instance* (given *fixed*)."""
-    return next(fact_homomorphisms(f, instance, fixed), None) is not None
+    return next(image_ranks(f, instance, fixed), None) is not None
 
 
 def find_homomorphism(

@@ -28,7 +28,7 @@ from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.schema import Schema
 from repro.datamodel.values import Constant, NullFactory, is_null
 from repro.errors import ScenarioError
-from repro.homomorphism.search import fact_matches, has_fact_homomorphism
+from repro.homomorphism.search import image_ranks
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.datagen import populate
 from repro.ibench.primitives import PrimitiveOutput, make_primitive
@@ -181,23 +181,21 @@ def _apply_data_noise(
 
     # Non-certain error tuples: J facts no non-gold candidate generates
     # (homomorphism-aware — a chase fact with nulls may still "generate" a
-    # ground J fact).
-    deletable = []
-    for t in sorted(target, key=repr):
-        generated_by_non_gold = any(
-            fact_matches(f, t) is not None
-            for f in non_gold_chase.instance.facts_of(t.relation)
-        )
-        if not generated_by_non_gold:
-            deletable.append(t)
-
-    # Non-certain unexplained tuples: non-gold chase facts with no
-    # homomorphic image in J.
-    addable = [
-        f
-        for f in sorted(non_gold_chase.instance, key=repr)
-        if not has_fact_homomorphism(f, target)
+    # ground J fact).  Non-certain unexplained tuples: non-gold chase
+    # facts with no homomorphic image in J.  One pass over the non-gold
+    # chase through J's match index answers both.
+    generated: set[int] = set()
+    unexplained: set[Fact] = set()
+    for f in non_gold_chase.instance:
+        images = list(image_ranks(f, target))
+        if images:
+            generated.update(images)
+        else:
+            unexplained.add(f)
+    deletable = [
+        t for rank, t in enumerate(target.match_index().ordered) if rank not in generated
     ]
+    addable = [f for f in sorted(non_gold_chase.instance, key=repr) if f in unexplained]
 
     deleted = rng.sample(deletable, round(len(deletable) * config.pi_errors / 100.0))
     added_raw = rng.sample(addable, round(len(addable) * config.pi_unexplained / 100.0))

@@ -18,10 +18,11 @@ asserts it.
 Cover degrees and error sets are *whole-target* functions (cover
 corroboration searches homomorphisms into all of J; ``creates`` tests
 membership against J), so they are recomputed for every candidate on any
-target edit — only the chase, the expensive half, is reused.  All stored
-tables keep candidate-*local* null labels; the merge shifts them into
-the global label space exactly as a serial build would, so equivalence
-survives any mix of reused and re-chased candidates.
+target edit, all through one match index of the edited J — only the
+chase is reused.  All stored tables keep candidate-*local* null labels;
+the merge shifts them into the global label space exactly as a serial
+build would, so equivalence survives any mix of reused and re-chased
+candidates.
 
 Every revision carries a :class:`~repro.selection.metrics.
 ProblemLineage` linking it to its parent, which is what lets the
@@ -38,12 +39,12 @@ from typing import Iterable, Iterator, Union
 from repro.datamodel.instance import Fact, Instance
 from repro.errors import SelectionError
 from repro.executors import MapExecutor, resolve_executor
-from repro.homomorphism.covers import CoverComputer, creates
 from repro.mappings.tgd import StTgd
 from repro.selection.metrics import (
     CandidateTables,
     SelectionProblem,
     _evaluate_indexed,
+    candidate_metrics,
     evaluate_candidate,
     merge_candidate_tables,
     next_lineage,
@@ -153,20 +154,12 @@ class MutableSelection:
         relabeling, so computing them on the local-label chase facts
         yields exactly what a from-scratch evaluation would.
         """
-        k_theta = Instance(table.chase_facts)
-        computer = CoverComputer(k_theta, self.target)
-        covers = {}
-        for t in sorted(self.target, key=repr):
-            degree = computer.degree(t)
-            if degree > 0:
-                covers[t] = degree
+        covers, errors = candidate_metrics(Instance(table.chase_facts), self.target)
         return CandidateTables(
             index=table.index,
             chase_facts=table.chase_facts,
             covers=covers,
-            error_facts=frozenset(
-                f for f in table.chase_facts if creates(f, self.target)
-            ),
+            error_facts=errors,
             nulls_used=table.nulls_used,
         )
 

@@ -10,9 +10,15 @@ Selecting a mapping only needs three ingredients per candidate theta:
 
 :func:`build_selection_problem` chases the source once per candidate and
 evaluates the homomorphism-based semantics of
-:mod:`repro.homomorphism.covers`.  All downstream solvers (exact, greedy,
-collective/PSL) consume the resulting :class:`SelectionProblem`, so they
-optimize exactly the same objective.
+:mod:`repro.homomorphism.covers` from the chase side
+(:func:`candidate_metrics`): each chase fact visits only the J facts it
+maps onto, found through J's
+:class:`~repro.datamodel.instance.MatchIndex`, instead of every J fact
+being tested against every chase fact.  J is sorted once per build, by
+that index; ``j_facts`` and every cover table follow its ``repr`` order.
+All downstream solvers (exact, greedy, collective/PSL) consume the
+resulting :class:`SelectionProblem`, so they optimize exactly the same
+objective.
 
 The per-candidate work (chase + cover table + error set) is independent
 across candidates, so it runs through a pluggable
@@ -230,6 +236,23 @@ class CandidateTables:
         return chase_instance, errors
 
 
+def candidate_metrics(
+    chase_instance: Instance,
+    target: Instance,
+    reported: Instance | None = None,
+) -> tuple[dict[Fact, Fraction], frozenset[Fact]]:
+    """One candidate's cover table and error set against the target J.
+
+    The cover table comes from :meth:`CoverComputer.table` (chase side,
+    J's ``repr`` order); *reported* restricts it to a subset of J, as
+    sampling does, while corroboration and ``creates`` always test
+    against all of *target*.
+    """
+    table = CoverComputer(chase_instance, target).table(reported)
+    errors = frozenset(f for f in chase_instance if creates(f, target))
+    return table, errors
+
+
 def evaluate_candidate(
     source: Instance,
     target: Instance,
@@ -243,17 +266,12 @@ def evaluate_candidate(
     """
     factory = _CountingNullFactory()
     k_theta = chase(source, [candidate], factory).by_tgd[candidate]
-    computer = CoverComputer(k_theta, target)
-    table: dict[Fact, Fraction] = {}
-    for t in sorted(target, key=repr):
-        degree = computer.degree(t)
-        if degree > 0:
-            table[t] = degree
+    table, errors = candidate_metrics(k_theta, target)
     return CandidateTables(
         index=index,
         chase_facts=tuple(sorted(k_theta, key=repr)),
         covers=table,
-        error_facts=frozenset(f for f in k_theta if creates(f, target)),
+        error_facts=errors,
         nulls_used=factory.used,
     )
 
@@ -301,7 +319,7 @@ def merge_candidate_tables(
         candidates=list(candidates),
         source=source,
         target=target,
-        j_facts=sorted(target, key=repr),
+        j_facts=list(target.match_index().ordered),
         covers=covers_tables,
         error_facts=error_sets,
         sizes=[c.size for c in candidates],

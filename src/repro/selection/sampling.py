@@ -1,8 +1,8 @@
 """Scaling to large data examples by sampling J.
 
 On large examples the dominant cost of building a selection problem is
-the **covers** table: one homomorphism sweep per (candidate chase fact,
-J fact) pair, with corroboration subqueries.  The coverage term is a sum
+the **covers** table: every candidate chase fact matched into J, with
+corroboration subqueries.  The coverage term is a sum
 over J, so a uniform sample estimates it unbiasedly: compute covers on a
 ``rate``-sample of J and scale the explains weight by the inverse rate.
 
@@ -12,7 +12,7 @@ would spuriously flag explained facts as errors (a chase fact whose
 image was sampled out looks unjustified).  Size is exact by definition.
 
 The result: coverage unbiased in expectation, errors and size exact,
-metric-construction cost dropping linearly in the rate.
+and only the sampled J facts get cover entries.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from repro.chase.engine import chase
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import NullFactory
 from repro.errors import SelectionError
-from repro.homomorphism.covers import CoverComputer, creates
 from repro.mappings.tgd import StTgd
-from repro.selection.metrics import SelectionProblem
+from repro.selection.metrics import SelectionProblem, candidate_metrics
 from repro.selection.objective import DEFAULT_WEIGHTS, ObjectiveWeights
 
 
@@ -57,7 +56,7 @@ def sample_selection_problem(
     """Build covers on a uniform ``rate``-sample of *target*; errors on all of it."""
     if not 0.0 < rate <= 1.0:
         raise SelectionError(f"sampling rate must be in (0, 1], got {rate}")
-    facts = sorted(target, key=repr)
+    facts = target.match_index().ordered
     if rate >= 1.0:
         sampled = list(facts)
     else:
@@ -70,26 +69,20 @@ def sample_selection_problem(
     covers_tables: list[dict[Fact, Fraction]] = []
     error_sets: list[frozenset[Fact]] = []
     chases: list[Instance] = []
-    j_facts = sorted(sampled_target, key=repr)
     for candidate in candidates:
         k_theta = chase(source, [candidate], factory).by_tgd[candidate]
         chases.append(k_theta)
         # Covers against the sample; corroboration against the full J so a
         # sampled-out witness does not artificially weaken a null.
-        computer = CoverComputer(k_theta, target)
-        table: dict[Fact, Fraction] = {}
-        for t in j_facts:
-            degree = computer.degree(t)
-            if degree > 0:
-                table[t] = degree
+        table, errors = candidate_metrics(k_theta, target, reported=sampled_target)
         covers_tables.append(table)
-        error_sets.append(frozenset(f for f in k_theta if creates(f, target)))
+        error_sets.append(errors)
 
     problem = SelectionProblem(
         candidates=list(candidates),
         source=source,
         target=sampled_target,
-        j_facts=j_facts,
+        j_facts=list(sampled_target.match_index().ordered),
         covers=covers_tables,
         error_facts=error_sets,
         sizes=[c.size for c in candidates],

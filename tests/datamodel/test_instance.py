@@ -145,3 +145,48 @@ def test_scenario_generation_is_hash_seed_independent():
             ).stdout
         )
     assert len(outputs) == 1
+
+
+def test_add_and_discard_drop_the_match_index():
+    from repro.homomorphism.search import has_fact_homomorphism
+
+    inst = Instance([fact("r", 1, 2)])
+    probe = fact("r", 1, 3)
+    index = inst.match_index()
+    assert inst.match_index() is index
+    assert not has_fact_homomorphism(probe, inst)
+    inst.add(probe)
+    assert inst.match_index() is not index
+    assert has_fact_homomorphism(probe, inst)
+    index = inst.match_index()
+    inst.discard(probe)
+    assert inst.match_index() is not index
+    assert not has_fact_homomorphism(probe, inst)
+    # A no-op edit keeps the index.
+    index = inst.match_index()
+    assert not inst.add(fact("r", 1, 2))
+    assert not inst.discard(probe)
+    assert inst.match_index() is index
+
+
+def test_match_index_is_never_pickled():
+    import pickle
+
+    inst = Instance([fact("r", 1, LabeledNull(0)), fact("s", "a"), fact("r", 2, 2)])
+    before = pickle.dumps(inst)
+    inst.match_index()
+    assert pickle.dumps(inst) == before
+    restored = pickle.loads(before)
+    assert "_match_index" not in vars(restored)
+    assert restored.match_index().ordered == inst.match_index().ordered
+
+
+def test_copy_shares_the_index_until_either_side_is_edited():
+    inst = Instance([fact("r", 1, 2), fact("r", 3, 4)])
+    index = inst.match_index()
+    duplicate = inst.copy()
+    assert duplicate.match_index() is index
+    duplicate.add(fact("r", 5, 6))
+    assert inst.match_index() is index
+    assert len(duplicate.match_index().ordered) == 3
+

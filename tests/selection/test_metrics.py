@@ -72,6 +72,44 @@ def test_j_facts_are_sorted_and_complete(problem):
     assert set(problem.j_facts) == set(problem.target)
 
 
+#: ``problem_fingerprint`` SHA-256s of ``ScenarioConfig(num_primitives=p,
+#: rows_per_relation=20, seed=3)``, computed with the full-scan cover
+#: tables that preceded the match index.
+PINNED_FINGERPRINTS = {
+    24: "844b57d60cb104868abbae3899dbb05bee1ed5365ca82433cc30747627c095f7",
+    48: "a807e0022f6a21ded2bef8d35c2b65c2c3e62374d6a00f78d75e790d8070e6f1",
+}
+
+
+@pytest.mark.parametrize("primitives", sorted(PINNED_FINGERPRINTS))
+def test_problem_fingerprint_is_pinned(primitives):
+    import hashlib
+
+    from repro.ibench.config import ScenarioConfig
+    from repro.ibench.generator import generate_scenario
+    from repro.selection.metrics import problem_fingerprint
+
+    config = ScenarioConfig(num_primitives=primitives, rows_per_relation=20, seed=3)
+    problem = generate_scenario(config).selection_problem()
+    digest = hashlib.sha256(problem_fingerprint(problem)).hexdigest()
+    assert digest == PINNED_FINGERPRINTS[primitives]
+
+
+def test_match_indexes_change_no_problem_pickle(problem):
+    import pickle
+
+    from repro.selection.metrics import problem_fingerprint
+
+    pickled, fingerprint = pickle.dumps(problem), problem_fingerprint(problem)
+    for instance in [problem.source, problem.target, *problem.chase_by_candidate]:
+        instance.match_index()
+    assert pickle.dumps(problem) == pickled
+    assert problem_fingerprint(problem) == fingerprint
+    restored = pickle.loads(pickled)
+    assert "_match_index" not in vars(restored.target)
+    assert restored.j_facts == list(restored.target.match_index().ordered)
+
+
 class TestParallelBuild:
     """Serial and process-pool builds must be byte-identical."""
 
