@@ -9,7 +9,7 @@ noise, where overlapping candidates abound.
 
 from benchmarks._common import record_result
 
-from repro.evaluation.metrics import data_quality, mapping_quality
+from repro.evaluation.harness import score_selection
 from repro.evaluation.reporting import format_table, mean
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
@@ -30,24 +30,15 @@ def _ablation_rows():
         problem = scenario.selection_problem()
         collective = solve_collective(problem)
         independent = solve_independent(problem)
+        scored = [
+            score_selection(scenario, problem, name, result.selected, result.objective, 0.0)
+            for name, result in (("collective", collective), ("independent", independent))
+        ]
         rows.append(
-            [
-                seed,
-                float(collective.objective),
-                float(independent.objective),
-                data_quality(
-                    scenario.source,
-                    [problem.candidates[i] for i in collective.selected],
-                    scenario.reference_target,
-                ).f1,
-                data_quality(
-                    scenario.source,
-                    [problem.candidates[i] for i in independent.selected],
-                    scenario.reference_target,
-                ).f1,
-                len(collective.selected),
-                len(independent.selected),
-            ]
+            [seed]
+            + [float(run.objective) for run in scored]
+            + [run.data.f1 for run in scored]
+            + [len(run.selected) for run in scored]
         )
     return rows
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from repro.evaluation.metrics import PrecisionRecall, data_quality, mapping_quality
+from repro.evaluation.metrics import PrecisionRecall, mapping_quality
 from repro.ibench.scenario import Scenario
 from repro.selection.baselines import select_all
 from repro.selection.collective import solve_collective
@@ -82,13 +82,19 @@ def score_selection(
     objective: Fraction,
     seconds: float,
 ) -> MethodRun:
-    """Quality-score one method's selection against the scenario's gold."""
-    tgds = [problem.candidates[i] for i in sorted(selected)]
+    """Quality-score one method's selection against the scenario's gold.
+
+    Data P/R is that of exchanging the *scenario's* source under the
+    selected candidates — ``data_quality(scenario.source, tgds,
+    scenario.reference_target)``, read from :meth:`Scenario.score_index`
+    instead of re-chasing.  A problem built over an edited copy of the
+    source is still scored against the scenario's source.
+    """
     return MethodRun(
         method=name,
         selected=selected,
         objective=objective,
-        data=data_quality(scenario.source, tgds, scenario.reference_target),
+        data=scenario.score_index().precision_recall(problem, sorted(selected)),
         mapping=mapping_quality(selected, scenario.gold_indices),
         seconds=seconds,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.candidates.correspondence import Correspondence
 from repro.datamodel.instance import Instance
@@ -11,6 +12,9 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.primitives import PrimitiveOutput
 from repro.mappings.tgd import StTgd
 from repro.selection.metrics import SelectionProblem, build_selection_problem
+
+if TYPE_CHECKING:
+    from repro.evaluation.score_index import ScoreIndex
 
 
 @dataclass
@@ -59,6 +63,26 @@ class Scenario:
         return build_selection_problem(
             self.source, self.target, self.candidates, executor=executor
         )
+
+    def score_index(self) -> ScoreIndex:
+        """The score index of ``source`` against ``reference_target``.
+
+        Built on first use and rebuilt if either instance has been edited
+        since.  It is derived state: :meth:`__getstate__` leaves it out,
+        so pickles and serialized scenarios do not depend on whether a
+        selection was ever scored.
+        """
+        from repro.evaluation.score_index import ScoreIndex
+
+        index = getattr(self, "_score_index", None)
+        if index is None or not index.is_current(self.source, self.reference_target):
+            index = self._score_index = ScoreIndex(self.source, self.reference_target)
+        return index
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_score_index", None)
+        return state
 
     def summary(self) -> str:
         """One-line description used by the benchmark harness."""

@@ -69,3 +69,64 @@ def test_format_table_alignment():
 def test_mean():
     assert mean([1.0, 2.0, 3.0]) == 2.0
     assert mean([]) == 0.0
+
+
+#: ``(data.precision, data.recall)`` of the four ``run_scenario`` rows,
+#: as the literal re-chasing ``data_quality`` scored them.  The perfbench
+#: digests pin selections and objectives but not F1; these pin scoring.
+PINNED_DATA_QUALITY = [
+    (
+        ScenarioConfig(num_primitives=24, rows_per_relation=20, seed=3),
+        {
+            "collective": (1.0, 1.0),
+            "greedy": (1.0, 1.0),
+            "all-candidates": (0.9743589743589743, 1.0),
+            "gold": (1.0, 1.0),
+        },
+    ),
+    (
+        # The perfbench p=24 base scenario: noise leaves recall below 1.
+        ScenarioConfig(
+            num_primitives=24, rows_per_relation=20,
+            pi_corresp=25, pi_errors=25, pi_unexplained=25, seed=3,
+        ),
+        {
+            "collective": (1.0, 0.7492163009404389),
+            "greedy": (1.0, 0.7492163009404389),
+            "all-candidates": (0.789423984891407, 1.0),
+            "gold": (1.0, 1.0),
+        },
+    ),
+    (
+        # A select-p48 pool scenario (correspondence noise 50).
+        ScenarioConfig(
+            num_primitives=48, rows_per_relation=20,
+            pi_corresp=50, pi_errors=25, pi_unexplained=0, seed=330020003,
+        ),
+        {
+            "collective": (1.0, 0.8742138364779874),
+            "greedy": (1.0, 0.8742138364779874),
+            "all-candidates": (0.6307219662058372, 1.0),
+            "gold": (1.0, 1.0),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, expected", PINNED_DATA_QUALITY, ids=["p24", "p24-noise", "p48-pool"]
+)
+def test_run_scenario_data_quality_is_pinned(config, expected):
+    from repro.evaluation.engine import run_scenario
+    from repro.selection.baselines import select_all
+    from repro.selection.collective import solve_collective
+    from repro.selection.greedy import solve_greedy
+
+    methods = {
+        "collective": solve_collective,
+        "greedy": solve_greedy,
+        "all-candidates": select_all,
+    }
+    cells = run_scenario(generate_scenario(config), methods)
+    scored = {cell.method: (cell.run.data.precision, cell.run.data.recall) for cell in cells}
+    assert scored == expected
