@@ -1,109 +1,20 @@
-"""Benchmark: the parallel scenario-evaluation engine.
+"""Benchmark: the scenario-evaluation engine's grid runner.
 
-Two claims are measured on a 16-primitive scenario (the largest Table I
-scale class):
-
-1. ``build_selection_problem`` with a process-pool executor produces
-   byte-identical metric tables to the serial path, and speeds the build
-   up on multi-core hardware (the per-candidate chase + cover work is
-   embarrassingly parallel);
-2. the :class:`~repro.evaluation.engine.EvaluationEngine` runs a
-   (scenario x method x seed) grid with per-cell timing and scenario
-   caching, so re-running a grid is near-free.
-
-The measured serial/parallel ratio is always recorded to
-``benchmarks/results/``.  The >=2x assertion is opt-in via
-``REPRO_ASSERT_SPEEDUP=1`` (and still requires >= 4 CPUs): a 1-core dev
-container cannot beat serial at all, and shared CI runners are too
-timing-noisy for a hard threshold to gate merges on.
+The :class:`~repro.evaluation.engine.EvaluationEngine` runs a
+(scenario x method x seed) grid with per-cell timing and scenario
+caching, so re-running a grid is near-free: the cached rerun reports
+zero generate and build time for every cell.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from benchmarks._common import record_json, record_result
+from benchmarks._common import record_result
 
 from repro.evaluation.engine import EvaluationEngine
 from repro.evaluation.reporting import format_table
 from repro.ibench.config import ScenarioConfig
-from repro.selection.metrics import build_selection_problem, problem_fingerprint
-
-# 16 primitives with enough rows that per-candidate work (tens of ms
-# each) dominates process-pool startup.
-BUILD_CONFIG = ScenarioConfig(
-    num_primitives=16, rows_per_relation=60, pi_corresp=50, seed=7
-)
-MIN_CPUS_FOR_SPEEDUP = 4
-
-
-def _workers() -> int:
-    return max(2, os.cpu_count() or 1)
-
-
-def test_parallel_build_matches_serial_bytes(scenario_cache):
-    scenario = scenario_cache(BUILD_CONFIG)
-    serial = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
-    parallel = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates,
-        executor=f"process:{_workers()}",
-    )
-    assert problem_fingerprint(serial) == problem_fingerprint(parallel)
-
-
-def test_parallel_build_speedup(benchmark, scenario_cache):
-    scenario = scenario_cache(BUILD_CONFIG)
-
-    start = time.perf_counter()
-    serial_problem = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
-    serial_seconds = time.perf_counter() - start
-
-    executor = f"process:{_workers()}"
-    parallel_problem = benchmark.pedantic(
-        lambda: build_selection_problem(
-            scenario.source, scenario.target, scenario.candidates,
-            executor=executor,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    parallel_seconds = benchmark.stats.stats.mean
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else float("inf")
-
-    table = format_table(
-        ["path", "seconds", "speedup"],
-        [
-            ["serial", serial_seconds, 1.0],
-            [executor, parallel_seconds, speedup],
-        ],
-        title=(
-            f"build_selection_problem on {scenario.summary()}\n"
-            f"host CPUs: {os.cpu_count()}"
-        ),
-    )
-    record_result("parallel_engine_build", table)
-    record_json(
-        "parallel_engine_build",
-        {
-            "host_cpus": os.cpu_count(),
-            "workers": _workers(),
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "speedup": speedup,
-        },
-    )
-
-    assert problem_fingerprint(serial_problem) == problem_fingerprint(parallel_problem)
-    if (
-        os.environ.get("REPRO_ASSERT_SPEEDUP") == "1"
-        and (os.cpu_count() or 1) >= MIN_CPUS_FOR_SPEEDUP
-    ):
-        assert speedup >= 2.0, f"expected >=2x on {os.cpu_count()} CPUs, got {speedup:.2f}x"
 
 
 def test_engine_grid_with_caching(benchmark):

@@ -6,7 +6,7 @@ machine-readable twin of its stdout table under ``benchmarks/results/``
 an artifact per run; this script folds whichever of the known artifacts
 are present into a single EXPERIMENTS-style speedup table
 (``results/SUMMARY.md``), so the recorded multi-core numbers read as one
-document instead of four JSON blobs — the "pull the recorded speedup
+document instead of separate JSON blobs — the "pull the recorded speedup
 numbers into EXPERIMENTS-style results" item of the ROADMAP.
 
 Usage::
@@ -45,18 +45,6 @@ def _fmt_bytes(value: float) -> str:
     if value >= 1024:
         return f"{value / 1024:.2f} KiB"
     return f"{value:.0f} B"
-
-
-def _rows_parallel_engine(data: dict) -> list[list[str]]:
-    return [
-        [
-            "parallel problem build",
-            f"serial vs {data.get('workers', '?')} process workers",
-            _fmt_seconds(data["serial_seconds"]),
-            _fmt_seconds(data["parallel_seconds"]),
-            _fmt_speedup(data["speedup"]),
-        ]
-    ]
 
 
 def _rows_reweight(data: dict) -> list[list[str]]:
@@ -132,7 +120,6 @@ def _rows_incremental(data: dict) -> list[list[str]]:
 
 #: filename -> row extractor.  Order fixes the table's row order.
 KNOWN_ARTIFACTS = {
-    "parallel_engine_build.json": _rows_parallel_engine,
     "reweight.json": _rows_reweight,
     "grounding_store.json": _rows_grounding_store,
     "incremental.json": _rows_incremental,

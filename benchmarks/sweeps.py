@@ -20,20 +20,13 @@ SEEDS = (1, 2)
 BASE_CONFIG = ScenarioConfig(num_primitives=4, rows_per_relation=12)
 
 
-def noise_sweep(
-    noise_parameter: str,
-    base: ScenarioConfig = BASE_CONFIG,
-    executor: object | None = None,
-):
+def noise_sweep(noise_parameter: str, base: ScenarioConfig = BASE_CONFIG):
     """Mean data-level F1 per method, per noise level.
 
     Returns (rows, table_text); rows are [level, f1...] in METHOD_COLUMNS
     order.
     """
-    engine = EvaluationEngine(
-        methods=[m for m in METHOD_COLUMNS if m != "gold"],
-        executor=executor,
-    )
+    engine = EvaluationEngine(methods=[m for m in METHOD_COLUMNS if m != "gold"])
     sweep = engine.sweep(base, noise_parameter, LEVELS, SEEDS)
     rows = sweep.mean_f1_rows(METHOD_COLUMNS)
     table = format_table(

@@ -87,7 +87,7 @@ class ProcessMapSafetyChecker(Checker):
     description = "callables sent to process pools must be module-level"
     #: constructor names that look like pools but never pickle their
     #: initializer (thread pools run it in-process).
-    callee_allowlist = frozenset({"ThreadPoolExecutor", "ThreadExecutor"})
+    callee_allowlist = frozenset({"ThreadPoolExecutor"})
 
     def check(self, module: ModuleInfo) -> list[Finding]:
         findings: list[Finding] = []

@@ -140,7 +140,7 @@ def _pool_callable_sites(call: ast.Call):
     ):
         yield call.args[0], "executor.map"
     callee = terminal_name(func)
-    if callee is not None and callee not in ("ThreadPoolExecutor", "ThreadExecutor"):
+    if callee is not None and callee != "ThreadPoolExecutor":
         looks_like_pool = (
             "executor" in callee.lower() or "pool" in callee.lower()
         )

@@ -64,11 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     select.add_argument(
-        "--executor",
-        default="serial",
-        help="where the selection problem is built: serial, thread[:N] or process[:N]",
-    )
-    select.add_argument(
         "--ground-shard-size",
         type=int,
         default=None,
@@ -101,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--executor",
         default="serial",
-        help="where grid cells run: serial, thread[:N] or process[:N]",
+        help="where grid cells run: serial or process[:N] (one worker "
+        "pool per grid run)",
     )
     sweep.add_argument(
         "--ground-shard-size",
@@ -160,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     weight_sweep.add_argument(
         "--executor",
         default="serial",
-        help="where grid cells run: serial, thread[:N] or process[:N]",
+        help="where grid cells run: serial or process[:N] (one worker "
+        "pool per grid run)",
     )
     weight_sweep.add_argument(
         "--no-warm-start",
@@ -219,11 +216,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="gc: remove every entry, not just stale/leftover ones",
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="run the repro-lint invariant checkers (RPL001/002/004/005 "
-        "syntactic, RPL010/012 flow)",
+    lint_help = (
+        "run the repro-lint invariant checkers (RPL001/002/005 syntactic, "
+        "RPL010/012 flow)"
     )
+    lint = sub.add_parser("lint", help=lint_help, description=lint_help)
     lint.add_argument(
         "paths",
         nargs="*",
@@ -311,7 +308,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
             ),
         )
     start = time.perf_counter()
-    problem = scenario.selection_problem(executor=args.executor)
+    problem = scenario.selection_problem()
     problem_seconds = time.perf_counter() - start
     cells = run_scenario(
         scenario,

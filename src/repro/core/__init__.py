@@ -35,12 +35,6 @@ from repro.evaluation import (
     run_methods,
     run_scenario,
 )
-from repro.executors import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
 from repro.homomorphism import CoverComputer, covers, creates, find_homomorphism
 from repro.ibench import ScenarioConfig, generate_scenario
 from repro.io import load_scenario, save_scenario
@@ -94,12 +88,9 @@ __all__ = [
     "NullFactory",
     "ObjectiveWeights",
     "PrecisionRecall",
-    "ProcessExecutor",
-    "ThreadExecutor",
     "PslProgram",
     "Relation",
     "ScenarioCache",
-    "SerialExecutor",
     "CollectiveWarmPayload",
     "WarmStartedCollective",
     "ScenarioConfig",
@@ -145,7 +136,6 @@ __all__ = [
     "preprocess",
     "problem_fingerprint",
     "query_quality",
-    "resolve_executor",
     "run_scenario",
     "save_scenario",
     "solve_independent",

@@ -8,8 +8,9 @@ runner:
 
 * **work units** — one :class:`ConfigCells` job per scenario config runs
   every requested method on that scenario.  Jobs are picklable and
-  independent, so they execute through any
-  :class:`~repro.executors.MapExecutor` (serial or process pool);
+  independent, so they run serially in the calling process or on one
+  ``ProcessPoolExecutor`` per grid run (``executor="process[:N]"``) —
+  grid cells are the only parallel work in the pipeline;
 * **scenario caching** — scenarios and their
   :class:`~repro.selection.metrics.SelectionProblem` tables are memoized
   per process, so a config appearing in several grids is generated and
@@ -39,13 +40,13 @@ import hashlib
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ReproError
-from repro.executors import MapExecutor, SerialExecutor, resolve_executor
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.ibench.scenario import Scenario
@@ -142,14 +143,9 @@ class ScenarioCache:
     generate/build cost; in-memory hits still report 0.0.
     """
 
-    def __init__(
-        self,
-        problem_executor: MapExecutor | str | None = None,
-        cache_dir: str | Path | None = None,
-    ):
+    def __init__(self, cache_dir: str | Path | None = None):
         self._scenarios: dict[ScenarioConfig, tuple[Scenario, float]] = {}
         self._problems: dict[ScenarioConfig, tuple[SelectionProblem, float]] = {}
-        self.problem_executor = problem_executor
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
 
     # -- disk layer --------------------------------------------------------
@@ -266,8 +262,7 @@ class ScenarioCache:
             scenario, _ = self.scenario(config)
             start = time.perf_counter()
             problem = build_selection_problem(
-                scenario.source, scenario.target, scenario.candidates,
-                executor=self.problem_executor,
+                scenario.source, scenario.target, scenario.candidates
             )
             self._store_problem(config, problem)
         elapsed = time.perf_counter() - start
@@ -387,7 +382,7 @@ def evaluate_config_cells(
     cache: ScenarioCache | None = None,
     solvers: Mapping[str, Solver] | None = None,
 ) -> list[GridCell]:
-    """Evaluate one config's cells (the executor-side entry point).
+    """Evaluate one config's cells (the worker-side entry point).
 
     *solvers* overrides registry lookups per method name — the hook the
     serial path uses to substitute warm-started solver instances.
@@ -424,7 +419,7 @@ def evaluate_config_cells(
 
 
 def _run_work_unit(work: ConfigCells) -> list[GridCell]:
-    """Module-level adapter so process pools can pickle the job."""
+    """Module-level adapter so the process pool can pickle the job."""
     return evaluate_config_cells(work)
 
 
@@ -466,15 +461,44 @@ class GridResult:
         return sum(c.timing.total_seconds for c in self.cells)
 
 
+def parse_executor_spec(spec: str | None) -> int | None:
+    """The worker count of an engine executor spec; ``None`` means serial.
+
+    Accepts ``None``/``"serial"`` and ``"process"``/``"process:N"`` with
+    ``N >= 1`` (bare ``"process"`` uses the CPU count); anything else
+    raises :class:`~repro.errors.ReproError`.
+    """
+    if spec is None or spec == "serial":
+        return None
+    if not isinstance(spec, str):
+        raise ReproError(f"cannot interpret {spec!r} as an executor spec")
+    name, colon, arg = spec.partition(":")
+    if name != "process":
+        raise ReproError(
+            f"unknown executor spec {spec!r} (use 'serial' or 'process[:N]')"
+        )
+    if not colon:
+        return os.cpu_count() or 1
+    try:
+        workers = int(arg)
+    except ValueError:
+        raise ReproError(f"bad worker count in executor spec {spec!r}") from None
+    if workers < 1:
+        raise ReproError(f"worker count must be >= 1 in {spec!r}")
+    return workers
+
+
 class EvaluationEngine:
-    """Runs (scenario × method × seed) grids through a pluggable executor.
+    """Runs (scenario × method × seed) grids, serially or on a process pool.
 
     Args:
         methods: method names to run per scenario (registry keys);
             defaults to the paper's sweep columns.
-        executor: where config jobs run — ``None``/``"serial"`` (default),
-            ``"process[:N]"``, or a custom
-            :class:`~repro.executors.MapExecutor`.
+        executor: where config jobs run — ``None``/``"serial"`` (default)
+            for the calling process, or ``"process[:N]"`` for a pool of
+            *N* worker processes (default: the CPU count) opened per
+            grid run and shut down before it returns.  Anything else
+            raises :class:`~repro.errors.ReproError`.
         include_gold: add the gold-reference row per scenario.
         warm_start: chain ADMM warm starts for the collective method
             across a seed's cells.  Serial grids keep one
@@ -483,7 +507,7 @@ class EvaluationEngine:
             the next cell inside the work unit, so both paths produce
             the same warm-started solves.  Chaining is inherently
             sequential within a lane, so waves bound concurrency by the
-            number of lanes (seeds) and pay one executor dispatch per
+            number of lanes (seeds) and pay one pool dispatch per
             wave — with few seeds and many workers, a cold grid
             (``warm_start=False``) exposes more parallelism at the cost
             of cold solves.
@@ -500,7 +524,7 @@ class EvaluationEngine:
             re-grounding it.  Defaults to the scenario cache's sibling
             ``groundings/`` directory whenever a disk cache is in play
             (``cache_dir`` or a *cache* with one), so grid lanes and
-            persistent-pool workers share one on-disk grounding per
+            pool workers share one on-disk grounding per
             structure; ``None`` with no disk cache → off.
         incremental: incremental (delta) grounding for the collective
             method — on a cache miss for a problem carrying a
@@ -514,7 +538,7 @@ class EvaluationEngine:
     def __init__(
         self,
         methods: Sequence[str] | None = None,
-        executor: MapExecutor | str | None = None,
+        executor: str | None = None,
         include_gold: bool = True,
         warm_start: bool = True,
         cache: ScenarioCache | None = None,
@@ -524,7 +548,7 @@ class EvaluationEngine:
         incremental: bool = True,
     ):
         self.methods = tuple(methods if methods is not None else DEFAULT_GRID_METHODS)
-        self.executor = resolve_executor(executor)
+        self.workers = parse_executor_spec(executor)
         self.include_gold = include_gold
         self.warm_start = warm_start
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
@@ -562,14 +586,22 @@ class EvaluationEngine:
         return GridResult(self._execute_jobs(jobs))
 
     def _execute_jobs(self, jobs: Sequence[ConfigCells]) -> list[GridCell]:
-        if isinstance(self.executor, SerialExecutor):
+        if self.workers is None:
             return self._run_serial(jobs)
-        if self.warm_start and "collective" in self.methods:
-            return self._run_waves(jobs)
-        nested = self.executor.map(_run_work_unit, jobs)
-        return [cell for group in nested for cell in group]
+        # One pool per grid run: the ``with`` block shuts it down (and
+        # joins its workers) before returning, even when a cell raises.
+        # The platform's default start method is kept on purpose: spawn
+        # re-imports the package in every worker and made an 8-primitive
+        # sweep about 0.8 s slower on 2 CPUs.
+        with ProcessPoolExecutor(self.workers) as pool:
+            if self.warm_start and "collective" in self.methods:
+                return self._run_waves(pool, jobs)
+            nested = pool.map(_run_work_unit, jobs)
+            return [cell for group in nested for cell in group]
 
-    def _run_waves(self, jobs: Sequence[ConfigCells]) -> list[GridCell]:
+    def _run_waves(
+        self, pool: ProcessPoolExecutor, jobs: Sequence[ConfigCells]
+    ) -> list[GridCell]:
         # Parallel grids with warm starts: cells of one lane (seed) must
         # run in order so each can chain the previous solve's state, but
         # lanes are independent — so run the grid as waves, one cell per
@@ -592,7 +624,7 @@ class EvaluationEngine:
                 replace(jobs[position], warm_payload=payloads.get(seed))
                 for seed, position in wave
             ]
-            results = self.executor.map(_run_warm_work_unit, wave_jobs)
+            results = pool.map(_run_warm_work_unit, wave_jobs)
             for (seed, position), (cells, payload) in zip(wave, results):
                 groups[position] = cells
                 payloads[seed] = payload

@@ -20,9 +20,9 @@ corroboration searches homomorphisms into all of J; ``creates`` tests
 membership against J), so they are recomputed for every candidate on any
 target edit, all through one match index of the edited J — only the
 chase is reused.  All stored tables keep candidate-*local* null labels;
-the merge shifts them into the global label space exactly as a serial
-build would, so equivalence survives any mix of reused and re-chased
-candidates.
+the merge shifts them into the global label space exactly as a
+from-scratch build would, so equivalence survives any mix of reused and
+re-chased candidates.
 
 Every revision carries a :class:`~repro.selection.metrics.
 ProblemLineage` linking it to its parent, which is what lets the
@@ -33,17 +33,14 @@ instead of re-grounding (see ``docs/incremental.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Union
 
 from repro.datamodel.instance import Fact, Instance
 from repro.errors import SelectionError
-from repro.executors import MapExecutor, resolve_executor
 from repro.mappings.tgd import StTgd
 from repro.selection.metrics import (
     CandidateTables,
     SelectionProblem,
-    _evaluate_indexed,
     candidate_metrics,
     evaluate_candidate,
     merge_candidate_tables,
@@ -117,20 +114,16 @@ class MutableSelection:
         source: Instance,
         target: Instance,
         candidates: Iterable[StTgd],
-        executor: MapExecutor | str | None = None,
     ):
         self.source = source.copy()
         self.target = target.copy()
         self.candidates = list(candidates)
         if not all(isinstance(c, StTgd) for c in self.candidates):
             raise SelectionError("candidates must be StTgd objects")
-        self.executor = executor
-        resolved = resolve_executor(executor)
-        evaluate = partial(_evaluate_indexed, self.source, self.target)
-        self._tables: list[CandidateTables] = list(
-            resolved.map(evaluate, list(enumerate(self.candidates)))
-        )
-        self._tables.sort(key=lambda t: t.index)
+        self._tables: list[CandidateTables] = [
+            evaluate_candidate(self.source, self.target, candidate, index)
+            for index, candidate in enumerate(self.candidates)
+        ]
         self.rechased_candidates = 0
         self.problem = self._merge(parent=None)
 
@@ -206,7 +199,6 @@ def mutation_chain(
     target: Instance,
     candidates: Iterable[StTgd],
     mutations: Iterable[Mutation],
-    executor: MapExecutor | str | None = None,
 ) -> Iterator[tuple[Mutation | None, SelectionProblem]]:
     """Replay *mutations* as a lineage-linked chain of selection problems.
 
@@ -215,7 +207,7 @@ def mutation_chain(
     the previous revision, so solving them in order through the
     collective grounding cache exercises the patch tier at every step.
     """
-    state = MutableSelection(source, target, candidates, executor=executor)
+    state = MutableSelection(source, target, candidates)
     yield None, state.problem
     for mutation in mutations:
         yield mutation, state.apply(mutation)

@@ -53,16 +53,9 @@ class Scenario:
         """The gold tgds MG, as members of the candidate set."""
         return [self.candidates[i] for i in self.gold_indices]
 
-    def selection_problem(self, executor=None) -> SelectionProblem:
-        """Materialize the covers/creates/size tables for this scenario.
-
-        *executor* is forwarded to
-        :func:`~repro.selection.metrics.build_selection_problem` —
-        ``None``/``"serial"`` or ``"process[:N]"``.
-        """
-        return build_selection_problem(
-            self.source, self.target, self.candidates, executor=executor
-        )
+    def selection_problem(self) -> SelectionProblem:
+        """Materialize the covers/creates/size tables for this scenario."""
+        return build_selection_problem(self.source, self.target, self.candidates)
 
     def score_index(self) -> ScoreIndex:
         """The score index of ``source`` against ``reference_target``.

@@ -193,8 +193,8 @@ class Database:
         """Record an observed soft truth value in [0, 1].
 
         A value-identical re-observe is a full no-op: the version (and
-        therefore :meth:`state_token`) is unchanged, so caches and
-        persistent pool workers keyed on the token stay valid.
+        therefore :meth:`state_token`) is unchanged, so caches keyed on
+        the token stay valid.
         """
         if not 0.0 <= truth <= 1.0:
             raise GroundingError(f"truth value {truth} for {atom} outside [0, 1]")

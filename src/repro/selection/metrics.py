@@ -21,15 +21,14 @@ resulting :class:`SelectionProblem`, so they optimize exactly the same
 objective.
 
 The per-candidate work (chase + cover table + error set) is independent
-across candidates, so it runs through a pluggable
-:class:`~repro.executors.MapExecutor`: serially by default, or on a
-process pool for multi-core builds.  Each work unit chases with a private
-null factory counting from zero; the merge then shifts every candidate's
-null labels by the number of nulls its predecessors consumed.  That
-reproduces, byte for byte, the labels a single shared
-:class:`~repro.datamodel.values.NullFactory` threaded through a serial
-loop would have handed out — candidates still never share a null, and the
-result is independent of the executor used.
+across candidates and runs in the calling process.  Each candidate
+chases with a private null factory counting from zero; the merge then
+shifts every candidate's null labels by the number of nulls its
+predecessors consumed.  That reproduces, byte for byte, the labels a
+single shared :class:`~repro.datamodel.values.NullFactory` threaded
+through one loop would have handed out, so candidates never share a
+null — and :class:`~repro.ibench.mutations.MutableSelection` can re-chase
+one candidate and re-merge without renumbering the others.
 """
 
 from __future__ import annotations
@@ -38,11 +37,9 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Sequence
 
 from repro.chase.engine import chase
-from repro.executors import MapExecutor, resolve_executor
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, NullFactory
 from repro.errors import SelectionError
@@ -276,19 +273,6 @@ def evaluate_candidate(
     )
 
 
-def _evaluate_indexed(
-    source: Instance, target: Instance, work: tuple[int, StTgd]
-) -> CandidateTables:
-    """Adapter for executor ``map``: bind (source, target) via ``partial``.
-
-    Keeping the shared instances in the function (pickled once per
-    dispatch chunk) instead of in every work item avoids serializing the
-    full source/target once per candidate on the process-pool path.
-    """
-    index, candidate = work
-    return evaluate_candidate(source, target, candidate, index)
-
-
 def merge_candidate_tables(
     source: Instance,
     target: Instance,
@@ -331,19 +315,16 @@ def build_selection_problem(
     source: Instance,
     target: Instance,
     candidates: Sequence[StTgd],
-    executor: MapExecutor | str | None = None,
 ) -> SelectionProblem:
-    """Chase each candidate and materialize covers/creates/size tables.
-
-    *executor* selects where the per-candidate work runs: ``None`` /
-    ``"serial"`` for the calling process, ``"process[:N]"`` (or any
-    :class:`~repro.executors.MapExecutor`) for a worker pool.  The
-    resulting problem is identical whichever executor is used.
-    """
+    """Chase each candidate and materialize covers/creates/size tables."""
     if not all(isinstance(c, StTgd) for c in candidates):
         raise SelectionError("candidates must be StTgd objects")
-    executor = resolve_executor(executor)
-    evaluate = partial(_evaluate_indexed, source, target)
     return merge_candidate_tables(
-        source, target, candidates, executor.map(evaluate, list(enumerate(candidates)))
+        source,
+        target,
+        candidates,
+        [
+            evaluate_candidate(source, target, candidate, index)
+            for index, candidate in enumerate(candidates)
+        ],
     )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 
 import pytest
 
+from repro.analysis import ALL_RULES, FLOW_RULES
 from repro.cli import main
 
 CLEAN = "def work(x):\n    return x + 1\n"
@@ -237,3 +239,14 @@ def test_write_baseline_then_ratchet(tmp_path, capsys):
     )
     assert main(["lint", str(target), "--baseline", str(baseline)]) == 1
     assert "RPL001" in capsys.readouterr().out
+
+
+def test_help_names_the_registered_rules(capsys):
+    with pytest.raises(SystemExit):
+        main(["lint", "--help"])
+    out = capsys.readouterr().out
+    named = set()
+    for group in re.findall(r"RPL\d{3}(?:/\d{3})*", out):
+        head, *rest = group.split("/")
+        named |= {head, *(f"RPL{n}" for n in rest)}
+    assert named == set(ALL_RULES) | set(FLOW_RULES)

@@ -183,27 +183,6 @@ def test_warm_payload_roundtrips_through_work_units():
     assert warm_cells[0].run.selected == expected.selected
 
 
-def test_thread_grid_with_thread_solver_terminates():
-    # Engine cells on "thread:2" ground and solve on the pool threads;
-    # the grid must finish and match the serial grid cell for cell.
-    engine = EvaluationEngine(methods=("collective",), executor="thread:2")
-    sweep = engine.sweep(
-        ScenarioConfig(num_primitives=2, rows_per_relation=6),
-        "pi_corresp",
-        levels=(0, 50),
-        seeds=(1, 2),
-    )
-    reference = EvaluationEngine(methods=("collective",)).sweep(
-        ScenarioConfig(num_primitives=2, rows_per_relation=6),
-        "pi_corresp",
-        levels=(0, 50),
-        seeds=(1, 2),
-    )
-    assert [c.run.selected for c in sweep.grid.cells] == [
-        c.run.selected for c in reference.grid.cells
-    ]
-
-
 def test_engine_threads_solve_options_into_collective():
     plain = EvaluationEngine(methods=("collective",), warm_start=False)
     tuned = EvaluationEngine(

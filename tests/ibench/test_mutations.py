@@ -31,10 +31,8 @@ def example():
     return paper_example(extra_projects=3)
 
 
-def _chain(example, executor=None) -> MutableSelection:
-    return MutableSelection(
-        example.source, example.target, example.candidates, executor=executor
-    )
+def _chain(example) -> MutableSelection:
+    return MutableSelection(example.source, example.target, example.candidates)
 
 
 def _assert_matches_scratch(chain: MutableSelection) -> None:
@@ -48,13 +46,6 @@ def test_base_problem_matches_scratch(example):
     assert chain.problem.lineage is not None
     assert chain.problem.lineage.parent is None
     assert chain.rechased_candidates == 0
-
-
-@pytest.mark.parametrize("executor", ("serial", "process:2"))
-def test_executor_independent(example, executor):
-    serial = _chain(example, executor=None)
-    pooled = _chain(example, executor=executor)
-    assert problem_fingerprint(serial.problem) == problem_fingerprint(pooled.problem)
 
 
 def test_target_edits_match_scratch_without_rechasing(example):

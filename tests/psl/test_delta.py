@@ -19,7 +19,7 @@ from repro.psl.sharding import mrf_fingerprint, structure_fingerprint
 from tests.work_units import run_on
 
 SHARD_SIZES = (1, 2, 7, None)
-EXECUTORS = ("serial", "thread:2", "process:2")
+EXECUTORS = ("serial", "process:2")
 
 
 def _program() -> PslProgram:

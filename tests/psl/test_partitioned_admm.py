@@ -258,7 +258,7 @@ def test_partitioned_matches_flat_reference_on_random_mrfs(seed, block_size):
 
 
 @pytest.mark.parametrize("block_size", [1, 7, 64, None])
-@pytest.mark.parametrize("executor", [None, "thread:2"])
+@pytest.mark.parametrize("executor", [None, "process:2"])
 def test_partitioned_matches_flat_reference_on_collective_problem(
     block_size, executor
 ):
@@ -283,7 +283,7 @@ def test_process_executor_blocks_match_reference(block_size):
     _assert_identical_run(result, reference)
 
 
-@pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
+@pytest.mark.parametrize("executor", [None, "process:2"])
 def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
     # The ground-once/reweight-many acceptance contract, measured against
     # the frozen reference solver: reweighting a cached grounding
@@ -323,7 +323,7 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
         _assert_identical_run(resolved, reference)
 
 
-@pytest.mark.parametrize("executor", [None, "thread:2", "process:2"])
+@pytest.mark.parametrize("executor", [None, "process:2"])
 def test_store_attach_reweight_solve_bit_identical_to_fresh_ground(
     executor, tmp_path
 ):
@@ -427,7 +427,7 @@ def test_warm_state_survives_repartitioning():
     # The same problem re-ground at another shard size: the state must
     # still be honoured (dual layout is the flat copy order, which the
     # shard size never changes).
-    resumed = AdmmSolver(_collective_mrf(11, "thread:2"), settings).solve(
+    resumed = AdmmSolver(_collective_mrf(11), settings).solve(
         warm_state=first.state
     )
     assert resumed.iterations < first.iterations

@@ -135,10 +135,10 @@ def test_grounding_counts_reported():
     assert result.num_potentials >= 3
 
 
-def test_reground_after_mutation_matches_serial_on_shared_process_executor():
-    # The shared persistent "process:2" pool keeps its workers across
-    # maps; a re-ground after observe()/add_target() mutate the program
-    # must ground the mutated database there, never a stale copy.
+def test_reground_after_mutation_matches_serial_in_a_worker_process():
+    # A re-ground in a worker process after observe()/add_target()
+    # mutate the program must ground the mutated database, never a
+    # stale copy.
     from repro.psl.sharding import mrf_fingerprint
     from tests.work_units import run_on
 

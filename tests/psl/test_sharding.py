@@ -4,7 +4,7 @@ The contract under test: for ANY shard size — including degenerate
 single-entry and empty shards — the sharded merge produces an MRF that
 is byte-identical (variables, potentials, constraints, constant energy,
 energies at random points) to the serial dict-based compilation, also
-when the grounding runs as a work unit of a thread or process pool.
+when the grounding runs in a worker process.
 """
 
 import numpy as np
@@ -192,7 +192,7 @@ def test_structure_fingerprint_weight_independent_across_sweep():
         assert mrf_fingerprint(mrf) != mrf_fingerprint(base)
 
 
-@pytest.mark.parametrize("executor", ("serial", "thread:2", "process:2"))
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("shard_size", (1, 7, None))
 def test_structure_fingerprint_identical_across_executors_and_shards(
     executor, shard_size

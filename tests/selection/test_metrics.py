@@ -110,64 +110,14 @@ def test_match_indexes_change_no_problem_pickle(problem):
     assert restored.j_facts == list(restored.target.match_index().ordered)
 
 
-class TestParallelBuild:
-    """Serial and process-pool builds must be byte-identical."""
-
-    def test_process_executor_equivalence(self):
-        from repro.selection.metrics import problem_fingerprint
-
-        ex = paper_example()
-        serial = build_selection_problem(ex.source, ex.target, ex.candidates)
-        parallel = build_selection_problem(
-            ex.source, ex.target, ex.candidates, executor="process:2"
-        )
-        assert problem_fingerprint(serial) == problem_fingerprint(parallel)
-        assert serial.covers == parallel.covers
-        assert serial.error_facts == parallel.error_facts
-        assert serial.chase_by_candidate == parallel.chase_by_candidate
-
-    def test_generated_scenario_equivalence(self):
-        from repro.ibench.config import ScenarioConfig
-        from repro.ibench.generator import generate_scenario
-        from repro.selection.metrics import problem_fingerprint
-
-        scenario = generate_scenario(
-            ScenarioConfig(num_primitives=3, rows_per_relation=6, pi_corresp=50, seed=11)
-        )
-        serial = scenario.selection_problem()
-        parallel = scenario.selection_problem(executor="process:2")
-        assert problem_fingerprint(serial) == problem_fingerprint(parallel)
-
-    def test_custom_map_executor_object(self):
-        class ReversingExecutor:
-            """Returns results out of order to exercise the merge realignment."""
-
-            def map(self, fn, items):
-                return [fn(item) for item in reversed(list(items))]
-
-        from repro.selection.metrics import problem_fingerprint
-
-        ex = paper_example()
-        serial = build_selection_problem(ex.source, ex.target, ex.candidates)
-        custom = build_selection_problem(
-            ex.source, ex.target, ex.candidates, executor=ReversingExecutor()
-        )
-        assert problem_fingerprint(serial) == problem_fingerprint(custom)
-
-    def test_bad_executor_spec_rejected(self):
-        from repro.errors import ReproError
-
-        ex = paper_example()
-        with pytest.raises(ReproError):
-            build_selection_problem(
-                ex.source, ex.target, ex.candidates, executor="threads"
-            )
+class TestCandidateMerge:
+    """Per-candidate tables merge into one problem with disjoint nulls."""
 
     def test_null_labels_stay_disjoint_across_candidates(self):
         source = Instance([fact("a", 1), fact("a", 2)])
         target = Instance([fact("u", 9, 9)])
         tgds = parse_tgds("a(X) -> u(X, Y)\na(X) -> u(X, Z)")
-        problem = build_selection_problem(source, target, tgds, executor="process:2")
+        problem = build_selection_problem(source, target, tgds)
         nulls_0 = {n for f in problem.chase_by_candidate[0] for n in f.nulls}
         nulls_1 = {n for f in problem.chase_by_candidate[1] for n in f.nulls}
         assert nulls_0 and nulls_1

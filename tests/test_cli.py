@@ -124,6 +124,8 @@ def test_no_solve_executor_flags(command, capsys):
     assert "--solve-" not in out
     # Grounding runs on the calling thread: shard size is its only knob.
     assert set(re.findall(r"--ground-[a-z-]+", out)) == {"--ground-shard-size"}
+    # Grid cells are the only parallel work: select builds serially.
+    assert ("--executor" in out) == (command == "sweep")
 
 
 def test_generate_respects_kind_restriction(tmp_path, capsys):

@@ -31,17 +31,6 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "parallel_engine_build.json").write_text(
-        json.dumps(
-            {
-                "host_cpus": 4,
-                "workers": 4,
-                "serial_seconds": 1.6,
-                "parallel_seconds": 0.2,
-                "speedup": 8.0,
-            }
-        )
-    )
     (tmp_path / "grounding_store.json").write_text(
         json.dumps(
             {
@@ -67,9 +56,8 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
     assert result.returncode == 0, result.stderr
     text = out.read_text()
     assert "| benchmark" in text
-    assert "10.0×" in text and "8.0×" in text
+    assert "10.0×" in text and "6.0×" in text
     assert "reweight many (sweep)" in text
-    assert "parallel problem build" in text
     assert "reweight many (learning)" in text
     assert "grounding store cold start (large)" in text
     assert "7.5×" in text
@@ -79,21 +67,27 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
 
 def test_malformed_artifact_skipped_not_fatal(tmp_path):
     (tmp_path / "reweight.json").write_text("{not json")
-    (tmp_path / "parallel_engine_build.json").write_text(
+    (tmp_path / "grounding_store.json").write_text(
         json.dumps(
             {
                 "host_cpus": 2,
-                "workers": 2,
-                "serial_seconds": 2.0,
-                "parallel_seconds": 1.0,
-                "speedup": 2.0,
+                "scenarios": {
+                    "small": {
+                        "num_potentials": 90,
+                        "ground_seconds": 0.02,
+                        "attach_seconds": 0.01,
+                        "warm_reweight_seconds": 0.001,
+                        "speedup": 2.0,
+                        "entry_bytes": 4096,
+                    }
+                },
             }
         )
     )
     result = _run("--results-dir", str(tmp_path))
     assert result.returncode == 0
     assert "skipping" in result.stderr
-    assert "parallel problem build" in result.stdout
+    assert "grounding store cold start (small)" in result.stdout
 
 
 def test_no_artifacts_is_an_error(tmp_path):
@@ -106,7 +100,7 @@ def test_summarizes_the_repo_results_when_present():
     results = SCRIPT.parent / "results"
     if not any(
         (results / name).exists()
-        for name in ("parallel_engine_build.json", "reweight.json")
+        for name in ("reweight.json", "grounding_store.json")
     ):  # pragma: no cover - depends on prior bench runs
         return
     result = _run("--results-dir", str(results), "--output", "/dev/null")

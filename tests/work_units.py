@@ -1,8 +1,7 @@
-"""Run a call the way engine grid cells run it: as an executor work unit."""
+"""Run a call the way engine grid cells run it: in a worker process."""
 
+from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-
-from repro.executors import resolve_executor
 
 
 def _call(call):
@@ -10,14 +9,18 @@ def _call(call):
 
 
 def run_on(executor, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` computed as a work unit of *executor*.
+    """``fn(*args, **kwargs)`` computed where *executor* runs grid cells.
 
-    Engine grid cells ground and solve inside pool threads or worker
-    processes, and a grounding computed there must be bit-identical to
-    one computed on the calling thread.  The call is mapped twice
-    because a pool runs a one-item map inline; the first result is
-    returned (pickled back, from a process pool).
+    ``None``/``"serial"`` calls it on the calling thread; ``"process:2"``
+    maps the one call on a plain two-worker process pool, the way a
+    process grid runs its cells, and returns the result pickled back.
+    A grounding computed in a worker must be bit-identical to one
+    computed on the calling thread.
     """
     call = partial(fn, *args, **kwargs)
-    first, _ = resolve_executor(executor).map(_call, [call, call])
-    return first
+    if executor in (None, "serial"):
+        return call()
+    assert executor == "process:2", executor
+    with ProcessPoolExecutor(2) as pool:
+        (result,) = pool.map(_call, [call])
+    return result
