@@ -238,8 +238,12 @@ class Instance:
         return Instance(f for f in self if f not in other)
 
     def copy(self) -> "Instance":
-        # Same facts in the same insertion order, so the index carries over.
-        duplicate = Instance(self)
+        # Same facts in the same insertion order, so the index carries
+        # over.  Copying the buckets reuses their stored fact hashes.
+        duplicate = Instance()
+        duplicate._by_relation = {
+            name: dict(bucket) for name, bucket in self._by_relation.items()
+        }
         if self._match_index is not None:
             duplicate._match_index = self._match_index
         return duplicate

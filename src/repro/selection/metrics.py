@@ -212,6 +212,12 @@ class CandidateTables:
     ``nulls_used`` is the number of fresh nulls the candidate's chase
     consumed (its local labels are exactly ``0 .. nulls_used - 1``); the
     merge uses it to relabel into the global, collision-free label space.
+
+    :meth:`shifted` remembers its results for the two latest-used
+    offsets, and :meth:`retabled` hands the relabelled chase (and, while
+    the error set is unchanged, the relabelled errors) to the new
+    tables.  So an edit chain re-merging mostly untouched candidates
+    relabels only the ones whose chase, error set or offset moved.
     """
 
     index: int
@@ -219,18 +225,63 @@ class CandidateTables:
     covers: dict[Fact, Fraction]
     error_facts: frozenset[Fact]
     nulls_used: int
+    #: offset -> relabelled chase instance / relabelled error set.
+    _chase_at: dict[int, Instance] = field(default_factory=dict, compare=False, repr=False)
+    _errors_at: dict[int, frozenset[Fact]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def shifted(self, offset: int) -> tuple[Instance, frozenset[Fact]]:
         """The chase instance and error set with null labels moved by *offset*."""
+        chase_instance = _recall(
+            self._chase_at,
+            offset,
+            lambda: Instance(self._relabel(self.chase_facts, offset)),
+        )
+        errors = _recall(
+            self._errors_at,
+            offset,
+            lambda: frozenset(self._relabel(self.error_facts, offset)),
+        )
+        return chase_instance, errors
+
+    def _relabel(self, facts: Iterable[Fact], offset: int) -> Iterable[Fact]:
         if offset == 0:
-            return Instance(self.chase_facts), self.error_facts
+            return facts
         remap = {
             LabeledNull(label): LabeledNull(label + offset)
             for label in range(self.nulls_used)
         }
-        chase_instance = Instance(f.substitute(remap) for f in self.chase_facts)
-        errors = frozenset(f.substitute(remap) for f in self.error_facts)
-        return chase_instance, errors
+        return (f.substitute(remap) for f in facts)
+
+    def retabled(
+        self, covers: dict[Fact, Fraction], error_facts: frozenset[Fact]
+    ) -> "CandidateTables":
+        """The same chase with a new cover table and error set."""
+        return CandidateTables(
+            index=self.index,
+            chase_facts=self.chase_facts,
+            covers=covers,
+            error_facts=error_facts,
+            nulls_used=self.nulls_used,
+            _chase_at=dict(self._chase_at),
+            _errors_at=dict(self._errors_at) if error_facts == self.error_facts else {},
+        )
+
+
+def _recall(memo: dict, offset: int, make):
+    """``memo[offset]``, made on a miss; keeps the two latest-used offsets.
+
+    Two, because an edit chain that undoes its last source edit moves
+    the later candidates' offsets back to where they were.
+    """
+    value = memo.pop(offset, None)
+    if value is None:
+        value = make()
+        if len(memo) >= 2:
+            del memo[next(iter(memo))]
+    memo[offset] = value
+    return value
 
 
 def candidate_metrics(
@@ -258,8 +309,8 @@ def evaluate_candidate(
 ) -> CandidateTables:
     """The per-candidate work unit: chase, cover table, error set.
 
-    Pure and picklable — safe to ship to a worker process.  Null labels in
-    the result are candidate-local (they start at 0).
+    Reads *source* and *target* and changes neither.  Null labels in the
+    result are candidate-local (they start at 0).
     """
     factory = _CountingNullFactory()
     k_theta = chase(source, [candidate], factory).by_tgd[candidate]

@@ -76,6 +76,18 @@ def test_instance_copy_is_independent():
     assert len(b) == 2
 
 
+def test_copy_keeps_insertion_order_and_private_buckets():
+    a = Instance([fact("s", 9), fact("r", 2), fact("r", 1)])
+    b = a.copy()
+    assert list(b) == list(a)
+    b.discard(fact("s", 9))
+    a.add(fact("r", 3))
+    assert list(a) == [fact("s", 9), fact("r", 2), fact("r", 1), fact("r", 3)]
+    assert list(b) == [fact("r", 2), fact("r", 1)]
+    assert a.relation_names == {"r", "s"}
+    assert b.relation_names == {"r"}
+
+
 def test_instance_nulls_and_groundness():
     n = LabeledNull(9)
     inst = Instance([fact("r", 1), fact("r", n)])
