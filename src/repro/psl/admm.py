@@ -14,10 +14,22 @@ Term kinds:
     squared hinge  w*max(0, a^T x + b)^2    lambda = 2*w*s/rho
     hard <=        project onto halfspace   lambda = max(0, d)/||a||^2
     hard ==        project onto hyperplane  lambda = d/||a||^2
+
+The arrays are small (the p=24 collective model has 1288 terms and 2150
+copies), so per-call overhead, not arithmetic, sets the iteration cost.
+Each solve therefore compiles its local step once (:class:`_LocalStep`):
+a kind whose terms are contiguous is addressed by slice, the
+weight-dependent constants (``w/rho``, ``w/rho*||a||^2``, ...) are
+hoisted, and every per-iteration array is a preallocated buffer written
+with ``out=``.  The dual step's ``z[var]`` gather is the one the next
+iteration starts from.  Every element still gets exactly the arithmetic
+of the unhoisted kernels, so runs are bit-identical to the frozen
+reference solver in ``tests/psl/test_partitioned_admm.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +62,14 @@ class AdmmSettings:
         clear message instead of, e.g., a ``ZeroDivisionError`` at the
         ``iteration % check_every`` convergence gate deep in a solve.
         """
-        if self.rho <= 0:
-            raise InferenceError(f"rho must be > 0, got {self.rho}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            # The local step hoists weight/rho into every term's kernel,
+            # so a NaN or infinite rho would poison every iterate.
+            raise InferenceError(f"rho must be finite and > 0, got {self.rho}")
+        for name in ("epsilon_abs", "epsilon_rel"):
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects NaN
+                raise InferenceError(f"{name} must be >= 0, got {value}")
         if self.max_iterations < 0:
             raise InferenceError(
                 f"max_iterations must be >= 0, got {self.max_iterations}"
@@ -110,6 +128,7 @@ class AdmmResult:
 
 def _convergence(
     x_local: np.ndarray,
+    z_var: np.ndarray,
     z: np.ndarray,
     z_old: np.ndarray,
     var: np.ndarray,
@@ -121,9 +140,9 @@ def _convergence(
     The one shared definition of the stopping criterion (Boyd et al.'s
     combined absolute/relative epsilon), used both at the scheduled
     ``check_every`` gate and to report final residuals when the loop
-    exits between checks.
+    exits between checks.  *z_var* is ``z[var]``, the gather the dual
+    step already made.
     """
-    z_var = z[var]
     primal = float(np.linalg.norm(x_local - z_var))
     dual = float(rho * np.linalg.norm((z - z_old)[var]))
     eps = settings.epsilon_abs * np.sqrt(len(var)) + settings.epsilon_rel * max(
@@ -132,49 +151,143 @@ def _convergence(
     return primal, dual, primal < eps and dual < eps
 
 
-def _hinge_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
+# Each ``_*_step`` compiles one kind's closed-form ``lambda`` kernel for
+# one solve: it reads the kind's ``d0 = a^T v + b`` from *d* and writes
+# ``lambda`` into *out* (both fixed buffers, refilled every iteration),
+# with the weight-dependent constants hoisted.  Every element gets the
+# same operations, in the same order, as the unhoisted expression in
+# the comment above each step.
+
+
+def _hinge_step(d, out, weight, normsq, rho):
+    # where(d <= 0, 0, where(d - weight/rho * normsq >= 0, weight/rho, d / normsq))
     w_over_rho = weight / rho
-    full_step_ok = d0 - w_over_rho * normsq >= 0.0
-    return np.where(d0 <= 0.0, 0.0, np.where(full_step_ok, w_over_rho, d0 / normsq))
+    full_step_at = w_over_rho * normsq
+    diff = np.empty(len(d))
+    full_step_ok = np.empty(len(d), dtype=bool)
+    inactive = np.empty(len(d), dtype=bool)
+
+    def step() -> None:
+        np.subtract(d, full_step_at, out=diff)
+        np.greater_equal(diff, 0.0, out=full_step_ok)
+        np.less_equal(d, 0.0, out=inactive)
+        np.divide(d, normsq, out=out)
+        np.copyto(out, w_over_rho, where=full_step_ok)
+        np.copyto(out, 0.0, where=inactive)
+
+    return step
 
 
-def _squared_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    s = d0 / (1.0 + 2.0 * weight * normsq / rho)
-    return np.where(d0 <= 0.0, 0.0, 2.0 * weight * s / rho)
+def _squared_step(d, out, weight, normsq, rho):
+    # s = d / (1 + 2*weight*normsq/rho);  where(d <= 0, 0, 2*weight*s/rho)
+    denominator = 1.0 + 2.0 * weight * normsq / rho
+    two_weight = 2.0 * weight
+    inactive = np.empty(len(d), dtype=bool)
+
+    def step() -> None:
+        np.less_equal(d, 0.0, out=inactive)
+        np.divide(d, denominator, out=out)
+        np.multiply(two_weight, out, out=out)
+        np.divide(out, rho, out=out)
+        np.copyto(out, 0.0, where=inactive)
+
+    return step
 
 
-def _leq_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    return np.maximum(0.0, d0) / normsq
+def _leq_step(d, out, weight, normsq, rho):
+    # maximum(0, d) / normsq
+    def step() -> None:
+        np.maximum(0.0, d, out=out)
+        np.divide(out, normsq, out=out)
+
+    return step
 
 
-def _eq_kernel(
-    d0: np.ndarray, weight: np.ndarray, normsq: np.ndarray, rho: float
-) -> np.ndarray:
-    return d0 / normsq
+def _eq_step(d, out, weight, normsq, rho):
+    # d / normsq
+    def step() -> None:
+        np.divide(d, normsq, out=out)
+
+    return step
 
 
-#: Closed-form ``lambda`` kernel per term kind (module docstring).
-_KIND_KERNELS = (
-    (KIND_HINGE, _hinge_kernel),
-    (KIND_SQUARED, _squared_kernel),
-    (KIND_LEQ, _leq_kernel),
-    (KIND_EQ, _eq_kernel),
+#: Closed-form ``lambda`` step compiler per term kind (module docstring).
+_KIND_STEPS = (
+    (KIND_HINGE, _hinge_step),
+    (KIND_SQUARED, _squared_step),
+    (KIND_LEQ, _leq_step),
+    (KIND_EQ, _eq_step),
 )
+
+
+def _kind_terms(kind: np.ndarray, code: int) -> slice | np.ndarray | None:
+    """The terms of kind *code*: a slice when contiguous, else an index set."""
+    idx = np.flatnonzero(kind == code)
+    if not len(idx):
+        return None
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    return slice(lo, hi) if hi - lo == len(idx) else idx
+
+
+class _LocalStep:
+    """One solve's compiled local step: ``x = v - lambda[term] * a``.
+
+    Built at the start of every solve, since the weights are fixed for
+    its duration (module docstring).  A kind addressed by slice reads
+    ``d0`` and writes ``lambda`` through views; a kind addressed by
+    index set gathers and scatters.
+    """
+
+    def __init__(self, arrays: FlatTermArrays, kinds: tuple, rho: float):
+        self._arrays = arrays
+        self._d0 = np.empty(arrays.num_terms)
+        self._lam = np.zeros(arrays.num_terms)
+        self._product = np.empty(arrays.num_copies)
+        self.x = np.empty(arrays.num_copies)
+        self._steps = []
+        for compile_step, terms, normsq in kinds:
+            weight = arrays.weight[terms]
+            if isinstance(terms, slice):
+                self._steps.append(
+                    compile_step(self._d0[terms], self._lam[terms], weight, normsq, rho)
+                )
+            else:
+                d, out = np.empty(len(terms)), np.empty(len(terms))
+                self._steps.append(
+                    self._gathered(terms, d, out, compile_step(d, out, weight, normsq, rho))
+                )
+
+    def _gathered(self, terms: np.ndarray, d, out, step):
+        d0, lam = self._d0, self._lam
+
+        def gathered() -> None:
+            d0.take(terms, out=d)
+            step()
+            lam[terms] = out
+
+        return gathered
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """The local step at *v* (``z[var] - u``); returns the ``x`` buffer."""
+        arrays, product = self._arrays, self._product
+        np.multiply(arrays.coeff, v, out=product)
+        dot = np.bincount(arrays.term, weights=product, minlength=len(self._d0))
+        np.add(dot, arrays.offset, out=self._d0)
+        for step in self._steps:
+            step()
+        self._lam.take(arrays.term, out=product)
+        np.multiply(product, arrays.coeff, out=product)
+        return np.subtract(v, product, out=self.x)
 
 
 class AdmmSolver:
     """Serial consensus-ADMM solver for one HL-MRF.
 
-    The flat term arrays and the per-kind index sets of the local step
+    The flat term arrays and the per-kind term ranges of the local step
     are compiled **once** per solver and reused across solves: because
     the HL-MRF energy is linear in the potential weights, a weight-only
-    change never touches the compiled structure.  Mutate weights on the
+    change never touches the compiled structure; only the local step's
+    weight constants are recompiled, once per solve.  Mutate weights on the
     MRF (``set_group_weights`` and friends) — or pass ``weights=``
     straight to :meth:`solve` — and the solver syncs its arrays in place
     (:attr:`~repro.psl.hlmrf.HingeLossMRF.weights_version` tells it
@@ -187,12 +300,13 @@ class AdmmSolver:
         self._settings.validate()
         self._arrays = solver_arrays(mrf)
         self._weights_version = mrf.weights_version
-        #: (kernel, term indices of that kind, their normsq), for every
-        #: kind present — the kind masks of the local step, precompiled.
+        #: (step compiler, terms, their normsq) for every kind present;
+        #: ``terms`` is a slice when the kind is contiguous, else its
+        #: index set (:func:`_kind_terms`).
         self._kinds = tuple(
-            (kernel, idx, self._arrays.normsq[idx])
-            for kind, kernel in _KIND_KERNELS
-            if len(idx := np.flatnonzero(self._arrays.kind == kind))
+            (compile_step, terms, self._arrays.normsq[terms])
+            for kind, compile_step in _KIND_STEPS
+            if (terms := _kind_terms(self._arrays.kind, kind)) is not None
         )
 
     @property
@@ -218,23 +332,9 @@ class AdmmSolver:
         self._arrays.set_potential_weights(self._mrf.potential_weights())
         self._weights_version = self._mrf.weights_version
 
-    def _x_update(self, v: np.ndarray, rho: float) -> np.ndarray:
-        """The local step of every term: ``x = v - lambda[term] * a``.
-
-        *v* is ``z[var] - u``.  The per-term scalar ``lambda`` comes from
-        each kind's closed-form kernel over its precompiled index set
-        (``np.flatnonzero`` keeps mask order, so every element sees the
-        same arithmetic a boolean-mask dispatch would give).
-        """
-        arrays = self._arrays
-        num_terms = arrays.num_terms
-        dot = np.bincount(arrays.term, weights=arrays.coeff * v, minlength=num_terms)
-        d0 = dot + arrays.offset
-        lam = np.zeros(num_terms)
-        weight = arrays.weight
-        for kernel, idx, normsq in self._kinds:
-            lam[idx] = kernel(d0[idx], weight[idx], normsq, rho)
-        return v - lam[arrays.term] * arrays.coeff
+    def _local_step(self, rho: float) -> _LocalStep:
+        """The local step compiled for one solve at the current weights."""
+        return _LocalStep(self._arrays, self._kinds, rho)
 
     def solve(
         self,
@@ -266,11 +366,19 @@ class AdmmSolver:
         settings = self._settings
         arrays = self._arrays
         n, copies = arrays.num_variables, arrays.num_copies
+        if warm_start is not None:
+            warm_start = np.asarray(warm_start, dtype=np.float64)
+            if warm_start.shape != (n,):
+                raise InferenceError(
+                    f"warm_start must have shape ({n},), got {warm_start.shape}"
+                )
+            if not np.isfinite(warm_start).all():
+                raise InferenceError("warm_start must be finite")
         use_state = warm_state is not None and warm_state.matches(arrays)
         if use_state:
             z = np.clip(warm_state.z.astype(np.float64), 0.0, 1.0)
         elif warm_start is not None:
-            z = np.clip(warm_start.astype(np.float64), 0.0, 1.0)
+            z = np.clip(warm_start, 0.0, 1.0)
         else:
             z = np.full(n, 0.5)
         if copies == 0:
@@ -279,11 +387,14 @@ class AdmmSolver:
                 state=AdmmWarmState(z.copy(), np.zeros(0), arrays.num_terms),
             )
 
-        var = arrays.var
+        var, degree = arrays.var, arrays.degree
         u = warm_state.u.astype(np.float64).copy() if use_state else np.zeros(copies)
+        rho = settings.rho
+        local_step = self._local_step(rho)
+        z_var = z[var]  # refreshed by every dual step, read by the next iteration
+        v = np.empty(copies)
         scratch = np.empty(copies)
         z_old = z.copy()
-        rho = settings.rho
         primal = dual = float("inf")
         iteration = 0
         converged = False
@@ -291,23 +402,25 @@ class AdmmSolver:
 
         for iteration in range(1, settings.max_iterations + 1):
             # --- local updates: x_local = v - lambda[term] * a --------
-            x_local = self._x_update(z[var] - u, rho)
+            np.subtract(z_var, u, out=v)
+            x_local = local_step(v)
 
             # --- consensus update -------------------------------------
             np.add(x_local, u, out=scratch)
             np.copyto(z_old, z)
             zsum = np.bincount(var, weights=scratch, minlength=n)
-            zsum /= arrays.degree
-            np.clip(zsum, 0.0, 1.0, out=z)
+            zsum /= degree
+            zsum.clip(0.0, 1.0, out=z)
 
             # --- dual update ------------------------------------------
             u += x_local
-            u -= z[var]
+            z.take(var, out=z_var)
+            u -= z_var
 
             if iteration % settings.check_every == 0:
                 checked_at = iteration
                 primal, dual, converged = _convergence(
-                    x_local, z, z_old, var, rho, settings
+                    x_local, z_var, z, z_old, var, rho, settings
                 )
                 if converged:
                     break
@@ -318,7 +431,7 @@ class AdmmSolver:
             # the final iterate instead of a stale/inf value, and credit
             # convergence if the final point already satisfies the tolerance.
             primal, dual, converged = _convergence(
-                x_local, z, z_old, var, rho, settings
+                x_local, z_var, z, z_old, var, rho, settings
             )
 
         return AdmmResult(

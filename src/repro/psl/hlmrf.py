@@ -14,7 +14,7 @@ groundings (or are added directly).  Solved by consensus ADMM in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -343,7 +343,8 @@ class HingeLossMRF:
                 # — and reweighting stays free of object construction.
                 self._pot_weights[i] = weight
                 return
-            potentials[i] = replace(potentials[i], weight=weight)
+            p = potentials[i]
+            potentials[i] = HingePotential(p.coefficients, p.offset, weight, p.squared)
             self._pot_weights[i] = weight
 
     @staticmethod

@@ -47,6 +47,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -304,6 +305,47 @@ class CollectivePlan:
     shards: tuple[GroundingShard, ...]
     prior_components: tuple[tuple[int, int, int], ...] = ()
     prior_included: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class PlanReadout:
+    """A plan's atoms resolved to their MRF variable indices.
+
+    Built once per (mrf, plan) — :attr:`GroundedCollective.readout`
+    caches it on the artifact — so a solve reads its fractional values
+    with two gathers instead of one ``index_of`` per atom.  Keys keep
+    the plan's dict order: ``in`` atoms by candidate, then ``explained``
+    and ``errorOf`` atoms as ``(predicate name, index)``.
+    """
+
+    in_keys: tuple[int, ...]
+    in_index: np.ndarray
+    aux_keys: tuple[tuple[str, int], ...]
+    aux_index: np.ndarray
+
+    @classmethod
+    def resolve(cls, mrf: HingeLossMRF, plan: CollectivePlan) -> PlanReadout:
+        aux = [
+            ((EXPLAINED_PREDICATE.name, t), atom)
+            for t, atom in plan.explained_atoms.items()
+        ] + [((ERROR_PREDICATE.name, e), atom) for e, atom in plan.error_atoms.items()]
+        return cls(
+            in_keys=tuple(plan.in_atoms),
+            in_index=_atom_indices(mrf, plan.in_atoms.values(), len(plan.in_atoms)),
+            aux_keys=tuple(key for key, _ in aux),
+            aux_index=_atom_indices(mrf, (atom for _, atom in aux), len(aux)),
+        )
+
+    def fractional(self, x: np.ndarray) -> tuple[dict, dict]:
+        """*x*'s ``in`` and auxiliary values, keyed like the plan."""
+        return (
+            dict(zip(self.in_keys, x[self.in_index].tolist())),
+            dict(zip(self.aux_keys, x[self.aux_index].tolist())),
+        )
+
+
+def _atom_indices(mrf: HingeLossMRF, atoms, count: int) -> np.ndarray:
+    return np.fromiter(map(mrf.index_of, atoms), dtype=np.int64, count=count)
 
 
 def plan_collective_grounding(
@@ -759,10 +801,38 @@ class GroundedCollective:
             self._admm = admm
         return self.solver
 
-    def _prior_penalty(self, weights: ObjectiveWeights, private: int, size: int) -> float:
-        # Exactly the planning-time expression (exact Fractions, then
-        # float) so a reweight reproduces a fresh plan bit for bit.
-        return float(weights.errors * private + weights.size * size)
+    @cached_property
+    def readout(self) -> PlanReadout:
+        """The plan's atoms as variable indices (resolved on first solve)."""
+        return PlanReadout.resolve(self.mrf, self.plan)
+
+    #: ``(weights, penalties)`` of the latest :meth:`_prior_weights` call.
+    _prior_memo: tuple | None = None
+
+    def _prior_weights(self, weights: ObjectiveWeights) -> list[float] | None:
+        """The included candidates' prior penalties at *weights*.
+
+        ``None`` when a penalty's sign disagrees with the grounded
+        inclusion (the structure would change).  Each penalty is the
+        planning-time expression — exact ``Fraction`` arithmetic, then
+        ``float`` — so a reweight reproduces a fresh plan bit for bit.
+        The result is kept for the same *weights* object, since the
+        cache asks :meth:`can_reweight` and then :meth:`reweight`.
+        """
+        memo = self._prior_memo
+        if memo is not None and memo[0] is weights:
+            return memo[1]
+        included = set(self.plan.prior_included)
+        penalties: list[float] | None = []
+        for i, private, size in self.plan.prior_components:
+            penalty = float(weights.errors * private + weights.size * size)
+            if (penalty > 0) != (i in included):
+                penalties = None
+                break
+            if penalty > 0:
+                penalties.append(penalty)
+        self._prior_memo = (weights, penalties)
+        return penalties
 
     def can_reweight(self, weights: ObjectiveWeights) -> bool:
         """Would *weights* ground to this very structure (zero patterns agree)?"""
@@ -771,11 +841,7 @@ class GroundedCollective:
             return False
         if (old.errors == 0) != (weights.errors == 0):
             return False
-        included = set(self.plan.prior_included)
-        return all(
-            (self._prior_penalty(weights, private, size) > 0) == (i in included)
-            for i, private, size in self.plan.prior_components
-        )
+        return self._prior_weights(weights) is not None
 
     def reweight(self, weights: ObjectiveWeights) -> None:
         """Rewrite the grounded term weights for *weights*, in place."""
@@ -790,15 +856,7 @@ class GroundedCollective:
                 GROUP_ERRORS: float(weights.errors),
             }
         )
-        included = set(self.plan.prior_included)
-        self.mrf.set_group_potential_weights(
-            GROUP_PRIOR,
-            [
-                self._prior_penalty(weights, private, size)
-                for i, private, size in self.plan.prior_components
-                if i in included
-            ],
-        )
+        self.mrf.set_group_potential_weights(GROUP_PRIOR, self._prior_weights(weights))
         self.weights = weights
 
 
@@ -1180,8 +1238,14 @@ def solve_collective(
         )
         solver = AdmmSolver(mrf, settings.admm)
 
+    readout = (
+        grounded.readout if grounded is not None else PlanReadout.resolve(mrf, plan)
+    )
     start = None
-    if warm_start or warm_start_aux:
+    # A structurally matching *warm_state* takes precedence and the solver
+    # ignores *start*, so it is only built when it can seed the solve.
+    seeds = warm_state is None or not warm_state.matches(solver.arrays)
+    if seeds and (warm_start or warm_start_aux):
         start = np.full(mrf.num_variables, 0.5)
         for i, value in (warm_start or {}).items():
             atom = plan.in_atoms.get(i)
@@ -1197,20 +1261,7 @@ def solve_collective(
                 start[mrf.index_of(atom)] = float(value)
 
     inference = solver.solve(start, warm_state=warm_state)
-    x = inference.x
-    fractional = {
-        i: float(x[mrf.index_of(atom)]) for i, atom in plan.in_atoms.items()
-    }
-    fractional_aux = {
-        (EXPLAINED_PREDICATE.name, t): float(x[mrf.index_of(atom)])
-        for t, atom in plan.explained_atoms.items()
-    }
-    fractional_aux.update(
-        {
-            (ERROR_PREDICATE.name, e): float(x[mrf.index_of(atom)])
-            for e, atom in plan.error_atoms.items()
-        }
-    )
+    fractional, fractional_aux = readout.fractional(inference.x)
 
     discrete_objective = objective_evaluator(problem, settings.weights)
     selected = round_solution(

@@ -146,6 +146,12 @@ def test_reports_non_convergence_when_capped():
         {"rho": 0.0},
         {"rho": -1.0},
         {"max_iterations": -1},
+        {"rho": float("nan")},
+        {"rho": float("inf")},
+        {"epsilon_abs": -1e-5},
+        {"epsilon_abs": float("nan")},
+        {"epsilon_rel": -1e-4},
+        {"epsilon_rel": float("nan")},
     ],
     ids=lambda bad: next(iter(bad.items()))[0] + "=" + str(next(iter(bad.values()))),
 )
@@ -159,6 +165,49 @@ def test_invalid_settings_rejected_at_construction(bad):
     mrf.add_potential({X(0): 1.0}, 0.0, weight=2.0)
     with pytest.raises(InferenceError):
         AdmmSolver(mrf, AdmmSettings(**bad))
+
+
+def test_zero_tolerances_are_valid():
+    # epsilon 0 is a legitimate "never credit convergence" knob: the solve
+    # runs to the cap and says it did not converge.
+    mrf = _mrf(1)
+    mrf.add_potential({X(0): 1.0}, 0.0, weight=2.0)
+    settings = AdmmSettings(epsilon_abs=0.0, epsilon_rel=0.0, max_iterations=30)
+    result = AdmmSolver(mrf, settings).solve()
+    assert result.iterations == 30
+    assert not result.converged
+
+
+@pytest.mark.parametrize(
+    "start",
+    [np.full(2, 0.5), np.full(5, 0.5), np.full((3, 1), 0.5), np.full(3, np.nan),
+     np.array([0.5, np.inf, 0.5]), np.array([0.5, -np.inf, 0.5])],
+    ids=["short", "long", "2d", "nan", "inf", "-inf"],
+)
+def test_bad_warm_start_rejected_before_iterating(start):
+    # A wrong-length start used to fail mid-solve (IndexError or a
+    # broadcast ValueError); a non-finite one ran the whole budget and
+    # returned NaN, since np.clip keeps NaN.
+    from repro.errors import InferenceError
+
+    mrf = _mrf(3)
+    mrf.add_potential({X(0): 1.0, X(1): -1.0}, 0.2, weight=2.0)
+    mrf.add_constraint({X(1): 1.0, X(2): 1.0}, -1.0)
+    solver = AdmmSolver(mrf)
+    with pytest.raises(InferenceError, match="warm_start"):
+        solver.solve(warm_start=start)
+    # The rejected call left the solver usable.
+    assert solver.solve().converged
+
+
+def test_warm_start_accepts_any_float_sequence():
+    mrf = _mrf(2)
+    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
+    mrf.add_potential({X(1): -1.0}, 0.5, weight=1.0)
+    as_list = AdmmSolver(mrf).solve(warm_start=[0.0, 2.0])
+    as_array = AdmmSolver(mrf).solve(warm_start=np.array([0.0, 1.0], dtype=np.float32))
+    assert np.array_equal(as_list.x, as_array.x)
+    assert as_list.iterations == as_array.iterations
 
 
 def test_zero_max_iterations_is_valid_and_returns_initial_point():

@@ -150,21 +150,41 @@ def test_block_x_update_matches_whole_problem_update():
     assert blocks.arrays.num_copies == whole.arrays.num_copies
     rng = np.random.default_rng(5)
     v = rng.normal(size=whole.arrays.num_copies)
-    assert np.array_equal(blocks._x_update(v, 1.0), whole._x_update(v, 1.0))
+    assert np.array_equal(blocks._local_step(1.0)(v), whole._local_step(1.0)(v))
 
 
 def test_kind_index_precompiles_the_kind_masks():
     solver = AdmmSolver(_legacy_mrf())  # all four kinds present
     kind = solver.arrays.kind
+    all_terms = np.arange(solver.arrays.num_terms)
     assert len(solver._kinds) == 4
-    for (_, idx, normsq), k in zip(
+    for (_, terms, normsq), k in zip(
         solver._kinds, (KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ)
     ):
-        assert np.array_equal(idx, np.flatnonzero(kind == k))
-        assert np.array_equal(normsq, solver.arrays.normsq[idx])
+        assert isinstance(terms, slice)  # one term per kind: contiguous
+        assert np.array_equal(all_terms[terms], np.flatnonzero(kind == k))
+        assert np.array_equal(normsq, solver.arrays.normsq[terms])
     # Together the index sets cover every term exactly once.
-    covered = np.concatenate([idx for _, idx, _ in solver._kinds])
+    covered = np.concatenate([all_terms[terms] for _, terms, _ in solver._kinds])
     assert sorted(covered) == list(range(solver.arrays.num_terms))
+
+
+def test_interleaved_kinds_keep_their_index_sets():
+    # Hinge and squared potentials alternate, as do <= and == constraints:
+    # no kind is contiguous, so each is addressed by its index set.
+    mrf = HingeLossMRF()
+    for t in range(4):
+        mrf.add_potential({X(t): 1.0}, -0.25, weight=1.0 + t, squared=t % 2 == 1)
+        mrf.add_constraint({X(t): 1.0, X(t + 1): 1.0}, -1.0, equality=t % 2 == 1)
+    solver = AdmmSolver(mrf)
+    kind = solver.arrays.kind
+    assert len(solver._kinds) == 4
+    for (_, terms, normsq), k in zip(
+        solver._kinds, (KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ)
+    ):
+        assert not isinstance(terms, slice)
+        assert np.array_equal(terms, np.flatnonzero(kind == k))
+        assert np.array_equal(normsq, solver.arrays.normsq[terms])
 
 
 def test_solver_arrays_reuse_precompiled_and_resync_weights():

@@ -14,6 +14,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings, strategies as st
 
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
@@ -22,7 +23,10 @@ from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder, mrf_fingerprint
 from repro.selection.collective import (
+    ERROR_PREDICATE,
+    EXPLAINED_PREDICATE,
     CollectiveSettings,
+    GroundedCollective,
     build_program,
     ground_collective,
     solve_collective,
@@ -482,3 +486,230 @@ def test_solve_collective_threads_solver_knobs():
     again = solve_collective(problem)
     assert again.fractional == plain.fractional
     assert again.iterations == plain.iterations
+
+
+# -- hypothesis differential suite ---------------------------------------------
+
+_KIND_NAMES = ("hinge", "squared", "leq", "eq")
+_GROUPS = ("a", "b", None)
+
+
+@st.composite
+def _mrf_specs(draw):
+    """A random MRF: any non-empty kind mix, contiguous or interleaved kinds."""
+    n = draw(st.integers(1, 6))
+    kinds = draw(
+        st.lists(st.sampled_from(_KIND_NAMES), min_size=1, max_size=4, unique=True)
+    )
+    magnitude = st.floats(0.1, 3.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(kinds))
+        size = draw(st.integers(1, min(3, n)))
+        variables = draw(st.permutations(range(n)))[:size]
+        coefficients = {
+            X(i): draw(magnitude) * draw(st.sampled_from((-1.0, 1.0)))
+            for i in variables
+        }
+        offset = draw(st.floats(-2.0, 2.0))
+        terms.append((kind, coefficients, offset, draw(magnitude), draw(st.sampled_from(_GROUPS))))
+    if draw(st.booleans()):
+        # Contiguous: every kind's terms in one run (the collective layout).
+        terms.sort(key=lambda term: _KIND_NAMES.index(term[0]))
+    return n, terms
+
+
+def _build_mrf(spec) -> HingeLossMRF:
+    n, terms = spec
+    mrf = HingeLossMRF()
+    for i in range(n):
+        mrf.variable_index(X(i))
+    for kind, coefficients, offset, weight, group in terms:
+        if kind in ("leq", "eq"):
+            mrf.add_constraint(coefficients, offset, equality=kind == "eq")
+        else:
+            mrf.add_potential(
+                coefficients, offset, weight=weight, squared=kind == "squared", group=group
+            )
+    return mrf
+
+
+@st.composite
+def _admm_settings(draw):
+    check_every = draw(st.integers(2, 7))
+    # Never a multiple of check_every: the last iteration is unchecked.
+    max_iterations = check_every * draw(st.integers(0, 12)) + draw(
+        st.integers(1, check_every - 1)
+    )
+    return AdmmSettings(
+        rho=draw(st.floats(0.05, 5.0)),
+        max_iterations=max_iterations,
+        epsilon_abs=draw(st.sampled_from((1e-5, 1e-9))),
+        epsilon_rel=draw(st.sampled_from((1e-4, 1e-9))),
+        check_every=check_every,
+    )
+
+
+@st.composite
+def _reweights(draw, num_potentials: int):
+    """``weights=`` for one re-solve: a group mapping or a full vector."""
+    magnitude = st.floats(0.1, 3.0)
+    if draw(st.booleans()):
+        return {group: draw(magnitude) for group in _GROUPS[:2] if draw(st.booleans())}
+    return np.array([draw(magnitude) for _ in range(num_potentials)])
+
+
+@hypothesis_settings(max_examples=80, deadline=None)
+@given(_mrf_specs(), _admm_settings(), st.data())
+def test_solver_matches_frozen_reference_on_random_warm_reweight_chains(
+    spec, settings, data
+):
+    # Cold solve, then a chain of reweighted warm re-solves on one solver:
+    # every run is bit-identical to the frozen reference solver built on
+    # the reweighted MRF and restarted from the same state.
+    mrf = _build_mrf(spec)
+    solver = AdmmSolver(mrf, settings)
+    result = solver.solve()
+    reference = _ReferenceFlatSolver(mrf, settings).solve()
+    _assert_identical_run(result, reference)
+    for _ in range(data.draw(st.integers(1, 3))):
+        weights = data.draw(_reweights(len(mrf.potentials)))
+        state = result.state
+        result = solver.solve(warm_state=state, weights=weights)
+        reference = _ReferenceFlatSolver(mrf, settings).solve(warm_state=state)
+        _assert_identical_run(result, reference)
+
+
+@hypothesis_settings(max_examples=40, deadline=None)
+@given(_mrf_specs(), _admm_settings(), st.data())
+def test_solver_matches_frozen_reference_from_warm_starts(spec, settings, data):
+    mrf = _build_mrf(spec)
+    start = np.array(
+        data.draw(
+            st.lists(
+                st.floats(-0.5, 1.5), min_size=mrf.num_variables,
+                max_size=mrf.num_variables,
+            )
+        )
+    )
+    _assert_identical_run(
+        AdmmSolver(mrf, settings).solve(warm_start=start),
+        _ReferenceFlatSolver(mrf, settings).solve(warm_start=start),
+    )
+
+
+# -- solve_collective readout ---------------------------------------------------
+
+
+def _literal_readout(mrf, plan, x):
+    """The per-atom ``index_of`` readout, verbatim."""
+    fractional = {i: float(x[mrf.index_of(atom)]) for i, atom in plan.in_atoms.items()}
+    fractional_aux = {
+        (EXPLAINED_PREDICATE.name, t): float(x[mrf.index_of(atom)])
+        for t, atom in plan.explained_atoms.items()
+    }
+    fractional_aux.update(
+        {
+            (ERROR_PREDICATE.name, e): float(x[mrf.index_of(atom)])
+            for e, atom in plan.error_atoms.items()
+        }
+    )
+    return fractional, fractional_aux
+
+
+def _literal_start(mrf, plan, warm_start, warm_start_aux):
+    """The per-atom warm-start scatter, verbatim."""
+    start = np.full(mrf.num_variables, 0.5)
+    for i, value in (warm_start or {}).items():
+        atom = plan.in_atoms.get(i)
+        if atom is not None:
+            start[mrf.index_of(atom)] = float(value)
+    aux_tables = {
+        EXPLAINED_PREDICATE.name: plan.explained_atoms,
+        ERROR_PREDICATE.name: plan.error_atoms,
+    }
+    for (kind, idx), value in (warm_start_aux or {}).items():
+        atom = aux_tables.get(kind, {}).get(idx)
+        if atom is not None:
+            start[mrf.index_of(atom)] = float(value)
+    return start
+
+
+def _assert_same_dict(actual: dict, expected: dict) -> None:
+    # Keys, key order and floats, exactly.
+    assert list(actual.items()) == list(expected.items())
+
+
+@functools.cache
+def _grounded_collective() -> GroundedCollective:
+    return GroundedCollective(_collective_problem(), CollectiveSettings())
+
+
+def test_collective_readout_matches_per_atom_readout():
+    problem = _collective_problem()
+    grounded = GroundedCollective(problem, CollectiveSettings())
+    result = solve_collective(problem, CollectiveSettings(), grounded=grounded)
+    fractional, fractional_aux = _literal_readout(
+        grounded.mrf, grounded.plan, result.admm_state.z
+    )
+    assert result.fractional and result.fractional_aux
+    _assert_same_dict(result.fractional, fractional)
+    _assert_same_dict(result.fractional_aux, fractional_aux)
+    # The ungrounded path resolves the same readout on the fly.
+    fresh = solve_collective(problem, CollectiveSettings(reuse_grounding=False))
+    _assert_same_dict(fresh.fractional, fractional)
+    _assert_same_dict(fresh.fractional_aux, fractional_aux)
+
+
+def test_matching_warm_state_ignores_the_warm_start():
+    # A structurally matching warm state takes precedence over a warm
+    # start (the chain a weight sweep runs), so passing both solves
+    # exactly like the warm state alone.
+    problem = _collective_problem()
+    settings = CollectiveSettings(admm=AdmmSettings(check_every=1))
+    previous = solve_collective(problem, settings)
+    assert previous.admm_state.matches(_grounded_collective().solver.arrays)
+    both, alone = (
+        solve_collective(
+            problem, settings, grounded=GroundedCollective(problem, settings),
+            warm_state=previous.admm_state, **warm,
+        )
+        for warm in (
+            {
+                "warm_start": {i: 1.0 - v for i, v in previous.fractional.items()},
+                "warm_start_aux": dict.fromkeys(previous.fractional_aux, 0.0),
+            },
+            {},
+        )
+    )
+    assert both.iterations == alone.iterations
+    assert np.array_equal(both.admm_state.z, alone.admm_state.z)
+    assert np.array_equal(both.admm_state.u, alone.admm_state.u)
+    _assert_same_dict(both.fractional, alone.fractional)
+    _assert_same_dict(both.fractional_aux, alone.fractional_aux)
+
+
+def test_warm_start_with_other_keys_takes_the_per_atom_loop():
+    # A start from a structurally different neighbour (reordered, partial,
+    # with indices this problem lacks) solves exactly like the literal
+    # per-atom scatter handed straight to the solver.
+    problem = _collective_problem()
+    settings = CollectiveSettings(admm=AdmmSettings(check_every=1))
+    previous = solve_collective(problem, settings)
+    warm_start = dict(reversed(list(previous.fractional.items())[1:]))
+    warm_start[10**6] = 0.25
+    warm_start_aux = dict(list(previous.fractional_aux.items())[::2])
+    assert tuple(warm_start) != _grounded_collective().readout.in_keys
+    grounded = GroundedCollective(problem, settings)
+    result = solve_collective(
+        problem, settings, warm_start=warm_start, warm_start_aux=warm_start_aux,
+        grounded=grounded,
+    )
+    start = _literal_start(grounded.mrf, grounded.plan, warm_start, warm_start_aux)
+    expected = AdmmSolver(grounded.mrf, settings.admm).solve(start)
+    assert result.iterations == expected.iterations
+    assert np.array_equal(result.admm_state.z, expected.x)
+    assert np.array_equal(result.admm_state.u, expected.state.u)
+    _assert_same_dict(
+        result.fractional, _literal_readout(grounded.mrf, grounded.plan, expected.x)[0]
+    )
