@@ -1,4 +1,4 @@
-"""The three syntactic repro-lint rules.
+"""The two syntactic repro-lint rules.
 
 Each rule encodes an invariant this codebase already relies on (see
 docs/lint.md for the incident history behind every one):
@@ -6,7 +6,6 @@ docs/lint.md for the incident history behind every one):
 * RPL001 — callables shipped to process pools must be module-level.
 * RPL002 — fingerprint/merge/selection paths must not iterate unordered
   containers or call seed-dependent ``hash()``.
-* RPL005 — no blocking pool operations while holding a registry lock.
 
 Checkers are per-module (:meth:`Checker.check`).
 """
@@ -22,7 +21,6 @@ from repro.analysis.visitor import (
     call_keyword,
     enclosing_function,
     parent,
-    statements_of,
     terminal_name,
 )
 
@@ -309,91 +307,11 @@ class DeterminismChecker(Checker):
         return None
 
 
-class LockHoldChecker(Checker):
-    """RPL005: no blocking pool operations while holding a lock.
-
-    Within ``with <lock>:`` blocks (any context manager whose terminal
-    name contains "lock" or "mutex"), calls to blocking executor/pool
-    operations are flagged.  ``close`` counts only with ``force=`` —
-    a forced close joins workers, a plain close just flips a flag.
-    """
-
-    rule = "RPL005"
-    name = "lock-hold-discipline"
-    description = "no blocking pool calls under a registry lock"
-    default_blocklist = frozenset(
-        {"shutdown", "map", "unlink", "join", "result", "wait", "solve",
-         "ground", "reweight"}
-    )
-
-    def __init__(self, blocklist: frozenset[str] | None = None) -> None:
-        self.blocklist = (
-            frozenset(blocklist) if blocklist is not None else self.default_blocklist
-        )
-
-    def check(self, module: ModuleInfo) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if not self._holds_lock(node):
-                continue
-            findings.extend(self._scan_body(module, node))
-        return findings
-
-    @staticmethod
-    def _holds_lock(node) -> bool:
-        for item in node.items:
-            name = terminal_name(item.context_expr)
-            if name and ("lock" in name.lower() or "mutex" in name.lower()):
-                return True
-        return False
-
-    @staticmethod
-    def _calls_of(stmt: ast.AST):
-        """Call nodes in *stmt*'s own expressions, not its sub-statements
-        (those are yielded separately by :func:`statements_of`)."""
-        for field_name, value in ast.iter_fields(stmt):
-            if field_name in ("body", "orelse", "finalbody", "handlers"):
-                continue
-            exprs = value if isinstance(value, list) else [value]
-            for expr in exprs:
-                if not isinstance(expr, ast.AST):
-                    continue
-                for node in ast.walk(expr):
-                    if isinstance(node, ast.Call):
-                        yield node
-
-    def _scan_body(self, module: ModuleInfo, with_node):
-        for stmt in statements_of(with_node):
-            for node in self._calls_of(stmt):
-                if not isinstance(node.func, ast.Attribute):
-                    continue
-                attr = node.func.attr
-                if attr in self.blocklist:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"blocking call .{attr}(...) while holding a lock; "
-                        "collect work under the lock, release it, then "
-                        "block (see the PR 5 cache-eviction hardening)",
-                    )
-                elif attr == "close" and call_keyword(node, "force") is not None:
-                    yield self.finding(
-                        module,
-                        node,
-                        "close(force=...) joins workers while holding a "
-                        "lock; move the forced close outside the critical "
-                        "section",
-                    )
-
-
 def default_checkers() -> list[Checker]:
     """Fresh checker instances."""
     return [
         ProcessMapSafetyChecker(),
         DeterminismChecker(),
-        LockHoldChecker(),
     ]
 
 

@@ -7,52 +7,48 @@ from dataclasses import dataclass, field
 
 from repro.analysis.findings import Finding
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 TOOL_NAME = "repro-lint"
 
 
 @dataclass
 class LintReport:
-    """Everything one lint run produced, pre-partitioned by the runner."""
+    """Everything one lint run produced; findings sorted by the runner."""
 
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
+    findings: list[Finding] = field(default_factory=list)
     suppressed_count: int = 0
     files_scanned: int = 0
     parse_errors: list[str] = field(default_factory=list)
-    #: True when the whole-program RPL01x pass ran.
-    flow: bool = False
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new or self.parse_errors else 0
+        return 1 if self.findings or self.parse_errors else 0
 
     def rule_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for finding in self.new:
+        for finding in self.findings:
             counts[finding.rule] = counts.get(finding.rule, 0) + 1
         return dict(sorted(counts.items()))
+
+    def summary(self) -> str:
+        return (
+            f"{TOOL_NAME}: {len(self.findings)} finding(s) "
+            f"({self.suppressed_count} suppressed) "
+            f"in {self.files_scanned} file(s)"
+        )
 
     def to_json(self) -> dict:
         return {
             "version": REPORT_VERSION,
             "tool": TOOL_NAME,
             "files_scanned": self.files_scanned,
-            "flow": self.flow,
             "summary": {
-                "new": len(self.new),
-                "baselined": len(self.baselined),
+                "findings": len(self.findings),
                 "suppressed": self.suppressed_count,
                 "by_rule": self.rule_counts(),
             },
             "parse_errors": list(self.parse_errors),
-            "findings": [
-                f.to_json()
-                for f in sorted(
-                    self.new + self.baselined,
-                    key=lambda f: (f.path, f.line, f.rule),
-                )
-            ],
+            "findings": [f.to_json() for f in self.findings],
         }
 
 
@@ -61,20 +57,9 @@ def render_json(report: LintReport) -> str:
 
 
 def render_text(report: LintReport) -> str:
-    lines: list[str] = []
-    for error in report.parse_errors:
-        lines.append(f"error: {error}")
-    for finding in sorted(report.new, key=lambda f: (f.path, f.line, f.rule)):
-        lines.append(str(finding))
-    summary = (
-        f"{TOOL_NAME}: {len(report.new)} finding(s) "
-        f"({len(report.baselined)} baselined, "
-        f"{report.suppressed_count} suppressed) "
-        f"in {report.files_scanned} file(s)"
-    )
-    if report.flow:
-        summary += " [flow pass on]"
-    lines.append(summary)
+    lines = [f"error: {error}" for error in report.parse_errors]
+    lines.extend(str(finding) for finding in report.findings)
+    lines.append(report.summary())
     return "\n".join(lines) + "\n"
 
 
@@ -88,30 +73,19 @@ def _annotation_escape(text: str) -> str:
 def render_github(report: LintReport) -> str:
     """GitHub Actions annotation format: findings appear inline on PRs.
 
-    One ``::error`` line per new finding (witness chain folded into the
-    message), ``::warning`` for parse errors, then the human summary —
-    GitHub ignores non-command lines, so the output stays readable in
-    the raw log too.
+    One ``::error`` line per finding, ``::warning`` for parse errors,
+    then the human summary — GitHub ignores non-command lines, so the
+    output stays readable in the raw log too.
     """
-    lines: list[str] = []
-    for error in report.parse_errors:
-        lines.append(f"::warning title={TOOL_NAME}::{_annotation_escape(error)}")
-    for finding in sorted(report.new, key=lambda f: (f.path, f.line, f.rule)):
-        message = finding.message
-        if finding.chain:
-            steps = "; ".join(
-                f"{path}:{line} {note}" for path, line, note in finding.chain
-            )
-            message = f"{message} [witness: {steps}]"
+    lines = [
+        f"::warning title={TOOL_NAME}::{_annotation_escape(error)}"
+        for error in report.parse_errors
+    ]
+    for finding in report.findings:
         lines.append(
             f"::error file={finding.path},line={finding.line},"
             f"col={finding.col + 1},title={TOOL_NAME} {finding.rule}::"
-            f"{_annotation_escape(message)}"
+            f"{_annotation_escape(finding.message)}"
         )
-    lines.append(
-        f"{TOOL_NAME}: {len(report.new)} finding(s) "
-        f"({len(report.baselined)} baselined, "
-        f"{report.suppressed_count} suppressed) "
-        f"in {report.files_scanned} file(s)"
-    )
+    lines.append(report.summary())
     return "\n".join(lines) + "\n"

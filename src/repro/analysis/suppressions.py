@@ -5,7 +5,7 @@ Three forms, all spelled in a line's comment:
 **Trailing pragma** — covers findings on its own physical line::
 
     ...  # repro-lint: disable=RPL002
-    ...  # repro-lint: disable=RPL001,RPL005
+    ...  # repro-lint: disable=RPL001,RPL002
     ...  # repro-lint: disable          (all rules)
 
 **Comment-only pragma** — covers the first code line below its comment

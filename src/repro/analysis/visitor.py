@@ -2,7 +2,7 @@
 
 :class:`ModuleInfo` wraps one parsed source file and precomputes the
 facts every checker needs: parent links on each AST node, the set of
-module-level function names, imported names/modules, and helpers for
+module-level function names, imported names, and helpers for
 resolving attribute chains and local bindings.  Checkers stay small
 because the structural queries live here.
 """
@@ -51,13 +51,6 @@ def enclosing_function(node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef 
     return None
 
 
-def enclosing_class(node: ast.AST) -> ast.ClassDef | None:
-    for anc in ancestors(node):
-        if isinstance(anc, ast.ClassDef):
-            return anc
-    return None
-
-
 def terminal_name(expr: ast.AST) -> str | None:
     """The last identifier of an expression: ``a.b.c`` -> "c", ``f()`` -> "f"."""
     if isinstance(expr, ast.Name):
@@ -68,16 +61,6 @@ def terminal_name(expr: ast.AST) -> str | None:
         return terminal_name(expr.func)
     if isinstance(expr, ast.Await):
         return terminal_name(expr.value)
-    return None
-
-
-def dotted_name(expr: ast.AST) -> str | None:
-    """Best-effort dotted form of a Name/Attribute chain, else ``None``."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        base = dotted_name(expr.value)
-        return f"{base}.{expr.attr}" if base else None
     return None
 
 
@@ -149,26 +132,6 @@ class ModuleInfo:
                 for alias in node.names:
                     names.add(alias.asname or alias.name)
         return frozenset(names)
-
-    @cached_property
-    def imported_modules(self) -> frozenset[str]:
-        """Fully dotted modules this file imports (either import form)."""
-        modules = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    modules.add(alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                modules.add(node.module)
-                for alias in node.names:
-                    modules.add(f"{node.module}.{alias.name}")
-        return frozenset(modules)
-
-    def imports_module(self, dotted: str) -> bool:
-        return any(
-            mod == dotted or mod.startswith(dotted + ".")
-            for mod in self.imported_modules
-        )
 
     def is_module_level_callable(self, name: str) -> bool:
         """Picklable by reference: a top-level ``def`` or an imported name."""

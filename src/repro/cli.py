@@ -16,7 +16,11 @@ Commands:
   (docs/grounding-store.md): ``ls`` the entries, ``gc`` stale ones,
   ``verify`` payload integrity and structure hashes;
 * ``lint``     — the repro-lint static-analysis pass (docs/lint.md): exits
-  0 when clean against the baseline, 1 on findings, 2 on usage errors.
+  0 when clean, 1 on findings, 2 on usage errors.
+
+A library error (:class:`~repro.errors.ReproError`) or an I/O error in
+any command prints ``repro <command>: error: <message>`` on stderr and
+exits 2 instead of raising a traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import os
 import sys
 
+from repro.errors import ReproError
 from repro.evaluation.engine import (
     DEFAULT_GRID_METHODS,
     METHOD_REGISTRY,
@@ -35,6 +40,16 @@ from repro.evaluation.reporting import format_table
 from repro.ibench.config import ALL_PRIMITIVES, ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.io.serialize import load_scenario, save_scenario
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,7 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--primitives", type=int, default=4)
     chain.add_argument("--rows", type=int, default=12)
     chain.add_argument("--seed", type=int, default=0)
-    chain.add_argument("--steps", type=int, default=6, help="mutations to replay")
+    chain.add_argument(
+        "--steps", type=_non_negative_int, default=6, help="mutations to replay"
+    )
     chain.add_argument(
         "--ground-shard-size",
         type=int,
@@ -217,8 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     lint_help = (
-        "run the repro-lint invariant checkers (RPL001/002/005 syntactic, "
-        "RPL010/012 flow)"
+        "run the repro-lint invariant checkers (RPL001 process-map safety, "
+        "RPL002 hash-order determinism)"
     )
     lint = sub.add_parser("lint", help=lint_help, description=lint_help)
     lint.add_argument(
@@ -228,39 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     lint.add_argument(
-        "--flow",
-        action="store_true",
-        dest="flow",
-        default=False,
-        help="also run the whole-program flow pass (call graph + "
-        "dataflow, rules RPL010 and RPL012)",
-    )
-    lint.add_argument(
-        "--no-flow",
-        action="store_false",
-        dest="flow",
-        help="syntactic rules only (the default)",
-    )
-    lint.add_argument(
         "--format",
         choices=["text", "json", "github"],
         default="text",
         help="stdout report format (github = Actions annotations)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON path (default: lint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline: report every finding as new",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     lint.add_argument(
         "--output",
@@ -575,54 +563,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.analysis.baseline import Baseline, baseline_from_findings
     from repro.analysis.reporting import render_github, render_json, render_text
-    from repro.analysis.runner import collect_files, lint_paths
+    from repro.analysis.runner import lint_paths
 
-    baseline = None
-    baseline_path = args.baseline
-    if args.no_baseline:
-        baseline_path = None
-    elif baseline_path is None and Path("lint-baseline.json").is_file():
-        baseline_path = "lint-baseline.json"
-    if baseline_path is not None:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro lint: cannot load baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    try:
-        report = lint_paths(args.paths, baseline=baseline, flow=args.flow)
-    except FileNotFoundError as exc:
-        print(f"repro lint: no such file or directory: {exc}", file=sys.stderr)
-        return 2
-
-    if args.write_baseline:
-        target = args.baseline or "lint-baseline.json"
-        # Scope the rewrite to what was scanned: zero-count entries for
-        # scanned files are pruned (the ratchet tightens), entries for
-        # unscanned files carry over untouched.  The previous file is
-        # read even under --no-baseline — that flag skips *applying*
-        # the baseline to this run, not the notes/out-of-scope entries
-        # the rewrite must preserve.
-        previous = baseline
-        if previous is None and Path(target).is_file():
-            try:
-                previous = Baseline.load(target)
-            except (OSError, ValueError, KeyError):
-                previous = None
-        scanned = [str(f) for f in collect_files(args.paths)]
-        updated = baseline_from_findings(
-            report.new + report.baselined,
-            previous=previous,
-            scanned_files=scanned,
-        )
-        updated.save(target)
-        print(f"wrote {target}: {len(updated.entries)} entr(y/ies)")
-        return 0
-
+    report = lint_paths(args.paths)
     if args.output:
         Path(args.output).write_text(render_json(report), encoding="utf-8")
     if args.format == "json":
@@ -657,6 +601,9 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at devnull so interpreter shutdown does not re-raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -164,6 +164,26 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_from_json(payload: dict) -> Scenario:
+    """Rebuild a scenario; a malformed payload raises :class:`SerializationError`."""
+    if not isinstance(payload, dict):
+        raise SerializationError(
+            f"scenario payload must be an object, got {type(payload).__name__}"
+        )
+    try:
+        scenario = _scenario_from_json(payload)
+    except KeyError as exc:
+        raise SerializationError(f"scenario payload is missing key {exc}") from exc
+    gold = scenario.gold_indices
+    bad = [i for i in gold if type(i) is not int or not 0 <= i < len(scenario.candidates)]
+    if bad:
+        raise SerializationError(
+            f"gold indices {bad} are not candidate indices "
+            f"(the scenario has {len(scenario.candidates)} candidates)"
+        )
+    return scenario
+
+
+def _scenario_from_json(payload: dict) -> Scenario:
     cfg = payload["config"]
     config = ScenarioConfig(
         num_primitives=cfg["num_primitives"],
@@ -201,4 +221,9 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario previously written by :func:`save_scenario`."""
-    return scenario_from_json(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"{path} is not JSON: {exc}") from exc
+    return scenario_from_json(payload)

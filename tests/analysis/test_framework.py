@@ -1,4 +1,4 @@
-"""Framework-layer tests: suppressions, baseline ratchet, reporters."""
+"""Framework-layer tests: suppressions, reporters, the runner."""
 
 from __future__ import annotations
 
@@ -6,11 +6,6 @@ import json
 
 import pytest
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    baseline_from_findings,
-)
 from repro.analysis.findings import Finding
 from repro.analysis.reporting import (
     LintReport,
@@ -72,183 +67,44 @@ class TestSuppressionParsing:
         assert table == {}
 
 
-class TestBaselineRatchet:
-    def test_grandfathered_within_count(self):
-        baseline = Baseline([BaselineEntry("src/repro/psl/x.py", "RPL002", 1)])
-        new, old = baseline.apply([finding()])
-        assert new == []
-        assert len(old) == 1 and old[0].baselined
-
-    def test_excess_findings_are_new(self):
-        baseline = Baseline([BaselineEntry("src/repro/psl/x.py", "RPL002", 1)])
-        new, old = baseline.apply([finding(line=3), finding(line=9)])
-        assert len(new) == 1 and len(old) == 1
-
-    def test_rule_mismatch_is_new(self):
-        baseline = Baseline([BaselineEntry("src/repro/psl/x.py", "RPL001", 1)])
-        new, old = baseline.apply([finding(rule="RPL002")])
-        assert len(new) == 1 and old == []
-
-    def test_path_suffix_matching_tolerates_invocation_dir(self):
-        baseline = Baseline([BaselineEntry("src/repro/psl/x.py", "RPL002", 1)])
-        new, old = baseline.apply(
-            [finding(path="/abs/checkout/src/repro/psl/x.py")]
-        )
-        assert new == [] and len(old) == 1
-
-    def test_fixing_a_site_never_fails(self):
-        baseline = Baseline([BaselineEntry("src/repro/psl/x.py", "RPL002", 5)])
-        new, old = baseline.apply([])
-        assert new == [] and old == []
-
-    def test_roundtrip_and_note_preserved(self, tmp_path):
-        original = Baseline(
-            [BaselineEntry("a.py", "RPL005", 1, note="thread pool")]
-        )
-        path = tmp_path / "baseline.json"
-        original.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == original.entries
-        regenerated = baseline_from_findings(
-            [finding(rule="RPL005", path="a.py")], previous=loaded
-        )
-        assert regenerated.entries[0].note == "thread pool"
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-
-class TestBaselineRewrite:
-    """--write-baseline semantics: prune stale entries, keep out-of-scope."""
-
-    def test_zero_count_entry_for_scanned_file_is_pruned(self):
-        previous = Baseline(
-            [BaselineEntry("src/repro/psl/x.py", "RPL002", 3, note="old")]
-        )
-        rewritten = baseline_from_findings(
-            [],  # the site was fixed: no findings remain
-            previous=previous,
-            scanned_files=["src/repro/psl/x.py"],
-        )
-        assert rewritten.entries == []
-
-    def test_count_ratchets_down_to_current(self):
-        previous = Baseline([BaselineEntry("src/repro/psl/x.py", "RPL002", 5)])
-        rewritten = baseline_from_findings(
-            [finding(line=3)],
-            previous=previous,
-            scanned_files=["src/repro/psl/x.py"],
-        )
-        assert len(rewritten.entries) == 1
-        assert rewritten.entries[0].count == 1
-
-    def test_out_of_scope_entries_are_carried_over(self):
-        previous = Baseline(
-            [
-                BaselineEntry("src/repro/psl/x.py", "RPL002", 2),
-                BaselineEntry("src/repro/other.py", "RPL005", 1, note="pool"),
-            ]
-        )
-        rewritten = baseline_from_findings(
-            [finding(line=3)],
-            previous=previous,
-            scanned_files=["src/repro/psl/x.py"],  # other.py NOT scanned
-        )
-        by_file = {e.file: e for e in rewritten.entries}
-        assert by_file["src/repro/psl/x.py"].count == 1  # ratcheted
-        assert by_file["src/repro/other.py"].count == 1  # untouched
-        assert by_file["src/repro/other.py"].note == "pool"
-
-    def test_whole_tree_rewrite_drops_everything_stale(self):
-        previous = Baseline(
-            [
-                BaselineEntry("a.py", "RPL001", 1),
-                BaselineEntry("b.py", "RPL002", 2),
-            ]
-        )
-        rewritten = baseline_from_findings(
-            [finding(rule="RPL002", path="b.py")],
-            previous=previous,
-            scanned_files=None,  # whole-tree rewrite: everything in scope
-        )
-        assert [(e.file, e.rule, e.count) for e in rewritten.entries] == [
-            ("b.py", "RPL002", 1)
-        ]
-
-
 class TestReporters:
     def _report(self):
         return LintReport(
-            new=[finding(line=7)],
-            baselined=[
-                Finding("RPL005", "m", "src/repro/e.py", 1, baselined=True)
-            ],
+            findings=[finding(line=7), Finding("RPL001", "m", "src/repro/e.py", 1)],
             suppressed_count=2,
             files_scanned=4,
         )
 
     def test_json_schema(self):
         payload = json.loads(render_json(self._report()))
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["tool"] == "repro-lint"
         assert payload["files_scanned"] == 4
-        assert payload["flow"] is False
         assert payload["summary"] == {
-            "new": 1,
-            "baselined": 1,
+            "findings": 2,
             "suppressed": 2,
-            "by_rule": {"RPL002": 1},
+            "by_rule": {"RPL001": 1, "RPL002": 1},
         }
         assert payload["parse_errors"] == []
         assert len(payload["findings"]) == 2
         for item in payload["findings"]:
-            assert set(item) == {
-                "rule", "message", "file", "line", "col", "baselined",
-                "chain",
-            }
-        flags = {item["rule"]: item["baselined"] for item in payload["findings"]}
-        assert flags == {"RPL002": False, "RPL005": True}
-
-    def test_json_chain_structure(self):
-        report = LintReport(
-            new=[
-                Finding(
-                    "RPL010",
-                    "m",
-                    "src/repro/a.py",
-                    4,
-                    chain=(("src/repro/b.py", 9, "defined here"),),
-                )
-            ]
-        )
-        payload = json.loads(render_json(report))
-        assert payload["findings"][0]["chain"] == [
-            {"file": "src/repro/b.py", "line": 9, "note": "defined here"}
-        ]
+            assert set(item) == {"rule", "message", "file", "line", "col"}
 
     def test_text_report_lists_new_findings_and_summary(self):
         text = render_text(self._report())
         assert "src/repro/psl/x.py:7:0: RPL002 m" in text
-        assert "1 finding(s) (1 baselined, 2 suppressed) in 4 file(s)" in text
+        assert "src/repro/e.py:1:0: RPL001 m" in text
+        assert "2 finding(s) (2 suppressed) in 4 file(s)" in text
 
     def test_exit_codes(self):
         assert LintReport().exit_code == 0
-        assert LintReport(new=[finding()]).exit_code == 1
+        assert LintReport(findings=[finding()]).exit_code == 1
         assert LintReport(parse_errors=["x.py: bad"]).exit_code == 1
 
     def test_github_annotations(self):
         report = LintReport(
-            new=[
-                Finding(
-                    "RPL010",
-                    "taints 100% of workers",
-                    "src/repro/a.py",
-                    4,
-                    chain=(("src/repro/b.py", 9, "lambda defined here"),),
-                )
+            findings=[
+                Finding("RPL001", "lambda passed to executor.map", "src/repro/a.py", 4)
             ],
             parse_errors=["broken.py: invalid syntax"],
             files_scanned=2,
@@ -256,14 +112,13 @@ class TestReporters:
         text = render_github(report)
         assert (
             "::error file=src/repro/a.py,line=4,col=1,"
-            "title=repro-lint RPL010::" in text
+            "title=repro-lint RPL001::lambda passed to executor.map" in text
         )
-        assert "[witness: src/repro/b.py:9 lambda defined here]" in text
         assert "::warning title=repro-lint::broken.py: invalid syntax" in text
 
     def test_github_annotation_escaping(self):
         report = LintReport(
-            new=[Finding("RPL002", "50% of\nruns", "a.py", 1)]
+            findings=[Finding("RPL002", "50% of\nruns", "a.py", 1)]
         )
         text = render_github(report)
         assert "50%25 of%0Aruns" in text
@@ -279,7 +134,7 @@ class TestRunner:
                 )
             }
         )
-        assert report.new == []
+        assert report.findings == []
         assert report.suppressed_count == 1
 
     def test_syntax_error_becomes_parse_error(self):

@@ -136,5 +136,5 @@ class TestBlockScopes:
         # Both loops inside the block are suppressed; the one after the
         # enable is reported.
         assert report.suppressed_count == 2
-        assert [f.rule for f in report.new] == ["RPL002"]
-        assert report.new[0].line == 9
+        assert [f.rule for f in report.findings] == ["RPL002"]
+        assert report.findings[0].line == 9

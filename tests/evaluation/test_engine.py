@@ -183,6 +183,51 @@ def test_warm_payload_roundtrips_through_work_units():
     assert warm_cells[0].run.selected == expected.selected
 
 
+def test_work_units_pickle_for_the_process_pool():
+    # Grid cells are the only work a process pool ships: a work unit
+    # with tuned settings and a real warm payload must survive pickle,
+    # and both map targets must pickle by reference (module-level).
+    import pickle
+    from dataclasses import replace
+    from fractions import Fraction
+
+    import numpy as np
+
+    from repro.evaluation.engine import _run_warm_work_unit, _run_work_unit
+    from repro.psl.admm import AdmmSettings
+    from repro.selection.collective import CollectiveSettings
+    from repro.selection.objective import ObjectiveWeights
+
+    _, payload = _run_warm_work_unit(ConfigCells(SMALL, ("collective",)))
+    assert payload is not None and payload.state is not None
+    settings = CollectiveSettings(
+        weights=ObjectiveWeights(Fraction(2), Fraction(1, 2), Fraction(3)),
+        admm=AdmmSettings(rho=2.0, max_iterations=700),
+        squared_hinges=True,
+        ground_shard_size=8,
+        grounding_store="groundings",
+        incremental=False,
+    )
+    work = ConfigCells(
+        SMALL,
+        ("collective", "greedy"),
+        include_gold=True,
+        cache_dir="cache",
+        collective_settings=settings,
+        warm_payload=payload,
+    )
+    back = pickle.loads(pickle.dumps(work))
+    assert replace(back, warm_payload=None) == replace(work, warm_payload=None)
+    assert back.collective_settings == settings
+    assert back.warm_payload.fractional == payload.fractional
+    assert back.warm_payload.aux == payload.aux
+    assert back.warm_payload.state.num_terms == payload.state.num_terms
+    assert np.array_equal(back.warm_payload.state.z, payload.state.z)
+    assert np.array_equal(back.warm_payload.state.u, payload.state.u)
+    for target in (_run_work_unit, _run_warm_work_unit):
+        assert pickle.loads(pickle.dumps(target)) is target
+
+
 def test_engine_threads_solve_options_into_collective():
     plain = EvaluationEngine(methods=("collective",), warm_start=False)
     tuned = EvaluationEngine(

@@ -115,3 +115,32 @@ def test_scenario_json_is_plain_data():
     payload = scenario_to_json(scenario)
     text = json.dumps(payload)  # must not raise
     assert scenario_from_json(json.loads(text)).config == scenario.config
+
+
+def test_non_json_scenario_file_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("{not json")
+    with pytest.raises(SerializationError, match="not JSON"):
+        load_scenario(path)
+
+
+def test_scenario_payload_missing_key_rejected(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"bad": 1}')
+    with pytest.raises(SerializationError, match="missing key 'config'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("gold", [[99], [-1], [0, 99]])
+def test_gold_index_outside_candidates_rejected(tmp_path, gold):
+    import json
+
+    from repro.ibench.config import ScenarioConfig
+    from repro.ibench.generator import generate_scenario
+
+    payload = scenario_to_json(generate_scenario(ScenarioConfig(num_primitives=2, seed=1)))
+    payload["gold_indices"] = gold
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SerializationError, match="gold indices"):
+        load_scenario(path)

@@ -212,5 +212,4 @@ def test_database_module_is_hash_order_clean():
 
     report = lint_paths([database.__file__])
     assert not report.parse_errors
-    assert [f for f in report.new if f.rule == "RPL002"] == []
-    assert [f for f in report.baselined if f.rule == "RPL002"] == []
+    assert [f for f in report.findings if f.rule == "RPL002"] == []

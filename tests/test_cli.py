@@ -143,3 +143,26 @@ def test_unknown_command_exits():
 def test_missing_required_argument_exits():
     with pytest.raises(SystemExit):
         main(["generate"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--primitives", "0", "{tmp}/x.json"], "repro generate: error: "),
+        (["sweep", "--executor", "process:0"], "repro sweep: error: "),
+        (["select", "{tmp}/missing.json"], "repro select: error: "),
+    ],
+)
+def test_library_and_io_errors_exit_2_without_traceback(tmp_path, capsys, argv, message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+
+
+def test_chain_rejects_negative_steps(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chain", "--steps", "-3"])
+    assert excinfo.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
