@@ -12,7 +12,7 @@ from benchmarks._common import record_result
 from repro.evaluation.reporting import format_table
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.preprocess import preprocess
 
 SEEDS = (1, 2, 3)
@@ -29,12 +29,12 @@ def _reduction_rows():
         problem = scenario.selection_problem()
 
         start = time.perf_counter()
-        full_opt = solve_branch_and_bound(problem)
+        full_opt = solve_milp(problem)
         full_seconds = time.perf_counter() - start
 
         reduction = preprocess(problem)
         start = time.perf_counter()
-        reduced_opt = solve_branch_and_bound(reduction.problem)
+        reduced_opt = solve_milp(reduction.problem)
         reduced_seconds = time.perf_counter() - start
 
         assert reduced_opt.objective + reduction.objective_offset == full_opt.objective

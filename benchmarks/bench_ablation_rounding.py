@@ -2,7 +2,7 @@
 
 Compares threshold sweep alone, sweep + 1-flip local search, and
 classic randomized rounding, all scored by the exact discrete objective,
-and reports how far each lands from the branch-and-bound optimum.  Paper
+and reports how far each lands from the exact (MILP) optimum.  Paper
 shape: local search closes most of the remaining gap at negligible cost;
 randomized rounding is competitive but noisier.
 """
@@ -14,7 +14,7 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.rounding import randomized_rounding
 from repro.selection.collective import CollectiveSettings, solve_collective
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.objective import objective_value
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -30,7 +30,7 @@ def _rounding_rows():
             )
         )
         problem = scenario.selection_problem()
-        exact = solve_branch_and_bound(problem)
+        exact = solve_milp(problem)
         sweep_only = solve_collective(
             problem, CollectiveSettings(rounding_local_search=False)
         )

@@ -65,10 +65,10 @@ from repro.selection import (
     build_selection_problem,
     objective_breakdown,
     objective_value,
-    solve_branch_and_bound,
     solve_collective,
     solve_exhaustive,
     solve_greedy,
+    solve_milp,
 )
 
 __all__ = [
@@ -121,10 +121,10 @@ __all__ = [
     "parse_tgds",
     "relation",
     "run_methods",
-    "solve_branch_and_bound",
     "solve_collective",
     "solve_exhaustive",
     "solve_greedy",
+    "solve_milp",
     "var",
     "ConjunctiveQuery",
     "certain_answers",

@@ -57,7 +57,7 @@ from repro.selection.collective import (
     WarmStartedCollective,
     solve_collective,
 )
-from repro.selection.exact import SelectionResult, solve_branch_and_bound
+from repro.selection.exact import SelectionResult, solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import SelectionProblem, build_selection_problem
 from repro.selection.objective import ObjectiveWeights
@@ -70,7 +70,7 @@ METHOD_REGISTRY: dict[str, Solver] = {
     "collective": solve_collective,
     "greedy": solve_greedy,
     "all-candidates": select_all,
-    "exact": solve_branch_and_bound,
+    "exact": solve_milp,
     "independent": solve_independent,
 }
 

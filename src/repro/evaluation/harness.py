@@ -15,7 +15,7 @@ from repro.evaluation.metrics import PrecisionRecall, mapping_quality
 from repro.ibench.scenario import Scenario
 from repro.selection.baselines import select_all
 from repro.selection.collective import solve_collective
-from repro.selection.exact import SelectionResult, solve_branch_and_bound
+from repro.selection.exact import SelectionResult, solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import SelectionProblem
 
@@ -71,7 +71,7 @@ def run_methods(
 
 def exact_method(problem: SelectionProblem) -> SelectionResult:
     """The provably optimal solver, exposed with the harness signature."""
-    return solve_branch_and_bound(problem)
+    return solve_milp(problem)
 
 
 def score_selection(

@@ -22,11 +22,10 @@ from repro.selection.collective import (
 )
 from repro.selection.exact import (
     SelectionResult,
-    solve_branch_and_bound,
     solve_exhaustive,
+    solve_milp,
 )
 from repro.selection.greedy import solve_greedy
-from repro.selection.kbest import KBestResult, solve_k_best
 from repro.selection.metrics import (
     CandidateTables,
     SelectionProblem,
@@ -70,7 +69,6 @@ __all__ = [
     "IncrementalObjective",
     "ObjectiveBreakdown",
     "ObjectiveWeights",
-    "KBestResult",
     "LearningResult",
     "CandidateTables",
     "PreprocessResult",
@@ -99,9 +97,8 @@ __all__ = [
     "select_none",
     "select_top_k_coverage",
     "solve_independent",
-    "solve_branch_and_bound",
     "solve_collective",
     "solve_exhaustive",
     "solve_greedy",
-    "solve_k_best",
+    "solve_milp",
 ]

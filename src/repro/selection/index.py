@@ -3,7 +3,8 @@
 The reference objective (:func:`~repro.selection.objective.objective_value`)
 walks every J fact per evaluation, hashing ``Fact`` objects and adding
 ``Fraction``\\ s.  Searches that evaluate many selections (rounding,
-greedy, branch-and-bound, k-best) instead read an :class:`ObjectiveIndex`
+greedy), and the exact MILP that :func:`~repro.selection.exact.solve_milp`
+builds from its CSR arrays, instead read an :class:`ObjectiveIndex`
 that a :class:`~repro.selection.metrics.SelectionProblem` builds once,
 on first use (:meth:`~repro.selection.metrics.SelectionProblem.objective_index`):
 

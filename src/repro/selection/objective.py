@@ -165,17 +165,6 @@ class IncrementalObjective:
             self._index.full_cover - self._explained, self._errors, self._size
         )
 
-    def bound(self, future: np.ndarray) -> Fraction:
-        """F if every fact's cover also rose to *future* (per fact id) for free.
-
-        With *future* the best covers the undecided candidates could add,
-        this is the admissible lower bound of branch-and-bound search.
-        """
-        explained = int(np.maximum(self._best, future).sum())
-        return self._scaled.value(
-            self._index.full_cover - explained, self._errors, self._size
-        )
-
     def add(self, i: int) -> None:
         """Select candidate *i* (no-op if already selected)."""
         if self._mask[i]:

@@ -26,7 +26,7 @@ from typing import Hashable, Sequence
 from repro.datamodel.instance import Instance, fact
 from repro.mappings.atoms import atom
 from repro.mappings.tgd import StTgd
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.metrics import SelectionProblem, build_selection_problem
 from repro.selection.objective import ObjectiveWeights
 
@@ -82,7 +82,7 @@ def decide_set_cover_via_selection(instance: SetCoverInstance) -> bool:
     exactly as in the proof, so F(M) <= 2n iff a cover of size <= n exists.
     """
     reduced = reduce_set_cover(instance)
-    result = solve_branch_and_bound(reduced.problem, ObjectiveWeights())
+    result = solve_milp(reduced.problem, ObjectiveWeights())
     return result.objective <= reduced.threshold
 
 

@@ -6,7 +6,7 @@ from repro.evaluation.harness import run_methods
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.selection.collective import solve_collective
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.objective import objective_value
 
@@ -60,7 +60,7 @@ def test_collective_beats_all_candidates_f1_under_corresp_noise(noisy_runs):
 
 def _assert_collective_tracks_exact(config):
     problem = generate_scenario(config).selection_problem()
-    exact = solve_branch_and_bound(problem)
+    exact = solve_milp(problem)
     collective = solve_collective(problem)
     greedy = solve_greedy(problem)
     for result in (exact, collective, greedy):
@@ -81,7 +81,6 @@ def test_collective_tracks_exact_optimum_on_medium_scenario():
 @pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("primitives", (3, 4, 6, 8))
 def test_collective_tracks_exact_optimum_at_noise_25(primitives, seed):
-    # Every noise level at 25: small enough for exact branch-and-bound.
     _assert_collective_tracks_exact(
         ScenarioConfig(
             num_primitives=primitives,
@@ -90,6 +89,23 @@ def test_collective_tracks_exact_optimum_at_noise_25(primitives, seed):
             pi_corresp=25,
             pi_errors=25,
             pi_unexplained=25,
+        )
+    )
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+@pytest.mark.parametrize("primitives", (24, 48))
+def test_collective_tracks_exact_optimum_at_paper_scale(primitives, seed):
+    # Every noise level at 50: the scale and noise where collective
+    # rounding can land above the optimum.
+    _assert_collective_tracks_exact(
+        ScenarioConfig(
+            num_primitives=primitives,
+            seed=seed,
+            rows_per_relation=10,
+            pi_corresp=50,
+            pi_errors=50,
+            pi_unexplained=50,
         )
     )
 

@@ -12,10 +12,14 @@ from repro.mappings.atoms import Atom
 from repro.mappings.parser import parse_tgd
 from repro.mappings.tgd import StTgd
 from repro.mappings.terms import Variable
-from repro.selection.exact import solve_branch_and_bound, solve_exhaustive
+from repro.selection.exact import solve_exhaustive, solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import build_selection_problem
-from repro.selection.objective import IncrementalObjective, objective_value
+from repro.selection.objective import (
+    IncrementalObjective,
+    ObjectiveWeights,
+    objective_value,
+)
 
 # --- strategies -----------------------------------------------------------
 
@@ -121,6 +125,13 @@ def selection_problems(draw):
     return build_selection_problem(source, target, tgds)
 
 
+weight_values = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=5, max_denominator=6),
+)
+weights_strategy = st.builds(ObjectiveWeights, weight_values, weight_values, weight_values)
+
+
 @given(selection_problems(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_size_and_error_terms_monotone_coverage_antimonotone(problem, data):
@@ -137,12 +148,13 @@ def test_size_and_error_terms_monotone_coverage_antimonotone(problem, data):
     assert b_large.unexplained <= b_small.unexplained
 
 
-@given(selection_problems())
-@settings(max_examples=30, deadline=None)
-def test_branch_and_bound_matches_exhaustive(problem):
+@given(selection_problems(), weights_strategy)
+@settings(max_examples=60, deadline=None)
+def test_branch_and_bound_matches_exhaustive(problem, weights):
+    # Zero weights make ties and free candidates; F must still match.
     assert (
-        solve_branch_and_bound(problem).objective
-        == solve_exhaustive(problem).objective
+        solve_milp(problem, weights).objective
+        == solve_exhaustive(problem, weights).objective
     )
 
 
@@ -150,7 +162,7 @@ def test_branch_and_bound_matches_exhaustive(problem):
 @settings(max_examples=30, deadline=None)
 def test_greedy_never_beats_exact_and_never_worse_than_trivial(problem):
     greedy = solve_greedy(problem)
-    exact = solve_branch_and_bound(problem)
+    exact = solve_milp(problem)
     assert exact.objective <= greedy.objective
     assert greedy.objective <= objective_value(problem, [])
     assert greedy.objective <= objective_value(problem, range(problem.num_candidates))
@@ -178,7 +190,7 @@ def test_collective_upper_bounds_exact_and_beats_trivial(problem):
     from repro.selection.collective import solve_collective
 
     collective = solve_collective(problem)
-    exact = solve_branch_and_bound(problem)
+    exact = solve_milp(problem)
     assert exact.objective <= collective.objective
     trivial = min(
         objective_value(problem, []),

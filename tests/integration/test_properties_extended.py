@@ -10,8 +10,7 @@ from repro.datamodel.schema import ForeignKey, Schema, relation
 from repro.datamodel.values import LabeledNull
 from repro.io.serialize import instance_from_json, instance_to_json
 from repro.psl.rounding import randomized_rounding, round_solution
-from repro.selection.exact import solve_branch_and_bound
-from repro.selection.kbest import solve_k_best
+from repro.selection.exact import solve_milp
 from repro.selection.objective import objective_value
 from repro.selection.preprocess import preprocess
 
@@ -94,31 +93,20 @@ def test_target_chase_idempotent(instance):
     assert second.instance == first.instance
 
 
-# --- preprocessing, k-best, rounding over random selection problems -------------
+# --- preprocessing and rounding over random selection problems ------------------
 
 
 @given(selection_problems())
 @settings(max_examples=25, deadline=None)
 def test_preprocess_preserves_optimum_property(problem):
     result = preprocess(problem)
-    reduced_opt = solve_branch_and_bound(result.problem)
-    original_opt = solve_branch_and_bound(problem)
+    reduced_opt = solve_milp(result.problem)
+    original_opt = solve_milp(problem)
     assert reduced_opt.objective + result.objective_offset == original_opt.objective
     assert (
         objective_value(problem, result.translate(reduced_opt.selected))
         == original_opt.objective
     )
-
-
-@given(selection_problems())
-@settings(max_examples=20, deadline=None)
-def test_k_best_head_is_exact_optimum(problem):
-    kbest = solve_k_best(problem, 3)
-    exact = solve_branch_and_bound(problem)
-    assert kbest.best.objective == exact.objective
-    values = [r.objective for r in kbest]
-    assert values == sorted(values)
-    assert len(set(r.selected for r in kbest)) == len(kbest)
 
 
 @given(

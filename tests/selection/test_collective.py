@@ -9,7 +9,7 @@ from repro.selection.collective import (
     build_program,
     solve_collective,
 )
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.metrics import build_selection_problem
 from repro.selection.objective import ObjectiveWeights
 
@@ -27,7 +27,7 @@ def problems():
 def test_collective_matches_exact_on_paper_example(problems):
     for problem in problems:
         collective = solve_collective(problem)
-        exact = solve_branch_and_bound(problem)
+        exact = solve_milp(problem)
         assert collective.objective == exact.objective
         assert collective.selected == exact.selected
 
@@ -63,7 +63,7 @@ def test_program_structure(problems):
 def test_squared_hinge_variant_still_correct(problems):
     settings = CollectiveSettings(squared_hinges=True)
     result = solve_collective(problems[1], settings)
-    exact = solve_branch_and_bound(problems[1])
+    exact = solve_milp(problems[1])
     assert result.objective == exact.objective
 
 
@@ -107,7 +107,7 @@ def test_shared_error_facts_use_mediator_variable():
     # mediator errorOf var present: 2 in + 1 errorOf (no coverable facts)
     assert mrf.num_variables == 3
     result = solve_collective(problem)
-    exact = solve_branch_and_bound(problem)
+    exact = solve_milp(problem)
     assert result.objective == exact.objective
 
 

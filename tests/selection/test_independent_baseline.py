@@ -11,7 +11,7 @@ from repro.datamodel.instance import Instance, fact
 from repro.mappings.parser import parse_tgds
 from repro.selection.baselines import solve_independent
 from repro.selection.collective import solve_collective
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.metrics import build_selection_problem
 
 
@@ -41,7 +41,7 @@ def test_independent_double_selects_redundant_candidates():
 def test_collective_avoids_redundancy():
     problem = _overlapping_problem()
     collective = solve_collective(problem)
-    exact = solve_branch_and_bound(problem)
+    exact = solve_milp(problem)
     assert len(collective.selected) == 1
     assert collective.objective == exact.objective
     independent = solve_independent(problem)

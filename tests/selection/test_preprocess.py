@@ -7,7 +7,7 @@ import pytest
 from repro.datamodel.instance import Instance, fact
 from repro.examples_data import paper_example
 from repro.mappings.parser import parse_tgds
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.metrics import build_selection_problem
 from repro.selection.objective import ObjectiveWeights, objective_value
 from repro.selection.preprocess import (
@@ -57,8 +57,8 @@ def test_drop_useless_candidates():
 
 def test_preprocess_preserves_optimum(paper_problem):
     result = preprocess(paper_problem)
-    reduced_opt = solve_branch_and_bound(result.problem)
-    original_opt = solve_branch_and_bound(paper_problem)
+    reduced_opt = solve_milp(result.problem)
+    original_opt = solve_milp(paper_problem)
     assert reduced_opt.objective + result.objective_offset == original_opt.objective
     assert result.translate(reduced_opt.selected) == original_opt.selected
 
@@ -72,8 +72,8 @@ def test_preprocess_on_generated_scenario():
     )
     problem = scenario.selection_problem()
     result = preprocess(problem)
-    reduced_opt = solve_branch_and_bound(result.problem)
-    original_opt = solve_branch_and_bound(problem)
+    reduced_opt = solve_milp(result.problem)
+    original_opt = solve_milp(problem)
     assert reduced_opt.objective + result.objective_offset == original_opt.objective
     assert objective_value(problem, result.translate(reduced_opt.selected)) == (
         original_opt.objective

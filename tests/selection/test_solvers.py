@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from repro.datamodel.instance import Instance, fact
+from repro.errors import SelectionError
 from repro.examples_data import paper_example
 from repro.mappings.parser import parse_tgds
+from repro.selection import exact
 from repro.selection.baselines import select_all, select_none, select_top_k_coverage
-from repro.selection.exact import solve_branch_and_bound, solve_exhaustive
+from repro.selection.exact import solve_exhaustive, solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import build_selection_problem
 from repro.selection.objective import ObjectiveWeights, objective_value
@@ -51,19 +53,35 @@ def test_exhaustive_finds_appendix_optimum(paper_problem):
 def test_branch_and_bound_matches_exhaustive(paper_problem, extended_problem):
     for problem in (paper_problem, extended_problem):
         assert (
-            solve_branch_and_bound(problem).objective
+            solve_milp(problem).objective
             == solve_exhaustive(problem).objective
         )
 
 
 def test_exhaustive_rejects_large_candidate_sets(paper_problem):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="solve_milp"):
         solve_exhaustive(paper_problem, max_candidates=1)
+
+
+def test_milp_on_zero_candidates_returns_the_empty_selection():
+    ex = paper_example()
+    problem = build_selection_problem(ex.source, ex.target, [])
+    result = solve_milp(problem)
+    assert result.selected == frozenset()
+    assert result.objective == objective_value(problem, []) == len(problem.j_facts)
+
+
+def test_milp_raises_instead_of_returning_an_unproven_selection(
+    extended_problem, monkeypatch
+):
+    monkeypatch.setattr(exact, "TIME_LIMIT_S", 1e-9)
+    with pytest.raises(SelectionError, match="Time limit"):
+        solve_milp(extended_problem)
 
 
 def test_exact_prefers_single_covering_candidate():
     problem = _set_cover_style_problem()
-    result = solve_branch_and_bound(problem)
+    result = solve_milp(problem)
     assert result.selected == frozenset({0})  # r1 covers everything, size 2
 
 
@@ -87,7 +105,7 @@ def test_greedy_backward_pass_removes_subsumed():
 def test_greedy_matches_exact_on_small_instances(paper_problem):
     assert (
         solve_greedy(paper_problem).objective
-        == solve_branch_and_bound(paper_problem).objective
+        == solve_milp(paper_problem).objective
     )
 
 
@@ -110,16 +128,16 @@ def test_top_k_coverage(extended_problem):
 def test_weighted_objective_changes_optimum(extended_problem):
     # Making size extremely expensive drives the optimum back to {}.
     heavy_size = ObjectiveWeights(size=Fraction(100))
-    result = solve_branch_and_bound(extended_problem, heavy_size)
+    result = solve_milp(extended_problem, heavy_size)
     assert result.selected == frozenset()
     # Making coverage dominant selects theta3 even at base size weight.
     heavy_cover = ObjectiveWeights(explains=Fraction(100))
-    result = solve_branch_and_bound(extended_problem, heavy_cover)
+    result = solve_milp(extended_problem, heavy_cover)
     assert 1 in result.selected
 
 
 def test_selection_result_tgds_accessor(extended_problem):
-    result = solve_branch_and_bound(extended_problem)
+    result = solve_milp(extended_problem)
     tgds = result.tgds(extended_problem)
     assert [t.name for t in tgds] == ["t3"]
 
@@ -139,6 +157,6 @@ def test_branch_and_bound_on_wider_random_problem():
     )
     problem = build_selection_problem(source, target, tgds)
     assert (
-        solve_branch_and_bound(problem).objective
+        solve_milp(problem).objective
         == solve_exhaustive(problem).objective
     )

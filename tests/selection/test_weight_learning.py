@@ -8,7 +8,7 @@ from repro.datamodel.instance import Instance, fact
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.mappings.parser import parse_tgds
-from repro.selection.exact import solve_branch_and_bound
+from repro.selection.exact import solve_milp
 from repro.selection.metrics import build_selection_problem
 from repro.selection.objective import ObjectiveWeights, objective_value
 from repro.selection.weight_learning import (
@@ -58,7 +58,7 @@ def test_perceptron_learns_to_prefer_gold():
 
 def test_no_update_when_gold_already_optimal():
     problem = _size_sensitive_problem()
-    gold = solve_branch_and_bound(problem).selected
+    gold = solve_milp(problem).selected
     result = learn_weights([(problem, gold)], epochs=5)
     assert result.mistakes_per_epoch[0] == 0
     assert result.converged
