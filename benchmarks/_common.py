@@ -1,9 +1,9 @@
 """Shared helpers for the paper-reproduction benchmarks.
 
-Every benchmark regenerates one table or figure of the evaluation
-(`DESIGN.md` section 4).  Besides the pytest-benchmark timing, each bench
-writes its paper-style rows to ``benchmarks/results/<name>.txt`` and
-echoes them to stdout, so ``EXPERIMENTS.md`` can quote them directly.
+Every benchmark regenerates one table or figure of the paper's
+evaluation, or measures one subsystem.  Besides the pytest-benchmark
+timing, each bench writes its paper-style rows to
+``benchmarks/results/<name>.txt`` and echoes them to stdout.
 """
 
 from __future__ import annotations

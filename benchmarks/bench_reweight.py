@@ -1,24 +1,16 @@
 """Benchmark: ground-once/reweight-many vs re-ground per weight update.
 
-The HL-MRF energy is linear in the rule/objective weights, so iterative
-reweighting workloads — perceptron weight learning (one update per
-epoch), objective-weight sweeps (one update per grid cell) — never need
-to rebuild structure.  This bench measures exactly that claim on both
-workloads:
-
-1. **weight-sweep cells** — a gentle weight ladder (the step profile of
-   MM/perceptron-style reweighting) over a fixed scenario.  The
-   pre-refactor path paid, per update, a fresh plan + ground + solver
-   compile + cold ADMM solve; the reweight path rewrites the cached
-   :class:`~repro.selection.collective.GroundedCollective`'s weight
-   vector in place and warm-resolves on its compiled solver.  A
-   separate matched-chain verification pass asserts that a reweighted
-   solve is **bit-identical** to a freshly ground one given the same
-   warm state — the timing gap is speed, not drift;
-2. **learning epochs** — ``learn_rule_weights`` (grounds once per call)
-   vs a frozen replica of the historical loop (re-grounds ~3x per
-   epoch: one for the solve, one per ``rule_features`` call).  Learned
-   weights and energy-gap trajectories are asserted identical.
+The HL-MRF energy is linear in the objective weights, so an
+objective-weight sweep (one update per grid cell) never needs to rebuild
+structure.  This bench measures that claim on a gentle weight ladder
+(the step profile of MM/perceptron-style reweighting) over a fixed
+scenario.  The pre-refactor path paid, per update, a fresh plan +
+ground + solver compile + cold ADMM solve; the reweight path rewrites
+the cached :class:`~repro.selection.collective.GroundedCollective`'s
+weight vector in place and warm-resolves on its compiled solver.  A
+separate matched-chain verification pass asserts that a reweighted solve
+is **bit-identical** to a freshly ground one given the same warm state —
+the timing gap is speed, not drift.
 
 Timing/speedup numbers land in ``benchmarks/results/reweight.json`` (a
 CI artifact; see ``benchmarks/summarize_results.py``).  Like every
@@ -41,9 +33,6 @@ from benchmarks._common import record_json, record_result
 from repro.evaluation.reporting import format_table
 from repro.ibench.config import ScenarioConfig
 from repro.psl.admm import AdmmSolver
-from repro.psl.learning import learn_rule_weights
-from repro.psl.program import PslProgram
-from repro.psl.rule import lit
 from repro.selection.collective import (
     CollectiveSettings,
     GroundedCollective,
@@ -173,11 +162,6 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
         "speedup_per_update": speedup,
         "matched_chain_bit_identical": True,
     }
-
-    # Learning workload: one grounding per call vs the historical
-    # re-ground-every-epoch loop, identical trajectories asserted.
-    learn_payload = _learning_comparison()
-    payload.update(learn_payload)
     record_json("reweight", payload)
 
     if os.environ.get("REPRO_ASSERT_SPEEDUP") == "1":
@@ -185,119 +169,4 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
             f"expected >=5x per weight update from skipping re-grounding, "
             f"got {speedup:.2f}x"
         )
-        assert learn_payload["learning_speedup"] >= 5.0, (
-            f"expected >=5x per learning epoch, got "
-            f"{learn_payload['learning_speedup']:.2f}x"
-        )
 
-
-def _learning_program() -> PslProgram:
-    program = PslProgram()
-    knows = program.predicate("knows", 2)
-    topic = program.predicate("interested", 2)
-    likes = program.predicate("likes", 2, closed=False)
-    program.rule(
-        [lit(knows, "A", "B"), lit(likes, "A", "T")], [lit(likes, "B", "T")], weight=0.2
-    )
-    program.rule(
-        [lit(topic, "A", "T")], [lit(likes, "A", "T")], weight=0.3
-    )
-    program.rule([lit(likes, "A", "T")], [], weight=1.5)  # abstain prior
-    people = [f"p{i}" for i in range(12)]
-    topics = ["t0", "t1", "t2"]
-    for i, person in enumerate(people):
-        program.observe(knows(person, people[(i + 1) % len(people)]))
-        program.observe(topic(person, topics[i % len(topics)]))
-        for t in topics:
-            program.target(likes(person, t))
-    return program
-
-
-def _legacy_learn(program, truth, epochs, learning_rate, floor):
-    """Frozen replica of the pre-refactor loop: re-grounds ~3x per epoch."""
-    from repro.psl.program import GroundedProgram
-
-    def features(assignment, weights):
-        mrf, _ = program.ground_with_origins(weights)
-        return GroundedProgram(program, mrf).rule_features(assignment)
-
-    soft_rules = [r for r in program.rules if not r.is_hard]
-    weights = {r: float(r.weight) for r in soft_rules}
-    energy_gaps = []
-    for _ in range(epochs):
-        mrf, _ = program.ground_with_origins(weights)
-        solved = AdmmSolver(mrf).solve()
-        prediction = {
-            atom: float(solved.x[mrf.index_of(atom)])
-            for atom in program.database.targets
-        }
-        phi_prediction = features(prediction, weights)
-        phi_truth = features(truth, weights)
-        energy_prediction = sum(
-            weights[r] * phi_prediction.get(r, 0.0) for r in soft_rules
-        )
-        energy_truth = sum(weights[r] * phi_truth.get(r, 0.0) for r in soft_rules)
-        gap = energy_truth - energy_prediction
-        energy_gaps.append(gap)
-        if gap <= 1e-6:
-            break
-        for r in soft_rules:
-            delta = phi_prediction.get(r, 0.0) - phi_truth.get(r, 0.0)
-            weights[r] = max(floor, weights[r] + learning_rate * delta)
-    return weights, energy_gaps
-
-
-def _learning_comparison() -> dict:
-    epochs, learning_rate, floor = 8, 0.5, 0.01
-    program = _learning_program()
-    likes = program.predicate("likes", 2, closed=False)
-    truth = {}
-    for atom in program.database.targets:
-        person, t = atom.arguments
-        truth[likes(person, t)] = 1.0 if t == "t0" else 0.0
-
-    legacy_program = _learning_program()
-    start = time.perf_counter()
-    legacy_weights, legacy_gaps = _legacy_learn(
-        legacy_program, truth, epochs, learning_rate, floor
-    )
-    legacy_seconds = time.perf_counter() - start
-    legacy_epochs = len(legacy_gaps)
-
-    start = time.perf_counter()
-    result = learn_rule_weights(
-        program, truth, epochs=epochs, learning_rate=learning_rate, floor=floor
-    )
-    learn_seconds = time.perf_counter() - start
-
-    # Same trajectory, bit for bit: the artifact loop IS the old loop
-    # minus the re-grounding.
-    assert program.grounding_count == 1
-    assert legacy_program.grounding_count == 3 * legacy_epochs
-    assert result.energy_gaps == legacy_gaps
-    assert {r.name or repr(r): w for r, w in result.weights.items()} == {
-        r.name or repr(r): w for r, w in legacy_weights.items()
-    }
-
-    legacy_per_epoch = legacy_seconds / max(legacy_epochs, 1)
-    new_per_epoch = learn_seconds / max(len(result.energy_gaps), 1)
-    speedup = legacy_per_epoch / new_per_epoch if new_per_epoch else float("inf")
-    table = format_table(
-        ["path", "groundings", "sec/epoch"],
-        [
-            ["re-ground per epoch (legacy)", 3 * legacy_epochs, legacy_per_epoch],
-            ["ground once + reweight", 1, new_per_epoch],
-        ],
-        title=(
-            f"weight learning, {legacy_epochs} epochs "
-            f"(speedup {speedup:.1f}x, identical weights + gaps)"
-        ),
-    )
-    record_result("reweight_learning", table)
-    return {
-        "learning_epochs": legacy_epochs,
-        "learning_legacy_sec_per_epoch": legacy_per_epoch,
-        "learning_sec_per_epoch": new_per_epoch,
-        "learning_speedup": speedup,
-        "learning_identical_trajectory": True,
-    }

@@ -57,14 +57,6 @@ def _rows_reweight(data: dict) -> list[list[str]]:
             _fmt_seconds(data["reweight_sec_per_update"]),
             _fmt_speedup(data["speedup_per_update"]),
         ],
-        [
-            "ground once, reweight many (learning)",
-            f"re-ground per epoch vs one grounding per call "
-            f"({data.get('learning_epochs', '?')} epochs)",
-            _fmt_seconds(data["learning_legacy_sec_per_epoch"]),
-            _fmt_seconds(data["learning_sec_per_epoch"]),
-            _fmt_speedup(data["learning_speedup"]),
-        ],
     ]
 
 
@@ -87,35 +79,20 @@ def _rows_grounding_store(data: dict) -> list[list[str]]:
 
 
 def _rows_incremental(data: dict) -> list[list[str]]:
-    program = data["program_lane"]
-    rows = [
+    lane = data["collective_lane"]
+    edits = lane["edits"]
+    return [
         [
-            "delta grounding (program edit)",
-            f"full re-ground vs refresh after a 1-tuple edit "
-            f"({program.get('rules', '?')} rules, "
-            f"{program['reused_shards']}/{program['num_shards']} shards spliced)",
-            _fmt_seconds(program["full_ground_seconds"]),
-            _fmt_seconds(program["delta_refresh_seconds"]),
-            _fmt_speedup(program["speedup"]),
+            "delta grounding (collective chain)",
+            f"fresh ground vs patch tier per target-tuple edit "
+            f"({len(edits)} edits, "
+            f"{edits[0]['reused_shards']}/{edits[0]['num_shards']} shards "
+            f"spliced, median over the chain)",
+            _fmt_seconds(max(e["full_ground_seconds"] for e in edits)),
+            _fmt_seconds(max(e["patch_seconds"] for e in edits)),
+            _fmt_speedup(lane["median_speedup"]),
         ]
     ]
-    edits = data.get("collective_lane", {}).get("edits", [])
-    if edits:
-        worst_full = max(e["full_ground_seconds"] for e in edits)
-        worst_patch = max(e["patch_seconds"] for e in edits)
-        rows.append(
-            [
-                "delta grounding (collective chain)",
-                f"fresh ground vs patch tier per target-tuple edit "
-                f"({len(edits)} edits, "
-                f"{edits[0]['reused_shards']}/{edits[0]['num_shards']} shards "
-                f"spliced, median over the chain)",
-                _fmt_seconds(worst_full),
-                _fmt_seconds(worst_patch),
-                _fmt_speedup(data["collective_lane"]["median_speedup"]),
-            ]
-        )
-    return rows
 
 
 #: filename -> row extractor.  Order fixes the table's row order.

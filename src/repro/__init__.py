@@ -5,8 +5,9 @@ schema mapping (a set of st tgds) from Clio-generated candidates by
 minimizing a coverage/error/size objective, relaxed into a hinge-loss
 MRF (probabilistic soft logic) and solved collectively with ADMM.
 
-See :mod:`repro.core` for the public API, ``DESIGN.md`` for the system
-inventory, and ``EXPERIMENTS.md`` for the reproduced evaluation.
+See :mod:`repro.core` for the public API, ``docs/solver.md`` for the
+solve path, and ``benchmarks/`` for the reproduced evaluation (each
+bench writes its table to ``benchmarks/results/``).
 """
 
 __version__ = "1.0.0"

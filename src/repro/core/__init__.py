@@ -46,11 +46,7 @@ from repro.queries import (
     workload_for_schema,
 )
 from repro.mappings import Atom, StTgd, Variable, atom, parse_tgd, parse_tgds, var
-from repro.psl import (
-    AdmmSettings,
-    PslProgram,
-    lit,
-)
+from repro.psl import AdmmSettings
 from repro.selection.weight_learning import learn_weights, training_pairs_from_scenarios
 from repro.selection import (
     CollectiveSettings,
@@ -88,7 +84,6 @@ __all__ = [
     "NullFactory",
     "ObjectiveWeights",
     "PrecisionRecall",
-    "PslProgram",
     "Relation",
     "ScenarioCache",
     "CollectiveWarmPayload",
@@ -112,7 +107,6 @@ __all__ = [
     "find_homomorphism",
     "generate_candidates",
     "generate_scenario",
-    "lit",
     "logical_associations",
     "mapping_quality",
     "objective_breakdown",

@@ -32,10 +32,6 @@ class ChaseError(ReproError):
     """The chase could not be executed on the given input."""
 
 
-class GroundingError(ReproError):
-    """A PSL rule could not be grounded against the database."""
-
-
 class InferenceError(ReproError):
     """MAP inference failed to produce a usable solution."""
 

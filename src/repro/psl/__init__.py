@@ -1,30 +1,31 @@
-"""A self-contained mini-PSL: hinge-loss MRFs with ADMM MAP inference.
+"""The hinge-loss MRF machinery behind the collective selector.
 
-The paper casts mapping selection as inference in a probabilistic soft
-logic (PSL) model.  The reference PSL implementation is a Java system;
-this package re-implements the needed core in pure Python + numpy:
+The paper casts mapping selection as MAP inference in a probabilistic
+soft logic (PSL) model.  The one model this repository infers in is the
+collective selector's (:mod:`repro.selection.collective`), which is
+compiled straight from the selection problem's tables, so this package
+carries only what that solve path needs:
 
-* first-order rules with Lukasiewicz semantics (:mod:`repro.psl.rule`),
-* grounding against an observation database (:mod:`repro.psl.grounding`),
-* hinge-loss MRFs (:mod:`repro.psl.hlmrf`),
+* hinge-loss MRFs (:mod:`repro.psl.hlmrf`) over ground atoms
+  (:mod:`repro.psl.predicate`),
 * sharded grounding (:mod:`repro.psl.sharding`),
-* consensus-ADMM MAP inference (:mod:`repro.psl.admm`),
-* discrete rounding utilities (:mod:`repro.psl.rounding`).
+* consensus-ADMM MAP inference (:mod:`repro.psl.admm`) on partitioned
+  term arrays (:mod:`repro.psl.partition`),
+* discrete rounding utilities (:mod:`repro.psl.rounding`),
+* the incremental splice engine (:mod:`repro.psl.delta`) and the disk
+  grounding store (:mod:`repro.psl.store`) behind the collective's
+  patch and disk tiers.
 """
 
 from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState
-from repro.psl.database import Database
 from repro.psl.hlmrf import HardConstraint, HingeLossMRF, HingePotential
-from repro.psl.learning import RuleLearningResult, learn_rule_weights, rule_features
 from repro.psl.predicate import GroundAtom, Predicate
-from repro.psl.program import GroundedProgram, InferenceResult, PslProgram
 from repro.psl.rounding import (
     local_search,
     randomized_rounding,
     round_solution,
     threshold_sweep,
 )
-from repro.psl.rule import Literal, Rule, RuleVariable, V, lit, neg
 from repro.psl.sharding import (
     GroundingShard,
     GroundingStats,
@@ -41,34 +42,21 @@ __all__ = [
     "AdmmSettings",
     "AdmmSolver",
     "AdmmWarmState",
-    "Database",
     "GroundAtom",
     "GroundingShard",
     "GroundingStats",
     "HardConstraint",
-    "GroundedProgram",
     "HingeLossMRF",
     "HingePotential",
-    "InferenceResult",
     "ShardResult",
     "TermBlock",
     "TermBlockBuilder",
-    "Literal",
-    "RuleLearningResult",
     "Predicate",
-    "PslProgram",
-    "Rule",
-    "RuleVariable",
-    "V",
     "ground_shards",
-    "learn_rule_weights",
-    "lit",
     "local_search",
     "mrf_fingerprint",
     "structure_fingerprint",
     "randomized_rounding",
-    "neg",
     "round_solution",
-    "rule_features",
     "threshold_sweep",
 ]

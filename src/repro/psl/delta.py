@@ -23,29 +23,22 @@ artifact at the *flat-array* level:
   reused slices are bit-copies of what re-grounding would rebuild and
   fresh blocks merge by the exact :meth:`~repro.psl.hlmrf.HingeLossMRF.
   add_term_block` rules.
-* :class:`IncrementalProgramGrounding` applies the machinery to a
-  :class:`~repro.psl.program.PslProgram`: after database edits,
-  :meth:`~IncrementalProgramGrounding.refresh` asks the database's
-  change journal (:meth:`~repro.psl.database.Database.delta_since`)
-  which predicates moved and re-grounds only the rules that mention
-  them.
 
-The collective-selection counterpart (coverage/error/prior shards,
-cache integration) lives in :mod:`repro.selection.collective` —
-:func:`~repro.selection.collective.patch_collective` — on top of the
-same splice engine.  See ``docs/incremental.md``.
+Its one user is the collective selector's patch tier
+(:func:`~repro.selection.collective.patch_collective`), which plans
+coverage/error/prior shards and splices them through this engine.  See
+``docs/incremental.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.psl.database import DatabaseDelta
 from repro.psl.hlmrf import (
     KIND_HINGE,
     KIND_SQUARED,
@@ -524,104 +517,3 @@ def splice_grounding(
     )
     return SpliceResult(mrf=mrf, records=records, stats=stats)
 
-
-class IncrementalProgramGrounding:
-    """Ground a :class:`~repro.psl.program.PslProgram` once, then patch.
-
-    Wraps a program and keeps the grounded MRF plus per-shard records.
-    After database edits, :meth:`refresh` consults the change journal:
-    only rule shards whose predicates intersect the delta's touched
-    atoms (plus shards whose specs changed — new weights, new raw
-    terms) are re-ground; everything else splices.  When the journal
-    cannot answer (foreign token, truncated history) the refresh
-    degrades to a full re-ground — never wrong, at worst slow.
-    """
-
-    def __init__(
-        self,
-        program,
-        weight_overrides: Mapping | None = None,
-        shard_size: int | None = None,
-    ):
-        self.program = program
-        self.weight_overrides = dict(weight_overrides or {})
-        self.shard_size = shard_size
-        self.mrf: HingeLossMRF | None = None
-        self.records: tuple[ShardRecord, ...] = ()
-        self.splice_stats: SpliceStats | None = None
-        self.full_grounds = 0
-        self.patched_grounds = 0
-        self._token: object = None
-        self.refresh()
-
-    def _shards(self) -> list[GroundingShard]:
-        return self.program.grounding_shards(self.weight_overrides, self.shard_size)
-
-    def _full_ground(self) -> HingeLossMRF:
-        # Spec list used only as the key source — grounding_shards is
-        # deterministic, so it matches the shards ground_sharded builds.
-        spec = self._shards()
-        records: list[ShardRecord] = []
-
-        def observe(result: ShardResult) -> None:
-            records.append(record_for(spec[result.order], result))
-
-        mrf, _ = self.program.ground_sharded(
-            self.weight_overrides, shard_size=self.shard_size, observer=observe
-        )
-        mrf._compiled = compile_term_arrays(mrf)
-        self.records = tuple(records)
-        self.splice_stats = None
-        self.full_grounds += 1
-        return mrf
-
-    def _touched(self, shard, delta: DatabaseDelta) -> bool:
-        """Whether *shard*'s output may differ under *delta*."""
-        rule = getattr(shard, "rule", None)
-        if rule is None:
-            return False  # raw shards are database-independent
-        touched = delta.predicates
-        for literal in (*rule.body, *rule.head):
-            if literal.predicate in touched:
-                return True
-        return False
-
-    def refresh(self) -> HingeLossMRF:
-        """Re-sync the MRF with the program's database; returns the MRF."""
-        database = self.program.database
-        token = database.state_token()
-        if self.mrf is None:
-            self.mrf = self._full_ground()
-            self._token = token
-            return self.mrf
-        if token == self._token:
-            return self.mrf
-        delta = database.delta_since(self._token)
-        result = self._patch(delta) if delta is not None else None
-        if result is None:
-            self.mrf = self._full_ground()
-        else:
-            self.mrf = result.mrf
-            self.records = result.records
-            self.splice_stats = result.stats
-            self.patched_grounds += 1
-        self._token = token
-        return self.mrf
-
-    def _patch(self, delta: DatabaseDelta) -> SpliceResult | None:
-        shards = self._shards()
-        if len(shards) != len(self.records):
-            return None  # program structure changed: full re-ground
-        reuse: list[int | None] = [
-            None
-            if self._touched(shard, delta) or shard_key(shard) != self.records[i].key
-            else i
-            for i, shard in enumerate(shards)
-        ]
-        return splice_grounding(
-            self.mrf,
-            self.records,
-            shards,
-            reuse,
-            self.program.database.targets_in_order,
-        )

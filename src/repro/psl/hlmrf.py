@@ -7,9 +7,9 @@ is the convex program::
     subject to  a_c^T x + b_c  (<=|==) 0   for hard constraints
                 x in [0, 1]^n
 
-Variables are PSL ground atoms; potentials come from weighted rule
-groundings (or are added directly).  Solved by consensus ADMM in
-:mod:`repro.psl.admm`.
+Variables are PSL ground atoms; potentials are added one at a time or
+merged from shard term blocks (:mod:`repro.psl.sharding`).  Solved by
+consensus ADMM in :mod:`repro.psl.admm`.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ class HingeLossMRF:
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
     potential weights, so weights are first-class mutable state, kept
     separate from the (immutable once grounded) term structure.  Every
-    potential carries an optional *origin group* — the rule or objective
+    potential carries an optional *origin group* — the objective
     component it was grounded from — and its weight lives in one
     contiguous per-potential vector (:meth:`potential_weights`).
     :meth:`set_group_weights` / :meth:`set_group_potential_weights` /
@@ -295,7 +295,7 @@ class HingeLossMRF:
     # -- origin groups and weights -------------------------------------------
 
     def group_id(self, key: Hashable) -> int:
-        """Intern *key* (a rule / objective component) as an origin group."""
+        """Intern *key* (an objective component) as an origin group."""
         gid = self._group_ids.get(key)
         if gid is None:
             gid = len(self._group_keys)

@@ -1,7 +1,8 @@
 """Sharded grounding of hinge-loss MRFs.
 
-Compiling a large program through ``GroundAtom``-keyed dicts materializes
-the whole model twice: once as per-potential dicts, once as the MRF.  The
+Adding terms one at a time through ``GroundAtom``-keyed dicts
+(:meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential`) materializes the
+whole model twice: once as per-potential dicts, once as the MRF.  The
 sharded path splits grounding into picklable **work units** (shards),
 each of which emits a compact :class:`TermBlock` — flat arrays of
 shard-local variable indices, CSR offsets, per-term offsets/weights/kinds
@@ -9,25 +10,21 @@ shard-local variable indices, CSR offsets, per-term offsets/weights/kinds
 shard's atoms once and appends its terms via
 :meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so:
 
-* the merged MRF is **fingerprint-identical** to the serial dict-based
-  path for any shard size (shards run and merge in spec order on the
-  calling thread, and term order inside a shard matches the serial
-  loop);
+* the merged MRF is **fingerprint-identical** to adding the same terms
+  one at a time, for any shard size (shards run and merge in spec order
+  on the calling thread, and term order inside a shard is the order the
+  producer emitted);
 * peak intermediate memory is **O(largest shard)** — only one shard's
-  block is alive between merges — instead of O(whole program) worth of
+  block is alive between merges — instead of O(whole model) worth of
   per-potential dicts.
 
 Shards stay the unit of *reuse*, not of parallelism: incremental
 grounding (:mod:`repro.psl.delta`) and the grounding store splice
 per-shard records.
 
-The work-unit/merge pattern mirrors
-:mod:`repro.selection.metrics`' parallel problem build (PR 1): pure,
-picklable units plus a merge that reproduces serial output byte for
-byte.  Producers of shards live next to their data:
-:mod:`repro.psl.program` shards rule groundings and raw terms;
-:mod:`repro.selection.collective` emits coverage/error/prior shards
-straight from the :class:`~repro.selection.metrics.SelectionProblem`.
+The one producer of shards is :mod:`repro.selection.collective`, which
+emits coverage/error/prior shards straight from the
+:class:`~repro.selection.metrics.SelectionProblem`.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ class TermBlock:
     to constants inside the shard.
 
     ``groups`` (when present) names each term's *origin group* — the
-    rule or objective component it was grounded from; ``None`` entries
+    objective component it was grounded from; ``None`` entries
     (and all constraint kinds) are ungrouped.  ``constant_masses``
     carries the per-group unweighted hinge mass of folded constants as
     ``(group key, mass, weighted delta)`` triples.  ``observed_groups``
@@ -242,8 +239,7 @@ class GroundingStats:
     ``peak_shard_terms``/``peak_shard_entries`` bound the working set
     materialized between merges: only one shard's block is alive at a
     time, so the peak working set is the largest shard — not the whole
-    program.  The sharded-grounding bench
-    asserts exactly that.
+    model.  The sharded-grounding bench asserts exactly that.
     """
 
     num_shards: int = 0
@@ -362,7 +358,7 @@ def structure_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     potential coefficients/offsets/squaredness, per-potential origin
     group, constraints, and per-group constant hinge masses — everything
     except the mutable weight vector and the weighted constant energy.
-    Two groundings of the same program at different (all-nonzero) weight
+    Two groundings of the same problem at different (all-nonzero) weight
     settings fingerprint equally here, which is what lets a scenario
     cache key structure separately from weights: equal structure
     fingerprints mean reweight-and-resolve is exact, no re-ground

@@ -15,7 +15,6 @@ from repro.selection.collective import (
     CollectiveSettings,
     CollectiveWarmPayload,
     WarmStartedCollective,
-    build_program,
     ground_collective,
     plan_collective_grounding,
     solve_collective,
@@ -76,7 +75,6 @@ __all__ = [
     "SelectionProblem",
     "SelectionResult",
     "WarmStartedCollective",
-    "build_program",
     "build_selection_problem",
     "ground_collective",
     "plan_collective_grounding",

@@ -33,8 +33,8 @@ produce identical ground facts) are mediated through an auxiliary
 prior shards over slices of the candidate list.  Each shard is a small
 spec carrying only its slice of the tables; shards build and merge one
 at a time in spec order on the calling thread, so the peak working set
-of a build is O(largest shard), and the deterministic merge reproduces
-the monolithic compilation byte for byte for any shard size.  The shard
+of a build is O(largest shard), and the deterministic merge gives the
+same MRF byte for byte for any shard size.  The shard
 boundaries survive into the merged MRF as term-block extents, which the
 incremental splice engine (:mod:`repro.psl.delta`) patches by.
 """
@@ -64,10 +64,9 @@ from repro.psl.delta import (
     shard_key,
     splice_grounding,
 )
-from repro.psl.hlmrf import KIND_EQ, KIND_HINGE, KIND_SQUARED, HingeLossMRF
+from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.partition import compile_term_arrays
 from repro.psl.predicate import GroundAtom, Predicate
-from repro.psl.program import PslProgram
 from repro.psl.rounding import round_solution
 from repro.psl.sharding import (
     GroundingShard,
@@ -357,9 +356,11 @@ def plan_collective_grounding(
 
     The plan's shard order — coverage slices in ``j_facts`` order, then
     error slices over the repr-sorted shared-error groups, then prior
-    slices in candidate order — reproduces the potential/constraint
-    order of the serial :func:`build_program` + ``ground()`` path, which
-    is what makes the merged MRF fingerprint-identical to it.
+    slices in candidate order — fixes the potential/constraint order,
+    so the merged MRF is fingerprint-identical for every shard size, and
+    to adding the same terms one at a time through
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential` and
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.add_constraint`.
     """
     settings = settings or CollectiveSettings()
     weights = settings.weights
@@ -457,8 +458,8 @@ def ground_collective(
     """Ground *problem*'s HL-MRF shard by shard.
 
     *shard_size* defaults to the settings' value.  The result is
-    fingerprint-identical to the monolithic ``build_program(...)[0]
-    .ground()`` path for any shard size.
+    fingerprint-identical for any shard size (see
+    :func:`plan_collective_grounding`).
 
     When *records_out* is a list, one :class:`~repro.psl.delta.
     ShardRecord` per shard is appended in merge (spec) order — the
@@ -1144,47 +1145,6 @@ class CollectiveGroundingCache:
 GROUNDING_CACHE = CollectiveGroundingCache()
 
 
-def build_program(
-    problem: SelectionProblem,
-    settings: CollectiveSettings,
-) -> tuple[PslProgram, dict[int, object]]:
-    """Compile the selection problem into a monolithic PSL program.
-
-    The serial reference path: the same shard specs
-    :func:`plan_collective_grounding` emits are expanded through the
-    program's dict-based raw-potential API, so ``program.ground()``
-    produces — by construction — the MRF the sharded merge must
-    reproduce.  Returns the program and the map from candidate index to
-    its ``in`` atom, so callers can read fractional memberships back.
-    """
-    plan = plan_collective_grounding(problem, settings, shard_size=None)
-    program = PslProgram()
-    for predicate in (IN_PREDICATE, EXPLAINED_PREDICATE, ERROR_PREDICATE):
-        program.predicate(predicate.name, predicate.arity, predicate.closed)
-    for atom in plan.targets:
-        program.target(atom)
-    for shard in plan.shards:
-        result = shard.build()
-        block = result.block
-        for t in range(block.num_terms):
-            lo, hi = block.term_ptr[t], block.term_ptr[t + 1]
-            coefficients = {
-                result.atoms[block.atom_index[k]]: float(block.coefficient[k])
-                for k in range(lo, hi)
-            }
-            kind = int(block.kinds[t])
-            if kind in (KIND_HINGE, KIND_SQUARED):
-                program.add_raw_potential(
-                    coefficients, float(block.offsets[t]), float(block.weights[t]),
-                    kind == KIND_SQUARED,
-                )
-            else:
-                program.add_linear_constraint(
-                    coefficients, float(block.offsets[t]), kind == KIND_EQ
-                )
-    return program, dict(plan.in_atoms)
-
-
 def solve_collective(
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
@@ -1197,8 +1157,7 @@ def solve_collective(
     """Run the paper's pipeline: relax, infer with ADMM, round, score.
 
     Grounding runs through :func:`ground_collective` — sharded, on the
-    calling thread — so huge problems never materialize a monolithic
-    dict-based program.
+    calling thread — so the peak working set of a ground is one shard.
     With ``settings.reuse_grounding`` (the default) the grounding is
     served from the per-process :data:`GROUNDING_CACHE`: a repeated
     solve of the same problem structure (e.g. the cells of a

@@ -158,6 +158,14 @@ def test_branch_and_bound_matches_exhaustive(problem, weights):
     )
 
 
+@given(selection_problems(), weights_strategy)
+@settings(max_examples=60, deadline=None)
+def test_admm_energy_matches_lp_relaxation_which_bounds_exact(problem, weights):
+    from tests.collective_reference import assert_admm_solves_the_lp
+
+    assert_admm_solves_the_lp(problem, weights)
+
+
 @given(selection_problems())
 @settings(max_examples=30, deadline=None)
 def test_greedy_never_beats_exact_and_never_worse_than_trivial(problem):

@@ -96,24 +96,6 @@ def test_admm_reported_energy_includes_constant_term():
     assert result.energy >= 3.0  # the constant floor
 
 
-def test_program_grounding_keeps_fully_observed_constant_energy():
-    """A grounding whose atoms are all observed still costs real energy."""
-    from repro.psl.program import PslProgram
-    from repro.psl.rule import lit
-
-    program = PslProgram()
-    p = program.predicate("p", 1)
-    q = program.predicate("q", 1, closed=False)
-    program.observe(p("a"))
-    program.observe(q("a"), 0.25)  # observed open atom: fully observed grounding
-    program.rule([lit(p, "X")], [lit(q, "X")], weight=2.0)
-    mrf = program.ground()
-    assert mrf.potentials == []
-    # distance to satisfaction = max(0, 1 - 0.25) weighted by 2.
-    assert mrf.constant_energy == pytest.approx(1.5)
-    assert mrf.energy([]) == pytest.approx(1.5)
-
-
 def test_max_violation():
     mrf = HingeLossMRF()
     mrf.add_constraint({X(0): 1.0}, -0.5)  # x <= 0.5

@@ -27,11 +27,11 @@ from repro.selection.collective import (
     EXPLAINED_PREDICATE,
     CollectiveSettings,
     GroundedCollective,
-    build_program,
     ground_collective,
     solve_collective,
 )
 from repro.selection.metrics import build_selection_problem
+from tests.collective_reference import ground_term_by_term
 from tests.work_units import run_on
 
 X = Predicate("x", 1, closed=False)
@@ -240,11 +240,11 @@ def _collective_mrf(shard_size: int | None = 8, executor: str | None = None) -> 
     mrf, _, _ = run_on(
         executor, ground_collective, problem, settings, shard_size=shard_size
     )
-    # Fingerprint-verified: the sharded grounding reproduced the serial
-    # reference compilation, so the solve equivalence below is measured
+    # Fingerprint-verified: the sharded grounding reproduced the
+    # term-by-term reference, so the solve equivalence below is measured
     # on the exact model of the paper pipeline.
     assert mrf_fingerprint(mrf) == mrf_fingerprint(
-        build_program(problem, settings)[0].ground()
+        ground_term_by_term(problem, settings)
     )
     return mrf
 

@@ -1,9 +1,7 @@
-"""Unit tests for PSL predicates, atoms, and the observation database."""
+"""Unit tests for PSL predicates and ground atoms."""
 
 import pytest
 
-from repro.errors import GroundingError
-from repro.psl.database import Database
 from repro.psl.predicate import GroundAtom, Predicate
 
 
@@ -17,71 +15,3 @@ def test_predicate_arity_enforced():
     friend = Predicate("friend", 2)
     with pytest.raises(ValueError):
         friend("alice")
-
-
-def test_observe_and_truth():
-    p = Predicate("p", 1)
-    db = Database()
-    db.observe(p("a"), 0.7)
-    assert db.truth(p("a")) == 0.7
-
-
-def test_closed_world_default_is_zero():
-    p = Predicate("p", 1, closed=True)
-    db = Database()
-    assert db.truth(p("never-seen")) == 0.0
-
-
-def test_truth_outside_unit_interval_rejected():
-    p = Predicate("p", 1)
-    db = Database()
-    with pytest.raises(GroundingError):
-        db.observe(p("a"), 1.5)
-
-
-def test_targets_have_no_observed_truth():
-    q = Predicate("q", 1, closed=False)
-    db = Database()
-    db.add_target(q("a"))
-    assert db.truth(q("a")) is None
-    assert db.is_target(q("a"))
-
-
-def test_target_of_closed_predicate_rejected():
-    p = Predicate("p", 1, closed=True)
-    db = Database()
-    with pytest.raises(GroundingError):
-        db.add_target(p("a"))
-
-
-def test_atom_cannot_be_both_observed_and_target():
-    q = Predicate("q", 1, closed=False)
-    db = Database()
-    db.add_target(q("a"))
-    with pytest.raises(GroundingError):
-        db.observe(q("a"), 1.0)
-    db.observe(q("b"), 1.0)
-    with pytest.raises(GroundingError):
-        db.add_target(q("b"))
-
-
-def test_unobserved_open_atom_defaults_to_zero():
-    q = Predicate("q", 1, closed=False)
-    db = Database()
-    assert db.truth(q("unseen")) == 0.0
-
-
-def test_atoms_of_collects_observed_and_targets():
-    q = Predicate("q", 1, closed=False)
-    db = Database()
-    db.observe(q("a"), 1.0)
-    db.add_target(q("b"))
-    assert db.atoms_of(q) == {q("a"), q("b")}
-
-
-def test_observe_all():
-    p = Predicate("p", 1)
-    db = Database()
-    db.observe_all([p("a"), p("b")])
-    assert db.truth(p("a")) == 1.0
-    assert db.truth(p("b")) == 1.0

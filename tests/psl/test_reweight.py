@@ -2,8 +2,9 @@
 
 The contract under test, at every layer: the HL-MRF energy is linear in
 the potential weights, so a *reweighted* artifact — MRF, compiled ADMM
-arrays, grounded program, grounded collective — must be element-for-element identical to one freshly ground at the new
-weights, and solves from it bit-identical to the re-grounding path.
+arrays, grounded collective — must be element-for-element identical to
+one freshly ground at the new weights, and solves from it bit-identical
+to the re-grounding path.
 """
 
 from fractions import Fraction
@@ -18,8 +19,6 @@ from repro.psl.admm import AdmmSettings, AdmmSolver
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.partition import compile_term_arrays
 from repro.psl.predicate import Predicate
-from repro.psl.program import PslProgram
-from repro.psl.rule import lit
 from repro.psl.sharding import mrf_fingerprint, structure_fingerprint
 from repro.selection.collective import (
     CollectiveGroundingCache,
@@ -174,48 +173,6 @@ def test_solver_vector_reweight_and_warm_state():
     )
     assert warm.converged
     assert warm.iterations <= cold.iterations
-
-
-# -- GroundedProgram ----------------------------------------------------------
-
-
-def _learning_program():
-    program = PslProgram()
-    evidence = program.predicate("evidence", 1)
-    label = program.predicate("label", 1, closed=False)
-    support = program.rule([lit(evidence, "X")], [lit(label, "X")], weight=0.5)
-    prior = program.rule([lit(label, "X")], [], weight=1.5)
-    for item in ("a", "b", "c"):
-        program.observe(evidence(item))
-        program.target(label(item))
-    return program, label, support, prior
-
-
-def test_grounded_program_reweight_matches_fresh_ground():
-    program, label, support, prior = _learning_program()
-    grounded = program.ground_program()
-    assert program.grounding_count == 1
-    grounded.set_rule_weights({support: 2.0, prior: 0.25})
-    fresh = program.ground({support: 2.0, prior: 0.25})
-    assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh)
-    # And the reused solver solves the reweighted model exactly.
-    reweighted = grounded.solve()
-    reference = AdmmSolver(fresh).solve()
-    assert np.array_equal(reweighted.x, reference.x)
-    assert reweighted.iterations == reference.iterations
-
-
-def test_grounded_program_rule_features_match_standalone():
-    from repro.psl.learning import rule_features
-
-    program, label, support, prior = _learning_program()
-    grounded = program.ground_program()
-    assignment = {label(i): v for i, v in zip("abc", (1.0, 0.0, 0.5))}
-    via_artifact = grounded.rule_features(assignment)
-    standalone = rule_features(program, assignment)
-    assert via_artifact == standalone
-    reused = rule_features(program, assignment, grounded=grounded)
-    assert reused == standalone
 
 
 # -- GroundedCollective + cache -----------------------------------------------

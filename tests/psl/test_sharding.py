@@ -3,8 +3,9 @@
 The contract under test: for ANY shard size — including degenerate
 single-entry and empty shards — the sharded merge produces an MRF that
 is byte-identical (variables, potentials, constraints, constant energy,
-energies at random points) to the serial dict-based compilation, also
-when the grounding runs in a worker process.
+energies at random points) to adding the same terms one at a time
+(:func:`tests.collective_reference.ground_term_by_term`), also when the
+grounding runs in a worker process.
 """
 
 import numpy as np
@@ -16,8 +17,6 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
-from repro.psl.program import PslProgram
-from repro.psl.rule import lit
 from repro.psl.sharding import (
     TermBlockBuilder,
     ground_shards,
@@ -28,10 +27,10 @@ from repro.psl.sharding import (
 from repro.selection.collective import (
     CollectiveSettings,
     CoverageShard,
-    build_program,
     ground_collective,
 )
 from repro.selection.metrics import build_selection_problem
+from tests.collective_reference import ground_term_by_term
 from tests.work_units import run_on
 
 SHARD_SIZES = (1, 2, 7, None)
@@ -50,54 +49,13 @@ def _assert_identical(serial: HingeLossMRF, sharded: HingeLossMRF) -> None:
         assert serial.max_violation(x) == sharded.max_violation(x)
 
 
-def _sample_program() -> PslProgram:
-    program = PslProgram()
-    friend = program.predicate("friend", 2)
-    votes = program.predicate("votes", 2, closed=False)
-    program.rule(
-        [lit(friend, "A", "B"), lit(votes, "A", "P")], [lit(votes, "B", "P")], weight=0.5
-    )
-    program.rule([lit(votes, "A", "l")], [lit(votes, "A", "r")], weight=None)
-    for pair in (("a", "b"), ("b", "c"), ("a", "c")):
-        program.observe(friend(*pair))
-    program.observe(friend("c", "a"), 0.6)
-    for who in "abc":
-        for party in ("l", "r"):
-            program.target(votes(who, party))
-    program.add_raw_potential({votes("a", "l"): 1.0}, -0.5, 2.0)
-    program.add_raw_potential({votes("b", "l"): 1.0, votes("b", "r"): 0.5}, -0.25, 1.0, True)
-    program.add_raw_potential({}, 0.25, 2.0)  # constant: folds into constant_energy
-    program.add_linear_constraint({votes("a", "l"): 1.0, votes("a", "r"): 1.0}, -1.0)
-    program.add_linear_constraint({votes("c", "l"): 1.0}, -0.5, equality=True)
-    return program
-
-
-@pytest.mark.parametrize("executor", EXECUTORS)
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_program_sharded_ground_matches_serial(executor, shard_size):
-    program = _sample_program()
-    serial = program.ground()
-    sharded, stats = run_on(executor, program.ground_sharded, shard_size=shard_size)
-    _assert_identical(serial, sharded)
-    assert stats.num_shards == len(program.grounding_shards(shard_size=shard_size))
-    assert stats.num_potentials == len(serial.potentials)
-    assert stats.num_constraints == len(serial.constraints)
-    assert stats.peak_shard_terms <= stats.total_terms
-
-
-def test_program_ground_dispatches_to_sharded_path():
-    program = _sample_program()
-    _assert_identical(program.ground(), program.ground(shard_size=2))
-
-
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
 def test_collective_sharded_ground_matches_serial(executor, shard_size):
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
     settings = CollectiveSettings()
-    program, _ = build_program(problem, settings)
-    serial = program.ground()
+    serial = ground_term_by_term(problem, settings)
     sharded, plan, stats = run_on(
         executor, ground_collective, problem, settings, shard_size=shard_size
     )
@@ -116,7 +74,7 @@ def test_collective_sharded_ground_matches_serial_on_noisy_scenario():
         scenario.source, scenario.target, scenario.candidates
     )
     settings = CollectiveSettings(squared_hinges=True)
-    serial = build_program(problem, settings)[0].ground()
+    serial = ground_term_by_term(problem, settings)
     for shard_size in (1, 5, 64):
         sharded, _, _ = ground_collective(problem, settings, shard_size=shard_size)
         _assert_identical(serial, sharded)
@@ -133,7 +91,7 @@ def test_collective_degenerate_problems():
     shared_errors = build_selection_problem(source, target, tgds)
     empty = build_selection_problem(source, target, [])
     for problem in (shared_errors, empty):
-        serial = build_program(problem, CollectiveSettings())[0].ground()
+        serial = ground_term_by_term(problem)
         for shard_size in (1, None):
             sharded, _, _ = ground_collective(problem, shard_size=shard_size)
             _assert_identical(serial, sharded)
@@ -210,45 +168,27 @@ def test_structure_fingerprint_identical_across_executors_and_shards(
     assert structure_fingerprint(mrf) == structure_fingerprint(reference)
 
 
-def test_structure_fingerprint_weight_independent_for_rule_overrides():
-    program = _sample_program()
-    rules = [r for r in program.rules if not r.is_hard]
-    base = program.ground()
-    overridden = program.ground({rules[0]: 4.25})
-    assert structure_fingerprint(base) == structure_fingerprint(overridden)
-    assert mrf_fingerprint(base) != mrf_fingerprint(overridden)
-
-
-def test_structure_fingerprint_agrees_on_zero_weight_rules():
-    # A zero-weight rule contributes no potentials, but both paths must
-    # still agree on the group registry (intern order and the
-    # zero-dropped marker), or equal programs would miss the structure
-    # cache — and a later reweight of the dropped group must raise on
-    # either path instead of silently diverging from a fresh ground.
-    from repro.errors import InferenceError as IE
-
-    def build():
-        program = PslProgram()
-        friend = program.predicate("friend", 2)
-        votes = program.predicate("votes", 2, closed=False)
-        program.rule(
-            [lit(friend, "A", "B")], [lit(votes, "A", "B")], weight=0.0, name="off"
-        )
-        program.rule([lit(votes, "A", "B")], [], weight=1.0, name="prior")
-        program.observe(friend("a", "b"))
-        program.target(votes("a", "b"))
-        return program
-
-    serial = build().ground()
-    sharded = build().ground(shard_size=4)
+def test_structure_fingerprint_agrees_on_zero_weight_groups():
+    # A zero-weight group contributes no potentials, but a merged block
+    # must still leave the group registry (intern order and the
+    # zero-dropped marker) the term-by-term calls leave, or equal models
+    # would miss the structure cache — and a later reweight of the
+    # dropped group must raise on both paths.
+    terms = [([(X(0), 1.0)], 0.0, 0.0, "off"), ([(X(0), -1.0)], 1.0, 1.0, "on")]
+    serial = HingeLossMRF()
+    serial.variable_index(X(0))
+    builder = TermBlockBuilder()
+    for coefficients, offset, weight, group in terms:
+        serial.add_potential(dict(coefficients), offset, weight, group=group)
+        builder.add_potential(coefficients, offset, weight, group=group)
+    sharded = HingeLossMRF()
+    sharded.variable_index(X(0))
+    sharded.add_term_block(*builder.finish())
     assert structure_fingerprint(serial) == structure_fingerprint(sharded)
-    assert [repr(k) for k in serial.group_keys] == [
-        repr(k) for k in sharded.group_keys
-    ]
+    assert serial.group_keys == sharded.group_keys == ("off", "on")
     for mrf in (serial, sharded):
-        off = next(k for k in mrf.group_keys if getattr(k, "name", "") == "off")
-        with pytest.raises(IE):
-            mrf.set_group_weights({off: 1.0})
+        with pytest.raises(InferenceError):
+            mrf.set_group_weights({"off": 1.0})
 
 
 def test_structure_fingerprint_sees_structural_changes():
@@ -273,20 +213,6 @@ def test_fingerprint_distinguishes_repr_colliding_atoms():
     b.add_potential({X("1"): 1.0}, 0.0, weight=1.0)
     assert repr(X(1)) == repr(X("1"))  # the collision the key must survive
     assert mrf_fingerprint(a) != mrf_fingerprint(b)
-
-
-def test_sharded_ground_deterministic_with_repr_colliding_constants():
-    program = PslProgram()
-    p = program.predicate("p", 1)
-    q = program.predicate("q", 1, closed=False)
-    for const in (1, "1", 2, "2"):
-        program.observe(p(const))
-        program.target(q(const))
-    program.rule([lit(p, "X")], [lit(q, "X")], weight=1.0)
-    serial = program.ground()
-    for executor in EXECUTORS:
-        sharded, _ = run_on(executor, program.ground_sharded, shard_size=1)
-        _assert_identical(serial, sharded)
 
 
 def test_iter_slices_covers_range_exactly():

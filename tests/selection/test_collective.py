@@ -1,17 +1,24 @@
 """Unit tests for the collective (PSL) selector."""
 
+import functools
+from fractions import Fraction
+
 import pytest
 
 from repro.examples_data import paper_example
+from repro.ibench.config import ScenarioConfig
+from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmSettings
+from repro.psl.sharding import mrf_fingerprint
 from repro.selection.collective import (
     CollectiveSettings,
-    build_program,
+    ground_collective,
     solve_collective,
 )
 from repro.selection.exact import solve_milp
 from repro.selection.metrics import build_selection_problem
-from repro.selection.objective import ObjectiveWeights
+from repro.selection.objective import DEFAULT_WEIGHTS, ObjectiveWeights
+from tests.collective_reference import assert_admm_solves_the_lp, ground_term_by_term
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +57,9 @@ def test_diagnostics_populated(problems):
 
 def test_program_structure(problems):
     problem = problems[0]
-    program, in_atoms = build_program(problem, CollectiveSettings())
-    assert len(in_atoms) == problem.num_candidates
-    mrf = program.ground()
+    mrf, plan, _ = ground_collective(problem)
+    assert len(plan.in_atoms) == problem.num_candidates
+    assert mrf_fingerprint(mrf) == mrf_fingerprint(ground_term_by_term(problem))
     # 2 coverable J facts -> 2 explained vars; + 2 in vars.
     assert mrf.num_variables == 4
     # 2 coverage potentials + 2 candidate priors (errors+size folded together).
@@ -102,8 +109,8 @@ def test_shared_error_facts_use_mediator_variable():
     problem = build_selection_problem(source, target, tgds)
     assert problem.union_error_facts([0, 1]) == {fact("u", 1)}
 
-    program, _ = build_program(problem, CollectiveSettings())
-    mrf = program.ground()
+    mrf, _, _ = ground_collective(problem)
+    assert mrf_fingerprint(mrf) == mrf_fingerprint(ground_term_by_term(problem))
     # mediator errorOf var present: 2 in + 1 errorOf (no coverable facts)
     assert mrf.num_variables == 3
     result = solve_collective(problem)
@@ -190,3 +197,39 @@ def test_warm_start_ignores_unknown_indices():
     warm = solve_collective(problem, warm_start={0: 1.0, 99: 0.25})
     assert warm.selected == cold.selected
     assert warm.objective == cold.objective
+
+
+# -- the relaxation against an exact LP ----------------------------------------
+
+#: The paper's unit weights and a setting that moves all three.
+LP_WEIGHTS = (
+    DEFAULT_WEIGHTS,
+    ObjectiveWeights(Fraction(2), Fraction(1, 2), Fraction(1, 3)),
+)
+
+
+@pytest.mark.parametrize("weights", LP_WEIGHTS)
+def test_admm_energy_matches_lp_relaxation_on_paper_examples(problems, weights):
+    for problem in problems:
+        assert_admm_solves_the_lp(problem, weights)
+
+
+@functools.cache
+def _noisy_problem(primitives):
+    scenario = generate_scenario(
+        ScenarioConfig(
+            num_primitives=primitives,
+            seed=1,
+            rows_per_relation=10,
+            pi_corresp=50,
+            pi_errors=50,
+            pi_unexplained=50,
+        )
+    )
+    return build_selection_problem(scenario.source, scenario.target, scenario.candidates)
+
+
+@pytest.mark.parametrize("weights", LP_WEIGHTS)
+@pytest.mark.parametrize("primitives", (6, 12, 24, 48))
+def test_admm_energy_matches_lp_relaxation_on_ibench(primitives, weights):
+    assert_admm_solves_the_lp(_noisy_problem(primitives), weights)

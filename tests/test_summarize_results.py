@@ -24,10 +24,26 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
                 "fresh_sec_per_update": 0.05,
                 "reweight_sec_per_update": 0.005,
                 "speedup_per_update": 10.0,
-                "learning_epochs": 8,
-                "learning_legacy_sec_per_epoch": 0.012,
-                "learning_sec_per_epoch": 0.002,
-                "learning_speedup": 6.0,
+            }
+        )
+    )
+    (tmp_path / "incremental.json").write_text(
+        json.dumps(
+            {
+                "host_cpus": 4,
+                "collective_lane": {
+                    "median_speedup": 6.0,
+                    "edits": [
+                        {
+                            "edit": "RemoveTargetTuple",
+                            "reused_shards": 30,
+                            "num_shards": 32,
+                            "full_ground_seconds": 0.02,
+                            "patch_seconds": 0.004,
+                            "speedup": 6.0,
+                        }
+                    ],
+                },
             }
         )
     )
@@ -58,7 +74,8 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
     assert "| benchmark" in text
     assert "10.0×" in text and "6.0×" in text
     assert "reweight many (sweep)" in text
-    assert "reweight many (learning)" in text
+    assert "delta grounding (collective chain)" in text
+    assert "30/32 shards" in text
     assert "grounding store cold start (large)" in text
     assert "7.5×" in text
     assert "warm in-process reweight" in text  # the cold-vs-warm column
