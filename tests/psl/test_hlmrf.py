@@ -96,6 +96,21 @@ def test_admm_reported_energy_includes_constant_term():
     assert result.energy >= 3.0  # the constant floor
 
 
+def test_program_grounding_keeps_fully_observed_constant_energy():
+    """A grounding whose atoms are all observed still costs real energy."""
+    from repro.psl.sharding import TermBlockBuilder
+
+    # p(a) -> q(a) at weight 2 with p(a) = 1 and q(a) = 0.25 both observed:
+    # no open atom is left, and the distance to satisfaction is 0.75.
+    builder = TermBlockBuilder()
+    builder.add_potential([], 1.0 - 0.25, 2.0)
+    mrf = HingeLossMRF()
+    mrf.add_term_block(*builder.finish())
+    assert mrf.potentials == []
+    assert mrf.constant_energy == pytest.approx(1.5)
+    assert mrf.energy([]) == pytest.approx(1.5)
+
+
 def test_max_violation():
     mrf = HingeLossMRF()
     mrf.add_constraint({X(0): 1.0}, -0.5)  # x <= 0.5

@@ -4,9 +4,13 @@ The contract under test: for ANY shard size — including degenerate
 single-entry and empty shards — the sharded merge produces an MRF that
 is byte-identical (variables, potentials, constraints, constant energy,
 energies at random points) to adding the same terms one at a time
-(:func:`tests.collective_reference.ground_term_by_term`), also when the
+through the dict-keyed ``HingeLossMRF`` calls — for a hand-written term
+program and for the collective model
+(:func:`tests.collective_reference.ground_term_by_term`) — also when the
 grounding runs in a worker process.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.ibench.generator import generate_scenario
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import (
+    ShardResult,
     TermBlockBuilder,
     ground_shards,
     iter_slices,
@@ -47,6 +52,98 @@ def _assert_identical(serial: HingeLossMRF, sharded: HingeLossMRF) -> None:
         x = rng.random(serial.num_variables)
         assert serial.energy(x) == sharded.energy(x)
         assert serial.max_violation(x) == sharded.max_violation(x)
+
+
+# A hand-written program: (kind, coefficients, offset, weight, group)
+# terms over open ``votes`` atoms.  ``influence`` is the ground form of
+# friend(A, B) & votes(A, P) -> votes(B, P) with ``friend`` observed;
+# the constraints are the hard rule votes(A, "l") -> votes(A, "r") plus
+# raw linear and equality constraints; one raw potential is constant.
+FRIEND = Predicate("friend", 2)
+VOTES = Predicate("votes", 2, closed=False)
+
+
+def _sample_program(influence_weight: float = 0.5) -> tuple[list, list]:
+    targets = [VOTES(who, party) for who in "abc" for party in ("l", "r")]
+    friends = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0, ("c", "a"): 0.6}
+    terms = []
+    for (a, b), truth in friends.items():
+        for party in ("l", "r"):
+            coefficients = [(VOTES(a, party), 1.0), (VOTES(b, party), -1.0)]
+            terms.append(("hinge", coefficients, truth - 1.0, influence_weight, "influence"))
+    for who in "abc":
+        coefficients = [(VOTES(who, "l"), 1.0), (VOTES(who, "r"), -1.0)]
+        terms.append(("leq", coefficients, 0.0, 0.0, None))
+    terms += [
+        ("hinge", [(VOTES("a", "l"), 1.0)], -0.5, 2.0, "raw"),
+        ("squared", [(VOTES("b", "l"), 1.0), (VOTES("b", "r"), 0.5)], -0.25, 1.0, "raw"),
+        ("hinge", [], 0.25, 2.0, "raw"),  # constant: folds into constant_energy
+        ("leq", [(VOTES("a", "l"), 1.0), (VOTES("a", "r"), 1.0)], -1.0, 0.0, None),
+        ("eq", [(VOTES("c", "l"), 1.0)], -0.5, 0.0, None),
+    ]
+    return targets, terms
+
+
+@dataclass(frozen=True)
+class TermListShard:
+    """A slice of a hand-written term list as a grounding work unit."""
+
+    order: int
+    terms: tuple
+
+    def build(self) -> ShardResult:
+        builder = TermBlockBuilder()
+        for kind, coefficients, offset, weight, group in self.terms:
+            if kind in ("hinge", "squared"):
+                builder.add_potential(
+                    coefficients, offset, weight, kind == "squared", group=group
+                )
+            else:
+                builder.add_constraint(coefficients, offset, kind == "eq")
+        atoms, block = builder.finish()
+        return ShardResult(order=self.order, atoms=atoms, block=block)
+
+
+def _ground_serial(targets, terms) -> HingeLossMRF:
+    mrf = HingeLossMRF()
+    for atom in targets:
+        mrf.variable_index(atom)
+    for kind, coefficients, offset, weight, group in terms:
+        if kind in ("hinge", "squared"):
+            mrf.add_potential(
+                dict(coefficients), offset, weight, kind == "squared", group=group
+            )
+        else:
+            mrf.add_constraint(dict(coefficients), offset, kind == "eq")
+    return mrf
+
+
+def _term_shards(terms, shard_size) -> list[TermListShard]:
+    return [
+        TermListShard(order=i, terms=tuple(terms[lo:hi]))
+        for i, (lo, hi) in enumerate(iter_slices(len(terms), shard_size))
+    ]
+
+
+def _ground_sharded(targets, terms, shard_size):
+    mrf = HingeLossMRF()
+    for atom in targets:
+        mrf.variable_index(atom)
+    return ground_shards(_term_shards(terms, shard_size), mrf)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("shard_size", SHARD_SIZES)
+def test_program_sharded_ground_matches_serial(executor, shard_size):
+    targets, terms = _sample_program()
+    serial = _ground_serial(targets, terms)
+    sharded, stats = run_on(executor, _ground_sharded, targets, terms, shard_size)
+    _assert_identical(serial, sharded)
+    assert stats.num_shards == len(_term_shards(terms, shard_size))
+    assert stats.num_potentials == len(serial.potentials)
+    assert stats.num_constraints == len(serial.constraints)
+    assert stats.constant_energy == serial.constant_energy
+    assert stats.peak_shard_terms <= stats.total_terms
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -168,7 +265,18 @@ def test_structure_fingerprint_identical_across_executors_and_shards(
     assert structure_fingerprint(mrf) == structure_fingerprint(reference)
 
 
-def test_structure_fingerprint_agrees_on_zero_weight_groups():
+def test_structure_fingerprint_weight_independent_for_rule_overrides():
+    targets, terms = _sample_program()
+    base = _ground_serial(targets, terms)
+    overridden = _ground_serial(*_sample_program(influence_weight=4.25))
+    assert structure_fingerprint(base) == structure_fingerprint(overridden)
+    assert mrf_fingerprint(base) != mrf_fingerprint(overridden)
+    sharded, _ = _ground_sharded(*_sample_program(influence_weight=4.25), 2)
+    assert structure_fingerprint(sharded) == structure_fingerprint(base)
+    assert mrf_fingerprint(sharded) == mrf_fingerprint(overridden)
+
+
+def test_structure_fingerprint_agrees_on_zero_weight_rules():
     # A zero-weight group contributes no potentials, but a merged block
     # must still leave the group registry (intern order and the
     # zero-dropped marker) the term-by-term calls leave, or equal models
@@ -213,6 +321,19 @@ def test_fingerprint_distinguishes_repr_colliding_atoms():
     b.add_potential({X("1"): 1.0}, 0.0, weight=1.0)
     assert repr(X(1)) == repr(X("1"))  # the collision the key must survive
     assert mrf_fingerprint(a) != mrf_fingerprint(b)
+
+
+def test_sharded_ground_deterministic_with_repr_colliding_constants():
+    # q(1) and q("1") print alike but are distinct atoms: each ground
+    # of p(X) -> q(X) must keep them apart and in the same order.
+    q = Predicate("q", 1, closed=False)
+    targets = [q(const) for const in (1, "1", 2, "2")]
+    terms = [("hinge", [(atom, -1.0)], 1.0, 1.0, "rule") for atom in targets]
+    serial = _ground_serial(targets, terms)
+    assert serial.num_variables == 4
+    for executor in EXECUTORS:
+        sharded, _ = run_on(executor, _ground_sharded, targets, terms, 1)
+        _assert_identical(serial, sharded)
 
 
 def test_iter_slices_covers_range_exactly():
