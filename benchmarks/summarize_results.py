@@ -39,14 +39,6 @@ def _fmt_speedup(value: float) -> str:
     return f"{value:.1f}×"
 
 
-def _fmt_bytes(value: float) -> str:
-    if value >= 1024 * 1024:
-        return f"{value / (1024 * 1024):.2f} MiB"
-    if value >= 1024:
-        return f"{value / 1024:.2f} KiB"
-    return f"{value:.0f} B"
-
-
 def _rows_reweight(data: dict) -> list[list[str]]:
     return [
         [
@@ -58,24 +50,6 @@ def _rows_reweight(data: dict) -> list[list[str]]:
             _fmt_speedup(data["speedup_per_update"]),
         ],
     ]
-
-
-def _rows_grounding_store(data: dict) -> list[list[str]]:
-    rows = []
-    for name, r in data.get("scenarios", {}).items():
-        rows.append(
-            [
-                f"grounding store cold start ({name})",
-                f"fresh ground vs store attach+reweight "
-                f"({r.get('num_potentials', '?')} potentials, entry "
-                f"{_fmt_bytes(r['entry_bytes'])}; warm in-process reweight "
-                f"{_fmt_seconds(r['warm_reweight_seconds'])} for context)",
-                _fmt_seconds(r["ground_seconds"]),
-                _fmt_seconds(r["attach_seconds"]),
-                _fmt_speedup(r["speedup"]),
-            ]
-        )
-    return rows
 
 
 def _rows_incremental(data: dict) -> list[list[str]]:
@@ -98,7 +72,6 @@ def _rows_incremental(data: dict) -> list[list[str]]:
 #: filename -> row extractor.  Order fixes the table's row order.
 KNOWN_ARTIFACTS = {
     "reweight.json": _rows_reweight,
-    "grounding_store.json": _rows_grounding_store,
     "incremental.json": _rows_incremental,
 }
 

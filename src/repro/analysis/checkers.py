@@ -199,10 +199,9 @@ class DeterminismChecker(Checker):
     Directory listings (``iterdir``/``glob``/``os.listdir``/…) are the
     filesystem cousin of the same bug: entries arrive in
     filesystem-dependent order, which varies across hosts, mounts, and
-    file creation histories — the grounding store's spill writer/reader
-    paths must iterate in the fixed fingerprint order (a module
-    constant), never in whatever order the directory happens to return,
-    or content-addressing silently breaks.  Listings are exempt when
+    file creation histories — a deterministic path must iterate in a
+    fixed order, never in whatever order the directory happens to
+    return.  Listings are exempt when
     immediately wrapped in a canonical ordering (``sorted``) or an
     order-insensitive reduction.
     """
@@ -255,8 +254,8 @@ class DeterminismChecker(Checker):
                 iter_expr,
                 f"iteration over {listing} follows filesystem order, which "
                 "varies across hosts and mounts; sort the listing — or "
-                "iterate a fixed-order manifest (content-addressed spill "
-                "entries must never depend on directory order)",
+                "iterate a fixed-order manifest (nothing fingerprinted may "
+                "depend on directory order)",
             )
             return
         reason = self._unordered_reason(module, node, iter_expr)

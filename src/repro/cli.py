@@ -12,9 +12,6 @@ Commands:
   (delta) grounding (docs/incremental.md): each revision patches the
   previous one's compiled structure instead of re-grounding;
 * ``demo``     — the paper's running example with its appendix objective table;
-* ``store``    — inspect/maintain an on-disk grounding store
-  (docs/grounding-store.md): ``ls`` the entries, ``gc`` stale ones,
-  ``verify`` payload integrity and structure hashes;
 * ``lint``     — the repro-lint static-analysis pass (docs/lint.md): exits
   0 when clean, 1 on findings, 2 on usage errors.
 
@@ -85,13 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entries per grounding shard (default: sharding module default)",
     )
     select.add_argument(
-        "--grounding-store",
-        default=None,
-        help="disk grounding-store directory: attach a previously spilled "
-        "grounding of the same structure (mmap + reweight) instead of "
-        "re-grounding, and spill fresh grounds for future runs",
-    )
-    select.add_argument(
         "--no-incremental",
         action="store_true",
         help="disable incremental (delta) grounding: always ground from "
@@ -119,19 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="entries per grounding shard (default: sharding module default)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist generated scenarios/problems here (keyed by config hash) "
-        "so repeated sessions skip generation (also enables a sibling "
-        "groundings/ store unless --grounding-store overrides it)",
-    )
-    sweep.add_argument(
-        "--grounding-store",
-        default=None,
-        help="disk grounding-store directory shared across lanes, workers and "
-        "sessions (default: <cache-dir>/groundings when --cache-dir is set)",
     )
     sweep.add_argument(
         "--no-warm-start",
@@ -180,12 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solve every cell cold instead of chaining ADMM warm starts",
     )
     weight_sweep.add_argument(
-        "--grounding-store",
-        default=None,
-        help="disk grounding-store directory: the sweep's single structure is "
-        "attached (mmap + reweight) instead of ground when already spilled",
-    )
-    weight_sweep.add_argument(
         "--timing",
         action="store_true",
         help="also print the per-cell timing breakdown",
@@ -216,22 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("demo", help="the paper's running example")
-
-    store = sub.add_parser(
-        "store",
-        help="inspect/maintain a grounding store (ls, gc, verify)",
-    )
-    store.add_argument("action", choices=["ls", "gc", "verify"])
-    store.add_argument("root", help="grounding store directory")
-    store.add_argument(
-        "--key", default=None, help="verify only this entry (default: all)"
-    )
-    store.add_argument(
-        "--all",
-        action="store_true",
-        dest="all_entries",
-        help="gc: remove every entry, not just stale/leftover ones",
-    )
 
     lint_help = (
         "run the repro-lint invariant checkers (RPL001 process-map safety, "
@@ -283,15 +238,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     names = list(METHOD_REGISTRY) if args.method == "all" else [args.method]
     methods = {name: METHOD_REGISTRY[name] for name in names}
-    knobs = (args.ground_shard_size, args.grounding_store)
     if "collective" in methods and (
-        any(knob is not None for knob in knobs) or args.no_incremental
+        args.ground_shard_size is not None or args.no_incremental
     ):
         methods["collective"] = partial(
             solve_collective,
             settings=CollectiveSettings(
                 ground_shard_size=args.ground_shard_size,
-                grounding_store=args.grounding_store,
                 incremental=not args.no_incremental,
             ),
         )
@@ -400,9 +353,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         methods=DEFAULT_GRID_METHODS,
         executor=args.executor,
         warm_start=not args.no_warm_start,
-        cache_dir=args.cache_dir,
         ground_shard_size=args.ground_shard_size,
-        grounding_store=args.grounding_store,
         incremental=not args.no_incremental,
     )
     sweep = engine.sweep(base, args.noise, args.levels, args.seeds)
@@ -459,7 +410,6 @@ def _cmd_weight_sweep(args: argparse.Namespace) -> int:
         methods=DEFAULT_GRID_METHODS,
         executor=args.executor,
         warm_start=not args.no_warm_start,
-        grounding_store=args.grounding_store,
     )
     sweep = engine.weight_sweep(base, weight_grid, args.seeds)
     columns = [*DEFAULT_GRID_METHODS, "gold"]
@@ -521,45 +471,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.psl.store import GroundingStore
-
-    store = GroundingStore(args.root)
-    if args.action == "ls":
-        entries = store.ls()
-        print(
-            format_table(
-                ["key", "vars", "potentials", "constraints", "copies", "bytes", "state"],
-                [
-                    [
-                        e.key[:16],
-                        e.num_variables,
-                        e.num_potentials,
-                        e.num_constraints,
-                        e.num_copies,
-                        e.bytes,
-                        "stale" if e.stale else "ok",
-                    ]
-                    for e in entries
-                ],
-                title=f"{len(entries)} entr(y/ies) in {args.root}",
-            )
-        )
-        return 0
-    if args.action == "gc":
-        removed = store.gc(all_entries=args.all_entries)
-        for name in removed:
-            print(f"removed {name}")
-        print(f"gc: removed {len(removed)} director(y/ies)")
-        return 0
-    results = store.verify(args.key)
-    for key, ok, message in results:
-        print(f"{'ok ' if ok else 'BAD'} {key[:16]} {message}")
-    bad = sum(1 for _, ok, _ in results if not ok)
-    print(f"verify: {len(results) - bad} ok, {bad} bad")
-    return 1 if bad else 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -585,7 +496,6 @@ _COMMANDS = {
     "weight-sweep": _cmd_weight_sweep,
     "chain": _cmd_chain,
     "demo": _cmd_demo,
-    "store": _cmd_store,
     "lint": _cmd_lint,
 }
 
@@ -596,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
-        # ``repro store ls | head`` and friends: a pipe closed by the
+        # ``repro sweep | head`` and friends: a pipe closed by the
         # downstream reader is normal usage, not a traceback.  Point
         # stdout at devnull so interpreter shutdown does not re-raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

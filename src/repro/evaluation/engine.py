@@ -14,8 +14,7 @@ runner:
 * **scenario caching** — scenarios and their
   :class:`~repro.selection.metrics.SelectionProblem` tables are memoized
   per process, so a config appearing in several grids is generated and
-  chased once; with a ``cache_dir`` the cache also spills to disk keyed
-  by config hash, so repeated benchmark *sessions* skip generation too;
+  chased once;
 * **sharded grounding** — the collective method's HL-MRF compilation
   runs shard by shard
   (:func:`~repro.selection.collective.ground_collective`), with the
@@ -36,14 +35,11 @@ commands, and :mod:`benchmarks.sweeps` all sit on top of this module.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ReproError
@@ -105,148 +101,25 @@ class GridCell:
     timing: CellTiming
 
 
-#: Bump when the on-disk scenario/problem formats (or the generation /
-#: chasing semantics behind them) change: the version is folded into the
-#: cache key, so entries from older formats are simply never matched.
-#: v2: :class:`~repro.selection.metrics.SelectionProblem` pickles carry
-#: the ``lineage`` revision field consumed by incremental grounding.
-CACHE_FORMAT_VERSION = 2
-
-
-def config_hash(config: ScenarioConfig) -> str:
-    """A stable hex digest of a scenario config — the disk-cache key.
-
-    Built from the frozen dataclass repr (deterministic field rendering)
-    plus :data:`CACHE_FORMAT_VERSION`, so equal configs hash equally
-    across processes and sessions but never across incompatible cache
-    formats.  The version cannot detect arbitrary code changes — clear
-    the cache directory after modifying scenario generation or chasing
-    if the constant was not bumped.
-    """
-    key = f"v{CACHE_FORMAT_VERSION}:{config!r}"
-    return hashlib.sha256(key.encode()).hexdigest()[:20]
-
-
 class ScenarioCache:
     """Memoizes scenarios and their selection problems by config.
 
     One instance lives in each worker process (module-level singleton) and
     one in the driving process, so repeated grid points never re-chase.
-
-    With *cache_dir* set, the cache is two-level: misses fall through to
-    disk (``<hash>.scenario.json`` via the stable JSON format of
-    :mod:`repro.io.serialize`; ``<hash>.problem.pkl`` for the chased
-    metric tables), and fresh results are written back, so repeated
-    benchmark *sessions* skip generation and chasing entirely.  Disk
-    failures (corrupt or unreadable files) silently fall back to
-    regeneration.  A disk hit reports the load time as the cell's
-    generate/build cost; in-memory hits still report 0.0.
     """
 
-    def __init__(self, cache_dir: str | Path | None = None):
+    def __init__(self):
         self._scenarios: dict[ScenarioConfig, tuple[Scenario, float]] = {}
         self._problems: dict[ScenarioConfig, tuple[SelectionProblem, float]] = {}
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-
-    # -- disk layer --------------------------------------------------------
-
-    def _disk_path(self, config: ScenarioConfig, suffix: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{config_hash(config)}.{suffix}"
-
-    def _load_scenario(self, config: ScenarioConfig) -> Scenario | None:
-        path = self._disk_path(config, "scenario.json")
-        if path is None or not path.exists():
-            return None
-        from repro.io.serialize import load_scenario
-
-        try:
-            scenario = load_scenario(path)
-        except Exception:
-            return None
-        return scenario if scenario.config == config else None
-
-    def _store_scenario(self, config: ScenarioConfig, scenario: Scenario) -> None:
-        path = self._disk_path(config, "scenario.json")
-        if path is None:
-            return
-        from repro.io.serialize import save_scenario
-
-        # Write-then-rename so concurrent sessions sharing a cache_dir
-        # never publish a torn file (a corrupt entry would silently
-        # defeat the cache for that key forever).
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_scenario(scenario, tmp)
-            os.replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-
-    #: Everything unpickling a cached problem can raise on a bad entry.
-    #: Corruption shows up as ``UnpicklingError``/``EOFError``/``ValueError``;
-    #: *version skew* — an entry written by a code revision whose classes
-    #: have since moved or lost attributes — as ``ModuleNotFoundError``
-    #: (an ``ImportError``) or ``AttributeError``.  Both kinds are plain
-    #: cache misses: regenerate and overwrite, never crash.
-    _PROBLEM_LOAD_ERRORS = (
-        OSError,
-        EOFError,
-        ValueError,
-        TypeError,
-        KeyError,
-        IndexError,
-        ImportError,
-        AttributeError,
-        pickle.UnpicklingError,
-    )
-
-    def _load_problem(self, config: ScenarioConfig) -> SelectionProblem | None:
-        path = self._disk_path(config, "problem.pkl")
-        if path is None or not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except self._PROBLEM_LOAD_ERRORS:
-            return None
-        # Entries are version-wrapped dicts; anything else (including a
-        # bare problem from an older layout) is stale and regenerated.
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("format") != CACHE_FORMAT_VERSION:
-            return None
-        problem = payload.get("problem")
-        return problem if isinstance(problem, SelectionProblem) else None
-
-    def _store_problem(self, config: ScenarioConfig, problem: SelectionProblem) -> None:
-        path = self._disk_path(config, "problem.pkl")
-        if path is None:
-            return
-        payload = {"format": CACHE_FORMAT_VERSION, "problem": problem}
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with tmp.open("wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-
-    # -- lookups -----------------------------------------------------------
 
     def scenario(self, config: ScenarioConfig) -> tuple[Scenario, float]:
         """The scenario for *config* plus the seconds spent generating it
-        (0.0 on an in-memory cache hit)."""
+        (0.0 on a cache hit)."""
         hit = self._scenarios.get(config)
         if hit is not None:
             return hit[0], 0.0
         start = time.perf_counter()
-        scenario = self._load_scenario(config)
-        if scenario is None:
-            scenario = generate_scenario(config)
-            self._store_scenario(config, scenario)
+        scenario = generate_scenario(config)
         elapsed = time.perf_counter() - start
         self._scenarios[config] = (scenario, elapsed)
         return scenario, elapsed
@@ -256,34 +129,17 @@ class ScenarioCache:
         hit = self._problems.get(config)
         if hit is not None:
             return hit[0], 0.0
+        scenario, _ = self.scenario(config)
         start = time.perf_counter()
-        problem = self._load_problem(config)
-        if problem is None:
-            scenario, _ = self.scenario(config)
-            start = time.perf_counter()
-            problem = build_selection_problem(
-                scenario.source, scenario.target, scenario.candidates
-            )
-            self._store_problem(config, problem)
+        problem = build_selection_problem(
+            scenario.source, scenario.target, scenario.candidates
+        )
         elapsed = time.perf_counter() - start
         self._problems[config] = (problem, elapsed)
         return problem, elapsed
 
-    def grounding_dir(self) -> Path | None:
-        """The sibling grounding-store directory of this cache's disk layer.
-
-        Scenario/problem entries and spilled groundings travel together:
-        a cache directory implies a ``groundings/`` subdirectory for the
-        cross-process :class:`~repro.psl.store.GroundingStore`, so every
-        lane/worker sharing the scenario cache also shares one on-disk
-        grounding per structure.  ``None`` when the cache is memory-only.
-        """
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / "groundings"
-
     def clear(self) -> None:
-        """Drop the in-memory layer (disk entries, if any, survive)."""
+        """Drop every memoized scenario and problem."""
         self._scenarios.clear()
         self._problems.clear()
 
@@ -296,10 +152,8 @@ _PROCESS_CACHE = ScenarioCache()
 class ConfigCells:
     """A picklable work unit: run *methods* on the scenario of *config*.
 
-    ``cache_dir`` (if set) points the executing process's scenario cache
-    at the shared on-disk cache; ``collective_settings`` configures the
-    collective solver (grounding shard size, grounding store, ADMM
-    settings, weights…) wherever the unit runs.
+    ``collective_settings`` configures the collective solver (grounding
+    shard size, ADMM settings, weights…) wherever the unit runs.
     ``warm_payload`` carries the previous lane cell's chained collective
     warm-start state (fractional vectors + full ADMM state) into the
     executing process — the engine's wave scheduler sets it so
@@ -309,7 +163,6 @@ class ConfigCells:
     config: ScenarioConfig
     methods: tuple[str, ...]
     include_gold: bool = False
-    cache_dir: str | None = None
     collective_settings: CollectiveSettings | None = None
     warm_payload: CollectiveWarmPayload | None = None
 
@@ -388,12 +241,6 @@ def evaluate_config_cells(
     serial path uses to substitute warm-started solver instances.
     """
     cache = cache if cache is not None else _PROCESS_CACHE
-    # Only the per-process singleton inherits the work unit's cache_dir —
-    # caller-provided caches keep whatever directory their owner chose —
-    # and it is (re)set per job, so a dirless run never silently reuses a
-    # directory leaked by an earlier engine in the same process.
-    if cache is _PROCESS_CACHE:
-        cache.cache_dir = Path(work.cache_dir) if work.cache_dir is not None else None
     unknown = [m for m in work.methods if m not in METHOD_REGISTRY]
     if unknown:
         raise ReproError(f"unknown methods {unknown}; known: {sorted(METHOD_REGISTRY)}")
@@ -512,20 +359,9 @@ class EvaluationEngine:
             (``warm_start=False``) exposes more parallelism at the cost
             of cold solves.
         cache: scenario cache for the serial path; defaults to a fresh
-            private cache (with *cache_dir* applied, when given).
-        cache_dir: directory for the persistent scenario/problem cache;
-            ``None`` keeps caching in-memory only.
+            private cache.
         ground_shard_size: entries per grounding shard (``None`` → the
             sharding default).
-        grounding_store: root directory of a cross-process disk
-            :class:`~repro.psl.store.GroundingStore` for the collective
-            method's compiled groundings — a cold process *attaches*
-            (mmap + reweight) a spilled structure instead of
-            re-grounding it.  Defaults to the scenario cache's sibling
-            ``groundings/`` directory whenever a disk cache is in play
-            (``cache_dir`` or a *cache* with one), so grid lanes and
-            pool workers share one on-disk grounding per
-            structure; ``None`` with no disk cache → off.
         incremental: incremental (delta) grounding for the collective
             method — on a cache miss for a problem carrying a
             :class:`~repro.selection.metrics.ProblemLineage`, patch the
@@ -542,32 +378,19 @@ class EvaluationEngine:
         include_gold: bool = True,
         warm_start: bool = True,
         cache: ScenarioCache | None = None,
-        cache_dir: str | Path | None = None,
         ground_shard_size: int | None = None,
-        grounding_store: str | Path | None = None,
         incremental: bool = True,
     ):
         self.methods = tuple(methods if methods is not None else DEFAULT_GRID_METHODS)
         self.workers = parse_executor_spec(executor)
         self.include_gold = include_gold
         self.warm_start = warm_start
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.cache = cache if cache is not None else ScenarioCache(cache_dir=cache_dir)
-        if grounding_store is None:
-            grounding_store = self.cache.grounding_dir()
-        self.grounding_store = (
-            str(grounding_store) if grounding_store is not None else None
-        )
+        self.cache = cache if cache is not None else ScenarioCache()
         self.incremental = bool(incremental)
         self.collective_settings: CollectiveSettings | None = None
-        if (
-            ground_shard_size is not None
-            or self.grounding_store is not None
-            or not self.incremental
-        ):
+        if ground_shard_size is not None or not self.incremental:
             self.collective_settings = CollectiveSettings(
                 ground_shard_size=ground_shard_size,
-                grounding_store=self.grounding_store,
                 incremental=self.incremental,
             )
 
@@ -578,7 +401,6 @@ class EvaluationEngine:
                 config,
                 self.methods,
                 include_gold=self.include_gold,
-                cache_dir=self.cache_dir,
                 collective_settings=self.collective_settings,
             )
             for config in configs
@@ -708,7 +530,6 @@ class EvaluationEngine:
                 replace(base, seed=seed),
                 self.methods,
                 include_gold=self.include_gold,
-                cache_dir=self.cache_dir,
                 collective_settings=replace(base_settings, weights=weights),
             )
             for weights in weight_grid

@@ -12,9 +12,8 @@ carries only what that solve path needs:
 * consensus-ADMM MAP inference (:mod:`repro.psl.admm`) on partitioned
   term arrays (:mod:`repro.psl.partition`),
 * discrete rounding utilities (:mod:`repro.psl.rounding`),
-* the incremental splice engine (:mod:`repro.psl.delta`) and the disk
-  grounding store (:mod:`repro.psl.store`) behind the collective's
-  patch and disk tiers.
+* the incremental splice engine (:mod:`repro.psl.delta`) behind the
+  collective's patch tier.
 """
 
 from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState

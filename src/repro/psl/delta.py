@@ -55,16 +55,14 @@ class ShardRecord:
     """What the splice must remember about one shard of a past ground.
 
     ``key`` is the shard's content key (:func:`shard_key`); ``atoms`` is
-    its atom table in intern order, or ``None`` when the producer
-    guarantees every atom was already interned before the shard merged
-    (true for all collective shards, whose atoms are plan targets).
+    its atom table in intern order.
     ``observed_groups``/``constant_masses``/``constant_energy`` mirror
     the same-named :class:`~repro.psl.sharding.TermBlock` fields — the
     registry contribution replaying this shard would make.
     """
 
     key: Hashable
-    atoms: tuple[GroundAtom, ...] | None
+    atoms: tuple[GroundAtom, ...]
     observed_groups: tuple = ()
     constant_masses: tuple = ()
     constant_energy: float = 0.0
@@ -263,8 +261,6 @@ def splice_grounding(
             atoms = fresh_results[position].atoms
         else:
             atoms = old_records[source].atoms
-            if atoms is None:
-                continue  # producer guarantees no new atoms
         for atom in atoms:
             if atom not in var_index:
                 var_index[atom] = len(variables)

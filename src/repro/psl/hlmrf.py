@@ -124,10 +124,10 @@ class HardConstraint:
 
 
 class _LazyTermList:
-    """Deferred potential/constraint objects of a store-attached MRF.
+    """Deferred potential/constraint objects of a rebuilt MRF.
 
-    Building the per-term objects is the expensive half of attaching a
-    spilled grounding (:func:`rebuild_mrf`), and the hot path never
+    Building the per-term objects is the expensive half of rebuilding a
+    spliced grounding (:func:`rebuild_mrf`), and the hot path never
     reads them: the ADMM stack solves off the precompiled flat arrays,
     :meth:`HingeLossMRF.energy` slices them too, reweighting updates the
     weight *vector* (see :meth:`HingeLossMRF._set_weight`), and the
@@ -190,7 +190,7 @@ class _LazyTermList:
 
     def __reduce__(self):
         # Pickle as the plain list: receivers get ordinary objects, and
-        # the build closure (which may hold mmap views) never ships.
+        # the build closure never ships.
         return (list, (self._force(),))
 
 
@@ -211,8 +211,7 @@ class HingeLossMRF:
     Every :meth:`add_term_block` call also records the block's extent in
     the potential and constraint lists, so the shard structure chosen at
     grounding time survives into the model; the splice engine
-    (:mod:`repro.psl.delta`) and the grounding store
-    (:mod:`repro.psl.store`) read those extents back.
+    (:mod:`repro.psl.delta`) reads those extents back.
 
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
     potential weights, so weights are first-class mutable state, kept
@@ -261,10 +260,9 @@ class HingeLossMRF:
     def _ensure_index(self) -> dict[GroundAtom, int]:
         """The atom→index map, rebuilt when it lags ``variables``.
 
-        Normal grounding keeps the two in lockstep; a store-attached MRF
+        Normal grounding keeps the two in lockstep; a spliced MRF
         (:func:`rebuild_mrf`) starts with an empty map and pays the atom
-        hashing only when something actually resolves atoms — never on
-        the attach path itself.
+        hashing only when something actually resolves atoms.
         """
         index = self._index
         if len(index) != len(self.variables):
@@ -337,7 +335,7 @@ class HingeLossMRF:
         if self._pot_weights[i] != weight:
             potentials = self.potentials
             if isinstance(potentials, _LazyTermList) and not potentials.materialized:
-                # Store-attached MRF whose term objects are still
+                # Spliced MRF whose term objects are still
                 # deferred: they materialize from the live weight
                 # vector, so updating the vector alone keeps them exact
                 # — and reweighting stays free of object construction.
@@ -592,8 +590,8 @@ class HingeLossMRF:
             # potential objects: both emit the identical potentials-first
             # CSR order, the lists are append-only, and an equal count
             # pins an equal prefix — so the content matches bit for bit.
-            # Also keeps a store-attached MRF's deferred term objects
-            # unmaterialized (the arrays are read-only mmap views there).
+            # Also keeps a spliced MRF's deferred term objects
+            # unmaterialized.
             copies = int(flat.term_ptr[num])
             arrays = (
                 flat.var[:copies],
@@ -635,9 +633,8 @@ class HingeLossMRF:
         # The energy-array cache is a derived O(copies) structure; keep
         # it out of pickles (engine work units ship MRFs) and let the
         # receiver rebuild it lazily.  Likewise the precompiled flat
-        # solver arrays a store attach seeds (mmap views must never be
-        # pickled as full arrays); the receiver recompiles from the
-        # potential lists.
+        # solver arrays; the receiver recompiles from the potential
+        # lists.
         state = self.__dict__.copy()
         state.pop("_energy_terms", None)
         state.pop("_compiled", None)
@@ -691,23 +688,23 @@ def rebuild_mrf(
 ) -> HingeLossMRF:
     """Reconstruct a grounded :class:`HingeLossMRF` from flat CSR arrays.
 
-    The structural inverse of grounding, used by the disk grounding
-    store (:mod:`repro.psl.store`): given the flat term arrays in
-    potentials-then-constraints order plus the registry metadata
-    (interned variables, origin groups, folded-constant masses, term
-    block extents), rebuild the full MRF **without re-interning atoms
+    The structural inverse of grounding, used only by the splice engine
+    (:func:`~repro.psl.delta.splice_grounding`): given the flat term
+    arrays in potentials-then-constraints order plus the registry
+    metadata (interned variables, origin groups, folded-constant masses,
+    term block extents), rebuild the full MRF **without re-interning atoms
     through the grounding path** — no shard planning, no
     ``add_term_block``, no dict-based coefficient maps.  Every field is
     reproduced exactly as the original grounding left it (float64
     round-trips bit for bit), so fingerprints, reweighting, and solves
     on the rebuilt MRF are indistinguishable from the original's.
 
-    Array-likes may be numpy arrays (including read-only mmap views) or
-    plain sequences; they are only read.
+    Array-likes may be numpy arrays or plain sequences; they are only
+    read.
 
     The potential/constraint *objects* are deferred
     (:class:`_LazyTermList`): the solver stack works entirely off the
-    flat arrays, so an attached MRF solves and reweights without ever
+    flat arrays, so a spliced MRF solves and reweights without ever
     constructing them — they materialize (from the live weight vector)
     only when something iterates or subscripts the lists, e.g. a
     fingerprint or the per-potential diagnostics.

@@ -6,9 +6,8 @@ minimizer ``x = v - lambda * a`` and touches shared state only through
 the consensus vector ``z`` and its local duals.  :class:`FlatTermArrays`
 holds every term of one MRF in that layout — CSR rows of variable
 copies, potentials first, then constraints — and is the single
-compiled form the solver (:mod:`repro.psl.admm`), the grounding store
-(:mod:`repro.psl.store`) and the splice engine (:mod:`repro.psl.delta`)
-share.
+compiled form the solver (:mod:`repro.psl.admm`) and the splice engine
+(:mod:`repro.psl.delta`) share.
 """
 
 from __future__ import annotations
@@ -34,13 +33,11 @@ class FlatTermArrays:
 
     The single compiled form of an MRF: :func:`compile_term_arrays`
     assembles it from the potential/constraint lists, the ADMM solver
-    iterates on it, and the grounding store (:mod:`repro.psl.store`)
-    spills exactly these arrays to disk and re-attaches them as
-    read-only mmap views — every field except ``weight`` is structure,
-    immutable once grounded, so zero-copy attach is safe.  ``weight`` is
-    the flat per-term weight vector; it **must be writable**
-    (:meth:`set_potential_weights` rewrites it in place), so the attach
-    path substitutes a fresh in-memory copy for the mmapped original.
+    iterates on it, and the splice engine (:mod:`repro.psl.delta`)
+    slices reused shards' rows out of it.  Every field except ``weight``
+    is structure, immutable once grounded; ``weight`` is the flat
+    per-term weight vector, rewritten in place by
+    :meth:`set_potential_weights`.
     """
 
     num_variables: int
@@ -84,8 +81,7 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     Array assembly is single-pass ``np.fromiter`` over generator chains
     — no intermediate Python lists, no per-copy interpreter loop.  The
     derived arrays (``term``, ``normsq``, ``degree``) are computed here
-    once and carried along, so a consumer that persisted them (the
-    grounding store) reloads bit-identical values instead of recomputing.
+    once and carried along.
     """
     potentials, constraints = mrf.potentials, mrf.constraints
     num_terms = len(potentials) + len(constraints)
@@ -151,8 +147,8 @@ def solver_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     """*mrf*'s flat arrays at its current weights (compiled once per solver).
 
     An MRF carrying precompiled :class:`FlatTermArrays` (attribute
-    ``_compiled`` — seeded at grounding time and by the grounding
-    store's mmap attach path) skips array assembly: the solver works on
+    ``_compiled`` — seeded at grounding time and by the splice engine)
+    skips array assembly: the solver works on
     those arrays directly.  The precompiled weights may be the
     grounding-time ones, so they are resynced from the MRF's live weight
     vector here — the solver snapshots ``weights_version`` at

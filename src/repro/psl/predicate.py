@@ -1,9 +1,4 @@
-"""PSL predicates and ground atoms.
-
-A predicate is *closed* when its ground atoms are fully observed (unknown
-atoms default to truth 0 under the closed-world assumption) and *open*
-when its atoms are random variables to be inferred.
-"""
+"""PSL predicates and ground atoms."""
 
 from __future__ import annotations
 
@@ -16,7 +11,6 @@ class Predicate:
 
     name: str
     arity: int
-    closed: bool = True
 
     def __call__(self, *args: object) -> "GroundAtom":
         """Build a ground atom: ``Friend("alice", "bob")``."""
@@ -27,8 +21,7 @@ class Predicate:
         return GroundAtom(self, tuple(args))
 
     def __repr__(self) -> str:
-        kind = "closed" if self.closed else "open"
-        return f"{self.name}/{self.arity}[{kind}]"
+        return f"{self.name}/{self.arity}"
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,8 +19,7 @@ shard's atoms once and appends its terms via
   per-potential dicts.
 
 Shards stay the unit of *reuse*, not of parallelism: incremental
-grounding (:mod:`repro.psl.delta`) and the grounding store splice
-per-shard records.
+grounding (:mod:`repro.psl.delta`) splices per-shard records.
 
 The one producer of shards is :mod:`repro.selection.collective`, which
 emits coverage/error/prior shards straight from the

@@ -41,8 +41,6 @@ incremental splice engine (:mod:`repro.psl.delta`) patches by.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -61,7 +59,6 @@ from repro.psl.delta import (
     SpliceStats,
     match_shards,
     record_for,
-    shard_key,
     splice_grounding,
 )
 from repro.psl.hlmrf import HingeLossMRF
@@ -76,7 +73,6 @@ from repro.psl.sharding import (
     ground_shards,
     iter_slices,
 )
-from repro.psl.store import GroundingStore, StoredGrounding
 from repro.selection.exact import SelectionResult
 from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
@@ -85,11 +81,11 @@ from repro.selection.objective import (
     objective_evaluator,
 )
 
-#: The model's predicates.  Module-level so shard specs (and pickled or
-#: stored groundings) rebuild atom keys that compare equal.
-IN_PREDICATE = Predicate("inMap", 1, closed=False)
-EXPLAINED_PREDICATE = Predicate("explained", 1, closed=False)
-ERROR_PREDICATE = Predicate("errorOf", 1, closed=False)
+#: The model's predicates.  Module-level so shard specs (and pickled
+#: groundings) rebuild atom keys that compare equal.
+IN_PREDICATE = Predicate("inMap", 1)
+EXPLAINED_PREDICATE = Predicate("explained", 1)
+ERROR_PREDICATE = Predicate("errorOf", 1)
 
 #: Origin-group keys of the model's weighted objective components.  Every
 #: potential the shards emit is tagged with one of these, so a grounded
@@ -126,22 +122,14 @@ class CollectiveSettings:
     #: instead of re-grounding (results are bit-identical to the
     #: re-grounding path).  Set False to force a fresh ground per call.
     reuse_grounding: bool = True
-    #: Root directory of a cross-process disk
-    #: :class:`~repro.psl.store.GroundingStore` (``None`` → off).  With a
-    #: store set, an in-process cache miss first tries to *attach* a
-    #: spilled grounding of the same structure (mmap + reweight — see
-    #: :func:`collective_structure_key`), and a fresh ground is spilled
-    #: for the next process lifetime.  A plain string so settings stay
-    #: picklable inside engine work units.
-    grounding_store: str | None = None
     #: Incremental (delta) grounding: when a problem carries a
     #: :class:`~repro.selection.metrics.ProblemLineage` naming a parent
     #: revision whose artifact is cached, a cache miss first tries to
     #: *patch* the parent's compiled structure — re-ground only the
     #: shards the edit touched, splice the rest
-    #: (:func:`patch_collective`) — before the disk-attach and
-    #: fresh-ground tiers.  Patched artifacts are bit-identical to a
-    #: fresh ground; set False to force the old full-re-ground behaviour.
+    #: (:func:`patch_collective`) — before grounding fresh.  Patched
+    #: artifacts are bit-identical to a fresh ground; set False to force
+    #: a full re-ground.
     incremental: bool = True
 
 
@@ -482,124 +470,6 @@ def ground_collective(
     return mrf, plan, stats
 
 
-def collective_structure_key(
-    problem: SelectionProblem,
-    settings: CollectiveSettings,
-) -> str:
-    """The content address of *problem*'s ground structure in a disk store.
-
-    Two ``(problem, settings)`` pairs share a key iff grounding them
-    yields the same HL-MRF *structure* — at which point the stored entry
-    serves both via attach + reweight.  The key therefore covers exactly
-    the structure-determining inputs and nothing weight-magnitude
-    dependent:
-
-    * the coverage entries (fact index + per-candidate support degrees)
-      and shared-error entries (fact index + owner group) — shard *size*
-      deliberately excluded, since it never changes the flat term order
-      the solver iterates on;
-    * the candidates whose folded prior penalty is positive at the
-      requesting weights (``prior_included``) and the component
-      zero-pattern flags: zero-weight potentials are dropped at
-      grounding time, so a component or penalty crossing zero changes
-      structure and must change the key;
-    * the hinge form (``squared_hinges``) and the candidate count.
-
-    Computed straight from the problem tables — **no shard planning** —
-    because this key is the attach path's admission ticket: a process
-    cold start pays it before anything else, so it must stay a small
-    fraction of a fresh ground.  The entry encodings are packed into
-    int64/float64 arrays and hashed in bulk; entry order is j-fact /
-    candidate-index / repr-sorted-error-group order, a deterministic
-    function of the problem and never set- or dict-arrival order, so
-    equal structures always hash equally (content-addressing would
-    silently break otherwise).  The derivation mirrors
-    :func:`plan_collective_grounding` entry for entry — the two must
-    never drift, or stored entries would attach to the wrong structure
-    (the :meth:`GroundedCollective.can_reweight` guard and the store's
-    fingerprint verification are the backstops).
-    """
-    weights = settings.weights
-    h = hashlib.sha256()
-    h.update(b"collective-structure-v2\0")
-    h.update(
-        struct.pack(
-            "<????Q",
-            bool(settings.squared_hinges),
-            weights.explains == 0,
-            weights.errors == 0,
-            weights.size == 0,
-            problem.num_candidates,
-        )
-    )
-
-    # Coverage triples (t_idx, candidate, degree), ordered by fact then
-    # candidate index — the same entries a CoverageShard would carry.
-    # Cover-table keys are (in practice) the very j_fact objects, so an
-    # id()-based position map avoids hashing every Fact's value tree; a
-    # by-value map is built lazily for equal-but-distinct objects, and
-    # both resolve to the same index, so the digest never depends on
-    # which path found it.
-    t_pos = {id(t): idx for idx, t in enumerate(problem.j_facts)}
-    by_value: dict[Fact, int] | None = None
-    sup_t: list[int] = []
-    sup_i: list[int] = []
-    sup_d: list[float] = []
-    pos_get = t_pos.get
-    push_t, push_i, push_d = sup_t.append, sup_i.append, sup_d.append
-    for i, table in enumerate(problem.covers):
-        for t, degree in table.items():
-            idx = pos_get(id(t))
-            if idx is None:
-                if by_value is None:
-                    by_value = {t: j for j, t in enumerate(problem.j_facts)}
-                idx = by_value[t]
-            push_t(idx)
-            push_i(i)
-            push_d(
-                degree.numerator / degree.denominator
-                if isinstance(degree, Fraction)
-                else float(degree)
-            )
-    t_arr = np.asarray(sup_t, dtype=np.int64)
-    i_arr = np.asarray(sup_i, dtype=np.int64)
-    d_arr = np.asarray(sup_d, dtype=np.float64)
-    order = np.lexsort((i_arr, t_arr))
-    h.update(t_arr[order].tobytes())
-    h.update(i_arr[order].tobytes())
-    h.update(d_arr[order].tobytes())
-
-    # Shared-error entries (e_idx, owners) in the planner's repr-sorted
-    # group order; private errors only move the folded prior below.
-    owners: dict[Fact, list[int]] = {}
-    for i, facts in enumerate(problem.error_facts):
-        for f in facts:
-            owners.setdefault(f, []).append(i)
-    private_error_counts = [0] * problem.num_candidates
-    shared_enc: list[int] = []
-    for e_idx, (f, who) in enumerate(sorted(owners.items(), key=lambda kv: repr(kv[0]))):
-        if len(who) == 1:
-            private_error_counts[who[0]] += 1
-        else:
-            shared_enc.extend((e_idx, len(who)))
-            shared_enc.extend(who)
-    h.update(np.asarray(shared_enc, dtype=np.int64).tobytes())
-
-    # The prior inclusion pattern at the requesting weights, computed by
-    # the exact planning-time expression (Fractions, then float > 0).
-    included = [
-        i
-        for i in range(problem.num_candidates)
-        if float(
-            weights.errors * private_error_counts[i]
-            + weights.size * int(problem.sizes[i])
-        )
-        > 0
-    ]
-    h.update(np.asarray(included, dtype=np.int64).tobytes())
-    return h.hexdigest()
-
-
 class GroundedCollective:
     """One selection problem's compiled HL-MRF, with mutable weights.
 
@@ -609,9 +479,10 @@ class GroundedCollective:
     weights in place for a new :class:`ObjectiveWeights` — coverage and
     error-mediator groups uniformly, per-candidate priors through the
     recorded plan components — and :attr:`solver` reuses one compiled
-    ADMM solver across every reweighted solve.  A reweighted artifact is element-for-element
-    identical to a fresh grounding at the new weights, so solves from it
-    are bit-identical to the re-grounding path.
+    ADMM solver across every reweighted solve.  A reweighted artifact is
+    element-for-element identical to a fresh grounding at the new
+    weights, so solves from it are bit-identical to the re-grounding
+    path.
 
     :meth:`can_reweight` is the structure guard: weights whose zero
     pattern differs from the grounding weights' (a component switched
@@ -634,9 +505,8 @@ class GroundedCollective:
         )
         #: Per-shard splice index (same order as ``plan.shards``), the
         #: input :func:`patch_collective` matches a successor problem's
-        #: plan against.  ``None`` on attached artifacts until
-        #: :meth:`_ensure_records` reconstructs it.
-        self.records: tuple[ShardRecord, ...] | None = tuple(records)
+        #: plan against.
+        self.records: tuple[ShardRecord, ...] = tuple(records)
         self.splice_stats: SpliceStats | None = None
         # Pre-compile the flat arrays while the ground is hot: the ADMM
         # solver wants them anyway, and a later patch slices straight
@@ -646,146 +516,6 @@ class GroundedCollective:
         self.weights = settings.weights
         self._admm = settings.admm
         self._solver: AdmmSolver | None = None
-
-    @classmethod
-    def from_store(
-        cls,
-        problem: SelectionProblem,
-        settings: CollectiveSettings,
-        stored: StoredGrounding,
-    ) -> GroundedCollective:
-        """Attach a spilled grounding as a solve-ready artifact (no ground).
-
-        *stored* must have been spilled under
-        :func:`collective_structure_key` for a structure-equal
-        ``(problem, settings)`` — the key guarantees the zero patterns
-        agree, so the usual :meth:`reweight` to ``settings.weights``
-        (the caller's next step) is exact.  No shard planning runs: the
-        attach-side plan is reconstructed from the rebuilt MRF's
-        variable registry (the atom dicts) and the entry's extra payload
-        (the writer's :meth:`store_extra` — prior components/inclusion
-        for the reweight guard), leaving ``shards`` empty since nothing
-        will be ground.  ``weights`` starts as the *grounding-time*
-        weights the writer recorded, keeping the :meth:`can_reweight`
-        guard honest about what the stored term weights actually are.
-        ``stats`` is ``None``: nothing was ground, so there are no
-        grounding-pass peaks to report.  Raises
-        :class:`~repro.errors.InferenceError` when the extra payload
-        lacks the reweight registry (an entry spilled by something other
-        than the collective disk tier) — callers fall back to a fresh
-        ground.
-        """
-        extra = stored.extra if isinstance(stored.extra, dict) else {}
-        try:
-            prior_components = tuple(
-                (int(i), int(private), int(size))
-                for i, private, size in extra["prior_components"]
-            )
-            prior_included = tuple(int(i) for i in extra["prior_included"])
-            grounding_weights = extra["weights"]
-        except (KeyError, TypeError, ValueError):
-            raise InferenceError(
-                "stored grounding lacks the collective reweight registry "
-                "(prior components / grounding weights); re-ground instead"
-            ) from None
-        mrf = stored.mrf
-        in_atoms: dict[int, GroundAtom] = {}
-        explained_atoms: dict[int, GroundAtom] = {}
-        error_atoms: dict[int, GroundAtom] = {}
-        tables = {
-            IN_PREDICATE.name: in_atoms,
-            EXPLAINED_PREDICATE.name: explained_atoms,
-            ERROR_PREDICATE.name: error_atoms,
-        }
-        for atom in mrf.variables:
-            table = tables.get(atom.predicate.name)
-            if table is not None:
-                table[atom.arguments[0]] = atom
-        self = cls.__new__(cls)
-        self.problem = problem
-        self.squared = bool(settings.squared_hinges)
-        self.mrf = mrf
-        self.plan = CollectivePlan(
-            in_atoms=in_atoms,
-            explained_atoms=explained_atoms,
-            error_atoms=error_atoms,
-            targets=tuple(mrf.variables),
-            shards=(),
-            prior_components=prior_components,
-            prior_included=prior_included,
-        )
-        self.stats = None
-        self.records = None
-        self.splice_stats = None
-        self.weights = grounding_weights
-        self._admm = settings.admm
-        self._solver = None
-        return self
-
-    def store_extra(self) -> dict:
-        """The extra payload a disk-store spill of this artifact needs.
-
-        Everything :meth:`from_store` cannot recover from the flat
-        arrays: the grounding-time weights (the :meth:`can_reweight`
-        baseline) and the plan's prior components/inclusion (the
-        per-candidate reweight registry).
-        """
-        return {
-            "weights": self.weights,
-            "prior_components": self.plan.prior_components,
-            "prior_included": self.plan.prior_included,
-        }
-
-    def _ensure_records(self, shard_size: int | None) -> bool:
-        """Make :attr:`records` available, reconstructing if attached.
-
-        Freshly ground artifacts record their splice index at ground
-        time; a disk-attached artifact has an MRF (with its per-shard
-        ``_block_extents``) but no shard list.  Re-planning the problem
-        at the *grounding-time* weights recovers the shard specs; each
-        spec's expected potential/constraint counts are checked against
-        the recorded extent, so a plan that drifted from the stored
-        structure is detected and the patch declined (return ``False``
-        → caller falls back) rather than splicing the wrong ranges.
-        ``atoms`` is ``None`` on reconstructed records: every collective
-        shard atom is a plan target, pre-interned before any merge.
-        """
-        if self.records is not None:
-            return True
-        mrf = self.mrf
-        extents = getattr(mrf, "_block_extents", None)
-        if not extents or mrf.constant_energy != 0.0:
-            return False
-        plan = plan_collective_grounding(
-            self.problem,
-            CollectiveSettings(weights=self.weights, squared_hinges=self.squared),
-            shard_size,
-        )
-        if len(plan.shards) != len(extents):
-            return False
-        records: list[ShardRecord] = []
-        for shard, (pot_lo, pot_hi, con_lo, con_hi) in zip(plan.shards, extents):
-            if isinstance(shard, CoverageShard):
-                expected_pot = 0 if shard.weight == 0 else len(shard.entries)
-                expected_con = len(shard.entries)
-                groups = ((GROUP_EXPLAINS, shard.weight == 0),)
-            elif isinstance(shard, ErrorShard):
-                expected_pot = 0 if shard.weight == 0 else len(shard.entries)
-                expected_con = sum(len(owners) for _, owners in shard.entries)
-                groups = ((GROUP_ERRORS, shard.weight == 0),)
-            elif isinstance(shard, PriorShard):
-                expected_pot = len(shard.entries)
-                expected_con = 0
-                groups = ((GROUP_PRIOR, False),)
-            else:  # pragma: no cover - planner emits only the three kinds
-                return False
-            if pot_hi - pot_lo != expected_pot or con_hi - con_lo != expected_con:
-                return False
-            records.append(
-                ShardRecord(key=shard_key(shard), atoms=None, observed_groups=groups)
-            )
-        self.records = tuple(records)
-        return True
 
     @property
     def solver(self) -> AdmmSolver:
@@ -880,16 +610,13 @@ def patch_collective(
     ``(problem, settings)``.
 
     Returns ``None`` when patching is not exact — hinge form changed,
-    records unavailable, a zero pattern moved, the splice declined — in
-    which case the caller grounds fresh.  Never returns a wrong
-    artifact.
+    a zero pattern moved, the splice declined — in which case the
+    caller grounds fresh.  Never returns a wrong artifact.
     """
     settings = settings or CollectiveSettings()
     if shard_size is None:
         shard_size = settings.ground_shard_size
     if bool(settings.squared_hinges) != cached.squared:
-        return None
-    if not cached._ensure_records(shard_size):
         return None
     plan = plan_collective_grounding(problem, settings, shard_size)
     reuse = match_shards(cached.records, plan.shards)
@@ -934,20 +661,14 @@ class CollectiveGroundingCache:
     Keyed by problem identity plus the structure-affecting settings
     (squared hinges, grounding shard size) — *not* by weights: a hit
     whose weights differ only reweights the cached artifact in place.
-    An in-memory miss falls through two tiers before grounding fresh,
-    in order **patch > disk attach > fresh ground**:
-
-    1. *Patch* (``settings.incremental``): when the problem carries a
-       :class:`~repro.selection.metrics.ProblemLineage` whose parent
-       revision is cached (tracked by lineage token), the parent's
-       compiled structure is spliced into the new problem's — only the
-       shards the edit touched re-ground (:func:`patch_collective`).
-       Patched artifacts are also spilled to the disk store under the
-       *new* structure key, so future process lifetimes attach them.
-    2. *Disk attach* (``settings.grounding_store``): mmap a spilled
-       grounding of the same content-addressed structure and reweight
-       (see :meth:`_attach_or_ground`); fresh grounds are spilled for
-       future process lifetimes.
+    A request is served in order **memory > patch > fresh ground**: an
+    in-memory miss first tries to *patch* (``settings.incremental``) —
+    when the problem carries a
+    :class:`~repro.selection.metrics.ProblemLineage` whose parent
+    revision is cached (tracked by lineage token), the parent's compiled
+    structure is spliced into the new problem's and only the shards the
+    edit touched re-ground (:func:`patch_collective`) — and otherwise
+    grounds fresh.
     Entries whose zero pattern no longer matches are evicted and
     re-ground.  The thread id is part of the key so concurrent solves
     from different threads never share (and mid-solve reweight) one
@@ -971,12 +692,9 @@ class CollectiveGroundingCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        #: Disk-tier traffic (only moves when a grounding store is set):
-        #: ``disk_hits`` counts in-memory misses served by attaching a
-        #: spilled entry; ``disk_misses`` counts fresh grounds that were
-        #: spilled for the next process lifetime.
+        #: Never incremented; kept only because ``perfbench/layers.py``
+        #: reads it under ``--trace 1`` (ROADMAP item 3 deletes it).
         self.disk_hits = 0
-        self.disk_misses = 0
         #: In-memory misses served by the patch tier: the parent
         #: revision's artifact was spliced instead of re-grounding.
         self.patch_hits = 0
@@ -1028,7 +746,9 @@ class CollectiveGroundingCache:
         fresh = self._try_patch(problem, settings, shard_size, me, lineage)
         patched = fresh is not None
         if fresh is None:
-            fresh = self._attach_or_ground(problem, settings, shard_size)
+            fresh = GroundedCollective(  # ground outside the lock, it is slow
+                problem, settings, shard_size=shard_size
+            )
         with self._lock:
             self.misses += 1
             if patched:
@@ -1050,14 +770,11 @@ class CollectiveGroundingCache:
     ) -> GroundedCollective | None:
         """The patch tier: splice a cached parent revision, or ``None``.
 
-        Runs before the disk tier on every in-memory miss.  Applies only
-        when incremental grounding is on and the problem's lineage names
-        a parent whose artifact this thread still holds (looked up by
-        lineage token, re-validated against the entry's own lineage so a
-        stale token mapping can never patch from the wrong problem).
-        On success the patched artifact is also spilled to the disk
-        store under the **new** structure key — the next process
-        lifetime attaches the patched structure directly.
+        Runs on every in-memory miss.  Applies only when incremental
+        grounding is on and the problem's lineage names a parent whose
+        artifact this thread still holds (looked up by lineage token,
+        re-validated against the entry's own lineage so a stale token
+        mapping can never patch from the wrong problem).
         """
         if not settings.incremental or lineage is None or lineage.parent is None:
             return None
@@ -1071,63 +788,7 @@ class CollectiveGroundingCache:
         parent_lineage = getattr(parent.problem, "lineage", None)
         if parent_lineage is None or parent_lineage.token != lineage.parent:
             return None
-        patched = patch_collective(parent, problem, settings, shard_size=shard_size)
-        if patched is not None and settings.grounding_store:
-            store = GroundingStore(settings.grounding_store)
-            store.put(
-                collective_structure_key(problem, settings),
-                patched.mrf,
-                extra=patched.store_extra(),
-            )
-        return patched
-
-    def _attach_or_ground(
-        self,
-        problem: SelectionProblem,
-        settings: CollectiveSettings,
-        shard_size: int | None,
-    ) -> GroundedCollective:
-        """The disk tier below the in-memory LRU (runs outside the lock).
-
-        With a grounding store configured, try to *attach* a spilled
-        entry of the same structure (mmap + reweight — no grounding);
-        on a store miss ground fresh and spill it so the next process
-        lifetime attaches instead.  Store trouble of any kind (corrupt
-        entry, version skew, unwritable directory, a stored zero-pattern
-        that will not reweight) silently degrades to the fresh-ground
-        path — persistence is an optimization, never load-bearing.
-        """
-        store = (
-            GroundingStore(settings.grounding_store)
-            if settings.grounding_store
-            else None
-        )
-        key = None
-        if store is not None:
-            # No planning on this path: the key is computed straight
-            # from the problem tables, and an attach reconstructs its
-            # plan from the rebuilt MRF — a cold start pays mmap +
-            # registry rebuild, never a re-ground's term construction.
-            key = collective_structure_key(problem, settings)
-            stored = store.load(key)
-            if stored is not None:
-                try:
-                    attached = GroundedCollective.from_store(
-                        problem, settings, stored
-                    )
-                    attached.reweight(settings.weights)
-                except InferenceError:
-                    pass  # foreign/stale extra or zero-pattern skew: re-ground
-                else:
-                    self.disk_hits += 1
-                    return attached
-        fresh = GroundedCollective(  # ground outside the lock, it is slow
-            problem, settings, shard_size=shard_size
-        )
-        if store is not None and key is not None:
-            self.disk_misses += 1
-            store.put(key, fresh.mrf, extra=fresh.store_extra())
-        return fresh
+        return patch_collective(parent, problem, settings, shard_size=shard_size)
 
     def clear(self) -> None:
         """Drop every cached artifact and reset the counters."""
@@ -1135,7 +796,7 @@ class CollectiveGroundingCache:
             self._entries.clear()
             self._token_keys.clear()
             self.hits = self.misses = 0
-            self.disk_hits = self.disk_misses = 0
+            self.disk_hits = 0
             self.patch_hits = 0
 
 

@@ -199,8 +199,8 @@ class TestRPL002Determinism:
         assert hits == []
 
     def test_directory_listing_iteration_is_flagged(self):
-        # The grounding store's spill paths must iterate in fingerprint
-        # order, never filesystem order (content-addressing breaks).
+        # A deterministic path must iterate in a fixed order, never
+        # filesystem order.
         hits = rules_hit(
             {
                 "repro/psl/fake_store.py": src(

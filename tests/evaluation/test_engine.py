@@ -205,14 +205,12 @@ def test_work_units_pickle_for_the_process_pool():
         admm=AdmmSettings(rho=2.0, max_iterations=700),
         squared_hinges=True,
         ground_shard_size=8,
-        grounding_store="groundings",
         incremental=False,
     )
     work = ConfigCells(
         SMALL,
         ("collective", "greedy"),
         include_gold=True,
-        cache_dir="cache",
         collective_settings=settings,
         warm_payload=payload,
     )
@@ -254,140 +252,6 @@ def test_process_executor_grid_matches_serial():
         (c.config, c.method, c.run.selected) for c in b.cells
     ]
     assert [c.run.objective for c in a.cells] == [c.run.objective for c in b.cells]
-
-
-def test_config_hash_is_stable_and_distinct():
-    from dataclasses import replace
-
-    from repro.evaluation.engine import config_hash
-
-    assert config_hash(SMALL) == config_hash(ScenarioConfig(**SMALL.__dict__))
-    assert config_hash(SMALL) != config_hash(replace(SMALL, seed=SMALL.seed + 1))
-
-
-def test_scenario_cache_persists_to_disk(tmp_path):
-    from repro.selection.metrics import problem_fingerprint
-
-    first = ScenarioCache(cache_dir=tmp_path)
-    scenario, generate_seconds = first.scenario(SMALL)
-    problem, problem_seconds = first.problem(SMALL)
-    assert generate_seconds > 0.0 and problem_seconds > 0.0
-    assert len(list(tmp_path.glob("*.scenario.json"))) == 1
-    assert len(list(tmp_path.glob("*.problem.pkl"))) == 1
-
-    # A fresh cache (new session) loads from disk instead of regenerating.
-    second = ScenarioCache(cache_dir=tmp_path)
-    loaded_scenario, _ = second.scenario(SMALL)
-    loaded_problem, _ = second.problem(SMALL)
-    assert loaded_scenario.config == scenario.config
-    # The JSON format stores facts repr-sorted; compare order-insensitively.
-    assert sorted(repr(f) for f in loaded_scenario.target) == sorted(
-        repr(f) for f in scenario.target
-    )
-    assert problem_fingerprint(loaded_problem) == problem_fingerprint(problem)
-
-    # Disk hits must produce the same grid results as generation.
-    a = EvaluationEngine(methods=("greedy",)).run_grid([SMALL])
-    b = EvaluationEngine(methods=("greedy",), cache_dir=tmp_path).run_grid([SMALL])
-    assert [(c.method, c.run.selected, c.run.objective) for c in a.cells] == [
-        (c.method, c.run.selected, c.run.objective) for c in b.cells
-    ]
-
-
-def test_partial_disk_cache_state_rebuilds_identically(tmp_path):
-    """scenario.json present but problem.pkl gone: rebuild must match.
-
-    The problem build is order-canonical (repr-sorted chase and j_facts),
-    so a problem rebuilt from the JSON-roundtripped scenario fingerprints
-    identically to one built from the freshly generated scenario."""
-    from repro.selection.metrics import problem_fingerprint
-
-    first = ScenarioCache(cache_dir=tmp_path)
-    first.scenario(SMALL)
-    reference, _ = first.problem(SMALL)
-    for pkl in tmp_path.glob("*.problem.pkl"):
-        pkl.unlink()
-    second = ScenarioCache(cache_dir=tmp_path)
-    rebuilt, _ = second.problem(SMALL)
-    assert problem_fingerprint(rebuilt) == problem_fingerprint(reference)
-
-
-def test_corrupt_disk_cache_falls_back_to_generation(tmp_path):
-    from repro.evaluation.engine import config_hash
-
-    (tmp_path / f"{config_hash(SMALL)}.scenario.json").write_text("{broken")
-    (tmp_path / f"{config_hash(SMALL)}.problem.pkl").write_bytes(b"junk")
-    cache = ScenarioCache(cache_dir=tmp_path)
-    scenario, _ = cache.scenario(SMALL)
-    problem, _ = cache.problem(SMALL)
-    assert scenario.config == SMALL
-    assert problem.num_candidates > 0
-
-
-def test_version_skew_problem_pickle_falls_back_to_generation(tmp_path):
-    # An entry whose pickled classes no longer import (a cache written
-    # by a different code revision) raises ModuleNotFoundError inside
-    # pickle.load — a miss, never a crash.
-    import pickle
-
-    from repro.evaluation.engine import config_hash
-
-    skew = b"cnonexistent_mod\nattr\n."
-    with pytest.raises(ModuleNotFoundError):
-        pickle.loads(skew)
-    (tmp_path / f"{config_hash(SMALL)}.problem.pkl").write_bytes(skew)
-    cache = ScenarioCache(cache_dir=tmp_path)
-    problem, _ = cache.problem(SMALL)
-    assert problem.num_candidates > 0
-
-
-def test_unversioned_problem_pickle_is_stale(tmp_path):
-    # Entries carry a format version; a bare (pre-versioning) payload is
-    # ignored and transparently overwritten with a wrapped one.
-    import pickle
-
-    from repro.evaluation.engine import CACHE_FORMAT_VERSION, config_hash
-
-    reference = ScenarioCache(cache_dir=tmp_path)
-    expected, _ = reference.problem(SMALL)
-    path = tmp_path / f"{config_hash(SMALL)}.problem.pkl"
-    path.write_bytes(pickle.dumps(expected))  # old layout: bare problem
-    cache = ScenarioCache(cache_dir=tmp_path)
-    problem, _ = cache.problem(SMALL)
-    assert problem.num_candidates == expected.num_candidates
-    payload = pickle.loads(path.read_bytes())  # rewritten, now wrapped
-    assert payload["format"] == CACHE_FORMAT_VERSION
-
-
-def test_wrong_format_version_problem_pickle_is_stale(tmp_path):
-    import pickle
-
-    from repro.evaluation.engine import CACHE_FORMAT_VERSION, config_hash
-
-    poisoned = {"format": CACHE_FORMAT_VERSION + 1, "problem": "not a problem"}
-    path = tmp_path / f"{config_hash(SMALL)}.problem.pkl"
-    path.write_bytes(pickle.dumps(poisoned))
-    cache = ScenarioCache(cache_dir=tmp_path)
-    problem, _ = cache.problem(SMALL)
-    assert problem.num_candidates > 0
-
-
-def test_cache_dir_enables_sibling_grounding_store(tmp_path):
-    from repro.psl.store import GroundingStore
-
-    engine = EvaluationEngine(
-        methods=("collective",), warm_start=False, cache_dir=tmp_path
-    )
-    assert engine.grounding_store == str(tmp_path / "groundings")
-    assert engine.collective_settings is not None
-    assert engine.collective_settings.grounding_store == engine.grounding_store
-    a = engine.run_grid([SMALL])
-    assert len(GroundingStore(tmp_path / "groundings").keys()) == 1
-    # Results from the store-backed path match the storeless one.
-    b = EvaluationEngine(methods=("collective",), warm_start=False).run_grid([SMALL])
-    assert [(c.run.selected, c.run.objective) for c in a.cells] == [
-        (c.run.selected, c.run.objective) for c in b.cells
-    ]
 
 
 def test_engine_threads_ground_options_into_collective():

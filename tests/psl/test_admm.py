@@ -8,7 +8,7 @@ from repro.psl.admm import AdmmSettings, AdmmSolver
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 
-X = Predicate("x", 1, closed=False)
+X = Predicate("x", 1)
 
 
 def _mrf(num_vars: int) -> HingeLossMRF:

@@ -6,7 +6,7 @@ from repro.errors import InferenceError
 from repro.psl.hlmrf import HardConstraint, HingeLossMRF, HingePotential
 from repro.psl.predicate import Predicate
 
-X = Predicate("x", 1, closed=False)
+X = Predicate("x", 1)
 
 
 def test_variable_interning_is_stable():

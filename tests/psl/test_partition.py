@@ -4,8 +4,8 @@ The contract: an MRF compiles into one set of flat CSR arrays in
 potentials-then-constraints term order, whatever mix of bulk
 (``add_term_block``) and incremental construction produced it; the
 block extents recorded at grounding time slice those arrays into
-contiguous runs without ever splitting a term (the splice engine and
-the grounding store rely on that), and the solver precompiles its
+contiguous runs without ever splitting a term (the splice engine
+relies on that), and the solver precompiles its
 per-kind index sets once.
 """
 
@@ -20,7 +20,7 @@ from repro.selection.collective import CollectiveSettings, ground_collective
 from repro.selection.metrics import build_selection_problem
 from repro.examples_data import paper_example
 
-X = Predicate("x", 1, closed=False)
+X = Predicate("x", 1)
 
 
 def _legacy_mrf() -> HingeLossMRF:

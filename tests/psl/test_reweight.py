@@ -30,7 +30,7 @@ from repro.selection.collective import (
 from repro.selection.metrics import build_selection_problem
 from repro.selection.objective import ObjectiveWeights
 
-X = Predicate("x", 1, closed=False)
+X = Predicate("x", 1)
 
 
 def _grouped_mrf() -> HingeLossMRF:

@@ -41,7 +41,7 @@ from tests.work_units import run_on
 SHARD_SIZES = (1, 2, 7, None)
 EXECUTORS = ("serial", "process:2")
 
-X = Predicate("x", 1, closed=False)
+X = Predicate("x", 1)
 
 
 def _assert_identical(serial: HingeLossMRF, sharded: HingeLossMRF) -> None:
@@ -60,7 +60,7 @@ def _assert_identical(serial: HingeLossMRF, sharded: HingeLossMRF) -> None:
 # the constraints are the hard rule votes(A, "l") -> votes(A, "r") plus
 # raw linear and equality constraints; one raw potential is constant.
 FRIEND = Predicate("friend", 2)
-VOTES = Predicate("votes", 2, closed=False)
+VOTES = Predicate("votes", 2)
 
 
 def _sample_program(influence_weight: float = 0.5) -> tuple[list, list]:
@@ -326,7 +326,7 @@ def test_fingerprint_distinguishes_repr_colliding_atoms():
 def test_sharded_ground_deterministic_with_repr_colliding_constants():
     # q(1) and q("1") print alike but are distinct atoms: each ground
     # of p(X) -> q(X) must keep them apart and in the same order.
-    q = Predicate("q", 1, closed=False)
+    q = Predicate("q", 1)
     targets = [q(const) for const in (1, "1", 2, "2")]
     terms = [("hinge", [(atom, -1.0)], 1.0, 1.0, "rule") for atom in targets]
     serial = _ground_serial(targets, terms)

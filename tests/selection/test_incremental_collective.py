@@ -4,8 +4,8 @@ Contract under test: for a lineage-linked edit chain,
 :func:`patch_collective` / the cache's patch tier produce an artifact
 whose MRF fingerprints — and whole ADMM solve trajectory — equal a
 from-scratch ground of the edited problem, for every shard size and
-wherever the patch runs.  Plus the tier ordering (patch > disk attach > fresh), the
-``incremental=False`` opt-out, and the decline paths.
+wherever the patch runs.  Plus the tier ordering (memory > patch >
+fresh), the ``incremental=False`` opt-out, and the decline paths.
 """
 
 from fractions import Fraction
@@ -19,12 +19,10 @@ from repro.ibench.mutations import (
     RemoveTargetTuple,
 )
 from repro.psl.sharding import mrf_fingerprint, structure_fingerprint
-from repro.psl.store import GroundingStore
 from repro.selection.collective import (
     CollectiveGroundingCache,
     CollectiveSettings,
     GroundedCollective,
-    collective_structure_key,
     patch_collective,
     solve_collective,
 )
@@ -161,45 +159,6 @@ def test_unrelated_problem_does_not_patch():
     assert cache.patch_hits == 0
     assert grounded.stats is not None
     cache.clear()
-
-
-def test_patch_from_disk_attached_parent(tmp_path):
-    """The ``_ensure_records`` path: a mmap-attached parent can still patch."""
-    chain = _chain()
-    settings = CollectiveSettings(ground_shard_size=2, grounding_store=str(tmp_path))
-    populate = CollectiveGroundingCache()
-    populate.grounded(chain.problem, settings)
-    populate.clear()
-
-    attach = CollectiveGroundingCache()  # a "new process lifetime"
-    parent = attach.grounded(chain.problem, settings)
-    assert attach.disk_hits == 1
-    assert parent.records is None  # attached artifacts carry no records...
-    child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    patched = attach.grounded(child, settings)
-    assert attach.patch_hits == 1  # ...yet reconstruct them and patch
-    _assert_same_artifact(patched, child, CollectiveSettings(ground_shard_size=2))
-    attach.clear()
-
-
-def test_patched_artifact_spills_under_new_structure_key(tmp_path):
-    chain = _chain()
-    settings = CollectiveSettings(ground_shard_size=2, grounding_store=str(tmp_path))
-    cache = CollectiveGroundingCache()
-    cache.grounded(chain.problem, settings)
-    child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    patched = cache.grounded(child, settings)
-    assert cache.patch_hits == 1
-    child_key = collective_structure_key(child, settings)
-    assert child_key in GroundingStore(tmp_path).keys()
-
-    fresh_process = CollectiveGroundingCache()
-    attached = fresh_process.grounded(child, settings)
-    assert fresh_process.disk_hits == 1
-    assert attached.stats is None  # attached the spilled patch, no ground
-    assert mrf_fingerprint(attached.mrf) == mrf_fingerprint(patched.mrf)
-    cache.clear()
-    fresh_process.clear()
 
 
 def test_solve_collective_default_cache_patches_lineage_chains():

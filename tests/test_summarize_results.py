@@ -47,26 +47,6 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
             }
         )
     )
-    (tmp_path / "grounding_store.json").write_text(
-        json.dumps(
-            {
-                "host_cpus": 4,
-                "ground_shard_size": 64,
-                "reps": 5,
-                "scenarios": {
-                    "large": {
-                        "num_potentials": 4100,
-                        "ground_seconds": 0.15,
-                        "attach_seconds": 0.02,
-                        "warm_reweight_seconds": 0.001,
-                        "speedup": 7.5,
-                        "entry_bytes": 800000,
-                        "bit_identical": True,
-                    }
-                },
-            }
-        )
-    )
     out = tmp_path / "TABLE.md"
     result = _run("--results-dir", str(tmp_path), "--output", str(out))
     assert result.returncode == 0, result.stderr
@@ -76,27 +56,27 @@ def test_summarizes_known_artifacts_into_markdown(tmp_path):
     assert "reweight many (sweep)" in text
     assert "delta grounding (collective chain)" in text
     assert "30/32 shards" in text
-    assert "grounding store cold start (large)" in text
-    assert "7.5×" in text
-    assert "warm in-process reweight" in text  # the cold-vs-warm column
     assert "host CPUs: 4" in text
 
 
 def test_malformed_artifact_skipped_not_fatal(tmp_path):
     (tmp_path / "reweight.json").write_text("{not json")
-    (tmp_path / "grounding_store.json").write_text(
+    (tmp_path / "incremental.json").write_text(
         json.dumps(
             {
                 "host_cpus": 2,
-                "scenarios": {
-                    "small": {
-                        "num_potentials": 90,
-                        "ground_seconds": 0.02,
-                        "attach_seconds": 0.01,
-                        "warm_reweight_seconds": 0.001,
-                        "speedup": 2.0,
-                        "entry_bytes": 4096,
-                    }
+                "collective_lane": {
+                    "median_speedup": 2.0,
+                    "edits": [
+                        {
+                            "edit": "AddTargetTuple",
+                            "reused_shards": 3,
+                            "num_shards": 4,
+                            "full_ground_seconds": 0.02,
+                            "patch_seconds": 0.01,
+                            "speedup": 2.0,
+                        }
+                    ],
                 },
             }
         )
@@ -104,7 +84,7 @@ def test_malformed_artifact_skipped_not_fatal(tmp_path):
     result = _run("--results-dir", str(tmp_path))
     assert result.returncode == 0
     assert "skipping" in result.stderr
-    assert "grounding store cold start (small)" in result.stdout
+    assert "delta grounding (collective chain)" in result.stdout
 
 
 def test_no_artifacts_is_an_error(tmp_path):
@@ -117,7 +97,7 @@ def test_summarizes_the_repo_results_when_present():
     results = SCRIPT.parent / "results"
     if not any(
         (results / name).exists()
-        for name in ("reweight.json", "grounding_store.json")
+        for name in ("reweight.json", "incremental.json")
     ):  # pragma: no cover - depends on prior bench runs
         return
     result = _run("--results-dir", str(results), "--output", "/dev/null")
