@@ -43,13 +43,16 @@ def generate_candidates(
     candidates: list[StTgd] = []
     seen: set[StTgd] = set()
     for assoc_s in source_associations:
+        from_s = [c for c in correspondences if c.source_relation in assoc_s.relations]
+        if not from_s:
+            continue
         for assoc_t in target_associations:
             for tgd in _candidates_for_pair(
                 assoc_s,
                 assoc_t,
                 source_schema,
                 target_schema,
-                correspondences,
+                from_s,
                 variant_cap,
             ):
                 canonical = tgd.canonical()
@@ -67,12 +70,8 @@ def _candidates_for_pair(
     correspondences: Sequence[Correspondence],
     variant_cap: int,
 ) -> Iterable[StTgd]:
-    relevant = [
-        c
-        for c in correspondences
-        if c.source_relation in assoc_s.relations
-        and c.target_relation in assoc_t.relations
-    ]
+    """Candidates for one association pair; *correspondences* all start in *assoc_s*."""
+    relevant = [c for c in correspondences if c.target_relation in assoc_t.relations]
     if not relevant:
         return
 

@@ -2,7 +2,6 @@
 
 from repro.chase.engine import (
     ChaseResult,
-    Firing,
     chase,
     chase_single,
     exchanged_instance,
@@ -12,7 +11,6 @@ from repro.chase.target import TargetChaseResult, chase_target, violates_keys
 
 __all__ = [
     "ChaseResult",
-    "Firing",
     "chase",
     "chase_single",
     "exchanged_instance",

@@ -14,10 +14,10 @@ counts error tuples per candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from repro.datamodel.instance import Fact, Instance
+from repro.datamodel.instance import Instance
 from repro.datamodel.values import NullFactory, Value
 from repro.mappings.atoms import Atom
 from repro.mappings.terms import Variable, is_variable
@@ -44,11 +44,16 @@ def match_body(
     join_index = instance.match_index()
     facts = join_index.ordered
     ordered = sorted(body, key=lambda a: len(join_index.bucket(a.relation)))
+    # A complete assignment binds every body variable, so its values in
+    # one fixed variable order identify it.
+    variables = sorted(
+        {t for a in body for t in a.terms if is_variable(t)}, key=lambda v: v.name
+    )
     seen: set[tuple] = set()
 
     def extend(index: int, assignment: dict[Variable, Value]) -> Iterator[dict[Variable, Value]]:
         if index == len(ordered):
-            key = tuple(sorted(((v.name, u) for v, u in assignment.items()), key=lambda p: p[0]))
+            key = tuple([assignment[v] for v in variables])
             if key not in seen:
                 seen.add(key)
                 yield dict(assignment)
@@ -81,17 +86,6 @@ def match_body(
     yield from extend(0, {})
 
 
-@dataclass(frozen=True)
-class Firing:
-    """One application of a tgd: the tgd plus the head-variable assignment."""
-
-    tgd: StTgd
-    assignment: tuple[tuple[Variable, Value], ...]
-
-    def as_dict(self) -> dict[Variable, Value]:
-        return dict(self.assignment)
-
-
 @dataclass
 class ChaseResult:
     """Output of a chase run.
@@ -99,12 +93,10 @@ class ChaseResult:
     Attributes:
         instance: union of all facts produced (the canonical solution).
         by_tgd: for each input tgd, the sub-instance its firings produced.
-        provenance: facts mapped to the firings that produced them.
     """
 
     instance: Instance
     by_tgd: dict[StTgd, Instance]
-    provenance: dict[Fact, list[Firing]] = field(default_factory=dict)
 
 
 def chase(
@@ -120,26 +112,11 @@ def chase(
     factory = null_factory if null_factory is not None else NullFactory()
     combined = Instance()
     by_tgd: dict[StTgd, Instance] = {}
-    provenance: dict[Fact, list[Firing]] = {}
-
     for tgd in tgds:
-        produced = Instance()
-        for assignment in match_body(tgd.body, source):
-            full_assignment: dict[Variable, Value] = dict(assignment)
-            for ev in sorted(tgd.existential_variables, key=lambda v: v.name):
-                full_assignment[ev] = factory.fresh()
-            firing = Firing(
-                tgd,
-                tuple(sorted(full_assignment.items(), key=lambda p: p[0].name)),
-            )
-            for head_atom in tgd.head:
-                f = head_atom.instantiate(full_assignment)
-                produced.add(f)
-                combined.add(f)
-                provenance.setdefault(f, []).append(firing)
-        by_tgd[tgd] = produced
-
-    return ChaseResult(combined, by_tgd, provenance)
+        produced = by_tgd[tgd] = chase_single(source, tgd, factory)
+        for f in produced:
+            combined.add(f)
+    return ChaseResult(combined, by_tgd)
 
 
 def chase_single(
@@ -147,8 +124,20 @@ def chase_single(
     tgd: StTgd,
     null_factory: NullFactory | None = None,
 ) -> Instance:
-    """Chase with a single tgd, returning just the produced instance."""
-    return chase(source, [tgd], null_factory).by_tgd[tgd]
+    """Chase with a single tgd, returning just the produced instance.
+
+    Facts come in firing order, each firing's head atoms in order; every
+    firing draws its existential variables' nulls in name order.
+    """
+    factory = null_factory if null_factory is not None else NullFactory()
+    existentials = sorted(tgd.existential_variables, key=lambda v: v.name)
+    produced = Instance()
+    for assignment in match_body(tgd.body, source):
+        for ev in existentials:
+            assignment[ev] = factory.fresh()
+        for head_atom in tgd.head:
+            produced.add(head_atom.instantiate(assignment))
+    return produced
 
 
 def exchanged_instance(

@@ -20,6 +20,11 @@ semantics numerically:
   corroborated, so task(ML, Alice, Null2) covers task(ML, Alice, 111) to
   degree 2/3, while theta3's Null4 is corroborated through
   org(Null4, SAP) -> org(111, SAP), lifting the degree to 3/3.
+
+All three are defined through homomorphisms of chase facts into J.  The
+functions here evaluate them literally, one question at a time, and are
+the reference for :func:`repro.selection.metrics.candidate_metrics`,
+which answers all three from one enumeration of each chase fact's images.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from fractions import Fraction
 
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, Value, is_null
-from repro.homomorphism.search import fact_matches, has_fact_homomorphism, image_ranks
+from repro.homomorphism.search import fact_matches, has_fact_homomorphism
 
 
 class CoverComputer:
@@ -39,9 +44,11 @@ class CoverComputer:
     can this chase fact map onto" question goes through J's
     :class:`~repro.datamodel.instance.MatchIndex`.
 
-    :meth:`table` is the fast path problem builds use: it works from the
-    chase side.  :meth:`degree` is the literal per-J-fact reference that
-    :meth:`table` must agree with.
+    This is the literal reference: :meth:`degree` answers one J fact at
+    a time, with one homomorphism search per corroboration test.
+    Problem builds use the one-pass
+    :func:`~repro.selection.metrics.candidate_metrics`, which must agree
+    with it.
     """
 
     def __init__(self, chase_instance: Instance, target_example: Instance):
@@ -88,31 +95,6 @@ class CoverComputer:
                 if best == 1:
                     break
         return best
-
-    def table(self, reported: Instance | None = None) -> dict[Fact, Fraction]:
-        """Every non-zero cover degree, keyed in J's ``repr`` order.
-
-        Each chase fact visits only the J facts it maps onto and keeps
-        the best explained-position count per J fact; one ``Fraction``
-        is made per entry at the end.  *reported* (default: J) names the
-        J facts to report — sampling passes its sample — while
-        corroboration always searches the whole J.  The result equals
-        ``{t: degree(t)}`` over *reported* in ``repr`` order, zeros
-        left out.
-        """
-        reported = self._j if reported is None else reported
-        ordered = reported.match_index().ordered
-        best: dict[int, int] = {}
-        for chase_fact in self._chase:
-            for rank in image_ranks(chase_fact, reported):
-                explained = self._explained(chase_fact, ordered[rank])
-                if explained > best.get(rank, 0):
-                    best[rank] = explained
-        table: dict[Fact, Fraction] = {}
-        for rank in sorted(best):
-            t = ordered[rank]
-            table[t] = Fraction(best[rank], t.arity)
-        return table
 
 
 def covers(chase_instance: Instance, target_fact: Fact, target_example: Instance) -> Fraction:

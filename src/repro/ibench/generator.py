@@ -15,6 +15,13 @@ Pipeline:
    tuples (J facts only MG generates) and add ``pi_unexplained`` percent
    of the *non-certain unexplained* tuples (facts only C - MG generates,
    grounded with fresh constants), homomorphism-aware in both directions.
+
+Data noise chases every non-gold candidate on its own, with
+candidate-local null labels, and shifts the labels past the non-gold
+candidates before it, which gives the exchange under C - MG exactly as
+one chase of all of them would.  Noise never edits the source, so the
+scenario keeps these chases (:meth:`~repro.ibench.scenario.Scenario.
+keep_chases`) and its problem build chases only the gold candidates.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from repro.ibench.datagen import populate
 from repro.ibench.primitives import PrimitiveOutput, make_primitive
 from repro.ibench.scenario import Scenario
 from repro.mappings.tgd import StTgd
+from repro.selection.metrics import CandidateChase, chase_candidate, shift_nulls
 
 
 def generate_scenario(config: ScenarioConfig) -> Scenario:
@@ -60,11 +68,11 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     candidates = generate_candidates(source_schema, target_schema, correspondences)
     gold_indices = _locate_gold(candidates, gold_tgds)
 
-    deleted, added = _apply_data_noise(
+    deleted, added, chases = _apply_data_noise(
         source, target, candidates, gold_indices, config, rng
     )
 
-    return Scenario(
+    scenario = Scenario(
         config=config,
         primitives=primitives,
         source_schema=source_schema,
@@ -78,6 +86,8 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         deleted_facts=deleted,
         added_facts=added,
     )
+    scenario.keep_chases(chases)
+    return scenario
 
 
 def _assemble_schemas(primitives: list[PrimitiveOutput]) -> tuple[Schema, Schema]:
@@ -170,14 +180,28 @@ def _apply_data_noise(
     gold_indices: list[int],
     config: ScenarioConfig,
     rng: random.Random,
-) -> tuple[list[Fact], list[Fact]]:
-    """Delete non-certain error tuples / add non-certain unexplained tuples."""
+) -> tuple[list[Fact], list[Fact], dict[int, CandidateChase]]:
+    """Delete non-certain error tuples / add non-certain unexplained tuples.
+
+    Also returns the non-gold candidates' chases, by candidate index, with
+    candidate-local null labels, for the problem build to reuse.
+    """
     if config.pi_errors <= 0 and config.pi_unexplained <= 0:
-        return [], []
+        return [], [], {}
 
     gold_set = set(gold_indices)
-    non_gold = [c for i, c in enumerate(candidates) if i not in gold_set]
-    non_gold_chase = chase(source, non_gold, NullFactory())
+    chases = {
+        i: chase_candidate(source, c) for i, c in enumerate(candidates) if i not in gold_set
+    }
+    # The non-gold exchange: each chase shifted past the nulls of the
+    # non-gold chases before it, which are the labels one shared null
+    # factory would have handed out.
+    non_gold_chase = Instance()
+    offset = 0
+    for chased in chases.values():
+        for f in shift_nulls(chased.instance, chased.nulls_used, offset):
+            non_gold_chase.add(f)
+        offset += chased.nulls_used
 
     # Non-certain error tuples: J facts no non-gold candidate generates
     # (homomorphism-aware — a chase fact with nulls may still "generate" a
@@ -186,7 +210,7 @@ def _apply_data_noise(
     # chase through J's match index answers both.
     generated: set[int] = set()
     unexplained: set[Fact] = set()
-    for f in non_gold_chase.instance:
+    for f in non_gold_chase:
         images = list(image_ranks(f, target))
         if images:
             generated.update(images)
@@ -195,7 +219,7 @@ def _apply_data_noise(
     deletable = [
         t for rank, t in enumerate(target.match_index().ordered) if rank not in generated
     ]
-    addable = [f for f in sorted(non_gold_chase.instance, key=repr) if f in unexplained]
+    addable = [f for f in sorted(non_gold_chase, key=repr) if f in unexplained]
 
     deleted = rng.sample(deletable, round(len(deletable) * config.pi_errors / 100.0))
     added_raw = rng.sample(addable, round(len(addable) * config.pi_unexplained / 100.0))
@@ -217,4 +241,4 @@ def _apply_data_noise(
         grounded = Fact(f.relation, tuple(values))
         if target.add(grounded):
             added.append(grounded)
-    return list(deleted), added
+    return list(deleted), added, chases

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.candidates.correspondence import Correspondence
 from repro.datamodel.instance import Instance
@@ -11,7 +11,12 @@ from repro.datamodel.schema import Schema
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.primitives import PrimitiveOutput
 from repro.mappings.tgd import StTgd
-from repro.selection.metrics import SelectionProblem, build_selection_problem
+from repro.selection.metrics import (
+    CandidateChase,
+    SelectionProblem,
+    build_selection_problem,
+    handing_chases,
+)
 
 if TYPE_CHECKING:
     from repro.evaluation.score_index import ScoreIndex
@@ -54,8 +59,26 @@ class Scenario:
         return [self.candidates[i] for i in self.gold_indices]
 
     def selection_problem(self) -> SelectionProblem:
-        """Materialize the covers/creates/size tables for this scenario."""
-        return build_selection_problem(self.source, self.target, self.candidates)
+        """Materialize the covers/creates/size tables for this scenario.
+
+        Candidates whose chase generation already ran (see
+        :meth:`keep_chases`) are not chased again.
+        """
+        kept = getattr(self, "_chases", None)
+        chases = {}
+        if kept is not None and self.source.match_index() is kept[0]:
+            chases = kept[1]
+        with handing_chases(chases):
+            return build_selection_problem(self.source, self.target, self.candidates)
+
+    def keep_chases(self, chases: Mapping[int, CandidateChase]) -> None:
+        """Keep chases of ``source`` by candidate index for :meth:`selection_problem`.
+
+        They are derived state: :meth:`__getstate__` leaves them out, and
+        they are dropped once ``source`` has been edited (its match index
+        changes), as :meth:`score_index` is rebuilt.
+        """
+        self._chases = (self.source.match_index(), chases)
 
     def score_index(self) -> ScoreIndex:
         """The score index of ``source`` against ``reference_target``.
@@ -75,6 +98,7 @@ class Scenario:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_score_index", None)
+        state.pop("_chases", None)
         return state
 
     def summary(self) -> str:

@@ -8,14 +8,15 @@ Selecting a mapping only needs three ingredients per candidate theta:
   homomorphic image in J);
 * ``size(theta_i)``.
 
-:func:`build_selection_problem` chases the source once per candidate and
-evaluates the homomorphism-based semantics of
-:mod:`repro.homomorphism.covers` from the chase side
-(:func:`candidate_metrics`): each chase fact visits only the J facts it
-maps onto, found through J's
-:class:`~repro.datamodel.instance.MatchIndex`, instead of every J fact
-being tested against every chase fact.  J is sorted once per build, by
-that index; ``j_facts`` and every cover table follow its ``repr`` order.
+:func:`build_selection_problem` chases the source once per candidate
+(:func:`chase_candidate`) and evaluates the homomorphism-based semantics
+of :mod:`repro.homomorphism.covers` in one pass over the chase
+(:func:`candidate_metrics`): each chase fact's images in J are
+enumerated once, through J's
+:class:`~repro.datamodel.instance.MatchIndex`, and give its error flag,
+its share of the null corroboration counts and the explained positions
+of every J fact it maps onto.  J is sorted once per build, by that
+index; ``j_facts`` and every cover table follow its ``repr`` order.
 All downstream solvers (exact, greedy, collective/PSL) consume the
 resulting :class:`SelectionProblem`, so they optimize exactly the same
 objective.
@@ -24,26 +25,35 @@ The per-candidate work (chase + cover table + error set) is independent
 across candidates and runs in the calling process.  Each candidate
 chases with a private null factory counting from zero; the merge then
 shifts every candidate's null labels by the number of nulls its
-predecessors consumed.  That reproduces, byte for byte, the labels a
-single shared :class:`~repro.datamodel.values.NullFactory` threaded
-through one loop would have handed out, so candidates never share a
-null — and :class:`~repro.ibench.mutations.MutableSelection` can re-chase
-one candidate and re-merge without renumbering the others.
+predecessors consumed (:func:`shift_nulls`).  That reproduces, byte for
+byte, the labels a single shared
+:class:`~repro.datamodel.values.NullFactory` threaded through one loop
+would have handed out, so candidates never share a null — and
+:class:`~repro.ibench.mutations.MutableSelection` can re-chase one
+candidate and re-merge without renumbering the others.  Because the
+local chases do not depend on which candidates come first, a chase run
+elsewhere can be handed to the build (:func:`handing_chases`): scenario
+generation's data-noise step chases the non-gold candidates, and
+:meth:`~repro.ibench.scenario.Scenario.selection_problem` hands those
+chases over, so the build chases only the gold candidates.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.chase.engine import chase
+from repro.chase.engine import chase_single
 from repro.datamodel.instance import Fact, Instance
-from repro.datamodel.values import LabeledNull, NullFactory
+from repro.datamodel.values import LabeledNull, NullFactory, Value
 from repro.errors import SelectionError
-from repro.homomorphism.covers import CoverComputer, creates
+from repro.homomorphism.search import fact_matches
 from repro.mappings.tgd import StTgd
 from repro.selection.index import ObjectiveIndex
 
@@ -90,9 +100,8 @@ class SelectionProblem:
         error_facts: per candidate, the chase facts flagged as errors.
         sizes: per candidate, the paper's size measure.
         chase_by_candidate: per candidate, its canonical chase instance.
-        lineage: optional revision identity for incremental grounding
-            (``None`` on problems built outside an edit chain — e.g.
-            unpickled engine payloads from older cache formats).
+        lineage: optional revision identity for incremental grounding;
+            ``None`` means the problem was built outside an edit chain.
     """
 
     candidates: list[StTgd]
@@ -206,6 +215,41 @@ class _CountingNullFactory(NullFactory):
 
 
 @dataclass(frozen=True)
+class CandidateChase:
+    """One candidate's chase of the source, with candidate-local null labels.
+
+    ``instance`` holds the facts in chase order, and its nulls are
+    exactly ``N0 .. N(nulls_used - 1)``; :func:`shift_nulls` moves them
+    into a label space shared with other candidates.
+    """
+
+    tgd: StTgd
+    instance: Instance
+    nulls_used: int
+
+
+def chase_candidate(source: Instance, candidate: StTgd) -> CandidateChase:
+    """Chase *source* with *candidate* alone, nulls counted from zero."""
+    factory = _CountingNullFactory()
+    instance = chase_single(source, candidate, factory)
+    return CandidateChase(candidate, instance, factory.used)
+
+
+def shift_nulls(facts: Iterable[Fact], nulls_used: int, offset: int) -> Iterable[Fact]:
+    """*facts* with local null labels ``0 .. nulls_used - 1`` moved up by *offset*.
+
+    Order is kept.  Shifting each candidate's local chase by the nulls
+    its predecessors used gives exactly the labels one shared
+    :class:`~repro.datamodel.values.NullFactory` threaded through their
+    chases in order would have handed out.
+    """
+    if offset == 0:
+        return facts
+    remap = {LabeledNull(label): LabeledNull(label + offset) for label in range(nulls_used)}
+    return (f.substitute(remap) for f in facts)
+
+
+@dataclass(frozen=True)
 class CandidateTables:
     """The metric tables of one candidate, with candidate-local null labels.
 
@@ -236,23 +280,14 @@ class CandidateTables:
         chase_instance = _recall(
             self._chase_at,
             offset,
-            lambda: Instance(self._relabel(self.chase_facts, offset)),
+            lambda: Instance(shift_nulls(self.chase_facts, self.nulls_used, offset)),
         )
         errors = _recall(
             self._errors_at,
             offset,
-            lambda: frozenset(self._relabel(self.error_facts, offset)),
+            lambda: frozenset(shift_nulls(self.error_facts, self.nulls_used, offset)),
         )
         return chase_instance, errors
-
-    def _relabel(self, facts: Iterable[Fact], offset: int) -> Iterable[Fact]:
-        if offset == 0:
-            return facts
-        remap = {
-            LabeledNull(label): LabeledNull(label + offset)
-            for label in range(self.nulls_used)
-        }
-        return (f.substitute(remap) for f in facts)
 
     def retabled(
         self, covers: dict[Fact, Fraction], error_facts: frozenset[Fact]
@@ -291,14 +326,72 @@ def candidate_metrics(
 ) -> tuple[dict[Fact, Fraction], frozenset[Fact]]:
     """One candidate's cover table and error set against the target J.
 
-    The cover table comes from :meth:`CoverComputer.table` (chase side,
-    J's ``repr`` order); *reported* restricts it to a subset of J, as
-    sampling does, while corroboration and ``creates`` always test
-    against all of *target*.
+    One pass enumerates every chase fact's images in J, with their null
+    bindings, through J's match index.  A fact with no image is an error
+    (:func:`~repro.homomorphism.covers.creates`).  A null n bound to v
+    is corroborated for a chase fact iff some *other* chase fact has an
+    image binding n to v, so counting, per ``(n, v)``, the chase facts
+    with such an image turns every corroboration test into a lookup.
+    Then each image scores its explained positions, and the best count
+    per J fact becomes one ``Fraction(count, arity)``.
+
+    The table is keyed in J's ``repr`` order, zeros left out.
+    *reported* (a subset of J) restricts it, as sampling does, while
+    corroboration and errors always test against all of *target*.  The
+    result equals ``{t: CoverComputer(chase_instance, target).degree(t)}``
+    over *reported* in ``repr`` order, and the error set equals
+    ``{f : creates(f, target)}``.
     """
-    table = CoverComputer(chase_instance, target).table(reported)
-    errors = frozenset(f for f in chase_instance if creates(f, target))
-    return table, errors
+    index = target.match_index()
+    ordered = index.ordered
+    errors: list[Fact] = []
+    matched: list[tuple[Fact, list[tuple[int, dict[LabeledNull, Value]]]]] = []
+    #: (null, value) -> how many chase facts have an image binding null to value.
+    witnesses: dict[tuple[LabeledNull, Value], int] = {}
+    for f in chase_instance:
+        images = []
+        for rank in index.candidates(f):
+            binding = fact_matches(f, ordered[rank])
+            if binding is not None:
+                images.append((rank, binding))
+        if not images:
+            errors.append(f)
+            continue
+        matched.append((f, images))
+        # dict.fromkeys: each (null, value) once per fact, in a fixed order.
+        for pair in dict.fromkeys(p for _, binding in images for p in binding.items()):
+            witnesses[pair] = witnesses.get(pair, 0) + 1
+
+    best: dict[int, int] = {}
+    for f, images in matched:
+        for rank, binding in images:
+            explained = 0
+            for value in f.values:
+                if not isinstance(value, LabeledNull) or witnesses[value, binding[value]] > 1:
+                    explained += 1
+            if explained > best.get(rank, 0):
+                best[rank] = explained
+
+    if reported is None or reported is target:
+        table = {ordered[rank]: best[rank] for rank in sorted(best)}
+    else:
+        counts = {ordered[rank]: count for rank, count in best.items()}
+        table = {t: counts[t] for t in reported.match_index().ordered if t in counts}
+    return {t: Fraction(count, t.arity) for t, count in table.items()}, frozenset(errors)
+
+
+def tabulate_candidate(
+    chased: CandidateChase, target: Instance, index: int = 0
+) -> CandidateTables:
+    """The cover table and error set of one chased candidate against *target*."""
+    table, errors = candidate_metrics(chased.instance, target)
+    return CandidateTables(
+        index=index,
+        chase_facts=tuple(sorted(chased.instance, key=repr)),
+        covers=table,
+        error_facts=errors,
+        nulls_used=chased.nulls_used,
+    )
 
 
 def evaluate_candidate(
@@ -312,16 +405,7 @@ def evaluate_candidate(
     Reads *source* and *target* and changes neither.  Null labels in the
     result are candidate-local (they start at 0).
     """
-    factory = _CountingNullFactory()
-    k_theta = chase(source, [candidate], factory).by_tgd[candidate]
-    table, errors = candidate_metrics(k_theta, target)
-    return CandidateTables(
-        index=index,
-        chase_facts=tuple(sorted(k_theta, key=repr)),
-        covers=table,
-        error_facts=errors,
-        nulls_used=factory.used,
-    )
+    return tabulate_candidate(chase_candidate(source, candidate), target, index)
 
 
 def merge_candidate_tables(
@@ -362,20 +446,47 @@ def merge_candidate_tables(
     )
 
 
+#: Chases a caller already ran, by candidate index, for the builds it
+#: runs inside :func:`handing_chases`.
+_HANDED_CHASES: ContextVar[Mapping[int, CandidateChase]] = ContextVar(
+    "handed_chases", default=MappingProxyType({})
+)
+
+
+@contextmanager
+def handing_chases(chases: Mapping[int, CandidateChase]) -> Iterator[None]:
+    """Let :func:`build_selection_problem` reuse *chases* instead of rerunning them.
+
+    *chases* maps a candidate index to that candidate's
+    :func:`chase_candidate` of the source the build reads; a chase is
+    used only where its ``tgd`` is the candidate at its index.  This is
+    how :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands
+    over the chases scenario generation already ran.
+    """
+    token = _HANDED_CHASES.set(chases)
+    try:
+        yield
+    finally:
+        _HANDED_CHASES.reset(token)
+
+
 def build_selection_problem(
     source: Instance,
     target: Instance,
     candidates: Sequence[StTgd],
 ) -> SelectionProblem:
-    """Chase each candidate and materialize covers/creates/size tables."""
+    """Chase each candidate and materialize covers/creates/size tables.
+
+    A candidate whose chase was handed over (:func:`handing_chases`) is
+    not chased again.
+    """
     if not all(isinstance(c, StTgd) for c in candidates):
         raise SelectionError("candidates must be StTgd objects")
-    return merge_candidate_tables(
-        source,
-        target,
-        candidates,
-        [
-            evaluate_candidate(source, target, candidate, index)
-            for index, candidate in enumerate(candidates)
-        ],
-    )
+    handed = _HANDED_CHASES.get()
+    tables = []
+    for index, candidate in enumerate(candidates):
+        chased = handed.get(index)
+        if chased is None or chased.tgd is not candidate:
+            chased = chase_candidate(source, candidate)
+        tables.append(tabulate_candidate(chased, target, index))
+    return merge_candidate_tables(source, target, candidates, tables)

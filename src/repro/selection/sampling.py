@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.chase.engine import chase
+from repro.chase.engine import chase_single
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import NullFactory
 from repro.errors import SelectionError
@@ -70,7 +70,7 @@ def sample_selection_problem(
     error_sets: list[frozenset[Fact]] = []
     chases: list[Instance] = []
     for candidate in candidates:
-        k_theta = chase(source, [candidate], factory).by_tgd[candidate]
+        k_theta = chase_single(source, candidate, factory)
         chases.append(k_theta)
         # Covers against the sample; corroboration against the full J so a
         # sampled-out witness does not artificially weaken a null.

@@ -6,7 +6,6 @@ from repro.chase.engine import chase, chase_single, exchanged_instance, match_bo
 from repro.datamodel.instance import Instance, fact
 from repro.datamodel.values import LabeledNull, NullFactory
 from repro.mappings.parser import parse_tgd, parse_tgds
-from repro.mappings.terms import Variable
 
 
 @pytest.fixture
@@ -83,17 +82,6 @@ def test_repeated_variable_in_body_enforces_equality():
 def test_empty_source_produces_empty_chase():
     t = parse_tgd("r(X) -> s(X)")
     assert len(chase_single(Instance(), t)) == 0
-
-
-def test_provenance_records_firings(source):
-    t = parse_tgd("proj(P, E, C) -> task(P, E, O)")
-    result = chase(source, [t])
-    for f in result.instance:
-        firings = result.provenance[f]
-        assert len(firings) == 1
-        assert firings[0].tgd is t
-        assignment = firings[0].as_dict()
-        assert assignment[Variable("P")].value in {"BigData", "ML"}
 
 
 def test_shared_null_factory_prevents_collisions(source):

@@ -137,12 +137,18 @@ def test_scenario_generation_is_hash_seed_independent():
 
     from tests.subprocess_env import child_env
 
+    # Data noise on, so the noise step's chases, which the problem build
+    # reuses, and the build's corroboration counts are in the answer too.
     script = (
+        "import hashlib\n"
         "from repro.ibench.config import ScenarioConfig\n"
         "from repro.ibench.generator import generate_scenario\n"
-        "s = generate_scenario(ScenarioConfig(num_primitives=3, rows_per_relation=6, seed=11))\n"
+        "from repro.selection.metrics import problem_fingerprint\n"
+        "s = generate_scenario(ScenarioConfig(num_primitives=3, rows_per_relation=6,\n"
+        "    pi_corresp=50, pi_errors=50, pi_unexplained=50, seed=11))\n"
         "print(sorted(repr(f) for f in s.target))\n"
         "print(sorted(repr(f) for f in s.source))\n"
+        "print(hashlib.sha256(problem_fingerprint(s.selection_problem())).hexdigest())\n"
     )
     outputs = set()
     for seed in ("1", "2"):

@@ -1,9 +1,9 @@
 """Differential tests: every match-index path against its literal reference.
 
-The indexed paths (the chase-side cover table, ``creates``, corroboration,
-``fact_homomorphisms``, precision/recall and the chase join) must give
-exactly what a nested loop over whole relations gives, in the same order
-wherever order is observable.  Random instances mix constants and nulls
+The indexed paths (``candidate_metrics``' one-pass cover table and error
+set, ``creates``, corroboration, ``fact_homomorphisms``, precision/recall
+and the chase join) must give exactly what their references give, in the
+same order wherever order is observable.  Random instances mix constants and nulls
 on both sides, repeat nulls inside one fact, and hold ``Constant(1)``
 next to ``Constant("1")`` (equal ``repr``, unequal values).
 """
@@ -25,6 +25,7 @@ from repro.homomorphism.search import (
 )
 from repro.mappings.atoms import Atom
 from repro.mappings.terms import Variable, is_variable
+from repro.selection.metrics import candidate_metrics
 
 #: Relation name -> arities its facts may take ("t" mixes two).
 RELATIONS = {"r": (2,), "s": (3,), "t": (1, 2)}
@@ -65,13 +66,17 @@ def reference_table(computer: CoverComputer, reported: Instance) -> dict[Fact, F
     return table
 
 
+def reference_errors(chase_instance: Instance, target: Instance) -> frozenset[Fact]:
+    return frozenset(f for f in chase_instance if creates(f, target))
+
+
 @given(chases, targets)
 @settings(max_examples=150, deadline=None)
 def test_cover_table_equals_per_fact_degrees_in_j_order(chase_instance, target):
-    computer = CoverComputer(chase_instance, target)
-    fast = computer.table()
+    table, errors = candidate_metrics(chase_instance, target)
     reference = reference_table(CoverComputer(chase_instance, target), target)
-    assert list(fast.items()) == list(reference.items())
+    assert list(table.items()) == list(reference.items())
+    assert errors == reference_errors(chase_instance, target)
 
 
 @given(chases, targets, st.data())
@@ -80,9 +85,10 @@ def test_cover_table_on_a_sample_corroborates_against_all_of_j(chase_instance, t
     ordered = repr_order(target)
     picks = st.lists(st.sampled_from(ordered), unique=True) if ordered else st.just([])
     sampled = Instance(data.draw(picks))
-    fast = CoverComputer(chase_instance, target).table(reported=sampled)
+    table, errors = candidate_metrics(chase_instance, target, reported=sampled)
     reference = reference_table(CoverComputer(chase_instance, target), sampled)
-    assert list(fast.items()) == list(reference.items())
+    assert list(table.items()) == list(reference.items())
+    assert errors == reference_errors(chase_instance, target)
 
 
 @given(chases, targets)

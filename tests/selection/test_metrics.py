@@ -73,26 +73,134 @@ def test_j_facts_are_sorted_and_complete(problem):
 
 
 #: ``problem_fingerprint`` SHA-256s of ``ScenarioConfig(num_primitives=p,
-#: rows_per_relation=20, seed=3)``, computed with the full-scan cover
-#: tables that preceded the match index.
+#: rows_per_relation=20, pi_corresp=n, pi_errors=n, pi_unexplained=n,
+#: seed=3)``, keyed by ``(p, n)``.  The noise-free ones were computed with
+#: the full-scan cover tables that preceded the match index.  The noisy
+#: ones (the perfbench p=24 base, and p=48 at noise 50) run data noise and
+#: were computed with the per-fact corroboration searches and the separate
+#: noise and build chases that preceded the one-pass tables.
 PINNED_FINGERPRINTS = {
-    24: "844b57d60cb104868abbae3899dbb05bee1ed5365ca82433cc30747627c095f7",
-    48: "a807e0022f6a21ded2bef8d35c2b65c2c3e62374d6a00f78d75e790d8070e6f1",
+    (24, 0): "844b57d60cb104868abbae3899dbb05bee1ed5365ca82433cc30747627c095f7",
+    (48, 0): "a807e0022f6a21ded2bef8d35c2b65c2c3e62374d6a00f78d75e790d8070e6f1",
+    (24, 25): "48d37f0edde2b50a6437d0ab41cddc174a0a6639b622e102197a1b77bb5676c3",
+    (48, 50): "0be6271b83eb83e56221158d7f47166212014667c2c20c38938326b8fbf3a3d6",
 }
 
 
-@pytest.mark.parametrize("primitives", sorted(PINNED_FINGERPRINTS))
-def test_problem_fingerprint_is_pinned(primitives):
+@pytest.mark.parametrize(
+    "primitives,noise",
+    sorted(PINNED_FINGERPRINTS),
+    ids=[f"{p}-noise{n}" if n else f"{p}" for p, n in sorted(PINNED_FINGERPRINTS)],
+)
+def test_problem_fingerprint_is_pinned(primitives, noise):
     import hashlib
 
     from repro.ibench.config import ScenarioConfig
     from repro.ibench.generator import generate_scenario
     from repro.selection.metrics import problem_fingerprint
 
-    config = ScenarioConfig(num_primitives=primitives, rows_per_relation=20, seed=3)
+    config = ScenarioConfig(
+        num_primitives=primitives,
+        rows_per_relation=20,
+        pi_corresp=noise,
+        pi_errors=noise,
+        pi_unexplained=noise,
+        seed=3,
+    )
     problem = generate_scenario(config).selection_problem()
     digest = hashlib.sha256(problem_fingerprint(problem)).hexdigest()
-    assert digest == PINNED_FINGERPRINTS[primitives]
+    assert digest == PINNED_FINGERPRINTS[primitives, noise]
+
+
+class TestScenarioSelectionProblem:
+    """``Scenario.selection_problem()`` reuses generation's chases, and only
+    while they are chases of the scenario's current source."""
+
+    NOISY = dict(num_primitives=6, rows_per_relation=10, pi_corresp=50, seed=5)
+
+    def generate(self, noise):
+        from repro.ibench.config import ScenarioConfig
+        from repro.ibench.generator import generate_scenario
+
+        return generate_scenario(
+            ScenarioConfig(**self.NOISY, pi_errors=noise, pi_unexplained=noise)
+        )
+
+    def built(self, scenario, monkeypatch):
+        """The scenario's problem, the scratch build's, and the build's chases."""
+        from repro.selection import metrics
+
+        chased = []
+        chase_candidate = metrics.chase_candidate
+
+        def counting(source, candidate):
+            chased.append(candidate)
+            return chase_candidate(source, candidate)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "chase_candidate", counting)
+            problem = scenario.selection_problem()
+        scratch = build_selection_problem(scenario.source, scenario.target, scenario.candidates)
+        return problem, scratch, chased
+
+    def assert_scratch_equal(self, scenario, monkeypatch, chases_all):
+        from repro.selection.metrics import problem_fingerprint
+
+        problem, scratch, chased = self.built(scenario, monkeypatch)
+        assert problem_fingerprint(problem) == problem_fingerprint(scratch)
+        gold = [scenario.candidates[i] for i in sorted(scenario.gold_indices)]
+        expected = scenario.candidates if chases_all else gold
+        assert chased == expected
+        return problem
+
+    def test_fresh_scenario_chases_only_gold(self, monkeypatch):
+        scenario = self.generate(50)
+        assert len(scenario.gold_indices) < len(scenario.candidates)
+        self.assert_scratch_equal(scenario, monkeypatch, chases_all=False)
+
+    def test_zero_noise_chases_everything(self, monkeypatch):
+        self.assert_scratch_equal(self.generate(0), monkeypatch, chases_all=True)
+
+    def test_pickle_round_trip(self, monkeypatch):
+        import pickle
+
+        scenario = self.generate(50)
+        pickled = pickle.dumps(scenario)
+        # The kept chases are not part of the pickle.
+        scenario.keep_chases({})
+        assert pickle.dumps(scenario) == pickled
+        self.assert_scratch_equal(pickle.loads(pickled), monkeypatch, chases_all=True)
+
+    def test_save_load_round_trip(self, monkeypatch, tmp_path):
+        from repro.io.serialize import load_scenario, save_scenario
+
+        save_scenario(self.generate(50), tmp_path / "s.json")
+        self.assert_scratch_equal(load_scenario(tmp_path / "s.json"), monkeypatch, chases_all=True)
+
+    def test_target_edit_keeps_the_chases(self, monkeypatch):
+        scenario = self.generate(50)
+        scenario.target.discard(next(iter(scenario.target)))
+        self.assert_scratch_equal(scenario, monkeypatch, chases_all=False)
+
+    def test_source_edit_drops_the_chases(self, monkeypatch):
+        from repro.selection.metrics import problem_fingerprint
+
+        scenario = self.generate(50)
+        before = problem_fingerprint(
+            build_selection_problem(scenario.source, scenario.target, scenario.candidates)
+        )
+        # A tuple some non-gold candidate reads, so a stale chase would show.
+        read = {
+            a.relation
+            for i, c in enumerate(scenario.candidates)
+            if i not in scenario.gold_indices
+            for a in c.body
+        }
+        scenario.source.discard(
+            next(f for f in sorted(scenario.source, key=repr) if f.relation in read)
+        )
+        problem = self.assert_scratch_equal(scenario, monkeypatch, chases_all=True)
+        assert problem_fingerprint(problem) != before
 
 
 def test_match_indexes_change_no_problem_pickle(problem):
