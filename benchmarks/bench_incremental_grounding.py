@@ -80,7 +80,7 @@ def _bench_collective_lane(scenario_cache) -> dict:
         assert patched.splice_stats is not None  # served by the patch tier
 
         start = time.perf_counter()
-        fresh = GroundedCollective(problem, settings, shard_size=GROUND_SHARD_SIZE)
+        fresh = GroundedCollective(problem, settings)
         full_seconds = time.perf_counter() - start
         _assert_identical_solves(patched.mrf, fresh.mrf)
         per_edit.append(

@@ -82,11 +82,11 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     fresh_seconds = []
     fresh_energies = []
     for weights in WEIGHT_GRID:
-        settings = CollectiveSettings(weights=weights)
-        start = time.perf_counter()
-        mrf, _, _ = ground_collective(
-            problem, settings, shard_size=GROUND_SHARD_SIZE
+        settings = CollectiveSettings(
+            weights=weights, ground_shard_size=GROUND_SHARD_SIZE
         )
+        start = time.perf_counter()
+        mrf, _, _ = ground_collective(problem, settings)
         result = AdmmSolver(mrf).solve()
         fresh_seconds.append(time.perf_counter() - start)
         fresh_energies.append(result.energy)
@@ -96,7 +96,7 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     # warm re-solve on the same compiled solver.
     ground_start = time.perf_counter()
     grounded = GroundedCollective(
-        problem, CollectiveSettings(), shard_size=GROUND_SHARD_SIZE
+        problem, CollectiveSettings(ground_shard_size=GROUND_SHARD_SIZE)
     )
     solver = grounded.solver
     state = solver.solve().state
@@ -123,7 +123,8 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     grounded.reweight(probe)
     reweighted_run = solver.solve(warm_state=state)
     fresh_mrf, _, _ = ground_collective(
-        problem, CollectiveSettings(weights=probe), shard_size=GROUND_SHARD_SIZE
+        problem,
+        CollectiveSettings(weights=probe, ground_shard_size=GROUND_SHARD_SIZE),
     )
     fresh_run = AdmmSolver(fresh_mrf).solve(warm_state=state)
     assert reweighted_run.iterations == fresh_run.iterations

@@ -52,10 +52,11 @@ def _problem(scenario_cache):
 
 def test_shard_sizes_give_identical_bytes(scenario_cache):
     problem = _problem(scenario_cache)
-    settings = CollectiveSettings()
     fingerprints = {
         shard_size: mrf_fingerprint(
-            ground_collective(problem, settings, shard_size=shard_size)[0]
+            ground_collective(
+                problem, CollectiveSettings(ground_shard_size=shard_size)
+            )[0]
         )
         for shard_size in SHARD_SIZES
     }
@@ -64,7 +65,9 @@ def test_shard_sizes_give_identical_bytes(scenario_cache):
 
 def test_sharded_build_peak_working_set(scenario_cache):
     problem = _problem(scenario_cache)
-    _, _, stats = ground_collective(problem, CollectiveSettings(), shard_size=SHARD_SIZE)
+    _, _, stats = ground_collective(
+        problem, CollectiveSettings(ground_shard_size=SHARD_SIZE)
+    )
     # The structural guarantee: between merges the driver holds at most
     # one shard's block, and a shard of S entries emits O(S) terms —
     # a coverage entry is 1 potential + 1 cap, an error entry is
@@ -82,11 +85,12 @@ def test_sharded_build_peak_working_set(scenario_cache):
 
 def test_sharded_build_time(scenario_cache):
     problem = _problem(scenario_cache)
-    settings = CollectiveSettings()
     rows = []
     for shard_size in SHARD_SIZES:
         start = time.perf_counter()
-        _, _, stats = ground_collective(problem, settings, shard_size=shard_size)
+        _, _, stats = ground_collective(
+            problem, CollectiveSettings(ground_shard_size=shard_size)
+        )
         seconds = time.perf_counter() - start
         rows.append(
             [

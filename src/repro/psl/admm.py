@@ -9,22 +9,23 @@ iteration is a handful of vectorized segment operations over the MRF's
 :class:`~repro.psl.partition.FlatTermArrays` — no generic QP solver
 needed.
 
-Term kinds:
+Term kinds (the two the collective model grounds):
     linear hinge   w*max(0, a^T x + b)      lambda in {0, w/rho, d/||a||^2}
-    squared hinge  w*max(0, a^T x + b)^2    lambda = 2*w*s/rho
     hard <=        project onto halfspace   lambda = max(0, d)/||a||^2
-    hard ==        project onto hyperplane  lambda = d/||a||^2
+
+The flat arrays hold the potentials first, so the hinges are terms
+``[:num_potentials]`` and the ``<=`` caps the rest.
 
 The arrays are small (the p=24 collective model has 1288 terms and 2150
 copies), so per-call overhead, not arithmetic, sets the iteration cost.
 Each solve therefore compiles its local step once (:class:`_LocalStep`):
-a kind whose terms are contiguous is addressed by slice, the
-weight-dependent constants (``w/rho``, ``w/rho*||a||^2``, ...) are
-hoisted, and every per-iteration array is a preallocated buffer written
-with ``out=``.  The dual step's ``z[var]`` gather is the one the next
-iteration starts from.  Every element still gets exactly the arithmetic
-of the unhoisted kernels, so runs are bit-identical to the frozen
-reference solver in ``tests/psl/test_partitioned_admm.py``.
+each kind is addressed by slice, the weight-dependent constants
+(``w/rho``, ``w/rho*||a||^2``) are hoisted, and every per-iteration
+array is a preallocated buffer written with ``out=``.  The dual step's
+``z[var]`` gather is the one the next iteration starts from.  Every
+element still gets exactly the arithmetic of the unhoisted kernels, so
+runs are bit-identical to the frozen reference solver in
+``tests/psl/test_partitioned_admm.py``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.psl.hlmrf import (
-    KIND_EQ,
-    KIND_HINGE,
-    KIND_LEQ,
-    KIND_SQUARED,
-    HingeLossMRF,
-)
+from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.partition import FlatTermArrays, solver_arrays
 
 
@@ -102,14 +97,14 @@ class AdmmWarmState:
 
     z: np.ndarray
     u: np.ndarray
-    num_terms: int | None = None
+    num_terms: int
 
     def matches(self, arrays: FlatTermArrays) -> bool:
         """Is this state structurally valid for *arrays*' problem?"""
         return (
             self.z.shape == (arrays.num_variables,)
             and self.u.shape == (arrays.num_copies,)
-            and (self.num_terms is None or self.num_terms == arrays.num_terms)
+            and self.num_terms == arrays.num_terms
         )
 
 
@@ -153,10 +148,10 @@ def _convergence(
 
 # Each ``_*_step`` compiles one kind's closed-form ``lambda`` kernel for
 # one solve: it reads the kind's ``d0 = a^T v + b`` from *d* and writes
-# ``lambda`` into *out* (both fixed buffers, refilled every iteration),
-# with the weight-dependent constants hoisted.  Every element gets the
-# same operations, in the same order, as the unhoisted expression in
-# the comment above each step.
+# ``lambda`` into *out* (both views of fixed buffers, refilled every
+# iteration), with the weight-dependent constants hoisted.  Every
+# element gets the same operations, in the same order, as the unhoisted
+# expression in the comment above each step.
 
 
 def _hinge_step(d, out, weight, normsq, rho):
@@ -178,23 +173,7 @@ def _hinge_step(d, out, weight, normsq, rho):
     return step
 
 
-def _squared_step(d, out, weight, normsq, rho):
-    # s = d / (1 + 2*weight*normsq/rho);  where(d <= 0, 0, 2*weight*s/rho)
-    denominator = 1.0 + 2.0 * weight * normsq / rho
-    two_weight = 2.0 * weight
-    inactive = np.empty(len(d), dtype=bool)
-
-    def step() -> None:
-        np.less_equal(d, 0.0, out=inactive)
-        np.divide(d, denominator, out=out)
-        np.multiply(two_weight, out, out=out)
-        np.divide(out, rho, out=out)
-        np.copyto(out, 0.0, where=inactive)
-
-    return step
-
-
-def _leq_step(d, out, weight, normsq, rho):
+def _leq_step(d, out, normsq):
     # maximum(0, d) / normsq
     def step() -> None:
         np.maximum(0.0, d, out=out)
@@ -203,69 +182,33 @@ def _leq_step(d, out, weight, normsq, rho):
     return step
 
 
-def _eq_step(d, out, weight, normsq, rho):
-    # d / normsq
-    def step() -> None:
-        np.divide(d, normsq, out=out)
-
-    return step
-
-
-#: Closed-form ``lambda`` step compiler per term kind (module docstring).
-_KIND_STEPS = (
-    (KIND_HINGE, _hinge_step),
-    (KIND_SQUARED, _squared_step),
-    (KIND_LEQ, _leq_step),
-    (KIND_EQ, _eq_step),
-)
-
-
-def _kind_terms(kind: np.ndarray, code: int) -> slice | np.ndarray | None:
-    """The terms of kind *code*: a slice when contiguous, else an index set."""
-    idx = np.flatnonzero(kind == code)
-    if not len(idx):
-        return None
-    lo, hi = int(idx[0]), int(idx[-1]) + 1
-    return slice(lo, hi) if hi - lo == len(idx) else idx
-
-
 class _LocalStep:
     """One solve's compiled local step: ``x = v - lambda[term] * a``.
 
     Built at the start of every solve, since the weights are fixed for
-    its duration (module docstring).  A kind addressed by slice reads
-    ``d0`` and writes ``lambda`` through views; a kind addressed by
-    index set gathers and scatters.
+    its duration (module docstring).  Each kind reads ``d0`` and writes
+    ``lambda`` through slice views: the hinges ``[:num_potentials]``,
+    the ``<=`` caps the rest.
     """
 
-    def __init__(self, arrays: FlatTermArrays, kinds: tuple, rho: float):
+    def __init__(self, arrays: FlatTermArrays, rho: float):
         self._arrays = arrays
         self._d0 = np.empty(arrays.num_terms)
         self._lam = np.zeros(arrays.num_terms)
         self._product = np.empty(arrays.num_copies)
         self.x = np.empty(arrays.num_copies)
-        self._steps = []
-        for compile_step, terms, normsq in kinds:
-            weight = arrays.weight[terms]
-            if isinstance(terms, slice):
-                self._steps.append(
-                    compile_step(self._d0[terms], self._lam[terms], weight, normsq, rho)
-                )
-            else:
-                d, out = np.empty(len(terms)), np.empty(len(terms))
-                self._steps.append(
-                    self._gathered(terms, d, out, compile_step(d, out, weight, normsq, rho))
-                )
-
-    def _gathered(self, terms: np.ndarray, d, out, step):
-        d0, lam = self._d0, self._lam
-
-        def gathered() -> None:
-            d0.take(terms, out=d)
-            step()
-            lam[terms] = out
-
-        return gathered
+        hinges = slice(0, arrays.num_potentials)
+        caps = slice(arrays.num_potentials, arrays.num_terms)
+        self._steps = (
+            _hinge_step(
+                self._d0[hinges],
+                self._lam[hinges],
+                arrays.weight[hinges],
+                arrays.normsq[hinges],
+                rho,
+            ),
+            _leq_step(self._d0[caps], self._lam[caps], arrays.normsq[caps]),
+        )
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """The local step at *v* (``z[var] - u``); returns the ``x`` buffer."""
@@ -283,13 +226,12 @@ class _LocalStep:
 class AdmmSolver:
     """Serial consensus-ADMM solver for one HL-MRF.
 
-    The flat term arrays and the per-kind term ranges of the local step
-    are compiled **once** per solver and reused across solves: because
-    the HL-MRF energy is linear in the potential weights, a weight-only
-    change never touches the compiled structure; only the local step's
-    weight constants are recompiled, once per solve.  Mutate weights on the
-    MRF (``set_group_weights`` and friends) — or pass ``weights=``
-    straight to :meth:`solve` — and the solver syncs its arrays in place
+    The flat term arrays are compiled **once** per MRF and reused across
+    solves: because the HL-MRF energy is linear in the potential
+    weights, a weight-only change never touches the compiled structure;
+    only the local step's weight constants are recompiled, once per
+    solve.  Mutate weights on the MRF (``set_group_weights`` and
+    friends) and the solver syncs its arrays in place
     (:attr:`~repro.psl.hlmrf.HingeLossMRF.weights_version` tells it
     when).
     """
@@ -300,14 +242,6 @@ class AdmmSolver:
         self._settings.validate()
         self._arrays = solver_arrays(mrf)
         self._weights_version = mrf.weights_version
-        #: (step compiler, terms, their normsq) for every kind present;
-        #: ``terms`` is a slice when the kind is contiguous, else its
-        #: index set (:func:`_kind_terms`).
-        self._kinds = tuple(
-            (compile_step, terms, self._arrays.normsq[terms])
-            for kind, compile_step in _KIND_STEPS
-            if (terms := _kind_terms(self._arrays.kind, kind)) is not None
-        )
 
     @property
     def arrays(self) -> FlatTermArrays:
@@ -334,34 +268,23 @@ class AdmmSolver:
 
     def _local_step(self, rho: float) -> _LocalStep:
         """The local step compiled for one solve at the current weights."""
-        return _LocalStep(self._arrays, self._kinds, rho)
+        return _LocalStep(self._arrays, rho)
 
     def solve(
         self,
         warm_start: np.ndarray | None = None,
         warm_state: AdmmWarmState | None = None,
-        weights=None,
     ) -> AdmmResult:
         """Run ADMM to convergence (or the iteration cap).
 
         *warm_start* seeds only the consensus vector; *warm_state* (from a
         previous :attr:`AdmmResult.state`) additionally restores the local
         duals and takes precedence when it structurally matches this
-        problem (see :meth:`AdmmWarmState.matches`).
-
-        *weights* re-weights the (unchanged) ground structure before
-        solving: a mapping applies per origin group
-        (:meth:`~repro.psl.hlmrf.HingeLossMRF.set_group_weights`), an
-        array replaces the full per-potential vector.  Combined with
-        *warm_state* from the previous solve this is the fast path of
-        iterative reweighting: same compiled arrays, a handful of warm
-        iterations.
+        problem (see :meth:`AdmmWarmState.matches`).  Weights are the
+        MRF's current ones: reweight it first, and a solve with
+        *warm_state* from the previous one is the fast path of iterative
+        reweighting — same compiled arrays, a handful of warm iterations.
         """
-        if weights is not None:
-            if hasattr(weights, "items"):
-                self._mrf.set_group_weights(weights)
-            else:
-                self._mrf.set_potential_weights(weights)
         self._sync_weights()
         settings = self._settings
         arrays = self._arrays

@@ -6,8 +6,8 @@ grounding shard's output untouched.  This module reuses the compiled
 artifact at the *flat-array* level:
 
 * :class:`ShardRecord` captures, per shard of a previous ground, the
-  metadata the splice needs (content key, atom table, observed groups,
-  folded constants).  Records are built for free at ground time through
+  metadata the splice needs (content key, atom table, observed
+  groups).  Records are built for free at ground time through
   :func:`~repro.psl.sharding.ground_shards`' ``observer`` hook.
 * :func:`match_shards` pairs a new shard plan against the old records by
   *content key* (:func:`shard_key`): shards whose work is byte-identical
@@ -34,18 +34,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import InferenceError
-from repro.psl.hlmrf import (
-    KIND_HINGE,
-    KIND_SQUARED,
-    HingeLossMRF,
-    rebuild_mrf,
-)
-from repro.psl.partition import FlatTermArrays, compile_term_arrays
+from repro.psl.hlmrf import KIND_HINGE, HingeLossMRF, rebuild_mrf
+from repro.psl.partition import FlatTermArrays, compiled_arrays
 from repro.psl.predicate import GroundAtom
 from repro.psl.sharding import GroundingShard, ShardResult
 
@@ -55,17 +49,14 @@ class ShardRecord:
     """What the splice must remember about one shard of a past ground.
 
     ``key`` is the shard's content key (:func:`shard_key`); ``atoms`` is
-    its atom table in intern order.
-    ``observed_groups``/``constant_masses``/``constant_energy`` mirror
-    the same-named :class:`~repro.psl.sharding.TermBlock` fields — the
+    its atom table in intern order.  ``observed_groups`` mirrors the
+    same-named :class:`~repro.psl.sharding.TermBlock` field — the
     registry contribution replaying this shard would make.
     """
 
     key: Hashable
     atoms: tuple[GroundAtom, ...]
     observed_groups: tuple = ()
-    constant_masses: tuple = ()
-    constant_energy: float = 0.0
 
 
 def shard_key(shard: GroundingShard) -> Hashable:
@@ -88,8 +79,6 @@ def record_for(shard: GroundingShard, result: ShardResult) -> ShardRecord:
         key=shard_key(shard),
         atoms=result.atoms,
         observed_groups=result.block.observed_groups,
-        constant_masses=result.block.constant_masses,
-        constant_energy=float(result.block.constant_energy),
     )
 
 
@@ -150,22 +139,6 @@ def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return base + within
 
 
-def _old_flat(mrf: HingeLossMRF) -> FlatTermArrays | None:
-    """The old MRF's compiled arrays, if they describe its current terms."""
-    flat = getattr(mrf, "_compiled", None)
-    num_terms = len(mrf.potentials) + len(mrf.constraints)
-    if (
-        flat is not None
-        and flat.num_potentials == len(mrf.potentials)
-        and flat.num_terms == num_terms
-    ):
-        return flat
-    try:
-        return compile_term_arrays(mrf)
-    except (InferenceError, ValueError):  # pragma: no cover - defensive
-        return None
-
-
 class _Segment:
     """Accumulates the potential and constraint array segments of shards."""
 
@@ -218,10 +191,9 @@ def splice_grounding(
     blocks are stable-partitioned into the potentials-then-constraints
     flat order (the append half).
 
-    *group_weights* / *member_weights* rewrite the weight column (and
-    rescale group-folded constants) during reassembly — the hook the
-    collective patch path uses to land directly at the request's
-    weights.  Uniform per-group values via *group_weights*; per-member
+    *group_weights* / *member_weights* rewrite the weight column during
+    reassembly — the hook the collective patch path uses to land
+    directly at the request's weights.  Uniform per-group values via *group_weights*; per-member
     vectors (append order) via *member_weights*.
 
     Returns ``None`` whenever the splice cannot be performed exactly —
@@ -234,9 +206,7 @@ def splice_grounding(
     extents = old_mrf._block_extents
     if len(extents) != len(old_records) or len(reuse) != len(shards):
         return None
-    flat = _old_flat(old_mrf)
-    if flat is None:
-        return None
+    flat = compiled_arrays(old_mrf)
     old_pot = flat.num_potentials
     old_counts = np.diff(flat.term_ptr)
     old_pot_weights = np.asarray(old_mrf._pot_weights, dtype=np.float64)
@@ -277,9 +247,6 @@ def splice_grounding(
     group_ids: dict[Hashable, int] = {}
     group_keys: list[Hashable] = []
     zero_dropped: set[int] = set()
-    constant_mass: dict[int, float] = {}
-    constant_weighted: dict[int, float] = {}
-    constant_energy = 0.0
 
     def intern_group(key: Hashable) -> int:
         gid = group_ids.get(key)
@@ -292,29 +259,13 @@ def splice_grounding(
     for position in range(len(shards)):
         source = reuse[position]
         if source is None:
-            block = fresh_results[position].block
-            observed, masses, energy = (
-                block.observed_groups,
-                block.constant_masses,
-                block.constant_energy,
-            )
+            observed = fresh_results[position].block.observed_groups
         else:
-            record = old_records[source]
-            observed, masses, energy = (
-                record.observed_groups,
-                record.constant_masses,
-                record.constant_energy,
-            )
+            observed = old_records[source].observed_groups
         for key, flagged in observed:
             gid = intern_group(key)
             if flagged:
                 zero_dropped.add(gid)
-        for key, mass, weighted in masses:
-            gid = intern_group(key)
-            if mass:
-                constant_mass[gid] = constant_mass.get(gid, 0.0) + mass
-                constant_weighted[gid] = constant_weighted.get(gid, 0.0) + weighted
-        constant_energy += energy
 
     # Old group id -> new group id (-2 = key unknown to the new registry).
     old_gid_map = np.full(len(old_mrf.group_keys) + 1, -1, dtype=np.int64)
@@ -362,7 +313,7 @@ def splice_grounding(
             result = fresh_results[position]
             block = result.block
             kinds = np.asarray(block.kinds, dtype=np.int64)
-            is_pot = (kinds == KIND_HINGE) | (kinds == KIND_SQUARED)
+            is_pot = kinds == KIND_HINGE
             counts = np.diff(block.term_ptr)
             local_map = np.fromiter(
                 (var_index[a] for a in result.atoms),
@@ -442,11 +393,6 @@ def splice_grounding(
             if value != 0.0 and gid in zero_dropped:
                 return None  # dropped structure cannot be reweighted back
             weight[members] = value
-            mass = constant_mass.get(gid)
-            if mass:
-                rescaled = mass * value
-                constant_energy += rescaled - constant_weighted.get(gid, 0.0)
-                constant_weighted[gid] = rescaled
     if member_weights:
         for key, values in member_weights.items():
             gid = group_ids.get(key)
@@ -469,7 +415,6 @@ def splice_grounding(
 
     mrf = rebuild_mrf(
         variables,
-        kind=kind,
         offset=offset,
         weight=weight,
         term_ptr=term_ptr,
@@ -479,9 +424,6 @@ def splice_grounding(
         potential_groups=groups_arr,
         group_keys=group_keys,
         zero_dropped=zero_dropped,
-        constant_mass=constant_mass,
-        constant_weighted=constant_weighted,
-        constant_energy=constant_energy,
         block_extents=new_extents,
     )
     mrf._compiled = FlatTermArrays(

@@ -3,13 +3,17 @@
 The MAP problem of a HL-MRF (Bach, Broecheler, Huang, Getoor, JMLR 2017)
 is the convex program::
 
-    minimize    sum_k  w_k * max(0, a_k^T x + b_k)^{p_k}     (p_k in {1,2})
-    subject to  a_c^T x + b_c  (<=|==) 0   for hard constraints
+    minimize    sum_k  w_k * max(0, a_k^T x + b_k)
+    subject to  a_c^T x + b_c <= 0   for hard constraints
                 x in [0, 1]^n
 
-Variables are PSL ground atoms; potentials are added one at a time or
-merged from shard term blocks (:mod:`repro.psl.sharding`).  Solved by
-consensus ADMM in :mod:`repro.psl.admm`.
+Bach et al.'s general term language also has squared hinges, equality
+constraints and constant terms; the collective model grounds none of
+them, so this module keeps only linear hinges and ``<=`` caps, and a
+term with no nonzero coefficient is an error.  Variables are PSL ground
+atoms; potentials are added one at a time or merged from shard term
+blocks (:mod:`repro.psl.sharding`).  Solved by consensus ADMM in
+:mod:`repro.psl.admm`.
 """
 
 from __future__ import annotations
@@ -25,102 +29,73 @@ from repro.psl.predicate import GroundAtom
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.psl.sharding import TermBlock
 
-#: Term kinds shared by the sharded grounding path and the ADMM solver.
+#: Term kinds of the shard term blocks and the flat solver arrays.
 KIND_HINGE = 0
-KIND_SQUARED = 1
-KIND_LEQ = 2
-KIND_EQ = 3
+KIND_LEQ = 1
+
+
+def nonzero_terms(
+    pairs: Iterable[tuple[object, float]], what: str = "constraint"
+) -> list[tuple[object, float]]:
+    """*pairs* without zero coefficients, values as float.
+
+    Shared by the incremental :class:`HingeLossMRF` API and the sharded
+    :class:`~repro.psl.sharding.TermBlockBuilder`, so the two can never
+    diverge.  A term (*what*) with no nonzero coefficient raises
+    :class:`InferenceError`.
+    """
+    kept = [(a, float(c)) for a, c in pairs if c]
+    if not kept:
+        raise InferenceError(f"{what} has no nonzero coefficient")
+    return kept
 
 
 def filter_potential_terms(
-    pairs: Iterable[tuple[object, float]],
-    offset: float,
-    weight: float,
-    squared: bool,
-) -> tuple[list[tuple[object, float]], float, float]:
+    pairs: Iterable[tuple[object, float]], weight: float
+) -> list[tuple[object, float]]:
     """Shared normalization of one potential's terms.
 
-    The single source of truth for potential semantics, used by both the
-    incremental :meth:`HingeLossMRF.add_potential` path and the sharded
-    :class:`~repro.psl.sharding.TermBlockBuilder`, so the two can never
-    diverge.  Validates the weight, drops zero-weight potentials,
-    filters zero coefficients (normalizing values to float), and folds
-    potentials that reduce to constants into an energy delta.  Returns
-    ``(kept pairs, constant-energy delta, constant hinge mass)`` — the
-    mass is the *unweighted* ``hinge^p`` of a folded constant (delta =
-    weight * mass), what reweighting needs to rescale the constant
-    without re-grounding.  An empty pair list means nothing should be
-    appended.
+    Validates the weight, drops zero-weight potentials (an empty list
+    means nothing should be appended), then applies
+    :func:`nonzero_terms`.
     """
     if weight < 0:
         raise InferenceError(f"potential weight must be non-negative, got {weight}")
     if weight == 0:
-        return [], 0.0, 0.0
-    kept = [(a, float(c)) for a, c in pairs if c]
-    if not kept:
-        hinge = max(0.0, float(offset))
-        mass = hinge * hinge if squared else hinge
-        return [], weight * mass, mass
-    return kept, 0.0, 0.0
-
-
-def filter_constraint_terms(
-    pairs: Iterable[tuple[object, float]],
-    offset: float,
-    equality: bool,
-) -> list[tuple[object, float]]:
-    """Shared normalization of one hard constraint's terms.
-
-    Filters zero coefficients (normalizing values to float); a constraint
-    with no remaining terms is dropped when trivially satisfied and
-    rejected when infeasible.  The counterpart of
-    :func:`filter_potential_terms` for constraints.
-    """
-    kept = [(a, float(c)) for a, c in pairs if c]
-    if not kept:
-        if (equality and abs(offset) > 1e-9) or (not equality and offset > 1e-9):
-            raise InferenceError(f"infeasible constant constraint offset={offset}")
         return []
-    return kept
+    return nonzero_terms(pairs, "potential")
 
 
 @dataclass(frozen=True)
 class HingePotential:
-    """``weight * max(0, sum(coeff*x) + offset)``, optionally squared."""
+    """``weight * max(0, sum(coeff*x) + offset)``."""
 
     coefficients: tuple[tuple[int, float], ...]
     offset: float
     weight: float
-    squared: bool = False
 
     def value(self, x) -> float:
-        s = self.offset + sum(c * x[i] for i, c in self.coefficients)
-        hinge = max(0.0, s)
-        return self.weight * (hinge * hinge if self.squared else hinge)
+        return self.weight * self.unit_value(x)
 
     def unit_value(self, x) -> float:
-        """The unweighted hinge mass ``max(0, a^T x + b)^p`` at *x*.
+        """The unweighted hinge ``max(0, a^T x + b)`` at *x*.
 
         The potential's feature value: ``value(x) == weight *
-        unit_value(x)`` up to rounding.  Weight-independent, which is
-        what structure fingerprints and per-group hinge masses need.
+        unit_value(x)``.  Weight-independent, which is what structure
+        fingerprints need.
         """
-        s = self.offset + sum(c * x[i] for i, c in self.coefficients)
-        hinge = max(0.0, s)
-        return hinge * hinge if self.squared else hinge
+        return max(0.0, self.offset + sum(c * x[i] for i, c in self.coefficients))
 
 
 @dataclass(frozen=True)
 class HardConstraint:
-    """``sum(coeff*x) + offset <= 0`` (or ``== 0`` when *equality*)."""
+    """``sum(coeff*x) + offset <= 0``."""
 
     coefficients: tuple[tuple[int, float], ...]
     offset: float
-    equality: bool = False
 
     def violation(self, x) -> float:
-        s = self.offset + sum(c * x[i] for i, c in self.coefficients)
-        return abs(s) if self.equality else max(0.0, s)
+        return max(0.0, self.offset + sum(c * x[i] for i, c in self.coefficients))
 
 
 class _LazyTermList:
@@ -133,8 +108,8 @@ class _LazyTermList:
     weight *vector* (see :meth:`HingeLossMRF._set_weight`), and the
     structural checks only take ``len()``.  This sequence therefore
     defers building the objects until something actually subscripts,
-    iterates, or pickles it — fingerprints, the energy fallback, the
-    per-potential diagnostics.  Materialization reads the MRF's *live*
+    iterates, or pickles it — fingerprints, the per-potential
+    diagnostics.  Materialization reads the MRF's *live*
     weight vector, so weights rewritten before the first touch are
     reflected exactly, as if the objects had existed all along.
     """
@@ -203,11 +178,6 @@ class HingeLossMRF:
     grounding path, :meth:`intern_atoms` + :meth:`add_term_block` to
     append whole compact term blocks at once.
 
-    ``constant_energy`` accumulates potentials whose coefficients all
-    vanish (empty or all-zero with a positive offset): they do not affect
-    the minimizer, but :meth:`energy` must include them for the reported
-    objective to equal the true one.
-
     Every :meth:`add_term_block` call also records the block's extent in
     the potential and constraint lists, so the shard structure chosen at
     grounding time survives into the model; the splice engine
@@ -219,8 +189,8 @@ class HingeLossMRF:
     potential carries an optional *origin group* — the objective
     component it was grounded from — and its weight lives in one
     contiguous per-potential vector (:meth:`potential_weights`).
-    :meth:`set_group_weights` / :meth:`set_group_potential_weights` /
-    :meth:`set_potential_weights` rewrite weights in place (bumping
+    :meth:`set_group_weights` / :meth:`set_group_potential_weights`
+    rewrite weights in place (bumping
     :attr:`weights_version` so compiled solver arrays know to
     resync) without touching structure — the "ground once, reweight
     many" contract: a reweighted MRF is element-for-element identical to
@@ -233,7 +203,6 @@ class HingeLossMRF:
     _index: dict[GroundAtom, int] = field(default_factory=dict)
     potentials: list[HingePotential] = field(default_factory=list)
     constraints: list[HardConstraint] = field(default_factory=list)
-    constant_energy: float = 0.0
     #: (pot_lo, pot_hi, con_lo, con_hi) extents of each add_term_block call.
     _block_extents: list[tuple[int, int, int, int]] = field(default_factory=list)
     #: Per-potential origin-group id (-1 = fixed weight, no group).
@@ -244,10 +213,6 @@ class HingeLossMRF:
     _group_ids: dict[Hashable, int] = field(default_factory=dict)
     _group_keys: list[Hashable] = field(default_factory=list)
     _group_members: dict[int, list[int]] = field(default_factory=dict)
-    #: Per-group unweighted constant hinge mass and its currently
-    #: weighted contribution to ``constant_energy``.
-    _constant_mass: dict[int, float] = field(default_factory=dict)
-    _constant_weighted: dict[int, float] = field(default_factory=dict)
     #: Groups that had potentials *dropped* because they were ground at
     #: weight zero: reweighting them to a non-zero weight would need the
     #: dropped structure back, so it is rejected (re-ground instead).
@@ -318,18 +283,10 @@ class HingeLossMRF:
         """The per-potential weight vector as a contiguous float64 array.
 
         A snapshot copy: mutate weights through the ``set_*`` methods
-        (which keep the potentials, the constant energy, and
-        :attr:`weights_version` consistent), not by writing into this
-        array.
+        (which keep the potentials and :attr:`weights_version`
+        consistent), not by writing into this array.
         """
         return np.asarray(self._pot_weights, dtype=np.float64)
-
-    def _record_constant(self, gid: int, mass: float, weighted: float) -> None:
-        if mass:
-            self._constant_mass[gid] = self._constant_mass.get(gid, 0.0) + mass
-            self._constant_weighted[gid] = (
-                self._constant_weighted.get(gid, 0.0) + weighted
-            )
 
     def _set_weight(self, i: int, weight: float) -> None:
         if self._pot_weights[i] != weight:
@@ -342,7 +299,7 @@ class HingeLossMRF:
                 self._pot_weights[i] = weight
                 return
             p = potentials[i]
-            potentials[i] = HingePotential(p.coefficients, p.offset, weight, p.squared)
+            potentials[i] = HingePotential(p.coefficients, p.offset, weight)
             self._pot_weights[i] = weight
 
     @staticmethod
@@ -364,9 +321,7 @@ class HingeLossMRF:
         """Set every potential of each group to its group's new weight.
 
         Unknown group keys are skipped (that origin produced no
-        groundings here).  Folded constants belonging to a group are
-        rescaled by the new weight, so :attr:`constant_energy` tracks
-        exactly what a fresh grounding at the new weights would report.
+        groundings here).
         """
         for key, weight in weights.items():
             gid = self._group_ids.get(key)
@@ -380,8 +335,7 @@ class HingeLossMRF:
                     "instead"
                 )
             members = self._group_members[gid]
-            mass = self._constant_mass.get(gid, 0.0)
-            if float(weight) == 0.0 and not members and not mass:
+            if float(weight) == 0.0 and not members:
                 continue  # was ground at zero weight; zero -> zero is a no-op
             weight = self._check_new_weight(key, weight)
             potentials = self.potentials
@@ -394,10 +348,6 @@ class HingeLossMRF:
             else:
                 for i in members:
                     self._set_weight(i, weight)
-            if mass:
-                weighted = weight * mass
-                self.constant_energy += weighted - self._constant_weighted[gid]
-                self._constant_weighted[gid] = weighted
         self.weights_version += 1
 
     def set_group_potential_weights(
@@ -430,59 +380,24 @@ class HingeLossMRF:
             self._set_weight(i, self._check_new_weight(key, weight))
         self.weights_version += 1
 
-    def set_potential_weights(self, weights: Sequence[float]) -> None:
-        """Replace the full per-potential weight vector in place.
-
-        The fully general escape hatch (group APIs cover the common
-        cases).  Folded constants cannot be updated through this path —
-        they have no potential index — so an MRF whose grounding folded
-        group-tagged constants rejects it (use the group APIs there, so
-        ``constant_energy`` rescales and the reweighted MRF stays
-        identical to a fresh grounding).
-        """
-        if self._constant_mass:
-            raise InferenceError(
-                "this MRF has group-folded constant potentials whose energy "
-                "the flat weight vector cannot rescale; use "
-                "set_group_weights/set_group_potential_weights instead"
-            )
-        if len(weights) != len(self.potentials):
-            raise InferenceError(
-                f"expected {len(self.potentials)} weights, got {len(weights)}"
-            )
-        for i, weight in enumerate(weights):
-            self._set_weight(i, self._check_new_weight("<vector>", weight))
-        self.weights_version += 1
-
     def add_potential(
         self,
         coefficients: Mapping[GroundAtom, float],
         offset: float,
         weight: float,
-        squared: bool = False,
         group: Hashable | None = None,
     ) -> None:
-        """Add ``weight * max(0, sum coeff*atom + offset)^(2 if squared)``.
+        """Add ``weight * max(0, sum coeff*atom + offset)``.
 
-        A potential whose coefficients are empty (or all zero) is a
-        *constant*: it cannot influence the minimizer, but its energy
-        ``weight * max(0, offset)^p`` is real and is tracked in
-        :attr:`constant_energy` so :meth:`energy` reports the true
-        objective instead of silently dropping it.
-
-        *group* tags the potential (and any folded constant) with its
-        origin — the hook the reweighting API keys on.
+        A zero-weight potential is dropped.  One with no nonzero
+        coefficient raises :class:`InferenceError`.  *group* tags the
+        potential with its origin — the hook the reweighting API keys on.
         """
-        kept, constant, mass = filter_potential_terms(
-            coefficients.items(), offset, weight, squared
-        )
-        self.constant_energy += constant
+        kept = filter_potential_terms(coefficients.items(), weight)
         gid = self.group_id(group) if group is not None else -1
         if not kept:
             if gid >= 0:
-                self._record_constant(gid, mass, constant)
-                if weight == 0:
-                    self._zero_dropped.add(gid)
+                self._zero_dropped.add(gid)
             return
         if gid >= 0:
             self._group_members[gid].append(len(self.potentials))
@@ -493,25 +408,17 @@ class HingeLossMRF:
                 tuple((self.variable_index(a), c) for a, c in kept),
                 float(offset),
                 float(weight),
-                squared,
             )
         )
 
     def add_constraint(
-        self,
-        coefficients: Mapping[GroundAtom, float],
-        offset: float,
-        equality: bool = False,
+        self, coefficients: Mapping[GroundAtom, float], offset: float
     ) -> None:
-        """Add a hard linear constraint over atoms."""
-        kept = filter_constraint_terms(coefficients.items(), offset, equality)
-        if not kept:
-            return
+        """Add the hard constraint ``sum coeff*atom + offset <= 0``."""
+        kept = nonzero_terms(coefficients.items())
         self.constraints.append(
             HardConstraint(
-                tuple((self.variable_index(a), c) for a, c in kept),
-                float(offset),
-                equality,
+                tuple((self.variable_index(a), c) for a, c in kept), float(offset)
             )
         )
 
@@ -526,7 +433,6 @@ class HingeLossMRF:
         potential/constraint order byte for byte.
         """
         local_to_global = self.intern_atoms(atoms)
-        self.constant_energy += block.constant_energy
         # Intern every group the producer mentioned, in mention order —
         # dropped ones included — so the merged registry (group ids,
         # zero-dropped set) matches the serial add_potential path's.
@@ -534,8 +440,6 @@ class HingeLossMRF:
             gid = self.group_id(key)
             if zero_dropped:
                 self._zero_dropped.add(gid)
-        for key, mass, weighted in block.constant_masses:
-            self._record_constant(self.group_id(key), mass, weighted)
         pot_before, con_before = len(self.potentials), len(self.constraints)
         kinds = block.kinds
         offsets = block.offsets
@@ -549,8 +453,7 @@ class HingeLossMRF:
                 (local_to_global[atom_index[k]], float(coefficient[k]))
                 for k in range(ptr[t], ptr[t + 1])
             )
-            kind = int(kinds[t])
-            if kind in (KIND_HINGE, KIND_SQUARED):
+            if kinds[t] == KIND_HINGE:
                 key = groups[t] if groups is not None else None
                 gid = self.group_id(key) if key is not None else -1
                 if gid >= 0:
@@ -558,108 +461,41 @@ class HingeLossMRF:
                 self.potential_groups.append(gid)
                 self._pot_weights.append(float(weights[t]))
                 self.potentials.append(
-                    HingePotential(
-                        pairs, float(offsets[t]), float(weights[t]), kind == KIND_SQUARED
-                    )
+                    HingePotential(pairs, float(offsets[t]), float(weights[t]))
                 )
             else:
-                self.constraints.append(
-                    HardConstraint(pairs, float(offsets[t]), kind == KIND_EQ)
-                )
+                self.constraints.append(HardConstraint(pairs, float(offsets[t])))
         self._block_extents.append(
             (pot_before, len(self.potentials), con_before, len(self.constraints))
         )
 
-    def _energy_arrays(self) -> tuple[np.ndarray, ...]:
-        """Flat CSR structure arrays for the vectorized energy path.
-
-        Cached, keyed on the potential count: the potentials list is
-        append-only, and reweighting replaces entries with
-        same-structure copies, so the count fully identifies the
-        (weight-independent) structure.  Weights are deliberately *not*
-        cached — :meth:`energy` reads them fresh every call, so the
-        cache survives any amount of in-place reweighting.
-        """
-        cached = getattr(self, "_energy_terms", None)
-        num = len(self.potentials)
-        if cached is not None and cached[0] == num:
-            return cached[1]
-        flat = getattr(self, "_compiled", None)
-        if flat is not None and flat.num_potentials == num:
-            # Slice the precompiled flat arrays instead of iterating the
-            # potential objects: both emit the identical potentials-first
-            # CSR order, the lists are append-only, and an equal count
-            # pins an equal prefix — so the content matches bit for bit.
-            # Also keeps a spliced MRF's deferred term objects
-            # unmaterialized.
-            copies = int(flat.term_ptr[num])
-            arrays = (
-                flat.var[:copies],
-                flat.coeff[:copies],
-                flat.term[:copies],
-                flat.offset[:num],
-                np.asarray(flat.kind[:num] == KIND_SQUARED),
-            )
-            self._energy_terms = (num, arrays)
-            return arrays
-        counts = np.fromiter(
-            (len(p.coefficients) for p in self.potentials),
-            dtype=np.int64,
-            count=num,
-        )
-        copies = int(counts.sum())
-        var = np.fromiter(
-            (i for p in self.potentials for i, _ in p.coefficients),
-            dtype=np.int64,
-            count=copies,
-        )
-        coeff = np.fromiter(
-            (c for p in self.potentials for _, c in p.coefficients),
-            dtype=np.float64,
-            count=copies,
-        )
-        term = np.repeat(np.arange(num, dtype=np.int64), counts)
-        offset = np.fromiter(
-            (p.offset for p in self.potentials), dtype=np.float64, count=num
-        )
-        squared = np.fromiter(
-            (p.squared for p in self.potentials), dtype=bool, count=num
-        )
-        arrays = (var, coeff, term, offset, squared)
-        self._energy_terms = (num, arrays)
-        return arrays
-
-    def __getstate__(self) -> dict:
-        # The energy-array cache is a derived O(copies) structure; keep
-        # it out of pickles (engine work units ship MRFs) and let the
-        # receiver rebuild it lazily.  Likewise the precompiled flat
-        # solver arrays; the receiver recompiles from the potential
-        # lists.
-        state = self.__dict__.copy()
-        state.pop("_energy_terms", None)
-        state.pop("_compiled", None)
-        return state
-
     def energy(self, x) -> float:
         """Total weighted hinge loss at *x* (ignores constraints).
 
-        Computed on cached flat CSR arrays — one gather, one
-        per-term ``bincount``, one dot with the live weight vector —
-        instead of a Python loop over potentials.  Validated against the
-        per-potential sum in tests; float summation order differs, so
-        the two agree to tolerance, not bit for bit (every bit-identity
-        contract in the solver compares energies computed by this same
-        function on both sides).
+        Computed on the compiled flat arrays
+        (:func:`~repro.psl.partition.compiled_arrays`, compiled once when
+        absent) — one gather, one per-term ``bincount``, one dot with the
+        live weight vector — instead of a Python loop over potentials.
+        Validated against the per-potential sum in tests; float
+        summation order differs, so the two agree to tolerance, not bit
+        for bit (every bit-identity contract in the solver compares
+        energies computed by this same function on both sides).
         """
         if not self.potentials:
-            return self.constant_energy
-        var, coeff, term, offset, squared = self._energy_arrays()
+            return 0.0
+        from repro.psl.partition import compiled_arrays  # import cycle
+
+        flat = compiled_arrays(self)
+        num = flat.num_potentials
+        copies = int(flat.term_ptr[num])
         xv = np.asarray(x, dtype=np.float64)
-        s = np.bincount(term, weights=coeff * xv[var], minlength=len(offset))
-        s += offset
-        mass = np.maximum(s, 0.0)
-        np.multiply(mass, mass, out=mass, where=squared)
-        return float(self.constant_energy + np.dot(self.potential_weights(), mass))
+        s = np.bincount(
+            flat.term[:copies],
+            weights=flat.coeff[:copies] * xv[flat.var[:copies]],
+            minlength=num,
+        )
+        s += flat.offset[:num]
+        return float(np.dot(self.potential_weights(), np.maximum(s, 0.0)))
 
     def max_violation(self, x) -> float:
         """Largest hard-constraint violation at *x*."""
@@ -671,7 +507,6 @@ class HingeLossMRF:
 def rebuild_mrf(
     variables: Sequence[GroundAtom],
     *,
-    kind: Sequence[int],
     offset: Sequence[float],
     weight: Sequence[float],
     term_ptr: Sequence[int],
@@ -681,9 +516,6 @@ def rebuild_mrf(
     potential_groups: Sequence[int],
     group_keys: Sequence[Hashable],
     zero_dropped: Iterable[int],
-    constant_mass: Mapping[int, float],
-    constant_weighted: Mapping[int, float],
-    constant_energy: float,
     block_extents: Iterable[tuple[int, int, int, int]],
 ) -> HingeLossMRF:
     """Reconstruct a grounded :class:`HingeLossMRF` from flat CSR arrays.
@@ -691,8 +523,7 @@ def rebuild_mrf(
     The structural inverse of grounding, used only by the splice engine
     (:func:`~repro.psl.delta.splice_grounding`): given the flat term
     arrays in potentials-then-constraints order plus the registry
-    metadata (interned variables, origin groups, folded-constant masses,
-    term block extents), rebuild the full MRF **without re-interning atoms
+    metadata (interned variables, origin groups, term block extents), rebuild the full MRF **without re-interning atoms
     through the grounding path** — no shard planning, no
     ``add_term_block``, no dict-based coefficient maps.  Every field is
     reproduced exactly as the original grounding left it (float64
@@ -714,7 +545,7 @@ def rebuild_mrf(
         # (exact for int64/float64); plain sequences pass through.
         return values.tolist() if hasattr(values, "tolist") else list(values)
 
-    num_terms = len(kind)
+    num_terms = len(term_ptr) - 1
     pot_weights = as_list(weight[:num_potentials])
 
     shared: dict = {}
@@ -723,34 +554,26 @@ def rebuild_mrf(
         if not shared:
             shared["pairs"] = list(zip(as_list(var), as_list(coeff)))
             shared["ptr"] = as_list(term_ptr)
-            shared["kinds"] = as_list(kind)
             shared["offsets"] = as_list(offset)
         return shared
 
     def build_potentials() -> list:
         s = term_source()
-        pairs, ptr, kinds, offsets = s["pairs"], s["ptr"], s["kinds"], s["offsets"]
+        pairs, ptr, offsets = s["pairs"], s["ptr"], s["offsets"]
         # pot_weights is the MRF's live _pot_weights list (mutated in
         # place by reweights), so late materialization stays exact.
         return [
             HingePotential(
-                tuple(pairs[ptr[t] : ptr[t + 1]]),
-                offsets[t],
-                pot_weights[t],
-                kinds[t] == KIND_SQUARED,
+                tuple(pairs[ptr[t] : ptr[t + 1]]), offsets[t], pot_weights[t]
             )
             for t in range(num_potentials)
         ]
 
     def build_constraints() -> list:
         s = term_source()
-        pairs, ptr, kinds, offsets = s["pairs"], s["ptr"], s["kinds"], s["offsets"]
+        pairs, ptr, offsets = s["pairs"], s["ptr"], s["offsets"]
         return [
-            HardConstraint(
-                tuple(pairs[ptr[t] : ptr[t + 1]]),
-                offsets[t],
-                kinds[t] == KIND_EQ,
-            )
+            HardConstraint(tuple(pairs[ptr[t] : ptr[t + 1]]), offsets[t])
             for t in range(num_potentials, num_terms)
         ]
 
@@ -772,7 +595,6 @@ def rebuild_mrf(
         _index={},  # rebuilt lazily by _ensure_index on first atom lookup
         potentials=potentials,
         constraints=constraints,
-        constant_energy=float(constant_energy),
         _block_extents=[tuple(int(v) for v in e) for e in block_extents],
         potential_groups=groups,
         weights_version=0,
@@ -780,9 +602,5 @@ def rebuild_mrf(
         _group_ids={key: gid for gid, key in enumerate(keys)},
         _group_keys=keys,
         _group_members=members,
-        _constant_mass={int(g): float(m) for g, m in constant_mass.items()},
-        _constant_weighted={
-            int(g): float(m) for g, m in constant_weighted.items()
-        },
         _zero_dropped={int(g) for g in zero_dropped},
     )

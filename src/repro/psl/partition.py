@@ -18,13 +18,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.psl.hlmrf import (
-    KIND_EQ,
-    KIND_HINGE,
-    KIND_LEQ,
-    KIND_SQUARED,
-    HingeLossMRF,
-)
+from repro.psl.hlmrf import KIND_HINGE, KIND_LEQ, HingeLossMRF
 
 
 @dataclass(frozen=True)
@@ -85,13 +79,9 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     """
     potentials, constraints = mrf.potentials, mrf.constraints
     num_terms = len(potentials) + len(constraints)
-    kind_arr = np.fromiter(
-        chain(
-            (KIND_SQUARED if p.squared else KIND_HINGE for p in potentials),
-            (KIND_EQ if c.equality else KIND_LEQ for c in constraints),
-        ),
-        dtype=np.int64,
-        count=num_terms,
+    kind_arr = np.repeat(
+        np.array([KIND_HINGE, KIND_LEQ], dtype=np.int64),
+        [len(potentials), len(constraints)],
     )
     offset_arr = np.fromiter(
         chain((p.offset for p in potentials), (c.offset for c in constraints)),
@@ -143,24 +133,35 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     )
 
 
-def solver_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
-    """*mrf*'s flat arrays at its current weights (compiled once per solver).
+def compiled_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
+    """*mrf*'s flat arrays, compiled once and kept on the MRF.
 
-    An MRF carrying precompiled :class:`FlatTermArrays` (attribute
+    An MRF's precompiled :class:`FlatTermArrays` (attribute
     ``_compiled`` — seeded at grounding time and by the splice engine)
-    skips array assembly: the solver works on
-    those arrays directly.  The precompiled weights may be the
-    grounding-time ones, so they are resynced from the MRF's live weight
-    vector here — the solver snapshots ``weights_version`` at
-    construction and only re-syncs on a later change.
+    are reused while they describe its current terms; otherwise they are
+    compiled now and kept.  Their weights may lag the MRF's live weight
+    vector: :func:`solver_arrays` resyncs them, and
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.energy` reads only structure.
     """
-    num_terms = len(mrf.potentials) + len(mrf.constraints)
     flat = getattr(mrf, "_compiled", None)
     if (
         flat is None
         or flat.num_potentials != len(mrf.potentials)
-        or flat.num_terms != num_terms
+        or flat.num_terms != len(mrf.potentials) + len(mrf.constraints)
     ):
-        return compile_term_arrays(mrf)
+        flat = compile_term_arrays(mrf)
+        mrf._compiled = flat
+    return flat
+
+
+def solver_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
+    """*mrf*'s flat arrays at its current weights (compiled once per MRF).
+
+    The solver works on :func:`compiled_arrays` directly.  Their weights
+    may be the grounding-time ones, so they are resynced from the MRF's
+    live weight vector here — the solver snapshots ``weights_version``
+    at construction and only re-syncs on a later change.
+    """
+    flat = compiled_arrays(mrf)
     flat.set_potential_weights(mrf.potential_weights())
     return flat

@@ -6,8 +6,9 @@ whole model twice: once as per-potential dicts, once as the MRF.  The
 sharded path splits grounding into picklable **work units** (shards),
 each of which emits a compact :class:`TermBlock` — flat arrays of
 shard-local variable indices, CSR offsets, per-term offsets/weights/kinds
-— plus the shard's atom table.  A deterministic merge interns each
-shard's atoms once and appends its terms via
+(a linear hinge or a ``<=`` cap, the two kinds the collective model
+grounds) — plus the shard's atom table.  A deterministic merge interns
+each shard's atoms once and appends its terms via
 :meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so:
 
 * the merged MRF is **fingerprint-identical** to adding the same terms
@@ -36,13 +37,11 @@ import numpy as np
 
 from repro.errors import InferenceError
 from repro.psl.hlmrf import (
-    KIND_EQ,
     KIND_HINGE,
     KIND_LEQ,
-    KIND_SQUARED,
     HingeLossMRF,
-    filter_constraint_terms,
     filter_potential_terms,
+    nonzero_terms,
 )
 from repro.psl.predicate import GroundAtom
 
@@ -58,23 +57,20 @@ class TermBlock:
     CSR layout: term ``t`` owns coefficient entries
     ``term_ptr[t]:term_ptr[t+1]`` of ``atom_index``/``coefficient``.
     ``atom_index`` values index the shard's atom table, not the global
-    MRF; the merge remaps them.  ``weights`` is meaningful only for
-    potential kinds.  ``constant_energy`` carries potentials that reduced
-    to constants inside the shard.
+    MRF; the merge remaps them.  ``kinds`` marks each term a linear
+    hinge (``KIND_HINGE``) or a ``<=`` cap (``KIND_LEQ``); ``weights``
+    is meaningful only for hinges.
 
     ``groups`` (when present) names each term's *origin group* — the
     objective component it was grounded from; ``None`` entries
-    (and all constraint kinds) are ungrouped.  ``constant_masses``
-    carries the per-group unweighted hinge mass of folded constants as
-    ``(group key, mass, weighted delta)`` triples.  ``observed_groups``
-    lists *every* group the shard's producer mentioned, in first-mention
-    order, each with a flag marking groups whose potentials were dropped
-    for being ground at weight zero — merged first, so the MRF's group
-    registry (intern order, zero-dropped set) is identical to the one
-    the serial ``add_potential`` path builds, dropped groups included.
-    All three feed the merged MRF's weight-reweighting registry;
-    ``None``/empty keeps full backward compatibility with group-less
-    producers.
+    (and all caps) are ungrouped.  ``observed_groups`` lists *every*
+    group the shard's producer mentioned, in first-mention order, each
+    with a flag marking groups whose potentials were dropped for being
+    ground at weight zero — merged first, so the MRF's group registry
+    (intern order, zero-dropped set) is identical to the one the serial
+    ``add_potential`` path builds, dropped groups included.  Both feed
+    the merged MRF's weight-reweighting registry; ``None``/empty suits
+    group-less producers.
     """
 
     kinds: np.ndarray  # int8[num_terms], KIND_* values
@@ -83,9 +79,7 @@ class TermBlock:
     term_ptr: np.ndarray  # int64[num_terms + 1]
     atom_index: np.ndarray  # int32[nnz], shard-local
     coefficient: np.ndarray  # float64[nnz]
-    constant_energy: float = 0.0
     groups: tuple | None = None  # per-term origin keys (None = ungrouped)
-    constant_masses: tuple = ()  # ((group key, mass, weighted delta), ...)
     observed_groups: tuple = ()  # ((group key, zero_dropped), ...)
 
     @property
@@ -100,10 +94,10 @@ class TermBlock:
 class TermBlockBuilder:
     """Accumulates one shard's terms and atom table.
 
-    Term semantics (zero-weight drop, zero-coefficient filter, constant
-    folding, infeasibility checks) come from the same
+    Term semantics (zero-weight drop, zero-coefficient filter, the
+    rejection of terms with no nonzero coefficient) come from the same
     :func:`~repro.psl.hlmrf.filter_potential_terms` /
-    :func:`~repro.psl.hlmrf.filter_constraint_terms` helpers the
+    :func:`~repro.psl.hlmrf.nonzero_terms` helpers the
     incremental :class:`HingeLossMRF` API uses, so a shard-emitted block
     merges into exactly the MRF the serial calls would have built.
     """
@@ -117,8 +111,6 @@ class TermBlockBuilder:
         self._ptr: list[int] = [0]
         self._atom_index: list[int] = []
         self._coefficient: list[float] = []
-        self._constant_energy = 0.0
-        self._constant_masses: dict = {}
         self._observed_groups: dict = {}  # key -> zero_dropped (insertion order)
 
     def _local(self, atom: GroundAtom) -> int:
@@ -133,40 +125,24 @@ class TermBlockBuilder:
         coefficients: Iterable[tuple[GroundAtom, float]],
         offset: float,
         weight: float,
-        squared: bool = False,
         group=None,
     ) -> None:
-        kept, constant, mass = filter_potential_terms(
-            coefficients, offset, weight, squared
-        )
+        kept = filter_potential_terms(coefficients, weight)
         if group is not None:
             # Mirror the serial path's registry exactly: the group is
             # interned even when this potential is dropped, and a
             # zero-weight drop is remembered so reweighting it back up
             # is rejected rather than silently wrong.
             self._observed_groups[group] = self._observed_groups.get(group, False) or (
-                not kept and weight == 0
+                not kept
             )
-        self._constant_energy += constant
-        if not kept:
-            if group is not None and mass:
-                old_mass, old_weighted = self._constant_masses.get(group, (0.0, 0.0))
-                self._constant_masses[group] = (old_mass + mass, old_weighted + constant)
-            return
-        self._append(
-            KIND_SQUARED if squared else KIND_HINGE, kept, offset, weight, group
-        )
+        if kept:
+            self._append(KIND_HINGE, kept, offset, weight, group)
 
     def add_constraint(
-        self,
-        coefficients: Iterable[tuple[GroundAtom, float]],
-        offset: float,
-        equality: bool = False,
+        self, coefficients: Iterable[tuple[GroundAtom, float]], offset: float
     ) -> None:
-        kept = filter_constraint_terms(coefficients, offset, equality)
-        if not kept:
-            return
-        self._append(KIND_EQ if equality else KIND_LEQ, kept, offset, 0.0, None)
+        self._append(KIND_LEQ, nonzero_terms(coefficients), offset, 0.0, None)
 
     def _append(
         self,
@@ -194,14 +170,9 @@ class TermBlockBuilder:
             term_ptr=np.asarray(self._ptr, dtype=np.int64),
             atom_index=np.asarray(self._atom_index, dtype=np.int32),
             coefficient=np.asarray(self._coefficient, dtype=np.float64),
-            constant_energy=self._constant_energy,
             groups=tuple(self._groups) if any(
                 g is not None for g in self._groups
             ) else None,
-            constant_masses=tuple(
-                (key, mass, weighted)
-                for key, (mass, weighted) in self._constant_masses.items()
-            ),
             observed_groups=tuple(self._observed_groups.items()),
         )
         return tuple(self._atoms), block
@@ -249,7 +220,6 @@ class GroundingStats:
     peak_shard_terms: int = 0
     peak_shard_entries: int = 0
     peak_shard_atoms: int = 0
-    constant_energy: float = 0.0
 
     def observe(self, result: ShardResult, mrf: HingeLossMRF, before: tuple[int, int]) -> None:
         pot_before, con_before = before
@@ -261,7 +231,6 @@ class GroundingStats:
         self.peak_shard_terms = max(self.peak_shard_terms, result.block.num_terms)
         self.peak_shard_entries = max(self.peak_shard_entries, result.block.num_entries)
         self.peak_shard_atoms = max(self.peak_shard_atoms, len(result.atoms))
-        self.constant_energy += result.block.constant_energy
 
 
 def ground_shards(
@@ -279,7 +248,7 @@ def ground_shards(
     *observer* (when given) is called with each :class:`ShardResult`
     right after it merges — the hook incremental grounding
     (:mod:`repro.psl.delta`) uses to capture per-shard records (atom
-    tables, observed groups, folded constants) without a second pass.
+    tables, observed groups) without a second pass.
     The observer must not retain more than it needs.
     """
     mrf = mrf if mrf is not None else HingeLossMRF()
@@ -324,8 +293,8 @@ def mrf_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     """A canonical byte serialization of an MRF's full structure.
 
     Two MRFs fingerprint equally iff their variable order, potentials
-    (coefficients, offsets, weights, squaredness — in order), constraints,
-    and constant energy agree bit for bit; a few deterministic pseudo-
+    (coefficients, offsets, weights — in order) and constraints agree
+    bit for bit; a few deterministic pseudo-
     random probe energies are included as an end-to-end check.  Used to
     verify that sharded grounding reproduces the serial path exactly.
     """
@@ -337,14 +306,12 @@ def mrf_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     payload = {
         "variables": [_atom_fingerprint(a) for a in mrf.variables],
         "potentials": [
-            [list(map(list, p.coefficients)), p.offset, p.weight, p.squared]
+            [list(map(list, p.coefficients)), p.offset, p.weight]
             for p in mrf.potentials
         ],
         "constraints": [
-            [list(map(list, c.coefficients)), c.offset, c.equality]
-            for c in mrf.constraints
+            [list(map(list, c.coefficients)), c.offset] for c in mrf.constraints
         ],
-        "constant_energy": mrf.constant_energy,
         "probes": probes,
     }
     return json.dumps(payload, sort_keys=True).encode()
@@ -354,9 +321,8 @@ def structure_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     """A canonical byte serialization of an MRF's *weight-independent* part.
 
     The structural twin of :func:`mrf_fingerprint`: variable order,
-    potential coefficients/offsets/squaredness, per-potential origin
-    group, constraints, and per-group constant hinge masses — everything
-    except the mutable weight vector and the weighted constant energy.
+    potential coefficients/offsets, per-potential origin group and
+    constraints — everything except the mutable weight vector.
     Two groundings of the same problem at different (all-nonzero) weight
     settings fingerprint equally here, which is what lets a scenario
     cache key structure separately from weights: equal structure
@@ -370,21 +336,16 @@ def structure_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
         x = rng.random(mrf.num_variables)
         unit = sum(p.unit_value(x) for p in mrf.potentials)
         probes.append([float(unit), float(mrf.max_violation(x))])
-    group_render = [repr(key) for key in mrf.group_keys]
     payload = {
         "variables": [_atom_fingerprint(a) for a in mrf.variables],
         "potentials": [
-            [list(map(list, p.coefficients)), p.offset, p.squared, int(gid)]
+            [list(map(list, p.coefficients)), p.offset, int(gid)]
             for p, gid in zip(mrf.potentials, mrf.potential_groups)
         ],
         "constraints": [
-            [list(map(list, c.coefficients)), c.offset, c.equality]
-            for c in mrf.constraints
+            [list(map(list, c.coefficients)), c.offset] for c in mrf.constraints
         ],
-        "groups": group_render,
-        "constant_masses": sorted(
-            [group_render[gid], mass] for gid, mass in mrf._constant_mass.items()
-        ),
+        "groups": [repr(key) for key in mrf.group_keys],
         "probes": probes,
     }
     return json.dumps(payload, sort_keys=True).encode()

@@ -62,7 +62,7 @@ from repro.psl.delta import (
     splice_grounding,
 )
 from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import compile_term_arrays
+from repro.psl.partition import compiled_arrays
 from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.rounding import round_solution
 from repro.psl.sharding import (
@@ -81,8 +81,8 @@ from repro.selection.objective import (
     objective_evaluator,
 )
 
-#: The model's predicates.  Module-level so shard specs (and pickled
-#: groundings) rebuild atom keys that compare equal.
+#: The model's predicates.  Module-level so every shard spec builds
+#: atom keys that compare equal to the plan's target atoms.
 IN_PREDICATE = Predicate("inMap", 1)
 EXPLAINED_PREDICATE = Predicate("explained", 1)
 ERROR_PREDICATE = Predicate("errorOf", 1)
@@ -107,21 +107,16 @@ class CollectiveSettings:
     ``ground_shard_size`` sets how finely the HL-MRF grounding is
     sharded (``None`` → default shard size); shards are the unit the
     patch tier re-grounds.  Grounding always runs on the calling
-    thread.  Every field is picklable, so settings travel inside engine
-    work units.
+    thread, and every solve that is not handed an artifact is served by
+    the per-process :data:`GROUNDING_CACHE`.  The model's hinges are
+    linear (Section V of the paper).  Every field is picklable, so
+    settings travel inside engine work units.
     """
 
     weights: ObjectiveWeights = DEFAULT_WEIGHTS
     admm: AdmmSettings = field(default_factory=AdmmSettings)
-    squared_hinges: bool = False
     rounding_local_search: bool = True
     ground_shard_size: int | None = None
-    #: Reuse a per-process :class:`GroundedCollective` across solves of
-    #: the same problem structure: weight-only changes reweight the
-    #: cached MRF in place and re-solve on its compiled ADMM arrays
-    #: instead of re-grounding (results are bit-identical to the
-    #: re-grounding path).  Set False to force a fresh ground per call.
-    reuse_grounding: bool = True
     #: Incremental (delta) grounding: when a problem carries a
     #: :class:`~repro.selection.metrics.ProblemLineage` naming a parent
     #: revision whose artifact is cached, a cache miss first tries to
@@ -168,15 +163,12 @@ class CoverageShard:
     order: int
     entries: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
     weight: float
-    squared: bool
 
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
         for t_idx, support in self.entries:
             atom = GroundAtom(EXPLAINED_PREDICATE, (t_idx,))
-            builder.add_potential(
-                [(atom, -1.0)], 1.0, self.weight, self.squared, group=GROUP_EXPLAINS
-            )
+            builder.add_potential([(atom, -1.0)], 1.0, self.weight, group=GROUP_EXPLAINS)
             cap = [(atom, 1.0)]
             for i, degree in support:
                 cap.append((GroundAtom(IN_PREDICATE, (i,)), -degree))
@@ -192,7 +184,7 @@ class CoverageShard:
         structural (zero-weight potentials are dropped at grounding), so
         it stays in the key.
         """
-        return ("cov", self.entries, self.squared, self.weight == 0)
+        return ("cov", self.entries, self.weight == 0)
 
 
 @dataclass(frozen=True)
@@ -207,15 +199,12 @@ class ErrorShard:
     order: int
     entries: tuple[tuple[int, tuple[int, ...]], ...]
     weight: float
-    squared: bool
 
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
         for e_idx, owners in self.entries:
             atom = GroundAtom(ERROR_PREDICATE, (e_idx,))
-            builder.add_potential(
-                [(atom, 1.0)], 0.0, self.weight, self.squared, group=GROUP_ERRORS
-            )
+            builder.add_potential([(atom, 1.0)], 0.0, self.weight, group=GROUP_ERRORS)
             for i in owners:
                 builder.add_constraint(
                     [(GroundAtom(IN_PREDICATE, (i,)), 1.0), (atom, -1.0)], 0.0
@@ -225,7 +214,7 @@ class ErrorShard:
 
     def content_key(self) -> tuple:
         """See :meth:`CoverageShard.content_key` — same weight treatment."""
-        return ("err", self.entries, self.squared, self.weight == 0)
+        return ("err", self.entries, self.weight == 0)
 
 
 @dataclass(frozen=True)
@@ -238,17 +227,12 @@ class PriorShard:
 
     order: int
     entries: tuple[tuple[int, float], ...]
-    squared: bool
 
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
         for i, penalty in self.entries:
             builder.add_potential(
-                [(GroundAtom(IN_PREDICATE, (i,)), 1.0)],
-                0.0,
-                penalty,
-                self.squared,
-                group=GROUP_PRIOR,
+                [(GroundAtom(IN_PREDICATE, (i,)), 1.0)], 0.0, penalty, group=GROUP_PRIOR
             )
         atoms, block = builder.finish()
         return ShardResult(self.order, atoms, block)
@@ -258,7 +242,7 @@ class PriorShard:
         *magnitudes* are rewritten at splice time through the
         ``member_weights`` channel (they are plain weight changes), but
         which candidates appear is structural."""
-        return ("prior", tuple(i for i, _ in self.entries), self.squared)
+        return ("prior", tuple(i for i, _ in self.entries))
 
 
 # -- shard planning -----------------------------------------------------------
@@ -336,13 +320,12 @@ def _atom_indices(mrf: HingeLossMRF, atoms, count: int) -> np.ndarray:
 
 
 def plan_collective_grounding(
-    problem: SelectionProblem,
-    settings: CollectiveSettings | None = None,
-    shard_size: int | None = None,
+    problem: SelectionProblem, settings: CollectiveSettings | None = None
 ) -> CollectivePlan:
     """Compile *problem* into shard specs (no term is materialized yet).
 
-    The plan's shard order — coverage slices in ``j_facts`` order, then
+    Shards hold ``settings.ground_shard_size`` entries each.  The plan's
+    shard order — coverage slices in ``j_facts`` order, then
     error slices over the repr-sorted shared-error groups, then prior
     slices in candidate order — fixes the potential/constraint order,
     so the merged MRF is fingerprint-identical for every shard size, and
@@ -352,7 +335,7 @@ def plan_collective_grounding(
     """
     settings = settings or CollectiveSettings()
     weights = settings.weights
-    squared = settings.squared_hinges
+    shard_size = settings.ground_shard_size
 
     in_atoms = {
         i: GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)
@@ -406,20 +389,15 @@ def plan_collective_grounding(
     for lo, hi in iter_slices(len(coverage_entries), shard_size):
         shards.append(
             CoverageShard(
-                len(shards),
-                tuple(coverage_entries[lo:hi]),
-                float(weights.explains),
-                squared,
+                len(shards), tuple(coverage_entries[lo:hi]), float(weights.explains)
             )
         )
     for lo, hi in iter_slices(len(error_entries), shard_size):
         shards.append(
-            ErrorShard(
-                len(shards), tuple(error_entries[lo:hi]), float(weights.errors), squared
-            )
+            ErrorShard(len(shards), tuple(error_entries[lo:hi]), float(weights.errors))
         )
     for lo, hi in iter_slices(len(prior_entries), shard_size):
-        shards.append(PriorShard(len(shards), tuple(prior_entries[lo:hi]), squared))
+        shards.append(PriorShard(len(shards), tuple(prior_entries[lo:hi])))
 
     targets = (
         *(in_atoms[i] for i in range(problem.num_candidates)),
@@ -440,24 +418,19 @@ def plan_collective_grounding(
 def ground_collective(
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
-    shard_size: int | None = None,
     records_out: list[ShardRecord] | None = None,
 ) -> tuple[HingeLossMRF, CollectivePlan, GroundingStats]:
     """Ground *problem*'s HL-MRF shard by shard.
 
-    *shard_size* defaults to the settings' value.  The result is
-    fingerprint-identical for any shard size (see
-    :func:`plan_collective_grounding`).
+    The result is fingerprint-identical for any
+    ``settings.ground_shard_size`` (see :func:`plan_collective_grounding`).
 
     When *records_out* is a list, one :class:`~repro.psl.delta.
     ShardRecord` per shard is appended in merge (spec) order — the
     per-shard index incremental patching needs to splice unchanged
     shards out of this MRF later.
     """
-    settings = settings or CollectiveSettings()
-    if shard_size is None:
-        shard_size = settings.ground_shard_size
-    plan = plan_collective_grounding(problem, settings, shard_size)
+    plan = plan_collective_grounding(problem, settings)
     mrf = HingeLossMRF()
     for atom in plan.targets:
         mrf.variable_index(atom)
@@ -494,14 +467,12 @@ class GroundedCollective:
         self,
         problem: SelectionProblem,
         settings: CollectiveSettings | None = None,
-        shard_size: int | None = None,
     ):
         settings = settings or CollectiveSettings()
         self.problem = problem
-        self.squared = bool(settings.squared_hinges)
         records: list[ShardRecord] = []
         self.mrf, self.plan, self.stats = ground_collective(
-            problem, settings, shard_size=shard_size, records_out=records
+            problem, settings, records_out=records
         )
         #: Per-shard splice index (same order as ``plan.shards``), the
         #: input :func:`patch_collective` matches a successor problem's
@@ -511,8 +482,7 @@ class GroundedCollective:
         # Pre-compile the flat arrays while the ground is hot: the ADMM
         # solver wants them anyway, and a later patch slices straight
         # from them instead of recompiling the whole artifact first.
-        if getattr(self.mrf, "_compiled", None) is None:
-            self.mrf._compiled = compile_term_arrays(self.mrf)
+        compiled_arrays(self.mrf)
         self.weights = settings.weights
         self._admm = settings.admm
         self._solver: AdmmSolver | None = None
@@ -595,7 +565,6 @@ def patch_collective(
     cached: GroundedCollective,
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
-    shard_size: int | None = None,
 ) -> GroundedCollective | None:
     """Patch *cached* (a parent revision's artifact) into *problem*'s.
 
@@ -609,16 +578,12 @@ def patch_collective(
     ``settings.weights`` and is **bit-identical** to a fresh ground of
     ``(problem, settings)``.
 
-    Returns ``None`` when patching is not exact — hinge form changed,
-    a zero pattern moved, the splice declined — in which case the
-    caller grounds fresh.  Never returns a wrong artifact.
+    Returns ``None`` when patching is not exact — a zero pattern moved,
+    the splice declined — in which case the caller grounds fresh.  Never
+    returns a wrong artifact.
     """
     settings = settings or CollectiveSettings()
-    if shard_size is None:
-        shard_size = settings.ground_shard_size
-    if bool(settings.squared_hinges) != cached.squared:
-        return None
-    plan = plan_collective_grounding(problem, settings, shard_size)
+    plan = plan_collective_grounding(problem, settings)
     reuse = match_shards(cached.records, plan.shards)
     prior_penalties = [
         penalty
@@ -643,7 +608,6 @@ def patch_collective(
         return None
     patched = GroundedCollective.__new__(GroundedCollective)
     patched.problem = problem
-    patched.squared = cached.squared
     patched.mrf = result.mrf
     patched.plan = plan
     patched.stats = None
@@ -658,8 +622,8 @@ def patch_collective(
 class CollectiveGroundingCache:
     """A small per-process LRU of :class:`GroundedCollective` artifacts.
 
-    Keyed by problem identity plus the structure-affecting settings
-    (squared hinges, grounding shard size) — *not* by weights: a hit
+    Keyed by problem identity plus the structure-affecting setting
+    (the grounding shard size) — *not* by weights: a hit
     whose weights differ only reweights the cached artifact in place.
     A request is served in order **memory > patch > fresh ground**: an
     in-memory miss first tries to *patch* (``settings.incremental``) —
@@ -711,17 +675,12 @@ class CollectiveGroundingCache:
             self._token_keys.popitem(last=False)
 
     def grounded(
-        self,
-        problem: SelectionProblem,
-        settings: CollectiveSettings | None = None,
-        shard_size: int | None = None,
+        self, problem: SelectionProblem, settings: CollectiveSettings | None = None
     ) -> GroundedCollective:
         """A reweighted cached artifact for *problem*, or a fresh ground."""
         settings = settings or CollectiveSettings()
-        if shard_size is None:
-            shard_size = settings.ground_shard_size
         me = threading.get_ident()
-        key = (me, id(problem), bool(settings.squared_hinges), shard_size)
+        key = (me, id(problem), settings.ground_shard_size)
         lineage = getattr(problem, "lineage", None)
         with self._lock:
             entry = self._entries.get(key)
@@ -743,12 +702,10 @@ class CollectiveGroundingCache:
             # thread id is in its key), so no other thread can touch it.
             entry.reweight(settings.weights)
             return entry
-        fresh = self._try_patch(problem, settings, shard_size, me, lineage)
+        fresh = self._try_patch(problem, settings, me, lineage)
         patched = fresh is not None
         if fresh is None:
-            fresh = GroundedCollective(  # ground outside the lock, it is slow
-                problem, settings, shard_size=shard_size
-            )
+            fresh = GroundedCollective(problem, settings)  # slow: outside the lock
         with self._lock:
             self.misses += 1
             if patched:
@@ -764,7 +721,6 @@ class CollectiveGroundingCache:
         self,
         problem: SelectionProblem,
         settings: CollectiveSettings,
-        shard_size: int | None,
         me: int,
         lineage,
     ) -> GroundedCollective | None:
@@ -783,12 +739,12 @@ class CollectiveGroundingCache:
             parent = (
                 self._entries.get(parent_key) if parent_key is not None else None
             )
-        if parent is None or parent_key[3] != shard_size:
+        if parent is None or parent_key[2] != settings.ground_shard_size:
             return None
         parent_lineage = getattr(parent.problem, "lineage", None)
         if parent_lineage is None or parent_lineage.token != lineage.parent:
             return None
-        return patch_collective(parent, problem, settings, shard_size=shard_size)
+        return patch_collective(parent, problem, settings)
 
     def clear(self) -> None:
         """Drop every cached artifact and reset the counters."""
@@ -800,9 +756,9 @@ class CollectiveGroundingCache:
             self.patch_hits = 0
 
 
-#: Per-process artifact cache consumed by :func:`solve_collective` when
-#: ``CollectiveSettings.reuse_grounding`` is on (the default).  Worker
-#: processes get their own instance, like the engine's scenario cache.
+#: Per-process artifact cache that serves every :func:`solve_collective`
+#: call not handed an artifact.  Worker processes get their own
+#: instance, like the engine's scenario cache.
 GROUNDING_CACHE = CollectiveGroundingCache()
 
 
@@ -812,21 +768,21 @@ def solve_collective(
     warm_start: Mapping[int, float] | None = None,
     warm_state: AdmmWarmState | None = None,
     warm_start_aux: Mapping[tuple[str, int], float] | None = None,
-    ground_shard_size: int | None = None,
     grounded: GroundedCollective | None = None,
 ) -> CollectiveResult:
     """Run the paper's pipeline: relax, infer with ADMM, round, score.
 
     Grounding runs through :func:`ground_collective` — sharded, on the
     calling thread — so the peak working set of a ground is one shard.
-    With ``settings.reuse_grounding`` (the default) the grounding is
-    served from the per-process :data:`GROUNDING_CACHE`: a repeated
-    solve of the same problem structure (e.g. the cells of a
-    weight-sweep lane) only *reweights* the cached
-    :class:`GroundedCollective` and re-solves on its compiled ADMM
-    arrays — bit-identical to re-grounding, minus the grounding.
-    Pass *grounded* to manage the artifact explicitly (it is reweighted
-    to ``settings.weights`` first).
+    The grounding is served from the per-process
+    :data:`GROUNDING_CACHE`: a repeated solve of the same problem
+    structure (e.g. the cells of a weight-sweep lane) only *reweights*
+    the cached :class:`GroundedCollective` and re-solves on its compiled
+    ADMM arrays — bit-identical to re-grounding, minus the grounding.
+    Pass *grounded* to manage the artifact explicitly (it must be
+    *problem*'s own, and is reweighted to ``settings.weights`` first);
+    ``grounded=GroundedCollective(problem, settings)`` forces a fresh
+    ground.
 
     *warm_start* maps candidate indices to fractional memberships from a
     previous solve (e.g. the neighbouring point of a parameter sweep);
@@ -843,24 +799,17 @@ def solve_collective(
     this problem are ignored.
     """
     settings = settings or CollectiveSettings()
-    if grounded is None and settings.reuse_grounding:
-        grounded = GROUNDING_CACHE.grounded(
-            problem, settings, shard_size=ground_shard_size
+    if grounded is None:
+        grounded = GROUNDING_CACHE.grounded(problem, settings)
+    elif grounded.problem is not problem:
+        raise InferenceError(
+            "the grounded artifact belongs to another selection problem; "
+            "ground this one (GroundedCollective(problem, settings))"
         )
-    elif grounded is not None:
-        grounded.reweight(settings.weights)
-    if grounded is not None:
-        mrf, plan, stats = grounded.mrf, grounded.plan, grounded.stats
-        solver = grounded.solver_for(settings.admm)
     else:
-        mrf, plan, stats = ground_collective(
-            problem, settings, shard_size=ground_shard_size
-        )
-        solver = AdmmSolver(mrf, settings.admm)
-
-    readout = (
-        grounded.readout if grounded is not None else PlanReadout.resolve(mrf, plan)
-    )
+        grounded.reweight(settings.weights)
+    mrf, plan, stats = grounded.mrf, grounded.plan, grounded.stats
+    solver = grounded.solver_for(settings.admm)
     start = None
     # A structurally matching *warm_state* takes precedence and the solver
     # ignores *start*, so it is only built when it can seed the solve.
@@ -881,7 +830,7 @@ def solve_collective(
                 start[mrf.index_of(atom)] = float(value)
 
     inference = solver.solve(start, warm_state=warm_state)
-    fractional, fractional_aux = readout.fractional(inference.x)
+    fractional, fractional_aux = grounded.readout.fractional(inference.x)
 
     discrete_objective = objective_evaluator(problem, settings.weights)
     selected = round_solution(

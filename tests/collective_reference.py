@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.psl.admm import AdmmSettings, AdmmSolver
-from repro.psl.hlmrf import KIND_EQ, KIND_HINGE, KIND_SQUARED, HingeLossMRF
+from repro.psl.hlmrf import KIND_HINGE, HingeLossMRF
 from repro.selection.collective import (
     CollectiveSettings,
     GroundedCollective,
@@ -49,14 +49,11 @@ def ground_term_by_term(
                 result.atoms[block.atom_index[k]]: float(block.coefficient[k])
                 for k in entries
             }
-            kind = int(block.kinds[t])
             offset = float(block.offsets[t])
-            if kind in (KIND_HINGE, KIND_SQUARED):
-                mrf.add_potential(
-                    coefficients, offset, float(block.weights[t]), kind == KIND_SQUARED
-                )
+            if block.kinds[t] == KIND_HINGE:
+                mrf.add_potential(coefficients, offset, float(block.weights[t]))
             else:
-                mrf.add_constraint(coefficients, offset, kind == KIND_EQ)
+                mrf.add_constraint(coefficients, offset)
     return mrf
 
 

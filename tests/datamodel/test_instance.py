@@ -138,17 +138,28 @@ def test_scenario_generation_is_hash_seed_independent():
     from tests.subprocess_env import child_env
 
     # Data noise on, so the noise step's chases, which the problem build
-    # reuses, and the build's corroboration counts are in the answer too.
+    # reuses, and the build's corroboration counts are in the answer too;
+    # then the grounding (this seed has six shared-error groups to order)
+    # and both solvers' selections, so a hash-order leak in planning,
+    # grounding or rounding shows as well.
     script = (
         "import hashlib\n"
         "from repro.ibench.config import ScenarioConfig\n"
         "from repro.ibench.generator import generate_scenario\n"
+        "from repro.psl.sharding import mrf_fingerprint\n"
+        "from repro.selection.collective import GroundedCollective, solve_collective\n"
+        "from repro.selection.greedy import solve_greedy\n"
         "from repro.selection.metrics import problem_fingerprint\n"
         "s = generate_scenario(ScenarioConfig(num_primitives=3, rows_per_relation=6,\n"
-        "    pi_corresp=50, pi_errors=50, pi_unexplained=50, seed=11))\n"
+        "    pi_corresp=50, pi_errors=50, pi_unexplained=50, seed=2))\n"
         "print(sorted(repr(f) for f in s.target))\n"
         "print(sorted(repr(f) for f in s.source))\n"
-        "print(hashlib.sha256(problem_fingerprint(s.selection_problem())).hexdigest())\n"
+        "p = s.selection_problem()\n"
+        "print(hashlib.sha256(problem_fingerprint(p)).hexdigest())\n"
+        "g = GroundedCollective(p)\n"
+        "print(hashlib.sha256(mrf_fingerprint(g.mrf)).hexdigest())\n"
+        "for r in (solve_collective(p, grounded=g), solve_greedy(p)):\n"
+        "    print(sorted(r.selected), r.objective)\n"
     )
     outputs = set()
     for seed in ("1", "2"):

@@ -127,7 +127,11 @@ def test_weight_sweep_matches_fresh_ground_cells():
     # cell (selection, objective, fractional state).
     from dataclasses import replace as dc_replace
 
-    from repro.selection.collective import CollectiveSettings, solve_collective
+    from repro.selection.collective import (
+        CollectiveSettings,
+        GroundedCollective,
+        solve_collective,
+    )
 
     base = ScenarioConfig(num_primitives=2, rows_per_relation=6, pi_errors=25)
     engine = EvaluationEngine(methods=("collective",), include_gold=False)
@@ -136,9 +140,11 @@ def test_weight_sweep_matches_fresh_ground_cells():
     problem = scenario.selection_problem()
     cold = None
     for (weights, cells) in sweep.cells_by_weight():
+        settings = CollectiveSettings(weights=weights)
         fresh = solve_collective(
             problem,
-            CollectiveSettings(weights=weights, reuse_grounding=False),
+            settings,
+            grounded=GroundedCollective(problem, settings),
             warm_start=cold.fractional if cold else None,
             warm_state=cold.admm_state if cold else None,
             warm_start_aux=cold.fractional_aux if cold else None,
@@ -203,7 +209,6 @@ def test_work_units_pickle_for_the_process_pool():
     settings = CollectiveSettings(
         weights=ObjectiveWeights(Fraction(2), Fraction(1, 2), Fraction(3)),
         admm=AdmmSettings(rho=2.0, max_iterations=700),
-        squared_hinges=True,
         ground_shard_size=8,
         incremental=False,
     )

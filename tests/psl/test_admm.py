@@ -44,24 +44,6 @@ def test_hard_constraint_respected():
     assert result.x[0] == pytest.approx(0.25, abs=1e-3)
 
 
-def test_equality_constraint():
-    mrf = _mrf(2)
-    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
-    mrf.add_constraint({X(0): 1.0, X(1): -1.0}, 0.0, equality=True)
-    mrf.add_potential({X(1): -1.0}, 0.5, weight=10.0)  # pull x1 up to 0.5
-    result = AdmmSolver(mrf).solve()
-    assert result.x[0] == pytest.approx(result.x[1], abs=1e-3)
-
-
-def test_squared_hinge_quadratic_optimum():
-    # min 1*max(0,x)^2 + 1*max(0, 0.8-x)^2 -> x = 0.4
-    mrf = _mrf(1)
-    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0, squared=True)
-    mrf.add_potential({X(0): -1.0}, 0.8, weight=1.0, squared=True)
-    result = AdmmSolver(mrf).solve()
-    assert result.x[0] == pytest.approx(0.4, abs=1e-3)
-
-
 def test_box_constraints_enforced():
     mrf = _mrf(1)
     mrf.add_potential({X(0): -1.0}, 5.0, weight=100.0)  # wants x -> 5

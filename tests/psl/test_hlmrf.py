@@ -24,12 +24,11 @@ def test_index_of_unknown_atom_raises():
         mrf.index_of(X(9))
 
 
-def test_potential_value_linear_and_squared():
+def test_potential_value_is_the_weighted_linear_hinge():
     linear = HingePotential(((0, 1.0),), -0.25, weight=2.0)
     assert linear.value([0.75]) == pytest.approx(1.0)
+    assert linear.unit_value([0.75]) == pytest.approx(0.5)
     assert linear.value([0.0]) == 0.0
-    squared = HingePotential(((0, 1.0),), -0.25, weight=2.0, squared=True)
-    assert squared.value([0.75]) == pytest.approx(0.5)
 
 
 def test_zero_weight_potentials_skipped():
@@ -51,13 +50,26 @@ def test_zero_coefficients_dropped():
 
 
 def test_constant_constraint_feasibility_check():
+    # A constraint with no nonzero coefficient is rejected, feasible or
+    # not: the collective model never grounds one.
     mrf = HingeLossMRF()
-    mrf.add_constraint({X(0): 0.0}, -1.0)  # trivially satisfied, dropped
-    assert mrf.constraints == []
+    with pytest.raises(InferenceError):
+        mrf.add_constraint({X(0): 0.0}, -1.0)  # satisfied constant
     with pytest.raises(InferenceError):
         mrf.add_constraint({}, 1.0)  # 1 <= 0: infeasible
+    assert mrf.constraints == []
+
+
+def test_constant_potentials_rejected():
+    # Likewise a potential with no nonzero coefficient, unless its zero
+    # weight drops it first.
+    mrf = HingeLossMRF()
     with pytest.raises(InferenceError):
-        mrf.add_constraint({}, 1.0, equality=True)
+        mrf.add_potential({}, 0.7, weight=2.0)
+    with pytest.raises(InferenceError):
+        mrf.add_potential({X(0): 0.0}, 0.5, weight=4.0)
+    mrf.add_potential({}, 0.5, weight=0.0)
+    assert mrf.potentials == []
 
 
 def test_energy_sums_potentials():
@@ -67,61 +79,31 @@ def test_energy_sums_potentials():
     assert mrf.energy([0.25]) == pytest.approx(0.25 + 3 * 0.75)
 
 
-def test_constant_potentials_tracked_not_dropped():
-    """Regression: constant potentials must contribute to the energy.
-
-    Empty (or all-zero) coefficients with a positive offset used to be
-    silently discarded, making reported energies smaller than the true
-    objective."""
+def test_energy_follows_appended_potentials_and_reweights():
+    # energy() compiles the flat arrays once; a later append recompiles,
+    # and a reweight is read from the live weight vector.
     mrf = HingeLossMRF()
-    mrf.add_potential({}, 0.7, weight=2.0)  # 2 * max(0, 0.7)
-    mrf.add_potential({X(0): 0.0}, 0.5, weight=4.0, squared=True)  # 4 * 0.5^2
-    mrf.add_potential({}, -1.0, weight=5.0)  # hinge is 0: no energy
-    assert mrf.potentials == []
-    assert mrf.constant_energy == pytest.approx(2 * 0.7 + 4 * 0.25)
-    assert mrf.energy([0.0]) == pytest.approx(2.4)
-    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
-    assert mrf.energy([0.25]) == pytest.approx(2.4 + 0.25)
-
-
-def test_admm_reported_energy_includes_constant_term():
-    from repro.psl.admm import AdmmSolver
-
-    mrf = HingeLossMRF()
-    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
-    mrf.add_potential({}, 1.5, weight=2.0)
-    result = AdmmSolver(mrf).solve()
-    assert result.x[0] == pytest.approx(0.0, abs=1e-4)
-    assert result.energy == pytest.approx(mrf.energy(result.x))
-    assert result.energy >= 3.0  # the constant floor
-
-
-def test_program_grounding_keeps_fully_observed_constant_energy():
-    """A grounding whose atoms are all observed still costs real energy."""
-    from repro.psl.sharding import TermBlockBuilder
-
-    # p(a) -> q(a) at weight 2 with p(a) = 1 and q(a) = 0.25 both observed:
-    # no open atom is left, and the distance to satisfaction is 0.75.
-    builder = TermBlockBuilder()
-    builder.add_potential([], 1.0 - 0.25, 2.0)
-    mrf = HingeLossMRF()
-    mrf.add_term_block(*builder.finish())
-    assert mrf.potentials == []
-    assert mrf.constant_energy == pytest.approx(1.5)
-    assert mrf.energy([]) == pytest.approx(1.5)
+    mrf.add_constraint({X(0): 1.0}, -0.5)
+    assert mrf.energy([1.0]) == 0.0  # constraints carry no energy
+    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0, group="g")
+    assert mrf.energy([0.25]) == pytest.approx(0.25)
+    mrf.add_potential({X(1): -1.0}, 1.0, weight=2.0)
+    assert mrf.energy([0.25, 0.5]) == pytest.approx(0.25 + 2 * 0.5)
+    mrf.set_group_weights({"g": 4.0})
+    x = [0.25, 0.5]
+    assert mrf.energy(x) == pytest.approx(sum(p.value(x) for p in mrf.potentials))
 
 
 def test_max_violation():
     mrf = HingeLossMRF()
     mrf.add_constraint({X(0): 1.0}, -0.5)  # x <= 0.5
-    mrf.add_constraint({X(0): 1.0}, -1.0, equality=True)  # x == 1
+    mrf.add_constraint({X(0): -1.0}, 0.25)  # x >= 0.25
     assert mrf.max_violation([1.0]) == pytest.approx(0.5)
-    assert mrf.max_violation([0.5]) == pytest.approx(0.5)  # equality violated
+    assert mrf.max_violation([0.0]) == pytest.approx(0.25)
+    assert mrf.max_violation([0.4]) == 0.0
 
 
 def test_constraint_violation_forms():
     leq = HardConstraint(((0, 1.0),), -0.5)
     assert leq.violation([0.4]) == 0.0
     assert leq.violation([0.9]) == pytest.approx(0.4)
-    eq = HardConstraint(((0, 1.0),), -0.5, equality=True)
-    assert eq.violation([0.4]) == pytest.approx(0.1)

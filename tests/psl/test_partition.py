@@ -5,14 +5,14 @@ potentials-then-constraints term order, whatever mix of bulk
 (``add_term_block``) and incremental construction produced it; the
 block extents recorded at grounding time slice those arrays into
 contiguous runs without ever splitting a term (the splice engine
-relies on that), and the solver precompiles its
-per-kind index sets once.
+relies on that), and the potentials-first order gives the local
+step its two kinds by position: hinges, then ``<=`` caps.
 """
 
 import numpy as np
 
 from repro.psl.admm import AdmmSolver
-from repro.psl.hlmrf import KIND_EQ, KIND_HINGE, KIND_LEQ, KIND_SQUARED, HingeLossMRF
+from repro.psl.hlmrf import KIND_HINGE, KIND_LEQ, HingeLossMRF
 from repro.psl.partition import compile_term_arrays, solver_arrays
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder
@@ -26,16 +26,16 @@ X = Predicate("x", 1)
 def _legacy_mrf() -> HingeLossMRF:
     mrf = HingeLossMRF()
     mrf.add_potential({X(0): 1.0, X(1): -0.5}, 0.25, weight=2.0)
-    mrf.add_potential({X(1): 1.0}, 0.0, weight=1.0, squared=True)
     mrf.add_constraint({X(0): 1.0, X(2): 1.0}, -1.0)
-    mrf.add_constraint({X(2): 1.0}, -0.5, equality=True)
+    mrf.add_potential({X(1): 1.0}, 0.0, weight=1.0)
+    mrf.add_constraint({X(2): 1.0}, -0.5)
     return mrf
 
 
 def _block_terms(b: int, terms_per_block: int):
     for t in range(terms_per_block):
         i = b * terms_per_block + t
-        yield ([(X(i), 1.0), (X(i + 1), -1.0)], 0.1 * t, 1.0 + b), ([(X(i), 1.0)], -0.75)
+        yield ([(X(i), 1.0), (X(i + 1), -1.0)], 0.1 * t, 1.0 + b, "g"), ([(X(i), 1.0)], -0.75)
 
 
 def _block_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> HingeLossMRF:
@@ -54,8 +54,8 @@ def _incrementally_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> H
     """The same terms as :func:`_block_built_mrf`, in the same flat order."""
     mrf = HingeLossMRF()
     terms = [t for b in range(num_blocks) for t in _block_terms(b, terms_per_block)]
-    for (pairs, offset, weight), _ in terms:
-        mrf.add_potential(dict(pairs), offset, weight=weight)
+    for (pairs, offset, weight, group), _ in terms:
+        mrf.add_potential(dict(pairs), offset, weight=weight, group=group)
     for _, (pairs, offset) in terms:
         mrf.add_constraint(dict(pairs), offset)
     return mrf
@@ -66,7 +66,7 @@ def test_legacy_mrf_partitions_as_single_run():
     # potentials first, then constraints.
     arrays = compile_term_arrays(_legacy_mrf())
     assert arrays.num_terms == 4 and arrays.num_potentials == 2
-    assert list(arrays.kind) == [KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ]
+    assert list(arrays.kind) == [KIND_HINGE, KIND_HINGE, KIND_LEQ, KIND_LEQ]
     assert list(arrays.term_ptr) == [0, 2, 3, 5, 6]
     assert list(arrays.weight) == [2.0, 1.0, 0.0, 0.0]
 
@@ -129,14 +129,16 @@ def test_partition_degree_counts_every_copy():
 def test_collective_grounding_blocks_survive_into_partition():
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    mrf, _, stats = ground_collective(problem, CollectiveSettings(), shard_size=4)
+    mrf, _, stats = ground_collective(problem, CollectiveSettings(ground_shard_size=4))
     assert stats.num_shards > 1
     # One recorded extent per grounding shard, none larger than a shard.
     assert len(mrf._block_extents) == stats.num_shards
     for pot_lo, pot_hi, con_lo, con_hi in mrf._block_extents:
         assert (pot_hi - pot_lo) + (con_hi - con_lo) <= stats.peak_shard_terms
     # The shard structure never reaches the solver arrays.
-    whole, _, _ = ground_collective(problem, CollectiveSettings(), shard_size=10**9)
+    whole, _, _ = ground_collective(
+        problem, CollectiveSettings(ground_shard_size=10**9)
+    )
     sharded, single = compile_term_arrays(mrf), compile_term_arrays(whole)
     for field in ("kind", "offset", "weight", "term_ptr", "var", "coeff", "degree"):
         assert np.array_equal(getattr(sharded, field), getattr(single, field))
@@ -154,43 +156,28 @@ def test_block_x_update_matches_whole_problem_update():
 
 
 def test_kind_index_precompiles_the_kind_masks():
-    solver = AdmmSolver(_legacy_mrf())  # all four kinds present
-    kind = solver.arrays.kind
-    all_terms = np.arange(solver.arrays.num_terms)
-    assert len(solver._kinds) == 4
-    for (_, terms, normsq), k in zip(
-        solver._kinds, (KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ)
-    ):
-        assert isinstance(terms, slice)  # one term per kind: contiguous
-        assert np.array_equal(all_terms[terms], np.flatnonzero(kind == k))
-        assert np.array_equal(normsq, solver.arrays.normsq[terms])
-    # Together the index sets cover every term exactly once.
-    covered = np.concatenate([all_terms[terms] for _, terms, _ in solver._kinds])
-    assert sorted(covered) == list(range(solver.arrays.num_terms))
-
-
-def test_interleaved_kinds_keep_their_index_sets():
-    # Hinge and squared potentials alternate, as do <= and == constraints:
-    # no kind is contiguous, so each is addressed by its index set.
+    # Interleaved construction still compiles to hinges then caps, so the
+    # local step's slices [:num_potentials] and [num_potentials:] are
+    # exactly the two kinds.
     mrf = HingeLossMRF()
     for t in range(4):
-        mrf.add_potential({X(t): 1.0}, -0.25, weight=1.0 + t, squared=t % 2 == 1)
-        mrf.add_constraint({X(t): 1.0, X(t + 1): 1.0}, -1.0, equality=t % 2 == 1)
-    solver = AdmmSolver(mrf)
-    kind = solver.arrays.kind
-    assert len(solver._kinds) == 4
-    for (_, terms, normsq), k in zip(
-        solver._kinds, (KIND_HINGE, KIND_SQUARED, KIND_LEQ, KIND_EQ)
-    ):
-        assert not isinstance(terms, slice)
-        assert np.array_equal(terms, np.flatnonzero(kind == k))
-        assert np.array_equal(normsq, solver.arrays.normsq[terms])
+        mrf.add_potential({X(t): 1.0}, -0.25, weight=1.0 + t)
+        mrf.add_constraint({X(t): 1.0, X(t + 1): 1.0}, -1.0)
+    arrays = AdmmSolver(mrf).arrays
+    assert arrays.num_potentials == 4 and arrays.num_terms == 8
+    assert np.array_equal(
+        np.flatnonzero(arrays.kind == KIND_HINGE), np.arange(arrays.num_potentials)
+    )
+    assert np.array_equal(
+        np.flatnonzero(arrays.kind == KIND_LEQ),
+        np.arange(arrays.num_potentials, arrays.num_terms),
+    )
 
 
 def test_solver_arrays_reuse_precompiled_and_resync_weights():
     mrf = _block_built_mrf()
     mrf._compiled = compile_term_arrays(mrf)
-    mrf.set_potential_weights([2.5] * len(mrf.potentials))
+    mrf.set_group_weights({"g": 2.5})
     arrays = solver_arrays(mrf)
     assert arrays is mrf._compiled
     assert np.array_equal(arrays.weight[: arrays.num_potentials], mrf.potential_weights())

@@ -53,12 +53,8 @@ class _ReferenceFlatSolver:
     def _build_arrays(self):
         mrf = self._mrf
         terms = [
-            (_KIND_SQUARED if p.squared else _KIND_HINGE, p.coefficients, p.offset, p.weight)
-            for p in mrf.potentials
-        ] + [
-            (_KIND_EQ if c.equality else _KIND_LEQ, c.coefficients, c.offset, 0.0)
-            for c in mrf.constraints
-        ]
+            (_KIND_HINGE, p.coefficients, p.offset, p.weight) for p in mrf.potentials
+        ] + [(_KIND_LEQ, c.coefficients, c.offset, 0.0) for c in mrf.constraints]
         var_index, term_index, coeff = [], [], []
         kinds, offsets, weights = [], [], []
         for t, (kind, coefficients, offset, weight) in enumerate(terms):
@@ -101,7 +97,7 @@ class _ReferenceFlatSolver:
         if copies == 0:
             return AdmmResult(
                 z, 0, True, 0.0, 0.0, self._mrf.energy(z),
-                state=AdmmWarmState(z.copy(), np.zeros(0)),
+                state=AdmmWarmState(z.copy(), np.zeros(0), self._num_terms),
             )
         u = warm_state.u.astype(np.float64).copy() if use_state else np.zeros(copies)
         x_local = z[self._var].copy()
@@ -169,7 +165,7 @@ class _ReferenceFlatSolver:
             primal_residual=primal,
             dual_residual=dual,
             energy=self._mrf.energy(z),
-            state=AdmmWarmState(z.copy(), u.copy()),
+            state=AdmmWarmState(z.copy(), u.copy(), self._num_terms),
         )
 
 
@@ -195,10 +191,10 @@ def _random_mrf(
         idx = rng.choice(n, size=size, replace=False)
         coeffs = {X(int(i)): float(rng.normal()) for i in idx}
         if k % 5 == 4:
-            terms.append(("constraint", coeffs, float(rng.normal()), k % 10 == 9))
+            terms.append(("constraint", coeffs, float(rng.normal())))
         else:
             terms.append(
-                ("potential", coeffs, float(rng.normal()), float(rng.uniform(0.1, 3)), k % 3 == 0)
+                ("potential", coeffs, float(rng.normal()), float(rng.uniform(0.1, 3)))
             )
     mrf = HingeLossMRF()
     for i in range(n):
@@ -206,17 +202,17 @@ def _random_mrf(
     if block_size is None:
         for kind, coeffs, offset, *rest in terms:
             if kind == "constraint":
-                mrf.add_constraint(coeffs, offset, equality=rest[0])
+                mrf.add_constraint(coeffs, offset)
             else:
-                mrf.add_potential(coeffs, offset, weight=rest[0], squared=rest[1])
+                mrf.add_potential(coeffs, offset, weight=rest[0])
         return mrf
     for lo in range(0, m, block_size):
         builder = TermBlockBuilder()
         for kind, coeffs, offset, *rest in terms[lo : lo + block_size]:
             if kind == "constraint":
-                builder.add_constraint(coeffs.items(), offset, equality=rest[0])
+                builder.add_constraint(coeffs.items(), offset)
             else:
-                builder.add_potential(coeffs.items(), offset, rest[0], squared=rest[1])
+                builder.add_potential(coeffs.items(), offset, rest[0])
         mrf.add_term_block(*builder.finish())
     return mrf
 
@@ -236,10 +232,8 @@ def _collective_problem():
 @functools.cache
 def _collective_mrf(shard_size: int | None = 8, executor: str | None = None) -> HingeLossMRF:
     problem = _collective_problem()
-    settings = CollectiveSettings()
-    mrf, _, _ = run_on(
-        executor, ground_collective, problem, settings, shard_size=shard_size
-    )
+    settings = CollectiveSettings(ground_shard_size=shard_size)
+    mrf, _, _ = run_on(executor, ground_collective, problem, settings)
     # Fingerprint-verified: the sharded grounding reproduced the
     # term-by-term reference, so the solve equivalence below is measured
     # on the exact model of the paper pipeline.
@@ -308,7 +302,7 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
         scenario.source, scenario.target, scenario.candidates
     )
     grounded = run_on(
-        executor, GroundedCollective, problem, CollectiveSettings(), shard_size=8
+        executor, GroundedCollective, problem, CollectiveSettings(ground_shard_size=8)
     )
     settings = AdmmSettings(max_iterations=40, check_every=5)
     solver = AdmmSolver(grounded.mrf, settings)
@@ -318,7 +312,7 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
         grounded.reweight(weights)
         resolved = solver.solve()
         fresh_mrf, _, _ = ground_collective(
-            problem, CollectiveSettings(weights=weights), shard_size=8
+            problem, CollectiveSettings(weights=weights, ground_shard_size=8)
         )
         assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh_mrf)
         reference = _ReferenceFlatSolver(
@@ -343,7 +337,7 @@ def test_reweight_resolve_with_warm_state_matches_reference_warm_run():
     problem = build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )
-    grounded = GroundedCollective(problem, CollectiveSettings(), shard_size=16)
+    grounded = GroundedCollective(problem, CollectiveSettings(ground_shard_size=16))
     settings = AdmmSettings(check_every=1)
     solver = AdmmSolver(grounded.mrf, settings)
     state = solver.solve().state
@@ -351,7 +345,7 @@ def test_reweight_resolve_with_warm_state_matches_reference_warm_run():
     grounded.reweight(weights)
     warm = solver.solve(warm_state=state)
     fresh_mrf, _, _ = ground_collective(
-        problem, CollectiveSettings(weights=weights), shard_size=16
+        problem, CollectiveSettings(weights=weights, ground_shard_size=16)
     )
     reference = _ReferenceFlatSolver(fresh_mrf, settings).solve(warm_state=state)
     _assert_identical_run(warm, reference)
@@ -409,15 +403,6 @@ def test_warm_state_rejected_on_structurally_different_mrf():
     _assert_identical_run(result, cold)  # the stale state was ignored
 
 
-def test_legacy_warm_state_without_signature_still_accepted():
-    mrf = _random_mrf(6)
-    state = AdmmSolver(mrf).solve().state
-    legacy = AdmmWarmState(state.z, state.u)  # num_terms defaults to None
-    resumed = AdmmSolver(mrf).solve(warm_state=legacy)
-    reference = AdmmSolver(mrf).solve(warm_state=state)
-    _assert_identical_run(resumed, reference)
-
-
 def test_solve_collective_threads_solver_knobs():
     scenario = generate_scenario(
         ScenarioConfig(num_primitives=2, rows_per_relation=6, seed=3)
@@ -438,13 +423,13 @@ def test_solve_collective_threads_solver_knobs():
 
 # -- hypothesis differential suite ---------------------------------------------
 
-_KIND_NAMES = ("hinge", "squared", "leq", "eq")
+_KIND_NAMES = ("hinge", "leq")
 _GROUPS = ("a", "b", None)
 
 
 @st.composite
 def _mrf_specs(draw):
-    """A random MRF: any non-empty kind mix, contiguous or interleaved kinds."""
+    """A random MRF: any non-empty kind mix, built contiguous or interleaved."""
     n = draw(st.integers(1, 6))
     kinds = draw(
         st.lists(st.sampled_from(_KIND_NAMES), min_size=1, max_size=4, unique=True)
@@ -473,12 +458,10 @@ def _build_mrf(spec) -> HingeLossMRF:
     for i in range(n):
         mrf.variable_index(X(i))
     for kind, coefficients, offset, weight, group in terms:
-        if kind in ("leq", "eq"):
-            mrf.add_constraint(coefficients, offset, equality=kind == "eq")
+        if kind == "leq":
+            mrf.add_constraint(coefficients, offset)
         else:
-            mrf.add_potential(
-                coefficients, offset, weight=weight, squared=kind == "squared", group=group
-            )
+            mrf.add_potential(coefficients, offset, weight=weight, group=group)
     return mrf
 
 
@@ -499,12 +482,10 @@ def _admm_settings(draw):
 
 
 @st.composite
-def _reweights(draw, num_potentials: int):
-    """``weights=`` for one re-solve: a group mapping or a full vector."""
+def _reweights(draw):
+    """The group weights of one re-solve."""
     magnitude = st.floats(0.1, 3.0)
-    if draw(st.booleans()):
-        return {group: draw(magnitude) for group in _GROUPS[:2] if draw(st.booleans())}
-    return np.array([draw(magnitude) for _ in range(num_potentials)])
+    return {group: draw(magnitude) for group in _GROUPS[:2] if draw(st.booleans())}
 
 
 @hypothesis_settings(max_examples=80, deadline=None)
@@ -521,9 +502,9 @@ def test_solver_matches_frozen_reference_on_random_warm_reweight_chains(
     reference = _ReferenceFlatSolver(mrf, settings).solve()
     _assert_identical_run(result, reference)
     for _ in range(data.draw(st.integers(1, 3))):
-        weights = data.draw(_reweights(len(mrf.potentials)))
+        mrf.set_group_weights(data.draw(_reweights()))
         state = result.state
-        result = solver.solve(warm_state=state, weights=weights)
+        result = solver.solve(warm_state=state)
         reference = _ReferenceFlatSolver(mrf, settings).solve(warm_state=state)
         _assert_identical_run(result, reference)
 
@@ -603,8 +584,10 @@ def test_collective_readout_matches_per_atom_readout():
     assert result.fractional and result.fractional_aux
     _assert_same_dict(result.fractional, fractional)
     _assert_same_dict(result.fractional_aux, fractional_aux)
-    # The ungrounded path resolves the same readout on the fly.
-    fresh = solve_collective(problem, CollectiveSettings(reuse_grounding=False))
+    # A second fresh ground resolves the same readout.
+    fresh = solve_collective(
+        problem, grounded=GroundedCollective(problem, CollectiveSettings())
+    )
     _assert_same_dict(fresh.fractional, fractional)
     _assert_same_dict(fresh.fractional_aux, fractional_aux)
 

@@ -38,10 +38,9 @@ def _grouped_mrf() -> HingeLossMRF:
     for i in range(4):
         mrf.variable_index(X(i))
     mrf.add_potential({X(0): 1.0, X(1): -1.0}, 0.25, weight=2.0, group="a")
-    mrf.add_potential({X(1): 1.0}, 0.0, weight=2.0, squared=True, group="a")
+    mrf.add_potential({X(1): 1.0}, 0.0, weight=2.0, group="a")
     mrf.add_potential({X(2): 1.0}, -0.5, weight=3.0, group="b")
     mrf.add_potential({X(3): 1.0}, 0.1, weight=1.0)  # ungrouped: fixed
-    mrf.add_potential({}, 0.5, weight=2.0, group="a")  # constant, mass 0.5
     mrf.add_constraint({X(0): 1.0, X(3): 1.0}, -1.0)
     return mrf
 
@@ -49,16 +48,13 @@ def _grouped_mrf() -> HingeLossMRF:
 # -- HingeLossMRF weight mutation ---------------------------------------------
 
 
-def test_set_group_weights_rewrites_members_and_constants():
+def test_set_group_weights_rewrites_members():
     mrf = _grouped_mrf()
-    assert mrf.constant_energy == pytest.approx(2.0 * 0.5)
     version = mrf.weights_version
     mrf.set_group_weights({"a": 5.0})
     assert mrf.weights_version == version + 1
     assert [p.weight for p in mrf.potentials] == [5.0, 5.0, 3.0, 1.0]
     assert np.array_equal(mrf.potential_weights(), [5.0, 5.0, 3.0, 1.0])
-    # The folded constant rescales with its group: 5.0 * mass 0.5.
-    assert mrf.constant_energy == pytest.approx(2.5)
     # Unknown groups are skipped (no groundings from that origin here).
     mrf.set_group_weights({"nope": 7.0})
     assert [p.weight for p in mrf.potentials] == [5.0, 5.0, 3.0, 1.0]
@@ -71,24 +67,11 @@ def test_reweighted_mrf_energy_matches_fresh_construction():
     for i in range(4):
         fresh.variable_index(X(i))
     fresh.add_potential({X(0): 1.0, X(1): -1.0}, 0.25, weight=0.7, group="a")
-    fresh.add_potential({X(1): 1.0}, 0.0, weight=0.7, squared=True, group="a")
+    fresh.add_potential({X(1): 1.0}, 0.0, weight=0.7, group="a")
     fresh.add_potential({X(2): 1.0}, -0.5, weight=9.0, group="b")
     fresh.add_potential({X(3): 1.0}, 0.1, weight=1.0)
-    fresh.add_potential({}, 0.5, weight=0.7, group="a")
     fresh.add_constraint({X(0): 1.0, X(3): 1.0}, -1.0)
     assert mrf_fingerprint(mrf) == mrf_fingerprint(fresh)
-
-
-def _grouped_mrf_no_constant() -> HingeLossMRF:
-    mrf = HingeLossMRF()
-    for i in range(4):
-        mrf.variable_index(X(i))
-    mrf.add_potential({X(0): 1.0, X(1): -1.0}, 0.25, weight=2.0, group="a")
-    mrf.add_potential({X(1): 1.0}, 0.0, weight=2.0, squared=True, group="a")
-    mrf.add_potential({X(2): 1.0}, -0.5, weight=3.0, group="b")
-    mrf.add_potential({X(3): 1.0}, 0.1, weight=1.0)
-    mrf.add_constraint({X(0): 1.0, X(3): 1.0}, -1.0)
-    return mrf
 
 
 def test_zero_and_negative_reweights_rejected():
@@ -98,7 +81,7 @@ def test_zero_and_negative_reweights_rejected():
     with pytest.raises(InferenceError):
         mrf.set_group_weights({"b": -1.0})
     with pytest.raises(InferenceError):
-        _grouped_mrf_no_constant().set_potential_weights([1.0, 1.0, 0.0, 1.0])
+        mrf.set_group_potential_weights("a", [1.0, 0.0])
     # Zero -> zero on a group that was ground at weight zero is a no-op;
     # zero -> NON-zero cannot restore the dropped potentials and raises.
     empty = HingeLossMRF()
@@ -124,18 +107,6 @@ def test_set_group_potential_weights_per_member():
     mrf.set_group_potential_weights("nope", [])  # unknown, empty: no-op
 
 
-def test_set_potential_weights_full_vector():
-    mrf = _grouped_mrf_no_constant()
-    mrf.set_potential_weights([4.0, 3.0, 2.0, 1.0])
-    assert np.array_equal(mrf.potential_weights(), [4.0, 3.0, 2.0, 1.0])
-    with pytest.raises(InferenceError):
-        mrf.set_potential_weights([1.0])  # length mismatch
-    # An MRF with group-folded constants rejects the flat vector: it
-    # cannot rescale constant_energy, so the group APIs must be used.
-    with pytest.raises(InferenceError):
-        _grouped_mrf().set_potential_weights([4.0, 3.0, 2.0, 1.0])
-
-
 # -- compiled arrays / solver reweight ----------------------------------------
 
 
@@ -156,23 +127,13 @@ def test_solver_reweighted_solve_matches_fresh_solver():
     mrf = _grouped_mrf()
     solver = AdmmSolver(mrf, AdmmSettings(check_every=1))
     first = solver.solve()
-    resolved = solver.solve(weights={"a": 4.0, "b": 0.5})
+    mrf.set_group_weights({"a": 4.0, "b": 0.5})
+    resolved = solver.solve()
     fresh = AdmmSolver(mrf, AdmmSettings(check_every=1)).solve()
     assert resolved.iterations == fresh.iterations
     assert np.array_equal(resolved.x, fresh.x)
     assert resolved.energy == fresh.energy
     assert first.iterations > 0  # the first solve really ran
-
-
-def test_solver_vector_reweight_and_warm_state():
-    mrf = _grouped_mrf_no_constant()
-    solver = AdmmSolver(mrf, AdmmSettings(check_every=1))
-    cold = solver.solve(weights=np.array([2.0, 2.0, 3.0, 1.0]))
-    warm = solver.solve(
-        weights=np.array([2.1, 2.1, 3.1, 1.0]), warm_state=cold.state
-    )
-    assert warm.converged
-    assert warm.iterations <= cold.iterations
 
 
 # -- GroundedCollective + cache -----------------------------------------------
@@ -280,7 +241,9 @@ def test_solve_collective_reuse_matches_fresh_ground_path():
     ]
     fresh_results = [
         solve_collective(
-            problem, CollectiveSettings(weights=w, reuse_grounding=False)
+            problem,
+            CollectiveSettings(weights=w),
+            grounded=GroundedCollective(problem, CollectiveSettings(weights=w)),
         )
         for w in sweep
     ]

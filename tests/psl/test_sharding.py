@@ -2,8 +2,8 @@
 
 The contract under test: for ANY shard size — including degenerate
 single-entry and empty shards — the sharded merge produces an MRF that
-is byte-identical (variables, potentials, constraints, constant energy,
-energies at random points) to adding the same terms one at a time
+is byte-identical (variables, potentials, constraints, energies at
+random points) to adding the same terms one at a time
 through the dict-keyed ``HingeLossMRF`` calls — for a hand-written term
 program and for the collective model
 (:func:`tests.collective_reference.ground_term_by_term`) — also when the
@@ -58,7 +58,7 @@ def _assert_identical(serial: HingeLossMRF, sharded: HingeLossMRF) -> None:
 # terms over open ``votes`` atoms.  ``influence`` is the ground form of
 # friend(A, B) & votes(A, P) -> votes(B, P) with ``friend`` observed;
 # the constraints are the hard rule votes(A, "l") -> votes(A, "r") plus
-# raw linear and equality constraints; one raw potential is constant.
+# a raw linear constraint.
 FRIEND = Predicate("friend", 2)
 VOTES = Predicate("votes", 2)
 
@@ -76,10 +76,8 @@ def _sample_program(influence_weight: float = 0.5) -> tuple[list, list]:
         terms.append(("leq", coefficients, 0.0, 0.0, None))
     terms += [
         ("hinge", [(VOTES("a", "l"), 1.0)], -0.5, 2.0, "raw"),
-        ("squared", [(VOTES("b", "l"), 1.0), (VOTES("b", "r"), 0.5)], -0.25, 1.0, "raw"),
-        ("hinge", [], 0.25, 2.0, "raw"),  # constant: folds into constant_energy
+        ("hinge", [(VOTES("b", "l"), 1.0), (VOTES("b", "r"), 0.5)], -0.25, 1.0, "raw"),
         ("leq", [(VOTES("a", "l"), 1.0), (VOTES("a", "r"), 1.0)], -1.0, 0.0, None),
-        ("eq", [(VOTES("c", "l"), 1.0)], -0.5, 0.0, None),
     ]
     return targets, terms
 
@@ -94,12 +92,10 @@ class TermListShard:
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
         for kind, coefficients, offset, weight, group in self.terms:
-            if kind in ("hinge", "squared"):
-                builder.add_potential(
-                    coefficients, offset, weight, kind == "squared", group=group
-                )
+            if kind == "hinge":
+                builder.add_potential(coefficients, offset, weight, group=group)
             else:
-                builder.add_constraint(coefficients, offset, kind == "eq")
+                builder.add_constraint(coefficients, offset)
         atoms, block = builder.finish()
         return ShardResult(order=self.order, atoms=atoms, block=block)
 
@@ -109,12 +105,10 @@ def _ground_serial(targets, terms) -> HingeLossMRF:
     for atom in targets:
         mrf.variable_index(atom)
     for kind, coefficients, offset, weight, group in terms:
-        if kind in ("hinge", "squared"):
-            mrf.add_potential(
-                dict(coefficients), offset, weight, kind == "squared", group=group
-            )
+        if kind == "hinge":
+            mrf.add_potential(dict(coefficients), offset, weight, group=group)
         else:
-            mrf.add_constraint(dict(coefficients), offset, kind == "eq")
+            mrf.add_constraint(dict(coefficients), offset)
     return mrf
 
 
@@ -142,7 +136,6 @@ def test_program_sharded_ground_matches_serial(executor, shard_size):
     assert stats.num_shards == len(_term_shards(terms, shard_size))
     assert stats.num_potentials == len(serial.potentials)
     assert stats.num_constraints == len(serial.constraints)
-    assert stats.constant_energy == serial.constant_energy
     assert stats.peak_shard_terms <= stats.total_terms
 
 
@@ -151,11 +144,9 @@ def test_program_sharded_ground_matches_serial(executor, shard_size):
 def test_collective_sharded_ground_matches_serial(executor, shard_size):
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    settings = CollectiveSettings()
+    settings = CollectiveSettings(ground_shard_size=shard_size)
     serial = ground_term_by_term(problem, settings)
-    sharded, plan, stats = run_on(
-        executor, ground_collective, problem, settings, shard_size=shard_size
-    )
+    sharded, plan, stats = run_on(executor, ground_collective, problem, settings)
     _assert_identical(serial, sharded)
     assert len(plan.in_atoms) == problem.num_candidates
     assert stats.num_potentials == len(serial.potentials)
@@ -170,10 +161,11 @@ def test_collective_sharded_ground_matches_serial_on_noisy_scenario():
     problem = build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )
-    settings = CollectiveSettings(squared_hinges=True)
-    serial = ground_term_by_term(problem, settings)
+    serial = ground_term_by_term(problem)
     for shard_size in (1, 5, 64):
-        sharded, _, _ = ground_collective(problem, settings, shard_size=shard_size)
+        sharded, _, _ = ground_collective(
+            problem, CollectiveSettings(ground_shard_size=shard_size)
+        )
         _assert_identical(serial, sharded)
 
 
@@ -190,12 +182,14 @@ def test_collective_degenerate_problems():
     for problem in (shared_errors, empty):
         serial = ground_term_by_term(problem)
         for shard_size in (1, None):
-            sharded, _, _ = ground_collective(problem, shard_size=shard_size)
+            sharded, _, _ = ground_collective(
+                problem, CollectiveSettings(ground_shard_size=shard_size)
+            )
             _assert_identical(serial, sharded)
 
 
 def test_empty_shard_merges_as_noop():
-    shard = CoverageShard(order=0, entries=(), weight=1.0, squared=False)
+    shard = CoverageShard(order=0, entries=(), weight=1.0)
     mrf, stats = ground_shards([shard])
     assert mrf.num_variables == 0
     assert mrf.potentials == [] and mrf.constraints == []
@@ -204,8 +198,8 @@ def test_empty_shard_merges_as_noop():
 
 def test_out_of_order_shard_results_rejected():
     shards = [
-        CoverageShard(order=1, entries=(), weight=1.0, squared=False),
-        CoverageShard(order=0, entries=(), weight=1.0, squared=False),
+        CoverageShard(order=1, entries=(), weight=1.0),
+        CoverageShard(order=0, entries=(), weight=1.0),
     ]
     with pytest.raises(InferenceError):
         ground_shards(shards)
@@ -214,17 +208,20 @@ def test_out_of_order_shard_results_rejected():
 def test_term_block_builder_mirrors_mrf_semantics():
     builder = TermBlockBuilder()
     builder.add_potential([(X(0), 1.0)], 0.0, 0.0)  # zero weight: dropped
-    builder.add_potential([(X(0), 0.0)], 0.5, 2.0)  # all-zero coeffs: constant
-    builder.add_potential([], -1.0, 3.0)  # negative offset constant: no energy
-    builder.add_constraint([(X(1), 0.0)], -1.0)  # satisfied constant: dropped
+    builder.add_potential([(X(0), 0.0), (X(1), 2)], 0.5, 2.0)  # zero coeff filtered
+    for bad in (
+        lambda: builder.add_potential([(X(0), 0.0)], 0.5, 2.0),  # no term left
+        lambda: builder.add_potential([], -1.0, 3.0),
+        lambda: builder.add_potential([(X(0), 1.0)], 0.0, -1.0),
+        lambda: builder.add_constraint([(X(1), 0.0)], -1.0),
+        lambda: builder.add_constraint([], 1.0),
+    ):
+        with pytest.raises(InferenceError):
+            bad()
     atoms, block = builder.finish()
-    assert atoms == ()
-    assert block.num_terms == 0
-    assert block.constant_energy == pytest.approx(1.0)
-    with pytest.raises(InferenceError):
-        builder.add_potential([(X(0), 1.0)], 0.0, -1.0)
-    with pytest.raises(InferenceError):
-        builder.add_constraint([], 1.0)
+    assert atoms == (X(1),)
+    assert block.num_terms == 1
+    assert list(block.coefficient) == [2.0]
 
 
 def test_structure_fingerprint_weight_independent_across_sweep():
@@ -259,8 +256,7 @@ def test_structure_fingerprint_identical_across_executors_and_shards(
         executor,
         ground_collective,
         problem,
-        CollectiveSettings(),
-        shard_size=shard_size,
+        CollectiveSettings(ground_shard_size=shard_size),
     )
     assert structure_fingerprint(mrf) == structure_fingerprint(reference)
 

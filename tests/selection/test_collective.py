@@ -9,9 +9,11 @@ from repro.examples_data import paper_example
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmSettings
+from repro.errors import InferenceError
 from repro.psl.sharding import mrf_fingerprint
 from repro.selection.collective import (
     CollectiveSettings,
+    GroundedCollective,
     ground_collective,
     solve_collective,
 )
@@ -65,13 +67,6 @@ def test_program_structure(problems):
     # 2 coverage potentials + 2 candidate priors (errors+size folded together).
     assert len(mrf.potentials) == 4
     assert len(mrf.constraints) == 2
-
-
-def test_squared_hinge_variant_still_correct(problems):
-    settings = CollectiveSettings(squared_hinges=True)
-    result = solve_collective(problems[1], settings)
-    exact = solve_milp(problems[1])
-    assert result.objective == exact.objective
 
 
 def test_rounding_without_local_search(problems):
@@ -174,6 +169,28 @@ def test_warm_started_collective_chains_aux_state():
     assert warm._previous_aux == first.fractional_aux
     second = warm(problem)
     assert second.selected == first.selected
+
+
+def _corresp_noise_problem(num_primitives: int, seed: int):
+    return generate_scenario(
+        ScenarioConfig(num_primitives=num_primitives, pi_corresp=50, seed=seed)
+    ).selection_problem()
+
+
+def test_artifact_of_another_problem_is_rejected():
+    # Regression: an artifact grounded for another problem used to be
+    # rounded as if it were this problem's relaxation, returning a wrong
+    # selection without an error.
+    problem = _corresp_noise_problem(6, 2)
+    foreign = GroundedCollective(_corresp_noise_problem(4, 1))
+    with pytest.raises(InferenceError, match="another selection problem"):
+        solve_collective(problem, grounded=foreign)
+    # Problems are matched by identity, as the grounding cache does: an
+    # equal rebuild of the artifact's own problem is another problem.
+    with pytest.raises(InferenceError):
+        solve_collective(_corresp_noise_problem(4, 1), grounded=foreign)
+    own = solve_collective(problem, grounded=GroundedCollective(problem))
+    assert own.objective == solve_collective(problem).objective
 
 
 def test_sharded_ground_matches_default_solve(problems):

@@ -59,25 +59,26 @@ def _assert_same_artifact(patched: GroundedCollective, problem, settings) -> Non
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_patch_matches_scratch(executor, shard_size):
     chain = _chain()
-    settings = CollectiveSettings()
-    parent = GroundedCollective(chain.problem, settings, shard_size=shard_size)
+    settings = CollectiveSettings(ground_shard_size=shard_size)
+    parent = GroundedCollective(chain.problem, settings)
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    patched = run_on(
-        executor, patch_collective, parent, child, settings, shard_size=shard_size
-    )
+    patched = run_on(executor, patch_collective, parent, child, settings)
     assert patched is not None
     assert patched.splice_stats.reused_shards > 0
-    _assert_same_artifact(patched, child, settings)
+    # A patch computed in a worker comes back with its own copy of the
+    # child problem, which is the problem it must be solved with.
+    _assert_same_artifact(patched, patched.problem, settings)
 
 
 def test_patch_reweights_to_the_new_settings():
     chain = _chain()
-    parent = GroundedCollective(chain.problem, CollectiveSettings(), shard_size=2)
+    parent = GroundedCollective(chain.problem, CollectiveSettings(ground_shard_size=2))
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
     reweighted = CollectiveSettings(
-        weights=ObjectiveWeights(Fraction(2), Fraction(3), Fraction(1))
+        weights=ObjectiveWeights(Fraction(2), Fraction(3), Fraction(1)),
+        ground_shard_size=2,
     )
-    patched = patch_collective(parent, child, reweighted, shard_size=2)
+    patched = patch_collective(parent, child, reweighted)
     assert patched is not None
     _assert_same_artifact(patched, child, reweighted)
 
@@ -129,20 +130,12 @@ def test_incremental_off_forces_full_reground():
     cache.clear()
 
 
-def test_squared_hinge_mismatch_declines_patch():
-    chain = _chain()
-    parent = GroundedCollective(chain.problem, CollectiveSettings(), shard_size=2)
-    child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    squared = CollectiveSettings(squared_hinges=True)
-    assert patch_collective(parent, child, squared, shard_size=2) is None
-
-
 def test_shard_size_mismatch_skips_patch_tier():
     chain = _chain()
     cache = CollectiveGroundingCache()
-    cache.grounded(chain.problem, CollectiveSettings(), shard_size=2)
+    cache.grounded(chain.problem, CollectiveSettings(ground_shard_size=2))
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    grounded = cache.grounded(child, CollectiveSettings(), shard_size=4)
+    grounded = cache.grounded(child, CollectiveSettings(ground_shard_size=4))
     assert cache.patch_hits == 0
     assert grounded.stats is not None
     cache.clear()
@@ -173,7 +166,7 @@ def test_solve_collective_default_cache_patches_lineage_chains():
         patched = solve_collective(child, settings)
         assert GROUNDING_CACHE.patch_hits == 1
         scratch = solve_collective(
-            child, CollectiveSettings(ground_shard_size=2, reuse_grounding=False)
+            child, settings, grounded=GroundedCollective(child, settings)
         )
         assert patched.objective == scratch.objective
         assert patched.selected == scratch.selected
