@@ -191,9 +191,12 @@ class DeterminismChecker(Checker):
     fingerprint, merge, grounding, and selection-planning modules.
 
     Set/frozenset iteration order depends on the per-process hash seed,
-    so anything derived from it (fingerprints, tie-breaks, merged
-    orderings) silently differs across workers.  ``hash()`` of
-    str/bytes is seed-dependent for the same reason.  Dict iteration is
+    and, for interned ``Constant``/``LabeledNull`` values (whose hash is
+    their identity), on allocation addresses as well, so anything
+    derived from it (fingerprints, tie-breaks, merged orderings)
+    silently differs across workers and runs.  ``hash()`` of str/bytes
+    is seed-dependent and ``hash()`` of an interned value is
+    address-dependent for the same reason.  Dict iteration is
     insertion-ordered in Python 3.7+ and is deliberately *not* flagged.
 
     Directory listings (``iterdir``/``glob``/``os.listdir``/…) are the
@@ -214,11 +217,8 @@ class DeterminismChecker(Checker):
         "*repro/selection/*.py",
         "*repro/homomorphism/*.py",
     )
-    #: attributes/methods known to return unordered containers.
-    unordered_attrs = frozenset({"atoms_of", "facts_of"})
-    #: attribute named ``targets`` is a frozenset only on Database
-    #: receivers (``plan.targets`` is an ordered tuple — not flagged).
-    frozenset_attr_receivers = {"targets": ("database",)}
+    #: methods known to return unordered containers.
+    unordered_attrs = frozenset({"facts_of"})
     #: calls that yield filesystem-ordered directory entries.
     listing_calls = frozenset({"iterdir", "glob", "rglob", "scandir", "listdir"})
 
@@ -239,7 +239,8 @@ class DeterminismChecker(Checker):
             yield self.finding(
                 module,
                 call,
-                "built-in hash() is salted per process (PYTHONHASHSEED); "
+                "built-in hash() is salted per process (PYTHONHASHSEED), "
+                "and an interned value's hash is its allocation address; "
                 "use the canonical JSON fingerprints "
                 "(sharding.mrf_fingerprint / structure_fingerprint) instead",
             )
@@ -264,7 +265,8 @@ class DeterminismChecker(Checker):
         yield self.finding(
             module,
             iter_expr,
-            f"iteration over {reason} has hash-seed-dependent order; "
+            f"iteration over {reason} has an order that follows the hash "
+            "seed and, for interned values, allocation addresses; "
             "sort with an explicit key (or iterate an insertion-ordered "
             "view) before anything fingerprinted, merged, or tie-broken",
         )
@@ -285,13 +287,6 @@ class DeterminismChecker(Checker):
                 return f"{callee}(...)"
             if callee in self.unordered_attrs:
                 return f"the unordered result of .{callee}(...)"
-            return None
-        if isinstance(iter_expr, ast.Attribute):
-            receivers = self.frozenset_attr_receivers.get(iter_expr.attr)
-            if receivers:
-                receiver = terminal_name(iter_expr.value) or ""
-                if any(tag in receiver.lower() for tag in receivers):
-                    return f"the frozenset attribute .{iter_expr.attr}"
             return None
         if isinstance(iter_expr, ast.Name):
             scope = enclosing_function(node) or module.tree

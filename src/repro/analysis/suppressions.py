@@ -12,9 +12,9 @@ Three forms, all spelled in a line's comment:
 block, so long statements can carry the pragma and its justification
 above them::
 
-    # repro-lint: disable=RPL002 -- canonical sort happens downstream,
-    # see ground_rule().
-    for atom in database.atoms_of(literal.predicate):
+    # repro-lint: disable=RPL002 -- set order follows the hash seed and
+    # the values' allocation addresses; the caller sorts by repr.
+    for f in instance.facts_of(relation):
 
 **Block scope** — a comment-only ``disable`` that is later closed by a
 comment-only ``enable`` covers every line in between.  Scopes form a

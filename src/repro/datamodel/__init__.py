@@ -7,10 +7,7 @@ from repro.datamodel.values import (
     LabeledNull,
     NullFactory,
     Value,
-    constants_in,
-    is_constant,
     is_null,
-    nulls_in,
 )
 
 __all__ = [
@@ -25,10 +22,7 @@ __all__ = [
     "Relation",
     "Schema",
     "Value",
-    "constants_in",
     "fact",
-    "is_constant",
     "is_null",
-    "nulls_in",
     "relation",
 ]

@@ -52,9 +52,9 @@ class Fact:
         )
 
     def __repr__(self) -> str:
-        # map() over a genexpr: fact reprs order the error-mediator
-        # groups during grounding *and* store-key hashing, so this runs
-        # hot on every cold start.
+        # map() over a genexpr: fact reprs order every match index and
+        # the error-mediator groups during grounding, so this runs hot
+        # on every cold start.
         inner = ", ".join(map(repr, self.values))
         return f"{self.relation}({inner})"
 

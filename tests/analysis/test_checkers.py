@@ -139,19 +139,19 @@ class TestRPL002Determinism:
         )
         assert len(hits) == 1 and hits[0].line == 3
 
-    def test_database_targets_comprehension_is_flagged(self):
+    def test_facts_of_iteration_is_flagged(self):
         hits = rules_hit(
             {
-                "repro/psl/fake.py": src(
+                "repro/homomorphism/fake.py": src(
                     """
-                    def assignment(self, mrf, x):
-                        return {a: x[mrf.index_of(a)] for a in self.database.targets}
+                    def images(instance, relation):
+                        return [f for f in instance.facts_of(relation)]
                     """
                 )
             },
             "RPL002",
         )
-        assert len(hits) == 1
+        assert len(hits) == 1 and "allocation addresses" in hits[0].message
 
     def test_hash_builtin_is_flagged(self):
         hits = rules_hit(
@@ -182,8 +182,8 @@ class TestRPL002Determinism:
         assert hits == []
 
     def test_ordered_plan_targets_tuple_is_clean(self):
-        # plan.targets is an insertion-ordered tuple; only Database
-        # receivers expose an unordered .targets.
+        # plan.targets is an insertion-ordered tuple; attribute
+        # iteration is never flagged.
         hits = rules_hit(
             {
                 "repro/selection/fake.py": src(

@@ -131,7 +131,11 @@ def test_iteration_is_insertion_ordered():
 
 
 def test_scenario_generation_is_hash_seed_independent():
-    # End to end: same config, same bytes, whatever the hash seed.
+    # End to end: same config, same bytes, whatever the hash seed and
+    # whatever the heap looked like first.  Interned values hash by
+    # address, so each child first allocates its own number of throwaway
+    # objects (constants among them) to shift where the scenario's
+    # values land; an order leak through a set of values then shows.
     import subprocess
     import sys
 
@@ -139,34 +143,42 @@ def test_scenario_generation_is_hash_seed_independent():
 
     # Data noise on, so the noise step's chases, which the problem build
     # reuses, and the build's corroboration counts are in the answer too;
-    # then the grounding (this seed has six shared-error groups to order)
-    # and both solvers' selections, so a hash-order leak in planning,
-    # grounding or rounding shows as well.
+    # then the grounding (at p=3 this seed has six shared-error groups to
+    # order) and both solvers' selections, so a hash-order leak in
+    # planning, grounding or rounding shows as well.
     script = (
-        "import hashlib\n"
+        "import hashlib, random, sys\n"
+        "from repro.datamodel.values import Constant, LabeledNull\n"
         "from repro.ibench.config import ScenarioConfig\n"
         "from repro.ibench.generator import generate_scenario\n"
         "from repro.psl.sharding import mrf_fingerprint\n"
         "from repro.selection.collective import GroundedCollective, solve_collective\n"
         "from repro.selection.greedy import solve_greedy\n"
         "from repro.selection.metrics import problem_fingerprint\n"
-        "s = generate_scenario(ScenarioConfig(num_primitives=3, rows_per_relation=6,\n"
-        "    pi_corresp=50, pi_errors=50, pi_unexplained=50, seed=2))\n"
-        "print(sorted(repr(f) for f in s.target))\n"
-        "print(sorted(repr(f) for f in s.source))\n"
-        "p = s.selection_problem()\n"
-        "print(hashlib.sha256(problem_fingerprint(p)).hexdigest())\n"
-        "g = GroundedCollective(p)\n"
-        "print(hashlib.sha256(mrf_fingerprint(g.mrf)).hexdigest())\n"
-        "for r in (solve_collective(p, grounded=g), solve_greedy(p)):\n"
-        "    print(sorted(r.selected), r.objective)\n"
+        "rng = random.Random(int(sys.argv[1]))\n"
+        "junk = [(object(), Constant(f'junk{i}'), LabeledNull(-1 - i))\n"
+        "        for i in range(rng.randrange(50_001))]\n"
+        "del junk[::3]\n"
+        "for primitives in (3, 12):\n"
+        "    s = generate_scenario(ScenarioConfig(num_primitives=primitives,\n"
+        "        rows_per_relation=6, pi_corresp=50, pi_errors=50,\n"
+        "        pi_unexplained=50, seed=2))\n"
+        "    print(sorted(repr(f) for f in s.target))\n"
+        "    print(sorted(repr(f) for f in s.source))\n"
+        "    p = s.selection_problem()\n"
+        "    print(hashlib.sha256(problem_fingerprint(p)).hexdigest())\n"
+        "    g = GroundedCollective(p)\n"
+        "    print(hashlib.sha256(mrf_fingerprint(g.mrf)).hexdigest())\n"
+        "    for r in (solve_collective(p, grounded=g), solve_greedy(p)):\n"
+        "        print(sorted(r.selected), r.objective)\n"
     )
     outputs = set()
-    for seed in ("1", "2"):
-        env = child_env(PYTHONHASHSEED=seed)
+    # The two junk seeds draw 3,706 and 40,822 throwaway triples.
+    for hash_seed, junk_seed in (("1", "2"), ("2", "5")):
+        env = child_env(PYTHONHASHSEED=hash_seed)
         outputs.add(
             subprocess.run(
-                [sys.executable, "-c", script],
+                [sys.executable, "-c", script, junk_seed],
                 capture_output=True,
                 text=True,
                 check=True,
