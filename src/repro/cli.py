@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from repro.errors import ReproError
 from repro.evaluation.engine import (
@@ -37,6 +38,7 @@ from repro.evaluation.reporting import format_table
 from repro.ibench.config import ALL_PRIMITIVES, ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.io.serialize import load_scenario, save_scenario
+from repro.selection.objective import ObjectiveWeights
 
 
 def _non_negative_int(text: str) -> int:
@@ -47,6 +49,19 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _weight_triple(spec: str) -> ObjectiveWeights:
+    """An ``explains,errors,size`` triple of non-negative rationals."""
+    parts = spec.split(",")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(
+            f"bad weight setting {spec!r}: expected explains,errors,size"
+        )
+    try:
+        return ObjectiveWeights(*(Fraction(p.strip()) for p in parts))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad weight setting {spec!r}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,8 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     weight_sweep.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     weight_sweep.add_argument(
         "--grid",
+        type=_weight_triple,
         nargs="+",
-        default=["1,1,1", "2,1,1", "1,2,1", "1,1,2"],
+        default=[_weight_triple(t) for t in ("1,1,1", "2,1,1", "1,2,1", "1,1,2")],
         help="weight settings as explains,errors,size triples "
         "(fractions or decimals, e.g. 1,1/2,0.25)",
     )
@@ -381,25 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_weight_triple(spec: str):
-    from fractions import Fraction
-
-    from repro.selection.objective import ObjectiveWeights
-
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise SystemExit(
-            f"bad weight setting {spec!r}: expected explains,errors,size"
-        )
-    try:
-        explains, errors, size = (Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"bad weight setting {spec!r}: {exc}") from exc
-    return ObjectiveWeights(explains=explains, errors=errors, size=size)
-
-
 def _cmd_weight_sweep(args: argparse.Namespace) -> int:
-    weight_grid = [_parse_weight_triple(spec) for spec in args.grid]
     base = ScenarioConfig(
         num_primitives=args.primitives,
         rows_per_relation=args.rows,
@@ -411,7 +409,7 @@ def _cmd_weight_sweep(args: argparse.Namespace) -> int:
         executor=args.executor,
         warm_start=not args.no_warm_start,
     )
-    sweep = engine.weight_sweep(base, weight_grid, args.seeds)
+    sweep = engine.weight_sweep(base, args.grid, args.seeds)
     columns = [*DEFAULT_GRID_METHODS, "gold"]
     print(
         format_table(

@@ -55,7 +55,7 @@ from repro.selection.collective import (
 )
 from repro.selection.exact import SelectionResult, solve_milp
 from repro.selection.greedy import solve_greedy
-from repro.selection.metrics import SelectionProblem, build_selection_problem
+from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import ObjectiveWeights
 
 Solver = Callable[[SelectionProblem], SelectionResult]
@@ -131,9 +131,7 @@ class ScenarioCache:
             return hit[0], 0.0
         scenario, _ = self.scenario(config)
         start = time.perf_counter()
-        problem = build_selection_problem(
-            scenario.source, scenario.target, scenario.candidates
-        )
+        problem = scenario.selection_problem()
         elapsed = time.perf_counter() - start
         self._problems[config] = (problem, elapsed)
         return problem, elapsed

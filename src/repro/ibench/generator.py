@@ -21,7 +21,9 @@ candidate-local null labels, and shifts the labels past the non-gold
 candidates before it, which gives the exchange under C - MG exactly as
 one chase of all of them would.  Noise never edits the source, so the
 scenario keeps these chases (:meth:`~repro.ibench.scenario.Scenario.
-keep_chases`) and its problem build chases only the gold candidates.
+keep_chases`); its problem build receives them as
+:func:`~repro.selection.metrics.build_selection_problem`'s ``chases``
+argument and chases only the gold candidates.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from repro.selection.metrics import (
     CandidateChase,
     SelectionProblem,
     build_selection_problem,
-    handing_chases,
 )
 
 if TYPE_CHECKING:
@@ -68,8 +67,9 @@ class Scenario:
         chases = {}
         if kept is not None and self.source.match_index() is kept[0]:
             chases = kept[1]
-        with handing_chases(chases):
-            return build_selection_problem(self.source, self.target, self.candidates)
+        return build_selection_problem(
+            self.source, self.target, self.candidates, chases=chases
+        )
 
     def keep_chases(self, chases: Mapping[int, CandidateChase]) -> None:
         """Keep chases of ``source`` by candidate index for :meth:`selection_problem`.

@@ -20,8 +20,10 @@ The arrays are small (the p=24 collective model has 1288 terms and 2150
 copies), so per-call overhead, not arithmetic, sets the iteration cost.
 Each solve therefore compiles its local step once (:class:`_LocalStep`):
 each kind is addressed by slice, the weight-dependent constants
-(``w/rho``, ``w/rho*||a||^2``) are hoisted, and every per-iteration
-array is a preallocated buffer written with ``out=``.  The dual step's
+(``w/rho``, ``w/rho*||a||^2``) are hoisted from the MRF's weight
+vector, which the flat arrays share, so a reweight between solves
+needs no sync step.  Every per-iteration array is a preallocated
+buffer written with ``out=``.  The dual step's
 ``z[var]`` gather is the one the next iteration starts from.  Every
 element still gets exactly the arithmetic of the unhoisted kernels, so
 runs are bit-identical to the frozen reference solver in
@@ -37,7 +39,7 @@ import numpy as np
 
 from repro.errors import InferenceError
 from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import FlatTermArrays, solver_arrays
+from repro.psl.partition import FlatTermArrays, compiled_arrays
 
 
 @dataclass
@@ -203,7 +205,7 @@ class _LocalStep:
             _hinge_step(
                 self._d0[hinges],
                 self._lam[hinges],
-                arrays.weight[hinges],
+                arrays.weight,
                 arrays.normsq[hinges],
                 rho,
             ),
@@ -230,18 +232,17 @@ class AdmmSolver:
     solves: because the HL-MRF energy is linear in the potential
     weights, a weight-only change never touches the compiled structure;
     only the local step's weight constants are recompiled, once per
-    solve.  Mutate weights on the MRF (``set_group_weights`` and
-    friends) and the solver syncs its arrays in place
-    (:attr:`~repro.psl.hlmrf.HingeLossMRF.weights_version` tells it
-    when).
+    solve.  The arrays hold the MRF's own weight vector, so each solve
+    iterates on the weights
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.set_potential_weights` last
+    wrote.
     """
 
     def __init__(self, mrf: HingeLossMRF, settings: AdmmSettings | None = None):
         self._mrf = mrf
         self._settings = settings or AdmmSettings()
         self._settings.validate()
-        self._arrays = solver_arrays(mrf)
-        self._weights_version = mrf.weights_version
+        self._arrays = compiled_arrays(mrf)
 
     @property
     def arrays(self) -> FlatTermArrays:
@@ -254,17 +255,6 @@ class AdmmSolver:
     @property
     def settings(self) -> AdmmSettings:
         return self._settings
-
-    def _sync_weights(self) -> None:
-        """Pull the MRF's current weights into the compiled arrays.
-
-        No-op unless the MRF's ``weights_version`` moved since the last
-        sync; then the flat weight vector is rewritten in place.
-        """
-        if self._mrf.weights_version == self._weights_version:
-            return
-        self._arrays.set_potential_weights(self._mrf.potential_weights())
-        self._weights_version = self._mrf.weights_version
 
     def _local_step(self, rho: float) -> _LocalStep:
         """The local step compiled for one solve at the current weights."""
@@ -285,7 +275,6 @@ class AdmmSolver:
         *warm_state* from the previous one is the fast path of iterative
         reweighting — same compiled arrays, a handful of warm iterations.
         """
-        self._sync_weights()
         settings = self._settings
         arrays = self._arrays
         n, copies = arrays.num_variables, arrays.num_copies

@@ -6,8 +6,7 @@ grounding shard's output untouched.  This module reuses the compiled
 artifact at the *flat-array* level:
 
 * :class:`ShardRecord` captures, per shard of a previous ground, the
-  metadata the splice needs (content key, atom table, observed
-  groups).  Records are built for free at ground time through
+  metadata the splice needs (content key, atom table).  Records are built for free at ground time through
   :func:`~repro.psl.sharding.ground_shards`' ``observer`` hook.
 * :func:`match_shards` pairs a new shard plan against the old records by
   *content key* (:func:`shard_key`): shards whose work is byte-identical
@@ -22,7 +21,10 @@ artifact at the *flat-array* level:
   ground of the new plan — the bit-identity suite asserts it — because
   reused slices are bit-copies of what re-grounding would rebuild and
   fresh blocks merge by the exact :meth:`~repro.psl.hlmrf.HingeLossMRF.
-  add_term_block` rules.
+  add_term_block` rules.  The spliced weight vector carries each reused
+  shard's old weights and each fresh shard's new ones; the caller then
+  sets the weights it wants in one
+  :meth:`~repro.psl.hlmrf.HingeLossMRF.set_potential_weights` call.
 
 Its one user is the collective selector's patch tier
 (:func:`~repro.selection.collective.patch_collective`), which plans
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -49,14 +51,11 @@ class ShardRecord:
     """What the splice must remember about one shard of a past ground.
 
     ``key`` is the shard's content key (:func:`shard_key`); ``atoms`` is
-    its atom table in intern order.  ``observed_groups`` mirrors the
-    same-named :class:`~repro.psl.sharding.TermBlock` field — the
-    registry contribution replaying this shard would make.
+    its atom table in intern order.
     """
 
     key: Hashable
     atoms: tuple[GroundAtom, ...]
-    observed_groups: tuple = ()
 
 
 def shard_key(shard: GroundingShard) -> Hashable:
@@ -75,11 +74,7 @@ def shard_key(shard: GroundingShard) -> Hashable:
 
 def record_for(shard: GroundingShard, result: ShardResult) -> ShardRecord:
     """The :class:`ShardRecord` of a freshly built shard."""
-    return ShardRecord(
-        key=shard_key(shard),
-        atoms=result.atoms,
-        observed_groups=result.block.observed_groups,
-    )
+    return ShardRecord(key=shard_key(shard), atoms=result.atoms)
 
 
 def match_shards(
@@ -145,7 +140,6 @@ class _Segment:
     def __init__(self) -> None:
         self.kind: list[np.ndarray] = []
         self.offset: list[np.ndarray] = []
-        self.weight: list[np.ndarray] = []
         self.normsq: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
         self.var: list[np.ndarray] = []
@@ -155,7 +149,6 @@ class _Segment:
         return {
             "kind": _concat(self.kind, np.int64),
             "offset": _concat(self.offset, np.float64),
-            "weight": _concat(self.weight, np.float64),
             "normsq": _concat(self.normsq, np.float64),
             "counts": _concat(self.counts, np.int64),
             "var": _concat(self.var, np.int64),
@@ -175,8 +168,6 @@ def splice_grounding(
     shards: Sequence[GroundingShard],
     reuse: Sequence[int | None],
     targets: Sequence[GroundAtom],
-    group_weights: Mapping[Hashable, float] | None = None,
-    member_weights: Mapping[Hashable, Sequence[float]] | None = None,
 ) -> SpliceResult | None:
     """Splice reused shard ranges and freshly ground shards into one MRF.
 
@@ -189,17 +180,13 @@ def splice_grounding(
     Old term ranges not claimed by any new shard are dead: their rows
     are never copied (the mask-out half of the splice), while fresh
     blocks are stable-partitioned into the potentials-then-constraints
-    flat order (the append half).
-
-    *group_weights* / *member_weights* rewrite the weight column during
-    reassembly — the hook the collective patch path uses to land
-    directly at the request's weights.  Uniform per-group values via *group_weights*; per-member
-    vectors (append order) via *member_weights*.
+    flat order (the append half).  Reused potentials keep their old
+    weights and fresh ones take their block's; the caller sets the
+    weights it wants afterwards.
 
     Returns ``None`` whenever the splice cannot be performed exactly —
     misaligned extents, a reused shard referencing a variable that no
-    longer exists, a weight rewrite that would change structure — in
-    which case the caller falls back to a full re-ground.  Never
+    longer exists — in which case the caller falls back to a full re-ground.  Never
     returns a wrong MRF: every failure mode is detected, not papered
     over.
     """
@@ -209,8 +196,6 @@ def splice_grounding(
     flat = compiled_arrays(old_mrf)
     old_pot = flat.num_potentials
     old_counts = np.diff(flat.term_ptr)
-    old_pot_weights = np.asarray(old_mrf._pot_weights, dtype=np.float64)
-    old_groups = np.asarray(old_mrf.potential_groups, dtype=np.int64)
 
     # -- re-ground only the fresh shards ----------------------------------
     fresh_positions = [i for i, source in enumerate(reuse) if source is None]
@@ -243,39 +228,10 @@ def splice_grounding(
         if j is not None:
             old_to_new[i] = j
 
-    # -- origin-group registry, interned in new shard order ---------------
-    group_ids: dict[Hashable, int] = {}
-    group_keys: list[Hashable] = []
-    zero_dropped: set[int] = set()
-
-    def intern_group(key: Hashable) -> int:
-        gid = group_ids.get(key)
-        if gid is None:
-            gid = len(group_keys)
-            group_ids[key] = gid
-            group_keys.append(key)
-        return gid
-
-    for position in range(len(shards)):
-        source = reuse[position]
-        if source is None:
-            observed = fresh_results[position].block.observed_groups
-        else:
-            observed = old_records[source].observed_groups
-        for key, flagged in observed:
-            gid = intern_group(key)
-            if flagged:
-                zero_dropped.add(gid)
-
-    # Old group id -> new group id (-2 = key unknown to the new registry).
-    old_gid_map = np.full(len(old_mrf.group_keys) + 1, -1, dtype=np.int64)
-    for gid, key in enumerate(old_mrf.group_keys):
-        old_gid_map[gid + 1] = group_ids.get(key, -2)
-
     # -- assemble the flat arrays, shard by shard -------------------------
     pot_seg = _Segment()
     con_seg = _Segment()
-    group_parts: list[np.ndarray] = []
+    weight_parts: list[np.ndarray] = []
     new_extents: list[tuple[int, int, int, int]] = []
     pot_count = con_count = 0
     reused_terms = fresh_terms = 0
@@ -286,7 +242,7 @@ def splice_grounding(
             pot_lo, pot_hi, con_lo, con_hi = extents[source]
             pot_rows = slice(pot_lo, pot_hi)
             con_rows = slice(old_pot + con_lo, old_pot + con_hi)
-            for rows, seg, is_pot in ((pot_rows, pot_seg, True), (con_rows, con_seg, False)):
+            for rows, seg in ((pot_rows, pot_seg), (con_rows, con_seg)):
                 seg.kind.append(flat.kind[rows])
                 seg.offset.append(flat.offset[rows])
                 seg.normsq.append(flat.normsq[rows])
@@ -299,14 +255,7 @@ def splice_grounding(
                     return None  # reused shard references a retracted atom
                 seg.var.append(remapped)
                 seg.coeff.append(flat.coeff[copy_rows])
-                if is_pot:
-                    seg.weight.append(old_pot_weights[rows])
-                else:
-                    seg.weight.append(np.zeros(rows.stop - rows.start))
-            mapped_groups = old_gid_map[old_groups[pot_rows] + 1]
-            if mapped_groups.size and mapped_groups.min() < -1:
-                return None  # group key vanished from the registry
-            group_parts.append(mapped_groups)
+            weight_parts.append(flat.weight[pot_rows])
             n_pot, n_con = pot_hi - pot_lo, con_hi - con_lo
             reused_terms += n_pot + n_con
         else:
@@ -320,7 +269,7 @@ def splice_grounding(
                 dtype=np.int64,
                 count=len(result.atoms),
             )
-            for mask, seg, want_pot in ((is_pot, pot_seg, True), (~is_pot, con_seg, False)):
+            for mask, seg in ((is_pot, pot_seg), (~is_pot, con_seg)):
                 sel = np.flatnonzero(mask)
                 seg.kind.append(kinds[sel])
                 seg.offset.append(block.offsets[sel])
@@ -345,23 +294,7 @@ def splice_grounding(
                         1e-12,
                     )
                 )
-                if want_pot:
-                    seg.weight.append(block.weights[sel])
-                else:
-                    seg.weight.append(np.zeros(len(sel)))
-            sel_pot = np.flatnonzero(is_pot)
-            if block.groups is None:
-                mapped_groups = np.full(len(sel_pot), -1, dtype=np.int64)
-            else:
-                mapped_groups = np.fromiter(
-                    (
-                        -1 if block.groups[t] is None else group_ids[block.groups[t]]
-                        for t in sel_pot
-                    ),
-                    dtype=np.int64,
-                    count=len(sel_pot),
-                )
-            group_parts.append(mapped_groups)
+            weight_parts.append(block.weights[is_pot])
             n_pot = int(is_pot.sum())
             n_con = len(kinds) - n_pot
             fresh_terms += n_pot + n_con
@@ -373,38 +306,11 @@ def splice_grounding(
     con = con_seg.concatenated()
     kind = np.concatenate([pot["kind"], con["kind"]])
     offset = np.concatenate([pot["offset"], con["offset"]])
-    weight = np.concatenate([pot["weight"], con["weight"]])
+    weight = _concat(weight_parts, np.float64)
     normsq = np.concatenate([pot["normsq"], con["normsq"]])
     counts = np.concatenate([pot["counts"], con["counts"]])
     var = np.concatenate([pot["var"], con["var"]])
     coeff = np.concatenate([pot["coeff"], con["coeff"]])
-    groups_arr = _concat(group_parts, np.int64)
-
-    # -- optional weight rewrite (the reweight-at-splice-time hook) -------
-    if group_weights:
-        for key, value in group_weights.items():
-            gid = group_ids.get(key)
-            if gid is None:
-                continue
-            value = float(value)
-            members = np.flatnonzero(groups_arr == gid)
-            if value == 0.0 and members.size:
-                return None  # zeroing live potentials changes structure
-            if value != 0.0 and gid in zero_dropped:
-                return None  # dropped structure cannot be reweighted back
-            weight[members] = value
-    if member_weights:
-        for key, values in member_weights.items():
-            gid = group_ids.get(key)
-            if gid is None:
-                if len(values):
-                    return None
-                continue
-            members = np.flatnonzero(groups_arr == gid)
-            values = np.asarray(values, dtype=np.float64)
-            if len(values) != members.size or (values == 0.0).any():
-                return None
-            weight[members] = values
 
     term_ptr = np.zeros(len(kind) + 1, dtype=np.int64)
     np.cumsum(counts, out=term_ptr[1:])
@@ -421,9 +327,6 @@ def splice_grounding(
         var=var,
         coeff=coeff,
         num_potentials=pot_count,
-        potential_groups=groups_arr,
-        group_keys=group_keys,
-        zero_dropped=zero_dropped,
         block_extents=new_extents,
     )
     mrf._compiled = FlatTermArrays(

@@ -12,14 +12,16 @@ constraints and constant terms; the collective model grounds none of
 them, so this module keeps only linear hinges and ``<=`` caps, and a
 term with no nonzero coefficient is an error.  Variables are PSL ground
 atoms; potentials are added one at a time or merged from shard term
-blocks (:mod:`repro.psl.sharding`).  Solved by consensus ADMM in
-:mod:`repro.psl.admm`.
+blocks (:mod:`repro.psl.sharding`).  The weights ``w_k`` are one
+per-potential vector, which the compiled solver arrays share and
+:meth:`HingeLossMRF.set_potential_weights` alone rewrites.  Solved by
+consensus ADMM in :mod:`repro.psl.admm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,22 +70,17 @@ def filter_potential_terms(
 
 @dataclass(frozen=True)
 class HingePotential:
-    """``weight * max(0, sum(coeff*x) + offset)``."""
+    """The unweighted hinge ``max(0, sum(coeff*x) + offset)``.
+
+    Its weight lives in the MRF's weight vector
+    (:meth:`HingeLossMRF.potential_weights`), at the potential's index.
+    """
 
     coefficients: tuple[tuple[int, float], ...]
     offset: float
-    weight: float
-
-    def value(self, x) -> float:
-        return self.weight * self.unit_value(x)
 
     def unit_value(self, x) -> float:
-        """The unweighted hinge ``max(0, a^T x + b)`` at *x*.
-
-        The potential's feature value: ``value(x) == weight *
-        unit_value(x)``.  Weight-independent, which is what structure
-        fingerprints need.
-        """
+        """The hinge ``max(0, a^T x + b)`` at *x*, before weighting."""
         return max(0.0, self.offset + sum(c * x[i] for i, c in self.coefficients))
 
 
@@ -104,14 +101,11 @@ class _LazyTermList:
     Building the per-term objects is the expensive half of rebuilding a
     spliced grounding (:func:`rebuild_mrf`), and the hot path never
     reads them: the ADMM stack solves off the precompiled flat arrays,
-    :meth:`HingeLossMRF.energy` slices them too, reweighting updates the
-    weight *vector* (see :meth:`HingeLossMRF._set_weight`), and the
-    structural checks only take ``len()``.  This sequence therefore
-    defers building the objects until something actually subscripts,
-    iterates, or pickles it — fingerprints, the per-potential
-    diagnostics.  Materialization reads the MRF's *live*
-    weight vector, so weights rewritten before the first touch are
-    reflected exactly, as if the objects had existed all along.
+    :meth:`HingeLossMRF.energy` slices them too, a reweight writes only
+    the weight vector, and the structural checks only take ``len()``.
+    This sequence therefore defers building the objects until something
+    actually subscripts, iterates, or pickles it — fingerprints, the
+    per-potential diagnostics.
     """
 
     __slots__ = ("_length", "_build", "_items")
@@ -120,10 +114,6 @@ class _LazyTermList:
         self._length = length
         self._build = build
         self._items: list | None = None
-
-    @property
-    def materialized(self) -> bool:
-        return self._items is not None
 
     def _force(self) -> list:
         if self._items is None:
@@ -146,9 +136,6 @@ class _LazyTermList:
     def __getitem__(self, index):
         return self._force()[index]
 
-    def __setitem__(self, index, value) -> None:
-        self._force()[index] = value
-
     def __iter__(self):
         return iter(self._force())
 
@@ -169,7 +156,7 @@ class _LazyTermList:
         return (list, (self._force(),))
 
 
-@dataclass
+@dataclass(eq=False)
 class HingeLossMRF:
     """A HL-MRF over named ground atoms.
 
@@ -184,19 +171,16 @@ class HingeLossMRF:
     (:mod:`repro.psl.delta`) reads those extents back.
 
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
-    potential weights, so weights are first-class mutable state, kept
-    separate from the (immutable once grounded) term structure.  Every
-    potential carries an optional *origin group* — the objective
-    component it was grounded from — and its weight lives in one
-    contiguous per-potential vector (:meth:`potential_weights`).
-    :meth:`set_group_weights` / :meth:`set_group_potential_weights`
-    rewrite weights in place (bumping
-    :attr:`weights_version` so compiled solver arrays know to
-    resync) without touching structure — the "ground once, reweight
-    many" contract: a reweighted MRF is element-for-element identical to
-    one freshly grounded at the new weights, provided no weight crosses
-    zero (zero-weight potentials are dropped at grounding time, so a
-    zero-crossing changes structure and is rejected).
+    potential weights, so the weights live apart from the (immutable once
+    grounded) term structure, in one float64 vector indexed like
+    ``potentials``.  That vector is the only store of weights: the
+    compiled solver arrays (:func:`~repro.psl.partition.compiled_arrays`)
+    hold the same array object, and :meth:`set_potential_weights`, its
+    one writer after grounding, rewrites it in place.  A reweighted MRF
+    is element-for-element identical to one freshly grounded at the new
+    weights, provided no weight crosses zero (zero-weight potentials are
+    dropped at grounding time, so a zero would change structure and is
+    rejected).
     """
 
     variables: list[GroundAtom] = field(default_factory=list)
@@ -205,18 +189,8 @@ class HingeLossMRF:
     constraints: list[HardConstraint] = field(default_factory=list)
     #: (pot_lo, pot_hi, con_lo, con_hi) extents of each add_term_block call.
     _block_extents: list[tuple[int, int, int, int]] = field(default_factory=list)
-    #: Per-potential origin-group id (-1 = fixed weight, no group).
-    potential_groups: list[int] = field(default_factory=list)
-    #: Bumped by every weight mutation; consumers cache against it.
-    weights_version: int = 0
-    _pot_weights: list[float] = field(default_factory=list)
-    _group_ids: dict[Hashable, int] = field(default_factory=dict)
-    _group_keys: list[Hashable] = field(default_factory=list)
-    _group_members: dict[int, list[int]] = field(default_factory=dict)
-    #: Groups that had potentials *dropped* because they were ground at
-    #: weight zero: reweighting them to a non-zero weight would need the
-    #: dropped structure back, so it is rejected (re-ground instead).
-    _zero_dropped: set[int] = field(default_factory=set)
+    #: float64[len(potentials)]: potential k's weight.
+    _weights: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def num_variables(self) -> int:
@@ -255,159 +229,46 @@ class HingeLossMRF:
         except KeyError:
             raise InferenceError(f"{atom} is not a variable of this MRF") from None
 
-    # -- origin groups and weights -------------------------------------------
-
-    def group_id(self, key: Hashable) -> int:
-        """Intern *key* (an objective component) as an origin group."""
-        gid = self._group_ids.get(key)
-        if gid is None:
-            gid = len(self._group_keys)
-            self._group_ids[key] = gid
-            self._group_keys.append(key)
-            self._group_members[gid] = []
-        return gid
-
-    @property
-    def group_keys(self) -> tuple[Hashable, ...]:
-        """All interned origin-group keys, in intern order (id order)."""
-        return tuple(self._group_keys)
-
-    def group_members(self, key: Hashable) -> tuple[int, ...]:
-        """Potential indices belonging to group *key* (append order)."""
-        gid = self._group_ids.get(key)
-        if gid is None:
-            return ()
-        return tuple(self._group_members[gid])
-
     def potential_weights(self) -> np.ndarray:
-        """The per-potential weight vector as a contiguous float64 array.
+        """The per-potential weight vector, as a read-only view."""
+        view = self._weights.view()
+        view.flags.writeable = False
+        return view
 
-        A snapshot copy: mutate weights through the ``set_*`` methods
-        (which keep the potentials and :attr:`weights_version`
-        consistent), not by writing into this array.
+    def set_potential_weights(self, weights: Sequence[float]) -> None:
+        """Overwrite every potential's weight, in place.
+
+        *weights* is ordered like ``potentials``.  Each must be finite
+        and > 0: a fresh ground drops zero-weight potentials, so a zero
+        here would leave a model no ground produces.
         """
-        return np.asarray(self._pot_weights, dtype=np.float64)
-
-    def _set_weight(self, i: int, weight: float) -> None:
-        if self._pot_weights[i] != weight:
-            potentials = self.potentials
-            if isinstance(potentials, _LazyTermList) and not potentials.materialized:
-                # Spliced MRF whose term objects are still
-                # deferred: they materialize from the live weight
-                # vector, so updating the vector alone keeps them exact
-                # — and reweighting stays free of object construction.
-                self._pot_weights[i] = weight
-                return
-            p = potentials[i]
-            potentials[i] = HingePotential(p.coefficients, p.offset, weight)
-            self._pot_weights[i] = weight
-
-    @staticmethod
-    def _check_new_weight(key: Hashable, weight: float) -> float:
-        weight = float(weight)
-        if weight < 0:
+        new = np.asarray(weights, dtype=np.float64)
+        if new.shape != self._weights.shape:
             raise InferenceError(
-                f"group {key!r}: potential weight must be non-negative, got {weight}"
+                f"expected {len(self._weights)} potential weights, got shape {new.shape}"
             )
-        if weight == 0:
-            raise InferenceError(
-                f"group {key!r}: cannot reweight to zero — zero-weight "
-                "potentials are dropped at grounding time, so this would "
-                "change the ground structure; re-ground instead"
-            )
-        return weight
-
-    def set_group_weights(self, weights: Mapping[Hashable, float]) -> None:
-        """Set every potential of each group to its group's new weight.
-
-        Unknown group keys are skipped (that origin produced no
-        groundings here).
-        """
-        for key, weight in weights.items():
-            gid = self._group_ids.get(key)
-            if gid is None:
-                continue
-            if gid in self._zero_dropped and float(weight) != 0.0:
-                raise InferenceError(
-                    f"group {key!r} was ground at weight zero, so its "
-                    "potentials were dropped from the structure; reweighting "
-                    "it to a non-zero weight cannot restore them — re-ground "
-                    "instead"
-                )
-            members = self._group_members[gid]
-            if float(weight) == 0.0 and not members:
-                continue  # was ground at zero weight; zero -> zero is a no-op
-            weight = self._check_new_weight(key, weight)
-            potentials = self.potentials
-            if isinstance(potentials, _LazyTermList) and not potentials.materialized:
-                # Deferred term objects read the live weight vector when
-                # they materialize — bulk-update the vector directly.
-                pot_weights = self._pot_weights
-                for i in members:
-                    pot_weights[i] = weight
-            else:
-                for i in members:
-                    self._set_weight(i, weight)
-        self.weights_version += 1
-
-    def set_group_potential_weights(
-        self, key: Hashable, weights: Sequence[float]
-    ) -> None:
-        """Set one group's member potentials to per-member weights.
-
-        For groups whose members do not share one scalar — e.g. the
-        collective model's per-candidate prior, where each potential's
-        weight is its own linear combination of objective components.
-        *weights* is ordered like :meth:`group_members` (append order).
-        """
-        gid = self._group_ids.get(key)
-        if gid is None:
-            if len(weights):
-                raise InferenceError(f"unknown origin group {key!r}")
-            return
-        if gid in self._zero_dropped:
-            raise InferenceError(
-                f"group {key!r} was ground at weight zero (potentials "
-                "dropped); re-ground instead of reweighting"
-            )
-        members = self._group_members[gid]
-        if len(weights) != len(members):
-            raise InferenceError(
-                f"group {key!r} has {len(members)} potentials, got "
-                f"{len(weights)} weights"
-            )
-        for i, weight in zip(members, weights):
-            self._set_weight(i, self._check_new_weight(key, weight))
-        self.weights_version += 1
+        if not (np.isfinite(new).all() and (new > 0).all()):
+            raise InferenceError("potential weights must be finite and > 0")
+        self._weights[:] = new
 
     def add_potential(
         self,
         coefficients: Mapping[GroundAtom, float],
         offset: float,
         weight: float,
-        group: Hashable | None = None,
     ) -> None:
         """Add ``weight * max(0, sum coeff*atom + offset)``.
 
         A zero-weight potential is dropped.  One with no nonzero
-        coefficient raises :class:`InferenceError`.  *group* tags the
-        potential with its origin — the hook the reweighting API keys on.
+        coefficient raises :class:`InferenceError`.
         """
         kept = filter_potential_terms(coefficients.items(), weight)
-        gid = self.group_id(group) if group is not None else -1
         if not kept:
-            if gid >= 0:
-                self._zero_dropped.add(gid)
             return
-        if gid >= 0:
-            self._group_members[gid].append(len(self.potentials))
-        self.potential_groups.append(gid)
-        self._pot_weights.append(float(weight))
+        self._weights = np.append(self._weights, float(weight))
         self.potentials.append(
             HingePotential(
-                tuple((self.variable_index(a), c) for a, c in kept),
-                float(offset),
-                float(weight),
+                tuple((self.variable_index(a), c) for a, c in kept), float(offset)
             )
         )
 
@@ -433,18 +294,9 @@ class HingeLossMRF:
         potential/constraint order byte for byte.
         """
         local_to_global = self.intern_atoms(atoms)
-        # Intern every group the producer mentioned, in mention order —
-        # dropped ones included — so the merged registry (group ids,
-        # zero-dropped set) matches the serial add_potential path's.
-        for key, zero_dropped in block.observed_groups:
-            gid = self.group_id(key)
-            if zero_dropped:
-                self._zero_dropped.add(gid)
         pot_before, con_before = len(self.potentials), len(self.constraints)
         kinds = block.kinds
         offsets = block.offsets
-        weights = block.weights
-        groups = block.groups
         ptr = block.term_ptr
         atom_index = block.atom_index
         coefficient = block.coefficient
@@ -454,17 +306,12 @@ class HingeLossMRF:
                 for k in range(ptr[t], ptr[t + 1])
             )
             if kinds[t] == KIND_HINGE:
-                key = groups[t] if groups is not None else None
-                gid = self.group_id(key) if key is not None else -1
-                if gid >= 0:
-                    self._group_members[gid].append(len(self.potentials))
-                self.potential_groups.append(gid)
-                self._pot_weights.append(float(weights[t]))
-                self.potentials.append(
-                    HingePotential(pairs, float(offsets[t]), float(weights[t]))
-                )
+                self.potentials.append(HingePotential(pairs, float(offsets[t])))
             else:
                 self.constraints.append(HardConstraint(pairs, float(offsets[t])))
+        self._weights = np.concatenate(
+            (self._weights, block.weights[kinds == KIND_HINGE])
+        )
         self._block_extents.append(
             (pot_before, len(self.potentials), con_before, len(self.constraints))
         )
@@ -475,7 +322,7 @@ class HingeLossMRF:
         Computed on the compiled flat arrays
         (:func:`~repro.psl.partition.compiled_arrays`, compiled once when
         absent) — one gather, one per-term ``bincount``, one dot with the
-        live weight vector — instead of a Python loop over potentials.
+        weight vector — instead of a Python loop over potentials.
         Validated against the per-potential sum in tests; float
         summation order differs, so the two agree to tolerance, not bit
         for bit (every bit-identity contract in the solver compares
@@ -495,7 +342,7 @@ class HingeLossMRF:
             minlength=num,
         )
         s += flat.offset[:num]
-        return float(np.dot(self.potential_weights(), np.maximum(s, 0.0)))
+        return float(np.dot(self._weights, np.maximum(s, 0.0)))
 
     def max_violation(self, x) -> float:
         """Largest hard-constraint violation at *x*."""
@@ -508,37 +355,35 @@ def rebuild_mrf(
     variables: Sequence[GroundAtom],
     *,
     offset: Sequence[float],
-    weight: Sequence[float],
+    weight: np.ndarray,
     term_ptr: Sequence[int],
     var: Sequence[int],
     coeff: Sequence[float],
     num_potentials: int,
-    potential_groups: Sequence[int],
-    group_keys: Sequence[Hashable],
-    zero_dropped: Iterable[int],
     block_extents: Iterable[tuple[int, int, int, int]],
 ) -> HingeLossMRF:
     """Reconstruct a grounded :class:`HingeLossMRF` from flat CSR arrays.
 
     The structural inverse of grounding, used only by the splice engine
     (:func:`~repro.psl.delta.splice_grounding`): given the flat term
-    arrays in potentials-then-constraints order plus the registry
-    metadata (interned variables, origin groups, term block extents), rebuild the full MRF **without re-interning atoms
-    through the grounding path** — no shard planning, no
-    ``add_term_block``, no dict-based coefficient maps.  Every field is
-    reproduced exactly as the original grounding left it (float64
-    round-trips bit for bit), so fingerprints, reweighting, and solves
-    on the rebuilt MRF are indistinguishable from the original's.
+    arrays in potentials-then-constraints order, the per-potential
+    *weight* vector (kept as the MRF's weight store, not copied), the
+    interned variables and the term block extents, rebuild the full MRF
+    **without re-interning atoms through the grounding path** — no shard
+    planning, no ``add_term_block``, no dict-based coefficient maps.
+    Every field is reproduced exactly as the original grounding left it
+    (float64 round-trips bit for bit), so fingerprints, reweighting, and
+    solves on the rebuilt MRF are indistinguishable from the original's.
 
-    Array-likes may be numpy arrays or plain sequences; they are only
-    read.
+    The other array-likes may be numpy arrays or plain sequences; they
+    are only read.
 
     The potential/constraint *objects* are deferred
     (:class:`_LazyTermList`): the solver stack works entirely off the
     flat arrays, so a spliced MRF solves and reweights without ever
-    constructing them — they materialize (from the live weight vector)
-    only when something iterates or subscripts the lists, e.g. a
-    fingerprint or the per-potential diagnostics.
+    constructing them — they materialize only when something iterates
+    or subscripts the lists, e.g. a fingerprint or the per-potential
+    diagnostics.
     """
     def as_list(values) -> list:
         # ndarray.tolist() converts to builtin ints/floats at C speed
@@ -546,7 +391,6 @@ def rebuild_mrf(
         return values.tolist() if hasattr(values, "tolist") else list(values)
 
     num_terms = len(term_ptr) - 1
-    pot_weights = as_list(weight[:num_potentials])
 
     shared: dict = {}
 
@@ -560,12 +404,8 @@ def rebuild_mrf(
     def build_potentials() -> list:
         s = term_source()
         pairs, ptr, offsets = s["pairs"], s["ptr"], s["offsets"]
-        # pot_weights is the MRF's live _pot_weights list (mutated in
-        # place by reweights), so late materialization stays exact.
         return [
-            HingePotential(
-                tuple(pairs[ptr[t] : ptr[t + 1]]), offsets[t], pot_weights[t]
-            )
+            HingePotential(tuple(pairs[ptr[t] : ptr[t + 1]]), offsets[t])
             for t in range(num_potentials)
         ]
 
@@ -577,30 +417,11 @@ def rebuild_mrf(
             for t in range(num_potentials, num_terms)
         ]
 
-    potentials = _LazyTermList(num_potentials, build_potentials)
-    constraints = _LazyTermList(num_terms - num_potentials, build_constraints)
-    groups = [int(g) for g in as_list(potential_groups)]
-    if len(groups) != num_potentials:
-        raise InferenceError(
-            f"expected {num_potentials} potential group tags, got {len(groups)}"
-        )
-    keys = list(group_keys)
-    members: dict[int, list[int]] = {gid: [] for gid in range(len(keys))}
-    for i, gid in enumerate(groups):
-        if gid >= 0:
-            members[gid].append(i)
-    atoms = list(variables)
     return HingeLossMRF(
-        variables=atoms,
+        variables=list(variables),
         _index={},  # rebuilt lazily by _ensure_index on first atom lookup
-        potentials=potentials,
-        constraints=constraints,
+        potentials=_LazyTermList(num_potentials, build_potentials),
+        constraints=_LazyTermList(num_terms - num_potentials, build_constraints),
         _block_extents=[tuple(int(v) for v in e) for e in block_extents],
-        potential_groups=groups,
-        weights_version=0,
-        _pot_weights=pot_weights,
-        _group_ids={key: gid for gid, key in enumerate(keys)},
-        _group_keys=keys,
-        _group_members=members,
-        _zero_dropped={int(g) for g in zero_dropped},
+        _weights=weight,
     )

@@ -13,11 +13,10 @@ compiled form the solver (:mod:`repro.psl.admm`) and the splice engine
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
-from repro.errors import InferenceError
 from repro.psl.hlmrf import KIND_HINGE, KIND_LEQ, HingeLossMRF
 
 
@@ -29,16 +28,17 @@ class FlatTermArrays:
     assembles it from the potential/constraint lists, the ADMM solver
     iterates on it, and the splice engine (:mod:`repro.psl.delta`)
     slices reused shards' rows out of it.  Every field except ``weight``
-    is structure, immutable once grounded; ``weight`` is the flat
-    per-term weight vector, rewritten in place by
-    :meth:`set_potential_weights`.
+    is structure, immutable once grounded; ``weight`` is the MRF's own
+    per-potential weight vector (the same array object, not a copy), so
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.set_potential_weights` reaches
+    the solver with no sync step.
     """
 
     num_variables: int
     num_potentials: int
     kind: np.ndarray  # int64[num_terms], KIND_* values
     offset: np.ndarray  # float64[num_terms]
-    weight: np.ndarray  # float64[num_terms]; writable, constraints are 0.0
+    weight: np.ndarray  # float64[num_potentials], shared with the MRF
     normsq: np.ndarray  # float64[num_terms], max(||a||^2, 1e-12)
     term_ptr: np.ndarray  # int64[num_terms+1], CSR row pointer into copies
     var: np.ndarray  # int64[num_copies], global variable index
@@ -53,20 +53,6 @@ class FlatTermArrays:
     @property
     def num_copies(self) -> int:
         return len(self.var)
-
-    def set_potential_weights(self, weights: np.ndarray) -> None:
-        """Overwrite the potential weights of these compiled arrays.
-
-        *weights* is the MRF's contiguous per-potential vector
-        (constraint terms have no weight); structure never changes —
-        the solver-side half of the ground-once/reweight-many contract.
-        """
-        if len(weights) != self.num_potentials:
-            raise InferenceError(
-                f"expected {self.num_potentials} potential weights, "
-                f"got {len(weights)}"
-            )
-        self.weight[: self.num_potentials] = weights
 
 
 def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
@@ -85,11 +71,6 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
     )
     offset_arr = np.fromiter(
         chain((p.offset for p in potentials), (c.offset for c in constraints)),
-        dtype=np.float64,
-        count=num_terms,
-    )
-    weight_arr = np.fromiter(
-        chain((p.weight for p in potentials), repeat(0.0, len(constraints))),
         dtype=np.float64,
         count=num_terms,
     )
@@ -123,7 +104,7 @@ def compile_term_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
         num_potentials=len(potentials),
         kind=kind_arr,
         offset=offset_arr,
-        weight=weight_arr,
+        weight=mrf._weights,
         normsq=normsq,
         term_ptr=term_ptr,
         var=var,
@@ -138,30 +119,16 @@ def compiled_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
 
     An MRF's precompiled :class:`FlatTermArrays` (attribute
     ``_compiled`` — seeded at grounding time and by the splice engine)
-    are reused while they describe its current terms; otherwise they are
-    compiled now and kept.  Their weights may lag the MRF's live weight
-    vector: :func:`solver_arrays` resyncs them, and
-    :meth:`~repro.psl.hlmrf.HingeLossMRF.energy` reads only structure.
+    are reused while they describe its current terms and hold its weight
+    vector; otherwise they are compiled now and kept.
     """
     flat = getattr(mrf, "_compiled", None)
     if (
         flat is None
+        or flat.weight is not mrf._weights
         or flat.num_potentials != len(mrf.potentials)
         or flat.num_terms != len(mrf.potentials) + len(mrf.constraints)
     ):
         flat = compile_term_arrays(mrf)
         mrf._compiled = flat
-    return flat
-
-
-def solver_arrays(mrf: HingeLossMRF) -> FlatTermArrays:
-    """*mrf*'s flat arrays at its current weights (compiled once per MRF).
-
-    The solver works on :func:`compiled_arrays` directly.  Their weights
-    may be the grounding-time ones, so they are resynced from the MRF's
-    live weight vector here — the solver snapshots ``weights_version``
-    at construction and only re-syncs on a later change.
-    """
-    flat = compiled_arrays(mrf)
-    flat.set_potential_weights(mrf.potential_weights())
     return flat

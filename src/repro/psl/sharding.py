@@ -8,7 +8,8 @@ each of which emits a compact :class:`TermBlock` — flat arrays of
 shard-local variable indices, CSR offsets, per-term offsets/weights/kinds
 (a linear hinge or a ``<=`` cap, the two kinds the collective model
 grounds) — plus the shard's atom table.  A deterministic merge interns
-each shard's atoms once and appends its terms via
+each shard's atoms once and appends its terms, and its hinges' weights
+to the MRF's one weight vector, via
 :meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so:
 
 * the merged MRF is **fingerprint-identical** to adding the same terms
@@ -60,17 +61,6 @@ class TermBlock:
     MRF; the merge remaps them.  ``kinds`` marks each term a linear
     hinge (``KIND_HINGE``) or a ``<=`` cap (``KIND_LEQ``); ``weights``
     is meaningful only for hinges.
-
-    ``groups`` (when present) names each term's *origin group* — the
-    objective component it was grounded from; ``None`` entries
-    (and all caps) are ungrouped.  ``observed_groups`` lists *every*
-    group the shard's producer mentioned, in first-mention order, each
-    with a flag marking groups whose potentials were dropped for being
-    ground at weight zero — merged first, so the MRF's group registry
-    (intern order, zero-dropped set) is identical to the one the serial
-    ``add_potential`` path builds, dropped groups included.  Both feed
-    the merged MRF's weight-reweighting registry; ``None``/empty suits
-    group-less producers.
     """
 
     kinds: np.ndarray  # int8[num_terms], KIND_* values
@@ -79,8 +69,6 @@ class TermBlock:
     term_ptr: np.ndarray  # int64[num_terms + 1]
     atom_index: np.ndarray  # int32[nnz], shard-local
     coefficient: np.ndarray  # float64[nnz]
-    groups: tuple | None = None  # per-term origin keys (None = ungrouped)
-    observed_groups: tuple = ()  # ((group key, zero_dropped), ...)
 
     @property
     def num_terms(self) -> int:
@@ -107,11 +95,9 @@ class TermBlockBuilder:
         self._kinds: list[int] = []
         self._offsets: list[float] = []
         self._weights: list[float] = []
-        self._groups: list = []
         self._ptr: list[int] = [0]
         self._atom_index: list[int] = []
         self._coefficient: list[float] = []
-        self._observed_groups: dict = {}  # key -> zero_dropped (insertion order)
 
     def _local(self, atom: GroundAtom) -> int:
         idx = self._atoms.get(atom)
@@ -125,24 +111,15 @@ class TermBlockBuilder:
         coefficients: Iterable[tuple[GroundAtom, float]],
         offset: float,
         weight: float,
-        group=None,
     ) -> None:
         kept = filter_potential_terms(coefficients, weight)
-        if group is not None:
-            # Mirror the serial path's registry exactly: the group is
-            # interned even when this potential is dropped, and a
-            # zero-weight drop is remembered so reweighting it back up
-            # is rejected rather than silently wrong.
-            self._observed_groups[group] = self._observed_groups.get(group, False) or (
-                not kept
-            )
         if kept:
-            self._append(KIND_HINGE, kept, offset, weight, group)
+            self._append(KIND_HINGE, kept, offset, weight)
 
     def add_constraint(
         self, coefficients: Iterable[tuple[GroundAtom, float]], offset: float
     ) -> None:
-        self._append(KIND_LEQ, nonzero_terms(coefficients), offset, 0.0, None)
+        self._append(KIND_LEQ, nonzero_terms(coefficients), offset, 0.0)
 
     def _append(
         self,
@@ -150,12 +127,10 @@ class TermBlockBuilder:
         pairs: list[tuple[GroundAtom, float]],
         offset: float,
         weight: float,
-        group,
     ) -> None:
         self._kinds.append(kind)
         self._offsets.append(float(offset))
         self._weights.append(float(weight))
-        self._groups.append(group)
         for atom, c in pairs:
             self._atom_index.append(self._local(atom))
             self._coefficient.append(c)
@@ -170,10 +145,6 @@ class TermBlockBuilder:
             term_ptr=np.asarray(self._ptr, dtype=np.int64),
             atom_index=np.asarray(self._atom_index, dtype=np.int32),
             coefficient=np.asarray(self._coefficient, dtype=np.float64),
-            groups=tuple(self._groups) if any(
-                g is not None for g in self._groups
-            ) else None,
-            observed_groups=tuple(self._observed_groups.items()),
         )
         return tuple(self._atoms), block
 
@@ -247,8 +218,8 @@ def ground_shards(
 
     *observer* (when given) is called with each :class:`ShardResult`
     right after it merges — the hook incremental grounding
-    (:mod:`repro.psl.delta`) uses to capture per-shard records (atom
-    tables, observed groups) without a second pass.
+    (:mod:`repro.psl.delta`) uses to capture per-shard records (content
+    keys, atom tables) without a second pass.
     The observer must not retain more than it needs.
     """
     mrf = mrf if mrf is not None else HingeLossMRF()
@@ -306,8 +277,8 @@ def mrf_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     payload = {
         "variables": [_atom_fingerprint(a) for a in mrf.variables],
         "potentials": [
-            [list(map(list, p.coefficients)), p.offset, p.weight]
-            for p in mrf.potentials
+            [list(map(list, p.coefficients)), p.offset, w]
+            for p, w in zip(mrf.potentials, mrf.potential_weights().tolist())
         ],
         "constraints": [
             [list(map(list, c.coefficients)), c.offset] for c in mrf.constraints
@@ -321,8 +292,8 @@ def structure_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     """A canonical byte serialization of an MRF's *weight-independent* part.
 
     The structural twin of :func:`mrf_fingerprint`: variable order,
-    potential coefficients/offsets, per-potential origin group and
-    constraints — everything except the mutable weight vector.
+    potential coefficients/offsets and constraints — everything except
+    the mutable weight vector.
     Two groundings of the same problem at different (all-nonzero) weight
     settings fingerprint equally here, which is what lets a scenario
     cache key structure separately from weights: equal structure
@@ -339,13 +310,11 @@ def structure_fingerprint(mrf: HingeLossMRF, probe_points: int = 3) -> bytes:
     payload = {
         "variables": [_atom_fingerprint(a) for a in mrf.variables],
         "potentials": [
-            [list(map(list, p.coefficients)), p.offset, int(gid)]
-            for p, gid in zip(mrf.potentials, mrf.potential_groups)
+            [list(map(list, p.coefficients)), p.offset] for p in mrf.potentials
         ],
         "constraints": [
             [list(map(list, c.coefficients)), c.offset] for c in mrf.constraints
         ],
-        "groups": [repr(key) for key in mrf.group_keys],
         "probes": probes,
     }
     return json.dumps(payload, sort_keys=True).encode()

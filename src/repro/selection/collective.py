@@ -37,6 +37,14 @@ of a build is O(largest shard), and the deterministic merge gives the
 same MRF byte for byte for any shard size.  The shard
 boundaries survive into the merged MRF as term-block extents, which the
 incremental splice engine (:mod:`repro.psl.delta`) patches by.
+
+**Weights.**  The plan grounds its potentials in three fixed blocks —
+coverage, then shared-error, then prior — so the MRF's weight vector at
+any :class:`~repro.selection.objective.ObjectiveWeights` is computed
+from the plan (:meth:`CollectivePlan.weight_vector`): ``w_expl`` per
+coverage potential, ``w_err`` per shared-error potential, then each
+included candidate's folded prior penalty.  A reweight or a patch sets
+that one vector on the MRF.
 """
 
 from __future__ import annotations
@@ -86,19 +94,6 @@ from repro.selection.objective import (
 IN_PREDICATE = Predicate("inMap", 1)
 EXPLAINED_PREDICATE = Predicate("explained", 1)
 ERROR_PREDICATE = Predicate("errorOf", 1)
-
-#: Origin-group keys of the model's weighted objective components.  Every
-#: potential the shards emit is tagged with one of these, so a grounded
-#: MRF can be *reweighted* in place — per-term weights recomputed from a
-#: new :class:`~repro.selection.objective.ObjectiveWeights` — instead of
-#: re-ground.  Coverage and error-mediator terms scale uniformly with
-#: their component weight; prior terms are per-candidate linear
-#: combinations (``w_err * private_errors + w_size * size``) and go
-#: through the per-member weight API.
-GROUP_EXPLAINS = "explains"
-GROUP_ERRORS = "errors"
-GROUP_PRIOR = "prior"
-
 
 @dataclass
 class CollectiveSettings:
@@ -168,7 +163,7 @@ class CoverageShard:
         builder = TermBlockBuilder()
         for t_idx, support in self.entries:
             atom = GroundAtom(EXPLAINED_PREDICATE, (t_idx,))
-            builder.add_potential([(atom, -1.0)], 1.0, self.weight, group=GROUP_EXPLAINS)
+            builder.add_potential([(atom, -1.0)], 1.0, self.weight)
             cap = [(atom, 1.0)]
             for i, degree in support:
                 cap.append((GroundAtom(IN_PREDICATE, (i,)), -degree))
@@ -179,8 +174,8 @@ class CoverageShard:
     def content_key(self) -> tuple:
         """Order- and weight-magnitude-independent identity for splicing.
 
-        Weight *magnitude* is excluded — a patched artifact has its
-        group weights rewritten at splice time — but the zero flag is
+        Weight *magnitude* is excluded — a patched artifact gets its
+        weight vector set after the splice — but the zero flag is
         structural (zero-weight potentials are dropped at grounding), so
         it stays in the key.
         """
@@ -204,7 +199,7 @@ class ErrorShard:
         builder = TermBlockBuilder()
         for e_idx, owners in self.entries:
             atom = GroundAtom(ERROR_PREDICATE, (e_idx,))
-            builder.add_potential([(atom, 1.0)], 0.0, self.weight, group=GROUP_ERRORS)
+            builder.add_potential([(atom, 1.0)], 0.0, self.weight)
             for i in owners:
                 builder.add_constraint(
                     [(GroundAtom(IN_PREDICATE, (i,)), 1.0), (atom, -1.0)], 0.0
@@ -231,17 +226,15 @@ class PriorShard:
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
         for i, penalty in self.entries:
-            builder.add_potential(
-                [(GroundAtom(IN_PREDICATE, (i,)), 1.0)], 0.0, penalty, group=GROUP_PRIOR
-            )
+            builder.add_potential([(GroundAtom(IN_PREDICATE, (i,)), 1.0)], 0.0, penalty)
         atoms, block = builder.finish()
         return ShardResult(self.order, atoms, block)
 
     def content_key(self) -> tuple:
         """Identity by candidate set only: per-candidate penalty
-        *magnitudes* are rewritten at splice time through the
-        ``member_weights`` channel (they are plain weight changes), but
-        which candidates appear is structural."""
+        *magnitudes* are set after the splice with the rest of the
+        weight vector (they are plain weight changes), but which
+        candidates appear is structural."""
         return ("prior", tuple(i for i, _ in self.entries))
 
 
@@ -267,6 +260,11 @@ class CollectivePlan:
     components, and the included set doubles as the zero-pattern guard
     (a penalty crossing zero means the structure itself would change,
     so reweighting must fall back to a fresh ground).
+
+    ``coverage_potentials`` and ``error_potentials`` count the
+    potentials the coverage and shared-error blocks ground (none when
+    the block's weight is zero), which fixes where each block sits in
+    the MRF's weight vector.
     """
 
     in_atoms: dict[int, GroundAtom]
@@ -276,6 +274,24 @@ class CollectivePlan:
     shards: tuple[GroundingShard, ...]
     prior_components: tuple[tuple[int, int, int], ...] = ()
     prior_included: tuple[int, ...] = ()
+    coverage_potentials: int = 0
+    error_potentials: int = 0
+
+    def weight_vector(
+        self, weights: ObjectiveWeights, priors: list[float]
+    ) -> np.ndarray:
+        """The grounded MRF's weight vector at *weights*.
+
+        *priors* are the included candidates' prior penalties at
+        *weights*, in candidate order.  Each entry is the float a fresh
+        ground at *weights* stores, so setting the vector reproduces that
+        ground bit for bit.
+        """
+        return np.array(
+            [float(weights.explains)] * self.coverage_potentials
+            + [float(weights.errors)] * self.error_potentials
+            + priors
+        )
 
 
 @dataclass(frozen=True)
@@ -412,6 +428,8 @@ def plan_collective_grounding(
         shards=tuple(shards),
         prior_components=prior_components,
         prior_included=tuple(i for i, _ in prior_entries),
+        coverage_potentials=len(coverage_entries) if weights.explains else 0,
+        error_potentials=len(error_entries) if weights.errors else 0,
     )
 
 
@@ -448,10 +466,9 @@ class GroundedCollective:
 
     The ground-once/reweight-many artifact of the collective selector:
     structure (variables, coefficients, constraints, shard partition) is
-    fixed at construction; :meth:`reweight` rewrites the per-term
-    weights in place for a new :class:`ObjectiveWeights` — coverage and
-    error-mediator groups uniformly, per-candidate priors through the
-    recorded plan components — and :attr:`solver` reuses one compiled
+    fixed at construction; :meth:`reweight` sets the MRF's weight vector
+    for a new :class:`ObjectiveWeights`, computed from the plan
+    (:meth:`CollectivePlan.weight_vector`), and :attr:`solver` reuses one compiled
     ADMM solver across every reweighted solve.  A reweighted artifact is
     element-for-element identical to a fresh grounding at the new
     weights, so solves from it are bit-identical to the re-grounding
@@ -551,13 +568,9 @@ class GroundedCollective:
                 "objective weights change the ground structure (a component "
                 "or prior penalty crossed zero); re-ground instead"
             )
-        self.mrf.set_group_weights(
-            {
-                GROUP_EXPLAINS: float(weights.explains),
-                GROUP_ERRORS: float(weights.errors),
-            }
+        self.mrf.set_potential_weights(
+            self.plan.weight_vector(weights, self._prior_weights(weights))
         )
-        self.mrf.set_group_potential_weights(GROUP_PRIOR, self._prior_weights(weights))
         self.weights = weights
 
 
@@ -572,11 +585,9 @@ def patch_collective(
     pair its shards against the cached per-shard records by content key
     (:func:`~repro.psl.delta.match_shards` — weight magnitudes are
     normalized out of the keys, so a reweighted parent still matches),
-    re-ground only the unmatched shards, and splice.  The weight rewrite
-    happens inside the splice — coverage/error groups uniformly, prior
-    penalties per member — so the result lands directly at
-    ``settings.weights`` and is **bit-identical** to a fresh ground of
-    ``(problem, settings)``.
+    re-ground only the unmatched shards, and splice.  The spliced MRF then
+    gets the plan's weight vector at ``settings.weights``, so the result
+    is **bit-identical** to a fresh ground of ``(problem, settings)``.
 
     Returns ``None`` when patching is not exact — a zero pattern moved,
     the splice declined — in which case the caller grounds fresh.  Never
@@ -593,19 +604,11 @@ def patch_collective(
     ]
     weights = settings.weights
     result = splice_grounding(
-        cached.mrf,
-        cached.records,
-        plan.shards,
-        reuse,
-        plan.targets,
-        group_weights={
-            GROUP_EXPLAINS: float(weights.explains),
-            GROUP_ERRORS: float(weights.errors),
-        },
-        member_weights={GROUP_PRIOR: prior_penalties},
+        cached.mrf, cached.records, plan.shards, reuse, plan.targets
     )
     if result is None:
         return None
+    result.mrf.set_potential_weights(plan.weight_vector(weights, prior_penalties))
     patched = GroundedCollective.__new__(GroundedCollective)
     patched.problem = problem
     patched.mrf = result.mrf

@@ -32,7 +32,7 @@ would have handed out, so candidates never share a null — and
 :class:`~repro.ibench.mutations.MutableSelection` can re-chase one
 candidate and re-merge without renumbering the others.  Because the
 local chases do not depend on which candidates come first, a chase run
-elsewhere can be handed to the build (:func:`handing_chases`): scenario
+elsewhere can be handed to the build (its ``chases`` argument): scenario
 generation's data-noise step chases the non-gold candidates, and
 :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands those
 chases over, so the build chases only the gold candidates.
@@ -42,12 +42,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.chase.engine import chase_single
 from repro.datamodel.instance import Fact, Instance
@@ -446,46 +443,27 @@ def merge_candidate_tables(
     )
 
 
-#: Chases a caller already ran, by candidate index, for the builds it
-#: runs inside :func:`handing_chases`.
-_HANDED_CHASES: ContextVar[Mapping[int, CandidateChase]] = ContextVar(
-    "handed_chases", default=MappingProxyType({})
-)
-
-
-@contextmanager
-def handing_chases(chases: Mapping[int, CandidateChase]) -> Iterator[None]:
-    """Let :func:`build_selection_problem` reuse *chases* instead of rerunning them.
-
-    *chases* maps a candidate index to that candidate's
-    :func:`chase_candidate` of the source the build reads; a chase is
-    used only where its ``tgd`` is the candidate at its index.  This is
-    how :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands
-    over the chases scenario generation already ran.
-    """
-    token = _HANDED_CHASES.set(chases)
-    try:
-        yield
-    finally:
-        _HANDED_CHASES.reset(token)
-
-
 def build_selection_problem(
     source: Instance,
     target: Instance,
     candidates: Sequence[StTgd],
+    chases: Mapping[int, CandidateChase] | None = None,
 ) -> SelectionProblem:
     """Chase each candidate and materialize covers/creates/size tables.
 
-    A candidate whose chase was handed over (:func:`handing_chases`) is
-    not chased again.
+    *chases* maps candidate indices to :func:`chase_candidate` results
+    of *source* that the caller already ran; such a chase is used
+    instead of chasing again, but only where its ``tgd`` is the
+    candidate at its index.  This is how
+    :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands over
+    the chases scenario generation ran.
     """
     if not all(isinstance(c, StTgd) for c in candidates):
         raise SelectionError("candidates must be StTgd objects")
-    handed = _HANDED_CHASES.get()
+    chases = chases or {}
     tables = []
     for index, candidate in enumerate(candidates):
-        chased = handed.get(index)
+        chased = chases.get(index)
         if chased is None or chased.tgd is not candidate:
             chased = chase_candidate(source, candidate)
         tables.append(tabulate_candidate(chased, target, index))

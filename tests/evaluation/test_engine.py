@@ -282,3 +282,32 @@ def test_unknown_method_rejected():
 def test_unknown_noise_parameter_rejected():
     with pytest.raises(ReproError):
         EvaluationEngine().sweep(SMALL, "pi_bogus", levels=(0,), seeds=(1,))
+
+
+def test_scenario_cache_problem_reuses_the_generation_chases(monkeypatch):
+    # The cached problem is built through the scenario, so only the gold
+    # candidates are chased again, and it equals a from-scratch build.
+    from repro.selection import metrics
+
+    noisy = ScenarioConfig(
+        num_primitives=6, rows_per_relation=10, pi_corresp=50, pi_errors=50,
+        pi_unexplained=50, seed=5,
+    )
+    cache = ScenarioCache()
+    scenario, _ = cache.scenario(noisy)
+    assert len(scenario.gold_indices) < len(scenario.candidates)
+    chased = []
+    chase_candidate = metrics.chase_candidate
+
+    def counting(source, candidate):
+        chased.append(candidate)
+        return chase_candidate(source, candidate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "chase_candidate", counting)
+        problem, _ = cache.problem(noisy)
+    assert chased == [scenario.candidates[i] for i in sorted(scenario.gold_indices)]
+    scratch = metrics.build_selection_problem(
+        scenario.source, scenario.target, scenario.candidates
+    )
+    assert metrics.problem_fingerprint(problem) == metrics.problem_fingerprint(scratch)

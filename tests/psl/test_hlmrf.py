@@ -25,16 +25,23 @@ def test_index_of_unknown_atom_raises():
 
 
 def test_potential_value_is_the_weighted_linear_hinge():
-    linear = HingePotential(((0, 1.0),), -0.25, weight=2.0)
-    assert linear.value([0.75]) == pytest.approx(1.0)
+    # The potential is the unweighted hinge; its weight sits in the
+    # MRF's weight vector and scales it in the energy.
+    linear = HingePotential(((0, 1.0),), -0.25)
+    mrf = HingeLossMRF()
+    mrf.add_potential({X(0): 1.0}, -0.25, weight=2.0)
+    assert mrf.potentials == [linear]
+    assert list(mrf.potential_weights()) == [2.0]
+    assert mrf.energy([0.75]) == pytest.approx(1.0)
     assert linear.unit_value([0.75]) == pytest.approx(0.5)
-    assert linear.value([0.0]) == 0.0
+    assert mrf.energy([0.0]) == 0.0
 
 
 def test_zero_weight_potentials_skipped():
     mrf = HingeLossMRF()
     mrf.add_potential({X(0): 1.0}, 0.0, weight=0.0)
     assert mrf.potentials == []
+    assert len(mrf.potential_weights()) == 0
 
 
 def test_negative_weight_rejected():
@@ -81,17 +88,20 @@ def test_energy_sums_potentials():
 
 def test_energy_follows_appended_potentials_and_reweights():
     # energy() compiles the flat arrays once; a later append recompiles,
-    # and a reweight is read from the live weight vector.
+    # and a reweight is read from the weight vector.
     mrf = HingeLossMRF()
     mrf.add_constraint({X(0): 1.0}, -0.5)
     assert mrf.energy([1.0]) == 0.0  # constraints carry no energy
-    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0, group="g")
+    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
     assert mrf.energy([0.25]) == pytest.approx(0.25)
     mrf.add_potential({X(1): -1.0}, 1.0, weight=2.0)
     assert mrf.energy([0.25, 0.5]) == pytest.approx(0.25 + 2 * 0.5)
-    mrf.set_group_weights({"g": 4.0})
+    mrf.set_potential_weights([4.0, 2.0])
     x = [0.25, 0.5]
-    assert mrf.energy(x) == pytest.approx(sum(p.value(x) for p in mrf.potentials))
+    assert mrf.energy(x) == pytest.approx(
+        sum(w * p.unit_value(x) for p, w in zip(mrf.potentials, mrf.potential_weights()))
+    )
+    assert mrf.energy(x) == pytest.approx(4 * 0.25 + 2 * 0.5)
 
 
 def test_max_violation():

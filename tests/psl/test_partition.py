@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.psl.admm import AdmmSolver
 from repro.psl.hlmrf import KIND_HINGE, KIND_LEQ, HingeLossMRF
-from repro.psl.partition import compile_term_arrays, solver_arrays
+from repro.psl.partition import compile_term_arrays
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder
 from repro.selection.collective import CollectiveSettings, ground_collective
@@ -35,7 +35,7 @@ def _legacy_mrf() -> HingeLossMRF:
 def _block_terms(b: int, terms_per_block: int):
     for t in range(terms_per_block):
         i = b * terms_per_block + t
-        yield ([(X(i), 1.0), (X(i + 1), -1.0)], 0.1 * t, 1.0 + b, "g"), ([(X(i), 1.0)], -0.75)
+        yield ([(X(i), 1.0), (X(i + 1), -1.0)], 0.1 * t, 1.0 + b), ([(X(i), 1.0)], -0.75)
 
 
 def _block_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> HingeLossMRF:
@@ -54,8 +54,8 @@ def _incrementally_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> H
     """The same terms as :func:`_block_built_mrf`, in the same flat order."""
     mrf = HingeLossMRF()
     terms = [t for b in range(num_blocks) for t in _block_terms(b, terms_per_block)]
-    for (pairs, offset, weight, group), _ in terms:
-        mrf.add_potential(dict(pairs), offset, weight=weight, group=group)
+    for (pairs, offset, weight), _ in terms:
+        mrf.add_potential(dict(pairs), offset, weight=weight)
     for _, (pairs, offset) in terms:
         mrf.add_constraint(dict(pairs), offset)
     return mrf
@@ -68,7 +68,8 @@ def test_legacy_mrf_partitions_as_single_run():
     assert arrays.num_terms == 4 and arrays.num_potentials == 2
     assert list(arrays.kind) == [KIND_HINGE, KIND_HINGE, KIND_LEQ, KIND_LEQ]
     assert list(arrays.term_ptr) == [0, 2, 3, 5, 6]
-    assert list(arrays.weight) == [2.0, 1.0, 0.0, 0.0]
+    # Constraints carry no weight: the vector covers the potentials only.
+    assert list(arrays.weight) == [2.0, 1.0]
 
 
 def test_empty_mrf_has_no_blocks():
@@ -175,9 +176,12 @@ def test_kind_index_precompiles_the_kind_masks():
 
 
 def test_solver_arrays_reuse_precompiled_and_resync_weights():
+    # The solver iterates on the precompiled arrays, whose weight vector
+    # is the MRF's own: a reweight needs no resync step.
     mrf = _block_built_mrf()
     mrf._compiled = compile_term_arrays(mrf)
-    mrf.set_group_weights({"g": 2.5})
-    arrays = solver_arrays(mrf)
+    mrf.set_potential_weights(np.full(len(mrf.potentials), 2.5))
+    arrays = AdmmSolver(mrf).arrays
     assert arrays is mrf._compiled
     assert np.array_equal(arrays.weight[: arrays.num_potentials], mrf.potential_weights())
+    assert arrays.weight is mrf._weights

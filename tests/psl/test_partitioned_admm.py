@@ -53,7 +53,8 @@ class _ReferenceFlatSolver:
     def _build_arrays(self):
         mrf = self._mrf
         terms = [
-            (_KIND_HINGE, p.coefficients, p.offset, p.weight) for p in mrf.potentials
+            (_KIND_HINGE, p.coefficients, p.offset, weight)
+            for p, weight in zip(mrf.potentials, mrf.potential_weights().tolist())
         ] + [(_KIND_LEQ, c.coefficients, c.offset, 0.0) for c in mrf.constraints]
         var_index, term_index, coeff = [], [], []
         kinds, offsets, weights = [], [], []
@@ -424,7 +425,6 @@ def test_solve_collective_threads_solver_knobs():
 # -- hypothesis differential suite ---------------------------------------------
 
 _KIND_NAMES = ("hinge", "leq")
-_GROUPS = ("a", "b", None)
 
 
 @st.composite
@@ -445,7 +445,7 @@ def _mrf_specs(draw):
             for i in variables
         }
         offset = draw(st.floats(-2.0, 2.0))
-        terms.append((kind, coefficients, offset, draw(magnitude), draw(st.sampled_from(_GROUPS))))
+        terms.append((kind, coefficients, offset, draw(magnitude)))
     if draw(st.booleans()):
         # Contiguous: every kind's terms in one run (the collective layout).
         terms.sort(key=lambda term: _KIND_NAMES.index(term[0]))
@@ -457,11 +457,11 @@ def _build_mrf(spec) -> HingeLossMRF:
     mrf = HingeLossMRF()
     for i in range(n):
         mrf.variable_index(X(i))
-    for kind, coefficients, offset, weight, group in terms:
+    for kind, coefficients, offset, weight in terms:
         if kind == "leq":
             mrf.add_constraint(coefficients, offset)
         else:
-            mrf.add_potential(coefficients, offset, weight=weight, group=group)
+            mrf.add_potential(coefficients, offset, weight=weight)
     return mrf
 
 
@@ -481,11 +481,11 @@ def _admm_settings(draw):
     )
 
 
-@st.composite
-def _reweights(draw):
-    """The group weights of one re-solve."""
-    magnitude = st.floats(0.1, 3.0)
-    return {group: draw(magnitude) for group in _GROUPS[:2] if draw(st.booleans())}
+def _reweights(current: np.ndarray):
+    """The weight vector of one re-solve: each weight kept or redrawn."""
+    return st.tuples(
+        *(st.one_of(st.just(float(w)), st.floats(0.1, 3.0)) for w in current)
+    )
 
 
 @hypothesis_settings(max_examples=80, deadline=None)
@@ -502,7 +502,7 @@ def test_solver_matches_frozen_reference_on_random_warm_reweight_chains(
     reference = _ReferenceFlatSolver(mrf, settings).solve()
     _assert_identical_run(result, reference)
     for _ in range(data.draw(st.integers(1, 3))):
-        mrf.set_group_weights(data.draw(_reweights()))
+        mrf.set_potential_weights(data.draw(_reweights(mrf.potential_weights())))
         state = result.state
         result = solver.solve(warm_state=state)
         reference = _ReferenceFlatSolver(mrf, settings).solve(warm_state=state)

@@ -33,14 +33,18 @@ from repro.selection.objective import ObjectiveWeights
 X = Predicate("x", 1)
 
 
-def _grouped_mrf() -> HingeLossMRF:
+def _mrf(weights=(2.0, 2.0, 3.0, 1.0)) -> HingeLossMRF:
     mrf = HingeLossMRF()
     for i in range(4):
         mrf.variable_index(X(i))
-    mrf.add_potential({X(0): 1.0, X(1): -1.0}, 0.25, weight=2.0, group="a")
-    mrf.add_potential({X(1): 1.0}, 0.0, weight=2.0, group="a")
-    mrf.add_potential({X(2): 1.0}, -0.5, weight=3.0, group="b")
-    mrf.add_potential({X(3): 1.0}, 0.1, weight=1.0)  # ungrouped: fixed
+    terms = [
+        ({X(0): 1.0, X(1): -1.0}, 0.25),
+        ({X(1): 1.0}, 0.0),
+        ({X(2): 1.0}, -0.5),
+        ({X(3): 1.0}, 0.1),
+    ]
+    for (coefficients, offset), weight in zip(terms, weights):
+        mrf.add_potential(coefficients, offset, weight=weight)
     mrf.add_constraint({X(0): 1.0, X(3): 1.0}, -1.0)
     return mrf
 
@@ -48,86 +52,64 @@ def _grouped_mrf() -> HingeLossMRF:
 # -- HingeLossMRF weight mutation ---------------------------------------------
 
 
-def test_set_group_weights_rewrites_members():
-    mrf = _grouped_mrf()
-    version = mrf.weights_version
-    mrf.set_group_weights({"a": 5.0})
-    assert mrf.weights_version == version + 1
-    assert [p.weight for p in mrf.potentials] == [5.0, 5.0, 3.0, 1.0]
-    assert np.array_equal(mrf.potential_weights(), [5.0, 5.0, 3.0, 1.0])
-    # Unknown groups are skipped (no groundings from that origin here).
-    mrf.set_group_weights({"nope": 7.0})
-    assert [p.weight for p in mrf.potentials] == [5.0, 5.0, 3.0, 1.0]
-
-
 def test_reweighted_mrf_energy_matches_fresh_construction():
-    mrf = _grouped_mrf()
-    mrf.set_group_weights({"a": 0.7, "b": 9.0})
-    fresh = HingeLossMRF()
-    for i in range(4):
-        fresh.variable_index(X(i))
-    fresh.add_potential({X(0): 1.0, X(1): -1.0}, 0.25, weight=0.7, group="a")
-    fresh.add_potential({X(1): 1.0}, 0.0, weight=0.7, group="a")
-    fresh.add_potential({X(2): 1.0}, -0.5, weight=9.0, group="b")
-    fresh.add_potential({X(3): 1.0}, 0.1, weight=1.0)
-    fresh.add_constraint({X(0): 1.0, X(3): 1.0}, -1.0)
-    assert mrf_fingerprint(mrf) == mrf_fingerprint(fresh)
+    mrf = _mrf()
+    mrf.set_potential_weights([0.7, 0.7, 9.0, 1.0])
+    assert mrf_fingerprint(mrf) == mrf_fingerprint(_mrf((0.7, 0.7, 9.0, 1.0)))
 
 
 def test_zero_and_negative_reweights_rejected():
-    mrf = _grouped_mrf()
-    with pytest.raises(InferenceError):
-        mrf.set_group_weights({"a": 0.0})  # members exist: structure change
-    with pytest.raises(InferenceError):
-        mrf.set_group_weights({"b": -1.0})
-    with pytest.raises(InferenceError):
-        mrf.set_group_potential_weights("a", [1.0, 0.0])
-    # Zero -> zero on a group that was ground at weight zero is a no-op;
-    # zero -> NON-zero cannot restore the dropped potentials and raises.
+    mrf = _mrf()
+    for bad in (
+        [0.0, 2.0, 3.0, 1.0],  # potentials exist: a zero changes structure
+        [2.0, 2.0, -1.0, 1.0],
+        [2.0, 2.0, 3.0, float("nan")],
+        [float("inf"), 2.0, 3.0, 1.0],
+        [1.0, 0.0],  # length mismatch
+        [2.0, 2.0, 3.0, 1.0, 1.0],
+    ):
+        with pytest.raises(InferenceError):
+            mrf.set_potential_weights(bad)
+    assert list(mrf.potential_weights()) == [2.0, 2.0, 3.0, 1.0]  # untouched
+    # A zero-weight potential is dropped at grounding, so its weight has
+    # no slot: reweighting it back up is a length mismatch.
     empty = HingeLossMRF()
     empty.variable_index(X(0))
-    empty.add_potential({X(0): 1.0}, 0.0, weight=0.0, group="off")
+    empty.add_potential({X(0): 1.0}, 0.0, weight=0.0)
     assert not empty.potentials
-    assert "off" in empty.group_keys  # registry matches the sharded path
-    empty.set_group_weights({"off": 0.0})  # does not raise
+    empty.set_potential_weights([])  # does not raise
     with pytest.raises(InferenceError):
-        empty.set_group_weights({"off": 1.0})
-    with pytest.raises(InferenceError):
-        empty.set_group_potential_weights("off", [])
+        empty.set_potential_weights([1.0])
 
 
-def test_set_group_potential_weights_per_member():
-    mrf = _grouped_mrf()
-    mrf.set_group_potential_weights("a", [1.5, 2.5])
-    assert [p.weight for p in mrf.potentials[:2]] == [1.5, 2.5]
-    with pytest.raises(InferenceError):
-        mrf.set_group_potential_weights("a", [1.0])  # member count mismatch
-    with pytest.raises(InferenceError):
-        mrf.set_group_potential_weights("nope", [1.0])  # unknown, non-empty
-    mrf.set_group_potential_weights("nope", [])  # unknown, empty: no-op
+def test_weight_vector_is_read_only_outside_its_writer():
+    mrf = _mrf()
+    with pytest.raises(ValueError):
+        mrf.potential_weights()[0] = 5.0
+    assert list(mrf.potential_weights()) == [2.0, 2.0, 3.0, 1.0]
 
 
 # -- compiled arrays / solver reweight ----------------------------------------
 
 
 def test_partition_weight_views_see_in_place_writes():
-    mrf = _grouped_mrf()
+    mrf = _mrf()
     arrays = compile_term_arrays(mrf)
     structure = arrays.coeff.copy()
-    mrf.set_group_weights({"a": 6.0, "b": 0.25})
-    arrays.set_potential_weights(mrf.potential_weights())
+    mrf.set_potential_weights([6.0, 6.0, 0.25, 1.0])
     fresh = compile_term_arrays(mrf)
     assert np.array_equal(arrays.weight, fresh.weight)
+    assert np.array_equal(arrays.weight, [6.0, 6.0, 0.25, 1.0])
     assert np.array_equal(arrays.coeff, structure)  # structure left alone
     with pytest.raises(InferenceError):
-        arrays.set_potential_weights(np.ones(99))
+        mrf.set_potential_weights(np.ones(99))
 
 
 def test_solver_reweighted_solve_matches_fresh_solver():
-    mrf = _grouped_mrf()
+    mrf = _mrf()
     solver = AdmmSolver(mrf, AdmmSettings(check_every=1))
     first = solver.solve()
-    mrf.set_group_weights({"a": 4.0, "b": 0.5})
+    mrf.set_potential_weights([4.0, 4.0, 0.5, 1.0])
     resolved = solver.solve()
     fresh = AdmmSolver(mrf, AdmmSettings(check_every=1)).solve()
     assert resolved.iterations == fresh.iterations
@@ -255,3 +237,74 @@ def test_solve_collective_reuse_matches_fresh_ground_path():
         assert reused.objective == fresh.objective
         assert reused.fractional == fresh.fractional
         assert reused.iterations == fresh.iterations
+
+
+# -- reweight chains on the p=24 base problem ---------------------------------
+
+
+_LEVELS = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def _latin_square_cells(seed: int) -> list[ObjectiveWeights]:
+    """The nine cells of a 3x3 Latin square over ``_LEVELS``, seeded order."""
+    import random
+
+    cells = [
+        ObjectiveWeights(_LEVELS[i], _LEVELS[j], _LEVELS[(-i - j) % 3])
+        for i in range(3)
+        for j in range(3)
+    ]
+    random.Random(seed).shuffle(cells)
+    return cells
+
+
+def _walk_reweight_chain(grounded: GroundedCollective, cells) -> None:
+    """Reweight *grounded* through *cells*; each cell must equal a fresh ground."""
+    admm = AdmmSettings()
+    for weights in cells:
+        settings = CollectiveSettings(weights=weights, admm=admm)
+        assert grounded.can_reweight(weights)
+        grounded.reweight(weights)
+        fresh = GroundedCollective(grounded.problem, settings)
+        assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh.mrf)
+        cold = grounded.solver_for(admm).solve()
+        reference = fresh.solver_for(admm).solve()
+        assert np.array_equal(cold.x, reference.x)
+        assert cold.iterations == reference.iterations
+
+
+def test_reweight_chains_stay_bit_identical_on_base_and_patched_p24():
+    from repro.ibench.mutations import MutableSelection, RemoveTargetTuple
+
+    scenario = generate_scenario(
+        ScenarioConfig(
+            num_primitives=24, rows_per_relation=20,
+            pi_corresp=25, pi_errors=25, pi_unexplained=25, seed=3,
+        )
+    )
+    selection = MutableSelection(scenario.source, scenario.target, scenario.candidates)
+    root = selection.problem
+    cache = CollectiveGroundingCache()
+    base = cache.grounded(root, CollectiveSettings())
+    assert len(base.mrf.potentials) == 656
+    assert (base.plan.coverage_potentials, base.plan.error_potentials) == (590, 21)
+    _walk_reweight_chain(base, _latin_square_cells(seed=3))
+
+    # One target edit: the cache patches the (reweighted) parent, and
+    # the patched artifact walks the same kind of chain.
+    edited = selection.apply(RemoveTargetTuple(sorted(selection.target, key=repr)[-1]))
+    patched = cache.grounded(edited, CollectiveSettings())
+    assert cache.patch_hits == 1 and patched.splice_stats is not None
+    _walk_reweight_chain(patched, _latin_square_cells(seed=4))
+
+    # A zero-crossing cell changes the structure, so neither artifact
+    # reweights: the root grounds fresh, the edit is patched again.
+    zero = ObjectiveWeights(Fraction(1), Fraction(0), Fraction(1))
+    assert not base.can_reweight(zero) and not patched.can_reweight(zero)
+    for problem, patch_hits in ((root, 1), (edited, 2)):
+        misses = cache.misses
+        served = cache.grounded(problem, CollectiveSettings(weights=zero))
+        assert served is not base and served is not patched
+        assert cache.misses == misses + 1 and cache.patch_hits == patch_hits
+        fresh = GroundedCollective(problem, CollectiveSettings(weights=zero))
+        assert mrf_fingerprint(served.mrf) == mrf_fingerprint(fresh.mrf)

@@ -54,8 +54,8 @@ def _assert_identical(serial: HingeLossMRF, sharded: HingeLossMRF) -> None:
         assert serial.max_violation(x) == sharded.max_violation(x)
 
 
-# A hand-written program: (kind, coefficients, offset, weight, group)
-# terms over open ``votes`` atoms.  ``influence`` is the ground form of
+# A hand-written program: (kind, coefficients, offset, weight) terms
+# over open ``votes`` atoms.  ``influence`` is the ground form of
 # friend(A, B) & votes(A, P) -> votes(B, P) with ``friend`` observed;
 # the constraints are the hard rule votes(A, "l") -> votes(A, "r") plus
 # a raw linear constraint.
@@ -70,14 +70,14 @@ def _sample_program(influence_weight: float = 0.5) -> tuple[list, list]:
     for (a, b), truth in friends.items():
         for party in ("l", "r"):
             coefficients = [(VOTES(a, party), 1.0), (VOTES(b, party), -1.0)]
-            terms.append(("hinge", coefficients, truth - 1.0, influence_weight, "influence"))
+            terms.append(("hinge", coefficients, truth - 1.0, influence_weight))
     for who in "abc":
         coefficients = [(VOTES(who, "l"), 1.0), (VOTES(who, "r"), -1.0)]
-        terms.append(("leq", coefficients, 0.0, 0.0, None))
+        terms.append(("leq", coefficients, 0.0, 0.0))
     terms += [
-        ("hinge", [(VOTES("a", "l"), 1.0)], -0.5, 2.0, "raw"),
-        ("hinge", [(VOTES("b", "l"), 1.0), (VOTES("b", "r"), 0.5)], -0.25, 1.0, "raw"),
-        ("leq", [(VOTES("a", "l"), 1.0), (VOTES("a", "r"), 1.0)], -1.0, 0.0, None),
+        ("hinge", [(VOTES("a", "l"), 1.0)], -0.5, 2.0),
+        ("hinge", [(VOTES("b", "l"), 1.0), (VOTES("b", "r"), 0.5)], -0.25, 1.0),
+        ("leq", [(VOTES("a", "l"), 1.0), (VOTES("a", "r"), 1.0)], -1.0, 0.0),
     ]
     return targets, terms
 
@@ -91,9 +91,9 @@ class TermListShard:
 
     def build(self) -> ShardResult:
         builder = TermBlockBuilder()
-        for kind, coefficients, offset, weight, group in self.terms:
+        for kind, coefficients, offset, weight in self.terms:
             if kind == "hinge":
-                builder.add_potential(coefficients, offset, weight, group=group)
+                builder.add_potential(coefficients, offset, weight)
             else:
                 builder.add_constraint(coefficients, offset)
         atoms, block = builder.finish()
@@ -104,9 +104,9 @@ def _ground_serial(targets, terms) -> HingeLossMRF:
     mrf = HingeLossMRF()
     for atom in targets:
         mrf.variable_index(atom)
-    for kind, coefficients, offset, weight, group in terms:
+    for kind, coefficients, offset, weight in terms:
         if kind == "hinge":
-            mrf.add_potential(dict(coefficients), offset, weight, group=group)
+            mrf.add_potential(dict(coefficients), offset, weight)
         else:
             mrf.add_constraint(dict(coefficients), offset)
     return mrf
@@ -273,38 +273,37 @@ def test_structure_fingerprint_weight_independent_for_rule_overrides():
 
 
 def test_structure_fingerprint_agrees_on_zero_weight_rules():
-    # A zero-weight group contributes no potentials, but a merged block
-    # must still leave the group registry (intern order and the
-    # zero-dropped marker) the term-by-term calls leave, or equal models
-    # would miss the structure cache — and a later reweight of the
-    # dropped group must raise on both paths.
-    terms = [([(X(0), 1.0)], 0.0, 0.0, "off"), ([(X(0), -1.0)], 1.0, 1.0, "on")]
+    # A zero-weight potential is dropped by the merged block exactly as
+    # by the term-by-term calls, and on both paths its weight has no
+    # slot a reweight could bring back.
+    terms = [([(X(0), 1.0)], 0.0, 0.0), ([(X(0), -1.0)], 1.0, 1.0)]
     serial = HingeLossMRF()
     serial.variable_index(X(0))
     builder = TermBlockBuilder()
-    for coefficients, offset, weight, group in terms:
-        serial.add_potential(dict(coefficients), offset, weight, group=group)
-        builder.add_potential(coefficients, offset, weight, group=group)
+    for coefficients, offset, weight in terms:
+        serial.add_potential(dict(coefficients), offset, weight)
+        builder.add_potential(coefficients, offset, weight)
     sharded = HingeLossMRF()
     sharded.variable_index(X(0))
     sharded.add_term_block(*builder.finish())
     assert structure_fingerprint(serial) == structure_fingerprint(sharded)
-    assert serial.group_keys == sharded.group_keys == ("off", "on")
+    assert mrf_fingerprint(serial) == mrf_fingerprint(sharded)
     for mrf in (serial, sharded):
+        assert list(mrf.potential_weights()) == [1.0]
         with pytest.raises(InferenceError):
-            mrf.set_group_weights({"off": 1.0})
+            mrf.set_potential_weights([1.0, 1.0])
 
 
 def test_structure_fingerprint_sees_structural_changes():
     a = HingeLossMRF()
     a.variable_index(X(0))
-    a.add_potential({X(0): 1.0}, 0.0, weight=1.0, group="g")
+    a.add_potential({X(0): 1.0}, 0.0, weight=1.0)
     b = HingeLossMRF()
     b.variable_index(X(0))
-    b.add_potential({X(0): 1.0}, 0.5, weight=1.0, group="g")  # offset differs
+    b.add_potential({X(0): 1.0}, 0.5, weight=1.0)  # offset differs
     c = HingeLossMRF()
     c.variable_index(X(0))
-    c.add_potential({X(0): 1.0}, 0.0, weight=1.0, group="other")  # group differs
+    c.add_potential({X(0): 2.0}, 0.0, weight=1.0)  # coefficient differs
     assert structure_fingerprint(a) != structure_fingerprint(b)
     assert structure_fingerprint(a) != structure_fingerprint(c)
 
@@ -324,7 +323,7 @@ def test_sharded_ground_deterministic_with_repr_colliding_constants():
     # of p(X) -> q(X) must keep them apart and in the same order.
     q = Predicate("q", 1)
     targets = [q(const) for const in (1, "1", 2, "2")]
-    terms = [("hinge", [(atom, -1.0)], 1.0, 1.0, "rule") for atom in targets]
+    terms = [("hinge", [(atom, -1.0)], 1.0, 1.0) for atom in targets]
     serial = _ground_serial(targets, terms)
     assert serial.num_variables == 4
     for executor in EXECUTORS:

@@ -112,6 +112,31 @@ def test_problem_fingerprint_is_pinned(primitives, noise):
     assert digest == PINNED_FINGERPRINTS[primitives, noise]
 
 
+def test_handed_chase_is_used_only_for_its_own_candidate(monkeypatch):
+    from repro.selection import metrics
+    from repro.selection.metrics import chase_candidate, problem_fingerprint
+
+    ex = paper_example(extra_projects=2)
+    candidates = ex.candidates
+    assert len(candidates) >= 2
+    # Index 0 is handed the chase of another candidate: it must be
+    # chased again; index 1 is handed its own and must not be.
+    chases = {0: chase_candidate(ex.source, candidates[1]),
+              1: chase_candidate(ex.source, candidates[1])}
+    chased = []
+
+    def counting(source, candidate):
+        chased.append(candidate)
+        return chase_candidate(source, candidate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "chase_candidate", counting)
+        problem = build_selection_problem(ex.source, ex.target, candidates, chases=chases)
+    assert chased == [c for i, c in enumerate(candidates) if i != 1]
+    scratch = build_selection_problem(ex.source, ex.target, candidates)
+    assert problem_fingerprint(problem) == problem_fingerprint(scratch)
+
+
 class TestScenarioSelectionProblem:
     """``Scenario.selection_problem()`` reuses generation's chases, and only
     while they are chases of the scenario's current source."""

@@ -166,3 +166,22 @@ def test_chain_rejects_negative_steps(capsys):
         main(["chain", "--steps", "-3"])
     assert excinfo.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1,-1,1", "must be non-negative"),
+        ("1,1", "expected explains,errors,size"),
+        ("1,x,1", "Invalid literal"),
+        ("1/0,1,1", "bad weight setting"),
+    ],
+)
+def test_weight_sweep_rejects_bad_grid_as_usage_error(spec, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["weight-sweep", "--grid", spec])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "repro weight-sweep: error: argument --grid: " in err
+    assert message in err
+    assert "Traceback" not in err
