@@ -2,8 +2,8 @@
 
 Since the engine refactor this is a thin shim over
 :class:`repro.evaluation.engine.EvaluationEngine`: the engine caches
-scenarios, chains ADMM warm starts across sweep points, and can fan grid
-cells out over a process pool; this module keeps the figure-facing
+scenarios, solves every sweep point cold, and can fan grid cells out
+over a process pool; this module keeps the figure-facing
 ``(rows, table_text)`` contract the bench files consume.
 """
 

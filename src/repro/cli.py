@@ -6,8 +6,8 @@ Commands:
 * ``select``   — load a scenario JSON, run a selection method, report quality;
 * ``sweep``    — quality-vs-noise sweep printed as a table;
 * ``weight-sweep`` — objective-weight sweep on a fixed scenario (the
-  ground-once/reweight-many path: one grounding per lane, every further
-  cell reweights and re-solves);
+  ground-once/reweight-many path: one grounding per seed, every further
+  cell reweights and re-solves cold);
 * ``chain``    — replay a tuple-edit mutation chain with incremental
   (delta) grounding (docs/incremental.md): each revision patches the
   previous one's compiled structure instead of re-grounding;
@@ -126,13 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="entries per grounding shard (default: sharding module default)",
     )
     sweep.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="solve every sweep cell cold instead of chaining ADMM warm starts "
-        "(chaining runs parallel grids as per-seed waves, so with few seeds "
-        "and many workers cold grids expose more parallelism)",
-    )
-    sweep.add_argument(
         "--no-incremental",
         action="store_true",
         help="disable incremental (delta) grounding for collective cells",
@@ -146,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     weight_sweep = sub.add_parser(
         "weight-sweep",
         help="objective-weight sweep on a fixed scenario (reweight + re-solve, "
-        "one grounding per lane)",
+        "one grounding per seed)",
     )
     weight_sweep.add_argument("--primitives", type=int, default=4)
     weight_sweep.add_argument("--rows", type=int, default=12)
@@ -166,11 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="where grid cells run: serial or process[:N] (one worker "
         "pool per grid run)",
-    )
-    weight_sweep.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="solve every cell cold instead of chaining ADMM warm starts",
     )
     weight_sweep.add_argument(
         "--timing",
@@ -368,7 +356,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     engine = EvaluationEngine(
         methods=DEFAULT_GRID_METHODS,
         executor=args.executor,
-        warm_start=not args.no_warm_start,
         ground_shard_size=args.ground_shard_size,
         incremental=not args.no_incremental,
     )
@@ -404,11 +391,7 @@ def _cmd_weight_sweep(args: argparse.Namespace) -> int:
         pi_corresp=args.pi_corresp,
         pi_errors=args.pi_errors,
     )
-    engine = EvaluationEngine(
-        methods=DEFAULT_GRID_METHODS,
-        executor=args.executor,
-        warm_start=not args.no_warm_start,
-    )
+    engine = EvaluationEngine(methods=DEFAULT_GRID_METHODS, executor=args.executor)
     sweep = engine.weight_sweep(base, args.grid, args.seeds)
     columns = [*DEFAULT_GRID_METHODS, "gold"]
     print(

@@ -50,7 +50,6 @@ from repro.psl import AdmmSettings
 from repro.selection.weight_learning import learn_weights, training_pairs_from_scenarios
 from repro.selection import (
     CollectiveSettings,
-    CollectiveWarmPayload,
     WarmStartedCollective,
     preprocess,
     problem_fingerprint,
@@ -86,7 +85,6 @@ __all__ = [
     "PrecisionRecall",
     "Relation",
     "ScenarioCache",
-    "CollectiveWarmPayload",
     "WarmStartedCollective",
     "ScenarioConfig",
     "Schema",

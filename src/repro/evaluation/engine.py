@@ -21,13 +21,8 @@ runner:
   shard granularity set by the engine's ``ground_shard_size`` knob;
 * **per-cell timing** — every :class:`GridCell` records scenario
   generation, problem build, and solve time separately;
-* **warm starting** — the collective method chains ADMM warm starts
-  across the cells of a sweep lane (one lane per seed) via
-  :class:`~repro.selection.collective.WarmStartedCollective`; serial
-  runs keep one solver per lane, parallel runs execute the lanes as
-  waves and ship each cell's chained state
-  (:class:`~repro.selection.collective.CollectiveWarmPayload`) to the
-  lane's next cell inside the work unit.
+* **cold cells** — every cell solves cold, so no cell's answer depends
+  on which cells ran before it or on which process ran it.
 
 :func:`repro.evaluation.harness.run_methods`, the CLI ``sweep``/``select``
 commands, and :mod:`benchmarks.sweeps` all sit on top of this module.
@@ -47,12 +42,7 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.ibench.scenario import Scenario
 from repro.selection.baselines import select_all, solve_independent
-from repro.selection.collective import (
-    CollectiveSettings,
-    CollectiveWarmPayload,
-    WarmStartedCollective,
-    solve_collective,
-)
+from repro.selection.collective import CollectiveSettings, solve_collective
 from repro.selection.exact import SelectionResult, solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import SelectionProblem
@@ -152,17 +142,12 @@ class ConfigCells:
 
     ``collective_settings`` configures the collective solver (grounding
     shard size, ADMM settings, weights…) wherever the unit runs.
-    ``warm_payload`` carries the previous lane cell's chained collective
-    warm-start state (fractional vectors + full ADMM state) into the
-    executing process — the engine's wave scheduler sets it so
-    process-pool grids warm-start exactly like serial ones.
     """
 
     config: ScenarioConfig
     methods: tuple[str, ...]
     include_gold: bool = False
     collective_settings: CollectiveSettings | None = None
-    warm_payload: CollectiveWarmPayload | None = None
 
     def __call__(self) -> list[GridCell]:
         return evaluate_config_cells(self)
@@ -229,29 +214,20 @@ def run_scenario(
 
 
 def evaluate_config_cells(
-    work: ConfigCells,
-    cache: ScenarioCache | None = None,
-    solvers: Mapping[str, Solver] | None = None,
+    work: ConfigCells, cache: ScenarioCache | None = None
 ) -> list[GridCell]:
-    """Evaluate one config's cells (the worker-side entry point).
-
-    *solvers* overrides registry lookups per method name — the hook the
-    serial path uses to substitute warm-started solver instances.
-    """
+    """Evaluate one config's cells (the worker-side entry point)."""
     cache = cache if cache is not None else _PROCESS_CACHE
     unknown = [m for m in work.methods if m not in METHOD_REGISTRY]
     if unknown:
         raise ReproError(f"unknown methods {unknown}; known: {sorted(METHOD_REGISTRY)}")
     scenario, generate_seconds = cache.scenario(work.config)
     problem, problem_seconds = cache.problem(work.config)
-    methods: dict[str, Solver] = {}
-    for m in work.methods:
-        solver = (solvers or {}).get(m)
-        if solver is None:
-            solver = METHOD_REGISTRY[m]
-            if m == "collective" and work.collective_settings is not None:
-                solver = partial(solve_collective, settings=work.collective_settings)
-        methods[m] = solver
+    methods = {m: METHOD_REGISTRY[m] for m in work.methods}
+    if "collective" in methods and work.collective_settings is not None:
+        methods["collective"] = partial(
+            solve_collective, settings=work.collective_settings
+        )
     return run_scenario(
         scenario,
         methods,
@@ -266,21 +242,6 @@ def evaluate_config_cells(
 def _run_work_unit(work: ConfigCells) -> list[GridCell]:
     """Module-level adapter so the process pool can pickle the job."""
     return evaluate_config_cells(work)
-
-
-def _run_warm_work_unit(
-    work: ConfigCells,
-) -> tuple[list[GridCell], CollectiveWarmPayload | None]:
-    """One lane step: run the cells warm-started from the shipped payload.
-
-    Reconstructs a :class:`WarmStartedCollective` from the work unit's
-    ``warm_payload``, runs the cells, and returns the solver's new
-    payload (None after an unconverged solve — the chain-reset rule) so
-    the engine can thread it into the lane's next wave.
-    """
-    solver = WarmStartedCollective(work.collective_settings, payload=work.warm_payload)
-    cells = evaluate_config_cells(work, solvers={"collective": solver})
-    return cells, solver.payload
 
 
 @dataclass
@@ -345,17 +306,6 @@ class EvaluationEngine:
             grid run and shut down before it returns.  Anything else
             raises :class:`~repro.errors.ReproError`.
         include_gold: add the gold-reference row per scenario.
-        warm_start: chain ADMM warm starts for the collective method
-            across a seed's cells.  Serial grids keep one
-            :class:`WarmStartedCollective` per lane; parallel grids run
-            the lanes as waves, shipping each cell's chained state to
-            the next cell inside the work unit, so both paths produce
-            the same warm-started solves.  Chaining is inherently
-            sequential within a lane, so waves bound concurrency by the
-            number of lanes (seeds) and pay one pool dispatch per
-            wave — with few seeds and many workers, a cold grid
-            (``warm_start=False``) exposes more parallelism at the cost
-            of cold solves.
         cache: scenario cache for the serial path; defaults to a fresh
             private cache.
         ground_shard_size: entries per grounding shard (``None`` → the
@@ -374,7 +324,6 @@ class EvaluationEngine:
         methods: Sequence[str] | None = None,
         executor: str | None = None,
         include_gold: bool = True,
-        warm_start: bool = True,
         cache: ScenarioCache | None = None,
         ground_shard_size: int | None = None,
         incremental: bool = True,
@@ -382,7 +331,6 @@ class EvaluationEngine:
         self.methods = tuple(methods if methods is not None else DEFAULT_GRID_METHODS)
         self.workers = parse_executor_spec(executor)
         self.include_gold = include_gold
-        self.warm_start = warm_start
         self.cache = cache if cache is not None else ScenarioCache()
         self.incremental = bool(incremental)
         self.collective_settings: CollectiveSettings | None = None
@@ -403,76 +351,20 @@ class EvaluationEngine:
             )
             for config in configs
         ]
-        return GridResult(self._execute_jobs(jobs))
+        cells = [cell for group in self._execute_jobs(jobs) for cell in group]
+        return GridResult(cells)
 
-    def _execute_jobs(self, jobs: Sequence[ConfigCells]) -> list[GridCell]:
+    def _execute_jobs(self, jobs: Sequence[ConfigCells]) -> list[list[GridCell]]:
+        """Each job's cells, in job order."""
         if self.workers is None:
-            return self._run_serial(jobs)
+            return [evaluate_config_cells(job, cache=self.cache) for job in jobs]
         # One pool per grid run: the ``with`` block shuts it down (and
         # joins its workers) before returning, even when a cell raises.
         # The platform's default start method is kept on purpose: spawn
         # re-imports the package in every worker and made an 8-primitive
         # sweep about 0.8 s slower on 2 CPUs.
         with ProcessPoolExecutor(self.workers) as pool:
-            if self.warm_start and "collective" in self.methods:
-                return self._run_waves(pool, jobs)
-            nested = pool.map(_run_work_unit, jobs)
-            return [cell for group in nested for cell in group]
-
-    def _run_waves(
-        self, pool: ProcessPoolExecutor, jobs: Sequence[ConfigCells]
-    ) -> list[GridCell]:
-        # Parallel grids with warm starts: cells of one lane (seed) must
-        # run in order so each can chain the previous solve's state, but
-        # lanes are independent — so run the grid as waves, one cell per
-        # lane at a time, shipping each lane's CollectiveWarmPayload into
-        # its next work unit.  Per-lane results are identical to the
-        # serial path's because the payload *is* the chained state.
-        lanes: dict[int, list[int]] = {}
-        for position, job in enumerate(jobs):
-            lanes.setdefault(job.config.seed, []).append(position)
-        payloads: dict[int, CollectiveWarmPayload | None] = {}
-        groups: list[list[GridCell] | None] = [None] * len(jobs)
-        depth = max((len(positions) for positions in lanes.values()), default=0)
-        for step in range(depth):
-            wave = [
-                (seed, positions[step])
-                for seed, positions in lanes.items()
-                if len(positions) > step
-            ]
-            wave_jobs = [
-                replace(jobs[position], warm_payload=payloads.get(seed))
-                for seed, position in wave
-            ]
-            results = pool.map(_run_warm_work_unit, wave_jobs)
-            for (seed, position), (cells, payload) in zip(wave, results):
-                groups[position] = cells
-                payloads[seed] = payload
-        return [cell for group in groups if group is not None for cell in group]
-
-    def _run_serial(self, jobs: Sequence[ConfigCells]) -> list[GridCell]:
-        # One warm-start lane per (method, seed): successive levels of a
-        # sweep re-solve a near-identical relaxation, so the previous
-        # fractional optimum is an excellent ADMM starting point.  Lanes
-        # chain CollectiveWarmPayload batons (like the wave path) rather
-        # than one long-lived solver instance, so per-job settings — a
-        # weight sweep gives every cell its own weights — are honoured
-        # cell by cell.
-        lanes: dict[tuple[str, int], CollectiveWarmPayload | None] = {}
-        cells: list[GridCell] = []
-        for job in jobs:
-            solvers: dict[str, Solver] = {}
-            lane_solver: WarmStartedCollective | None = None
-            key = ("collective", job.config.seed)
-            if self.warm_start and "collective" in job.methods:
-                lane_solver = WarmStartedCollective(
-                    job.collective_settings, payload=lanes.get(key)
-                )
-                solvers["collective"] = lane_solver
-            cells.extend(evaluate_config_cells(job, cache=self.cache, solvers=solvers))
-            if lane_solver is not None:
-                lanes[key] = lane_solver.payload
-        return cells
+            return list(pool.map(_run_work_unit, jobs))
 
     def sweep(
         self,
@@ -505,15 +397,17 @@ class EvaluationEngine:
     ) -> "WeightSweepResult":
         """Sweep the objective weights on a *fixed* scenario structure.
 
-        Every cell of one seed's lane re-solves the **same** selection
-        problem under different :class:`~repro.selection.objective.
+        Every cell of one seed re-solves the **same** selection problem
+        under different :class:`~repro.selection.objective.
         ObjectiveWeights`.  The scenario/problem come from the scenario
         cache and the collective method's grounding from the per-process
-        :data:`~repro.selection.collective.GROUNDING_CACHE`, so after a
-        lane's first cell each further cell only *reweights* the cached
-        ground structure and re-solves (warm-started, when enabled) —
-        no re-generation, no re-chase, no re-ground.  Results are
-        bit-identical to grounding each cell from scratch.
+        :data:`~repro.selection.collective.GROUNDING_CACHE`.  Jobs run
+        seed-major, so after a seed's first cell each further cell only
+        *reweights* the cached ground structure and re-solves cold — no
+        re-generation, no re-chase, no re-ground.  Results are
+        bit-identical to grounding each cell from scratch, and the
+        returned cells are weight-setting-major (see
+        :class:`WeightSweepResult`).
 
         Note the gold reference row (``include_gold``) is scored at the
         default objective weights, like everywhere else in the engine.
@@ -523,17 +417,25 @@ class EvaluationEngine:
             if self.collective_settings is not None
             else CollectiveSettings()
         )
+        # Seed-major, so the grounding cache holds each seed's problem
+        # while all of its weight settings run.
+        order = [(w, s) for s in range(len(seeds)) for w in range(len(weight_grid))]
         jobs = [
             ConfigCells(
-                replace(base, seed=seed),
+                replace(base, seed=seeds[s]),
                 self.methods,
                 include_gold=self.include_gold,
-                collective_settings=replace(base_settings, weights=weights),
+                collective_settings=replace(base_settings, weights=weight_grid[w]),
             )
-            for weights in weight_grid
-            for seed in seeds
+            for w, s in order
         ]
-        cells = self._execute_jobs(jobs)
+        by_job = dict(zip(order, self._execute_jobs(jobs)))
+        cells = [
+            cell
+            for w in range(len(weight_grid))
+            for s in range(len(seeds))
+            for cell in by_job[w, s]
+        ]
         return WeightSweepResult(
             weight_grid=tuple(weight_grid),
             seeds=tuple(seeds),
@@ -578,9 +480,10 @@ def weights_label(weights: ObjectiveWeights) -> str:
 class WeightSweepResult:
     """A weight sweep's cells plus per-weight-setting aggregation.
 
-    The grid's cells arrive in job order — ``cells_per_job`` consecutive
-    cells per (weight setting × seed) job, weight-setting-major — which
-    is what :meth:`cells_by_weight` slices on (scenario configs alone
+    The grid holds ``cells_per_job`` consecutive cells per (weight
+    setting × seed) job, weight-setting-major (the engine runs the jobs
+    seed-major and reorders them), which is what :meth:`cells_by_weight`
+    slices on (scenario configs alone
     cannot distinguish weight settings: the whole point of the sweep is
     that the scenario is fixed).
     """

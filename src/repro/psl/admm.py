@@ -81,20 +81,16 @@ class AdmmSettings:
 class AdmmWarmState:
     """Full ADMM state (consensus vector + local duals) for warm restarts.
 
-    Primal-only warm starts barely help consensus ADMM: with the duals
-    reset to zero the solver spends nearly the full iteration budget
-    re-building them even when started at the optimum.  Carrying ``u``
-    alongside ``z`` is what makes re-solves of the same (or a slightly
-    perturbed) problem fast.  The state is only meaningful for an MRF
-    with the same grounding structure; :meth:`AdmmSolver.solve` ignores
-    a state that fails :meth:`matches`.
+    A previous solve's :attr:`AdmmResult.state`, handed back to
+    :meth:`AdmmSolver.solve` to resume from it after a reweight.  The
+    state is only meaningful for an MRF with the same grounding
+    structure; :meth:`AdmmSolver.solve` ignores a state that fails
+    :meth:`matches` and starts cold.
 
-    ``num_terms`` records the term count of the producing MRF.  The dual
-    vector's layout is the flat copy order — independent of the
-    grounding shard size — so a state survives a re-ground at another
-    shard size; what it must *not* survive is a structurally different
-    MRF that happens to match on raw array shapes, which the term count
-    rejects.
+    ``num_terms`` is the term count of the producing MRF, checked
+    beside the two array lengths.  The dual vector's layout is the flat
+    copy order, which the grounding shard size never changes, so a
+    state survives a re-ground at another shard size.
     """
 
     z: np.ndarray
@@ -260,37 +256,28 @@ class AdmmSolver:
         """The local step compiled for one solve at the current weights."""
         return _LocalStep(self._arrays, rho)
 
-    def solve(
-        self,
-        warm_start: np.ndarray | None = None,
-        warm_state: AdmmWarmState | None = None,
-    ) -> AdmmResult:
+    def solve(self, warm_state: AdmmWarmState | None = None) -> AdmmResult:
         """Run ADMM to convergence (or the iteration cap).
 
-        *warm_start* seeds only the consensus vector; *warm_state* (from a
-        previous :attr:`AdmmResult.state`) additionally restores the local
-        duals and takes precedence when it structurally matches this
-        problem (see :meth:`AdmmWarmState.matches`).  Weights are the
-        MRF's current ones: reweight it first, and a solve with
+        *warm_state* (from a previous :attr:`AdmmResult.state`) restores
+        the consensus vector and the local duals when it structurally
+        matches this problem (see :meth:`AdmmWarmState.matches`); a
+        state that does not match is ignored and the solve starts cold,
+        and a matching one that is not finite raises
+        :class:`~repro.errors.InferenceError` before iterating.  Weights
+        are the MRF's current ones: reweight it first, and a solve with
         *warm_state* from the previous one is the fast path of iterative
         reweighting — same compiled arrays, a handful of warm iterations.
         """
         settings = self._settings
         arrays = self._arrays
         n, copies = arrays.num_variables, arrays.num_copies
-        if warm_start is not None:
-            warm_start = np.asarray(warm_start, dtype=np.float64)
-            if warm_start.shape != (n,):
-                raise InferenceError(
-                    f"warm_start must have shape ({n},), got {warm_start.shape}"
-                )
-            if not np.isfinite(warm_start).all():
-                raise InferenceError("warm_start must be finite")
         use_state = warm_state is not None and warm_state.matches(arrays)
         if use_state:
+            finite = np.isfinite(warm_state.z).all() and np.isfinite(warm_state.u).all()
+            if not finite:
+                raise InferenceError("warm_state must be finite")
             z = np.clip(warm_state.z.astype(np.float64), 0.0, 1.0)
-        elif warm_start is not None:
-            z = np.clip(warm_start, 0.0, 1.0)
         else:
             z = np.full(n, 0.5)
         if copies == 0:

@@ -13,7 +13,6 @@ from repro.selection.collective import (
     GroundedCollective,
     CollectiveResult,
     CollectiveSettings,
-    CollectiveWarmPayload,
     WarmStartedCollective,
     ground_collective,
     plan_collective_grounding,
@@ -62,7 +61,6 @@ __all__ = [
     "CollectivePlan",
     "CollectiveResult",
     "CollectiveSettings",
-    "CollectiveWarmPayload",
     "GroundedCollective",
     "DEFAULT_WEIGHTS",
     "IncrementalObjective",

@@ -54,7 +54,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -127,14 +126,13 @@ class CollectiveSettings:
 class CollectiveResult(SelectionResult):
     """Selection plus the relaxation's fractional state and diagnostics.
 
-    ``fractional`` holds the ``in`` memberships by candidate index;
-    ``fractional_aux`` the ``explained``/``errorOf`` atom values keyed by
-    ``(predicate name, index)`` — the payload that lets warm starts seed
-    *all* atoms of the next solve, not just the memberships.
+    ``fractional`` holds the ``in`` memberships by candidate index, the
+    values rounding reads.  ``admm_state`` is the solve's full ADMM
+    state, which a weight-only re-solve of the same artifact can resume
+    from (``solve_collective(warm_state=)``).
     """
 
     fractional: dict[int, float] = field(default_factory=dict)
-    fractional_aux: dict[tuple[str, int], float] = field(default_factory=dict)
     iterations: int = 0
     converged: bool = True
     num_potentials: int = 0
@@ -296,43 +294,30 @@ class CollectivePlan:
 
 @dataclass(frozen=True)
 class PlanReadout:
-    """A plan's atoms resolved to their MRF variable indices.
+    """A plan's ``in`` atoms resolved to their MRF variable indices.
 
     Built once per (mrf, plan) — :attr:`GroundedCollective.readout`
-    caches it on the artifact — so a solve reads its fractional values
-    with two gathers instead of one ``index_of`` per atom.  Keys keep
-    the plan's dict order: ``in`` atoms by candidate, then ``explained``
-    and ``errorOf`` atoms as ``(predicate name, index)``.
+    caches it on the artifact — so a solve reads its memberships with
+    one gather instead of one ``index_of`` per atom.  Keys keep the
+    plan's candidate order.
     """
 
     in_keys: tuple[int, ...]
     in_index: np.ndarray
-    aux_keys: tuple[tuple[str, int], ...]
-    aux_index: np.ndarray
 
     @classmethod
     def resolve(cls, mrf: HingeLossMRF, plan: CollectivePlan) -> PlanReadout:
-        aux = [
-            ((EXPLAINED_PREDICATE.name, t), atom)
-            for t, atom in plan.explained_atoms.items()
-        ] + [((ERROR_PREDICATE.name, e), atom) for e, atom in plan.error_atoms.items()]
+        atoms = plan.in_atoms
         return cls(
-            in_keys=tuple(plan.in_atoms),
-            in_index=_atom_indices(mrf, plan.in_atoms.values(), len(plan.in_atoms)),
-            aux_keys=tuple(key for key, _ in aux),
-            aux_index=_atom_indices(mrf, (atom for _, atom in aux), len(aux)),
+            in_keys=tuple(atoms),
+            in_index=np.fromiter(
+                map(mrf.index_of, atoms.values()), dtype=np.int64, count=len(atoms)
+            ),
         )
 
-    def fractional(self, x: np.ndarray) -> tuple[dict, dict]:
-        """*x*'s ``in`` and auxiliary values, keyed like the plan."""
-        return (
-            dict(zip(self.in_keys, x[self.in_index].tolist())),
-            dict(zip(self.aux_keys, x[self.aux_index].tolist())),
-        )
-
-
-def _atom_indices(mrf: HingeLossMRF, atoms, count: int) -> np.ndarray:
-    return np.fromiter(map(mrf.index_of, atoms), dtype=np.int64, count=count)
+    def fractional(self, x: np.ndarray) -> dict[int, float]:
+        """*x*'s ``in`` values, keyed by candidate index."""
+        return dict(zip(self.in_keys, x[self.in_index].tolist()))
 
 
 def plan_collective_grounding(
@@ -768,9 +753,7 @@ GROUNDING_CACHE = CollectiveGroundingCache()
 def solve_collective(
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
-    warm_start: Mapping[int, float] | None = None,
     warm_state: AdmmWarmState | None = None,
-    warm_start_aux: Mapping[tuple[str, int], float] | None = None,
     grounded: GroundedCollective | None = None,
 ) -> CollectiveResult:
     """Run the paper's pipeline: relax, infer with ADMM, round, score.
@@ -779,7 +762,7 @@ def solve_collective(
     calling thread — so the peak working set of a ground is one shard.
     The grounding is served from the per-process
     :data:`GROUNDING_CACHE`: a repeated solve of the same problem
-    structure (e.g. the cells of a weight-sweep lane) only *reweights*
+    structure (e.g. the cells of a weight sweep) only *reweights*
     the cached :class:`GroundedCollective` and re-solves on its compiled
     ADMM arrays — bit-identical to re-grounding, minus the grounding.
     Pass *grounded* to manage the artifact explicitly (it must be
@@ -787,19 +770,14 @@ def solve_collective(
     ``grounded=GroundedCollective(problem, settings)`` forces a fresh
     ground.
 
-    *warm_start* maps candidate indices to fractional memberships from a
-    previous solve (e.g. the neighbouring point of a parameter sweep);
-    *warm_start_aux* seeds the auxiliary ``explained``/``errorOf`` atoms
-    by ``(predicate name, index)`` the same way.  The ADMM consensus
-    vector starts from those values instead of 0.5.  *warm_state*
-    restores the previous solve's full ADMM state (consensus + duals)
-    and is what actually cuts iterations when the grounding structure is
-    unchanged, e.g. across weight-only re-solves; it is ignored (shape
-    check) when the structure differs.  The relaxation is convex, so
-    *converged* solves reach the same optimum from any start; if ADMM
-    exits at the iteration cap the truncated iterate does depend on the
-    start (check ``CollectiveResult.converged``).  Indices unknown to
-    this problem are ignored.
+    Every solve starts cold unless handed *warm_state*, a previous
+    solve's :attr:`CollectiveResult.admm_state`: ADMM then resumes from
+    that consensus vector and those duals, which cuts iterations when
+    only the weights changed.  A state of another grounding structure is
+    ignored (shape check).  The relaxation is convex, so *converged*
+    solves reach the same optimum from any start, up to the solver's
+    tolerance; if ADMM exits at the iteration cap the truncated iterate
+    does depend on the start (check ``CollectiveResult.converged``).
     """
     settings = settings or CollectiveSettings()
     if grounded is None:
@@ -811,29 +789,9 @@ def solve_collective(
         )
     else:
         grounded.reweight(settings.weights)
-    mrf, plan, stats = grounded.mrf, grounded.plan, grounded.stats
-    solver = grounded.solver_for(settings.admm)
-    start = None
-    # A structurally matching *warm_state* takes precedence and the solver
-    # ignores *start*, so it is only built when it can seed the solve.
-    seeds = warm_state is None or not warm_state.matches(solver.arrays)
-    if seeds and (warm_start or warm_start_aux):
-        start = np.full(mrf.num_variables, 0.5)
-        for i, value in (warm_start or {}).items():
-            atom = plan.in_atoms.get(i)
-            if atom is not None:
-                start[mrf.index_of(atom)] = float(value)
-        aux_tables = {
-            EXPLAINED_PREDICATE.name: plan.explained_atoms,
-            ERROR_PREDICATE.name: plan.error_atoms,
-        }
-        for (kind, idx), value in (warm_start_aux or {}).items():
-            atom = aux_tables.get(kind, {}).get(idx)
-            if atom is not None:
-                start[mrf.index_of(atom)] = float(value)
-
-    inference = solver.solve(start, warm_state=warm_state)
-    fractional, fractional_aux = grounded.readout.fractional(inference.x)
+    mrf, stats = grounded.mrf, grounded.stats
+    inference = grounded.solver_for(settings.admm).solve(warm_state=warm_state)
+    fractional = grounded.readout.fractional(inference.x)
 
     discrete_objective = objective_evaluator(problem, settings.weights)
     selected = round_solution(
@@ -845,7 +803,6 @@ def solve_collective(
         selected=frozenset(selected),
         objective=discrete_objective(frozenset(selected)),
         fractional=fractional,
-        fractional_aux=fractional_aux,
         iterations=inference.iterations,
         converged=inference.converged,
         num_potentials=len(mrf.potentials),
@@ -855,98 +812,44 @@ def solve_collective(
     )
 
 
-@dataclass(frozen=True)
-class CollectiveWarmPayload:
-    """A picklable warm-start baton: one lane step's chained state.
-
-    Exactly what :class:`WarmStartedCollective` carries between calls —
-    the fractional ``in`` memberships, the auxiliary
-    ``explained``/``errorOf`` values, and the full ADMM state — packaged
-    so it can ride inside a sweep work unit to a worker process.  The
-    engine's process-pool path ships the previous cell's payload forward
-    through each lane (see ``EvaluationEngine``), which is what lets
-    process grids warm-start exactly like serial ones.
-    """
-
-    fractional: tuple[tuple[int, float], ...]
-    aux: tuple[tuple[tuple[str, int], float], ...]
-    state: AdmmWarmState | None
-
-
 class WarmStartedCollective:
-    """A collective solver that chains warm starts across successive calls.
+    """A collective solver that chains full ADMM states across calls.
 
-    Re-solving the HL-MRF at every point of a sweep (noise levels, weight
-    settings) wastes the fact that neighbouring points have near-identical
-    optima.  This callable keeps the previous call's fractional state —
-    the ``in`` memberships *and* the auxiliary ``explained``/``errorOf``
-    atom values — plus its full ADMM state (consensus + duals) and feeds
-    all of it to :func:`solve_collective` — the standard warm-start trick
-    of the surrogate-optimization literature applied across sweep points.
-    When the grounding structure is unchanged (weight-only re-solves)
-    the dual state is restored and the solver converges in a handful of
-    iterations; when it differs (noise changed the example) the solver
-    falls back to the fractional start, now covering every atom whose
-    positional key still exists rather than only the memberships.
-    Candidate and fact indices carry over positionally, so chaining is
-    most effective when successive problems share their candidate grid.
+    Each call hands the previous converged solve's
+    :attr:`CollectiveResult.admm_state` to :func:`solve_collective`, so
+    a weight-only re-solve of the same grounding resumes from its
+    consensus vector and duals instead of starting cold.  A state of
+    another grounding structure is ignored, so that call starts cold.
 
     Only *converged* solves are chained: a solve truncated at the
     iteration cap yields a start-dependent iterate, and feeding it
-    forward could make warm-started sweeps diverge from cold ones.  After
-    an unconverged solve the chain resets and the next call starts cold.
+    forward would carry that dependence on.  After an unconverged solve
+    the chain resets and the next call starts cold.
 
-    Instances satisfy the harness ``Solver`` protocol; each engine sweep
-    lane gets its own instance, so there is no cross-talk between seeds.
-    In serial grids the instance simply lives across a lane's cells; in
-    process grids each cell reconstructs one from the previous cell's
-    :attr:`payload` shipped inside the work unit — the two are
-    equivalent because the payload is the chained state, verbatim.
+    :attr:`payload` is the chained :class:`~repro.psl.admm.AdmmWarmState`
+    (``None`` when cold); a new instance built with ``payload=`` resumes
+    the chain.  The evaluation engine does not use this class: its grid
+    cells always solve cold.
     """
 
     def __init__(
         self,
         settings: CollectiveSettings | None = None,
-        payload: CollectiveWarmPayload | None = None,
+        payload: AdmmWarmState | None = None,
     ):
         self._settings = settings
-        self._previous: dict[int, float] | None = None
-        self._previous_aux: dict[tuple[str, int], float] | None = None
-        self._previous_state: AdmmWarmState | None = None
-        if payload is not None:
-            self._previous = dict(payload.fractional)
-            self._previous_aux = dict(payload.aux)
-            self._previous_state = payload.state
+        self._state = payload
 
     @property
-    def payload(self) -> CollectiveWarmPayload | None:
-        """The chained state as a shippable baton (None when cold)."""
-        if self._previous is None:
-            return None
-        return CollectiveWarmPayload(
-            fractional=tuple(self._previous.items()),
-            aux=tuple((self._previous_aux or {}).items()),
-            state=self._previous_state,
-        )
+    def payload(self) -> AdmmWarmState | None:
+        """The chained ADMM state (None when the next call starts cold)."""
+        return self._state
 
     def __call__(self, problem: SelectionProblem) -> CollectiveResult:
-        result = solve_collective(
-            problem,
-            self._settings,
-            warm_start=self._previous,
-            warm_state=self._previous_state,
-            warm_start_aux=self._previous_aux,
-        )
-        if result.converged:
-            self._previous = dict(result.fractional)
-            self._previous_aux = dict(result.fractional_aux)
-            self._previous_state = result.admm_state
-        else:
-            self.reset()
+        result = solve_collective(problem, self._settings, warm_state=self._state)
+        self._state = result.admm_state if result.converged else None
         return result
 
     def reset(self) -> None:
         """Forget the chained state (start the next call cold)."""
-        self._previous = None
-        self._previous_aux = None
-        self._previous_state = None
+        self._state = None

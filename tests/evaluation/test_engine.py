@@ -41,7 +41,7 @@ def test_scenario_cache_only_charges_first_cell():
 
 
 def test_grid_matches_run_methods():
-    engine = EvaluationEngine(methods=("greedy", "collective"), warm_start=False)
+    engine = EvaluationEngine(methods=("greedy", "collective"))
     cells = engine.run_grid([SMALL]).cells
     scenario = generate_scenario(SMALL)
     runs = run_methods(
@@ -63,36 +63,6 @@ def test_sweep_rows_shape_and_gold():
     assert all(c.run.data.f1 == pytest.approx(1.0) for c in gold_cells)
 
 
-def test_warm_start_lane_matches_cold_selection():
-    # The relaxation is convex, so warm-started sweeps must select the
-    # same mappings as cold ones.
-    warm = EvaluationEngine(methods=("collective",), warm_start=True)
-    cold = EvaluationEngine(methods=("collective",), warm_start=False)
-    base = ScenarioConfig(num_primitives=2, rows_per_relation=6)
-    a = warm.sweep(base, "pi_corresp", levels=(0, 50), seeds=(1,))
-    b = cold.sweep(base, "pi_corresp", levels=(0, 50), seeds=(1,))
-    assert [c.run.selected for c in a.grid.by_method("collective")] == [
-        c.run.selected for c in b.grid.by_method("collective")
-    ]
-
-
-def test_process_warm_start_waves_match_serial_lanes():
-    # Process-pool grids run warm-start lanes as waves, shipping each
-    # cell's chained CollectiveWarmPayload into the next work unit.  The
-    # payload IS the chained state, so the process grid must reproduce
-    # the serial warm-started grid cell for cell.
-    base = ScenarioConfig(num_primitives=2, rows_per_relation=6)
-    serial = EvaluationEngine(methods=("collective",), warm_start=True)
-    parallel = EvaluationEngine(
-        methods=("collective",), warm_start=True, executor="process:2"
-    )
-    a = serial.sweep(base, "pi_corresp", levels=(0, 50), seeds=(1, 2))
-    b = parallel.sweep(base, "pi_corresp", levels=(0, 50), seeds=(1, 2))
-    assert [(c.config, c.method, c.run.selected, c.run.objective) for c in a.grid.cells] == [
-        (c.config, c.method, c.run.selected, c.run.objective) for c in b.grid.cells
-    ]
-
-
 def _weight_grid():
     from fractions import Fraction
 
@@ -111,7 +81,7 @@ def test_weight_sweep_reweights_instead_of_regrounding():
     engine = EvaluationEngine(methods=("collective",))
     GROUNDING_CACHE.clear()
     sweep = engine.weight_sweep(base, _weight_grid(), seeds=(1,))
-    # One grounding for the lane's first cell, reweight-only for the rest.
+    # One grounding for the seed's first cell, reweight-only for the rest.
     assert GROUNDING_CACHE.misses == 1
     assert GROUNDING_CACHE.hits == len(_weight_grid()) - 1
     rows = sweep.mean_f1_rows(["collective", "gold"])
@@ -138,20 +108,13 @@ def test_weight_sweep_matches_fresh_ground_cells():
     sweep = engine.weight_sweep(base, _weight_grid(), seeds=(2,))
     scenario = generate_scenario(dc_replace(base, seed=2))
     problem = scenario.selection_problem()
-    cold = None
     for (weights, cells) in sweep.cells_by_weight():
         settings = CollectiveSettings(weights=weights)
         fresh = solve_collective(
-            problem,
-            settings,
-            grounded=GroundedCollective(problem, settings),
-            warm_start=cold.fractional if cold else None,
-            warm_state=cold.admm_state if cold else None,
-            warm_start_aux=cold.fractional_aux if cold else None,
+            problem, settings, grounded=GroundedCollective(problem, settings)
         )
         assert cells[0].run.selected == fresh.selected
         assert cells[0].run.objective == fresh.objective
-        cold = fresh
 
 
 def test_process_weight_sweep_matches_serial():
@@ -165,47 +128,73 @@ def test_process_weight_sweep_matches_serial():
     ]
 
 
-def test_warm_payload_roundtrips_through_work_units():
-    from repro.evaluation.engine import _run_warm_work_unit
-    from repro.selection.collective import WarmStartedCollective
+def test_weight_sweep_grounds_each_seed_once():
+    # Jobs run seed-major, so the two-entry grounding cache serves every
+    # cell after a seed's first, however many seeds the sweep has.
+    from repro.selection.collective import GROUNDING_CACHE
 
-    first = ConfigCells(SMALL, ("collective",))
-    cells, payload = _run_warm_work_unit(first)
-    assert cells and payload is not None
-    assert payload.state is not None  # full ADMM state rides along
-    # Seeding a fresh solver from the payload reproduces it verbatim.
-    rebuilt = WarmStartedCollective(payload=payload).payload
-    assert rebuilt is not None
-    assert dict(rebuilt.fractional) == dict(payload.fractional)
-    assert dict(rebuilt.aux) == dict(payload.aux)
-    # The second wave, warm-started from the payload, matches a serial
-    # lane's second call on the same scenario.
-    second = ConfigCells(SMALL, ("collective",), warm_payload=payload)
-    warm_cells, _ = _run_warm_work_unit(second)
-    lane = WarmStartedCollective()
-    problem = ScenarioCache().problem(SMALL)[0]
-    lane(problem)
-    expected = lane(problem)
-    assert warm_cells[0].run.selected == expected.selected
+    base = ScenarioConfig(num_primitives=2, rows_per_relation=6, pi_errors=25)
+    engine = EvaluationEngine(methods=("collective",), include_gold=False)
+    GROUNDING_CACHE.clear()
+    sweep = engine.weight_sweep(base, _weight_grid(), seeds=(1, 2, 3))
+    cells = len(sweep.grid.cells)
+    assert cells == 9
+    assert GROUNDING_CACHE.misses == 3
+    assert GROUNDING_CACHE.hits == cells - 3
+    # The result stays weight-setting-major, seeds in sweep order.
+    assert [
+        (weights, [c.config.seed for c in group])
+        for weights, group in sweep.cells_by_weight()
+    ] == [(weights, [1, 2, 3]) for weights in _weight_grid()]
+
+
+def _answers(sweep):
+    return {
+        (weights, cell.config.seed, cell.method): (cell.run.selected, cell.run.objective)
+        for weights, cells in sweep.cells_by_weight()
+        for cell in cells
+    }
+
+
+def test_weight_sweep_answers_do_not_depend_on_cell_order():
+    # Every cell solves cold, so visiting the cells in another order
+    # (and so hitting or missing the grounding cache elsewhere) cannot
+    # change any cell's selection or objective.
+    base = ScenarioConfig(num_primitives=4, rows_per_relation=8, pi_errors=25)
+    seeds = (1, 2, 3)
+    forward = EvaluationEngine(methods=("collective", "greedy")).weight_sweep(
+        base, _weight_grid(), seeds
+    )
+    backward = EvaluationEngine(methods=("collective", "greedy")).weight_sweep(
+        base, _weight_grid()[::-1], seeds[::-1]
+    )
+    assert len(_answers(forward)) == len(forward.grid.cells) == 27
+    assert _answers(forward) == _answers(backward)
+
+
+def test_collective_noise_sweep_matches_across_executors():
+    base = ScenarioConfig(num_primitives=2, rows_per_relation=6)
+    serial = EvaluationEngine(methods=("collective",))
+    parallel = EvaluationEngine(methods=("collective",), executor="process:2")
+    a = serial.sweep(base, "pi_corresp", levels=(0, 50), seeds=(1, 2))
+    b = parallel.sweep(base, "pi_corresp", levels=(0, 50), seeds=(1, 2))
+    assert [(c.config, c.method, c.run.selected, c.run.objective) for c in a.grid.cells] == [
+        (c.config, c.method, c.run.selected, c.run.objective) for c in b.grid.cells
+    ]
 
 
 def test_work_units_pickle_for_the_process_pool():
     # Grid cells are the only work a process pool ships: a work unit
-    # with tuned settings and a real warm payload must survive pickle,
-    # and both map targets must pickle by reference (module-level).
+    # with tuned settings must survive pickle, and the map target must
+    # pickle by reference (module-level).
     import pickle
-    from dataclasses import replace
     from fractions import Fraction
 
-    import numpy as np
-
-    from repro.evaluation.engine import _run_warm_work_unit, _run_work_unit
+    from repro.evaluation.engine import _run_work_unit
     from repro.psl.admm import AdmmSettings
     from repro.selection.collective import CollectiveSettings
     from repro.selection.objective import ObjectiveWeights
 
-    _, payload = _run_warm_work_unit(ConfigCells(SMALL, ("collective",)))
-    assert payload is not None and payload.state is not None
     settings = CollectiveSettings(
         weights=ObjectiveWeights(Fraction(2), Fraction(1, 2), Fraction(3)),
         admm=AdmmSettings(rho=2.0, max_iterations=700),
@@ -217,27 +206,16 @@ def test_work_units_pickle_for_the_process_pool():
         ("collective", "greedy"),
         include_gold=True,
         collective_settings=settings,
-        warm_payload=payload,
     )
     back = pickle.loads(pickle.dumps(work))
-    assert replace(back, warm_payload=None) == replace(work, warm_payload=None)
+    assert back == work
     assert back.collective_settings == settings
-    assert back.warm_payload.fractional == payload.fractional
-    assert back.warm_payload.aux == payload.aux
-    assert back.warm_payload.state.num_terms == payload.state.num_terms
-    assert np.array_equal(back.warm_payload.state.z, payload.state.z)
-    assert np.array_equal(back.warm_payload.state.u, payload.state.u)
-    for target in (_run_work_unit, _run_warm_work_unit):
-        assert pickle.loads(pickle.dumps(target)) is target
+    assert pickle.loads(pickle.dumps(_run_work_unit)) is _run_work_unit
 
 
 def test_engine_threads_solve_options_into_collective():
-    plain = EvaluationEngine(methods=("collective",), warm_start=False)
-    tuned = EvaluationEngine(
-        methods=("collective",),
-        warm_start=False,
-        ground_shard_size=8,
-    )
+    plain = EvaluationEngine(methods=("collective",))
+    tuned = EvaluationEngine(methods=("collective",), ground_shard_size=8)
     assert tuned.collective_settings.ground_shard_size == 8
     a = plain.run_grid([SMALL])
     b = tuned.run_grid([SMALL])
@@ -246,10 +224,8 @@ def test_engine_threads_solve_options_into_collective():
 
 
 def test_process_executor_grid_matches_serial():
-    serial = EvaluationEngine(methods=("greedy",), warm_start=False)
-    parallel = EvaluationEngine(
-        methods=("greedy",), executor="process:2", warm_start=False
-    )
+    serial = EvaluationEngine(methods=("greedy",))
+    parallel = EvaluationEngine(methods=("greedy",), executor="process:2")
     configs = [SMALL, ScenarioConfig(num_primitives=2, rows_per_relation=6, seed=4)]
     a = serial.run_grid(configs)
     b = parallel.run_grid(configs)
@@ -260,12 +236,8 @@ def test_process_executor_grid_matches_serial():
 
 
 def test_engine_threads_ground_options_into_collective():
-    plain = EvaluationEngine(methods=("collective",), warm_start=False)
-    sharded = EvaluationEngine(
-        methods=("collective",),
-        warm_start=False,
-        ground_shard_size=2,
-    )
+    plain = EvaluationEngine(methods=("collective",))
+    sharded = EvaluationEngine(methods=("collective",), ground_shard_size=2)
     a = plain.run_grid([SMALL])
     b = sharded.run_grid([SMALL])
     assert [c.run.selected for c in a.cells] == [c.run.selected for c in b.cells]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from repro.psl.admm import AdmmSettings, AdmmSolver
+from repro.psl.admm import AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 
@@ -16,6 +16,12 @@ def _mrf(num_vars: int) -> HingeLossMRF:
     for i in range(num_vars):
         mrf.variable_index(X(i))
     return mrf
+
+
+def _primal_state(solver: AdmmSolver, z) -> AdmmWarmState:
+    """A warm state that seeds only the consensus vector (zero duals)."""
+    arrays = solver.arrays
+    return AdmmWarmState(z, np.zeros(arrays.num_copies), arrays.num_terms)
 
 
 def test_single_hinge_pulls_variable_down():
@@ -62,7 +68,8 @@ def test_warm_start_is_used():
     mrf = _mrf(1)
     mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
     cold = AdmmSolver(mrf).solve()
-    warm = AdmmSolver(mrf).solve(warm_start=np.array([0.0]))
+    solver = AdmmSolver(mrf)
+    warm = solver.solve(warm_state=_primal_state(solver, np.array([0.0])))
     assert warm.iterations <= cold.iterations
 
 
@@ -167,17 +174,24 @@ def test_zero_tolerances_are_valid():
     ids=["short", "long", "2d", "nan", "inf", "-inf"],
 )
 def test_bad_warm_start_rejected_before_iterating(start):
-    # A wrong-length start used to fail mid-solve (IndexError or a
-    # broadcast ValueError); a non-finite one ran the whole budget and
-    # returned NaN, since np.clip keeps NaN.
+    # A wrong-shaped state is ignored, so the solve starts cold; a
+    # non-finite one raises instead of running the whole budget and
+    # returning NaN (np.clip keeps NaN).
     from repro.errors import InferenceError
 
     mrf = _mrf(3)
     mrf.add_potential({X(0): 1.0, X(1): -1.0}, 0.2, weight=2.0)
     mrf.add_constraint({X(1): 1.0, X(2): 1.0}, -1.0)
     solver = AdmmSolver(mrf)
-    with pytest.raises(InferenceError, match="warm_start"):
-        solver.solve(warm_start=start)
+    state = _primal_state(solver, start)
+    if start.shape == (mrf.num_variables,):
+        with pytest.raises(InferenceError, match="warm_state"):
+            solver.solve(warm_state=state)
+    else:
+        assert not state.matches(solver.arrays)
+        ignored, cold = solver.solve(warm_state=state), AdmmSolver(mrf).solve()
+        assert np.array_equal(ignored.x, cold.x)
+        assert ignored.iterations == cold.iterations
     # The rejected call left the solver usable.
     assert solver.solve().converged
 
@@ -186,10 +200,13 @@ def test_warm_start_accepts_any_float_sequence():
     mrf = _mrf(2)
     mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
     mrf.add_potential({X(1): -1.0}, 0.5, weight=1.0)
-    as_list = AdmmSolver(mrf).solve(warm_start=[0.0, 2.0])
-    as_array = AdmmSolver(mrf).solve(warm_start=np.array([0.0, 1.0], dtype=np.float32))
-    assert np.array_equal(as_list.x, as_array.x)
-    assert as_list.iterations == as_array.iterations
+    solver = AdmmSolver(mrf)
+    as_float64 = solver.solve(warm_state=_primal_state(solver, np.array([0.0, 2.0])))
+    as_float32 = solver.solve(
+        warm_state=_primal_state(solver, np.array([0.0, 1.0], dtype=np.float32))
+    )
+    assert np.array_equal(as_float64.x, as_float32.x)
+    assert as_float64.iterations == as_float32.iterations
 
 
 def test_zero_max_iterations_is_valid_and_returns_initial_point():

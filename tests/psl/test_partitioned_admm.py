@@ -23,8 +23,6 @@ from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder, mrf_fingerprint
 from repro.selection.collective import (
-    ERROR_PREDICATE,
-    EXPLAINED_PREDICATE,
     CollectiveSettings,
     GroundedCollective,
     ground_collective,
@@ -81,7 +79,7 @@ class _ReferenceFlatSolver:
         degree = np.bincount(self._var, minlength=self._n).astype(np.float64)
         self._degree = np.maximum(degree, 1.0)
 
-    def solve(self, warm_start=None, warm_state=None):
+    def solve(self, warm_state=None):
         settings = self._settings
         n, copies = self._n, len(self._var)
         use_state = (
@@ -91,8 +89,6 @@ class _ReferenceFlatSolver:
         )
         if use_state:
             z = np.clip(warm_state.z.astype(np.float64), 0.0, 1.0)
-        elif warm_start is not None:
-            z = np.clip(warm_start.astype(np.float64), 0.0, 1.0)
         else:
             z = np.full(n, 0.5)
         if copies == 0:
@@ -179,6 +175,12 @@ def _assert_identical_run(result: AdmmResult, reference: AdmmResult) -> None:
     assert result.energy == reference.energy
     assert np.array_equal(result.state.z, reference.state.z)
     assert np.array_equal(result.state.u, reference.state.u)
+
+
+def _primal_state(mrf: HingeLossMRF, start: np.ndarray) -> AdmmWarmState:
+    """A warm state seeding only the consensus vector: zero duals."""
+    arrays = AdmmSolver(mrf).arrays
+    return AdmmWarmState(start, np.zeros(arrays.num_copies), arrays.num_terms)
 
 
 def _random_mrf(
@@ -360,10 +362,10 @@ def test_warm_state_with_warm_start_interactions_match_reference():
     flat_warm = _ReferenceFlatSolver(mrf).solve(warm_state=flat_cold.state)
     warm = AdmmSolver(mrf).solve(warm_state=cold.state)
     _assert_identical_run(warm, flat_warm)
-    start = np.linspace(0.0, 1.0, mrf.num_variables)
+    start = _primal_state(mrf, np.linspace(0.0, 1.0, mrf.num_variables))
     _assert_identical_run(
-        AdmmSolver(mrf).solve(warm_start=start),
-        _ReferenceFlatSolver(mrf).solve(warm_start=start),
+        AdmmSolver(mrf).solve(warm_state=start),
+        _ReferenceFlatSolver(mrf).solve(warm_state=start),
     )
 
 
@@ -521,9 +523,10 @@ def test_solver_matches_frozen_reference_from_warm_starts(spec, settings, data):
             )
         )
     )
+    state = _primal_state(mrf, start)
     _assert_identical_run(
-        AdmmSolver(mrf, settings).solve(warm_start=start),
-        _ReferenceFlatSolver(mrf, settings).solve(warm_start=start),
+        AdmmSolver(mrf, settings).solve(warm_state=state),
+        _ReferenceFlatSolver(mrf, settings).solve(warm_state=state),
     )
 
 
@@ -532,36 +535,7 @@ def test_solver_matches_frozen_reference_from_warm_starts(spec, settings, data):
 
 def _literal_readout(mrf, plan, x):
     """The per-atom ``index_of`` readout, verbatim."""
-    fractional = {i: float(x[mrf.index_of(atom)]) for i, atom in plan.in_atoms.items()}
-    fractional_aux = {
-        (EXPLAINED_PREDICATE.name, t): float(x[mrf.index_of(atom)])
-        for t, atom in plan.explained_atoms.items()
-    }
-    fractional_aux.update(
-        {
-            (ERROR_PREDICATE.name, e): float(x[mrf.index_of(atom)])
-            for e, atom in plan.error_atoms.items()
-        }
-    )
-    return fractional, fractional_aux
-
-
-def _literal_start(mrf, plan, warm_start, warm_start_aux):
-    """The per-atom warm-start scatter, verbatim."""
-    start = np.full(mrf.num_variables, 0.5)
-    for i, value in (warm_start or {}).items():
-        atom = plan.in_atoms.get(i)
-        if atom is not None:
-            start[mrf.index_of(atom)] = float(value)
-    aux_tables = {
-        EXPLAINED_PREDICATE.name: plan.explained_atoms,
-        ERROR_PREDICATE.name: plan.error_atoms,
-    }
-    for (kind, idx), value in (warm_start_aux or {}).items():
-        atom = aux_tables.get(kind, {}).get(idx)
-        if atom is not None:
-            start[mrf.index_of(atom)] = float(value)
-    return start
+    return {i: float(x[mrf.index_of(atom)]) for i, atom in plan.in_atoms.items()}
 
 
 def _assert_same_dict(actual: dict, expected: dict) -> None:
@@ -569,78 +543,15 @@ def _assert_same_dict(actual: dict, expected: dict) -> None:
     assert list(actual.items()) == list(expected.items())
 
 
-@functools.cache
-def _grounded_collective() -> GroundedCollective:
-    return GroundedCollective(_collective_problem(), CollectiveSettings())
-
-
 def test_collective_readout_matches_per_atom_readout():
     problem = _collective_problem()
     grounded = GroundedCollective(problem, CollectiveSettings())
     result = solve_collective(problem, CollectiveSettings(), grounded=grounded)
-    fractional, fractional_aux = _literal_readout(
-        grounded.mrf, grounded.plan, result.admm_state.z
-    )
-    assert result.fractional and result.fractional_aux
+    fractional = _literal_readout(grounded.mrf, grounded.plan, result.admm_state.z)
+    assert result.fractional
     _assert_same_dict(result.fractional, fractional)
-    _assert_same_dict(result.fractional_aux, fractional_aux)
     # A second fresh ground resolves the same readout.
     fresh = solve_collective(
         problem, grounded=GroundedCollective(problem, CollectiveSettings())
     )
     _assert_same_dict(fresh.fractional, fractional)
-    _assert_same_dict(fresh.fractional_aux, fractional_aux)
-
-
-def test_matching_warm_state_ignores_the_warm_start():
-    # A structurally matching warm state takes precedence over a warm
-    # start (the chain a weight sweep runs), so passing both solves
-    # exactly like the warm state alone.
-    problem = _collective_problem()
-    settings = CollectiveSettings(admm=AdmmSettings(check_every=1))
-    previous = solve_collective(problem, settings)
-    assert previous.admm_state.matches(_grounded_collective().solver.arrays)
-    both, alone = (
-        solve_collective(
-            problem, settings, grounded=GroundedCollective(problem, settings),
-            warm_state=previous.admm_state, **warm,
-        )
-        for warm in (
-            {
-                "warm_start": {i: 1.0 - v for i, v in previous.fractional.items()},
-                "warm_start_aux": dict.fromkeys(previous.fractional_aux, 0.0),
-            },
-            {},
-        )
-    )
-    assert both.iterations == alone.iterations
-    assert np.array_equal(both.admm_state.z, alone.admm_state.z)
-    assert np.array_equal(both.admm_state.u, alone.admm_state.u)
-    _assert_same_dict(both.fractional, alone.fractional)
-    _assert_same_dict(both.fractional_aux, alone.fractional_aux)
-
-
-def test_warm_start_with_other_keys_takes_the_per_atom_loop():
-    # A start from a structurally different neighbour (reordered, partial,
-    # with indices this problem lacks) solves exactly like the literal
-    # per-atom scatter handed straight to the solver.
-    problem = _collective_problem()
-    settings = CollectiveSettings(admm=AdmmSettings(check_every=1))
-    previous = solve_collective(problem, settings)
-    warm_start = dict(reversed(list(previous.fractional.items())[1:]))
-    warm_start[10**6] = 0.25
-    warm_start_aux = dict(list(previous.fractional_aux.items())[::2])
-    assert tuple(warm_start) != _grounded_collective().readout.in_keys
-    grounded = GroundedCollective(problem, settings)
-    result = solve_collective(
-        problem, settings, warm_start=warm_start, warm_start_aux=warm_start_aux,
-        grounded=grounded,
-    )
-    start = _literal_start(grounded.mrf, grounded.plan, warm_start, warm_start_aux)
-    expected = AdmmSolver(grounded.mrf, settings.admm).solve(start)
-    assert result.iterations == expected.iterations
-    assert np.array_equal(result.admm_state.z, expected.x)
-    assert np.array_equal(result.admm_state.u, expected.state.u)
-    _assert_same_dict(
-        result.fractional, _literal_readout(grounded.mrf, grounded.plan, expected.x)[0]
-    )

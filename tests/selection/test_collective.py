@@ -3,6 +3,7 @@
 import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.examples_data import paper_example
@@ -134,41 +135,60 @@ def test_warm_started_collective_chains_state():
     assert first.selected == cold.selected
     assert second.selected == cold.selected
     assert second.iterations < first.iterations
-
-
-def test_fractional_aux_reports_explained_atoms(problems):
-    result = solve_collective(problems[0])
-    kinds = {kind for kind, _ in result.fractional_aux}
-    assert kinds == {"explained"}  # paper example has no shared errors
-    assert all(0.0 <= v <= 1.0 for v in result.fractional_aux.values())
-
-
-def test_warm_start_aux_seeds_auxiliary_atoms(problems):
-    cold = solve_collective(problems[1])
-    warm = solve_collective(
-        problems[1],
-        warm_start=cold.fractional,
-        warm_start_aux=cold.fractional_aux,
-    )
-    assert warm.selected == cold.selected
-    assert warm.objective == cold.objective
-    # Unknown aux keys are ignored, like unknown candidate indices.
-    ok = solve_collective(
-        problems[1], warm_start_aux={("explained", 999): 1.0, ("nope", 0): 0.5}
-    )
-    assert ok.selected == cold.selected
+    # The payload is the chained ADMM state; a new solver resumes from it.
+    assert warm.payload is second.admm_state
+    resumed = WarmStartedCollective(settings, payload=warm.payload)(problem)
+    assert resumed.selected == cold.selected
+    assert resumed.iterations < first.iterations
 
 
 def test_warm_started_collective_chains_aux_state():
+    # The chained payload is the full ADMM state: its consensus vector
+    # holds the auxiliary explained/errorOf atoms beside the
+    # memberships, so a chained call resumes every atom.
     from repro.selection.collective import WarmStartedCollective
 
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
     warm = WarmStartedCollective()
     first = warm(problem)
-    assert warm._previous_aux == first.fractional_aux
+    plan = GroundedCollective(problem).plan
+    assert plan.explained_atoms
+    assert warm.payload is first.admm_state
+    assert len(warm.payload.z) == (
+        len(plan.in_atoms) + len(plan.explained_atoms) + len(plan.error_atoms)
+    )
     second = warm(problem)
     assert second.selected == first.selected
+
+
+@pytest.mark.parametrize("field, value", [("z", np.nan), ("u", np.inf)])
+def test_non_finite_warm_state_is_rejected(field, value):
+    # Regression: a NaN consensus entry (or an infinite dual) ran the
+    # whole iteration budget, returned NaN, and solve_collective rounded
+    # that to a selection without an error.
+    import dataclasses
+
+    problem = generate_scenario(
+        ScenarioConfig(num_primitives=4, rows_per_relation=12, pi_errors=25, seed=1)
+    ).selection_problem()
+    grounded = GroundedCollective(problem)
+    state = solve_collective(problem, grounded=grounded).admm_state
+    bad = getattr(state, field).copy()
+    bad[0] = value
+    poisoned = dataclasses.replace(state, **{field: bad})
+    assert poisoned.matches(grounded.solver.arrays)
+    with pytest.raises(InferenceError, match="warm_state must be finite"):
+        grounded.solver.solve(warm_state=poisoned)
+    with pytest.raises(InferenceError, match="warm_state must be finite"):
+        solve_collective(problem, grounded=grounded, warm_state=poisoned)
+    # A state of another shape is still ignored: the solve starts cold.
+    other = solve_collective(_corresp_noise_problem(4, 1)).admm_state
+    assert not other.matches(grounded.solver.arrays)
+    cold = solve_collective(problem, grounded=grounded)
+    resumed = solve_collective(problem, grounded=grounded, warm_state=other)
+    assert resumed.selected == cold.selected
+    assert resumed.iterations == cold.iterations
 
 
 def _corresp_noise_problem(num_primitives: int, seed: int):
@@ -201,19 +221,6 @@ def test_sharded_ground_matches_default_solve(problems):
         assert sharded.objective == serial.objective
         assert sharded.grounding is not None
         assert sharded.grounding.num_shards >= 1
-
-
-def test_warm_start_ignores_unknown_indices():
-    from repro.examples_data import paper_example
-    from repro.selection.collective import solve_collective
-    from repro.selection.metrics import build_selection_problem
-
-    ex = paper_example()
-    problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    cold = solve_collective(problem)
-    warm = solve_collective(problem, warm_start={0: 1.0, 99: 0.25})
-    assert warm.selected == cold.selected
-    assert warm.objective == cold.objective
 
 
 # -- the relaxation against an exact LP ----------------------------------------

@@ -63,7 +63,7 @@ def _configs():
 def test_process_map_preserves_order():
     # A cold process grid maps its cells on the pool in job order, and
     # the pool's workers are joined once run_grid returns.
-    engine = EvaluationEngine(methods=("greedy",), executor="process:2", warm_start=False)
+    engine = EvaluationEngine(methods=("greedy",), executor="process:2")
     result = engine.run_grid(_configs())
     assert [(c.config, c.method) for c in result.cells] == [
         (config, method) for config in _configs() for method in ("greedy", "gold")
@@ -72,9 +72,8 @@ def test_process_map_preserves_order():
 
 
 def test_process_map_propagates_worker_exceptions():
-    # ("nope",) fails on the cold pool.map path; with "collective" the
-    # grid runs as warm-start waves.  Either way the worker's ReproError
-    # reaches the caller and the pool's workers are joined.
+    # With or without "collective" in the methods, the worker's
+    # ReproError reaches the caller and the pool's workers are joined.
     for methods in (("nope",), ("collective", "nope")):
         engine = EvaluationEngine(methods=methods, executor="process:2")
         with pytest.raises(ReproError, match="unknown methods"):
