@@ -1,15 +1,16 @@
 """Incremental (delta) grounding: re-ground only what changed.
 
-A k-tuple edit to a grounded problem historically re-paid the *whole*
-grounding — every shard re-enumerated, every term object rebuilt — even
-though the edit touches a handful of shards.  The delta tier
+A k-tuple edit to a grounded problem re-pays the *whole* grounding on a
+fresh ground, although it leaves some of the model's three blocks
+(coverage, shared errors, priors) unchanged.  The delta tier
 (:mod:`repro.psl.delta`, :func:`repro.selection.collective.
-patch_collective`) re-grounds only the touched shards and splices the
+patch_collective`) re-grounds only the changed blocks and splices the
 rest out of the cached compiled arrays.  The bench replays a generated
 selection scenario through a primitive-level mutation chain
-(:mod:`repro.ibench.mutations`): late-sorting target-tuple edits, each
-revision served by the cache's patch tier.  It reports each edit with
-its shard-reuse fraction.
+(:mod:`repro.ibench.mutations`): target-tuple edits, each revision
+served by the cache's patch tier.  A target edit re-grounds the
+coverage block; the reuse comes from the shared-error and prior blocks.
+It reports each edit with its block and term reuse.
 
 Bit-identity is asserted unconditionally: every patched MRF
 fingerprints equal to a from-scratch ground of the edited problem and
@@ -36,12 +37,10 @@ from repro.selection.collective import (
     GroundedCollective,
 )
 
-#: Scenario scale, explicit shard size (finer shards → a tuple edit
-#: stays inside fewer of them), and edit-chain length.
+#: Scenario scale and edit-chain length.
 SCENARIO = ScenarioConfig(
     num_primitives=12, rows_per_relation=40, pi_errors=40, pi_corresp=50, seed=17
 )
-GROUND_SHARD_SIZE = 16
 CHAIN_EDITS = 4
 
 
@@ -59,12 +58,10 @@ def _assert_identical_solves(patched, fresh) -> None:
 def _bench_collective_lane(scenario_cache) -> dict:
     scenario = scenario_cache(SCENARIO)
     chain = MutableSelection(scenario.source, scenario.target, scenario.candidates)
-    settings = CollectiveSettings(ground_shard_size=GROUND_SHARD_SIZE)
+    settings = CollectiveSettings()
     cache = CollectiveGroundingCache()
     cache.grounded(chain.problem, settings)
 
-    # Late-sorting facts keep earlier j_facts' indices stable, so target
-    # edits stay inside a few shards (see docs/incremental.md).
     pool = sorted(chain.target, key=repr)[-CHAIN_EDITS:]
     edits = []
     for step in range(CHAIN_EDITS):
@@ -100,7 +97,6 @@ def _bench_collective_lane(scenario_cache) -> dict:
     cache.clear()
     return {
         "config": repr(SCENARIO),
-        "ground_shard_size": GROUND_SHARD_SIZE,
         "edits": per_edit,
         "median_speedup": sorted(e["speedup"] for e in per_edit)[len(per_edit) // 2],
         "bit_identical": True,
@@ -114,6 +110,7 @@ def test_delta_grounding_vs_full_reground(scenario_cache):
         [
             e["edit"],
             f"{e['reused_shards']}/{e['num_shards']}",
+            f"{e['reuse_fraction']:.3f}",
             e["full_ground_seconds"],
             e["patch_seconds"],
             f"{e['speedup']:.1f}x",
@@ -121,10 +118,10 @@ def test_delta_grounding_vs_full_reground(scenario_cache):
         for e in collective["edits"]
     ]
     table = format_table(
-        ["edit", "shards reused", "full ground s", "delta s", "speedup"],
+        ["edit", "blocks reused", "term reuse", "full ground s", "delta s", "speedup"],
         rows,
         title=(
-            "delta grounding: re-ground only touched shards, splice the rest "
+            "delta grounding: re-ground only changed blocks, splice the rest "
             "(every patched MRF solve bit-identical to scratch)"
         ),
     )

@@ -49,7 +49,6 @@ CONFIG = ScenarioConfig(
     pi_unexplained=30,
     seed=11,
 )
-GROUND_SHARD_SIZE = 64
 
 #: A gentle weight ladder, all components non-zero (same zero pattern,
 #: so one ground structure serves the whole sweep).  Small steps are the
@@ -82,11 +81,9 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     fresh_seconds = []
     fresh_energies = []
     for weights in WEIGHT_GRID:
-        settings = CollectiveSettings(
-            weights=weights, ground_shard_size=GROUND_SHARD_SIZE
-        )
+        settings = CollectiveSettings(weights=weights)
         start = time.perf_counter()
-        mrf, _, _ = ground_collective(problem, settings)
+        mrf, _ = ground_collective(problem, settings)
         result = AdmmSolver(mrf).solve()
         fresh_seconds.append(time.perf_counter() - start)
         fresh_energies.append(result.energy)
@@ -95,9 +92,7 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     # Lane B — ground once, then per update an in-place weight rewrite +
     # warm re-solve on the same compiled solver.
     ground_start = time.perf_counter()
-    grounded = GroundedCollective(
-        problem, CollectiveSettings(ground_shard_size=GROUND_SHARD_SIZE)
-    )
+    grounded = GroundedCollective(problem)
     solver = grounded.solver
     state = solver.solve().state
     ground_seconds = time.perf_counter() - ground_start
@@ -122,10 +117,7 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
     probe = WEIGHT_GRID[-1]
     grounded.reweight(probe)
     reweighted_run = solver.solve(warm_state=state)
-    fresh_mrf, _, _ = ground_collective(
-        problem,
-        CollectiveSettings(weights=probe, ground_shard_size=GROUND_SHARD_SIZE),
-    )
+    fresh_mrf, _ = ground_collective(problem, CollectiveSettings(weights=probe))
     fresh_run = AdmmSolver(fresh_mrf).solve(warm_state=state)
     assert reweighted_run.iterations == fresh_run.iterations
     assert np.array_equal(reweighted_run.x, fresh_run.x)
@@ -156,7 +148,6 @@ def test_reweight_resolve_vs_reground_solve_per_cell(scenario_cache):
         "num_potentials": len(mrf.potentials),
         "num_constraints": len(mrf.constraints),
         "weight_settings": len(WEIGHT_GRID),
-        "ground_shard_size": GROUND_SHARD_SIZE,
         "one_time_ground_seconds": ground_seconds,
         "fresh_sec_per_update": fresh_per_update,
         "reweight_sec_per_update": reweight_per_update,

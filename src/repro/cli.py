@@ -90,18 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[*METHOD_REGISTRY, "all"],
         default="all",
     )
-    select.add_argument(
-        "--ground-shard-size",
-        type=int,
-        default=None,
-        help="entries per grounding shard (default: sharding module default)",
-    )
-    select.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental (delta) grounding: always ground from "
-        "scratch instead of patching a cached parent revision's structure",
-    )
 
     sweep = sub.add_parser("sweep", help="quality-vs-noise sweep")
     sweep.add_argument(
@@ -118,17 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="where grid cells run: serial or process[:N] (one worker "
         "pool per grid run)",
-    )
-    sweep.add_argument(
-        "--ground-shard-size",
-        type=int,
-        default=None,
-        help="entries per grounding shard (default: sharding module default)",
-    )
-    sweep.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable incremental (delta) grounding for collective cells",
     )
     sweep.add_argument(
         "--timing",
@@ -177,12 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--seed", type=int, default=0)
     chain.add_argument(
         "--steps", type=_non_negative_int, default=6, help="mutations to replay"
-    )
-    chain.add_argument(
-        "--ground-shard-size",
-        type=int,
-        default=None,
-        help="entries per grounding shard (default: sharding module default)",
     )
     chain.add_argument(
         "--no-incremental",
@@ -235,23 +206,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     import time
-    from functools import partial
-
-    from repro.selection.collective import CollectiveSettings, solve_collective
 
     scenario = load_scenario(args.scenario)
     names = list(METHOD_REGISTRY) if args.method == "all" else [args.method]
     methods = {name: METHOD_REGISTRY[name] for name in names}
-    if "collective" in methods and (
-        args.ground_shard_size is not None or args.no_incremental
-    ):
-        methods["collective"] = partial(
-            solve_collective,
-            settings=CollectiveSettings(
-                ground_shard_size=args.ground_shard_size,
-                incremental=not args.no_incremental,
-            ),
-        )
     start = time.perf_counter()
     problem = scenario.selection_problem()
     problem_seconds = time.perf_counter() - start
@@ -301,9 +259,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     scenario = generate_scenario(config)
-    # Edit late-sorting target tuples: remove one, re-add it, repeat over
-    # a small pool.  Late in j-fact order keeps most shard slices
-    # positionally stable, which is where the patch reuse comes from.
+    # Remove a target tuple, re-add it, repeat over a small pool.  A
+    # target edit re-grounds the coverage block; the patch reuses
+    # whichever of the shared-error and prior blocks it leaves unchanged.
     j_facts = sorted(scenario.target, key=repr)
     pool = j_facts[-max(2, min(4, len(j_facts))):]
     mutations = []
@@ -312,10 +270,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         mutations.append(
             RemoveTargetTuple(f) if step % 2 == 0 else AddTargetTuple(f)
         )
-    settings = CollectiveSettings(
-        ground_shard_size=args.ground_shard_size,
-        incremental=not args.no_incremental,
-    )
+    settings = CollectiveSettings(incremental=not args.no_incremental)
     cache = CollectiveGroundingCache()
     rows = []
     for mutation, problem in mutation_chain(
@@ -338,7 +293,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     print(scenario.summary())
     print(
         format_table(
-            ["edit", "shards reused", "term reuse", "ground s", "objective"],
+            ["edit", "blocks reused", "term reuse", "ground s", "objective"],
             rows,
             title=(
                 "mutation chain "
@@ -356,8 +311,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     engine = EvaluationEngine(
         methods=DEFAULT_GRID_METHODS,
         executor=args.executor,
-        ground_shard_size=args.ground_shard_size,
-        incremental=not args.no_incremental,
     )
     sweep = engine.sweep(base, args.noise, args.levels, args.seeds)
     columns = [*DEFAULT_GRID_METHODS, "gold"]

@@ -15,10 +15,10 @@ runner:
   :class:`~repro.selection.metrics.SelectionProblem` tables are memoized
   per process, so a config appearing in several grids is generated and
   chased once;
-* **sharded grounding** — the collective method's HL-MRF compilation
-  runs shard by shard
-  (:func:`~repro.selection.collective.ground_collective`), with the
-  shard granularity set by the engine's ``ground_shard_size`` knob;
+* **ground once per problem** — the collective method's HL-MRF comes
+  from the per-process
+  :data:`~repro.selection.collective.GROUNDING_CACHE`, so a weight
+  sweep's cells of one seed reweight one grounding;
 * **per-cell timing** — every :class:`GridCell` records scenario
   generation, problem build, and solve time separately;
 * **cold cells** — every cell solves cold, so no cell's answer depends
@@ -140,8 +140,8 @@ _PROCESS_CACHE = ScenarioCache()
 class ConfigCells:
     """A picklable work unit: run *methods* on the scenario of *config*.
 
-    ``collective_settings`` configures the collective solver (grounding
-    shard size, ADMM settings, weights…) wherever the unit runs.
+    ``collective_settings`` configures the collective solver (weights,
+    ADMM settings…) wherever the unit runs.
     """
 
     config: ScenarioConfig
@@ -308,15 +308,6 @@ class EvaluationEngine:
         include_gold: add the gold-reference row per scenario.
         cache: scenario cache for the serial path; defaults to a fresh
             private cache.
-        ground_shard_size: entries per grounding shard (``None`` → the
-            sharding default).
-        incremental: incremental (delta) grounding for the collective
-            method — on a cache miss for a problem carrying a
-            :class:`~repro.selection.metrics.ProblemLineage`, patch the
-            cached parent revision's compiled structure (re-ground only
-            the shards the edit touched) instead of grounding from
-            scratch.  ``True`` by default; ``False`` forces full
-            re-grounds.
     """
 
     def __init__(
@@ -325,30 +316,16 @@ class EvaluationEngine:
         executor: str | None = None,
         include_gold: bool = True,
         cache: ScenarioCache | None = None,
-        ground_shard_size: int | None = None,
-        incremental: bool = True,
     ):
         self.methods = tuple(methods if methods is not None else DEFAULT_GRID_METHODS)
         self.workers = parse_executor_spec(executor)
         self.include_gold = include_gold
         self.cache = cache if cache is not None else ScenarioCache()
-        self.incremental = bool(incremental)
-        self.collective_settings: CollectiveSettings | None = None
-        if ground_shard_size is not None or not self.incremental:
-            self.collective_settings = CollectiveSettings(
-                ground_shard_size=ground_shard_size,
-                incremental=self.incremental,
-            )
 
     def run_grid(self, configs: Sequence[ScenarioConfig]) -> GridResult:
         """Evaluate every config; cells come back in (config, method) order."""
         jobs = [
-            ConfigCells(
-                config,
-                self.methods,
-                include_gold=self.include_gold,
-                collective_settings=self.collective_settings,
-            )
+            ConfigCells(config, self.methods, include_gold=self.include_gold)
             for config in configs
         ]
         cells = [cell for group in self._execute_jobs(jobs) for cell in group]
@@ -412,11 +389,6 @@ class EvaluationEngine:
         Note the gold reference row (``include_gold``) is scored at the
         default objective weights, like everywhere else in the engine.
         """
-        base_settings = (
-            self.collective_settings
-            if self.collective_settings is not None
-            else CollectiveSettings()
-        )
         # Seed-major, so the grounding cache holds each seed's problem
         # while all of its weight settings run.
         order = [(w, s) for s in range(len(seeds)) for w in range(len(weight_grid))]
@@ -425,7 +397,7 @@ class EvaluationEngine:
                 replace(base, seed=seeds[s]),
                 self.methods,
                 include_gold=self.include_gold,
-                collective_settings=replace(base_settings, weights=weight_grid[w]),
+                collective_settings=CollectiveSettings(weights=weight_grid[w]),
             )
             for w, s in order
         ]

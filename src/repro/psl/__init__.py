@@ -8,7 +8,7 @@ carries only what that solve path needs:
 
 * hinge-loss MRFs (:mod:`repro.psl.hlmrf`) over ground atoms
   (:mod:`repro.psl.predicate`),
-* sharded grounding (:mod:`repro.psl.sharding`),
+* block grounding (:mod:`repro.psl.sharding`),
 * consensus-ADMM MAP inference (:mod:`repro.psl.admm`) on partitioned
   term arrays (:mod:`repro.psl.partition`),
 * discrete rounding utilities (:mod:`repro.psl.rounding`),
@@ -27,7 +27,6 @@ from repro.psl.rounding import (
 )
 from repro.psl.sharding import (
     GroundingShard,
-    GroundingStats,
     ShardResult,
     TermBlock,
     TermBlockBuilder,
@@ -43,7 +42,6 @@ __all__ = [
     "AdmmWarmState",
     "GroundAtom",
     "GroundingShard",
-    "GroundingStats",
     "HardConstraint",
     "HingeLossMRF",
     "HingePotential",

@@ -89,8 +89,8 @@ class AdmmWarmState:
 
     ``num_terms`` is the term count of the producing MRF, checked
     beside the two array lengths.  The dual vector's layout is the flat
-    copy order, which the grounding shard size never changes, so a
-    state survives a re-ground at another shard size.
+    copy order, which does not depend on how the terms were merged in
+    blocks, so a state survives a re-ground of the same structure.
     """
 
     z: np.ndarray

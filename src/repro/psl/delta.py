@@ -34,7 +34,6 @@ coverage/error/prior shards and splices them through this engine.  See
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -61,15 +60,11 @@ class ShardRecord:
 def shard_key(shard: GroundingShard) -> Hashable:
     """A content key: equal keys mean byte-identical shard output.
 
-    Shard classes may provide a ``content_key()`` method (excluding
-    ``order`` and anything weight-derived they want normalized away);
-    the fallback is the frozen-dataclass value with ``order`` zeroed,
-    which is exact for any pure shard.
+    Every shard the splice matches defines ``content_key()``, which
+    leaves out ``order`` and the weight magnitudes the caller sets after
+    the splice.
     """
-    method = getattr(shard, "content_key", None)
-    if callable(method):
-        return method()
-    return dataclasses.replace(shard, order=0)
+    return shard.content_key()
 
 
 def record_for(shard: GroundingShard, result: ShardResult) -> ShardRecord:

@@ -1,31 +1,27 @@
-"""Sharded grounding of hinge-loss MRFs.
+"""Block-wise grounding of hinge-loss MRFs.
 
 Adding terms one at a time through ``GroundAtom``-keyed dicts
-(:meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential`) materializes the
-whole model twice: once as per-potential dicts, once as the MRF.  The
-sharded path splits grounding into picklable **work units** (shards),
-each of which emits a compact :class:`TermBlock` — flat arrays of
-shard-local variable indices, CSR offsets, per-term offsets/weights/kinds
-(a linear hinge or a ``<=`` cap, the two kinds the collective model
-grounds) — plus the shard's atom table.  A deterministic merge interns
-each shard's atoms once and appends its terms, and its hinges' weights
-to the MRF's one weight vector, via
-:meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so:
+(:meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential`) interns every
+atom of every term through the MRF's dicts.  The block path splits
+grounding into picklable **work units** (shards), each of which emits a
+compact :class:`TermBlock` — flat arrays of shard-local variable
+indices, CSR offsets, per-term offsets/weights/kinds (a linear hinge or
+a ``<=`` cap, the two kinds the collective model grounds) — plus the
+shard's atom table.  A deterministic merge interns each shard's atoms
+once and appends its terms, and its hinges' weights to the MRF's one
+weight vector, via
+:meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so the merged MRF
+is **fingerprint-identical** to adding the same terms one at a time
+(shards run and merge in spec order on the calling thread, and term
+order inside a shard is the order the producer emitted).
 
-* the merged MRF is **fingerprint-identical** to adding the same terms
-  one at a time, for any shard size (shards run and merge in spec order
-  on the calling thread, and term order inside a shard is the order the
-  producer emitted);
-* peak intermediate memory is **O(largest shard)** — only one shard's
-  block is alive between merges — instead of O(whole model) worth of
-  per-potential dicts.
-
-Shards stay the unit of *reuse*, not of parallelism: incremental
-grounding (:mod:`repro.psl.delta`) splices per-shard records.
+Shards are the unit of *reuse*, not of parallelism or memory:
+incremental grounding (:mod:`repro.psl.delta`) splices per-shard
+records.
 
 The one producer of shards is :mod:`repro.selection.collective`, which
-emits coverage/error/prior shards straight from the
-:class:`~repro.selection.metrics.SelectionProblem`.
+emits one coverage, one shared-error and one prior shard straight from
+the :class:`~repro.selection.metrics.SelectionProblem`.
 """
 
 from __future__ import annotations
@@ -45,10 +41,6 @@ from repro.psl.hlmrf import (
     nonzero_terms,
 )
 from repro.psl.predicate import GroundAtom
-
-#: Default number of logical entries (facts, groundings, candidates…)
-#: a producer packs into one shard when the caller does not say.
-DEFAULT_SHARD_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -73,10 +65,6 @@ class TermBlock:
     @property
     def num_terms(self) -> int:
         return len(self.kinds)
-
-    @property
-    def num_entries(self) -> int:
-        return len(self.atom_index)
 
 
 class TermBlockBuilder:
@@ -173,46 +161,15 @@ class GroundingShard(Protocol):
         ...
 
 
-@dataclass
-class GroundingStats:
-    """Counters of one sharded grounding run.
-
-    ``peak_shard_terms``/``peak_shard_entries`` bound the working set
-    materialized between merges: only one shard's block is alive at a
-    time, so the peak working set is the largest shard — not the whole
-    model.  The sharded-grounding bench asserts exactly that.
-    """
-
-    num_shards: int = 0
-    num_potentials: int = 0
-    num_constraints: int = 0
-    total_terms: int = 0
-    total_entries: int = 0
-    peak_shard_terms: int = 0
-    peak_shard_entries: int = 0
-    peak_shard_atoms: int = 0
-
-    def observe(self, result: ShardResult, mrf: HingeLossMRF, before: tuple[int, int]) -> None:
-        pot_before, con_before = before
-        self.num_shards += 1
-        self.num_potentials += len(mrf.potentials) - pot_before
-        self.num_constraints += len(mrf.constraints) - con_before
-        self.total_terms += result.block.num_terms
-        self.total_entries += result.block.num_entries
-        self.peak_shard_terms = max(self.peak_shard_terms, result.block.num_terms)
-        self.peak_shard_entries = max(self.peak_shard_entries, result.block.num_entries)
-        self.peak_shard_atoms = max(self.peak_shard_atoms, len(result.atoms))
-
-
 def ground_shards(
     shards: Sequence[GroundingShard],
     mrf: HingeLossMRF | None = None,
     observer: "Callable[[ShardResult], None]" | None = None,
-) -> tuple[HingeLossMRF, GroundingStats]:
+) -> HingeLossMRF:
     """Build *shards* in spec order and merge them deterministically.
 
     Each shard is built on the calling thread and merged before the next
-    one builds, so only one shard block is held at a time.  Pass *mrf*
+    one builds.  Pass *mrf*
     to merge into a pre-seeded MRF (e.g. one whose target variables were
     interned up front to pin the variable order).
 
@@ -223,7 +180,6 @@ def ground_shards(
     The observer must not retain more than it needs.
     """
     mrf = mrf if mrf is not None else HingeLossMRF()
-    stats = GroundingStats()
     for position, shard in enumerate(shards):
         result = shard.build()
         if result.order != position:
@@ -231,19 +187,10 @@ def ground_shards(
                 f"shard specs out of order: expected {position}, "
                 f"got {result.order}"
             )
-        before = (len(mrf.potentials), len(mrf.constraints))
         mrf.add_term_block(result.atoms, result.block)
-        stats.observe(result, mrf, before)
         if observer is not None:
             observer(result)
-    return mrf, stats
-
-
-def iter_slices(count: int, shard_size: int | None) -> Iterable[tuple[int, int]]:
-    """Split ``range(count)`` into contiguous ``[lo, hi)`` shard ranges."""
-    size = shard_size if shard_size and shard_size > 0 else DEFAULT_SHARD_SIZE
-    for lo in range(0, count, size):
-        yield lo, min(lo + size, count)
+    return mrf
 
 
 def _atom_fingerprint(atom: GroundAtom) -> list:

@@ -26,17 +26,16 @@ produce identical ground facts) are mediated through an auxiliary
 ``errorOf(t)`` variable so each error is paid once, matching the
 ``sum over K_C - J`` of the objective.
 
-**Sharded grounding.**  The HL-MRF is compiled straight from the
-:class:`~repro.selection.metrics.SelectionProblem` in shards
-(:mod:`repro.psl.sharding`): coverage shards over slices of
-``j_facts``, error shards over slices of the shared-error owner groups,
-prior shards over slices of the candidate list.  Each shard is a small
-spec carrying only its slice of the tables; shards build and merge one
-at a time in spec order on the calling thread, so the peak working set
-of a build is O(largest shard), and the deterministic merge gives the
-same MRF byte for byte for any shard size.  The shard
-boundaries survive into the merged MRF as term-block extents, which the
-incremental splice engine (:mod:`repro.psl.delta`) patches by.
+**Block grounding.**  The HL-MRF is compiled straight from the
+:class:`~repro.selection.metrics.SelectionProblem` as the relaxation's
+three blocks (:mod:`repro.psl.sharding`): one coverage shard over
+``j_facts``, one shared-error shard over the shared-error owner groups
+and one prior shard over the candidate list; an empty block emits no
+shard.  Shards build and merge in that order on the calling thread,
+and the merge gives the same MRF byte for byte as adding the terms one
+at a time.  The block boundaries survive into the merged MRF as
+term-block extents, which the incremental splice engine
+(:mod:`repro.psl.delta`) patches by.
 
 **Weights.**  The plan grounds its potentials in three fixed blocks —
 coverage, then shared-error, then prior — so the MRF's weight vector at
@@ -74,11 +73,9 @@ from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.rounding import round_solution
 from repro.psl.sharding import (
     GroundingShard,
-    GroundingStats,
     ShardResult,
     TermBlockBuilder,
     ground_shards,
-    iter_slices,
 )
 from repro.selection.exact import SelectionResult
 from repro.selection.metrics import SelectionProblem
@@ -98,11 +95,9 @@ ERROR_PREDICATE = Predicate("errorOf", 1)
 class CollectiveSettings:
     """Knobs of the collective selector.
 
-    ``ground_shard_size`` sets how finely the HL-MRF grounding is
-    sharded (``None`` → default shard size); shards are the unit the
-    patch tier re-grounds.  Grounding always runs on the calling
-    thread, and every solve that is not handed an artifact is served by
-    the per-process :data:`GROUNDING_CACHE`.  The model's hinges are
+    Grounding always runs on the calling thread, and every solve that is
+    not handed an artifact is served by the per-process
+    :data:`GROUNDING_CACHE`.  The model's hinges are
     linear (Section V of the paper).  Every field is picklable, so
     settings travel inside engine work units.
     """
@@ -110,12 +105,11 @@ class CollectiveSettings:
     weights: ObjectiveWeights = DEFAULT_WEIGHTS
     admm: AdmmSettings = field(default_factory=AdmmSettings)
     rounding_local_search: bool = True
-    ground_shard_size: int | None = None
     #: Incremental (delta) grounding: when a problem carries a
     #: :class:`~repro.selection.metrics.ProblemLineage` naming a parent
     #: revision whose artifact is cached, a cache miss first tries to
     #: *patch* the parent's compiled structure — re-ground only the
-    #: shards the edit touched, splice the rest
+    #: blocks the edit touched, splice the rest
     #: (:func:`patch_collective`) — before grounding fresh.  Patched
     #: artifacts are bit-identical to a fresh ground; set False to force
     #: a full re-ground.
@@ -138,7 +132,6 @@ class CollectiveResult(SelectionResult):
     num_potentials: int = 0
     num_constraints: int = 0
     admm_state: AdmmWarmState | None = None
-    grounding: GroundingStats | None = None
 
 
 # -- shard work units ---------------------------------------------------------
@@ -146,7 +139,7 @@ class CollectiveResult(SelectionResult):
 
 @dataclass(frozen=True)
 class CoverageShard:
-    """Coverage terms for a slice of J's facts.
+    """Coverage terms for J's coverable facts.
 
     Per entry ``(t_idx, ((candidate, degree), ...))``: the reward
     potential ``w_expl * max(0, 1 - explained(t))`` and the hard support
@@ -182,7 +175,7 @@ class CoverageShard:
 
 @dataclass(frozen=True)
 class ErrorShard:
-    """Shared-error mediator terms for a slice of the owner groups.
+    """Shared-error mediator terms for the shared-error owner groups.
 
     Per entry ``(e_idx, (owners...))``: the penalty potential
     ``w_err * errorOf(e)`` plus one cap ``in(theta) <= errorOf(e)`` per
@@ -212,7 +205,7 @@ class ErrorShard:
 
 @dataclass(frozen=True)
 class PriorShard:
-    """Per-candidate prior potentials for a slice of the candidate list.
+    """Per-candidate prior potentials for the included candidates.
 
     Per entry ``(candidate, penalty)``: the folded private-error + size
     prior ``penalty * in(theta)``.
@@ -246,7 +239,7 @@ class CollectivePlan:
     ``targets`` pins the MRF's variable order (``in`` atoms by candidate
     index, then ``explained`` atoms in ``j_facts`` order, then
     ``errorOf`` atoms in sorted-owner-group order); ``shards`` hold the
-    work, each spec carrying only its slice of the problem's tables.
+    work, at most one per block (coverage, shared-error, prior).
 
     ``prior_components`` records every candidate's raw prior features
     ``(candidate, private error count, size)`` and ``prior_included``
@@ -325,18 +318,16 @@ def plan_collective_grounding(
 ) -> CollectivePlan:
     """Compile *problem* into shard specs (no term is materialized yet).
 
-    Shards hold ``settings.ground_shard_size`` entries each.  The plan's
-    shard order — coverage slices in ``j_facts`` order, then
-    error slices over the repr-sorted shared-error groups, then prior
-    slices in candidate order — fixes the potential/constraint order,
-    so the merged MRF is fingerprint-identical for every shard size, and
-    to adding the same terms one at a time through
+    One shard per non-empty block, in the order coverage (``j_facts``
+    order), shared errors (repr-sorted owner groups), priors (candidate
+    order).  That order fixes the potential/constraint order, so the
+    merged MRF is fingerprint-identical to adding the same terms one at
+    a time through
     :meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential` and
     :meth:`~repro.psl.hlmrf.HingeLossMRF.add_constraint`.
     """
     settings = settings or CollectiveSettings()
     weights = settings.weights
-    shard_size = settings.ground_shard_size
 
     in_atoms = {
         i: GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)
@@ -387,18 +378,18 @@ def plan_collective_grounding(
             prior_entries.append((i, penalty))
 
     shards: list[GroundingShard] = []
-    for lo, hi in iter_slices(len(coverage_entries), shard_size):
+    if coverage_entries:
         shards.append(
             CoverageShard(
-                len(shards), tuple(coverage_entries[lo:hi]), float(weights.explains)
+                len(shards), tuple(coverage_entries), float(weights.explains)
             )
         )
-    for lo, hi in iter_slices(len(error_entries), shard_size):
+    if error_entries:
         shards.append(
-            ErrorShard(len(shards), tuple(error_entries[lo:hi]), float(weights.errors))
+            ErrorShard(len(shards), tuple(error_entries), float(weights.errors))
         )
-    for lo, hi in iter_slices(len(prior_entries), shard_size):
-        shards.append(PriorShard(len(shards), tuple(prior_entries[lo:hi])))
+    if prior_entries:
+        shards.append(PriorShard(len(shards), tuple(prior_entries)))
 
     targets = (
         *(in_atoms[i] for i in range(problem.num_candidates)),
@@ -422,11 +413,8 @@ def ground_collective(
     problem: SelectionProblem,
     settings: CollectiveSettings | None = None,
     records_out: list[ShardRecord] | None = None,
-) -> tuple[HingeLossMRF, CollectivePlan, GroundingStats]:
-    """Ground *problem*'s HL-MRF shard by shard.
-
-    The result is fingerprint-identical for any
-    ``settings.ground_shard_size`` (see :func:`plan_collective_grounding`).
+) -> tuple[HingeLossMRF, CollectivePlan]:
+    """Ground *problem*'s HL-MRF block by block.
 
     When *records_out* is a list, one :class:`~repro.psl.delta.
     ShardRecord` per shard is appended in merge (spec) order — the
@@ -442,15 +430,15 @@ def ground_collective(
         observer = lambda result: records_out.append(
             record_for(plan.shards[result.order], result)
         )
-    mrf, stats = ground_shards(plan.shards, mrf=mrf, observer=observer)
-    return mrf, plan, stats
+    ground_shards(plan.shards, mrf=mrf, observer=observer)
+    return mrf, plan
 
 
 class GroundedCollective:
     """One selection problem's compiled HL-MRF, with mutable weights.
 
     The ground-once/reweight-many artifact of the collective selector:
-    structure (variables, coefficients, constraints, shard partition) is
+    structure (variables, coefficients, constraints, block extents) is
     fixed at construction; :meth:`reweight` sets the MRF's weight vector
     for a new :class:`ObjectiveWeights`, computed from the plan
     (:meth:`CollectivePlan.weight_vector`), and :attr:`solver` reuses one compiled
@@ -473,7 +461,7 @@ class GroundedCollective:
         settings = settings or CollectiveSettings()
         self.problem = problem
         records: list[ShardRecord] = []
-        self.mrf, self.plan, self.stats = ground_collective(
+        self.mrf, self.plan = ground_collective(
             problem, settings, records_out=records
         )
         #: Per-shard splice index (same order as ``plan.shards``), the
@@ -570,7 +558,7 @@ def patch_collective(
     pair its shards against the cached per-shard records by content key
     (:func:`~repro.psl.delta.match_shards` — weight magnitudes are
     normalized out of the keys, so a reweighted parent still matches),
-    re-ground only the unmatched shards, and splice.  The spliced MRF then
+    re-ground only the unmatched blocks, and splice.  The spliced MRF then
     gets the plan's weight vector at ``settings.weights``, so the result
     is **bit-identical** to a fresh ground of ``(problem, settings)``.
 
@@ -598,7 +586,6 @@ def patch_collective(
     patched.problem = problem
     patched.mrf = result.mrf
     patched.plan = plan
-    patched.stats = None
     patched.records = result.records
     patched.splice_stats = result.stats
     patched.weights = weights
@@ -610,15 +597,14 @@ def patch_collective(
 class CollectiveGroundingCache:
     """A small per-process LRU of :class:`GroundedCollective` artifacts.
 
-    Keyed by problem identity plus the structure-affecting setting
-    (the grounding shard size) — *not* by weights: a hit
-    whose weights differ only reweights the cached artifact in place.
+    Keyed by problem identity — *not* by weights: a hit whose weights
+    differ only reweights the cached artifact in place.
     A request is served in order **memory > patch > fresh ground**: an
     in-memory miss first tries to *patch* (``settings.incremental``) —
     when the problem carries a
     :class:`~repro.selection.metrics.ProblemLineage` whose parent
     revision is cached (tracked by lineage token), the parent's compiled
-    structure is spliced into the new problem's and only the shards the
+    structure is spliced into the new problem's and only the blocks the
     edit touched re-ground (:func:`patch_collective`) — and otherwise
     grounds fresh.
     Entries whose zero pattern no longer matches are evicted and
@@ -668,7 +654,7 @@ class CollectiveGroundingCache:
         """A reweighted cached artifact for *problem*, or a fresh ground."""
         settings = settings or CollectiveSettings()
         me = threading.get_ident()
-        key = (me, id(problem), settings.ground_shard_size)
+        key = (me, id(problem))
         lineage = getattr(problem, "lineage", None)
         with self._lock:
             entry = self._entries.get(key)
@@ -727,7 +713,7 @@ class CollectiveGroundingCache:
             parent = (
                 self._entries.get(parent_key) if parent_key is not None else None
             )
-        if parent is None or parent_key[2] != settings.ground_shard_size:
+        if parent is None:
             return None
         parent_lineage = getattr(parent.problem, "lineage", None)
         if parent_lineage is None or parent_lineage.token != lineage.parent:
@@ -758,9 +744,8 @@ def solve_collective(
 ) -> CollectiveResult:
     """Run the paper's pipeline: relax, infer with ADMM, round, score.
 
-    Grounding runs through :func:`ground_collective` — sharded, on the
-    calling thread — so the peak working set of a ground is one shard.
-    The grounding is served from the per-process
+    Grounding runs through :func:`ground_collective`, on the calling
+    thread.  The grounding is served from the per-process
     :data:`GROUNDING_CACHE`: a repeated solve of the same problem
     structure (e.g. the cells of a weight sweep) only *reweights*
     the cached :class:`GroundedCollective` and re-solves on its compiled
@@ -789,7 +774,7 @@ def solve_collective(
         )
     else:
         grounded.reweight(settings.weights)
-    mrf, stats = grounded.mrf, grounded.stats
+    mrf = grounded.mrf
     inference = grounded.solver_for(settings.admm).solve(warm_state=warm_state)
     fractional = grounded.readout.fractional(inference.x)
 
@@ -808,7 +793,6 @@ def solve_collective(
         num_potentials=len(mrf.potentials),
         num_constraints=len(mrf.constraints),
         admm_state=inference.state,
-        grounding=stats,
     )
 
 

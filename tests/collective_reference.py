@@ -3,9 +3,9 @@
 * :func:`ground_term_by_term` expands each planned shard's term block
   through the dict-keyed :meth:`HingeLossMRF.add_potential` /
   :meth:`HingeLossMRF.add_constraint` calls, one term at a time, with no
-  ``add_term_block`` merge.  The sharded merge
+  ``add_term_block`` merge.  The block merge
   (:func:`~repro.selection.collective.ground_collective`) must give a
-  ``mrf_fingerprint``-equal MRF for every shard size.
+  ``mrf_fingerprint``-equal MRF.
 * :func:`lp_relaxation_optimum` writes the collective relaxation as a
   linear program straight from the :class:`SelectionProblem` tables
   (``covers``, ``error_facts``, ``sizes``), sharing no code with the

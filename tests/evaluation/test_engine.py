@@ -198,7 +198,6 @@ def test_work_units_pickle_for_the_process_pool():
     settings = CollectiveSettings(
         weights=ObjectiveWeights(Fraction(2), Fraction(1, 2), Fraction(3)),
         admm=AdmmSettings(rho=2.0, max_iterations=700),
-        ground_shard_size=8,
         incremental=False,
     )
     work = ConfigCells(
@@ -214,13 +213,23 @@ def test_work_units_pickle_for_the_process_pool():
 
 
 def test_engine_threads_solve_options_into_collective():
-    plain = EvaluationEngine(methods=("collective",))
-    tuned = EvaluationEngine(methods=("collective",), ground_shard_size=8)
-    assert tuned.collective_settings.ground_shard_size == 8
-    a = plain.run_grid([SMALL])
-    b = tuned.run_grid([SMALL])
-    assert [c.run.selected for c in a.cells] == [c.run.selected for c in b.cells]
-    assert [c.run.objective for c in a.cells] == [c.run.objective for c in b.cells]
+    # A work unit solves the collective method with its own settings
+    # (weight_sweep builds one CollectiveSettings per weight setting).
+    from fractions import Fraction
+
+    from repro.selection.collective import CollectiveSettings
+    from repro.selection.objective import ObjectiveWeights
+
+    heavy = CollectiveSettings(weights=ObjectiveWeights(explains=Fraction(100)))
+    [plain] = evaluate_config_cells(
+        ConfigCells(SMALL, ("collective",)), cache=ScenarioCache()
+    )
+    [tuned] = evaluate_config_cells(
+        ConfigCells(SMALL, ("collective",), collective_settings=heavy),
+        cache=ScenarioCache(),
+    )
+    assert plain.run.selected == frozenset()
+    assert tuned.run.selected
 
 
 def test_process_executor_grid_matches_serial():
@@ -232,15 +241,6 @@ def test_process_executor_grid_matches_serial():
     assert [(c.config, c.method, c.run.selected) for c in a.cells] == [
         (c.config, c.method, c.run.selected) for c in b.cells
     ]
-    assert [c.run.objective for c in a.cells] == [c.run.objective for c in b.cells]
-
-
-def test_engine_threads_ground_options_into_collective():
-    plain = EvaluationEngine(methods=("collective",))
-    sharded = EvaluationEngine(methods=("collective",), ground_shard_size=2)
-    a = plain.run_grid([SMALL])
-    b = sharded.run_grid([SMALL])
-    assert [c.run.selected for c in a.cells] == [c.run.selected for c in b.cells]
     assert [c.run.objective for c in a.cells] == [c.run.objective for c in b.cells]
 
 

@@ -16,9 +16,10 @@ from repro.psl.hlmrf import KIND_HINGE, KIND_LEQ, HingeLossMRF
 from repro.psl.partition import compile_term_arrays
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder
-from repro.selection.collective import CollectiveSettings, ground_collective
+from repro.selection.collective import CoverageShard, PriorShard, ground_collective
 from repro.selection.metrics import build_selection_problem
 from repro.examples_data import paper_example
+from tests.collective_reference import ground_term_by_term
 
 X = Predicate("x", 1)
 
@@ -130,19 +131,20 @@ def test_partition_degree_counts_every_copy():
 def test_collective_grounding_blocks_survive_into_partition():
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    mrf, _, stats = ground_collective(problem, CollectiveSettings(ground_shard_size=4))
-    assert stats.num_shards > 1
-    # One recorded extent per grounding shard, none larger than a shard.
-    assert len(mrf._block_extents) == stats.num_shards
-    for pot_lo, pot_hi, con_lo, con_hi in mrf._block_extents:
-        assert (pot_hi - pot_lo) + (con_hi - con_lo) <= stats.peak_shard_terms
-    # The shard structure never reaches the solver arrays.
-    whole, _, _ = ground_collective(
-        problem, CollectiveSettings(ground_shard_size=10**9)
-    )
-    sharded, single = compile_term_arrays(mrf), compile_term_arrays(whole)
+    mrf, plan = ground_collective(problem)
+    # One recorded extent per block: the coverage potentials and their
+    # support caps, then the priors (this problem shares no error).
+    assert [type(shard) for shard in plan.shards] == [CoverageShard, PriorShard]
+    coverage, priors = (len(shard.entries) for shard in plan.shards)
+    assert mrf._block_extents == [
+        (0, coverage, 0, coverage),
+        (coverage, coverage + priors, coverage, coverage),
+    ]
+    # The block structure never reaches the solver arrays.
+    blocks = compile_term_arrays(mrf)
+    single = compile_term_arrays(ground_term_by_term(problem))
     for field in ("kind", "offset", "weight", "term_ptr", "var", "coeff", "degree"):
-        assert np.array_equal(getattr(sharded, field), getattr(single, field))
+        assert np.array_equal(getattr(blocks, field), getattr(single, field))
 
 
 def test_block_x_update_matches_whole_problem_update():

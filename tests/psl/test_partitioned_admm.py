@@ -5,8 +5,8 @@
 iteration).  The contract under test: the solver produces the
 *identical* run — same iterates, same iteration count, same residuals,
 same energy, same dual state — on fingerprint-verified collective
-problems and on random MRFs alike, whatever term blocks or shard size
-built the MRF and wherever it was ground.  Not approximately: bit for
+problems and on random MRFs alike, whatever term blocks built the MRF
+and wherever it was ground.  Not approximately: bit for
 bit.
 """
 
@@ -221,10 +221,14 @@ def _random_mrf(
 
 
 @functools.cache
-def _collective_problem():
+def _collective_problem(seed: int = 13):
     scenario = generate_scenario(
         ScenarioConfig(
-            num_primitives=4, rows_per_relation=8, pi_errors=50, pi_corresp=50, seed=13
+            num_primitives=4,
+            rows_per_relation=8,
+            pi_errors=50,
+            pi_corresp=50,
+            seed=seed,
         )
     )
     return build_selection_problem(
@@ -233,16 +237,13 @@ def _collective_problem():
 
 
 @functools.cache
-def _collective_mrf(shard_size: int | None = 8, executor: str | None = None) -> HingeLossMRF:
-    problem = _collective_problem()
-    settings = CollectiveSettings(ground_shard_size=shard_size)
-    mrf, _, _ = run_on(executor, ground_collective, problem, settings)
-    # Fingerprint-verified: the sharded grounding reproduced the
+def _collective_mrf(seed: int = 13, executor: str | None = None) -> HingeLossMRF:
+    problem = _collective_problem(seed)
+    mrf, _ = run_on(executor, ground_collective, problem, CollectiveSettings())
+    # Fingerprint-verified: the block grounding reproduced the
     # term-by-term reference, so the solve equivalence below is measured
     # on the exact model of the paper pipeline.
-    assert mrf_fingerprint(mrf) == mrf_fingerprint(
-        ground_term_by_term(problem, settings)
-    )
+    assert mrf_fingerprint(mrf) == mrf_fingerprint(ground_term_by_term(problem))
     return mrf
 
 
@@ -258,27 +259,28 @@ def test_partitioned_matches_flat_reference_on_random_mrfs(seed, block_size):
     _assert_identical_run(result, reference)
 
 
-@pytest.mark.parametrize("block_size", [1, 7, 64, None])
+@pytest.mark.parametrize("seed", [13, 5, 21, 34])
 @pytest.mark.parametrize("executor", [None, "process:2"])
-def test_partitioned_matches_flat_reference_on_collective_problem(
-    block_size, executor
-):
-    # block_size/executor: the grounding shard size and the executor the
+def test_partitioned_matches_flat_reference_on_collective_problem(seed, executor):
+    # seed/executor: the scenario of the problem and the executor the
     # grounding runs as a work unit of.
-    mrf = _collective_mrf(block_size, executor)
+    mrf = _collective_mrf(seed, executor)
     reference = _ReferenceFlatSolver(mrf).solve()
     result = AdmmSolver(mrf).solve()
     _assert_identical_run(result, reference)
-    if block_size is not None:
-        assert len(mrf._block_extents) > 1  # really ground in shards
+    assert len(mrf._block_extents) > 1  # really ground in blocks
 
 
-@pytest.mark.parametrize("block_size", [32, None])
-def test_process_executor_blocks_match_reference(block_size):
-    # Grounded in a process-pool worker: a truncated run must still be
+@pytest.mark.parametrize("max_iterations", [32, None])
+def test_process_executor_blocks_match_reference(max_iterations):
+    # Grounded in a process-pool worker: a run truncated at
+    # *max_iterations* (None: run to convergence) must still be
     # bit-identical to the reference.
-    mrf = _collective_mrf(block_size, "process:2")
-    settings = AdmmSettings(max_iterations=4, check_every=2)
+    mrf = _collective_mrf(executor="process:2")
+    if max_iterations is None:
+        settings = AdmmSettings(check_every=2)
+    else:
+        settings = AdmmSettings(max_iterations=max_iterations, check_every=2)
     reference = _ReferenceFlatSolver(mrf, settings).solve()
     result = AdmmSolver(mrf, settings).solve()
     _assert_identical_run(result, reference)
@@ -304,9 +306,7 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
     problem = build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )
-    grounded = run_on(
-        executor, GroundedCollective, problem, CollectiveSettings(ground_shard_size=8)
-    )
+    grounded = run_on(executor, GroundedCollective, problem, CollectiveSettings())
     settings = AdmmSettings(max_iterations=40, check_every=5)
     solver = AdmmSolver(grounded.mrf, settings)
     solver.solve()  # prime the compiled arrays
@@ -314,9 +314,7 @@ def test_reweight_resolve_bit_identical_to_fresh_ground_and_solve(executor):
         weights = ObjectiveWeights(*(Fraction(w) for w in triple))
         grounded.reweight(weights)
         resolved = solver.solve()
-        fresh_mrf, _, _ = ground_collective(
-            problem, CollectiveSettings(weights=weights, ground_shard_size=8)
-        )
+        fresh_mrf, _ = ground_collective(problem, CollectiveSettings(weights=weights))
         assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh_mrf)
         reference = _ReferenceFlatSolver(
             fresh_mrf, AdmmSettings(max_iterations=40, check_every=5)
@@ -340,16 +338,14 @@ def test_reweight_resolve_with_warm_state_matches_reference_warm_run():
     problem = build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )
-    grounded = GroundedCollective(problem, CollectiveSettings(ground_shard_size=16))
+    grounded = GroundedCollective(problem)
     settings = AdmmSettings(check_every=1)
     solver = AdmmSolver(grounded.mrf, settings)
     state = solver.solve().state
     weights = ObjectiveWeights(Fraction(3, 2), Fraction(1), Fraction(1, 2))
     grounded.reweight(weights)
     warm = solver.solve(warm_state=state)
-    fresh_mrf, _, _ = ground_collective(
-        problem, CollectiveSettings(weights=weights, ground_shard_size=16)
-    )
+    fresh_mrf, _ = ground_collective(problem, CollectiveSettings(weights=weights))
     reference = _ReferenceFlatSolver(fresh_mrf, settings).solve(warm_state=state)
     _assert_identical_run(warm, reference)
 
@@ -373,10 +369,10 @@ def test_warm_state_survives_repartitioning():
     settings = AdmmSettings(check_every=1)
     first = AdmmSolver(_collective_mrf(), settings).solve()
     assert first.converged and first.state is not None
-    # The same problem re-ground at another shard size: the state must
-    # still be honoured (dual layout is the flat copy order, which the
-    # shard size never changes).
-    resumed = AdmmSolver(_collective_mrf(11), settings).solve(
+    # The same problem built term by term, with no block extents: the
+    # state must still be honoured (dual layout is the flat copy order,
+    # which the block merge never changes).
+    resumed = AdmmSolver(ground_term_by_term(_collective_problem()), settings).solve(
         warm_state=first.state
     )
     assert resumed.iterations < first.iterations

@@ -145,7 +145,7 @@ def test_grounded_collective_reweight_matches_fresh_ground():
         settings = CollectiveSettings(weights=weights)
         assert grounded.can_reweight(weights)
         grounded.reweight(weights)
-        fresh, _, _ = ground_collective(problem, settings)
+        fresh, _ = ground_collective(problem, settings)
         assert mrf_fingerprint(grounded.mrf) == mrf_fingerprint(fresh)
         # Weight-independent structure: identical across the sweep.
         assert structure_fingerprint(grounded.mrf) == structure_fingerprint(fresh)

@@ -1,11 +1,11 @@
-"""Shard/serial equivalence properties of the sharded grounding path.
+"""Block/serial equivalence properties of the block grounding path.
 
-The contract under test: for ANY shard size — including degenerate
-single-entry and empty shards — the sharded merge produces an MRF that
-is byte-identical (variables, potentials, constraints, energies at
-random points) to adding the same terms one at a time
-through the dict-keyed ``HingeLossMRF`` calls — for a hand-written term
-program and for the collective model
+The contract under test: the block merge produces an MRF that is
+byte-identical (variables, potentials, constraints, energies at random
+points) to adding the same terms one at a time through the dict-keyed
+``HingeLossMRF`` calls — for a hand-written term program at several
+slicings (including single-term and empty blocks) and for the
+collective model's three blocks on several problems
 (:func:`tests.collective_reference.ground_term_by_term`) — also when the
 grounding runs in a worker process.
 """
@@ -25,21 +25,30 @@ from repro.psl.sharding import (
     ShardResult,
     TermBlockBuilder,
     ground_shards,
-    iter_slices,
     mrf_fingerprint,
     structure_fingerprint,
 )
 from repro.selection.collective import (
     CollectiveSettings,
     CoverageShard,
+    ErrorShard,
+    PriorShard,
     ground_collective,
 )
 from repro.selection.metrics import build_selection_problem
 from tests.collective_reference import ground_term_by_term
 from tests.work_units import run_on
 
-SHARD_SIZES = (1, 2, 7, None)
+#: Terms per block of the hand-written program (None: one block).
+SLICE_SIZES = (1, 2, 7, None)
+#: Extra projects of the paper's running example (None: as printed).
+EXTRA_PROJECTS = (1, 2, 7, None)
 EXECUTORS = ("serial", "process:2")
+
+
+def _paper_problem(extra_projects):
+    ex = paper_example(extra_projects=extra_projects or 0)
+    return build_selection_problem(ex.source, ex.target, ex.candidates)
 
 X = Predicate("x", 1)
 
@@ -112,61 +121,70 @@ def _ground_serial(targets, terms) -> HingeLossMRF:
     return mrf
 
 
-def _term_shards(terms, shard_size) -> list[TermListShard]:
+def _term_shards(terms, slice_size) -> list[TermListShard]:
+    size = slice_size or len(terms)
     return [
-        TermListShard(order=i, terms=tuple(terms[lo:hi]))
-        for i, (lo, hi) in enumerate(iter_slices(len(terms), shard_size))
+        TermListShard(order=i, terms=tuple(terms[lo : lo + size]))
+        for i, lo in enumerate(range(0, len(terms), size))
     ]
 
 
-def _ground_sharded(targets, terms, shard_size):
+def _ground_sharded(targets, terms, slice_size):
     mrf = HingeLossMRF()
     for atom in targets:
         mrf.variable_index(atom)
-    return ground_shards(_term_shards(terms, shard_size), mrf)
+    return ground_shards(_term_shards(terms, slice_size), mrf)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_program_sharded_ground_matches_serial(executor, shard_size):
+@pytest.mark.parametrize("slice_size", SLICE_SIZES)
+def test_program_sharded_ground_matches_serial(executor, slice_size):
     targets, terms = _sample_program()
     serial = _ground_serial(targets, terms)
-    sharded, stats = run_on(executor, _ground_sharded, targets, terms, shard_size)
+    sharded = run_on(executor, _ground_sharded, targets, terms, slice_size)
     _assert_identical(serial, sharded)
-    assert stats.num_shards == len(_term_shards(terms, shard_size))
-    assert stats.num_potentials == len(serial.potentials)
-    assert stats.num_constraints == len(serial.constraints)
-    assert stats.peak_shard_terms <= stats.total_terms
+    assert len(sharded._block_extents) == len(_term_shards(terms, slice_size))
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
-def test_collective_sharded_ground_matches_serial(executor, shard_size):
-    ex = paper_example(extra_projects=3)
-    problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    settings = CollectiveSettings(ground_shard_size=shard_size)
-    serial = ground_term_by_term(problem, settings)
-    sharded, plan, stats = run_on(executor, ground_collective, problem, settings)
+@pytest.mark.parametrize("extra_projects", EXTRA_PROJECTS)
+def test_collective_sharded_ground_matches_serial(executor, extra_projects):
+    problem = _paper_problem(extra_projects)
+    serial = ground_term_by_term(problem)
+    sharded, plan = run_on(executor, ground_collective, problem)
     _assert_identical(serial, sharded)
     assert len(plan.in_atoms) == problem.num_candidates
-    assert stats.num_potentials == len(serial.potentials)
+    assert len(sharded._block_extents) == len(plan.shards)
 
 
 def test_collective_sharded_ground_matches_serial_on_noisy_scenario():
-    scenario = generate_scenario(
+    # The p=12 scenario's coverage block holds 1,378 entries, and is
+    # still one shard.
+    configs = (
         ScenarioConfig(
             num_primitives=5, rows_per_relation=10, pi_errors=50, pi_corresp=50, seed=13
-        )
+        ),
+        ScenarioConfig(
+            num_primitives=12,
+            rows_per_relation=100,
+            pi_corresp=50,
+            pi_errors=25,
+            pi_unexplained=25,
+            seed=1,
+        ),
     )
-    problem = build_selection_problem(
-        scenario.source, scenario.target, scenario.candidates
-    )
-    serial = ground_term_by_term(problem)
-    for shard_size in (1, 5, 64):
-        sharded, _, _ = ground_collective(
-            problem, CollectiveSettings(ground_shard_size=shard_size)
+    for config in configs:
+        scenario = generate_scenario(config)
+        problem = build_selection_problem(
+            scenario.source, scenario.target, scenario.candidates
         )
-        _assert_identical(serial, sharded)
+        sharded, plan = ground_collective(problem)
+        _assert_identical(ground_term_by_term(problem), sharded)
+        assert [type(shard) for shard in plan.shards] == [
+            CoverageShard,
+            ErrorShard,
+            PriorShard,
+        ]
 
 
 def test_collective_degenerate_problems():
@@ -179,21 +197,19 @@ def test_collective_degenerate_problems():
     tgds = parse_tgds("r(X) -> u(X)\ns(X) -> u(X)")
     shared_errors = build_selection_problem(source, target, tgds)
     empty = build_selection_problem(source, target, [])
-    for problem in (shared_errors, empty):
-        serial = ground_term_by_term(problem)
-        for shard_size in (1, None):
-            sharded, _, _ = ground_collective(
-                problem, CollectiveSettings(ground_shard_size=shard_size)
-            )
-            _assert_identical(serial, sharded)
+    # An empty block emits no shard.
+    for problem, blocks in ((shared_errors, [ErrorShard, PriorShard]), (empty, [])):
+        sharded, plan = ground_collective(problem)
+        _assert_identical(ground_term_by_term(problem), sharded)
+        assert [type(shard) for shard in plan.shards] == blocks
 
 
 def test_empty_shard_merges_as_noop():
     shard = CoverageShard(order=0, entries=(), weight=1.0)
-    mrf, stats = ground_shards([shard])
+    mrf = ground_shards([shard])
     assert mrf.num_variables == 0
     assert mrf.potentials == [] and mrf.constraints == []
-    assert stats.num_shards == 1 and stats.total_terms == 0
+    assert mrf._block_extents == [(0, 0, 0, 0)]
 
 
 def test_out_of_order_shard_results_rejected():
@@ -233,31 +249,23 @@ def test_structure_fingerprint_weight_independent_across_sweep():
 
     ex = paper_example(extra_projects=3)
     problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    base, _, _ = ground_collective(problem, CollectiveSettings())
+    base, _ = ground_collective(problem, CollectiveSettings())
     reference_structure = structure_fingerprint(base)
     for triple in (("2", "1", "1"), ("1/2", "3", "1"), ("1", "1", "1/4")):
         weights = ObjectiveWeights(*(Fraction(w) for w in triple))
-        mrf, _, _ = ground_collective(
-            problem, CollectiveSettings(weights=weights)
-        )
+        mrf, _ = ground_collective(problem, CollectiveSettings(weights=weights))
         assert structure_fingerprint(mrf) == reference_structure
         assert mrf_fingerprint(mrf) != mrf_fingerprint(base)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-@pytest.mark.parametrize("shard_size", (1, 7, None))
+@pytest.mark.parametrize("extra_projects", (1, 7, None))
 def test_structure_fingerprint_identical_across_executors_and_shards(
-    executor, shard_size
+    executor, extra_projects
 ):
-    ex = paper_example(extra_projects=3)
-    problem = build_selection_problem(ex.source, ex.target, ex.candidates)
-    reference, _, _ = ground_collective(problem, CollectiveSettings())
-    mrf, _, _ = run_on(
-        executor,
-        ground_collective,
-        problem,
-        CollectiveSettings(ground_shard_size=shard_size),
-    )
+    problem = _paper_problem(extra_projects)
+    reference, _ = ground_collective(problem, CollectiveSettings())
+    mrf, _ = run_on(executor, ground_collective, problem)
     assert structure_fingerprint(mrf) == structure_fingerprint(reference)
 
 
@@ -267,7 +275,7 @@ def test_structure_fingerprint_weight_independent_for_rule_overrides():
     overridden = _ground_serial(*_sample_program(influence_weight=4.25))
     assert structure_fingerprint(base) == structure_fingerprint(overridden)
     assert mrf_fingerprint(base) != mrf_fingerprint(overridden)
-    sharded, _ = _ground_sharded(*_sample_program(influence_weight=4.25), 2)
+    sharded = _ground_sharded(*_sample_program(influence_weight=4.25), 2)
     assert structure_fingerprint(sharded) == structure_fingerprint(base)
     assert mrf_fingerprint(sharded) == mrf_fingerprint(overridden)
 
@@ -327,11 +335,5 @@ def test_sharded_ground_deterministic_with_repr_colliding_constants():
     serial = _ground_serial(targets, terms)
     assert serial.num_variables == 4
     for executor in EXECUTORS:
-        sharded, _ = run_on(executor, _ground_sharded, targets, terms, 1)
+        sharded = run_on(executor, _ground_sharded, targets, terms, 1)
         _assert_identical(serial, sharded)
-
-
-def test_iter_slices_covers_range_exactly():
-    assert list(iter_slices(0, 4)) == []
-    assert list(iter_slices(10, 4)) == [(0, 4), (4, 8), (8, 10)]
-    assert list(iter_slices(3, None))[0] == (0, 3)

@@ -60,7 +60,7 @@ def test_diagnostics_populated(problems):
 
 def test_program_structure(problems):
     problem = problems[0]
-    mrf, plan, _ = ground_collective(problem)
+    mrf, plan = ground_collective(problem)
     assert len(plan.in_atoms) == problem.num_candidates
     assert mrf_fingerprint(mrf) == mrf_fingerprint(ground_term_by_term(problem))
     # 2 coverable J facts -> 2 explained vars; + 2 in vars.
@@ -105,7 +105,7 @@ def test_shared_error_facts_use_mediator_variable():
     problem = build_selection_problem(source, target, tgds)
     assert problem.union_error_facts([0, 1]) == {fact("u", 1)}
 
-    mrf, _, _ = ground_collective(problem)
+    mrf, _ = ground_collective(problem)
     assert mrf_fingerprint(mrf) == mrf_fingerprint(ground_term_by_term(problem))
     # mediator errorOf var present: 2 in + 1 errorOf (no coverable facts)
     assert mrf.num_variables == 3
@@ -215,12 +215,12 @@ def test_artifact_of_another_problem_is_rejected():
 
 def test_sharded_ground_matches_default_solve(problems):
     for problem in problems:
-        serial = solve_collective(problem)
-        sharded = solve_collective(problem, CollectiveSettings(ground_shard_size=1))
-        assert sharded.selected == serial.selected
-        assert sharded.objective == serial.objective
-        assert sharded.grounding is not None
-        assert sharded.grounding.num_shards >= 1
+        cached = solve_collective(problem)
+        grounded = GroundedCollective(problem)
+        fresh = solve_collective(problem, grounded=grounded)
+        assert fresh.selected == cached.selected
+        assert fresh.objective == cached.objective
+        assert grounded.splice_stats is None  # a fresh ground, not a splice
 
 
 # -- the relaxation against an exact LP ----------------------------------------

@@ -3,7 +3,7 @@
 Contract under test: for a lineage-linked edit chain,
 :func:`patch_collective` / the cache's patch tier produce an artifact
 whose MRF fingerprints — and whole ADMM solve trajectory — equal a
-from-scratch ground of the edited problem, for every shard size and
+from-scratch ground of the edited problem, for several problems and
 wherever the patch runs.  Plus the tier ordering (memory > patch >
 fresh), the ``incremental=False`` opt-out, and the decline paths.
 """
@@ -29,17 +29,18 @@ from repro.selection.collective import (
 from repro.selection.objective import ObjectiveWeights
 from tests.work_units import run_on
 
-SHARD_SIZES = (1, 2, 7, None)
+#: Extra projects of the paper's running example (None: as printed).
+EXTRA_PROJECTS = (1, 2, 7, None)
 EXECUTORS = ("serial", "process:2")
 
 
-def _chain(extra_projects: int = 5) -> MutableSelection:
-    ex = paper_example(extra_projects=extra_projects)
+def _chain(extra_projects: int | None = 5) -> MutableSelection:
+    ex = paper_example(extra_projects=extra_projects or 0)
     return MutableSelection(ex.source, ex.target, ex.candidates)
 
 
 def _edit_fact(chain: MutableSelection):
-    """A late-sorting target fact: removing it keeps earlier j_facts stable."""
+    """The target fact the tests remove and re-add."""
     return sorted(chain.target, key=repr)[-1]
 
 
@@ -55,11 +56,11 @@ def _assert_same_artifact(patched: GroundedCollective, problem, settings) -> Non
     assert a.fractional == b.fractional
 
 
-@pytest.mark.parametrize("shard_size", SHARD_SIZES)
+@pytest.mark.parametrize("extra_projects", EXTRA_PROJECTS)
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_patch_matches_scratch(executor, shard_size):
-    chain = _chain()
-    settings = CollectiveSettings(ground_shard_size=shard_size)
+def test_patch_matches_scratch(executor, extra_projects):
+    chain = _chain(extra_projects)
+    settings = CollectiveSettings()
     parent = GroundedCollective(chain.problem, settings)
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
     patched = run_on(executor, patch_collective, parent, child, settings)
@@ -72,11 +73,10 @@ def test_patch_matches_scratch(executor, shard_size):
 
 def test_patch_reweights_to_the_new_settings():
     chain = _chain()
-    parent = GroundedCollective(chain.problem, CollectiveSettings(ground_shard_size=2))
+    parent = GroundedCollective(chain.problem)
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
     reweighted = CollectiveSettings(
-        weights=ObjectiveWeights(Fraction(2), Fraction(3), Fraction(1)),
-        ground_shard_size=2,
+        weights=ObjectiveWeights(Fraction(2), Fraction(3), Fraction(1))
     )
     patched = patch_collective(parent, child, reweighted)
     assert patched is not None
@@ -85,11 +85,11 @@ def test_patch_reweights_to_the_new_settings():
 
 def test_multi_step_chain_patches_every_revision():
     chain = _chain()
-    settings = CollectiveSettings(ground_shard_size=2)
+    settings = CollectiveSettings()
     cache = CollectiveGroundingCache()
     grounded = cache.grounded(chain.problem, settings)
     assert cache.misses == 1 and cache.patch_hits == 0
-    assert grounded.stats is not None  # root revision grounds for real
+    assert grounded.splice_stats is None  # root revision grounds for real
 
     fact = _edit_fact(chain)
     edits = [RemoveTargetTuple(fact), AddTargetTuple(fact), RemoveTargetTuple(fact)]
@@ -105,7 +105,7 @@ def test_multi_step_chain_patches_every_revision():
 
 def test_retract_then_readd_restores_structure():
     chain = _chain()
-    settings = CollectiveSettings(ground_shard_size=2)
+    settings = CollectiveSettings()
     cache = CollectiveGroundingCache()
     root_fp = structure_fingerprint(cache.grounded(chain.problem, settings).mrf)
     fact = _edit_fact(chain)
@@ -119,38 +119,27 @@ def test_retract_then_readd_restores_structure():
 
 def test_incremental_off_forces_full_reground():
     chain = _chain()
-    settings = CollectiveSettings(ground_shard_size=2, incremental=False)
+    settings = CollectiveSettings(incremental=False)
     cache = CollectiveGroundingCache()
     cache.grounded(chain.problem, settings)
     child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
     grounded = cache.grounded(child, settings)
     assert cache.patch_hits == 0
-    assert grounded.stats is not None  # full ground, not a splice
-    _assert_same_artifact(grounded, child, CollectiveSettings(ground_shard_size=2))
-    cache.clear()
-
-
-def test_shard_size_mismatch_skips_patch_tier():
-    chain = _chain()
-    cache = CollectiveGroundingCache()
-    cache.grounded(chain.problem, CollectiveSettings(ground_shard_size=2))
-    child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
-    grounded = cache.grounded(child, CollectiveSettings(ground_shard_size=4))
-    assert cache.patch_hits == 0
-    assert grounded.stats is not None
+    assert grounded.splice_stats is None  # full ground, not a splice
+    _assert_same_artifact(grounded, child, CollectiveSettings())
     cache.clear()
 
 
 def test_unrelated_problem_does_not_patch():
     chain = _chain()
     cache = CollectiveGroundingCache()
-    settings = CollectiveSettings(ground_shard_size=2)
+    settings = CollectiveSettings()
     cache.grounded(chain.problem, settings)
     # A problem with a lineage whose parent token the cache never saw.
     other = _chain(extra_projects=3).problem
     grounded = cache.grounded(other, settings)
     assert cache.patch_hits == 0
-    assert grounded.stats is not None
+    assert grounded.splice_stats is None
     cache.clear()
 
 
@@ -160,7 +149,7 @@ def test_solve_collective_default_cache_patches_lineage_chains():
     GROUNDING_CACHE.clear()
     try:
         chain = _chain()
-        settings = CollectiveSettings(ground_shard_size=2)
+        settings = CollectiveSettings()
         base = solve_collective(chain.problem, settings)
         child = chain.apply(RemoveTargetTuple(_edit_fact(chain)))
         patched = solve_collective(child, settings)

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import re
-
 import pytest
 
 from repro.cli import main
@@ -73,47 +71,37 @@ def test_sweep_prints_levels(capsys):
     assert "collective" in out
 
 
+def _assert_usage_error(argv, capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_select_solver_knobs(tmp_path, capsys):
+    # select has no grounding knobs: the removed ones are usage errors.
     path = tmp_path / "scenario.json"
     main(["generate", str(path), "--primitives", "2", "--seed", "1"])
-    assert (
-        main(
-            [
-                "select",
-                str(path),
-                "--method",
-                "collective",
-                "--ground-shard-size",
-                "8",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "collective" in out
+    capsys.readouterr()
+    for flag in ("--ground-shard-size=8", "--no-incremental"):
+        argv = ["select", str(path), "--method", "collective", flag]
+        _assert_usage_error(argv, capsys, flag)
 
 
 def test_sweep_solver_knobs(capsys):
-    assert (
-        main(
-            [
-                "sweep",
-                "--primitives",
-                "2",
-                "--rows",
-                "6",
-                "--seeds",
-                "1",
-                "--levels",
-                "0",
-                "--ground-shard-size",
-                "4",
-            ]
-        )
-        == 0
-    )
+    # sweep has no grounding knobs: the removed ones are usage errors.
+    for flag in ("--ground-shard-size=4", "--no-incremental"):
+        argv = ["sweep", "--primitives", "2", "--seeds", "1", flag]
+        _assert_usage_error(argv, capsys, flag)
+
+
+def test_chain_keeps_only_no_incremental(capsys):
+    flag = "--ground-shard-size=4"
+    _assert_usage_error(["chain", flag], capsys, flag)
+    argv = ["chain", "--primitives", "2", "--rows", "6", "--seed", "1", "--steps", "2"]
+    assert main([*argv, "--no-incremental"]) == 0
     out = capsys.readouterr().out
-    assert "collective" in out
+    assert "incremental=off, patched 0/3 misses" in out
 
 
 @pytest.mark.parametrize("command", ["select", "sweep"])
@@ -122,8 +110,9 @@ def test_no_solve_executor_flags(command, capsys):
         main([command, "--help"])
     out = capsys.readouterr().out
     assert "--solve-" not in out
-    # Grounding runs on the calling thread: shard size is its only knob.
-    assert set(re.findall(r"--ground-[a-z-]+", out)) == {"--ground-shard-size"}
+    # Grounding runs on the calling thread and has no knob.
+    assert "--ground-" not in out
+    assert "--no-incremental" not in out
     # Grid cells are the only parallel work: select builds serially.
     assert ("--executor" in out) == (command == "sweep")
 
