@@ -4,8 +4,15 @@ Build the metric tables on progressively smaller samples of the target
 example and measure (a) metric-construction wall time and (b) the
 selection's mapping-level F1 against gold.  Shape: time drops roughly
 linearly with the rate while F1 stays high until the sample gets thin.
+
+The work the speed claim stands for is asserted on every seed: the 25%
+sample matches fewer J facts than the full build.  The wall-time
+ordering is opt-in via ``REPRO_ASSERT_SPEEDUP=1``, like every timing
+claim in this repo, because a noisy runner can invert two builds this
+small.
 """
 
+import os
 import time
 
 from benchmarks._common import record_result
@@ -22,7 +29,8 @@ SEEDS = (1, 2)
 
 
 def _tradeoff_rows():
-    rows = []
+    """(table rows, J facts per (rate, seed))."""
+    rows, j_facts = [], {}
     for rate in RATES:
         seconds, f1 = [], []
         for seed in SEEDS:
@@ -37,6 +45,7 @@ def _tradeoff_rows():
                 rate=rate, seed=seed,
             )
             build_seconds = time.perf_counter() - start
+            j_facts[rate, seed] = len(sampled.problem.j_facts)
             result = solve_collective(
                 sampled.problem, CollectiveSettings(weights=sampled.weights)
             )
@@ -45,11 +54,11 @@ def _tradeoff_rows():
                 mapping_quality(result.selected, scenario.gold_indices).f1
             )
         rows.append([rate, mean(seconds), mean(f1)])
-    return rows
+    return rows, j_facts
 
 
 def test_ext_sampling_tradeoff(benchmark):
-    rows = benchmark.pedantic(_tradeoff_rows, rounds=1, iterations=1)
+    rows, j_facts = benchmark.pedantic(_tradeoff_rows, rounds=1, iterations=1)
     record_result(
         "ext_sampling",
         format_table(
@@ -59,7 +68,10 @@ def test_ext_sampling_tradeoff(benchmark):
         ),
     )
     by_rate = {row[0]: row for row in rows}
-    # Sampling at 25% must be materially faster than the full build...
-    assert by_rate[0.25][1] < by_rate[1.0][1]
+    # Sampling at 25% must match fewer J facts than the full build...
+    for seed in SEEDS:
+        assert j_facts[0.25, seed] < j_facts[1.0, seed]
+    if os.environ.get("REPRO_ASSERT_SPEEDUP") == "1":
+        assert by_rate[0.25][1] < by_rate[1.0][1]
     # ...while keeping most of the quality at moderate rates.
     assert by_rate[0.5][2] >= by_rate[1.0][2] - 0.25

@@ -11,9 +11,7 @@ Commands:
 * ``chain``    — replay a tuple-edit mutation chain with incremental
   (delta) grounding (docs/incremental.md): each revision patches the
   previous one's compiled structure instead of re-grounding;
-* ``demo``     — the paper's running example with its appendix objective table;
-* ``lint``     — the repro-lint static-analysis pass (docs/lint.md): exits
-  0 when clean, 1 on findings, 2 on usage errors.
+* ``demo``     — the paper's running example with its appendix objective table.
 
 A library error (:class:`~repro.errors.ReproError`) or an I/O error in
 any command prints ``repro <command>: error: <message>`` on stderr and
@@ -163,28 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("demo", help="the paper's running example")
 
-    lint_help = (
-        "run the repro-lint invariant checkers (RPL001 process-map safety, "
-        "RPL002 hash-order determinism)"
-    )
-    lint = sub.add_parser("lint", help=lint_help, description=lint_help)
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=["text", "json", "github"],
-        default="text",
-        help="stdout report format (github = Actions annotations)",
-    )
-    lint.add_argument(
-        "--output",
-        default=None,
-        help="also write the JSON report to this file (any --format)",
-    )
     return parser
 
 
@@ -405,24 +381,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.reporting import render_github, render_json, render_text
-    from repro.analysis.runner import lint_paths
-
-    report = lint_paths(args.paths)
-    if args.output:
-        Path(args.output).write_text(render_json(report), encoding="utf-8")
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "github":
-        sys.stdout.write(render_github(report))
-    else:
-        sys.stdout.write(render_text(report))
-    return report.exit_code
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "select": _cmd_select,
@@ -430,7 +388,6 @@ _COMMANDS = {
     "weight-sweep": _cmd_weight_sweep,
     "chain": _cmd_chain,
     "demo": _cmd_demo,
-    "lint": _cmd_lint,
 }
 
 

@@ -105,3 +105,17 @@ def test_cover_computer_caches_are_transparent():
     computer = CoverComputer(k3, ex.target)
     t = fact("task", "ML", "Alice", 111)
     assert computer.degree(t) == computer.degree(t) == Fraction(1)
+
+
+def test_cover_computer_null_index_keeps_chase_order():
+    ex = paper_example()
+    k3 = chase_single(ex.source, ex.theta3)
+    computer = CoverComputer(k3, ex.target)
+    # The null-to-facts index must list nulls in first-appearance order
+    # over the chase, not set order.
+    appearance = []
+    for f in k3:
+        for n in dict.fromkeys(f.nulls):
+            if n not in appearance:
+                appearance.append(n)
+    assert list(computer._facts_with_null) == appearance

@@ -102,6 +102,17 @@ def test_greedy_backward_pass_removes_subsumed():
     assert result.selected == frozenset({0})
 
 
+def test_greedy_breaks_objective_ties_toward_lowest_index():
+    # Two identical candidates: every delta ties; the pick must be the
+    # lower index, not whichever a set yields first.
+    source = Instance([fact("r", i) for i in range(3)])
+    target = Instance([fact("u", i) for i in range(3)])
+    candidates = parse_tgds("r(X) -> u(X)\nr(X) -> u(X)")
+    problem = build_selection_problem(source, target, candidates)
+    result = solve_greedy(problem, backward_pass=False)
+    assert result.selected == frozenset({0})
+
+
 def test_greedy_matches_exact_on_small_instances(paper_problem):
     assert (
         solve_greedy(paper_problem).objective

@@ -134,6 +134,14 @@ def test_missing_required_argument_exits():
         main(["generate"])
 
 
+def test_lint_is_not_a_command(capsys):
+    # The RPL001/RPL002 checks are the tier-1 module tests/test_invariants.py.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
