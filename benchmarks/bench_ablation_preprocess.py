@@ -1,8 +1,13 @@
 """Ablation: Section III-C problem reductions.
 
 Measures how much the certain-unexplained / useless-candidate reductions
-shrink the problem (facts, candidates, groundings) and the exact-solver
-speedup they buy, while provably preserving the optimal value.
+shrink the problem (facts, candidates) and times the exact solver on the
+full and the reduced problem, while provably preserving the optimal
+value.  At p=4 the reductions buy no material MILP speedup: with the
+solver's first-use scipy import kept out of the timed region, reduced
+over full solve time summed over the 3 seeds was 0.89-0.92 in 8 runs
+on a 2-CPU Linux container, about 2 ms of 25 ms.  The time assertion
+only checks that reducing never slows the solver down materially.
 """
 
 import time
@@ -19,15 +24,19 @@ SEEDS = (1, 2, 3)
 
 
 def _reduction_rows():
-    rows = []
-    for seed in SEEDS:
-        scenario = generate_scenario(
+    problems = [
+        generate_scenario(
             ScenarioConfig(
                 num_primitives=4, rows_per_relation=10, pi_corresp=100, seed=seed
             )
-        )
-        problem = scenario.selection_problem()
-
+        ).selection_problem()
+        for seed in SEEDS
+    ]
+    # Untimed: the first solve imports scipy, which would otherwise be
+    # charged to seed 1's full solve.
+    solve_milp(problems[0])
+    rows = []
+    for seed, problem in zip(SEEDS, problems):
         start = time.perf_counter()
         full_opt = solve_milp(problem)
         full_seconds = time.perf_counter() - start

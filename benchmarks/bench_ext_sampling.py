@@ -1,18 +1,19 @@
-"""Extension experiment: J-sampling speed/quality trade-off.
+"""Extension experiment: J-sampling size/quality trade-off.
 
-Build the metric tables on progressively smaller samples of the target
-example and measure (a) metric-construction wall time and (b) the
-selection's mapping-level F1 against gold.  Shape: time drops roughly
-linearly with the rate while F1 stays high until the sample gets thin.
+Restrict the selection problem to progressively smaller samples of the
+target example and measure (a) the wall time of building the sampled
+problem and (b) the selection's mapping-level F1 against gold.  What
+sampling shrinks is ``j_facts``, and with it the HL-MRF's coverage
+block; the build does not shrink, because a sampled problem is the full
+build restricted to the sample (errors and null corroboration test
+every chase fact against all of J).  The build column is therefore flat
+across rates: 0.019-0.031 s per build at every rate on a 2-CPU Linux
+container.  Shape: F1 stays high until the sample gets thin.
 
-The work the speed claim stands for is asserted on every seed: the 25%
-sample matches fewer J facts than the full build.  The wall-time
-ordering is opt-in via ``REPRO_ASSERT_SPEEDUP=1``, like every timing
-claim in this repo, because a noisy runner can invert two builds this
-small.
+Asserted on every seed: the 25% sample keeps fewer J facts than the
+full problem.
 """
 
-import os
 import time
 
 from benchmarks._common import record_result
@@ -64,14 +65,12 @@ def test_ext_sampling_tradeoff(benchmark):
         format_table(
             ["sample rate", "build sec", "map F1"],
             rows,
-            title="J-sampling: metric-build time vs selection quality",
+            title="J-sampling: sampled-problem build time vs selection quality",
         ),
     )
     by_rate = {row[0]: row for row in rows}
-    # Sampling at 25% must match fewer J facts than the full build...
+    # Sampling at 25% must keep fewer J facts than the full problem...
     for seed in SEEDS:
         assert j_facts[0.25, seed] < j_facts[1.0, seed]
-    if os.environ.get("REPRO_ASSERT_SPEEDUP") == "1":
-        assert by_rate[0.25][1] < by_rate[1.0][1]
     # ...while keeping most of the quality at moderate rates.
     assert by_rate[0.5][2] >= by_rate[1.0][2] - 0.25

@@ -12,7 +12,7 @@ from repro.evaluation.engine import (
     WeightSweepResult,
     run_scenario,
 )
-from repro.evaluation.harness import DEFAULT_METHODS, MethodRun, exact_method, run_methods
+from repro.evaluation.harness import MethodRun, run_methods
 from repro.evaluation.metrics import (
     PrecisionRecall,
     data_quality,
@@ -23,7 +23,6 @@ from repro.evaluation.reporting import format_table, mean
 
 __all__ = [
     "DEFAULT_GRID_METHODS",
-    "DEFAULT_METHODS",
     "METHOD_REGISTRY",
     "CellTiming",
     "EvaluationEngine",
@@ -35,7 +34,6 @@ __all__ = [
     "SweepResult",
     "WeightSweepResult",
     "data_quality",
-    "exact_method",
     "format_table",
     "instance_precision_recall",
     "mapping_quality",

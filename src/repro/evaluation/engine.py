@@ -253,9 +253,6 @@ class GridResult:
     def by_method(self, method: str) -> list[GridCell]:
         return [c for c in self.cells if c.method == method]
 
-    def for_config(self, config: ScenarioConfig) -> list[GridCell]:
-        return [c for c in self.cells if c.config == config]
-
     def methods(self) -> list[str]:
         seen: dict[str, None] = {}
         for c in self.cells:

@@ -9,23 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
+from repro.evaluation.engine import (
+    DEFAULT_GRID_METHODS,
+    METHOD_REGISTRY,
+    Solver,
+    run_scenario,
+)
 from repro.evaluation.metrics import PrecisionRecall, mapping_quality
 from repro.ibench.scenario import Scenario
-from repro.selection.baselines import select_all
-from repro.selection.collective import solve_collective
-from repro.selection.exact import SelectionResult, solve_milp
-from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import SelectionProblem
-
-Solver = Callable[[SelectionProblem], SelectionResult]
-
-DEFAULT_METHODS: dict[str, Solver] = {
-    "collective": solve_collective,
-    "greedy": solve_greedy,
-    "all-candidates": select_all,
-}
 
 
 @dataclass(frozen=True)
@@ -56,22 +50,18 @@ def run_methods(
 ) -> list[MethodRun]:
     """Score each method on *scenario*; optionally add the gold reference row.
 
-    A thin wrapper over :func:`repro.evaluation.engine.run_scenario` — use
+    *methods* defaults to the engine's solvers for
+    :data:`~repro.evaluation.engine.DEFAULT_GRID_METHODS`.  A thin wrapper
+    over :func:`repro.evaluation.engine.run_scenario` — use
     :class:`repro.evaluation.engine.EvaluationEngine` directly for grids,
     caching, parallel execution, and per-cell timing breakdowns.
     """
-    from repro.evaluation.engine import run_scenario
-
-    methods = dict(methods if methods is not None else DEFAULT_METHODS)
+    if methods is None:
+        methods = {name: METHOD_REGISTRY[name] for name in DEFAULT_GRID_METHODS}
     cells = run_scenario(
         scenario, methods, problem=problem, include_gold=include_gold
     )
     return [cell.run for cell in cells]
-
-
-def exact_method(problem: SelectionProblem) -> SelectionResult:
-    """The provably optimal solver, exposed with the harness signature."""
-    return solve_milp(problem)
 
 
 def score_selection(

@@ -31,6 +31,7 @@ from repro.selection.metrics import (
     evaluate_candidate,
     merge_candidate_tables,
     problem_fingerprint,
+    restrict_problem,
 )
 from repro.selection.sampling import SampledProblem, sample_selection_problem
 from repro.selection.weight_learning import (
@@ -79,6 +80,7 @@ __all__ = [
     "evaluate_candidate",
     "merge_candidate_tables",
     "problem_fingerprint",
+    "restrict_problem",
     "objective_breakdown",
     "objective_evaluator",
     "objective_value",

@@ -1,9 +1,9 @@
 """Greedy baseline for mapping selection.
 
 Forward selection: repeatedly add the candidate with the most negative
-objective delta; stop when no addition improves F.  An optional backward
-pass then drops candidates whose removal improves F (useful when an early
-pick is subsumed by later ones).  This is the natural local-search
+objective delta; stop when no addition improves F.  A backward pass then
+drops candidates whose removal improves F (useful when an early pick is
+subsumed by later ones).  This is the natural local-search
 baseline the collective method is compared against.
 """
 
@@ -21,9 +21,8 @@ from repro.selection.objective import (
 def solve_greedy(
     problem: SelectionProblem,
     weights: ObjectiveWeights = DEFAULT_WEIGHTS,
-    backward_pass: bool = True,
 ) -> SelectionResult:
-    """Greedy forward selection (plus optional backward elimination)."""
+    """Greedy forward selection, then backward elimination."""
     inc = IncrementalObjective(problem, weights)
     remaining = set(range(problem.num_candidates))
 
@@ -44,16 +43,15 @@ def solve_greedy(
             remaining.discard(best_candidate)
             improved = True
 
-    if backward_pass:
-        changed = True
-        while changed:
-            changed = False
-            for i in sorted(inc.selected):
-                before = inc.value
-                inc.remove(i)
-                if inc.value < before:
-                    changed = True
-                else:
-                    inc.add(i)
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(inc.selected):
+            before = inc.value
+            inc.remove(i)
+            if inc.value < before:
+                changed = True
+            else:
+                inc.add(i)
 
     return SelectionResult(inc.selected, inc.value)

@@ -19,7 +19,9 @@ of every J fact it maps onto.  J is sorted once per build, by that
 index; ``j_facts`` and every cover table follow its ``repr`` order.
 All downstream solvers (exact, greedy, collective/PSL) consume the
 resulting :class:`SelectionProblem`, so they optimize exactly the same
-objective.
+objective.  A problem over a subset of J (J-sampling, the
+certain-unexplained reduction) is that build cut down by
+:func:`restrict_problem`, never a second build.
 
 The per-candidate work (chase + cover table + error set) is independent
 across candidates and runs in the calling process.  Each candidate
@@ -317,9 +319,7 @@ def _recall(memo: dict, offset: int, make):
 
 
 def candidate_metrics(
-    chase_instance: Instance,
-    target: Instance,
-    reported: Instance | None = None,
+    chase_instance: Instance, target: Instance
 ) -> tuple[dict[Fact, Fraction], frozenset[Fact]]:
     """One candidate's cover table and error set against the target J.
 
@@ -332,11 +332,9 @@ def candidate_metrics(
     Then each image scores its explained positions, and the best count
     per J fact becomes one ``Fraction(count, arity)``.
 
-    The table is keyed in J's ``repr`` order, zeros left out.
-    *reported* (a subset of J) restricts it, as sampling does, while
-    corroboration and errors always test against all of *target*.  The
-    result equals ``{t: CoverComputer(chase_instance, target).degree(t)}``
-    over *reported* in ``repr`` order, and the error set equals
+    The table is keyed in J's ``repr`` order, zeros left out.  It
+    equals ``{t: CoverComputer(chase_instance, target).degree(t)}`` over
+    J in ``repr`` order, and the error set equals
     ``{f : creates(f, target)}``.
     """
     index = target.match_index()
@@ -369,11 +367,7 @@ def candidate_metrics(
             if explained > best.get(rank, 0):
                 best[rank] = explained
 
-    if reported is None or reported is target:
-        table = {ordered[rank]: best[rank] for rank in sorted(best)}
-    else:
-        counts = {ordered[rank]: count for rank, count in best.items()}
-        table = {t: counts[t] for t in reported.match_index().ordered if t in counts}
+    table = {ordered[rank]: best[rank] for rank in sorted(best)}
     return {t: Fraction(count, t.arity) for t, count in table.items()}, frozenset(errors)
 
 
@@ -440,6 +434,32 @@ def merge_candidate_tables(
         error_facts=error_sets,
         sizes=[c.size for c in candidates],
         chase_by_candidate=chases,
+    )
+
+
+def restrict_problem(problem: SelectionProblem, facts: Iterable[Fact]) -> SelectionProblem:
+    """*problem* with its target example cut down to *facts*, a subset of J.
+
+    ``j_facts`` keeps J's ``repr`` order and each cover table keeps its
+    own order, both filtered to the kept facts.  Candidates, error sets,
+    sizes and chases are *problem*'s own: they were computed against all
+    of J, so a fact left out neither weakens a null's corroboration nor
+    turns an explained chase fact into an error.  J-sampling and the
+    certain-unexplained reduction both derive their problems this way.
+    """
+    kept = set(facts)
+    j_facts = [t for t in problem.j_facts if t in kept]
+    if len(j_facts) != len(kept):
+        raise SelectionError("can only restrict a problem to facts of its target")
+    return SelectionProblem(
+        candidates=problem.candidates,
+        source=problem.source,
+        target=Instance(j_facts),
+        j_facts=j_facts,
+        covers=[{t: d for t, d in table.items() if t in kept} for table in problem.covers],
+        error_facts=problem.error_facts,
+        sizes=problem.sizes,
+        chase_by_candidate=problem.chase_by_candidate,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.selection.metrics import SelectionProblem
+from repro.selection.metrics import SelectionProblem, restrict_problem
 from repro.selection.objective import DEFAULT_WEIGHTS, ObjectiveWeights
 
 
@@ -49,27 +49,12 @@ def drop_certain_unexplained(
 
     Returns (reduced problem, constant objective offset, removed facts).
     """
-    inert = set(problem.certain_unexplained())
+    inert = problem.certain_unexplained()
     if not inert:
         return problem, Fraction(0), []
-    kept_facts = [t for t in problem.j_facts if t not in inert]
-    target = problem.target.copy()
-    # repro-lint: disable=RPL002 -- discard() is commutative and the
-    # returned dropped-facts list is sorted below.
-    for t in inert:
-        target.discard(t)
-    reduced = SelectionProblem(
-        candidates=problem.candidates,
-        source=problem.source,
-        target=target,
-        j_facts=kept_facts,
-        covers=problem.covers,
-        error_facts=problem.error_facts,
-        sizes=problem.sizes,
-        chase_by_candidate=problem.chase_by_candidate,
-    )
+    reduced = restrict_problem(problem, problem.coverable_facts())
     offset = weights.explains * Fraction(len(inert))
-    return reduced, offset, sorted(inert, key=repr)
+    return reduced, offset, inert
 
 
 def drop_useless_candidates(

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.evaluation.harness import DEFAULT_METHODS, exact_method, run_methods
+from repro.evaluation.engine import DEFAULT_GRID_METHODS
+from repro.evaluation.harness import run_methods
 from repro.evaluation.reporting import format_table, mean
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
+from repro.selection.exact import solve_milp
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +20,7 @@ def scenario():
 def test_run_methods_covers_all_defaults_plus_gold(scenario):
     runs = run_methods(scenario)
     names = [r.method for r in runs]
-    assert set(DEFAULT_METHODS) <= set(names)
+    assert names == [*DEFAULT_GRID_METHODS, "gold"]
     assert "gold" in names
 
 
@@ -34,7 +36,7 @@ def test_collective_beats_all_candidates_objective(scenario):
 
 
 def test_custom_method_dict(scenario):
-    runs = run_methods(scenario, methods={"exact": exact_method}, include_gold=False)
+    runs = run_methods(scenario, methods={"exact": solve_milp}, include_gold=False)
     assert [r.method for r in runs] == ["exact"]
     # The exact objective lower-bounds every other method's.
     default_runs = run_methods(scenario, include_gold=False)

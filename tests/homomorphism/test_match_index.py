@@ -1,9 +1,10 @@
 """Differential tests: every match-index path against its literal reference.
 
 The indexed paths (``candidate_metrics``' one-pass cover table and error
-set, ``creates``, corroboration, ``fact_homomorphisms``, precision/recall
-and the chase join) must give exactly what their references give, in the
-same order wherever order is observable.  Random instances mix constants and nulls
+set, ``restrict_problem``'s cut of them to a sample of J, ``creates``,
+corroboration, ``fact_homomorphisms``, precision/recall and the chase
+join) must give exactly what their references give, in the same order
+wherever order is observable.  Random instances mix constants and nulls
 on both sides, repeat nulls inside one fact, and hold ``Constant(1)``
 next to ``Constant("1")`` (equal ``repr``, unequal values).
 """
@@ -25,7 +26,7 @@ from repro.homomorphism.search import (
 )
 from repro.mappings.atoms import Atom
 from repro.mappings.terms import Variable, is_variable
-from repro.selection.metrics import candidate_metrics
+from repro.selection.metrics import SelectionProblem, candidate_metrics, restrict_problem
 
 #: Relation name -> arities its facts may take ("t" mixes two).
 RELATIONS = {"r": (2,), "s": (3,), "t": (1, 2)}
@@ -57,9 +58,9 @@ def repr_order(instance: Instance) -> list[Fact]:
     return sorted(instance, key=repr)
 
 
-def reference_table(computer: CoverComputer, reported: Instance) -> dict[Fact, Fraction]:
+def reference_table(computer: CoverComputer, facts: list[Fact]) -> dict[Fact, Fraction]:
     table = {}
-    for t in repr_order(reported):
+    for t in facts:
         degree = computer.degree(t)
         if degree > 0:
             table[t] = degree
@@ -74,7 +75,7 @@ def reference_errors(chase_instance: Instance, target: Instance) -> frozenset[Fa
 @settings(max_examples=150, deadline=None)
 def test_cover_table_equals_per_fact_degrees_in_j_order(chase_instance, target):
     table, errors = candidate_metrics(chase_instance, target)
-    reference = reference_table(CoverComputer(chase_instance, target), target)
+    reference = reference_table(CoverComputer(chase_instance, target), repr_order(target))
     assert list(table.items()) == list(reference.items())
     assert errors == reference_errors(chase_instance, target)
 
@@ -82,13 +83,21 @@ def test_cover_table_equals_per_fact_degrees_in_j_order(chase_instance, target):
 @given(chases, targets, st.data())
 @settings(max_examples=100, deadline=None)
 def test_cover_table_on_a_sample_corroborates_against_all_of_j(chase_instance, target, data):
-    ordered = repr_order(target)
+    ordered = list(target.match_index().ordered)
     picks = st.lists(st.sampled_from(ordered), unique=True) if ordered else st.just([])
-    sampled = Instance(data.draw(picks))
-    table, errors = candidate_metrics(chase_instance, target, reported=sampled)
-    reference = reference_table(CoverComputer(chase_instance, target), sampled)
-    assert list(table.items()) == list(reference.items())
-    assert errors == reference_errors(chase_instance, target)
+    sampled = set(data.draw(picks))
+    table, errors = candidate_metrics(chase_instance, target)
+    # restrict_problem reads only the J side: j_facts, covers, errors.
+    full = SelectionProblem(
+        candidates=[], source=Instance(), target=target, j_facts=ordered,
+        covers=[table], error_facts=[errors], sizes=[],
+    )
+    restricted = restrict_problem(full, sampled)
+    kept = [t for t in ordered if t in sampled]
+    reference = reference_table(CoverComputer(chase_instance, target), kept)
+    assert restricted.j_facts == kept
+    assert list(restricted.covers[0].items()) == list(reference.items())
+    assert restricted.error_facts[0] == reference_errors(chase_instance, target)
 
 
 @given(chases, targets)

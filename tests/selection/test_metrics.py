@@ -8,7 +8,7 @@ from repro.datamodel.instance import Instance, fact
 from repro.errors import SelectionError
 from repro.examples_data import paper_example
 from repro.mappings.parser import parse_tgds
-from repro.selection.metrics import build_selection_problem
+from repro.selection.metrics import build_selection_problem, restrict_problem
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,22 @@ def test_chase_by_candidate_matches_candidates(problem):
 def test_j_facts_are_sorted_and_complete(problem):
     assert problem.j_facts == sorted(problem.j_facts, key=repr)
     assert set(problem.j_facts) == set(problem.target)
+
+
+def test_restriction_keeps_j_order_and_shares_candidate_tables(problem):
+    kept = problem.j_facts[1::2]
+    restricted = restrict_problem(problem, reversed(kept))
+    assert restricted.j_facts == kept
+    assert restricted.target.match_index().ordered == tuple(kept)
+    for full, cut in zip(problem.covers, restricted.covers):
+        assert list(cut.items()) == [(t, d) for t, d in full.items() if t in kept]
+    assert restricted.error_facts is problem.error_facts
+    assert restricted.chase_by_candidate is problem.chase_by_candidate
+
+
+def test_restriction_rejects_facts_outside_j(problem):
+    with pytest.raises(SelectionError):
+        restrict_problem(problem, [fact("u", "not in J")])
 
 
 #: ``problem_fingerprint`` SHA-256s of ``ScenarioConfig(num_primitives=p,

@@ -97,7 +97,7 @@ def test_greedy_never_worse_than_empty(paper_problem):
 
 def test_greedy_backward_pass_removes_subsumed():
     problem = _set_cover_style_problem()
-    result = solve_greedy(problem, backward_pass=True)
+    result = solve_greedy(problem)
     # r1 alone is optimal; backward pass must not leave r2/r3 behind.
     assert result.selected == frozenset({0})
 
@@ -109,7 +109,7 @@ def test_greedy_breaks_objective_ties_toward_lowest_index():
     target = Instance([fact("u", i) for i in range(3)])
     candidates = parse_tgds("r(X) -> u(X)\nr(X) -> u(X)")
     problem = build_selection_problem(source, target, candidates)
-    result = solve_greedy(problem, backward_pass=False)
+    result = solve_greedy(problem)
     assert result.selected == frozenset({0})
 
 
