@@ -7,10 +7,11 @@ compiled straight from the selection problem's tables, so this package
 carries only what that solve path needs:
 
 * hinge-loss MRFs (:mod:`repro.psl.hlmrf`) over ground atoms
-  (:mod:`repro.psl.predicate`),
+  (:mod:`repro.psl.predicate`), which store their hinges and caps once,
+  as CSR term rows,
 * block grounding (:mod:`repro.psl.sharding`),
-* consensus-ADMM MAP inference (:mod:`repro.psl.admm`) on partitioned
-  term arrays (:mod:`repro.psl.partition`),
+* consensus-ADMM MAP inference (:mod:`repro.psl.admm`) on flat term
+  arrays built from those rows,
 * discrete rounding utilities (:mod:`repro.psl.rounding`),
 * the incremental splice engine (:mod:`repro.psl.delta`) behind the
   collective's patch tier.

@@ -5,16 +5,15 @@ hard constraint becomes a subproblem holding local copies of its
 variables; a consensus vector z (clipped to [0,1]) ties the copies
 together.  Every subproblem's minimizer has the closed form
 ``x = v - lambda * a`` for a per-term scalar ``lambda``, so one ADMM
-iteration is a handful of vectorized segment operations over the MRF's
-:class:`~repro.psl.partition.FlatTermArrays` — no generic QP solver
-needed.
+iteration is a handful of vectorized segment operations over one
+:class:`FlatTermArrays` — no generic QP solver needed.
 
 Term kinds (the two the collective model grounds):
     linear hinge   w*max(0, a^T x + b)      lambda in {0, w/rho, d/||a||^2}
     hard <=        project onto halfspace   lambda = max(0, d)/||a||^2
 
-The flat arrays hold the potentials first, so the hinges are terms
-``[:num_potentials]`` and the ``<=`` caps the rest.
+The flat arrays are the MRF's hinge rows followed by its cap rows, so
+the hinges are terms ``[:num_potentials]`` and the ``<=`` caps the rest.
 
 The arrays are small (the p=24 collective model has 1288 terms and 2150
 copies), so per-call overhead, not arithmetic, sets the iteration cost.
@@ -38,8 +37,63 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import FlatTermArrays, compiled_arrays
+from repro.psl.hlmrf import HingeLossMRF, TermRows
+
+
+@dataclass(frozen=True)
+class FlatTermArrays:
+    """One MRF's terms in consensus-ADMM layout.
+
+    Every term's subproblem holds local copies of its variables: the
+    CSR rows of the MRF's hinges, then of its caps, with the derived
+    per-term norms and per-variable copy counts.  Every field except
+    ``weight`` is structure; ``weight`` is the MRF's own per-potential
+    weight vector (the same array object, not a copy), so
+    :meth:`~repro.psl.hlmrf.HingeLossMRF.set_potential_weights` reaches
+    the solver with no sync step.
+    """
+
+    num_variables: int
+    num_potentials: int
+    offset: np.ndarray  # float64[num_terms]
+    weight: np.ndarray  # float64[num_potentials], shared with the MRF
+    normsq: np.ndarray  # float64[num_terms], max(||a||^2, 1e-12)
+    term_ptr: np.ndarray  # int64[num_terms+1], CSR row pointer into copies
+    var: np.ndarray  # int64[num_copies], global variable index
+    term: np.ndarray  # int64[num_copies], global term index
+    coeff: np.ndarray  # float64[num_copies]
+    degree: np.ndarray  # float64[num_variables], max(copy count, 1)
+
+    @classmethod
+    def of(cls, mrf: HingeLossMRF) -> FlatTermArrays:
+        """*mrf*'s hinge rows, then its cap rows, as solver arrays."""
+        rows = TermRows.concatenate((mrf.hinges, mrf.caps))
+        term = rows.row_of_entry()
+        n = mrf.num_variables
+        return cls(
+            num_variables=n,
+            num_potentials=len(mrf.hinges),
+            offset=rows.offset,
+            weight=mrf._weights,
+            normsq=np.maximum(
+                np.bincount(term, weights=rows.coeff**2, minlength=len(rows)), 1e-12
+            ),
+            term_ptr=rows.ptr,
+            var=rows.var,
+            term=term,
+            coeff=rows.coeff,
+            degree=np.maximum(
+                np.bincount(rows.var, minlength=n).astype(np.float64), 1.0
+            ),
+        )
+
+    @property
+    def num_terms(self) -> int:
+        return len(self.offset)
+
+    @property
+    def num_copies(self) -> int:
+        return len(self.var)
 
 
 @dataclass
@@ -224,12 +278,13 @@ class _LocalStep:
 class AdmmSolver:
     """Serial consensus-ADMM solver for one HL-MRF.
 
-    The flat term arrays are compiled **once** per MRF and reused across
-    solves: because the HL-MRF energy is linear in the potential
-    weights, a weight-only change never touches the compiled structure;
-    only the local step's weight constants are recompiled, once per
-    solve.  The arrays hold the MRF's own weight vector, so each solve
-    iterates on the weights
+    The flat term arrays are built **once**, when the solver is, and
+    reused across solves: because the HL-MRF energy is linear in the
+    potential weights, a weight-only change never touches them; only
+    the local step's weight constants are recompiled, once per solve.
+    Terms added to the MRF after that need a new solver.  The arrays
+    hold the MRF's own weight vector, so each solve iterates on the
+    weights
     :meth:`~repro.psl.hlmrf.HingeLossMRF.set_potential_weights` last
     wrote.
     """
@@ -238,7 +293,7 @@ class AdmmSolver:
         self._mrf = mrf
         self._settings = settings or AdmmSettings()
         self._settings.validate()
-        self._arrays = compiled_arrays(mrf)
+        self._arrays = FlatTermArrays.of(mrf)
 
     @property
     def arrays(self) -> FlatTermArrays:
@@ -267,7 +322,7 @@ class AdmmSolver:
         :class:`~repro.errors.InferenceError` before iterating.  Weights
         are the MRF's current ones: reweight it first, and a solve with
         *warm_state* from the previous one is the fast path of iterative
-        reweighting — same compiled arrays, a handful of warm iterations.
+        reweighting — same arrays, a handful of warm iterations.
         """
         settings = self._settings
         arrays = self._arrays

@@ -10,18 +10,24 @@ is the convex program::
 Bach et al.'s general term language also has squared hinges, equality
 constraints and constant terms; the collective model grounds none of
 them, so this module keeps only linear hinges and ``<=`` caps, and a
-term with no nonzero coefficient is an error.  Variables are PSL ground
-atoms; potentials are added one at a time or merged from shard term
-blocks (:mod:`repro.psl.sharding`).  The weights ``w_k`` are one
-per-potential vector, which the compiled solver arrays share and
-:meth:`HingeLossMRF.set_potential_weights` alone rewrites.  Solved by
-consensus ADMM in :mod:`repro.psl.admm`.
+term with no nonzero coefficient, or a non-finite weight, coefficient
+or offset, is an error.  Variables are PSL ground atoms; terms are
+added one at a time or merged from shard term blocks
+(:mod:`repro.psl.sharding`).
+
+The model stores its terms once, as two sets of CSR rows
+(:class:`TermRows`): the hinges ``a_k^T x + b_k`` and the caps
+``a_c^T x + b_c``.  The weights ``w_k`` are one per-hinge vector, which
+the solver arrays share and :meth:`HingeLossMRF.set_potential_weights`
+alone rewrites.  Solved by consensus ADMM in :mod:`repro.psl.admm`.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,41 +37,121 @@ from repro.psl.predicate import GroundAtom
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.psl.sharding import TermBlock
 
-#: Term kinds of the shard term blocks and the flat solver arrays.
-KIND_HINGE = 0
-KIND_LEQ = 1
-
 
 def nonzero_terms(
-    pairs: Iterable[tuple[object, float]], what: str = "constraint"
+    pairs: Iterable[tuple[object, float]], offset: float, what: str = "constraint"
 ) -> list[tuple[object, float]]:
     """*pairs* without zero coefficients, values as float.
 
     Shared by the incremental :class:`HingeLossMRF` API and the sharded
     :class:`~repro.psl.sharding.TermBlockBuilder`, so the two can never
-    diverge.  A term (*what*) with no nonzero coefficient raises
-    :class:`InferenceError`.
+    diverge.  A term (*what*) with a non-finite coefficient or *offset*,
+    or with no nonzero coefficient, raises :class:`InferenceError`.
     """
     kept = [(a, float(c)) for a, c in pairs if c]
+    if not (math.isfinite(offset) and all(math.isfinite(c) for _, c in kept)):
+        raise InferenceError(f"{what} has a non-finite coefficient or offset")
     if not kept:
         raise InferenceError(f"{what} has no nonzero coefficient")
     return kept
 
 
 def filter_potential_terms(
-    pairs: Iterable[tuple[object, float]], weight: float
+    pairs: Iterable[tuple[object, float]], offset: float, weight: float
 ) -> list[tuple[object, float]]:
     """Shared normalization of one potential's terms.
 
-    Validates the weight, drops zero-weight potentials (an empty list
-    means nothing should be appended), then applies
+    Validates the weight (finite and >= 0), drops zero-weight potentials
+    (an empty list means nothing should be appended), then applies
     :func:`nonzero_terms`.
     """
-    if weight < 0:
-        raise InferenceError(f"potential weight must be non-negative, got {weight}")
+    if not (math.isfinite(weight) and weight >= 0):
+        raise InferenceError(
+            f"potential weight must be finite and non-negative, got {weight}"
+        )
     if weight == 0:
         return []
-    return nonzero_terms(pairs, "potential")
+    return nonzero_terms(pairs, offset, "potential")
+
+
+@dataclass(frozen=True)
+class TermRows:
+    """Linear terms ``a^T x + b`` as CSR rows.
+
+    Row ``r`` owns entries ``ptr[r]:ptr[r+1]`` of ``var`` (variable
+    indices) and ``coeff``, and its constant ``offset[r]``.  The arrays
+    are never written after construction; slicing and concatenation
+    build new rows.
+    """
+
+    offset: np.ndarray  # float64[num_rows]
+    ptr: np.ndarray  # int64[num_rows + 1], ptr[0] == 0
+    var: np.ndarray  # int64[nnz]
+    coeff: np.ndarray  # float64[nnz]
+
+    @classmethod
+    def of(cls, offset, ptr, var, coeff) -> TermRows:
+        """Rows from array-likes, in the store's dtypes."""
+        return cls(
+            np.asarray(offset, dtype=np.float64),
+            np.asarray(ptr, dtype=np.int64),
+            np.asarray(var, dtype=np.int64),
+            np.asarray(coeff, dtype=np.float64),
+        )
+
+    @classmethod
+    def empty(cls) -> TermRows:
+        return cls.of([], [0], [], [])
+
+    def __len__(self) -> int:
+        return len(self.offset)
+
+    def rows(self, lo: int, hi: int) -> TermRows:
+        """Rows ``lo:hi``."""
+        start, stop = self.ptr[lo], self.ptr[hi]
+        return TermRows(
+            self.offset[lo:hi],
+            self.ptr[lo : hi + 1] - start,
+            self.var[start:stop],
+            self.coeff[start:stop],
+        )
+
+    def remapped(self, index: np.ndarray) -> TermRows:
+        """The same rows over variables ``index[var]``."""
+        return TermRows(self.offset, self.ptr, index[self.var], self.coeff)
+
+    @staticmethod
+    def concatenate(parts: Sequence[TermRows]) -> TermRows:
+        """*parts*' rows, in order, as one row set."""
+        if not parts:
+            return TermRows.empty()
+        ptrs, base = [parts[0].ptr], int(parts[0].ptr[-1])
+        for part in parts[1:]:
+            ptrs.append(part.ptr[1:] + base)
+            base += int(part.ptr[-1])
+        return TermRows(
+            np.concatenate([p.offset for p in parts]),
+            np.concatenate(ptrs),
+            np.concatenate([p.var for p in parts]),
+            np.concatenate([p.coeff for p in parts]),
+        )
+
+    def row_of_entry(self) -> np.ndarray:
+        """Each entry's row index (int64[nnz])."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.ptr))
+
+    def values(self, x) -> np.ndarray:
+        """Every row's ``a^T x + b`` at *x*.
+
+        Each row's products are summed in entry order, as Python's
+        ``sum`` over the row's coefficients would.
+        """
+        xv = np.asarray(x, dtype=np.float64)
+        s = np.bincount(
+            self.row_of_entry(), weights=self.coeff * xv[self.var], minlength=len(self)
+        )
+        s += self.offset
+        return s
 
 
 @dataclass(frozen=True)
@@ -95,65 +181,45 @@ class HardConstraint:
         return max(0.0, self.offset + sum(c * x[i] for i, c in self.coefficients))
 
 
-class _LazyTermList:
-    """Deferred potential/constraint objects of a rebuilt MRF.
+class _TermView(SequenceABC):
+    """A read-only sequence of one row set's terms as objects.
 
-    Building the per-term objects is the expensive half of rebuilding a
-    spliced grounding (:func:`rebuild_mrf`), and the hot path never
-    reads them: the ADMM stack solves off the precompiled flat arrays,
-    :meth:`HingeLossMRF.energy` slices them too, a reweight writes only
-    the weight vector, and the structural checks only take ``len()``.
-    This sequence therefore defers building the objects until something
-    actually subscripts, iterates, or pickles it — fingerprints, the
-    per-potential diagnostics.
+    ``len()`` reads the row count; indexing builds one object and
+    iterating builds each in turn.  Nothing is stored.
     """
 
-    __slots__ = ("_length", "_build", "_items")
+    __slots__ = ("_rows", "_make")
 
-    def __init__(self, length: int, build):
-        self._length = length
-        self._build = build
-        self._items: list | None = None
-
-    def _force(self) -> list:
-        if self._items is None:
-            items = self._build()
-            if len(items) != self._length:
-                raise InferenceError(
-                    f"deferred term list built {len(items)} objects, "
-                    f"expected {self._length}"
-                )
-            self._items = items
-            self._build = None
-        return self._items
+    def __init__(self, rows: TermRows, make: Callable):
+        self._rows = rows
+        self._make = make
 
     def __len__(self) -> int:
-        return self._length if self._items is None else len(self._items)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._rows)
 
     def __getitem__(self, index):
-        return self._force()[index]
+        if isinstance(index, slice):
+            return [self[r] for r in range(*index.indices(len(self)))]
+        rows = self._rows
+        r = range(len(rows))[index]  # normalizes negatives, raises IndexError
+        lo, hi = rows.ptr[r], rows.ptr[r + 1]
+        pairs = zip(rows.var[lo:hi].tolist(), rows.coeff[lo:hi].tolist())
+        return self._make(tuple(pairs), float(rows.offset[r]))
 
     def __iter__(self):
-        return iter(self._force())
+        rows = self._rows
+        pairs = list(zip(rows.var.tolist(), rows.coeff.tolist()))
+        ptr = rows.ptr.tolist()
+        for r, offset in enumerate(rows.offset.tolist()):
+            yield self._make(tuple(pairs[ptr[r] : ptr[r + 1]]), offset)
 
     def __eq__(self, other):
-        if isinstance(other, _LazyTermList):
-            other = other._force()
-        if isinstance(other, list):
-            return self._force() == other
+        if isinstance(other, (list, tuple, _TermView)):
+            return list(self) == list(other)
         return NotImplemented
 
-    def append(self, value) -> None:
-        self._force().append(value)
-        self._length = len(self._items)
-
-    def __reduce__(self):
-        # Pickle as the plain list: receivers get ordinary objects, and
-        # the build closure never ships.
-        return (list, (self._force(),))
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(eq=False)
@@ -162,22 +228,28 @@ class HingeLossMRF:
 
     Use :meth:`variable_index` to intern atoms as variables, then add
     potentials and constraints in terms of atom keys — or, on the sharded
-    grounding path, :meth:`intern_atoms` + :meth:`add_term_block` to
-    append whole compact term blocks at once.
+    grounding path, :meth:`add_term_block` to append whole compact term
+    blocks at once.
+
+    ``hinges`` and ``caps`` are the model's one store of terms
+    (:class:`TermRows` over variable indices); ``potentials`` and
+    ``constraints`` are read-only views of them as
+    :class:`HingePotential`/:class:`HardConstraint` objects, built only
+    when read.
 
     Every :meth:`add_term_block` call also records the block's extent in
-    the potential and constraint lists, so the shard structure chosen at
-    grounding time survives into the model; the splice engine
+    the hinge and cap rows, so the shard structure chosen at grounding
+    time survives into the model; the splice engine
     (:mod:`repro.psl.delta`) reads those extents back.
 
     **Weights vs structure.**  The HL-MRF energy is *linear* in the
     potential weights, so the weights live apart from the (immutable once
     grounded) term structure, in one float64 vector indexed like
-    ``potentials``.  That vector is the only store of weights: the
-    compiled solver arrays (:func:`~repro.psl.partition.compiled_arrays`)
-    hold the same array object, and :meth:`set_potential_weights`, its
-    one writer after grounding, rewrites it in place.  A reweighted MRF
-    is element-for-element identical to one freshly grounded at the new
+    ``hinges``.  That vector is the only store of weights: the solver
+    arrays (:class:`~repro.psl.admm.FlatTermArrays`) hold the same array
+    object, and :meth:`set_potential_weights`, its one writer after
+    grounding, rewrites it in place.  A reweighted MRF is
+    element-for-element identical to one freshly grounded at the new
     weights, provided no weight crosses zero (zero-weight potentials are
     dropped at grounding time, so a zero would change structure and is
     rejected).
@@ -185,37 +257,33 @@ class HingeLossMRF:
 
     variables: list[GroundAtom] = field(default_factory=list)
     _index: dict[GroundAtom, int] = field(default_factory=dict)
-    potentials: list[HingePotential] = field(default_factory=list)
-    constraints: list[HardConstraint] = field(default_factory=list)
+    hinges: TermRows = field(default_factory=TermRows.empty)
+    caps: TermRows = field(default_factory=TermRows.empty)
+    #: float64[len(hinges)]: potential k's weight.
+    _weights: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: (pot_lo, pot_hi, con_lo, con_hi) extents of each add_term_block call.
     _block_extents: list[tuple[int, int, int, int]] = field(default_factory=list)
-    #: float64[len(potentials)]: potential k's weight.
-    _weights: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def num_variables(self) -> int:
         return len(self.variables)
 
-    def _ensure_index(self) -> dict[GroundAtom, int]:
-        """The atom→index map, rebuilt when it lags ``variables``.
+    @property
+    def potentials(self) -> Sequence[HingePotential]:
+        """The hinges as unweighted :class:`HingePotential` objects."""
+        return _TermView(self.hinges, HingePotential)
 
-        Normal grounding keeps the two in lockstep; a spliced MRF
-        (:func:`rebuild_mrf`) starts with an empty map and pays the atom
-        hashing only when something actually resolves atoms.
-        """
-        index = self._index
-        if len(index) != len(self.variables):
-            index = {atom: i for i, atom in enumerate(self.variables)}
-            self._index = index
-        return index
+    @property
+    def constraints(self) -> Sequence[HardConstraint]:
+        """The caps as :class:`HardConstraint` objects."""
+        return _TermView(self.caps, HardConstraint)
 
     def variable_index(self, atom: GroundAtom) -> int:
         """Intern *atom* as a variable and return its index."""
-        index = self._ensure_index()
-        idx = index.get(atom)
+        idx = self._index.get(atom)
         if idx is None:
             idx = len(self.variables)
-            index[atom] = idx
+            self._index[atom] = idx
             self.variables.append(atom)
         return idx
 
@@ -225,7 +293,7 @@ class HingeLossMRF:
 
     def index_of(self, atom: GroundAtom) -> int:
         try:
-            return self._ensure_index()[atom]
+            return self._index[atom]
         except KeyError:
             raise InferenceError(f"{atom} is not a variable of this MRF") from None
 
@@ -251,6 +319,14 @@ class HingeLossMRF:
             raise InferenceError("potential weights must be finite and > 0")
         self._weights[:] = new
 
+    def _row(self, kept: list[tuple[GroundAtom, float]], offset: float) -> TermRows:
+        return TermRows.of(
+            [offset],
+            [0, len(kept)],
+            [self.variable_index(a) for a, _ in kept],
+            [c for _, c in kept],
+        )
+
     def add_potential(
         self,
         coefficients: Mapping[GroundAtom, float],
@@ -262,166 +338,56 @@ class HingeLossMRF:
         A zero-weight potential is dropped.  One with no nonzero
         coefficient raises :class:`InferenceError`.
         """
-        kept = filter_potential_terms(coefficients.items(), weight)
+        kept = filter_potential_terms(coefficients.items(), offset, weight)
         if not kept:
             return
+        self.hinges = TermRows.concatenate((self.hinges, self._row(kept, offset)))
         self._weights = np.append(self._weights, float(weight))
-        self.potentials.append(
-            HingePotential(
-                tuple((self.variable_index(a), c) for a, c in kept), float(offset)
-            )
-        )
 
     def add_constraint(
         self, coefficients: Mapping[GroundAtom, float], offset: float
     ) -> None:
         """Add the hard constraint ``sum coeff*atom + offset <= 0``."""
-        kept = nonzero_terms(coefficients.items())
-        self.constraints.append(
-            HardConstraint(
-                tuple((self.variable_index(a), c) for a, c in kept), float(offset)
-            )
-        )
+        kept = nonzero_terms(coefficients.items(), offset)
+        self.caps = TermRows.concatenate((self.caps, self._row(kept, offset)))
 
     def add_term_block(self, atoms: Iterable[GroundAtom], block: "TermBlock") -> None:
         """Append a compact shard-emitted term block (bulk construction).
 
         *atoms* is the block's shard-local atom table; it is interned once
-        and every term's local indices are remapped through it, so the
-        per-potential ``Mapping[GroundAtom, float]`` dicts of the
-        incremental API never materialize.  Term order inside the block is
+        and the block's rows are remapped through it in one gather, so
+        the per-potential ``Mapping[GroundAtom, float]`` dicts of the
+        incremental API never materialize.  Row order inside the block is
         preserved, which is what makes sharded merges reproduce the serial
         potential/constraint order byte for byte.
         """
-        local_to_global = self.intern_atoms(atoms)
-        pot_before, con_before = len(self.potentials), len(self.constraints)
-        kinds = block.kinds
-        offsets = block.offsets
-        ptr = block.term_ptr
-        atom_index = block.atom_index
-        coefficient = block.coefficient
-        for t in range(block.num_terms):
-            pairs = tuple(
-                (local_to_global[atom_index[k]], float(coefficient[k]))
-                for k in range(ptr[t], ptr[t + 1])
-            )
-            if kinds[t] == KIND_HINGE:
-                self.potentials.append(HingePotential(pairs, float(offsets[t])))
-            else:
-                self.constraints.append(HardConstraint(pairs, float(offsets[t])))
-        self._weights = np.concatenate(
-            (self._weights, block.weights[kinds == KIND_HINGE])
+        local_to_global = np.asarray(self.intern_atoms(atoms), dtype=np.int64)
+        pot_before, con_before = len(self.hinges), len(self.caps)
+        self.hinges = TermRows.concatenate(
+            (self.hinges, block.hinges.remapped(local_to_global))
         )
+        self.caps = TermRows.concatenate((self.caps, block.caps.remapped(local_to_global)))
+        self._weights = np.concatenate((self._weights, block.weights))
         self._block_extents.append(
-            (pot_before, len(self.potentials), con_before, len(self.constraints))
+            (pot_before, len(self.hinges), con_before, len(self.caps))
         )
 
     def energy(self, x) -> float:
         """Total weighted hinge loss at *x* (ignores constraints).
 
-        Computed on the compiled flat arrays
-        (:func:`~repro.psl.partition.compiled_arrays`, compiled once when
-        absent) — one gather, one per-term ``bincount``, one dot with the
-        weight vector — instead of a Python loop over potentials.
-        Validated against the per-potential sum in tests; float
-        summation order differs, so the two agree to tolerance, not bit
+        One gather, one per-row ``bincount`` and one dot with the weight
+        vector.  Validated against the per-potential sum in tests; the
+        dot sums in another order, so the two agree to tolerance, not bit
         for bit (every bit-identity contract in the solver compares
         energies computed by this same function on both sides).
         """
-        if not self.potentials:
+        if not len(self.hinges):
             return 0.0
-        from repro.psl.partition import compiled_arrays  # import cycle
-
-        flat = compiled_arrays(self)
-        num = flat.num_potentials
-        copies = int(flat.term_ptr[num])
-        xv = np.asarray(x, dtype=np.float64)
-        s = np.bincount(
-            flat.term[:copies],
-            weights=flat.coeff[:copies] * xv[flat.var[:copies]],
-            minlength=num,
-        )
-        s += flat.offset[:num]
-        return float(np.dot(self._weights, np.maximum(s, 0.0)))
+        unit = np.maximum(self.hinges.values(x), 0.0)
+        return float(np.dot(self._weights, unit))
 
     def max_violation(self, x) -> float:
         """Largest hard-constraint violation at *x*."""
-        if not self.constraints:
+        if not len(self.caps):
             return 0.0
-        return max(c.violation(x) for c in self.constraints)
-
-
-def rebuild_mrf(
-    variables: Sequence[GroundAtom],
-    *,
-    offset: Sequence[float],
-    weight: np.ndarray,
-    term_ptr: Sequence[int],
-    var: Sequence[int],
-    coeff: Sequence[float],
-    num_potentials: int,
-    block_extents: Iterable[tuple[int, int, int, int]],
-) -> HingeLossMRF:
-    """Reconstruct a grounded :class:`HingeLossMRF` from flat CSR arrays.
-
-    The structural inverse of grounding, used only by the splice engine
-    (:func:`~repro.psl.delta.splice_grounding`): given the flat term
-    arrays in potentials-then-constraints order, the per-potential
-    *weight* vector (kept as the MRF's weight store, not copied), the
-    interned variables and the term block extents, rebuild the full MRF
-    **without re-interning atoms through the grounding path** — no shard
-    planning, no ``add_term_block``, no dict-based coefficient maps.
-    Every field is reproduced exactly as the original grounding left it
-    (float64 round-trips bit for bit), so fingerprints, reweighting, and
-    solves on the rebuilt MRF are indistinguishable from the original's.
-
-    The other array-likes may be numpy arrays or plain sequences; they
-    are only read.
-
-    The potential/constraint *objects* are deferred
-    (:class:`_LazyTermList`): the solver stack works entirely off the
-    flat arrays, so a spliced MRF solves and reweights without ever
-    constructing them — they materialize only when something iterates
-    or subscripts the lists, e.g. a fingerprint or the per-potential
-    diagnostics.
-    """
-    def as_list(values) -> list:
-        # ndarray.tolist() converts to builtin ints/floats at C speed
-        # (exact for int64/float64); plain sequences pass through.
-        return values.tolist() if hasattr(values, "tolist") else list(values)
-
-    num_terms = len(term_ptr) - 1
-
-    shared: dict = {}
-
-    def term_source() -> dict:
-        if not shared:
-            shared["pairs"] = list(zip(as_list(var), as_list(coeff)))
-            shared["ptr"] = as_list(term_ptr)
-            shared["offsets"] = as_list(offset)
-        return shared
-
-    def build_potentials() -> list:
-        s = term_source()
-        pairs, ptr, offsets = s["pairs"], s["ptr"], s["offsets"]
-        return [
-            HingePotential(tuple(pairs[ptr[t] : ptr[t + 1]]), offsets[t])
-            for t in range(num_potentials)
-        ]
-
-    def build_constraints() -> list:
-        s = term_source()
-        pairs, ptr, offsets = s["pairs"], s["ptr"], s["offsets"]
-        return [
-            HardConstraint(tuple(pairs[ptr[t] : ptr[t + 1]]), offsets[t])
-            for t in range(num_potentials, num_terms)
-        ]
-
-    return HingeLossMRF(
-        variables=list(variables),
-        _index={},  # rebuilt lazily by _ensure_index on first atom lookup
-        potentials=_LazyTermList(num_potentials, build_potentials),
-        constraints=_LazyTermList(num_terms - num_potentials, build_constraints),
-        _block_extents=[tuple(int(v) for v in e) for e in block_extents],
-        _weights=weight,
-    )
+        return max(0.0, float(self.caps.values(x).max()))

@@ -4,10 +4,10 @@ Adding terms one at a time through ``GroundAtom``-keyed dicts
 (:meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential`) interns every
 atom of every term through the MRF's dicts.  The block path splits
 grounding into picklable **work units** (shards), each of which emits a
-compact :class:`TermBlock` — flat arrays of shard-local variable
-indices, CSR offsets, per-term offsets/weights/kinds (a linear hinge or
-a ``<=`` cap, the two kinds the collective model grounds) — plus the
-shard's atom table.  A deterministic merge interns each shard's atoms
+compact :class:`TermBlock` — the shard's linear hinges (with their
+weights) and ``<=`` caps, the two kinds the collective model grounds,
+as CSR rows over shard-local variable indices — plus the shard's atom
+table.  A deterministic merge interns each shard's atoms
 once and appends its terms, and its hinges' weights to the MRF's one
 weight vector, via
 :meth:`~repro.psl.hlmrf.HingeLossMRF.add_term_block`, so the merged MRF
@@ -34,9 +34,8 @@ import numpy as np
 
 from repro.errors import InferenceError
 from repro.psl.hlmrf import (
-    KIND_HINGE,
-    KIND_LEQ,
     HingeLossMRF,
+    TermRows,
     filter_potential_terms,
     nonzero_terms,
 )
@@ -47,31 +46,40 @@ from repro.psl.predicate import GroundAtom
 class TermBlock:
     """A compact batch of potentials/constraints over shard-local atoms.
 
-    CSR layout: term ``t`` owns coefficient entries
-    ``term_ptr[t]:term_ptr[t+1]`` of ``atom_index``/``coefficient``.
-    ``atom_index`` values index the shard's atom table, not the global
-    MRF; the merge remaps them.  ``kinds`` marks each term a linear
-    hinge (``KIND_HINGE``) or a ``<=`` cap (``KIND_LEQ``); ``weights``
-    is meaningful only for hinges.
+    ``hinges`` and ``caps`` are :class:`~repro.psl.hlmrf.TermRows`, the
+    MRF's own row format, whose ``var`` values index the shard's atom
+    table, not the global MRF; the merge remaps them.  ``weights`` holds
+    one weight per hinge row.
     """
 
-    kinds: np.ndarray  # int8[num_terms], KIND_* values
-    offsets: np.ndarray  # float64[num_terms]
-    weights: np.ndarray  # float64[num_terms]
-    term_ptr: np.ndarray  # int64[num_terms + 1]
-    atom_index: np.ndarray  # int32[nnz], shard-local
-    coefficient: np.ndarray  # float64[nnz]
+    hinges: TermRows
+    weights: np.ndarray  # float64[len(hinges)]
+    caps: TermRows
 
     @property
     def num_terms(self) -> int:
-        return len(self.kinds)
+        return len(self.hinges) + len(self.caps)
+
+
+class _RowLists:
+    """One row set under construction: offsets, row pointer, entries."""
+
+    def __init__(self) -> None:
+        self.offset: list[float] = []
+        self.ptr: list[int] = [0]
+        self.var: list[int] = []
+        self.coeff: list[float] = []
+
+    def finish(self) -> TermRows:
+        return TermRows.of(self.offset, self.ptr, self.var, self.coeff)
 
 
 class TermBlockBuilder:
     """Accumulates one shard's terms and atom table.
 
     Term semantics (zero-weight drop, zero-coefficient filter, the
-    rejection of terms with no nonzero coefficient) come from the same
+    rejection of non-finite values and of terms with no nonzero
+    coefficient) come from the same
     :func:`~repro.psl.hlmrf.filter_potential_terms` /
     :func:`~repro.psl.hlmrf.nonzero_terms` helpers the
     incremental :class:`HingeLossMRF` API uses, so a shard-emitted block
@@ -80,12 +88,9 @@ class TermBlockBuilder:
 
     def __init__(self) -> None:
         self._atoms: dict[GroundAtom, int] = {}
-        self._kinds: list[int] = []
-        self._offsets: list[float] = []
+        self._hinges = _RowLists()
         self._weights: list[float] = []
-        self._ptr: list[int] = [0]
-        self._atom_index: list[int] = []
-        self._coefficient: list[float] = []
+        self._caps = _RowLists()
 
     def _local(self, atom: GroundAtom) -> int:
         idx = self._atoms.get(atom)
@@ -100,39 +105,31 @@ class TermBlockBuilder:
         offset: float,
         weight: float,
     ) -> None:
-        kept = filter_potential_terms(coefficients, weight)
+        kept = filter_potential_terms(coefficients, offset, weight)
         if kept:
-            self._append(KIND_HINGE, kept, offset, weight)
+            self._weights.append(float(weight))
+            self._append(self._hinges, kept, offset)
 
     def add_constraint(
         self, coefficients: Iterable[tuple[GroundAtom, float]], offset: float
     ) -> None:
-        self._append(KIND_LEQ, nonzero_terms(coefficients), offset, 0.0)
+        self._append(self._caps, nonzero_terms(coefficients, offset), offset)
 
     def _append(
-        self,
-        kind: int,
-        pairs: list[tuple[GroundAtom, float]],
-        offset: float,
-        weight: float,
+        self, rows: _RowLists, pairs: list[tuple[GroundAtom, float]], offset: float
     ) -> None:
-        self._kinds.append(kind)
-        self._offsets.append(float(offset))
-        self._weights.append(float(weight))
+        rows.offset.append(float(offset))
         for atom, c in pairs:
-            self._atom_index.append(self._local(atom))
-            self._coefficient.append(c)
-        self._ptr.append(len(self._atom_index))
+            rows.var.append(self._local(atom))
+            rows.coeff.append(c)
+        rows.ptr.append(len(rows.var))
 
     def finish(self) -> tuple[tuple[GroundAtom, ...], TermBlock]:
         """The shard's atom table (intern order) and its term block."""
         block = TermBlock(
-            kinds=np.asarray(self._kinds, dtype=np.int8),
-            offsets=np.asarray(self._offsets, dtype=np.float64),
+            hinges=self._hinges.finish(),
             weights=np.asarray(self._weights, dtype=np.float64),
-            term_ptr=np.asarray(self._ptr, dtype=np.int64),
-            atom_index=np.asarray(self._atom_index, dtype=np.int32),
-            coefficient=np.asarray(self._coefficient, dtype=np.float64),
+            caps=self._caps.finish(),
         )
         return tuple(self._atoms), block
 

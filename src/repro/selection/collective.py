@@ -52,7 +52,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +67,6 @@ from repro.psl.delta import (
     splice_grounding,
 )
 from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import compiled_arrays
 from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.rounding import round_solution
 from repro.psl.sharding import (
@@ -238,8 +236,10 @@ class CollectivePlan:
 
     ``targets`` pins the MRF's variable order (``in`` atoms by candidate
     index, then ``explained`` atoms in ``j_facts`` order, then
-    ``errorOf`` atoms in sorted-owner-group order); ``shards`` hold the
-    work, at most one per block (coverage, shared-error, prior).
+    ``errorOf`` atoms in sorted-owner-group order), on a fresh ground
+    and on a splice alike, so variable ``i < num_candidates`` is
+    candidate ``i``'s membership; ``shards`` hold the work, at most one
+    per block (coverage, shared-error, prior).
 
     ``prior_components`` records every candidate's raw prior features
     ``(candidate, private error count, size)`` and ``prior_included``
@@ -283,34 +283,6 @@ class CollectivePlan:
             + [float(weights.errors)] * self.error_potentials
             + priors
         )
-
-
-@dataclass(frozen=True)
-class PlanReadout:
-    """A plan's ``in`` atoms resolved to their MRF variable indices.
-
-    Built once per (mrf, plan) — :attr:`GroundedCollective.readout`
-    caches it on the artifact — so a solve reads its memberships with
-    one gather instead of one ``index_of`` per atom.  Keys keep the
-    plan's candidate order.
-    """
-
-    in_keys: tuple[int, ...]
-    in_index: np.ndarray
-
-    @classmethod
-    def resolve(cls, mrf: HingeLossMRF, plan: CollectivePlan) -> PlanReadout:
-        atoms = plan.in_atoms
-        return cls(
-            in_keys=tuple(atoms),
-            in_index=np.fromiter(
-                map(mrf.index_of, atoms.values()), dtype=np.int64, count=len(atoms)
-            ),
-        )
-
-    def fractional(self, x: np.ndarray) -> dict[int, float]:
-        """*x*'s ``in`` values, keyed by candidate index."""
-        return dict(zip(self.in_keys, x[self.in_index].tolist()))
 
 
 def plan_collective_grounding(
@@ -469,17 +441,13 @@ class GroundedCollective:
         #: plan against.
         self.records: tuple[ShardRecord, ...] = tuple(records)
         self.splice_stats: SpliceStats | None = None
-        # Pre-compile the flat arrays while the ground is hot: the ADMM
-        # solver wants them anyway, and a later patch slices straight
-        # from them instead of recompiling the whole artifact first.
-        compiled_arrays(self.mrf)
         self.weights = settings.weights
         self._admm = settings.admm
         self._solver: AdmmSolver | None = None
 
     @property
     def solver(self) -> AdmmSolver:
-        """The artifact's persistent solver (arrays compiled once)."""
+        """The artifact's persistent solver (arrays built once)."""
         if self._solver is None:
             self._solver = AdmmSolver(self.mrf, self._admm)
         return self._solver
@@ -491,11 +459,6 @@ class GroundedCollective:
             self._solver = None
             self._admm = admm
         return self.solver
-
-    @cached_property
-    def readout(self) -> PlanReadout:
-        """The plan's atoms as variable indices (resolved on first solve)."""
-        return PlanReadout.resolve(self.mrf, self.plan)
 
     #: ``(weights, penalties)`` of the latest :meth:`_prior_weights` call.
     _prior_memo: tuple | None = None
@@ -776,7 +739,8 @@ def solve_collective(
         grounded.reweight(settings.weights)
     mrf = grounded.mrf
     inference = grounded.solver_for(settings.admm).solve(warm_state=warm_state)
-    fractional = grounded.readout.fractional(inference.x)
+    # The plan pins the ``in`` atoms as variables 0..n-1, in candidate order.
+    fractional = dict(enumerate(inference.x[: problem.num_candidates].tolist()))
 
     discrete_objective = objective_evaluator(problem, settings.weights)
     selected = round_solution(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.psl.admm import AdmmSettings, AdmmSolver
-from repro.psl.hlmrf import KIND_HINGE, HingeLossMRF
+from repro.psl.hlmrf import HingeLossMRF
 from repro.selection.collective import (
     CollectiveSettings,
     GroundedCollective,
@@ -43,17 +43,17 @@ def ground_term_by_term(
     for shard in plan.shards:
         result = shard.build()
         block = result.block
-        for t in range(block.num_terms):
-            entries = range(block.term_ptr[t], block.term_ptr[t + 1])
-            coefficients = {
-                result.atoms[block.atom_index[k]]: float(block.coefficient[k])
-                for k in entries
-            }
-            offset = float(block.offsets[t])
-            if block.kinds[t] == KIND_HINGE:
-                mrf.add_potential(coefficients, offset, float(block.weights[t]))
-            else:
-                mrf.add_constraint(coefficients, offset)
+        for rows, weights in ((block.hinges, block.weights), (block.caps, None)):
+            for t in range(len(rows)):
+                entries = range(rows.ptr[t], rows.ptr[t + 1])
+                coefficients = {
+                    result.atoms[rows.var[k]]: float(rows.coeff[k]) for k in entries
+                }
+                offset = float(rows.offset[t])
+                if weights is not None:
+                    mrf.add_potential(coefficients, offset, float(weights[t]))
+                else:
+                    mrf.add_constraint(coefficients, offset)
     return mrf
 
 

@@ -50,6 +50,28 @@ def test_negative_weight_rejected():
         mrf.add_potential({X(0): 1.0}, 0.0, weight=-1.0)
 
 
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda m: m.add_potential({X(0): 1.0}, -0.5, float("nan")),
+        lambda m: m.add_potential({X(0): 1.0}, -0.5, float("inf")),
+        lambda m: m.add_potential({X(0): float("nan")}, -0.5, 1.0),
+        lambda m: m.add_potential({X(0): 1.0}, float("-inf"), 1.0),
+        lambda m: m.add_constraint({X(0): float("inf")}, -0.5),
+        lambda m: m.add_constraint({X(0): 1.0}, float("nan")),
+    ],
+)
+def test_non_finite_terms_rejected_at_grounding(add):
+    # The grounding entry points agree with set_potential_weights: no
+    # non-finite weight, coefficient or offset reaches the model (a NaN
+    # weight used to solve to converged=True with energy=nan).
+    mrf = HingeLossMRF()
+    with pytest.raises(InferenceError):
+        add(mrf)
+    assert len(mrf.potentials) == len(mrf.constraints) == 0
+    assert len(mrf.potential_weights()) == 0
+
+
 def test_zero_coefficients_dropped():
     mrf = HingeLossMRF()
     mrf.add_potential({X(0): 0.0, X(1): 1.0}, 0.0, weight=1.0)

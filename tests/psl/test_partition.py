@@ -1,19 +1,18 @@
-"""Unit tests for the flat term arrays under the ADMM solver.
+"""Unit tests for the MRF's term rows and the solver's flat arrays.
 
-The contract: an MRF compiles into one set of flat CSR arrays in
-potentials-then-constraints term order, whatever mix of bulk
-(``add_term_block``) and incremental construction produced it; the
-block extents recorded at grounding time slice those arrays into
-contiguous runs without ever splitting a term (the splice engine
-relies on that), and the potentials-first order gives the local
-step its two kinds by position: hinges, then ``<=`` caps.
+The contract: an MRF stores its hinges and its caps as two sets of CSR
+rows, whatever mix of bulk (``add_term_block``) and incremental
+construction produced it; the block extents recorded at grounding time
+slice those rows into contiguous runs without ever splitting a term
+(the splice engine relies on that); and the solver's flat arrays are
+the hinge rows followed by the cap rows, which gives the local step its
+two kinds by position.
 """
 
 import numpy as np
 
 from repro.psl.admm import AdmmSolver
-from repro.psl.hlmrf import KIND_HINGE, KIND_LEQ, HingeLossMRF
-from repro.psl.partition import compile_term_arrays
+from repro.psl.hlmrf import HingeLossMRF, TermRows
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import TermBlockBuilder
 from repro.selection.collective import CoverageShard, PriorShard, ground_collective
@@ -65,10 +64,12 @@ def _incrementally_built_mrf(num_blocks: int = 3, terms_per_block: int = 4) -> H
 def test_legacy_mrf_partitions_as_single_run():
     # Incremental construction compiles to one flat run of all terms,
     # potentials first, then constraints.
-    arrays = compile_term_arrays(_legacy_mrf())
+    mrf = _legacy_mrf()
+    assert list(mrf.hinges.ptr) == [0, 2, 3] and list(mrf.caps.ptr) == [0, 2, 3]
+    arrays = AdmmSolver(mrf).arrays
     assert arrays.num_terms == 4 and arrays.num_potentials == 2
-    assert list(arrays.kind) == [KIND_HINGE, KIND_HINGE, KIND_LEQ, KIND_LEQ]
     assert list(arrays.term_ptr) == [0, 2, 3, 5, 6]
+    assert list(arrays.offset) == [0.25, 0.0, -1.0, -0.5]
     # Constraints carry no weight: the vector covers the potentials only.
     assert list(arrays.weight) == [2.0, 1.0]
 
@@ -76,7 +77,7 @@ def test_legacy_mrf_partitions_as_single_run():
 def test_empty_mrf_has_no_blocks():
     mrf = HingeLossMRF()
     assert mrf._block_extents == []
-    arrays = compile_term_arrays(mrf)
+    arrays = AdmmSolver(mrf).arrays
     assert arrays.num_terms == 0
     assert arrays.num_copies == 0
 
@@ -91,7 +92,7 @@ def test_block_built_mrf_records_extents_per_shard():
 def test_mixed_bulk_and_incremental_falls_back_to_single_run():
     mrf = _block_built_mrf(num_blocks=2, terms_per_block=2)
     mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)  # incremental append
-    arrays = compile_term_arrays(mrf)
+    arrays = AdmmSolver(mrf).arrays
     assert arrays.num_potentials == len(mrf.potentials) == 5
     assert arrays.num_terms == len(mrf.potentials) + len(mrf.constraints)
     # The appended potential lands at the end of the potential range.
@@ -99,29 +100,28 @@ def test_mixed_bulk_and_incremental_falls_back_to_single_run():
 
 
 def test_blocks_concatenate_to_flat_arrays():
-    # Each recorded extent is a contiguous run of CSR rows: slicing the
-    # flat arrays by extent and concatenating (potentials, then
-    # constraints) gives back exactly the flat arrays.
+    # Each recorded extent is a contiguous run of hinge and cap rows:
+    # slicing the rows by extent and concatenating gives back exactly
+    # the stored rows, and the solver arrays are the hinges, then the caps.
     mrf = _block_built_mrf()
-    arrays = compile_term_arrays(mrf)
-    num_potentials = arrays.num_potentials
-    runs = [(lo, hi) for lo, hi, _, _ in mrf._block_extents] + [
-        (num_potentials + lo, num_potentials + hi)
-        for _, _, lo, hi in mrf._block_extents
-    ]
-    ptr = arrays.term_ptr
-    for field in ("var", "coeff", "term"):
-        flat = getattr(arrays, field)
-        pieces = np.concatenate([flat[ptr[lo] : ptr[hi]] for lo, hi in runs])
-        assert np.array_equal(pieces, flat)
-    assert np.array_equal(
-        np.concatenate([arrays.kind[lo:hi] for lo, hi in runs]), arrays.kind
-    )
+    for rows, runs in (
+        (mrf.hinges, [(lo, hi) for lo, hi, _, _ in mrf._block_extents]),
+        (mrf.caps, [(lo, hi) for _, _, lo, hi in mrf._block_extents]),
+    ):
+        pieces = TermRows.concatenate([rows.rows(lo, hi) for lo, hi in runs])
+        for field in ("offset", "ptr", "var", "coeff"):
+            assert np.array_equal(getattr(pieces, field), getattr(rows, field))
+    arrays = AdmmSolver(mrf).arrays
+    both = TermRows.concatenate((mrf.hinges, mrf.caps))
+    assert np.array_equal(arrays.term_ptr, both.ptr)
+    assert np.array_equal(arrays.var, both.var)
+    assert np.array_equal(arrays.coeff, both.coeff)
+    assert np.array_equal(arrays.offset, both.offset)
 
 
 def test_partition_degree_counts_every_copy():
     mrf = _legacy_mrf()
-    arrays = compile_term_arrays(mrf)
+    arrays = AdmmSolver(mrf).arrays
     degree = np.maximum(
         np.bincount(arrays.var, minlength=mrf.num_variables).astype(float), 1.0
     )
@@ -141,9 +141,9 @@ def test_collective_grounding_blocks_survive_into_partition():
         (coverage, coverage + priors, coverage, coverage),
     ]
     # The block structure never reaches the solver arrays.
-    blocks = compile_term_arrays(mrf)
-    single = compile_term_arrays(ground_term_by_term(problem))
-    for field in ("kind", "offset", "weight", "term_ptr", "var", "coeff", "degree"):
+    blocks = AdmmSolver(mrf).arrays
+    single = AdmmSolver(ground_term_by_term(problem)).arrays
+    for field in ("offset", "weight", "term_ptr", "var", "coeff", "normsq", "degree"):
         assert np.array_equal(getattr(blocks, field), getattr(single, field))
 
 
@@ -159,7 +159,7 @@ def test_block_x_update_matches_whole_problem_update():
 
 
 def test_kind_index_precompiles_the_kind_masks():
-    # Interleaved construction still compiles to hinges then caps, so the
+    # Interleaved construction still stores hinges and caps apart, so the
     # local step's slices [:num_potentials] and [num_potentials:] are
     # exactly the two kinds.
     mrf = HingeLossMRF()
@@ -168,22 +168,17 @@ def test_kind_index_precompiles_the_kind_masks():
         mrf.add_constraint({X(t): 1.0, X(t + 1): 1.0}, -1.0)
     arrays = AdmmSolver(mrf).arrays
     assert arrays.num_potentials == 4 and arrays.num_terms == 8
-    assert np.array_equal(
-        np.flatnonzero(arrays.kind == KIND_HINGE), np.arange(arrays.num_potentials)
-    )
-    assert np.array_equal(
-        np.flatnonzero(arrays.kind == KIND_LEQ),
-        np.arange(arrays.num_potentials, arrays.num_terms),
-    )
+    assert list(arrays.offset) == [-0.25] * 4 + [-1.0] * 4
+    assert list(np.diff(arrays.term_ptr)) == [1] * 4 + [2] * 4
 
 
 def test_solver_arrays_reuse_precompiled_and_resync_weights():
-    # The solver iterates on the precompiled arrays, whose weight vector
-    # is the MRF's own: a reweight needs no resync step.
+    # The solver builds its arrays once, and their weight vector is the
+    # MRF's own: a reweight needs no resync step.
     mrf = _block_built_mrf()
-    mrf._compiled = compile_term_arrays(mrf)
+    solver = AdmmSolver(mrf)
+    arrays = solver.arrays
     mrf.set_potential_weights(np.full(len(mrf.potentials), 2.5))
-    arrays = AdmmSolver(mrf).arrays
-    assert arrays is mrf._compiled
+    assert solver.arrays is arrays
     assert np.array_equal(arrays.weight[: arrays.num_potentials], mrf.potential_weights())
     assert arrays.weight is mrf._weights

@@ -17,7 +17,6 @@ from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmSettings, AdmmSolver
 from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.partition import compile_term_arrays
 from repro.psl.predicate import Predicate
 from repro.psl.sharding import mrf_fingerprint, structure_fingerprint
 from repro.selection.collective import (
@@ -94,10 +93,10 @@ def test_weight_vector_is_read_only_outside_its_writer():
 
 def test_partition_weight_views_see_in_place_writes():
     mrf = _mrf()
-    arrays = compile_term_arrays(mrf)
+    arrays = AdmmSolver(mrf).arrays
     structure = arrays.coeff.copy()
     mrf.set_potential_weights([6.0, 6.0, 0.25, 1.0])
-    fresh = compile_term_arrays(mrf)
+    fresh = AdmmSolver(mrf).arrays
     assert np.array_equal(arrays.weight, fresh.weight)
     assert np.array_equal(arrays.weight, [6.0, 6.0, 0.25, 1.0])
     assert np.array_equal(arrays.coeff, structure)  # structure left alone

@@ -237,7 +237,26 @@ def test_term_block_builder_mirrors_mrf_semantics():
     atoms, block = builder.finish()
     assert atoms == (X(1),)
     assert block.num_terms == 1
-    assert list(block.coefficient) == [2.0]
+    assert list(block.hinges.coeff) == [2.0]
+
+
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda b: b.add_potential([(X(0), 1.0)], -0.5, float("nan")),
+        lambda b: b.add_potential([(X(0), 1.0)], -0.5, float("inf")),
+        lambda b: b.add_potential([(X(0), float("nan"))], -0.5, 1.0),
+        lambda b: b.add_potential([(X(0), 1.0)], float("inf"), 1.0),
+        lambda b: b.add_constraint([(X(0), 1.0), (X(1), float("-inf"))], 0.0),
+        lambda b: b.add_constraint([(X(0), 1.0)], float("nan")),
+    ],
+)
+def test_term_block_builder_rejects_non_finite_terms(add):
+    builder = TermBlockBuilder()
+    with pytest.raises(InferenceError):
+        add(builder)
+    atoms, block = builder.finish()
+    assert block.num_terms == 0
 
 
 def test_structure_fingerprint_weight_independent_across_sweep():
