@@ -80,26 +80,28 @@ class MatchIndex:
     are ascending rank tuples, so whichever list a lookup scans, the
     survivors come out in the same order.  The index is immutable: the
     owning :class:`Instance` drops it on any edit.
+
+    The build splits the ranks by relation in one pass and then builds
+    each relation's postings a column at a time
+    (:func:`_relation_columns`); every posting dict is keyed in the
+    order its values first occur.  It creates no reference cycle.
     """
 
     __slots__ = ("ordered", "_buckets", "_columns")
 
     def __init__(self, facts: Iterable[Fact]):
         self.ordered: tuple[Fact, ...] = tuple(sorted(facts, key=repr))
-        buckets: dict[str, list[int]] = {}
-        columns: dict[str, list[dict[Value, list[int]]]] = {}
+        rows: dict[str, tuple[list[int], list[tuple[Value, ...]]]] = {}
         for rank, f in enumerate(self.ordered):
-            buckets.setdefault(f.relation, []).append(rank)
-            relation_columns = columns.setdefault(f.relation, [])
-            while len(relation_columns) < len(f.values):
-                relation_columns.append({})
-            for column, value in zip(relation_columns, f.values):
-                column.setdefault(value, []).append(rank)
-        self._buckets = {name: tuple(ranks) for name, ranks in buckets.items()}
+            entry = rows.get(f.relation)
+            if entry is None:
+                entry = rows[f.relation] = ([], [])
+            entry[0].append(rank)
+            entry[1].append(f.values)
+        self._buckets = {name: tuple(ranks) for name, (ranks, _) in rows.items()}
         #: relation -> one ``value -> ranks`` dict per attribute position.
         self._columns = {
-            name: [{v: tuple(ranks) for v, ranks in column.items()} for column in cols]
-            for name, cols in columns.items()
+            name: _relation_columns(ranks, values) for name, (ranks, values) in rows.items()
         }
 
     def bucket(self, relation: str) -> tuple[int, ...]:
@@ -143,6 +145,37 @@ class MatchIndex:
             f.relation,
             [pinned.get(v) if isinstance(v, LabeledNull) else v for v in f.values],
         )
+
+
+def _relation_columns(
+    ranks: list[int], rows: list[tuple[Value, ...]]
+) -> list[dict[Value, tuple[int, ...]]]:
+    """The postings of one relation: per position, ``value -> ranks``.
+
+    *rows* are the relation's fact values at ascending *ranks*.  Each
+    posting dict is keyed in first-occurrence order and each posting is
+    ascending; a fact shorter than the widest one is absent from the
+    positions it lacks.
+    """
+    width = max(map(len, rows))
+    if all(len(r) == width for r in rows):
+        columns = [(ranks, column) for column in zip(*rows)]
+    else:
+        columns = []
+        for position in range(width):
+            kept = [(rank, r[position]) for rank, r in zip(ranks, rows) if len(r) > position]
+            columns.append(([rank for rank, _ in kept], [value for _, value in kept]))
+    postings = []
+    for column_ranks, column in columns:
+        grouped: dict[Value, list[int]] = {}
+        for rank, value in zip(column_ranks, column):
+            posting = grouped.get(value)
+            if posting is None:
+                grouped[value] = [rank]
+            else:
+                posting.append(rank)
+        postings.append({value: tuple(posting) for value, posting in grouped.items()})
+    return postings
 
 
 class Instance:

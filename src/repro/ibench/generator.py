@@ -33,6 +33,7 @@ import random
 from repro.candidates.cliogen import generate_candidates
 from repro.candidates.correspondence import Correspondence
 from repro.chase.engine import chase
+from repro.collector import paused_collector
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.schema import Schema
 from repro.datamodel.values import Constant, NullFactory, is_null
@@ -46,8 +47,13 @@ from repro.mappings.tgd import StTgd
 from repro.selection.metrics import CandidateChase, chase_candidate, shift_nulls
 
 
+@paused_collector()
 def generate_scenario(config: ScenarioConfig) -> Scenario:
-    """Deterministically generate one scenario from *config*."""
+    """Deterministically generate one scenario from *config*.
+
+    Runs with the cyclic collector paused (:mod:`repro.collector`):
+    generation creates no reference cycle.
+    """
     rng = random.Random(config.seed)
 
     primitives = [

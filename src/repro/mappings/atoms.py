@@ -5,9 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.datamodel.values import Constant, Value
-from repro.datamodel.instance import Fact
-from repro.errors import MappingError
+from repro.datamodel.values import Constant
 from repro.mappings.terms import Term, Variable, is_variable
 
 
@@ -33,21 +31,6 @@ class Atom:
             self.relation,
             tuple(substitution.get(t, t) if is_variable(t) else t for t in self.terms),
         )
-
-    def instantiate(self, assignment: Mapping[Variable, Value]) -> Fact:
-        """Build a fact by assigning every variable a value.
-
-        Raises :class:`MappingError` if any variable is unassigned.
-        """
-        values: list[Value] = []
-        for t in self.terms:
-            if is_variable(t):
-                if t not in assignment:
-                    raise MappingError(f"unassigned variable {t} in atom {self}")
-                values.append(assignment[t])
-            else:
-                values.append(t)
-        return Fact(self.relation, tuple(values))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(t) for t in self.terms)

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import MappingError
 from repro.mappings.atoms import Atom
 from repro.mappings.terms import Term, Variable, is_variable
+
+if TYPE_CHECKING:
+    from repro.chase.engine import ChasePlan
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,25 @@ class StTgd:
         for a in self.head:
             found.update(a.variables)
         return frozenset(found & self.universal_variables)
+
+    @cached_property
+    def chase_plan(self) -> "ChasePlan":
+        """This tgd compiled for the chase, built on first use.
+
+        Derived state, like the variable sets above, but left out of
+        pickles (:meth:`__getstate__`): it is rebuilt on demand, and a
+        tgd pickles to the same bytes whether or not it was ever chased.
+        """
+        # The chase imports this module, so its plan is imported late.
+        from repro.chase.engine import ChasePlan
+
+        return ChasePlan(self)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "chase_plan" in state:
+            state = {k: v for k, v in state.items() if k != "chase_plan"}
+        return state
 
     @property
     def is_full(self) -> bool:

@@ -258,9 +258,6 @@ class CollectivePlan:
     the MRF's weight vector.
     """
 
-    in_atoms: dict[int, GroundAtom]
-    explained_atoms: dict[int, GroundAtom]
-    error_atoms: dict[int, GroundAtom]
     targets: tuple[GroundAtom, ...]
     shards: tuple[GroundingShard, ...]
     prior_components: tuple[tuple[int, int, int], ...] = ()
@@ -301,10 +298,6 @@ def plan_collective_grounding(
     settings = settings or CollectiveSettings()
     weights = settings.weights
 
-    in_atoms = {
-        i: GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)
-    }
-
     # Coverage: one entry per J fact some candidate covers (facts nobody
     # covers are certain-unexplained constants, excluded from the MRF).
     coverers: dict[Fact, list[tuple[int, Fraction]]] = {}
@@ -312,12 +305,10 @@ def plan_collective_grounding(
         for t, degree in table.items():
             coverers.setdefault(t, []).append((i, degree))
     coverage_entries: list[tuple[int, tuple[tuple[int, float], ...]]] = []
-    explained_atoms: dict[int, GroundAtom] = {}
     for t_idx, t in enumerate(problem.j_facts):
         support = coverers.get(t)
         if not support:
             continue
-        explained_atoms[t_idx] = GroundAtom(EXPLAINED_PREDICATE, (t_idx,))
         coverage_entries.append(
             (t_idx, tuple((i, float(degree)) for i, degree in support))
         )
@@ -330,12 +321,10 @@ def plan_collective_grounding(
             owners.setdefault(f, []).append(i)
     private_error_counts = [0] * problem.num_candidates
     error_entries: list[tuple[int, tuple[int, ...]]] = []
-    error_atoms: dict[int, GroundAtom] = {}
     for e_idx, (f, who) in enumerate(sorted(owners.items(), key=lambda kv: repr(kv[0]))):
         if len(who) == 1:
             private_error_counts[who[0]] += 1
         else:
-            error_atoms[e_idx] = GroundAtom(ERROR_PREDICATE, (e_idx,))
             error_entries.append((e_idx, tuple(who)))
 
     # Per-candidate priors: private errors + size, folded into one term.
@@ -364,14 +353,11 @@ def plan_collective_grounding(
         shards.append(PriorShard(len(shards), tuple(prior_entries)))
 
     targets = (
-        *(in_atoms[i] for i in range(problem.num_candidates)),
-        *explained_atoms.values(),
-        *error_atoms.values(),
+        *(GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)),
+        *(GroundAtom(EXPLAINED_PREDICATE, (t_idx,)) for t_idx, _ in coverage_entries),
+        *(GroundAtom(ERROR_PREDICATE, (e_idx,)) for e_idx, _ in error_entries),
     )
     return CollectivePlan(
-        in_atoms=in_atoms,
-        explained_atoms=explained_atoms,
-        error_atoms=error_atoms,
         targets=targets,
         shards=tuple(shards),
         prior_components=prior_components,

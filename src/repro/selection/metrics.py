@@ -49,6 +49,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from repro.chase.engine import chase_single
+from repro.collector import paused_collector
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, NullFactory, Value
 from repro.errors import SelectionError
@@ -240,9 +241,10 @@ def shift_nulls(facts: Iterable[Fact], nulls_used: int, offset: int) -> Iterable
     Order is kept.  Shifting each candidate's local chase by the nulls
     its predecessors used gives exactly the labels one shared
     :class:`~repro.datamodel.values.NullFactory` threaded through their
-    chases in order would have handed out.
+    chases in order would have handed out.  With no offset or no nulls
+    to move, *facts* come back as they are.
     """
-    if offset == 0:
+    if offset == 0 or nulls_used == 0:
         return facts
     remap = {LabeledNull(label): LabeledNull(label + offset) for label in range(nulls_used)}
     return (f.substitute(remap) for f in facts)
@@ -463,6 +465,7 @@ def restrict_problem(problem: SelectionProblem, facts: Iterable[Fact]) -> Select
     )
 
 
+@paused_collector()
 def build_selection_problem(
     source: Instance,
     target: Instance,
@@ -476,7 +479,9 @@ def build_selection_problem(
     instead of chasing again, but only where its ``tgd`` is the
     candidate at its index.  This is how
     :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands over
-    the chases scenario generation ran.
+    the chases scenario generation ran.  The build creates no reference
+    cycle and runs with the cyclic collector paused
+    (:mod:`repro.collector`).
     """
     if not all(isinstance(c, StTgd) for c in candidates):
         raise SelectionError("candidates must be StTgd objects")

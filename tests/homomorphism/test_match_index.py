@@ -25,8 +25,9 @@ from repro.homomorphism.search import (
     image_ranks,
 )
 from repro.mappings.atoms import Atom
-from repro.mappings.terms import Variable, is_variable
+from repro.mappings.terms import Variable
 from repro.selection.metrics import SelectionProblem, candidate_metrics, restrict_problem
+from tests.chase_reference import nested_loop_match_body
 
 #: Relation name -> arities its facts may take ("t" mixes two).
 RELATIONS = {"r": (2,), "s": (3,), "t": (1, 2)}
@@ -168,46 +169,39 @@ def atoms(draw):
     return Atom(relation, tuple(draw(terms) for _ in range(arity)))
 
 
-def nested_loop_match_body(body, instance):
-    """The pre-index join: whole repr-sorted relation buckets, left to right."""
-    ordered = sorted(body, key=lambda a: len(instance.facts_of(a.relation)))
-    buckets = [[f for f in repr_order(instance) if f.relation == a.relation] for a in ordered]
-    seen = set()
-
-    def extend(index, assignment):
-        if index == len(ordered):
-            key = tuple(sorted(((v.name, u) for v, u in assignment.items()), key=lambda p: p[0]))
-            if key not in seen:
-                seen.add(key)
-                yield dict(assignment)
-            return
-        atom = ordered[index]
-        for f in buckets[index]:
-            if f.arity != atom.arity:
-                continue
-            local = {}
-            ok = True
-            for term, value in zip(atom.terms, f.values):
-                if is_variable(term):
-                    bound = assignment.get(term, local.get(term))
-                    if bound is None:
-                        local[term] = value
-                    elif bound != value:
-                        ok = False
-                        break
-                elif term != value:
-                    ok = False
-                    break
-            if ok:
-                assignment.update(local)
-                yield from extend(index + 1, assignment)
-                for v in local:
-                    del assignment[v]
-
-    yield from extend(0, {})
-
-
 @given(st.lists(atoms(), min_size=1, max_size=3), instances(max_size=16))
 @settings(max_examples=200, deadline=None)
 def test_match_body_yields_in_nested_loop_order(body, instance):
     assert list(match_body(body, instance)) == list(nested_loop_match_body(body, instance))
+
+
+def per_fact_index(ordered):
+    """Buckets and postings built one fact at a time, in rank order."""
+    buckets, columns = {}, {}
+    for rank, f in enumerate(ordered):
+        buckets.setdefault(f.relation, []).append(rank)
+        relation_columns = columns.setdefault(f.relation, [])
+        while len(relation_columns) < len(f.values):
+            relation_columns.append({})
+        for column, value in zip(relation_columns, f.values):
+            column.setdefault(value, []).append(rank)
+    return buckets, columns
+
+
+def ordered_items(mapping):
+    return [(key, tuple(value)) for key, value in mapping.items()]
+
+
+@given(instances(max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_columnar_index_equals_a_per_fact_build_in_dict_order(instance):
+    index = instance.match_index()
+    assert list(index.ordered) == repr_order(instance)
+    buckets, columns = per_fact_index(index.ordered)
+    assert ordered_items(index._buckets) == ordered_items(buckets)
+    assert list(index._columns) == list(columns)
+    for relation, postings in columns.items():
+        built = index._columns[relation]
+        assert [ordered_items(c) for c in built] == [ordered_items(c) for c in postings]
+        for column in built:
+            assert all(type(ranks) is tuple for ranks in column.values())

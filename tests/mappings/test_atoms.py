@@ -1,9 +1,6 @@
 """Unit tests for atoms and terms."""
 
-import pytest
-
-from repro.datamodel.values import Constant, LabeledNull
-from repro.errors import MappingError
+from repro.datamodel.values import Constant
 from repro.mappings.atoms import Atom, atom
 from repro.mappings.terms import Variable, is_variable, var
 
@@ -34,24 +31,6 @@ def test_rename_can_substitute_constants():
     a = atom("r", "X")
     b = a.rename({Variable("X"): Constant(3)})
     assert b.terms == (Constant(3),)
-
-
-def test_instantiate_builds_fact():
-    a = atom("r", "X", 5)
-    f = a.instantiate({Variable("X"): Constant("v")})
-    assert f.relation == "r"
-    assert f.values == (Constant("v"), Constant(5))
-
-
-def test_instantiate_with_null():
-    a = atom("r", "X")
-    n = LabeledNull(0)
-    assert a.instantiate({Variable("X"): n}).values == (n,)
-
-
-def test_instantiate_missing_assignment_raises():
-    with pytest.raises(MappingError):
-        atom("r", "X").instantiate({})
 
 
 def test_repeated_variables_repeat_in_variables():

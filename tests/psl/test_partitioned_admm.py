@@ -529,9 +529,10 @@ def test_solver_matches_frozen_reference_from_warm_starts(spec, settings, data):
 # -- solve_collective readout ---------------------------------------------------
 
 
-def _literal_readout(mrf, plan, x):
-    """The per-atom ``index_of`` readout, verbatim."""
-    return {i: float(x[mrf.index_of(atom)]) for i, atom in plan.in_atoms.items()}
+def _literal_readout(mrf, plan, x, num_candidates):
+    """The per-atom ``index_of`` readout of the ``in`` atoms, verbatim."""
+    in_atoms = plan.targets[:num_candidates]
+    return {i: float(x[mrf.index_of(atom)]) for i, atom in enumerate(in_atoms)}
 
 
 def _assert_same_dict(actual: dict, expected: dict) -> None:
@@ -543,7 +544,9 @@ def test_collective_readout_matches_per_atom_readout():
     problem = _collective_problem()
     grounded = GroundedCollective(problem, CollectiveSettings())
     result = solve_collective(problem, CollectiveSettings(), grounded=grounded)
-    fractional = _literal_readout(grounded.mrf, grounded.plan, result.admm_state.z)
+    fractional = _literal_readout(
+        grounded.mrf, grounded.plan, result.admm_state.z, problem.num_candidates
+    )
     assert result.fractional
     _assert_same_dict(result.fractional, fractional)
     # A second fresh ground resolves the same readout.

@@ -20,7 +20,7 @@ from repro.examples_data import paper_example
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
 from repro.psl.hlmrf import HingeLossMRF
-from repro.psl.predicate import Predicate
+from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.sharding import (
     ShardResult,
     TermBlockBuilder,
@@ -29,6 +29,7 @@ from repro.psl.sharding import (
     structure_fingerprint,
 )
 from repro.selection.collective import (
+    IN_PREDICATE,
     CollectiveSettings,
     CoverageShard,
     ErrorShard,
@@ -153,7 +154,9 @@ def test_collective_sharded_ground_matches_serial(executor, extra_projects):
     serial = ground_term_by_term(problem)
     sharded, plan = run_on(executor, ground_collective, problem)
     _assert_identical(serial, sharded)
-    assert len(plan.in_atoms) == problem.num_candidates
+    assert plan.targets[: problem.num_candidates] == tuple(
+        GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)
+    )
     assert len(sharded._block_extents) == len(plan.shards)
 
 

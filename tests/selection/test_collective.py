@@ -12,7 +12,10 @@ from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmSettings
 from repro.errors import InferenceError
 from repro.psl.sharding import mrf_fingerprint
+from repro.psl.predicate import GroundAtom
 from repro.selection.collective import (
+    EXPLAINED_PREDICATE,
+    IN_PREDICATE,
     CollectiveSettings,
     GroundedCollective,
     ground_collective,
@@ -61,7 +64,9 @@ def test_diagnostics_populated(problems):
 def test_program_structure(problems):
     problem = problems[0]
     mrf, plan = ground_collective(problem)
-    assert len(plan.in_atoms) == problem.num_candidates
+    assert plan.targets[: problem.num_candidates] == tuple(
+        GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)
+    )
     assert mrf_fingerprint(mrf) == mrf_fingerprint(ground_term_by_term(problem))
     # 2 coverable J facts -> 2 explained vars; + 2 in vars.
     assert mrf.num_variables == 4
@@ -153,11 +158,10 @@ def test_warm_started_collective_chains_aux_state():
     warm = WarmStartedCollective()
     first = warm(problem)
     plan = GroundedCollective(problem).plan
-    assert plan.explained_atoms
+    auxiliary = plan.targets[problem.num_candidates :]
+    assert any(atom.predicate == EXPLAINED_PREDICATE for atom in auxiliary)
     assert warm.payload is first.admm_state
-    assert len(warm.payload.z) == (
-        len(plan.in_atoms) + len(plan.explained_atoms) + len(plan.error_atoms)
-    )
+    assert len(warm.payload.z) == len(plan.targets)
     second = warm(problem)
     assert second.selected == first.selected
 

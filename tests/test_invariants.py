@@ -1,4 +1,4 @@
-"""Two invariants the collective selection lives by, checked on the AST of
+"""Three invariants the collective selection lives by, checked on the AST of
 every ``.py`` file under ``src`` and ``benchmarks``.
 
 **RPL001: callables shipped to a process pool are module-level.** A
@@ -34,6 +34,15 @@ is insertion-ordered and is not flagged.  A loop or comprehension handed
 straight to ``sorted``, ``min``, ``max``, ``sum``, ``len``, ``any`` or
 ``all`` is exempt.
 
+**RPL003: only the pause helper switches or tunes the cyclic collector.**
+``gc.disable``, ``gc.enable``, ``gc.freeze`` and ``gc.set_threshold``
+may be called only inside ``paused_collector`` in ``repro/collector.py``.
+The collector's switch is process-wide, and a pause is sound only around
+work known to create no reference cycle, so the one helper, which
+restores the state it found, is where that is decided.  A call through a
+module alias (``import gc as g``) or a ``from gc import`` name counts too.
+Reading the state (``gc.isenabled``) and ``gc.collect`` are free.
+
 **Suppression.** A site proven order-independent carries a comment-only
 ``# repro-lint: disable=RULE -- why`` line, which covers the first code
 line below its comment block.  A pragma without ``-- why``, in any other
@@ -53,6 +62,10 @@ from typing import NamedTuple
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: The one function allowed to switch or tune the cyclic collector.
+RPL003_HELPER = ("*repro/collector.py", "paused_collector")
+_COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
 
 RPL002_SCOPE = (
     "*repro/psl/*.py",
@@ -275,10 +288,42 @@ def determinism_findings(module: _Module):
                 yield module.finding(expr, "RPL002", f"iteration over {reason}")
 
 
+def collector_findings(module: _Module):
+    """RPL003 over one module."""
+    aliases: set[str] = set()  # names bound to the gc module
+    imported: dict[str, str] = {}  # name -> the gc function it is
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            imported.update({a.asname or a.name: a.name for a in node.names})
+    helper_path, helper_name = RPL003_HELPER
+    for call in ast.walk(module.tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = func.attr if func.value.id in aliases else None
+        elif isinstance(func, ast.Name):
+            name = imported.get(func.id)
+        else:
+            name = None
+        if name not in _COLLECTOR_SWITCHES:
+            continue
+        scope = module.function_of(call)
+        in_helper = scope is not None and scope.name == helper_name
+        if in_helper and fnmatch(module.path, helper_path):
+            continue
+        yield module.finding(
+            call, "RPL003", f"gc.{name}() outside {helper_name} (repro/collector.py)"
+        )
+
+
 def find_violations(path: str, source: str) -> list[Finding]:
-    """Every RPL001 and RPL002 finding in one file, before suppression."""
+    """Every RPL001, RPL002 and RPL003 finding in one file, before suppression."""
     module = _Module(path, source)
     found = list(process_pool_findings(module))
+    found.extend(collector_findings(module))
     if any(fnmatch(path, pattern) for pattern in RPL002_SCOPE):
         found.extend(determinism_findings(module))
     return found
@@ -476,6 +521,49 @@ def entry_bytes(entry):
 def dedup(items):
     for x in set(items):
         yield x
+""", []),
+    "gc_disable_outside_pause_helper": ("repro/selection/fake.py", """
+import gc
+
+def build(source):
+    gc.disable()
+    return source
+""", [(4, "RPL003", "paused_collector")]),
+    "gc_switches_through_aliases": ("benchmarks/bench_fake.py", """
+import gc as collector
+from gc import freeze, set_threshold as tune
+
+def run():
+    collector.enable()
+    freeze()
+    tune(10_000)
+""", [(5, "RPL003", "gc.enable"), (6, "RPL003", "gc.freeze"),
+      (7, "RPL003", "gc.set_threshold")]),
+    "pause_helper_name_in_another_module": ("repro/ibench/fake.py", """
+import gc
+
+def paused_collector():
+    gc.disable()
+""", [(4, "RPL003", "paused_collector")]),
+    "gc_calls_inside_the_pause_helper": ("repro/collector.py", """
+import gc
+
+def paused_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+""", []),
+    "gc_collect_and_state_reads_are_free": ("repro/evaluation/fake.py", """
+import gc
+
+def settle():
+    if gc.isenabled():
+        gc.collect()
+    return gc.get_threshold()
 """, []),
 }
 
