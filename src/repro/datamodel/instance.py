@@ -203,10 +203,14 @@ class Instance:
 
     def add(self, f: Fact) -> bool:
         """Add *f*; return True if it was not already present."""
-        bucket = self._by_relation.setdefault(f.relation, {})
-        if f in bucket:
-            return False
+        bucket = self._by_relation.get(f.relation)
+        if bucket is None:
+            bucket = self._by_relation[f.relation] = {}
+        # One hash: storing an existing key keeps its slot and order.
+        before = len(bucket)
         bucket[f] = None
+        if len(bucket) == before:
+            return False
         if self._match_index is not None:
             del self._match_index
         return True

@@ -5,9 +5,18 @@ objective delta; stop when no addition improves F.  A backward pass then
 drops candidates whose removal improves F (useful when an early pick is
 subsumed by later ones).  This is the natural local-search
 baseline the collective method is compared against.
+
+Each forward round prices every candidate in one numpy pass
+(:meth:`~repro.selection.objective.IncrementalObjective.add_deltas`):
+exact integer deltas over one positive denominator, int64 while the
+weighted counts provably fit in it and Python ints past that bound, so
+the argmin picks the same candidate an exact ``Fraction`` comparison
+would.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.selection.exact import SelectionResult
 from repro.selection.metrics import SelectionProblem
@@ -24,24 +33,15 @@ def solve_greedy(
 ) -> SelectionResult:
     """Greedy forward selection, then backward elimination."""
     inc = IncrementalObjective(problem, weights)
-    remaining = set(range(problem.num_candidates))
 
-    improved = True
-    while improved and remaining:
-        improved = False
-        best_delta = None
-        best_candidate = None
-        # sorted(): ties on delta break toward the lowest candidate
-        # index instead of set order, keeping picks reproducible.
-        for i in sorted(remaining):
-            delta = inc.delta_add(i)
-            if delta < 0 and (best_delta is None or delta < best_delta):
-                best_delta = delta
-                best_candidate = i
-        if best_candidate is not None:
-            inc.add(best_candidate)
-            remaining.discard(best_candidate)
-            improved = True
+    while problem.num_candidates:
+        deltas = inc.add_deltas()
+        # argmin takes the first minimum: ties on delta break toward the
+        # lowest candidate index, keeping picks reproducible.
+        best = int(np.argmin(deltas))
+        if not deltas[best] < 0:
+            break
+        inc.add(best)
 
     changed = True
     while changed:

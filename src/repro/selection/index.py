@@ -169,8 +169,7 @@ class ObjectiveIndex:
 
     def cover_mass(self) -> np.ndarray:
         """Per candidate, its summed cover numerators (total cover times L)."""
-        totals = np.concatenate(([0], np.cumsum(self.cover_num)))
-        return totals[self.cover_ptr[1:]] - totals[self.cover_ptr[:-1]]
+        return row_sums(self.cover_ptr, self.cover_num)
 
     def components(self, selected: Iterable[int]) -> tuple[int, int, int]:
         """``(unexplained numerator, distinct errors, size)`` of *selected*."""
@@ -215,6 +214,21 @@ class CoverColumns:
         entries = np.repeat(starts - firsts, lengths) + np.arange(firsts[-1] + lengths[-1])
         nums = np.where(selected[self._owner[entries]], self._num[entries], 0)
         return np.maximum.reduceat(nums, firsts)
+
+
+def row_sums(ptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per CSR row, the sum of its *values* (0 for an empty row).
+
+    Sums run row by row in *values*' dtype, so an int64 row sum is exact
+    whenever that row's own total fits in int64.
+    """
+    sums = np.zeros(len(ptr) - 1, dtype=values.dtype)
+    starts = ptr[:-1]
+    nonempty = ptr[1:] > starts
+    # An empty row adds no entries, so consecutive non-empty starts
+    # delimit exactly their rows' entries.
+    sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return sums
 
 
 def _offsets(lengths: Iterable[int]) -> np.ndarray:

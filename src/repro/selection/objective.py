@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.selection.index import CoverColumns, ScaledWeights
+from repro.selection.index import INT64_LIMIT, CoverColumns, ScaledWeights, row_sums
 from repro.selection.metrics import SelectionProblem
 
 
@@ -133,10 +133,12 @@ class IncrementalObjective:
 
     Runs on the problem's :class:`~repro.selection.index.ObjectiveIndex`
     and keeps integer state: the best cover numerator of every J fact,
-    per-error-fact owner counts and the selected size.  ``add`` and
-    ``delta_add`` touch only the candidate's own cover and error rows;
-    ``remove`` recomputes the best cover of only the removed candidate's
-    facts.  Every value equals :func:`objective_value` exactly.
+    per-error-fact owner counts and the selected size.  ``add`` touches
+    only the candidate's own cover and error rows; ``remove`` recomputes
+    the best cover of only the removed candidate's facts.
+    ``add_deltas`` prices adding every candidate at once, in one numpy
+    pass over all the rows.  Every value equals :func:`objective_value`
+    exactly.
     """
 
     def __init__(
@@ -154,6 +156,18 @@ class IncrementalObjective:
         self._errors = 0
         self._size = 0
         self._columns = CoverColumns(index)
+        # A delta is a sum of three weighted counts, each at most the
+        # matching term below (a row covers each J fact and owns each
+        # error fact at most once).  A count is taken as at least 1,
+        # because numpy multiplies the Python-int weight into the int64
+        # array even when every count is 0.  Under the bound no product
+        # or sum can wrap; past it the deltas are Python ints.
+        bound = (
+            self._scaled.explains * max(index.full_cover, 1)
+            + self._scaled.errors * max(index.num_error_facts, 1)
+            + self._scaled.size * max(int(index.sizes.sum()), 1)
+        )
+        self._delta_dtype = np.int64 if bound < INT64_LIMIT else object
 
     @property
     def selected(self) -> frozenset[int]:
@@ -199,12 +213,32 @@ class IncrementalObjective:
         self._errors -= int(np.count_nonzero(owners == 0))
         self._size -= int(index.sizes[i])
 
-    def delta_add(self, i: int) -> Fraction:
-        """Change in F if candidate *i* were added (without mutating)."""
-        if self._mask[i]:
-            return Fraction(0)
+    def add_deltas(self) -> np.ndarray:
+        """The change in F of adding each candidate, in scaled units.
+
+        Entry i is ``F(selected + {i}) - F(selected)`` times the
+        :class:`~repro.selection.index.ScaledWeights` denominator: an
+        exact integer, int64 when the bound set at construction allows
+        it and a Python int (object dtype) otherwise.  Selected
+        candidates read 0.  All entries share one positive denominator,
+        so comparing them compares the exact deltas.
+        """
         index = self._index
-        facts, nums = index.cover_row(i)
-        gain = int(np.maximum(nums - self._best[facts], 0).sum())
-        new_errors = int(np.count_nonzero(self._owners[index.error_row(i)] == 0))
-        return self._scaled.value(-gain, new_errors, int(index.sizes[i]))
+        gain = row_sums(
+            index.cover_ptr,
+            np.maximum(index.cover_num - self._best[index.cover_fact], 0),
+        )
+        new_errors = row_sums(
+            index.error_ptr,
+            (self._owners[index.error_fact] == 0).astype(np.int64),
+        )
+        gain, new_errors, sizes = (
+            a.astype(self._delta_dtype, copy=False)
+            for a in (gain, new_errors, index.sizes)
+        )
+        scaled = self._scaled
+        deltas = (
+            scaled.errors * new_errors + scaled.size * sizes - scaled.explains * gain
+        )
+        deltas[self._mask] = 0
+        return deltas

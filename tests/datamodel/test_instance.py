@@ -188,6 +188,18 @@ def test_scenario_generation_is_hash_seed_independent():
     assert len(outputs) == 1
 
 
+def test_re_adding_a_fact_changes_nothing():
+    facts = [fact("r", i) for i in range(3)]
+    inst = Instance(facts)
+    index = inst.match_index()
+    again = fact("r", 1)
+    assert again is not facts[1]
+    assert not inst.add(again)
+    assert list(inst) == facts
+    assert next(f for f in inst if f == again) is facts[1]
+    assert inst.match_index() is index
+
+
 def test_add_and_discard_drop_the_match_index():
     from repro.homomorphism.search import has_fact_homomorphism
 

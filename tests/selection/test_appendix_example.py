@@ -19,8 +19,11 @@ from fractions import Fraction
 import pytest
 
 from repro.examples_data import paper_example
+from repro.mappings.parser import parse_tgd
+from repro.selection.index import ScaledWeights
 from repro.selection.metrics import build_selection_problem
 from repro.selection.objective import (
+    DEFAULT_WEIGHTS,
     IncrementalObjective,
     objective_breakdown,
     objective_value,
@@ -130,12 +133,30 @@ def test_incremental_objective_matches_batch(problem):
     assert inc.value == objective_value(problem, [])
 
 
-def test_incremental_delta_add_agrees(problem):
-    inc = IncrementalObjective(problem)
-    before = inc.value
-    delta = inc.delta_add(THETA3)
-    inc.add(THETA3)
-    assert inc.value == before + delta
+def test_add_deltas_price_each_unselected_candidate():
+    # The appendix candidates plus an org-only theta2, so one candidate
+    # is still unselected after two adds.
+    ex = paper_example()
+    theta2 = parse_tgd("t2: proj(P, E, C) -> org(O, C)")
+    problem = build_selection_problem(ex.source, ex.target, [*ex.candidates, theta2])
+    denominator = ScaledWeights.of(
+        DEFAULT_WEIGHTS, problem.objective_index().denominator
+    ).denominator
+
+    def replay(first):
+        inc = IncrementalObjective(problem)
+        for i in first:
+            inc.add(i)
+        return inc
+
+    for first in ((), (THETA1, THETA3)):
+        deltas = replay(first).add_deltas()
+        assert [deltas[i] for i in first] == [0] * len(first)
+        for i in sorted(set(range(problem.num_candidates)) - set(first)):
+            inc = replay(first)
+            before = inc.value
+            inc.add(i)
+            assert inc.value - before == Fraction(int(deltas[i]), denominator)
 
 
 def test_certain_unexplained_are_the_two_inert_facts(problem):
