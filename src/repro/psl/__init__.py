@@ -30,7 +30,6 @@ from repro.psl.sharding import (
     GroundingShard,
     ShardResult,
     TermBlock,
-    TermBlockBuilder,
     ground_shards,
     mrf_fingerprint,
     structure_fingerprint,
@@ -48,7 +47,6 @@ __all__ = [
     "HingePotential",
     "ShardResult",
     "TermBlock",
-    "TermBlockBuilder",
     "Predicate",
     "ground_shards",
     "local_search",

@@ -43,9 +43,9 @@ def nonzero_terms(
 ) -> list[tuple[object, float]]:
     """*pairs* without zero coefficients, values as float.
 
-    Shared by the incremental :class:`HingeLossMRF` API and the sharded
-    :class:`~repro.psl.sharding.TermBlockBuilder`, so the two can never
-    diverge.  A term (*what*) with a non-finite coefficient or *offset*,
+    Used by the incremental :class:`HingeLossMRF` API and by the tests'
+    hand-built term blocks, so the two can never diverge.  A term
+    (*what*) with a non-finite coefficient or *offset*,
     or with no nonzero coefficient, raises :class:`InferenceError`.
     """
     kept = [(a, float(c)) for a, c in pairs if c]
@@ -152,6 +152,57 @@ class TermRows:
         )
         s += self.offset
         return s
+
+
+def _write(buffer: np.ndarray, at: int, values) -> np.ndarray:
+    """*buffer* with *values* written from index *at* on.
+
+    A buffer too short is replaced by one twice as long (or long enough)
+    holding its first *at* entries, so repeated appends cost amortized
+    O(1) each.
+    """
+    end = at + len(values)
+    if end > len(buffer):
+        grown = np.empty(max(end, 2 * len(buffer)), dtype=buffer.dtype)
+        grown[:at] = buffer[:at]
+        buffer = grown
+    buffer[at:end] = values
+    return buffer
+
+
+class _RowAppender:
+    """Spare capacity behind one row set that grows a term at a time.
+
+    :attr:`rows` (and, for hinges, :attr:`weights`) are views of the
+    filled prefix of buffers with room to spare; an append writes past
+    their end and hands out longer views.  It serves only the row set it
+    last handed out (:meth:`serves`), so it never writes into arrays it
+    did not allocate, and every view it handed out keeps its content.
+    """
+
+    def __init__(self, rows: TermRows, weights: np.ndarray | None = None):
+        self.rows = rows
+        self.weights = weights
+        self._buffers = (rows.offset, rows.ptr, rows.var, rows.coeff, weights)
+
+    def serves(self, rows: TermRows, weights: np.ndarray | None = None) -> bool:
+        return rows is self.rows and weights is self.weights
+
+    def append(self, var: list[int], coeff: list[float], offset: float, weight=None):
+        n, nnz = len(self.rows), int(self.rows.ptr[-1])
+        end = nnz + len(var)
+        offsets, ptr, variables, coeffs, weights = self._buffers
+        offsets = _write(offsets, n, [offset])
+        ptr = _write(ptr, n + 1, [end])
+        variables = _write(variables, nnz, var)
+        coeffs = _write(coeffs, nnz, coeff)
+        self.rows = TermRows(
+            offsets[: n + 1], ptr[: n + 2], variables[:end], coeffs[:end]
+        )
+        if weights is not None:
+            weights = _write(weights, n, [weight])
+            self.weights = weights[: n + 1]
+        self._buffers = (offsets, ptr, variables, coeffs, weights)
 
 
 @dataclass(frozen=True)
@@ -263,6 +314,14 @@ class HingeLossMRF:
     _weights: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: (pot_lo, pot_hi, con_lo, con_hi) extents of each add_term_block call.
     _block_extents: list[tuple[int, int, int, int]] = field(default_factory=list)
+    #: Spare capacity for term-by-term appends; never pickled.
+    _hinge_appender: _RowAppender | None = field(default=None, repr=False)
+    _cap_appender: _RowAppender | None = field(default=None, repr=False)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_hinge_appender"] = state["_cap_appender"] = None
+        return state
 
     @property
     def num_variables(self) -> int:
@@ -287,9 +346,12 @@ class HingeLossMRF:
             self.variables.append(atom)
         return idx
 
-    def intern_atoms(self, atoms: Iterable[GroundAtom]) -> list[int]:
+    def intern_atoms(self, atoms: Sequence[GroundAtom]) -> list[int]:
         """Intern *atoms* in order; returns their variable indices."""
-        return [self.variable_index(a) for a in atoms]
+        found = list(map(self._index.get, atoms))
+        if None in found:
+            found = [self.variable_index(a) for a in atoms]
+        return found
 
     def index_of(self, atom: GroundAtom) -> int:
         try:
@@ -319,14 +381,6 @@ class HingeLossMRF:
             raise InferenceError("potential weights must be finite and > 0")
         self._weights[:] = new
 
-    def _row(self, kept: list[tuple[GroundAtom, float]], offset: float) -> TermRows:
-        return TermRows.of(
-            [offset],
-            [0, len(kept)],
-            [self.variable_index(a) for a, _ in kept],
-            [c for _, c in kept],
-        )
-
     def add_potential(
         self,
         coefficients: Mapping[GroundAtom, float],
@@ -336,22 +390,34 @@ class HingeLossMRF:
         """Add ``weight * max(0, sum coeff*atom + offset)``.
 
         A zero-weight potential is dropped.  One with no nonzero
-        coefficient raises :class:`InferenceError`.
+        coefficient raises :class:`InferenceError`.  Appends cost
+        amortized O(1) (the rows keep spare capacity).
         """
         kept = filter_potential_terms(coefficients.items(), offset, weight)
         if not kept:
             return
-        self.hinges = TermRows.concatenate((self.hinges, self._row(kept, offset)))
-        self._weights = np.append(self._weights, float(weight))
+        appender = self._hinge_appender
+        if appender is None or not appender.serves(self.hinges, self._weights):
+            appender = self._hinge_appender = _RowAppender(self.hinges, self._weights)
+        appender.append(*self._entries(kept), offset, float(weight))
+        self.hinges, self._weights = appender.rows, appender.weights
 
     def add_constraint(
         self, coefficients: Mapping[GroundAtom, float], offset: float
     ) -> None:
         """Add the hard constraint ``sum coeff*atom + offset <= 0``."""
         kept = nonzero_terms(coefficients.items(), offset)
-        self.caps = TermRows.concatenate((self.caps, self._row(kept, offset)))
+        appender = self._cap_appender
+        if appender is None or not appender.serves(self.caps):
+            appender = self._cap_appender = _RowAppender(self.caps)
+        appender.append(*self._entries(kept), offset)
+        self.caps = appender.rows
 
-    def add_term_block(self, atoms: Iterable[GroundAtom], block: "TermBlock") -> None:
+    def _entries(self, kept: list[tuple[GroundAtom, float]]) -> tuple[list, list]:
+        """*kept*'s variable indices (interning new atoms) and coefficients."""
+        return [self.variable_index(a) for a, _ in kept], [c for _, c in kept]
+
+    def add_term_block(self, atoms: Sequence[GroundAtom], block: "TermBlock") -> None:
         """Append a compact shard-emitted term block (bulk construction).
 
         *atoms* is the block's shard-local atom table; it is interned once

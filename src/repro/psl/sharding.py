@@ -20,25 +20,20 @@ incremental grounding (:mod:`repro.psl.delta`) splices per-shard
 records.
 
 The one producer of shards is :mod:`repro.selection.collective`, which
-emits one coverage, one shared-error and one prior shard straight from
-the :class:`~repro.selection.metrics.SelectionProblem`.
+builds one coverage, one shared-error and one prior block with numpy
+from the problem's :class:`~repro.selection.index.ObjectiveIndex`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import InferenceError
-from repro.psl.hlmrf import (
-    HingeLossMRF,
-    TermRows,
-    filter_potential_terms,
-    nonzero_terms,
-)
+from repro.psl.hlmrf import HingeLossMRF, TermRows
 from repro.psl.predicate import GroundAtom
 
 
@@ -59,79 +54,6 @@ class TermBlock:
     @property
     def num_terms(self) -> int:
         return len(self.hinges) + len(self.caps)
-
-
-class _RowLists:
-    """One row set under construction: offsets, row pointer, entries."""
-
-    def __init__(self) -> None:
-        self.offset: list[float] = []
-        self.ptr: list[int] = [0]
-        self.var: list[int] = []
-        self.coeff: list[float] = []
-
-    def finish(self) -> TermRows:
-        return TermRows.of(self.offset, self.ptr, self.var, self.coeff)
-
-
-class TermBlockBuilder:
-    """Accumulates one shard's terms and atom table.
-
-    Term semantics (zero-weight drop, zero-coefficient filter, the
-    rejection of non-finite values and of terms with no nonzero
-    coefficient) come from the same
-    :func:`~repro.psl.hlmrf.filter_potential_terms` /
-    :func:`~repro.psl.hlmrf.nonzero_terms` helpers the
-    incremental :class:`HingeLossMRF` API uses, so a shard-emitted block
-    merges into exactly the MRF the serial calls would have built.
-    """
-
-    def __init__(self) -> None:
-        self._atoms: dict[GroundAtom, int] = {}
-        self._hinges = _RowLists()
-        self._weights: list[float] = []
-        self._caps = _RowLists()
-
-    def _local(self, atom: GroundAtom) -> int:
-        idx = self._atoms.get(atom)
-        if idx is None:
-            idx = len(self._atoms)
-            self._atoms[atom] = idx
-        return idx
-
-    def add_potential(
-        self,
-        coefficients: Iterable[tuple[GroundAtom, float]],
-        offset: float,
-        weight: float,
-    ) -> None:
-        kept = filter_potential_terms(coefficients, offset, weight)
-        if kept:
-            self._weights.append(float(weight))
-            self._append(self._hinges, kept, offset)
-
-    def add_constraint(
-        self, coefficients: Iterable[tuple[GroundAtom, float]], offset: float
-    ) -> None:
-        self._append(self._caps, nonzero_terms(coefficients, offset), offset)
-
-    def _append(
-        self, rows: _RowLists, pairs: list[tuple[GroundAtom, float]], offset: float
-    ) -> None:
-        rows.offset.append(float(offset))
-        for atom, c in pairs:
-            rows.var.append(self._local(atom))
-            rows.coeff.append(c)
-        rows.ptr.append(len(rows.var))
-
-    def finish(self) -> tuple[tuple[GroundAtom, ...], TermBlock]:
-        """The shard's atom table (intern order) and its term block."""
-        block = TermBlock(
-            hinges=self._hinges.finish(),
-            weights=np.asarray(self._weights, dtype=np.float64),
-            caps=self._caps.finish(),
-        )
-        return tuple(self._atoms), block
 
 
 @dataclass(frozen=True)

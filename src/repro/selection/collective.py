@@ -26,16 +26,22 @@ produce identical ground facts) are mediated through an auxiliary
 ``errorOf(t)`` variable so each error is paid once, matching the
 ``sum over K_C - J`` of the objective.
 
-**Block grounding.**  The HL-MRF is compiled straight from the
-:class:`~repro.selection.metrics.SelectionProblem` as the relaxation's
-three blocks (:mod:`repro.psl.sharding`): one coverage shard over
-``j_facts``, one shared-error shard over the shared-error owner groups
-and one prior shard over the candidate list; an empty block emits no
-shard.  Shards build and merge in that order on the calling thread,
-and the merge gives the same MRF byte for byte as adding the terms one
-at a time.  The block boundaries survive into the merged MRF as
-term-block extents, which the incremental splice engine
-(:mod:`repro.psl.delta`) patches by.
+**Block grounding.**  The HL-MRF is compiled with numpy from the
+problem's :class:`~repro.selection.index.ObjectiveIndex`, the integer
+CSR tables rounding and greedy already read, as the relaxation's three
+blocks (:mod:`repro.psl.sharding`): one coverage shard (the fact-major
+transpose of the cover rows, each fact's candidates ascending), one
+shared-error shard (error facts two or more candidates create, in
+``repr`` order of the fact) and one prior shard (the candidates whose
+folded private-error + size penalty is positive); an empty block emits
+no shard.  Each shard holds its block as arrays and builds its term
+rows in a few vector operations.  Shards build and merge in that order
+on the calling thread, and the merge gives the same MRF byte for byte
+as adding the terms one at a time (the frozen dict-walking plan in
+``tests/collective_plan_reference.py`` is the check).  The block
+boundaries survive into the merged MRF as term-block extents, which the
+incremental splice engine (:mod:`repro.psl.delta`) patches by, pairing
+blocks by their bytes content keys.
 
 **Weights.**  The plan grounds its potentials in three fixed blocks —
 coverage, then shared-error, then prior — so the MRF's weight vector at
@@ -51,13 +57,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from repro.errors import InferenceError
 
-from repro.datamodel.instance import Fact
 from repro.psl.admm import AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.delta import (
     ShardRecord,
@@ -66,16 +70,17 @@ from repro.psl.delta import (
     record_for,
     splice_grounding,
 )
-from repro.psl.hlmrf import HingeLossMRF
+from repro.psl.hlmrf import HingeLossMRF, TermRows
 from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.rounding import round_solution
 from repro.psl.sharding import (
     GroundingShard,
     ShardResult,
-    TermBlockBuilder,
+    TermBlock,
     ground_shards,
 )
 from repro.selection.exact import SelectionResult
+from repro.selection.index import CoverColumns
 from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import (
     DEFAULT_WEIGHTS,
@@ -135,32 +140,101 @@ class CollectiveResult(SelectionResult):
 # -- shard work units ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+class _AtomTable:
+    """The atoms ``predicate(0), predicate(1), ...``, each built once.
+
+    The model names its variables by small integer ids (candidate, J
+    fact, error fact), so one process keeps each atom it has built and
+    hands the same object out to every later plan and block, instead of
+    rebuilding thousands of atoms per ground.  The table grows to the
+    largest id seen.
+    """
+
+    def __init__(self, predicate: Predicate):
+        self._predicate = predicate
+        self._atoms: list[GroundAtom] = []
+        self._lock = threading.Lock()
+
+    def take(self, ids: np.ndarray) -> tuple[GroundAtom, ...]:
+        """The atoms of *ids*, in order, each with a plain ``int`` argument."""
+        need = int(ids.max()) + 1 if len(ids) else 0
+        if need > len(self._atoms):
+            with self._lock:
+                start = len(self._atoms)
+                self._atoms.extend(
+                    GroundAtom(self._predicate, (i,)) for i in range(start, need)
+                )
+        return tuple(map(self._atoms.__getitem__, ids.tolist()))
+
+
+def _unit_rows(var: np.ndarray, coeff: float, offset: float) -> TermRows:
+    """One row ``coeff * x[v] + offset`` per entry v of *var*."""
+    return TermRows.of(
+        np.full(len(var), offset),
+        np.arange(len(var) + 1),
+        var,
+        np.full(len(var), coeff),
+    )
+
+
+def _array_key(tag: bytes, *arrays: np.ndarray) -> bytes:
+    """An injective bytes key: *tag*, then each array's length and bytes.
+
+    Every array position has one fixed dtype, so the lengths split the
+    bytes back into the arrays.
+    """
+    parts = [tag]
+    for array in arrays:
+        parts += (len(array).to_bytes(8, "little"), array.tobytes())
+    return b"".join(parts)
+
+
+_IN_ATOMS = _AtomTable(IN_PREDICATE)
+_EXPLAINED_ATOMS = _AtomTable(EXPLAINED_PREDICATE)
+_ERROR_ATOMS = _AtomTable(ERROR_PREDICATE)
+
+
+@dataclass(frozen=True, eq=False)
 class CoverageShard:
     """Coverage terms for J's coverable facts.
 
-    Per entry ``(t_idx, ((candidate, degree), ...))``: the reward
-    potential ``w_expl * max(0, 1 - explained(t))`` and the hard support
-    cap ``explained(t) <= sum covers(theta,t) * in(theta)``.
+    Block fact k is J fact ``facts[k]``; its cover entries are
+    ``ptr[k]:ptr[k+1]`` of ``candidates`` (ascending) and ``degrees``.
+    Per fact: the reward potential ``w_expl * max(0, 1 - explained(t))``
+    and the hard support cap ``explained(t) <= sum covers(theta,t) *
+    in(theta)``, in which a zero degree adds no coefficient.
     """
 
     order: int
-    entries: tuple[tuple[int, tuple[tuple[int, float], ...]], ...]
+    facts: np.ndarray  # int64[F], ascending J-fact ids
+    ptr: np.ndarray  # int64[F + 1]
+    candidates: np.ndarray  # int64[nnz]
+    degrees: np.ndarray  # float64[nnz]
     weight: float
 
     def build(self) -> ShardResult:
-        builder = TermBlockBuilder()
-        for t_idx, support in self.entries:
-            atom = GroundAtom(EXPLAINED_PREDICATE, (t_idx,))
-            builder.add_potential([(atom, -1.0)], 1.0, self.weight)
-            cap = [(atom, 1.0)]
-            for i, degree in support:
-                cap.append((GroundAtom(IN_PREDICATE, (i,)), -degree))
-            builder.add_constraint(cap, 0.0)
-        atoms, block = builder.finish()
+        # Local atoms: the facts' explained atoms, then the in atoms of
+        # the candidates with a nonzero degree.
+        num_facts = len(self.facts)
+        kept = self.degrees != 0
+        users, local = np.unique(self.candidates[kept], return_inverse=True)
+        atoms = _EXPLAINED_ATOMS.take(self.facts) + _IN_ATOMS.take(users)
+        explained = np.arange(num_facts)
+        hinges = _unit_rows(explained if self.weight else explained[:0], -1.0, 1.0)
+        # Cap k: explained(k) with +1 inserted before fact k's nonzero
+        # supports, each with -degree.
+        kept_before = np.concatenate(([0], np.cumsum(kept)))
+        starts = kept_before[self.ptr[:-1]]
+        caps = TermRows.of(
+            np.zeros(num_facts),
+            np.append(starts + explained, kept_before[-1] + num_facts),
+            np.insert(num_facts + local, starts, explained),
+            np.insert(-self.degrees[kept], starts, 1.0),
+        )
+        block = TermBlock(hinges, np.full(len(hinges), self.weight), caps)
         return ShardResult(self.order, atoms, block)
 
-    def content_key(self) -> tuple:
+    def content_key(self) -> bytes:
         """Order- and weight-magnitude-independent identity for splicing.
 
         Weight *magnitude* is excluded — a patched artifact gets its
@@ -168,66 +242,107 @@ class CoverageShard:
         structural (zero-weight potentials are dropped at grounding), so
         it stays in the key.
         """
-        return ("cov", self.entries, self.weight == 0)
+        return _array_key(
+            b"cov0" if self.weight == 0 else b"cov1",
+            self.facts, self.ptr, self.candidates, self.degrees,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorShard:
-    """Shared-error mediator terms for the shared-error owner groups.
+    """Shared-error mediator terms for the shared error facts.
 
-    Per entry ``(e_idx, (owners...))``: the penalty potential
-    ``w_err * errorOf(e)`` plus one cap ``in(theta) <= errorOf(e)`` per
-    owner, so the error is paid once however many owners are selected.
+    Block error k is ``errorOf(errors[k])``, created by the candidates
+    ``owners[ptr[k]:ptr[k+1]]`` (ascending).  Per error: the penalty
+    potential ``w_err * errorOf(e)`` plus one cap ``in(theta) <=
+    errorOf(e)`` per owner, so the error is paid once however many
+    owners are selected.
     """
 
     order: int
-    entries: tuple[tuple[int, tuple[int, ...]], ...]
+    errors: np.ndarray  # int64[E], ascending error indices
+    ptr: np.ndarray  # int64[E + 1]
+    owners: np.ndarray  # int64[nnz]
     weight: float
 
     def build(self) -> ShardResult:
-        builder = TermBlockBuilder()
-        for e_idx, owners in self.entries:
-            atom = GroundAtom(ERROR_PREDICATE, (e_idx,))
-            builder.add_potential([(atom, 1.0)], 0.0, self.weight)
-            for i in owners:
-                builder.add_constraint(
-                    [(GroundAtom(IN_PREDICATE, (i,)), 1.0), (atom, -1.0)], 0.0
-                )
-        atoms, block = builder.finish()
+        # Local atoms: the errorOf atoms, then the owners' in atoms.
+        users, local = np.unique(self.owners, return_inverse=True)
+        atoms = _ERROR_ATOMS.take(self.errors) + _IN_ATOMS.take(users)
+        error_of = np.arange(len(self.errors))
+        hinges = _unit_rows(error_of if self.weight else error_of[:0], 1.0, 0.0)
+        # One cap per owner: in(owner) - errorOf(error) <= 0.
+        owned = np.repeat(error_of, np.diff(self.ptr))
+        caps = TermRows.of(
+            np.zeros(len(self.owners)),
+            np.arange(0, 2 * len(self.owners) + 1, 2),
+            np.column_stack((len(self.errors) + local, owned)).ravel(),
+            np.tile([1.0, -1.0], len(self.owners)),
+        )
+        block = TermBlock(hinges, np.full(len(hinges), self.weight), caps)
         return ShardResult(self.order, atoms, block)
 
-    def content_key(self) -> tuple:
+    def content_key(self) -> bytes:
         """See :meth:`CoverageShard.content_key` — same weight treatment."""
-        return ("err", self.entries, self.weight == 0)
+        return _array_key(
+            b"err0" if self.weight == 0 else b"err1", self.errors, self.ptr, self.owners
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorShard:
     """Per-candidate prior potentials for the included candidates.
 
-    Per entry ``(candidate, penalty)``: the folded private-error + size
-    prior ``penalty * in(theta)``.
+    Per candidate ``candidates[k]``: the folded private-error + size
+    prior ``penalties[k] * in(theta)``.
     """
 
     order: int
-    entries: tuple[tuple[int, float], ...]
+    candidates: np.ndarray  # int64[P]
+    penalties: np.ndarray  # float64[P], all > 0
 
     def build(self) -> ShardResult:
-        builder = TermBlockBuilder()
-        for i, penalty in self.entries:
-            builder.add_potential([(GroundAtom(IN_PREDICATE, (i,)), 1.0)], 0.0, penalty)
-        atoms, block = builder.finish()
-        return ShardResult(self.order, atoms, block)
+        hinges = _unit_rows(np.arange(len(self.candidates)), 1.0, 0.0)
+        block = TermBlock(hinges, self.penalties, TermRows.empty())
+        return ShardResult(self.order, _IN_ATOMS.take(self.candidates), block)
 
-    def content_key(self) -> tuple:
+    def content_key(self) -> bytes:
         """Identity by candidate set only: per-candidate penalty
         *magnitudes* are set after the splice with the rest of the
         weight vector (they are plain weight changes), but which
         candidates appear is structural."""
-        return ("prior", tuple(i for i, _ in self.entries))
+        return _array_key(b"prior", self.candidates)
 
 
 # -- shard planning -----------------------------------------------------------
+
+
+def _prior_penalties(
+    weights: ObjectiveWeights, private_errors: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Every candidate's folded prior penalty at *weights*.
+
+    ``float(w_err * private + w_size * size)`` in exact ``Fraction``
+    arithmetic, once per distinct ``(private, size)`` pair.
+    """
+    pairs = list(zip(private_errors.tolist(), sizes.tolist()))
+    value = {
+        pair: float(weights.errors * pair[0] + weights.size * pair[1])
+        for pair in dict.fromkeys(pairs)
+    }
+    return np.array([value[pair] for pair in pairs], dtype=np.float64)
+
+
+def _cover_degrees(nums: np.ndarray, denominator: int) -> np.ndarray:
+    """Each cover numerator over *denominator* as the float of its degree.
+
+    Python's ``int / int`` is correctly rounded, so ``num / L`` equals
+    ``float(Fraction(num, L))``, the float of the exact degree.  It is
+    computed once per distinct numerator.
+    """
+    values, inverse = np.unique(nums, return_inverse=True)
+    floats = np.array([v / denominator for v in values.tolist()], dtype=np.float64)
+    return floats[inverse]
 
 
 @dataclass
@@ -236,21 +351,21 @@ class CollectivePlan:
 
     ``targets`` pins the MRF's variable order (``in`` atoms by candidate
     index, then ``explained`` atoms in ``j_facts`` order, then
-    ``errorOf`` atoms in sorted-owner-group order), on a fresh ground
-    and on a splice alike, so variable ``i < num_candidates`` is
-    candidate ``i``'s membership; ``shards`` hold the work, at most one
-    per block (coverage, shared-error, prior).
+    ``errorOf`` atoms in ``repr`` order of their error facts), on a
+    fresh ground and on a splice alike, so variable ``i <
+    num_candidates`` is candidate ``i``'s membership; ``shards`` hold
+    the work, at most one per block (coverage, shared-error, prior).
 
-    ``prior_components`` records every candidate's raw prior features
-    ``(candidate, private error count, size)`` and ``prior_included``
-    the candidates whose folded penalty was positive at the planning
-    weights (only those became potentials — zero-weight terms are
-    dropped at grounding time).  Together they let a grounded MRF be
-    *reweighted* for a new :class:`ObjectiveWeights` without
-    re-planning: new per-candidate penalties are recomputed from the
-    components, and the included set doubles as the zero-pattern guard
-    (a penalty crossing zero means the structure itself would change,
-    so reweighting must fall back to a fresh ground).
+    ``private_errors`` and ``sizes`` are every candidate's raw prior
+    features, and ``prior_included`` marks the candidates whose folded
+    penalty was positive at the planning weights (only those became
+    potentials — zero-weight terms are dropped at grounding time).
+    Together they let a grounded MRF be *reweighted* for a new
+    :class:`ObjectiveWeights` without re-planning
+    (:meth:`prior_weights`), and the included set doubles as the
+    zero-pattern guard (a penalty crossing zero means the structure
+    itself would change, so reweighting must fall back to a fresh
+    ground).
 
     ``coverage_potentials`` and ``error_potentials`` count the
     potentials the coverage and shared-error blocks ground (none when
@@ -260,13 +375,26 @@ class CollectivePlan:
 
     targets: tuple[GroundAtom, ...]
     shards: tuple[GroundingShard, ...]
-    prior_components: tuple[tuple[int, int, int], ...] = ()
-    prior_included: tuple[int, ...] = ()
+    private_errors: np.ndarray  # int64[n]
+    sizes: np.ndarray  # int64[n]
+    prior_included: np.ndarray  # bool[n]
     coverage_potentials: int = 0
     error_potentials: int = 0
 
+    def prior_weights(self, weights: ObjectiveWeights) -> np.ndarray | None:
+        """The included candidates' prior penalties at *weights*.
+
+        ``None`` when a penalty's sign disagrees with the grounded
+        inclusion (the structure would change).
+        """
+        penalties = _prior_penalties(weights, self.private_errors, self.sizes)
+        included = penalties > 0
+        if not np.array_equal(included, self.prior_included):
+            return None
+        return penalties[included]
+
     def weight_vector(
-        self, weights: ObjectiveWeights, priors: list[float]
+        self, weights: ObjectiveWeights, priors: np.ndarray
     ) -> np.ndarray:
         """The grounded MRF's weight vector at *weights*.
 
@@ -275,95 +403,95 @@ class CollectivePlan:
         ground at *weights* stores, so setting the vector reproduces that
         ground bit for bit.
         """
-        return np.array(
-            [float(weights.explains)] * self.coverage_potentials
-            + [float(weights.errors)] * self.error_potentials
-            + priors
-        )
+        return np.concatenate((
+            np.full(self.coverage_potentials, float(weights.explains)),
+            np.full(self.error_potentials, float(weights.errors)),
+            priors,
+        ))
 
 
 def plan_collective_grounding(
     problem: SelectionProblem, settings: CollectiveSettings | None = None
 ) -> CollectivePlan:
-    """Compile *problem* into shard specs (no term is materialized yet).
+    """Compile *problem* into shard specs from its objective index.
 
     One shard per non-empty block, in the order coverage (``j_facts``
-    order), shared errors (repr-sorted owner groups), priors (candidate
-    order).  That order fixes the potential/constraint order, so the
-    merged MRF is fingerprint-identical to adding the same terms one at
-    a time through
+    order), shared errors (``repr`` order of the error fact), priors
+    (candidate order).  That order fixes the potential/constraint order,
+    so the merged MRF is fingerprint-identical to adding the same terms
+    one at a time through
     :meth:`~repro.psl.hlmrf.HingeLossMRF.add_potential` and
     :meth:`~repro.psl.hlmrf.HingeLossMRF.add_constraint`.
     """
     settings = settings or CollectiveSettings()
     weights = settings.weights
+    index = problem.objective_index()
 
-    # Coverage: one entry per J fact some candidate covers (facts nobody
-    # covers are certain-unexplained constants, excluded from the MRF).
-    coverers: dict[Fact, list[tuple[int, Fraction]]] = {}
-    for i, table in enumerate(problem.covers):
-        for t, degree in table.items():
-            coverers.setdefault(t, []).append((i, degree))
-    coverage_entries: list[tuple[int, tuple[tuple[int, float], ...]]] = []
-    for t_idx, t in enumerate(problem.j_facts):
-        support = coverers.get(t)
-        if not support:
-            continue
-        coverage_entries.append(
-            (t_idx, tuple((i, float(degree)) for i, degree in support))
-        )
+    # Coverage: the fact-major transpose of the cover rows.  Facts nobody
+    # covers are certain-unexplained constants, left out of the MRF.
+    columns = CoverColumns(index)
+    facts = np.flatnonzero(np.diff(columns.ptr))
+    cover_ptr = np.append(columns.ptr[facts], columns.ptr[-1])
 
-    # Errors: shared facts get a mediator variable; private ones fold
-    # into the per-candidate prior below.
-    owners: dict[Fact, list[int]] = {}
-    for i, facts in enumerate(problem.error_facts):
-        for f in facts:
-            owners.setdefault(f, []).append(i)
-    private_error_counts = [0] * problem.num_candidates
-    error_entries: list[tuple[int, tuple[int, ...]]] = []
-    for e_idx, (f, who) in enumerate(sorted(owners.items(), key=lambda kv: repr(kv[0]))):
-        if len(who) == 1:
-            private_error_counts[who[0]] += 1
-        else:
-            error_entries.append((e_idx, tuple(who)))
-
-    # Per-candidate priors: private errors + size, folded into one term.
-    prior_components = tuple(
-        (i, private_error_counts[i], int(problem.sizes[i]))
-        for i in range(problem.num_candidates)
+    # Errors: an error fact's index is its rank in repr order among all
+    # error facts (a stable sort, so equal reprs keep first-seen order).
+    # Shared facts get a mediator variable; private ones fold into the
+    # per-candidate prior below.
+    owner_count = np.bincount(index.error_fact, minlength=index.num_error_facts)
+    shared = owner_count > 1
+    reprs = [repr(f) for f in index.distinct_error_facts]
+    rank = np.empty(len(reprs), dtype=np.int64)
+    rank[sorted(range(len(reprs)), key=reprs.__getitem__)] = np.arange(len(reprs))
+    take = shared[index.error_fact]
+    entry_rank = rank[index.error_fact[take]]
+    by_rank = np.argsort(entry_rank, kind="stable")
+    errors, firsts = np.unique(entry_rank[by_rank], return_index=True)
+    private_errors = np.bincount(
+        index.error_owner[~take], minlength=index.num_candidates
     )
-    prior_entries: list[tuple[int, float]] = []
-    for i, private, size in prior_components:
-        penalty = float(weights.errors * private + weights.size * size)
-        if penalty > 0:
-            prior_entries.append((i, penalty))
+
+    penalties = _prior_penalties(weights, private_errors, index.sizes)
+    included = penalties > 0
 
     shards: list[GroundingShard] = []
-    if coverage_entries:
+    if len(facts):
         shards.append(
             CoverageShard(
-                len(shards), tuple(coverage_entries), float(weights.explains)
+                len(shards),
+                facts,
+                cover_ptr,
+                columns.owner,
+                _cover_degrees(columns.num, index.denominator),
+                float(weights.explains),
             )
         )
-    if error_entries:
+    if len(errors):
         shards.append(
-            ErrorShard(len(shards), tuple(error_entries), float(weights.errors))
+            ErrorShard(
+                len(shards),
+                errors,
+                np.append(firsts, len(by_rank)),
+                index.error_owner[take][by_rank],
+                float(weights.errors),
+            )
         )
-    if prior_entries:
-        shards.append(PriorShard(len(shards), tuple(prior_entries)))
+    if included.any():
+        shards.append(
+            PriorShard(len(shards), np.flatnonzero(included), penalties[included])
+        )
 
-    targets = (
-        *(GroundAtom(IN_PREDICATE, (i,)) for i in range(problem.num_candidates)),
-        *(GroundAtom(EXPLAINED_PREDICATE, (t_idx,)) for t_idx, _ in coverage_entries),
-        *(GroundAtom(ERROR_PREDICATE, (e_idx,)) for e_idx, _ in error_entries),
-    )
     return CollectivePlan(
-        targets=targets,
+        targets=(
+            _IN_ATOMS.take(np.arange(index.num_candidates))
+            + _EXPLAINED_ATOMS.take(facts)
+            + _ERROR_ATOMS.take(errors)
+        ),
         shards=tuple(shards),
-        prior_components=prior_components,
-        prior_included=tuple(i for i, _ in prior_entries),
-        coverage_potentials=len(coverage_entries) if weights.explains else 0,
-        error_potentials=len(error_entries) if weights.errors else 0,
+        private_errors=private_errors,
+        sizes=index.sizes,
+        prior_included=included,
+        coverage_potentials=len(facts) if float(weights.explains) else 0,
+        error_potentials=len(errors) if float(weights.errors) else 0,
     )
 
 
@@ -380,9 +508,10 @@ def ground_collective(
     shards out of this MRF later.
     """
     plan = plan_collective_grounding(problem, settings)
-    mrf = HingeLossMRF()
-    for atom in plan.targets:
-        mrf.variable_index(atom)
+    targets = plan.targets
+    mrf = HingeLossMRF(
+        variables=list(targets), _index=dict(zip(targets, range(len(targets))))
+    )
     observer = None
     if records_out is not None:
         observer = lambda result: records_out.append(
@@ -449,37 +578,32 @@ class GroundedCollective:
     #: ``(weights, penalties)`` of the latest :meth:`_prior_weights` call.
     _prior_memo: tuple | None = None
 
-    def _prior_weights(self, weights: ObjectiveWeights) -> list[float] | None:
-        """The included candidates' prior penalties at *weights*.
+    def _prior_weights(self, weights: ObjectiveWeights) -> np.ndarray | None:
+        """The plan's :meth:`CollectivePlan.prior_weights` at *weights*.
 
-        ``None`` when a penalty's sign disagrees with the grounded
-        inclusion (the structure would change).  Each penalty is the
-        planning-time expression — exact ``Fraction`` arithmetic, then
-        ``float`` — so a reweight reproduces a fresh plan bit for bit.
-        The result is kept for the same *weights* object, since the
-        cache asks :meth:`can_reweight` and then :meth:`reweight`.
+        Each penalty is the planning-time expression — exact
+        ``Fraction`` arithmetic, then ``float`` — so a reweight
+        reproduces a fresh plan bit for bit.  The result is kept for the
+        same *weights* object, since the cache asks :meth:`can_reweight`
+        and then :meth:`reweight`.
         """
         memo = self._prior_memo
         if memo is not None and memo[0] is weights:
             return memo[1]
-        included = set(self.plan.prior_included)
-        penalties: list[float] | None = []
-        for i, private, size in self.plan.prior_components:
-            penalty = float(weights.errors * private + weights.size * size)
-            if (penalty > 0) != (i in included):
-                penalties = None
-                break
-            if penalty > 0:
-                penalties.append(penalty)
+        penalties = self.plan.prior_weights(weights)
         self._prior_memo = (weights, penalties)
         return penalties
 
     def can_reweight(self, weights: ObjectiveWeights) -> bool:
-        """Would *weights* ground to this very structure (zero patterns agree)?"""
+        """Would *weights* ground to this very structure (zero patterns agree)?
+
+        A weight is zero when its float is: a positive weight too small
+        for a float grounds no potentials, like a zero one.
+        """
         old = self.weights
-        if (old.explains == 0) != (weights.explains == 0):
+        if (float(old.explains) == 0) != (float(weights.explains) == 0):
             return False
-        if (old.errors == 0) != (weights.errors == 0):
+        if (float(old.errors) == 0) != (float(weights.errors) == 0):
             return False
         return self._prior_weights(weights) is not None
 
@@ -518,19 +642,15 @@ def patch_collective(
     settings = settings or CollectiveSettings()
     plan = plan_collective_grounding(problem, settings)
     reuse = match_shards(cached.records, plan.shards)
-    prior_penalties = [
-        penalty
-        for shard in plan.shards
-        if isinstance(shard, PriorShard)
-        for _, penalty in shard.entries
-    ]
     weights = settings.weights
     result = splice_grounding(
         cached.mrf, cached.records, plan.shards, reuse, plan.targets
     )
     if result is None:
         return None
-    result.mrf.set_potential_weights(plan.weight_vector(weights, prior_penalties))
+    result.mrf.set_potential_weights(
+        plan.weight_vector(weights, plan.prior_weights(weights))
+    )
     patched = GroundedCollective.__new__(GroundedCollective)
     patched.problem = problem
     patched.mrf = result.mrf

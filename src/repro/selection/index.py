@@ -44,6 +44,7 @@ import numpy as np
 from repro.errors import SelectionError
 
 if TYPE_CHECKING:
+    from repro.datamodel.instance import Fact
     from repro.selection.metrics import SelectionProblem
     from repro.selection.objective import ObjectiveWeights
 
@@ -107,6 +108,8 @@ class ObjectiveIndex:
         error_fact: error-fact id of each error entry; ids are shared by
             candidates producing the same fact.
         num_error_facts: distinct error facts over all candidates.
+        distinct_error_facts: the error facts by id, ids in order of first
+            appearance over the candidates' error sets.
         sizes: per-candidate size.
         cover_owner, error_owner: the candidate (row) of every entry.
     """
@@ -115,30 +118,35 @@ class ObjectiveIndex:
         fact_ids = {t: k for k, t in enumerate(problem.j_facts)}
         if len(fact_ids) != len(problem.j_facts):
             raise SelectionError("j_facts holds duplicate facts")
-        rows = [
-            [(fact_ids[t], Fraction(d)) for t, d in table.items() if t in fact_ids]
-            for table in problem.covers
-        ]
-        degrees = [d for row in rows for _, d in row]
-        if any(d < 0 or d > 1 for d in degrees):
+        # Each degree is read as its (numerator, positive denominator).
+        find = fact_ids.get
+        facts: list[int] = []
+        ratios: list[tuple[int, int]] = []
+        lengths: list[int] = []
+        for table in problem.covers:
+            before = len(facts)
+            for t, d in table.items():
+                k = find(t)
+                if k is not None:
+                    facts.append(k)
+                    ratios.append(d.as_integer_ratio())
+            lengths.append(len(facts) - before)
+        if any(not 0 <= n <= d for n, d in ratios):
             raise SelectionError("cover degrees must lie in [0, 1]")
-        denominator = math.lcm(*(d.denominator for d in degrees))
+        denominator = math.lcm(*dict.fromkeys(d for _, d in ratios))
         if len(fact_ids) * denominator >= INT64_LIMIT:
             raise SelectionError(
                 f"|J| * L = {len(fact_ids)} * {denominator} overflows int64"
             )
 
-        self.num_candidates = len(rows)
+        self.num_candidates = len(lengths)
         self.num_facts = len(fact_ids)
         self.denominator = denominator
-        self.cover_ptr = _offsets(len(row) for row in rows)
-        self.cover_fact = np.array(
-            [f for row in rows for f, _ in row], dtype=np.intp
-        )
-        self.cover_num = np.array(
-            [d.numerator * (denominator // d.denominator) for d in degrees],
-            dtype=np.int64,
-        )
+        self.cover_ptr = _offsets(lengths)
+        self.cover_fact = np.array(facts, dtype=np.intp)
+        # num <= den <= L < 2**63, so every scaled numerator fits int64.
+        pairs = np.array(ratios, dtype=np.int64).reshape(-1, 2)
+        self.cover_num = pairs[:, 0] * (denominator // pairs[:, 1])
         error_ids: dict = {}
         error_rows = [
             [error_ids.setdefault(f, len(error_ids)) for f in errors]
@@ -149,6 +157,7 @@ class ObjectiveIndex:
             [e for row in error_rows for e in row], dtype=np.intp
         )
         self.num_error_facts = len(error_ids)
+        self.distinct_error_facts: tuple[Fact, ...] = tuple(error_ids)
         self.sizes = np.array(problem.sizes, dtype=np.int64)
         self.cover_owner = _owners(self.cover_ptr)
         self.error_owner = _owners(self.error_ptr)
@@ -190,17 +199,22 @@ class ObjectiveIndex:
 class CoverColumns:
     """Cover entries grouped by fact: which candidates cover each fact.
 
-    Lets a search recompute the best cover of a few facts after a
-    candidate leaves the selection, without rescanning every row.
+    The fact-major transpose of the cover rows: fact t's entries are
+    ``ptr[t]:ptr[t+1]`` of ``owner`` (their candidates, ascending) and
+    ``num`` (their numerators).  Lets a search recompute the best cover
+    of a few facts after a candidate leaves the selection, without
+    rescanning every row, and gives the collective grounding its
+    coverage block.
     """
 
     def __init__(self, index: ObjectiveIndex):
+        # A stable sort keeps each fact's entries in candidate order.
         order = np.argsort(index.cover_fact, kind="stable")
-        self._ptr = np.searchsorted(
+        self.ptr = np.searchsorted(
             index.cover_fact[order], np.arange(index.num_facts + 1)
         )
-        self._owner = index.cover_owner[order]
-        self._num = index.cover_num[order]
+        self.owner = index.cover_owner[order]
+        self.num = index.cover_num[order]
 
     def best_cover(self, facts: np.ndarray, selected: np.ndarray) -> np.ndarray:
         """Best numerator of each of *facts* over the candidates in *selected*.
@@ -208,11 +222,11 @@ class CoverColumns:
         *selected* is a boolean candidate mask; every fact must be covered
         by at least one candidate (selected or not), so no group is empty.
         """
-        starts = self._ptr[facts]
-        lengths = self._ptr[facts + 1] - starts
+        starts = self.ptr[facts]
+        lengths = self.ptr[facts + 1] - starts
         firsts = np.cumsum(lengths) - lengths
         entries = np.repeat(starts - firsts, lengths) + np.arange(firsts[-1] + lengths[-1])
-        nums = np.where(selected[self._owner[entries]], self._num[entries], 0)
+        nums = np.where(selected[self.owner[entries]], self.num[entries], 0)
         return np.maximum.reduceat(nums, firsts)
 
 

@@ -1,9 +1,10 @@
 """Two test references for the collective HL-MRF.
 
-* :func:`ground_term_by_term` expands each planned shard's term block
-  through the dict-keyed :meth:`HingeLossMRF.add_potential` /
+* :func:`ground_term_by_term` expands each block of the frozen
+  dict-walking plan (``tests/collective_plan_reference.py``) through the
+  dict-keyed :meth:`HingeLossMRF.add_potential` /
   :meth:`HingeLossMRF.add_constraint` calls, one term at a time, with no
-  ``add_term_block`` merge.  The block merge
+  ``add_term_block`` merge.  The index-built block merge
   (:func:`~repro.selection.collective.ground_collective`) must give a
   ``mrf_fingerprint``-equal MRF.
 * :func:`lp_relaxation_optimum` writes the collective relaxation as a
@@ -19,14 +20,11 @@ import numpy as np
 
 from repro.psl.admm import AdmmSettings, AdmmSolver
 from repro.psl.hlmrf import HingeLossMRF
-from repro.selection.collective import (
-    CollectiveSettings,
-    GroundedCollective,
-    plan_collective_grounding,
-)
+from repro.selection.collective import CollectiveSettings, GroundedCollective
 from repro.selection.exact import solve_milp
 from repro.selection.metrics import SelectionProblem
 from repro.selection.objective import DEFAULT_WEIGHTS, ObjectiveWeights
+from tests.collective_plan_reference import plan_collective_grounding
 
 #: ADMM tolerances tight enough to compare its energy with an exact LP.
 TIGHT_ADMM = AdmmSettings(max_iterations=50000, epsilon_abs=1e-7, epsilon_rel=1e-6)

@@ -139,3 +139,49 @@ def test_constraint_violation_forms():
     leq = HardConstraint(((0, 1.0),), -0.5)
     assert leq.violation([0.4]) == 0.0
     assert leq.violation([0.9]) == pytest.approx(0.4)
+
+
+def test_appends_leave_earlier_rows_and_weights_unchanged():
+    # Appends write into spare capacity past the rows handed out so
+    # far; what was handed out keeps its content.
+    mrf = HingeLossMRF()
+    mrf.add_potential({X(0): 1.0}, -0.5, weight=2.0)
+    mrf.add_constraint({X(0): 1.0}, -1.0)
+    hinges, caps, weights = mrf.hinges, mrf.caps, mrf.potential_weights()
+    for k in range(40):
+        mrf.add_potential({X(k): 1.0, X(k + 1): -1.0}, 0.25, weight=1.0 + k)
+        mrf.add_constraint({X(k + 1): 2.0}, -1.0)
+    assert (hinges.offset.tolist(), hinges.ptr.tolist(), hinges.var.tolist()) == (
+        [-0.5], [0, 1], [0]
+    )
+    assert caps.coeff.tolist() == [1.0] and weights.tolist() == [2.0]
+    assert len(mrf.potentials) == len(mrf.constraints) == 41
+    assert mrf.hinges.ptr.tolist() == [0, 1, *range(3, 83, 2)]
+    assert mrf.potential_weights().tolist() == [2.0, *(1.0 + k for k in range(40))]
+    assert mrf.potentials[-1] == HingePotential(((39, 1.0), (40, -1.0)), 0.25)
+    assert mrf.constraints[-1] == HardConstraint(((40, 2.0),), -1.0)
+
+
+def test_appends_after_a_reweight_a_pickle_or_a_block_merge():
+    import pickle
+
+    from tests.psl.term_blocks import TermBlockBuilder
+
+    mrf = HingeLossMRF()
+    mrf.add_potential({X(0): 1.0}, 0.0, weight=1.0)
+    mrf.add_potential({X(1): 1.0}, 0.0, weight=1.0)
+    mrf.set_potential_weights([3.0, 4.0])
+    copy = pickle.loads(pickle.dumps(mrf))
+    for m in (mrf, copy):
+        m.add_potential({X(2): 1.0}, 0.0, weight=5.0)
+        assert m.potential_weights().tolist() == [3.0, 4.0, 5.0]
+    builder = TermBlockBuilder()
+    builder.add_potential([(X(3), -1.0)], 1.0, 6.0)
+    builder.add_constraint([(X(3), 1.0), (X(0), -1.0)], 0.0)
+    mrf.add_term_block(*builder.finish())
+    mrf.add_potential({X(0): 1.0}, 0.0, weight=7.0)
+    mrf.add_constraint({X(1): 1.0}, -1.0)
+    assert mrf.potential_weights().tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
+    assert mrf.hinges.var.tolist() == [0, 1, 2, 3, 0]
+    assert mrf.caps.ptr.tolist() == [0, 2, 3]
+    assert copy.potential_weights().tolist() == [3.0, 4.0, 5.0]

@@ -14,11 +14,11 @@ import numpy as np
 from repro.psl.admm import AdmmSolver
 from repro.psl.hlmrf import HingeLossMRF, TermRows
 from repro.psl.predicate import Predicate
-from repro.psl.sharding import TermBlockBuilder
 from repro.selection.collective import CoverageShard, PriorShard, ground_collective
 from repro.selection.metrics import build_selection_problem
 from repro.examples_data import paper_example
 from tests.collective_reference import ground_term_by_term
+from tests.psl.term_blocks import TermBlockBuilder
 
 X = Predicate("x", 1)
 
@@ -135,7 +135,7 @@ def test_collective_grounding_blocks_survive_into_partition():
     # One recorded extent per block: the coverage potentials and their
     # support caps, then the priors (this problem shares no error).
     assert [type(shard) for shard in plan.shards] == [CoverageShard, PriorShard]
-    coverage, priors = (len(shard.entries) for shard in plan.shards)
+    coverage, priors = len(plan.shards[0].facts), len(plan.shards[1].candidates)
     assert mrf._block_extents == [
         (0, coverage, 0, coverage),
         (coverage, coverage + priors, coverage, coverage),

@@ -21,7 +21,7 @@ from repro.ibench.generator import generate_scenario
 from repro.psl.admm import AdmmResult, AdmmSettings, AdmmSolver, AdmmWarmState
 from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import Predicate
-from repro.psl.sharding import TermBlockBuilder, mrf_fingerprint
+from repro.psl.sharding import mrf_fingerprint
 from repro.selection.collective import (
     CollectiveSettings,
     GroundedCollective,
@@ -30,6 +30,7 @@ from repro.selection.collective import (
 )
 from repro.selection.metrics import build_selection_problem
 from tests.collective_reference import ground_term_by_term
+from tests.psl.term_blocks import TermBlockBuilder
 from tests.work_units import run_on
 
 X = Predicate("x", 1)

@@ -23,7 +23,6 @@ from repro.psl.hlmrf import HingeLossMRF
 from repro.psl.predicate import GroundAtom, Predicate
 from repro.psl.sharding import (
     ShardResult,
-    TermBlockBuilder,
     ground_shards,
     mrf_fingerprint,
     structure_fingerprint,
@@ -38,6 +37,7 @@ from repro.selection.collective import (
 )
 from repro.selection.metrics import build_selection_problem
 from tests.collective_reference import ground_term_by_term
+from tests.psl.term_blocks import TermBlockBuilder
 from tests.work_units import run_on
 
 #: Terms per block of the hand-written program (None: one block).
@@ -207,8 +207,16 @@ def test_collective_degenerate_problems():
         assert [type(shard) for shard in plan.shards] == blocks
 
 
+def _empty_coverage(order: int) -> CoverageShard:
+    none = np.zeros(0, dtype=np.int64)
+    return CoverageShard(
+        order=order, facts=none, ptr=np.zeros(1, dtype=np.int64),
+        candidates=none, degrees=np.zeros(0), weight=1.0,
+    )
+
+
 def test_empty_shard_merges_as_noop():
-    shard = CoverageShard(order=0, entries=(), weight=1.0)
+    shard = _empty_coverage(0)
     mrf = ground_shards([shard])
     assert mrf.num_variables == 0
     assert mrf.potentials == [] and mrf.constraints == []
@@ -216,10 +224,7 @@ def test_empty_shard_merges_as_noop():
 
 
 def test_out_of_order_shard_results_rejected():
-    shards = [
-        CoverageShard(order=1, entries=(), weight=1.0),
-        CoverageShard(order=0, entries=(), weight=1.0),
-    ]
+    shards = [_empty_coverage(1), _empty_coverage(0)]
     with pytest.raises(InferenceError):
         ground_shards(shards)
 
