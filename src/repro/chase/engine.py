@@ -15,8 +15,10 @@ Each tgd is compiled once into a :class:`ChasePlan`, cached on the tgd
 (:attr:`~repro.mappings.tgd.StTgd.chase_plan`).  The body becomes a
 :class:`JoinPlan`: every variable gets a *slot*, in name order, so a
 complete binding is one flat list and ``tuple(binding)`` is its dedup
-key; each atom becomes a step of constant positions, positions checked
-against slots bound earlier, and positions that bind a slot.  The head
+key; each atom becomes a step: the positions fixed on entry (its
+constants and the slots bound earlier), which key one projection of the
+:class:`~repro.datamodel.instance.MatchIndex`, and the positions that
+bind a slot.  The head
 becomes one template per atom, read off a row of the binding, the
 firing's nulls and the head's constants.  The join is a loop over an
 explicit stack of scans, so a chase leaves no reference cycle behind
@@ -27,10 +29,9 @@ that).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.datamodel.instance import Fact, Instance, MatchIndex
+from repro.datamodel.instance import Fact, Instance, MatchIndex, picker
 from repro.datamodel.values import NullFactory, Value
 from repro.mappings.atoms import Atom
 from repro.mappings.terms import Variable, is_variable
@@ -39,32 +40,19 @@ if TYPE_CHECKING:
     from repro.mappings.tgd import StTgd
 
 
-def _picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A C-level getter of ``tuple(row[p] for p in positions)`` from a tuple row.
-
-    ``itemgetter`` returns a bare item for one position, so one position
-    (and none) is read as a slice, which of a tuple is a tuple.
-    """
-    if len(positions) >= 2:
-        return itemgetter(*positions)
-    if positions:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(slice(0, 0))
-
-
 class _Step(NamedTuple):
     """One body atom of a join order, compiled against the slots bound before it."""
 
     relation: str
     arity: int
-    #: Positions whose value is fixed on entry, the constants' first.
+    #: Positions whose value is fixed on entry, ascending.
     fixed_positions: tuple[int, ...]
-    #: The constants' values, in ``fixed_positions`` order.
+    #: The constants' values, in position order.
     constants: tuple[Value, ...]
     #: The slots, bound by earlier steps, the remaining fixed positions read.
     fixed_slots: tuple[int, ...]
-    #: Reads the fixed positions of a fact (None: there are none).
-    fixed: Callable | None
+    #: Puts ``constants + slot values`` in ``fixed_positions`` order (None: they are).
+    order: Callable | None
     #: Later occurrences of a variable new in this atom, and its first one.
     repeats: tuple[Callable, Callable] | None
     #: ``(position, slot)`` for each variable's first occurrence in this atom.
@@ -77,13 +65,13 @@ class JoinPlan:
     ``variables`` are the body's variables in name order; variable ``k``
     lives in slot ``k`` of the binding.  :meth:`bindings` matches the
     atoms smallest relation first (a stable sort, so ties keep body
-    order) and each atom scans the shortest posting list among its
-    constants and its variables already bound, or its whole relation
-    bucket when none is.  Buckets and postings are ``repr``-sorted
-    subsequences of one order, so every choice of list yields the same
-    facts in the same order: the bindings come in the order of nested
-    loops over the ``repr``-sorted buckets, each exactly once, whatever
-    the hash seed.  The compiled steps are kept per atom order.
+    order) and each atom probes the index's projection at its constant
+    positions and the positions of its variables already bound
+    (ascending), which yields exactly the facts of its arity holding
+    those values, as an ascending, ``repr``-sorted subsequence of its
+    relation bucket.  So the bindings come in the order of nested loops
+    over the ``repr``-sorted buckets, each exactly once, whatever the
+    hash seed.  The compiled steps are kept per atom order.
     """
 
     __slots__ = ("atoms", "variables", "_steps")
@@ -129,7 +117,8 @@ class JoinPlan:
                 else:
                     first[slot] = position
             bound.update(first)
-            fixed_positions = tuple(p for p, _ in constants) + tuple(p for p, _ in checks)
+            entered = [p for p, _ in constants] + [p for p, _ in checks]
+            fixed_positions = tuple(sorted(entered))
             steps.append(
                 _Step(
                     relation=atom.relation,
@@ -137,11 +126,15 @@ class JoinPlan:
                     fixed_positions=fixed_positions,
                     constants=tuple(v for _, v in constants),
                     fixed_slots=tuple(s for _, s in checks),
-                    fixed=_picker(fixed_positions) if fixed_positions else None,
+                    order=(
+                        picker([entered.index(p) for p in fixed_positions])
+                        if list(fixed_positions) != entered
+                        else None
+                    ),
                     repeats=(
                         (
-                            _picker([p for p, _ in repeats]),
-                            _picker([q for _, q in repeats]),
+                            picker([p for p, _ in repeats]),
+                            picker([q for _, q in repeats]),
                         )
                         if repeats
                         else None
@@ -152,13 +145,12 @@ class JoinPlan:
         return tuple(steps)
 
 
-def _enter(step: _Step, index: MatchIndex, binding: list) -> tuple[Iterator[int], tuple]:
-    """The ranks *step* scans under *binding*, and the values its fixed positions need."""
+def _enter(step: _Step, index: MatchIndex, binding: list) -> Iterator[int]:
+    """The ranks of the facts *step* can match under *binding*, ascending."""
     want = step.constants + tuple([binding[s] for s in step.fixed_slots])
-    known: list[Value | None] = [None] * step.arity
-    for position, value in zip(step.fixed_positions, want):
-        known[position] = value
-    return iter(index.lookup(step.relation, known)), want
+    if step.order is not None:
+        want = step.order(want)
+    return iter(index.projection(step.relation, step.arity, step.fixed_positions).get(want, ()))
 
 
 def _join(steps: tuple[_Step, ...], index: MatchIndex, width: int) -> Iterator[tuple]:
@@ -166,6 +158,9 @@ def _join(steps: tuple[_Step, ...], index: MatchIndex, width: int) -> Iterator[t
 
     The binding is one list of *width* slots; a step overwrites the
     slots it binds, and no later step reads a slot before binding it.
+    A scan visits only facts of the step's arity holding its fixed
+    values (the projection guarantees both), so a row is checked only
+    for a variable the atom repeats.
     """
     if not steps:
         yield ()
@@ -175,19 +170,13 @@ def _join(steps: tuple[_Step, ...], index: MatchIndex, width: int) -> Iterator[t
     seen: set[tuple] = set()
     last = len(steps) - 1
     scans: list[Iterator[int]] = [iter(())] * len(steps)
-    wants: list[tuple] = [()] * len(steps)
-    scans[0], wants[0] = _enter(steps[0], index, binding)
+    scans[0] = _enter(steps[0], index, binding)
     depth = 0
     while depth >= 0:
         step = steps[depth]
-        arity, fixed, repeats, binds = step.arity, step.fixed, step.repeats, step.binds
-        want = wants[depth]
+        repeats, binds = step.repeats, step.binds
         for rank in scans[depth]:
             values = facts[rank].values
-            if len(values) != arity:
-                continue
-            if fixed is not None and fixed(values) != want:
-                continue
             if repeats is not None and repeats[0](values) != repeats[1](values):
                 continue
             for position, slot in binds:
@@ -199,7 +188,7 @@ def _join(steps: tuple[_Step, ...], index: MatchIndex, width: int) -> Iterator[t
                     yield key
             else:
                 depth += 1
-                scans[depth], wants[depth] = _enter(steps[depth], index, binding)
+                scans[depth] = _enter(steps[depth], index, binding)
                 break
         else:
             depth -= 1
@@ -232,7 +221,7 @@ class ChasePlan:
                 else:
                     positions.append(len(row) + len(constants))
                     constants.append(term)
-            heads.append((head_atom.relation, _picker(positions)))
+            heads.append((head_atom.relation, picker(positions)))
         self.constants: tuple[Value, ...] = tuple(constants)
         self.heads: tuple[tuple[str, Callable], ...] = tuple(heads)
 

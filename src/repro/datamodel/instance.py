@@ -4,16 +4,18 @@ Facts hold :class:`~repro.datamodel.values.Constant` or
 :class:`~repro.datamodel.values.LabeledNull` values.  Instances bucket
 facts by relation name.  An instance that facts are matched *against*
 (the target example J, the source a chase joins over, a scoring
-reference) also builds a :class:`MatchIndex` on first use: postings
-``(relation, position, value) -> facts`` in ``repr``-sorted order, so a
-match visits only the facts sharing one of the query's known values
-instead of a whole relation.
+reference) also builds a :class:`MatchIndex` on first use: its facts in
+``repr`` order and, per ``(relation, arity, known positions)`` asked
+for, a projection from the values at those positions to the facts
+holding them, so a match is one dict probe that returns exactly its
+images, in ``repr`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.datamodel.values import Constant, LabeledNull, Value, is_null
 from repro.errors import InstanceError
@@ -71,23 +73,35 @@ def fact(relation: str, *values: object) -> Fact:
     return Fact(relation, wrapped)
 
 
+def picker(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A C-level getter of ``tuple(row[p] for p in positions)`` from a tuple row.
+
+    ``itemgetter`` returns a bare item for one position, so one position
+    (and none) is read as a slice, which of a tuple is a tuple.
+    """
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    if positions:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(slice(0, 0))
+
+
 class MatchIndex:
     """Which facts of an instance can a fact map onto, by known values.
 
     ``ordered`` holds the instance's facts sorted by ``repr`` (ties keep
-    insertion order); a fact's *rank* is its position there.  Relation
-    buckets and the postings ``(relation, position, value) -> ranks``
-    are ascending rank tuples, so whichever list a lookup scans, the
-    survivors come out in the same order.  The index is immutable: the
-    owning :class:`Instance` drops it on any edit.
-
-    The build splits the ranks by relation in one pass and then builds
-    each relation's postings a column at a time
-    (:func:`_relation_columns`); every posting dict is keyed in the
-    order its values first occur.  It creates no reference cycle.
+    insertion order); a fact's *rank* is its position there.  A
+    *projection* ``(relation, arity, positions)`` maps the values at
+    *positions* (ascending) to the ascending ranks of the facts of that
+    relation and arity holding them, so one dict probe answers a match
+    exactly and in rank order.  Projections are built on first use, one
+    pass over the relation's facts each, and stored only once complete,
+    so a thread sharing the index never reads a half-built one.  The
+    facts never change: the owning :class:`Instance` drops the index on
+    any edit.  The index creates no reference cycle.
     """
 
-    __slots__ = ("ordered", "_buckets", "_columns")
+    __slots__ = ("ordered", "_buckets", "_rows", "_projections")
 
     def __init__(self, facts: Iterable[Fact]):
         self.ordered: tuple[Fact, ...] = tuple(sorted(facts, key=repr))
@@ -99,83 +113,76 @@ class MatchIndex:
             entry[0].append(rank)
             entry[1].append(f.values)
         self._buckets = {name: tuple(ranks) for name, (ranks, _) in rows.items()}
-        #: relation -> one ``value -> ranks`` dict per attribute position.
-        self._columns = {
-            name: _relation_columns(ranks, values) for name, (ranks, values) in rows.items()
-        }
+        #: relation -> its facts' values, in rank order.
+        self._rows = {name: values for name, (_, values) in rows.items()}
+        #: ``(relation, arity, positions)`` -> ``values at positions -> ranks``.
+        self._projections: dict[tuple, dict[tuple[Value, ...], tuple[int, ...]]] = {}
 
     def bucket(self, relation: str) -> tuple[int, ...]:
         """Ranks of all facts of *relation*, ascending."""
         return self._buckets.get(relation, ())
 
-    def lookup(self, relation: str, known: Sequence[Value | None]) -> tuple[int, ...]:
-        """Ranks of a superset of the *relation* facts agreeing with *known*.
+    def projection(
+        self, relation: str, arity: int, positions: tuple[int, ...]
+    ) -> dict[tuple[Value, ...], tuple[int, ...]]:
+        """``values -> ranks`` of the *relation* facts of *arity*, keyed at *positions*.
 
-        ``known[i]`` is the value required at position ``i``, or None
-        where any value will do.  Returns the shortest posting list among
-        the known positions (ascending), the whole relation bucket when
-        none is known, and nothing when a known value occurs nowhere or
-        *known* is longer than any fact of the relation.
+        *positions* must be ascending.  Each rank tuple is ascending and
+        the dict is keyed in the order its keys first occur by rank.
         """
-        best = self._buckets.get(relation, ())
-        columns = self._columns.get(relation, ())
-        if len(known) > len(columns):
-            return ()
-        for column, value in zip(columns, known):
-            if value is None:
+        key = (relation, arity, positions)
+        table = self._projections.get(key)
+        if table is not None:
+            return table
+        ranks = self._buckets.get(relation, ())
+        rows = self._rows.get(relation, ())
+        pick = picker(positions)
+        grouped: dict[tuple[Value, ...], list[int]] = {}
+        for rank, values in zip(ranks, rows):
+            if len(values) != arity:
                 continue
-            posting = column.get(value, ())
-            if len(posting) < len(best):
-                if not posting:
-                    return ()
-                best = posting
-        return best
-
-    def candidates(
-        self, f: Fact, fixed: Mapping[LabeledNull, Value] | None = None
-    ) -> tuple[int, ...]:
-        """Ranks of a superset of the facts *f* can map onto, ascending.
-
-        Known positions are *f*'s constants and its nulls bound in
-        *fixed*.  Callers still test each candidate with
-        :func:`~repro.homomorphism.search.fact_matches`.
-        """
-        pinned = fixed or {}
-        return self.lookup(
-            f.relation,
-            [pinned.get(v) if isinstance(v, LabeledNull) else v for v in f.values],
-        )
-
-
-def _relation_columns(
-    ranks: list[int], rows: list[tuple[Value, ...]]
-) -> list[dict[Value, tuple[int, ...]]]:
-    """The postings of one relation: per position, ``value -> ranks``.
-
-    *rows* are the relation's fact values at ascending *ranks*.  Each
-    posting dict is keyed in first-occurrence order and each posting is
-    ascending; a fact shorter than the widest one is absent from the
-    positions it lacks.
-    """
-    width = max(map(len, rows))
-    if all(len(r) == width for r in rows):
-        columns = [(ranks, column) for column in zip(*rows)]
-    else:
-        columns = []
-        for position in range(width):
-            kept = [(rank, r[position]) for rank, r in zip(ranks, rows) if len(r) > position]
-            columns.append(([rank for rank, _ in kept], [value for _, value in kept]))
-    postings = []
-    for column_ranks, column in columns:
-        grouped: dict[Value, list[int]] = {}
-        for rank, value in zip(column_ranks, column):
-            posting = grouped.get(value)
+            known = pick(values)
+            posting = grouped.get(known)
             if posting is None:
-                grouped[value] = [rank]
+                grouped[known] = [rank]
             else:
                 posting.append(rank)
-        postings.append({value: tuple(posting) for value, posting in grouped.items()})
-    return postings
+        table = {known: tuple(posting) for known, posting in grouped.items()}
+        self._projections[key] = table
+        return table
+
+    def probe(self, f: Fact) -> tuple[tuple[int, ...], dict[LabeledNull, int]]:
+        """The ranks of exactly the facts *f* maps onto, and *f*'s nulls.
+
+        One probe of the projection at *f*'s constant positions; the
+        ranks are filtered only when *f* repeats a null.  The nulls map
+        each distinct null of *f* to its first position, in that order,
+        so the binding onto the fact at rank r is ``{n: ordered[r].values[p]}``.
+        """
+        values = f.values
+        positions: list[int] = []
+        known: list[Value] = []
+        nulls: dict[LabeledNull, int] = {}
+        repeats: list[tuple[int, int]] = []
+        for position, value in enumerate(values):
+            if isinstance(value, LabeledNull):
+                first = nulls.get(value)
+                if first is None:
+                    nulls[value] = position
+                else:
+                    repeats.append((position, first))
+            else:
+                positions.append(position)
+                known.append(value)
+        ranks = self.projection(f.relation, len(values), tuple(positions)).get(tuple(known), ())
+        if repeats and ranks:
+            ordered = self.ordered
+            ranks = tuple(
+                rank
+                for rank in ranks
+                if all(ordered[rank].values[p] == ordered[rank].values[q] for p, q in repeats)
+            )
+        return ranks, nulls
 
 
 class Instance:

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Iterable
 from repro.chase.engine import chase_single
 from repro.datamodel.instance import Fact, Instance, MatchIndex
 from repro.evaluation.metrics import PrecisionRecall
-from repro.homomorphism.search import image_ranks
 from repro.mappings.tgd import StTgd
 
 if TYPE_CHECKING:
@@ -90,10 +89,11 @@ class ScoreIndex:
         ground_hits: list[int] = []
         nulls = null_hits = 0
         ranks: set[int] = set()
+        probe = self._reference_matches.probe
         for f in chase:
-            images = list(image_ranks(f, self.reference))
+            images, fact_nulls = probe(f)
             ranks.update(images)
-            if f.is_ground:
+            if not fact_nulls:
                 fact_id = self._fact_ids.setdefault(f, len(self._fact_ids))
                 ground.append(fact_id)
                 if images:

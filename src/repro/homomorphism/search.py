@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from repro.datamodel.instance import Fact, Instance
+from repro.datamodel.instance import Fact, Instance, MatchIndex
 from repro.datamodel.values import LabeledNull, Value
 
 
@@ -51,17 +51,39 @@ def image_ranks(
     """Ranks of the facts of *instance* that *f* maps onto (given *fixed*).
 
     A rank is a position in ``instance.match_index().ordered`` (``repr``
-    order); ranks come out ascending.  Candidates come from the
-    instance's :class:`~repro.datamodel.instance.MatchIndex` (the
-    shortest posting list among the positions whose image is known), and
-    :func:`fact_matches` stays the final test, so the answer is exactly
-    the facts a full scan of the relation would accept.
+    order); ranks come out ascending.  With no *fixed* map this is the
+    index's exact :meth:`~repro.datamodel.instance.MatchIndex.probe`.
+    With one, the index's projection at *f*'s constants and pinned
+    nulls gives the candidates and :func:`fact_matches` stays the final
+    test, so the answer is exactly the facts a full scan of the relation
+    would accept.
     """
     index = instance.match_index()
+    if not fixed:
+        return iter(index.probe(f)[0])
     ordered = index.ordered
-    for rank in index.candidates(f, fixed):
-        if fact_matches(f, ordered[rank], fixed) is not None:
-            yield rank
+    return (
+        rank
+        for rank in _pinned_candidates(f, index, fixed)
+        if fact_matches(f, ordered[rank], fixed) is not None
+    )
+
+
+def _pinned_candidates(
+    f: Fact, index: MatchIndex, fixed: Mapping[LabeledNull, Value]
+) -> tuple[int, ...]:
+    """Ranks of the facts agreeing with *f*'s constants and its nulls pinned in *fixed*."""
+    positions: list[int] = []
+    known: list[Value] = []
+    for position, value in enumerate(f.values):
+        if isinstance(value, LabeledNull):
+            value = fixed.get(value)
+            if value is None:
+                continue
+        positions.append(position)
+        known.append(value)
+    table = index.projection(f.relation, len(f.values), tuple(positions))
+    return table.get(tuple(known), ())
 
 
 def fact_homomorphisms(
@@ -74,11 +96,9 @@ def fact_homomorphisms(
     Yields the null bindings (excluding the entries of *fixed*), one per
     image, in the image order of :func:`image_ranks`.
     """
-    index = instance.match_index()
-    for rank in index.candidates(f, fixed):
-        binding = fact_matches(f, index.ordered[rank], fixed)
-        if binding is not None:
-            yield binding
+    ordered = instance.match_index().ordered
+    for rank in image_ranks(f, instance, fixed):
+        yield fact_matches(f, ordered[rank], fixed)
 
 
 def has_fact_homomorphism(

@@ -38,7 +38,6 @@ from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.schema import Schema
 from repro.datamodel.values import Constant, NullFactory, is_null
 from repro.errors import ScenarioError
-from repro.homomorphism.search import image_ranks
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.datagen import populate
 from repro.ibench.primitives import PrimitiveOutput, make_primitive
@@ -216,18 +215,21 @@ def _apply_data_noise(
     # ground J fact).  Non-certain unexplained tuples: non-gold chase
     # facts with no homomorphic image in J.  One pass over the non-gold
     # chase through J's match index answers both.
+    probe = target.match_index().probe
     generated: set[int] = set()
-    unexplained: set[Fact] = set()
+    unexplained: list[Fact] = []
     for f in non_gold_chase:
-        images = list(image_ranks(f, target))
+        images = probe(f)[0]
         if images:
             generated.update(images)
         else:
-            unexplained.add(f)
+            unexplained.append(f)
     deletable = [
         t for rank, t in enumerate(target.match_index().ordered) if rank not in generated
     ]
-    addable = [f for f in sorted(non_gold_chase, key=repr) if f in unexplained]
+    # A stable sort of the unexplained facts, in chase order, is the
+    # order a repr sort of the whole chase would give them.
+    addable = sorted(unexplained, key=repr)
 
     deleted = rng.sample(deletable, round(len(deletable) * config.pi_errors / 100.0))
     added_raw = rng.sample(addable, round(len(addable) * config.pi_unexplained / 100.0))

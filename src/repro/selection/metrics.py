@@ -53,7 +53,6 @@ from repro.collector import paused_collector
 from repro.datamodel.instance import Fact, Instance
 from repro.datamodel.values import LabeledNull, NullFactory, Value
 from repro.errors import SelectionError
-from repro.homomorphism.search import fact_matches
 from repro.mappings.tgd import StTgd
 from repro.selection.index import ObjectiveIndex
 
@@ -325,8 +324,9 @@ def candidate_metrics(
 ) -> tuple[dict[Fact, Fraction], frozenset[Fact]]:
     """One candidate's cover table and error set against the target J.
 
-    One pass enumerates every chase fact's images in J, with their null
-    bindings, through J's match index.  A fact with no image is an error
+    One pass enumerates every chase fact's images in J with one exact
+    probe of J's match index each; a null's binding is the image's value
+    at the null's position.  A fact with no image is an error
     (:func:`~repro.homomorphism.covers.creates`).  A null n bound to v
     is corroborated for a chase fact iff some *other* chase fact has an
     image binding n to v, so counting, per ``(n, v)``, the chase facts
@@ -341,30 +341,34 @@ def candidate_metrics(
     """
     index = target.match_index()
     ordered = index.ordered
+    probe = index.probe
     errors: list[Fact] = []
-    matched: list[tuple[Fact, list[tuple[int, dict[LabeledNull, Value]]]]] = []
+    matched: list[tuple[Fact, tuple[int, ...]]] = []
     #: (null, value) -> how many chase facts have an image binding null to value.
     witnesses: dict[tuple[LabeledNull, Value], int] = {}
     for f in chase_instance:
-        images = []
-        for rank in index.candidates(f):
-            binding = fact_matches(f, ordered[rank])
-            if binding is not None:
-                images.append((rank, binding))
-        if not images:
+        ranks, nulls = probe(f)
+        if not ranks:
             errors.append(f)
             continue
-        matched.append((f, images))
-        # dict.fromkeys: each (null, value) once per fact, in a fixed order.
-        for pair in dict.fromkeys(p for _, binding in images for p in binding.items()):
-            witnesses[pair] = witnesses.get(pair, 0) + 1
+        matched.append((f, ranks))
+        if nulls:
+            # Each (null, value) once per fact, in a fixed order; the
+            # image binds a null to its value at the null's position.
+            pairs = dict.fromkeys(
+                (null, ordered[rank].values[position])
+                for rank in ranks
+                for null, position in nulls.items()
+            )
+            for pair in pairs:
+                witnesses[pair] = witnesses.get(pair, 0) + 1
 
     best: dict[int, int] = {}
-    for f, images in matched:
-        for rank, binding in images:
+    for f, ranks in matched:
+        for rank in ranks:
             explained = 0
-            for value in f.values:
-                if not isinstance(value, LabeledNull) or witnesses[value, binding[value]] > 1:
+            for mine, theirs in zip(f.values, ordered[rank].values):
+                if not isinstance(mine, LabeledNull) or witnesses[mine, theirs] > 1:
                     explained += 1
             if explained > best.get(rank, 0):
                 best[rank] = explained

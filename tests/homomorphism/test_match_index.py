@@ -5,10 +5,13 @@ set, ``restrict_problem``'s cut of them to a sample of J, ``creates``,
 corroboration, ``fact_homomorphisms``, precision/recall and the chase
 join) must give exactly what their references give, in the same order
 wherever order is observable.  Random instances mix constants and nulls
-on both sides, repeat nulls inside one fact, and hold ``Constant(1)``
-next to ``Constant("1")`` (equal ``repr``, unequal values).
+on both sides, repeat nulls inside one fact, mix arities in one relation
+and hold ``Constant(1)`` next to ``Constant("1")`` (equal ``repr``,
+unequal values).  The match index's own projections and probe are held
+to filtered scans of ``ordered`` and to :func:`fact_matches`.
 """
 
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -175,33 +178,99 @@ def test_match_body_yields_in_nested_loop_order(body, instance):
     assert list(match_body(body, instance)) == list(nested_loop_match_body(body, instance))
 
 
-def per_fact_index(ordered):
-    """Buckets and postings built one fact at a time, in rank order."""
-    buckets, columns = {}, {}
+def scanned_projection(ordered, relation, arity, positions):
+    """A projection by filtered scan: the relation's facts of *arity*, in rank order."""
+    table = {}
     for rank, f in enumerate(ordered):
-        buckets.setdefault(f.relation, []).append(rank)
-        relation_columns = columns.setdefault(f.relation, [])
-        while len(relation_columns) < len(f.values):
-            relation_columns.append({})
-        for column, value in zip(relation_columns, f.values):
-            column.setdefault(value, []).append(rank)
-    return buckets, columns
+        if f.relation == relation and len(f.values) == arity:
+            key = tuple(f.values[p] for p in positions)
+            table.setdefault(key, []).append(rank)
+    return [(key, tuple(ranks)) for key, ranks in table.items()]
 
 
-def ordered_items(mapping):
-    return [(key, tuple(value)) for key, value in mapping.items()]
+def all_position_sets(arity):
+    return [
+        tuple(p for p in range(arity) if mask >> p & 1) for mask in range(1 << arity)
+    ]
 
 
 @given(instances(max_size=24))
-@settings(max_examples=200, deadline=None)
-def test_columnar_index_equals_a_per_fact_build_in_dict_order(instance):
+@settings(max_examples=150, deadline=None)
+def test_every_projection_equals_a_filtered_scan_in_rank_order(instance):
     index = instance.match_index()
-    assert list(index.ordered) == repr_order(instance)
-    buckets, columns = per_fact_index(index.ordered)
-    assert ordered_items(index._buckets) == ordered_items(buckets)
-    assert list(index._columns) == list(columns)
-    for relation, postings in columns.items():
-        built = index._columns[relation]
-        assert [ordered_items(c) for c in built] == [ordered_items(c) for c in postings]
-        for column in built:
-            assert all(type(ranks) is tuple for ranks in column.values())
+    ordered = index.ordered
+    assert list(ordered) == repr_order(instance)
+    for relation in sorted(RELATIONS) + ["missing"]:
+        assert list(index.bucket(relation)) == [
+            rank for rank, f in enumerate(ordered) if f.relation == relation
+        ]
+        for arity in (1, 2, 3):
+            for positions in all_position_sets(arity):
+                table = index.projection(relation, arity, positions)
+                assert list(table.items()) == scanned_projection(
+                    ordered, relation, arity, positions
+                )
+                assert index.projection(relation, arity, positions) is table
+
+
+def full_scan_images(f, ordered):
+    return [
+        (rank, fact_matches(f, t))
+        for rank, t in enumerate(ordered)
+        if fact_matches(f, t) is not None
+    ]
+
+
+@given(facts(), targets)
+@settings(max_examples=300, deadline=None)
+def test_probe_ranks_and_positional_bindings_equal_fact_matches(f, target):
+    index = target.match_index()
+    ranks, nulls = index.probe(f)
+    expected = full_scan_images(f, index.ordered)
+    assert list(ranks) == [rank for rank, _ in expected]
+    assert list(nulls) == list(dict.fromkeys(v for v in f.values if isinstance(v, LabeledNull)))
+    for null, position in nulls.items():
+        assert f.values.index(null) == position
+    for rank, binding in expected:
+        image = index.ordered[rank].values
+        assert {null: image[p] for null, p in nulls.items()} == binding
+
+
+@given(instances(max_size=16), facts(), st.sampled_from(["add", "discard"]))
+@settings(max_examples=150, deadline=None)
+def test_a_projection_built_before_an_edit_never_answers_after_it(instance, f, edit):
+    if edit == "discard" and len(instance):
+        f = list(instance)[len(instance) // 2]
+    instance.match_index().probe(f)
+    getattr(instance, edit)(f)
+    index = instance.match_index()
+    assert list(index.probe(f)[0]) == [r for r, _ in full_scan_images(f, index.ordered)]
+    assert list(image_ranks(f, instance)) == list(index.probe(f)[0])
+
+
+def constant_positions(f):
+    return tuple(p for p, v in enumerate(f.values) if not isinstance(v, LabeledNull))
+
+
+@given(instances(max_size=16), facts())
+@settings(max_examples=100, deadline=None)
+def test_copy_shares_built_projections(instance, f):
+    index = instance.match_index()
+    index.probe(f)
+    table = index.projection(f.relation, len(f.values), constant_positions(f))
+    duplicate = instance.copy()
+    shared = duplicate.match_index()
+    assert shared is index
+    assert shared.projection(f.relation, len(f.values), constant_positions(f)) is table
+    assert shared.probe(f) == index.probe(f)
+
+
+@given(instances(max_size=16), facts(), fixed_maps)
+@settings(max_examples=100, deadline=None)
+def test_pickle_is_byte_equal_whether_or_not_a_projection_was_built(instance, f, fixed):
+    before = pickle.dumps(instance)
+    instance.match_index()
+    assert pickle.dumps(instance) == before
+    instance.match_index().probe(f)
+    list(image_ranks(f, instance, fixed))
+    assert pickle.dumps(instance) == before
