@@ -16,14 +16,17 @@ Pipeline:
    of the *non-certain unexplained* tuples (facts only C - MG generates,
    grounded with fresh constants), homomorphism-aware in both directions.
 
-Data noise chases every non-gold candidate on its own, with
-candidate-local null labels, and shifts the labels past the non-gold
-candidates before it, which gives the exchange under C - MG exactly as
-one chase of all of them would.  Noise never edits the source, so the
-scenario keeps these chases (:meth:`~repro.ibench.scenario.Scenario.
-keep_chases`); its problem build receives them as
+Data noise chases every candidate once, in index order, each with its
+nulls starting past the nulls of the candidates before it: the labels
+the scenario's problem build gives them.  Its scan needs the exchange
+under C - MG, which is those chases without the gold ones; only the
+unexplained facts it samples from need that exchange's labels, so only
+they are relabelled.  Noise never edits the source, so the scenario
+keeps the chases (:meth:`~repro.ibench.scenario.Scenario.keep_chases`);
+its problem build receives them as
 :func:`~repro.selection.metrics.build_selection_problem`'s ``chases``
-argument and chases only the gold candidates.
+argument and chases no candidate.  Without data noise, nothing is
+chased here and the build chases every candidate.
 """
 
 from __future__ import annotations
@@ -190,45 +193,53 @@ def _apply_data_noise(
 ) -> tuple[list[Fact], list[Fact], dict[int, CandidateChase]]:
     """Delete non-certain error tuples / add non-certain unexplained tuples.
 
-    Also returns the non-gold candidates' chases, by candidate index, with
-    candidate-local null labels, for the problem build to reuse.
+    Also returns every candidate's chase, by candidate index, with the
+    null labels of the problem build, for the build to reuse.
     """
     if config.pi_errors <= 0 and config.pi_unexplained <= 0:
         return [], [], {}
 
     gold_set = set(gold_indices)
-    chases = {
-        i: chase_candidate(source, c) for i, c in enumerate(candidates) if i not in gold_set
-    }
-    # The non-gold exchange: each chase shifted past the nulls of the
-    # non-gold chases before it, which are the labels one shared null
-    # factory would have handed out.
-    non_gold_chase = Instance()
-    offset = 0
-    for chased in chases.values():
-        for f in shift_nulls(chased.instance, chased.nulls_used, offset):
-            non_gold_chase.add(f)
+    chases: dict[int, CandidateChase] = {}
+    # The exchange under C - MG, by relation in order of first
+    # appearance, then chase order, with a ground fact produced twice
+    # kept first; each fact maps to the nulls of the gold candidates
+    # chased before it, which moves its labels into that exchange's.
+    non_gold: dict[str, dict[Fact, int]] = {}
+    offset = gold_nulls = 0
+    for i, candidate in enumerate(candidates):
+        chased = chases[i] = chase_candidate(source, candidate, offset)
         offset += chased.nulls_used
+        if i in gold_set:
+            gold_nulls += chased.nulls_used
+            continue
+        for f in chased.instance:
+            bucket = non_gold.get(f.relation)
+            if bucket is None:
+                bucket = non_gold[f.relation] = {}
+            bucket.setdefault(f, gold_nulls)
 
     # Non-certain error tuples: J facts no non-gold candidate generates
     # (homomorphism-aware — a chase fact with nulls may still "generate" a
     # ground J fact).  Non-certain unexplained tuples: non-gold chase
     # facts with no homomorphic image in J.  One pass over the non-gold
-    # chase through J's match index answers both.
+    # chase through J's match index answers both; a probe does not
+    # depend on null labels.
     probe = target.match_index().probe
     generated: set[int] = set()
     unexplained: list[Fact] = []
-    for f in non_gold_chase:
-        images = probe(f)[0]
-        if images:
-            generated.update(images)
-        else:
-            unexplained.append(f)
+    for bucket in non_gold.values():
+        for f, shift in bucket.items():
+            images = probe(f)[0]
+            if images:
+                generated.update(images)
+            else:
+                unexplained.extend(shift_nulls((f,), -shift))
     deletable = [
         t for rank, t in enumerate(target.match_index().ordered) if rank not in generated
     ]
     # A stable sort of the unexplained facts, in chase order, is the
-    # order a repr sort of the whole chase would give them.
+    # order a repr sort of the whole non-gold chase would give them.
     addable = sorted(unexplained, key=repr)
 
     deleted = rng.sample(deletable, round(len(deletable) * config.pi_errors / 100.0))

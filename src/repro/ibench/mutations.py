@@ -167,7 +167,7 @@ class MutableSelection:
         yields exactly what a from-scratch evaluation would.
         """
         self.retabled_candidates += 1
-        covers, errors = candidate_metrics(Instance(table.chase_facts), self.target)
+        covers, errors = candidate_metrics(table.chase, self.target)
         return table.retabled(covers, errors)
 
     def _body_relations(self, index: int) -> frozenset[str]:
@@ -179,7 +179,7 @@ class MutableSelection:
         for i, table in enumerate(self._tables):
             if any(
                 f.relation == fact.relation and fact_matches(f, fact) is not None
-                for f in table.chase_facts
+                for f in table.chase
             ):
                 self._tables[i] = self._retable(table)
 

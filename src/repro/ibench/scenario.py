@@ -60,8 +60,9 @@ class Scenario:
     def selection_problem(self) -> SelectionProblem:
         """Materialize the covers/creates/size tables for this scenario.
 
-        Candidates whose chase generation already ran (see
-        :meth:`keep_chases`) are not chased again.
+        Candidates whose chase generation already ran at their problem
+        labels (see :meth:`keep_chases`) are not chased again; for a
+        scenario with data noise that is every candidate.
         """
         kept = getattr(self, "_chases", None)
         chases = {}

@@ -27,6 +27,10 @@ if TYPE_CHECKING:
     from repro.chase.engine import ChasePlan
 
 
+#: Derived state cached on a tgd that its pickles leave out.
+_UNPICKLED = ("chase_plan", "_canonical")
+
+
 @dataclass(frozen=True)
 class StTgd:
     """An st tgd ``body -> head`` with an optional human-readable name."""
@@ -82,8 +86,8 @@ class StTgd:
 
     def __getstate__(self) -> dict:
         state = self.__dict__
-        if "chase_plan" in state:
-            state = {k: v for k, v in state.items() if k != "chase_plan"}
+        if any(name in state for name in _UNPICKLED):
+            state = {k: v for k, v in state.items() if k not in _UNPICKLED}
         return state
 
     @property
@@ -119,7 +123,13 @@ class StTgd:
         become equal.  (If the same relation occurs several times within
         one conjunction the form is not guaranteed to be unique; the
         library's generators never produce such tgds.)
+
+        Computed on first use and cached on the tgd, like
+        :attr:`chase_plan`, and left out of its pickles.
         """
+        cached = self.__dict__.get("_canonical")
+        if cached is not None:
+            return cached
 
         def signature(a: Atom) -> tuple:
             return (
@@ -137,11 +147,12 @@ class StTgd:
             for t in a.terms:
                 if is_variable(t) and t not in order:
                     order[t] = Variable(f"V{len(order)}")
-        return StTgd(
+        canonical = self.__dict__["_canonical"] = StTgd(
             tuple(a.rename(order) for a in body),
             tuple(a.rename(order) for a in head),
             "",
         )
+        return canonical
 
     def source_relations(self) -> frozenset[str]:
         """Names of relations used in the body."""

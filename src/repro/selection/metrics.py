@@ -25,19 +25,21 @@ certain-unexplained reduction) is that build cut down by
 
 The per-candidate work (chase + cover table + error set) is independent
 across candidates and runs in the calling process.  Each candidate
-chases with a private null factory counting from zero; the merge then
-shifts every candidate's null labels by the number of nulls its
-predecessors consumed (:func:`shift_nulls`).  That reproduces, byte for
-byte, the labels a single shared
+chases with its own null factory starting at ``first_null``, its
+*offset*: the number of nulls the candidates before it consumed.  That
+gives, byte for byte, the labels a single shared
 :class:`~repro.datamodel.values.NullFactory` threaded through one loop
-would have handed out, so candidates never share a null — and
-:class:`~repro.ibench.mutations.MutableSelection` can re-chase one
-candidate and re-merge without renumbering the others.  Because the
-local chases do not depend on which candidates come first, a chase run
-elsewhere can be handed to the build (its ``chases`` argument): scenario
-generation's data-noise step chases the non-gold candidates, and
+would have handed out, so candidates never share a null, and a chase at
+its offset is never relabelled.  A chase run elsewhere can be handed to
+the build (its ``chases`` argument) and is used where it was run at the
+candidate's offset: scenario generation's data-noise step chases every
+candidate at its offset, and
 :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands those
-chases over, so the build chases only the gold candidates.
+chases over, so a noisy scenario's build chases nothing.
+:class:`~repro.ibench.mutations.MutableSelection` keeps every
+candidate's tables at local labels (``first_null=0``), so it can
+re-chase one candidate alone, and the merge moves each into place
+(:func:`shift_nulls`).
 """
 
 from __future__ import annotations
@@ -204,8 +206,8 @@ def problem_fingerprint(problem: SelectionProblem) -> bytes:
 class _CountingNullFactory(NullFactory):
     """A null factory that remembers how many nulls it handed out."""
 
-    def __init__(self) -> None:
-        super().__init__(0)
+    def __init__(self, start: int) -> None:
+        super().__init__(start)
         self.used = 0
 
     def fresh(self) -> LabeledNull:
@@ -215,47 +217,54 @@ class _CountingNullFactory(NullFactory):
 
 @dataclass(frozen=True)
 class CandidateChase:
-    """One candidate's chase of the source, with candidate-local null labels.
+    """One candidate's chase of the source.
 
     ``instance`` holds the facts in chase order, and its nulls are
-    exactly ``N0 .. N(nulls_used - 1)``; :func:`shift_nulls` moves them
-    into a label space shared with other candidates.
+    exactly ``N(first_null) .. N(first_null + nulls_used - 1)``.
     """
 
     tgd: StTgd
     instance: Instance
     nulls_used: int
+    first_null: int
 
 
-def chase_candidate(source: Instance, candidate: StTgd) -> CandidateChase:
-    """Chase *source* with *candidate* alone, nulls counted from zero."""
-    factory = _CountingNullFactory()
+def chase_candidate(source: Instance, candidate: StTgd, first_null: int = 0) -> CandidateChase:
+    """Chase *source* with *candidate* alone, nulls counted from *first_null*."""
+    factory = _CountingNullFactory(first_null)
     instance = chase_single(source, candidate, factory)
-    return CandidateChase(candidate, instance, factory.used)
+    return CandidateChase(candidate, instance, factory.used, first_null)
 
 
-def shift_nulls(facts: Iterable[Fact], nulls_used: int, offset: int) -> Iterable[Fact]:
-    """*facts* with local null labels ``0 .. nulls_used - 1`` moved up by *offset*.
+def shift_nulls(facts: Iterable[Fact], delta: int) -> Iterable[Fact]:
+    """*facts* with every null label moved by *delta*, in order.
 
-    Order is kept.  Shifting each candidate's local chase by the nulls
-    its predecessors used gives exactly the labels one shared
-    :class:`~repro.datamodel.values.NullFactory` threaded through their
-    chases in order would have handed out.  With no offset or no nulls
-    to move, *facts* come back as they are.
+    Each null is relabelled where it occurs, so the cost follows the
+    facts moved, not the labels they could hold.  With no move, *facts*
+    come back as they are.
     """
-    if offset == 0 or nulls_used == 0:
+    if delta == 0:
         return facts
-    remap = {LabeledNull(label): LabeledNull(label + offset) for label in range(nulls_used)}
-    return (f.substitute(remap) for f in facts)
+    return (
+        Fact(
+            f.relation,
+            tuple(
+                LabeledNull(v.label + delta) if isinstance(v, LabeledNull) else v
+                for v in f.values
+            ),
+        )
+        for f in facts
+    )
 
 
 @dataclass(frozen=True)
 class CandidateTables:
-    """The metric tables of one candidate, with candidate-local null labels.
+    """The metric tables of one candidate, with the null labels of its chase.
 
-    ``nulls_used`` is the number of fresh nulls the candidate's chase
-    consumed (its local labels are exactly ``0 .. nulls_used - 1``); the
-    merge uses it to relabel into the global, collision-free label space.
+    ``chase`` is the candidate's chase instance, whose labels are
+    exactly ``first_null .. first_null + nulls_used - 1``; covers and
+    error sets do not depend on the labels, and the error facts carry
+    the chase's.  :meth:`shifted` moves both to another offset.
 
     :meth:`shifted` remembers its results for the two latest-used
     offsets, and :meth:`retabled` hands the relabelled chase (and, while
@@ -265,10 +274,11 @@ class CandidateTables:
     """
 
     index: int
-    chase_facts: tuple[Fact, ...]
+    chase: Instance
     covers: dict[Fact, Fraction]
     error_facts: frozenset[Fact]
     nulls_used: int
+    first_null: int
     #: offset -> relabelled chase instance / relabelled error set.
     _chase_at: dict[int, Instance] = field(default_factory=dict, compare=False, repr=False)
     _errors_at: dict[int, frozenset[Fact]] = field(
@@ -276,16 +286,19 @@ class CandidateTables:
     )
 
     def shifted(self, offset: int) -> tuple[Instance, frozenset[Fact]]:
-        """The chase instance and error set with null labels moved by *offset*."""
+        """The chase instance and error set with null labels starting at *offset*.
+
+        At the chase's own offset (or with no nulls) these are the chase
+        instance and the error set themselves.
+        """
+        delta = offset - self.first_null
+        if delta == 0 or self.nulls_used == 0:
+            return self.chase, self.error_facts
         chase_instance = _recall(
-            self._chase_at,
-            offset,
-            lambda: Instance(shift_nulls(self.chase_facts, self.nulls_used, offset)),
+            self._chase_at, offset, lambda: Instance(shift_nulls(self.chase, delta))
         )
         errors = _recall(
-            self._errors_at,
-            offset,
-            lambda: frozenset(shift_nulls(self.error_facts, self.nulls_used, offset)),
+            self._errors_at, offset, lambda: frozenset(shift_nulls(self.error_facts, delta))
         )
         return chase_instance, errors
 
@@ -295,10 +308,11 @@ class CandidateTables:
         """The same chase with a new cover table and error set."""
         return CandidateTables(
             index=self.index,
-            chase_facts=self.chase_facts,
+            chase=self.chase,
             covers=covers,
             error_facts=error_facts,
             nulls_used=self.nulls_used,
+            first_null=self.first_null,
             _chase_at=dict(self._chase_at),
             _errors_at=dict(self._errors_at) if error_facts == self.error_facts else {},
         )
@@ -384,10 +398,11 @@ def tabulate_candidate(
     table, errors = candidate_metrics(chased.instance, target)
     return CandidateTables(
         index=index,
-        chase_facts=tuple(sorted(chased.instance, key=repr)),
+        chase=chased.instance,
         covers=table,
         error_facts=errors,
         nulls_used=chased.nulls_used,
+        first_null=chased.first_null,
     )
 
 
@@ -414,8 +429,9 @@ def merge_candidate_tables(
     """Deterministically merge per-candidate tables into a SelectionProblem.
 
     Results may arrive in any order; they are realigned by index and each
-    candidate's local null labels are shifted past all labels consumed by
-    earlier candidates — exactly the labels one shared factory would give.
+    candidate's null labels are moved to start past all labels consumed
+    by earlier candidates — exactly the labels one shared factory would
+    give.  Tables chased at that offset are used as they are.
     """
     ordered = sorted(results, key=lambda r: r.index)
     if [r.index for r in ordered] != list(range(len(candidates))):
@@ -478,10 +494,12 @@ def build_selection_problem(
 ) -> SelectionProblem:
     """Chase each candidate and materialize covers/creates/size tables.
 
-    *chases* maps candidate indices to :func:`chase_candidate` results
-    of *source* that the caller already ran; such a chase is used
-    instead of chasing again, but only where its ``tgd`` is the
-    candidate at its index.  This is how
+    Each candidate is chased at its offset, the nulls the candidates
+    before it consumed, so the merge relabels nothing.  *chases* maps
+    candidate indices to :func:`chase_candidate` results of *source*
+    that the caller already ran; such a chase is used instead of chasing
+    again, but only where its ``tgd`` is the candidate at its index and
+    its ``first_null`` is that candidate's offset.  This is how
     :meth:`~repro.ibench.scenario.Scenario.selection_problem` hands over
     the chases scenario generation ran.  The build creates no reference
     cycle and runs with the cyclic collector paused
@@ -491,9 +509,11 @@ def build_selection_problem(
         raise SelectionError("candidates must be StTgd objects")
     chases = chases or {}
     tables = []
+    offset = 0
     for index, candidate in enumerate(candidates):
         chased = chases.get(index)
-        if chased is None or chased.tgd is not candidate:
-            chased = chase_candidate(source, candidate)
+        if chased is None or chased.tgd is not candidate or chased.first_null != offset:
+            chased = chase_candidate(source, candidate, offset)
         tables.append(tabulate_candidate(chased, target, index))
+        offset += chased.nulls_used
     return merge_candidate_tables(source, target, candidates, tables)

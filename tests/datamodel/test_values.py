@@ -67,9 +67,15 @@ def test_values_are_immutable(value):
 
 
 def test_intern_tables_hold_only_live_values():
+    from repro.evaluation import engine
     from repro.ibench.config import ScenarioConfig
     from repro.ibench.generator import generate_scenario
+    from repro.selection import collective
 
+    # Earlier tests leave problems in the process-wide caches, and their
+    # values would fill labels this scenario would otherwise make anew.
+    collective.GROUNDING_CACHE.clear()
+    engine._PROCESS_CACHE.clear()
     gc.collect()
     before = (len(values._constants), len(values._nulls))
     scenario = generate_scenario(

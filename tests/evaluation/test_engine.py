@@ -257,8 +257,8 @@ def test_unknown_noise_parameter_rejected():
 
 
 def test_scenario_cache_problem_reuses_the_generation_chases(monkeypatch):
-    # The cached problem is built through the scenario, so only the gold
-    # candidates are chased again, and it equals a from-scratch build.
+    # The cached problem is built through the scenario, so no candidate
+    # is chased again, and it equals a from-scratch build.
     from repro.selection import metrics
 
     noisy = ScenarioConfig(
@@ -271,14 +271,14 @@ def test_scenario_cache_problem_reuses_the_generation_chases(monkeypatch):
     chased = []
     chase_candidate = metrics.chase_candidate
 
-    def counting(source, candidate):
+    def counting(source, candidate, first_null=0):
         chased.append(candidate)
-        return chase_candidate(source, candidate)
+        return chase_candidate(source, candidate, first_null)
 
     with monkeypatch.context() as patch:
         patch.setattr(metrics, "chase_candidate", counting)
         problem, _ = cache.problem(noisy)
-    assert chased == [scenario.candidates[i] for i in sorted(scenario.gold_indices)]
+    assert chased == []
     scratch = metrics.build_selection_problem(
         scenario.source, scenario.target, scenario.candidates
     )

@@ -126,3 +126,80 @@ def test_selection_problem_roundtrip(clean_scenario):
     problem = clean_scenario.selection_problem()
     assert problem.num_candidates == len(clean_scenario.candidates)
     assert set(problem.j_facts) == set(clean_scenario.target)
+
+
+NOISE_LEVELS = (0, 50, 100)
+NOISE_GRID = [
+    ScenarioConfig(
+        num_primitives=primitives,
+        rows_per_relation=10,
+        pi_corresp=corresp,
+        pi_errors=errors,
+        pi_unexplained=unexplained,
+        seed=seed,
+    )
+    for primitives, seed in ((13, 1), (14, 2))
+    for corresp in NOISE_LEVELS
+    for errors in NOISE_LEVELS
+    for unexplained in NOISE_LEVELS
+]
+
+
+def _noise_against_reference(config, monkeypatch):
+    """The generated scenario, and the reference noise step run on its inputs.
+
+    Returns the scenario, the target the reference edited, its deleted
+    and added facts, and how many of the unexplained null facts it could
+    sample from follow a gold candidate that used nulls (the facts whose
+    labels generation moves).
+    """
+    import random
+
+    from repro.ibench import generator
+    from repro.selection.metrics import chase_candidate
+    from tests.ibench.noise_reference import reference_data_noise
+
+    inputs = {}
+    apply_data_noise = generator._apply_data_noise
+
+    def spy(source, target, candidates, gold_indices, config, rng):
+        inputs.update(
+            source=source, target=target.copy(), candidates=list(candidates),
+            gold_indices=list(gold_indices), config=config, state=rng.getstate(),
+        )
+        return apply_data_noise(source, target, candidates, gold_indices, config, rng)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "_apply_data_noise", spy)
+        scenario = generate_scenario(config)
+
+    probe = inputs["target"].match_index().probe
+    moved = gold_nulls = 0
+    for i, candidate in enumerate(inputs["candidates"]):
+        chased = chase_candidate(inputs["source"], candidate)
+        if i in inputs["gold_indices"]:
+            gold_nulls += chased.nulls_used
+        elif gold_nulls:
+            moved += sum(1 for f in chased.instance if f.nulls and not probe(f)[0])
+
+    rng = random.Random()
+    rng.setstate(inputs.pop("state"))
+    target = inputs["target"]
+    deleted, added = reference_data_noise(**inputs, rng=rng)
+    return scenario, target, deleted, added, moved
+
+
+def test_data_noise_equals_the_non_gold_exchange_reference(monkeypatch):
+    # Every noise level at 0, 50 and 100: generation chases each candidate
+    # at its problem labels and moves only the unexplained facts into the
+    # non-gold exchange's labels; the reference chases that exchange.
+    moved_and_added = 0
+    for config in NOISE_GRID:
+        scenario, target, deleted, added, moved = _noise_against_reference(config, monkeypatch)
+        assert scenario.deleted_facts == deleted, config
+        assert scenario.added_facts == added, config
+        assert list(scenario.target) == list(target), config
+        if config.pi_unexplained and moved:
+            moved_and_added += 1
+    # The grid must exercise the label move where it picks added facts.
+    assert moved_and_added >= 5

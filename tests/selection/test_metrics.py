@@ -128,34 +128,62 @@ def test_problem_fingerprint_is_pinned(primitives, noise):
     assert digest == PINNED_FINGERPRINTS[primitives, noise]
 
 
-def test_handed_chase_is_used_only_for_its_own_candidate(monkeypatch):
+def _build_counting_chases(monkeypatch, ex, chases):
+    """The build's problem and the ``(candidate, first_null)`` of each chase it ran."""
     from repro.selection import metrics
+
+    chased = []
+    chase_candidate = metrics.chase_candidate
+
+    def counting(source, candidate, first_null=0):
+        chased.append((candidate, first_null))
+        return chase_candidate(source, candidate, first_null)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "chase_candidate", counting)
+        problem = build_selection_problem(ex.source, ex.target, ex.candidates, chases=chases)
+    return problem, chased
+
+
+def test_handed_chase_is_used_only_for_its_own_candidate(monkeypatch):
     from repro.selection.metrics import chase_candidate, problem_fingerprint
 
     ex = paper_example(extra_projects=2)
     candidates = ex.candidates
     assert len(candidates) >= 2
+    offset = chase_candidate(ex.source, candidates[0]).nulls_used
+    assert offset
     # Index 0 is handed the chase of another candidate: it must be
-    # chased again; index 1 is handed its own and must not be.
+    # chased again; index 1 is handed its own, at its offset, and must not be.
     chases = {0: chase_candidate(ex.source, candidates[1]),
-              1: chase_candidate(ex.source, candidates[1])}
-    chased = []
+              1: chase_candidate(ex.source, candidates[1], offset)}
+    problem, chased = _build_counting_chases(monkeypatch, ex, chases)
+    assert chased == [(candidates[0], 0)]
+    assert problem.chase_by_candidate[1] is chases[1].instance
+    scratch = build_selection_problem(ex.source, ex.target, candidates)
+    assert problem_fingerprint(problem) == problem_fingerprint(scratch)
 
-    def counting(source, candidate):
-        chased.append(candidate)
-        return chase_candidate(source, candidate)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(metrics, "chase_candidate", counting)
-        problem = build_selection_problem(ex.source, ex.target, candidates, chases=chases)
-    assert chased == [c for i, c in enumerate(candidates) if i != 1]
+def test_handed_chase_at_another_offset_is_chased_again(monkeypatch):
+    from repro.selection.metrics import chase_candidate, problem_fingerprint
+
+    ex = paper_example(extra_projects=2)
+    candidates = ex.candidates
+    offset = chase_candidate(ex.source, candidates[0]).nulls_used
+    # Both are handed their own chase, but index 1's starts at label 0,
+    # where index 0's nulls are: it is chased again at its offset.
+    chases = {i: chase_candidate(ex.source, c) for i, c in enumerate(candidates)}
+    problem, chased = _build_counting_chases(monkeypatch, ex, chases)
+    assert chased == [(candidates[1], offset)]
+    assert problem.chase_by_candidate[0] is chases[0].instance
     scratch = build_selection_problem(ex.source, ex.target, candidates)
     assert problem_fingerprint(problem) == problem_fingerprint(scratch)
 
 
 class TestScenarioSelectionProblem:
     """``Scenario.selection_problem()`` reuses generation's chases, and only
-    while they are chases of the scenario's current source."""
+    while they are chases of the scenario's current source.  With data
+    noise, generation chases every candidate, so the build chases none."""
 
     NOISY = dict(num_primitives=6, rows_per_relation=10, pi_corresp=50, seed=5)
 
@@ -174,9 +202,9 @@ class TestScenarioSelectionProblem:
         chased = []
         chase_candidate = metrics.chase_candidate
 
-        def counting(source, candidate):
+        def counting(source, candidate, first_null=0):
             chased.append(candidate)
-            return chase_candidate(source, candidate)
+            return chase_candidate(source, candidate, first_null)
 
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "chase_candidate", counting)
@@ -189,12 +217,10 @@ class TestScenarioSelectionProblem:
 
         problem, scratch, chased = self.built(scenario, monkeypatch)
         assert problem_fingerprint(problem) == problem_fingerprint(scratch)
-        gold = [scenario.candidates[i] for i in sorted(scenario.gold_indices)]
-        expected = scenario.candidates if chases_all else gold
-        assert chased == expected
+        assert chased == (scenario.candidates if chases_all else [])
         return problem
 
-    def test_fresh_scenario_chases_only_gold(self, monkeypatch):
+    def test_fresh_noisy_scenario_chases_nothing(self, monkeypatch):
         scenario = self.generate(50)
         assert len(scenario.gold_indices) < len(scenario.candidates)
         self.assert_scratch_equal(scenario, monkeypatch, chases_all=False)
