@@ -62,7 +62,8 @@ class Scenario:
 
         Candidates whose chase generation already ran at their problem
         labels (see :meth:`keep_chases`) are not chased again; for a
-        scenario with data noise that is every candidate.
+        freshly generated scenario that is every candidate, at every
+        noise level.
         """
         kept = getattr(self, "_chases", None)
         chases = {}
@@ -75,7 +76,9 @@ class Scenario:
     def keep_chases(self, chases: Mapping[int, CandidateChase]) -> None:
         """Keep chases of ``source`` by candidate index for :meth:`selection_problem`.
 
-        They are derived state: :meth:`__getstate__` leaves them out, and
+        Generation keeps every candidate's chase here: it ran them to
+        read off the gold exchange and to inject data noise.  The chases
+        are derived state: :meth:`__getstate__` leaves them out, and
         they are dropped once ``source`` has been edited (its match index
         changes), as :meth:`score_index` is rebuilt.
         """

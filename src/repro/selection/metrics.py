@@ -346,7 +346,8 @@ def candidate_metrics(
     image binding n to v, so counting, per ``(n, v)``, the chase facts
     with such an image turns every corroboration test into a lookup.
     Then each image scores its explained positions, and the best count
-    per J fact becomes one ``Fraction(count, arity)``.
+    per J fact becomes one ``Fraction(count, arity)``, shared by every
+    J fact with that count and arity.
 
     The table is keyed in J's ``repr`` order, zeros left out.  It
     equals ``{t: CoverComputer(chase_instance, target).degree(t)}`` over
@@ -387,8 +388,17 @@ def candidate_metrics(
             if explained > best.get(rank, 0):
                 best[rank] = explained
 
-    table = {ordered[rank]: best[rank] for rank in sorted(best)}
-    return {t: Fraction(count, t.arity) for t, count in table.items()}, frozenset(errors)
+    # Few distinct (count, arity) pairs occur, so each is one shared Fraction.
+    degrees: dict[tuple[int, int], Fraction] = {}
+    covers: dict[Fact, Fraction] = {}
+    for rank in sorted(best):
+        t = ordered[rank]
+        pair = (best[rank], t.arity)
+        degree = degrees.get(pair)
+        if degree is None:
+            degree = degrees[pair] = Fraction(*pair)
+        covers[t] = degree
+    return covers, frozenset(errors)
 
 
 def tabulate_candidate(

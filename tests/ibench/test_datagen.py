@@ -81,3 +81,25 @@ def test_instance_validates_against_schema():
     schema.add(relation("r", "a", "b", "c"))
     inst = populate(schema, 5, random.Random(0))
     inst.validate_against(schema)
+
+
+@pytest.mark.parametrize("value_pool", [1, 3, 8])
+def test_draw_plans_equal_the_value_by_value_reference(value_pool):
+    # Keys, a two-level FK chain, pooled values and, with a small pool,
+    # rows retried as duplicates: the same facts in the same order, and
+    # the same rng calls.
+    from tests.ibench.generation_reference import reference_populate
+
+    schema = Schema("S")
+    schema.add(relation("parent", "k", "a", key=("k",)))
+    schema.add(relation("child", "c", "k", "b", key=("c",)))
+    schema.add(relation("grandchild", "c", "d"))
+    schema.add(relation("loose", "x", "y"))
+    schema.add_foreign_key(ForeignKey("child", ("k",), "parent", ("k",)))
+    schema.add_foreign_key(ForeignKey("grandchild", ("c",), "child", ("c",)))
+    for seed in range(5):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        instance = populate(schema, 12, rng, value_pool)
+        reference = reference_populate(schema, 12, reference_rng, value_pool)
+        assert list(instance) == list(reference)
+        assert rng.getstate() == reference_rng.getstate()

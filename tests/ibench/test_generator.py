@@ -1,10 +1,13 @@
 """Unit and integration tests for scenario generation (incl. noise)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ScenarioError
 from repro.ibench.config import ScenarioConfig
 from repro.ibench.generator import generate_scenario
+from tests.chase.test_chase_plan import SELECT_P48_POOL
 
 
 @pytest.fixture(scope="module")
@@ -162,16 +165,18 @@ def _noise_against_reference(config, monkeypatch):
     inputs = {}
     apply_data_noise = generator._apply_data_noise
 
-    def spy(source, target, candidates, gold_indices, config, rng):
+    def spy(target, chases, gold_indices, config, rng):
         inputs.update(
-            source=source, target=target.copy(), candidates=list(candidates),
-            gold_indices=list(gold_indices), config=config, state=rng.getstate(),
+            target=target.copy(), gold_indices=list(gold_indices), config=config,
+            state=rng.getstate(),
         )
-        return apply_data_noise(source, target, candidates, gold_indices, config, rng)
+        return apply_data_noise(target, chases, gold_indices, config, rng)
 
     with monkeypatch.context() as patch:
         patch.setattr(generator, "_apply_data_noise", spy)
         scenario = generate_scenario(config)
+    # Noise edits neither the source nor the candidates.
+    inputs.update(source=scenario.source, candidates=list(scenario.candidates))
 
     probe = inputs["target"].match_index().probe
     moved = gold_nulls = 0
@@ -203,3 +208,192 @@ def test_data_noise_equals_the_non_gold_exchange_reference(monkeypatch):
             moved_and_added += 1
     # The grid must exercise the label move where it picks added facts.
     assert moved_and_added >= 5
+
+
+#: perfbench's ``BASE_CONFIG``, the base of its two p=24 workloads.
+BASE_CONFIG = ScenarioConfig(
+    num_primitives=24, rows_per_relation=20,
+    pi_corresp=25, pi_errors=25, pi_unexplained=25, seed=3,
+)
+REFERENCE_GRID = (
+    [
+        ScenarioConfig(
+            num_primitives=48, rows_per_relation=20, pi_corresp=level,
+            pi_errors=errors, pi_unexplained=unexplained, seed=seed,
+        )
+        for level, (errors, unexplained, seeds) in SELECT_P48_POOL.items()
+        for seed in seeds
+    ]
+    + [BASE_CONFIG, replace(BASE_CONFIG, pi_corresp=0, pi_errors=0, pi_unexplained=0)]
+    + [
+        ScenarioConfig(
+            num_primitives=primitives, pi_corresp=noise, pi_errors=noise,
+            pi_unexplained=noise, seed=seed,
+        )
+        for primitives in (4, 8, 13, 24, 48, 96)
+        for seed in range(1, 7)
+        for noise in NOISE_LEVELS
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    REFERENCE_GRID,
+    ids=lambda c: (
+        f"p{c.num_primitives}-rows{c.rows_per_relation}-noise"
+        f"{c.pi_corresp:g}.{c.pi_errors:g}.{c.pi_unexplained:g}-seed{c.seed}"
+    ),
+)
+def test_generation_equals_the_reference(config, monkeypatch):
+    # The reference chases MG for J and populates the source value by
+    # value; generation reads J off the gold tgds' twins' chases and
+    # populates from per-relation draw plans.
+    from repro.ibench import generator
+    from repro.selection.metrics import build_selection_problem, problem_fingerprint
+    from tests.ibench.generation_reference import reference_generate_scenario
+
+    states = []
+    populate = generator.populate
+
+    def spy(schema, rows_per_relation, rng, value_pool):
+        instance = populate(schema, rows_per_relation, rng, value_pool)
+        states.append(rng.getstate())
+        return instance
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generator, "populate", spy)
+        scenario = generate_scenario(config)
+    reference = reference_generate_scenario(config)
+
+    assert states == [reference.populate_state]
+    assert list(scenario.source) == list(reference.source)
+    assert list(scenario.reference_target) == list(reference.reference_target)
+    assert list(scenario.target) == list(reference.target)
+    assert scenario.deleted_facts == reference.deleted_facts
+    assert scenario.added_facts == reference.added_facts
+    assert scenario.candidates == reference.candidates
+    assert scenario.gold_indices == reference.gold_indices
+    assert problem_fingerprint(scenario.selection_problem()) == problem_fingerprint(
+        build_selection_problem(reference.source, reference.target, reference.candidates)
+    )
+
+
+def _exchange_against_reference(source, gold_tgds, twins):
+    """The exchange read off *twins*' chases, and the reference MG chase."""
+    from repro.ibench.generator import _grounded_gold_exchange
+    from repro.selection.metrics import chase_candidate
+    from tests.ibench.generation_reference import reference_grounded_gold_exchange
+
+    chases, offset = {}, 0
+    for twin in dict.fromkeys(twins):
+        chases[twin] = chase_candidate(source, twin, offset)
+        offset += chases[twin].nulls_used
+    exchange = _grounded_gold_exchange(gold_tgds, [chases[t] for t in twins])
+    return list(exchange), list(reference_grounded_gold_exchange(source, gold_tgds))
+
+
+def _instance(*facts):
+    from repro.datamodel.instance import Instance, fact
+
+    return Instance(fact(relation, *values) for relation, *values in facts)
+
+
+HAND_SOURCE = (
+    ("s", "a", "1"), ("s", "b", "2"), ("s", "c", "1"),
+    ("u", "1", "x"), ("u", "2", "y"),
+)
+
+
+def test_a_gold_tgd_that_never_fires_opens_no_bucket():
+    from repro.mappings.parser import parse_tgd
+
+    source = _instance(*HAND_SOURCE)
+    # The first gold tgd reads an empty relation, so its head relations
+    # must not take their place in the exchange before the second's.
+    gold = [
+        parse_tgd("w(X, Y) -> t(X, Z) & v(Z, Y)"),
+        parse_tgd("s(A, B) -> v(A, N) & t(N, B)"),
+    ]
+    twins = [
+        parse_tgd("w(P, Q) -> v(R, Q) & t(P, R)"),
+        parse_tgd("s(K, L) -> t(M, L) & v(K, M)"),
+    ]
+    exchange, reference = _exchange_against_reference(source, gold, twins)
+    assert exchange == reference
+    assert [f.relation for f in exchange][:3] == ["v", "v", "v"]
+
+
+def test_two_gold_tgds_writing_one_relation():
+    from repro.mappings.parser import parse_tgd
+
+    source = _instance(*HAND_SOURCE)
+    # All three write t: the first with a null, the other two the same
+    # ground facts, which stay where the second put them.
+    gold = [
+        parse_tgd("s(A, B) -> t(B, N) & r(A, N)"),
+        parse_tgd("s(A, B) & u(B, C) -> q(A) & t(B, C)"),
+        parse_tgd("u(B, C) -> t(B, C)"),
+    ]
+    twins = [
+        parse_tgd("s(X, Y) -> r(X, Z) & t(Y, Z)"),
+        parse_tgd("s(X, Y) & u(Y, W) -> t(Y, W) & q(X)"),
+        parse_tgd("u(X, Y) -> t(X, Y)"),
+    ]
+    exchange, reference = _exchange_against_reference(source, gold, twins)
+    assert exchange == reference
+    assert [f.relation for f in exchange] == ["t"] * 5 + ["r"] * 3 + ["q"] * 3
+
+
+def test_gold_tgds_sharing_a_twin_get_distinct_constants():
+    from repro.mappings.parser import parse_tgd
+
+    source = _instance(*HAND_SOURCE)
+    gold = [
+        parse_tgd("s(A, B) -> t(A, N)"),
+        parse_tgd("s(C, D) -> t(C, M)"),
+    ]
+    twin = parse_tgd("s(X, Y) -> t(X, Z)")
+    exchange, reference = _exchange_against_reference(source, gold, [twin, twin])
+    assert exchange == reference
+    assert len({f.values[1] for f in exchange}) == 6
+
+
+@pytest.mark.parametrize(
+    "gold, twin",
+    [
+        # The body atoms in another order.
+        ("s(A, B) & u(B, C) -> t(A, C)", "u(Y, Z) & s(X, Y) -> t(X, Z)"),
+        # Not one renaming: A goes to both X and Y.
+        ("s(A, A) -> t(A)", "s(X, Y) -> t(X)"),
+        # Not injective: B and C both go to Y.
+        ("s(A, B) & u(C, D) -> t(A, D)", "s(X, Y) & u(Y, W) -> t(X, W)"),
+        # A constant where the gold tgd has a variable.
+        ("s(A, B) -> t(A, B)", "s(X, 'a') -> t(X, X)"),
+        # One head relation written twice.
+        ("s(A, B) -> t(A, N) & t(N, B)", "s(X, Y) -> t(X, Z) & t(Z, Y)"),
+    ],
+)
+def test_the_exchange_rejects_a_twin_it_cannot_read(gold, twin):
+    from repro.mappings.parser import parse_tgd
+
+    with pytest.raises(ScenarioError):
+        _exchange_against_reference(
+            _instance(*HAND_SOURCE), [parse_tgd(gold)], [parse_tgd(twin)]
+        )
+
+
+@pytest.mark.parametrize("kind", ScenarioConfig().primitive_kinds)
+def test_every_primitive_kind_has_twins_the_exchange_can_read(kind):
+    from repro.ibench.generator import _check_twin
+
+    checked = 0
+    for seed in range(1, 7):
+        scenario = generate_scenario(
+            ScenarioConfig(num_primitives=6, primitive_kinds=(kind,), pi_corresp=50, seed=seed)
+        )
+        gold_tgds = [t for p in scenario.primitives for t in p.gold_tgds]
+        for gold, i in zip(gold_tgds, scenario.gold_indices):
+            _check_twin(gold, scenario.candidates[i])
+            checked += 1
+    assert checked >= 6

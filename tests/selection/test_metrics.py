@@ -182,8 +182,8 @@ def test_handed_chase_at_another_offset_is_chased_again(monkeypatch):
 
 class TestScenarioSelectionProblem:
     """``Scenario.selection_problem()`` reuses generation's chases, and only
-    while they are chases of the scenario's current source.  With data
-    noise, generation chases every candidate, so the build chases none."""
+    while they are chases of the scenario's current source.  Generation
+    chases every candidate at every noise level, so the build chases none."""
 
     NOISY = dict(num_primitives=6, rows_per_relation=10, pi_corresp=50, seed=5)
 
@@ -225,8 +225,8 @@ class TestScenarioSelectionProblem:
         assert len(scenario.gold_indices) < len(scenario.candidates)
         self.assert_scratch_equal(scenario, monkeypatch, chases_all=False)
 
-    def test_zero_noise_chases_everything(self, monkeypatch):
-        self.assert_scratch_equal(self.generate(0), monkeypatch, chases_all=True)
+    def test_zero_noise_scenario_chases_nothing(self, monkeypatch):
+        self.assert_scratch_equal(self.generate(0), monkeypatch, chases_all=False)
 
     def test_pickle_round_trip(self, monkeypatch):
         import pickle
