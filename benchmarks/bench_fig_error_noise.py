@@ -1,9 +1,17 @@
 """Figure: data F1 vs error noise (piErrors).
 
 Deleting non-certain error tuples from J makes the gold tgds look
-error-prone.  All methods degrade with the noise level; the collective
-selector should track the best achievable trade-off and dominate the
-naive all-candidates baseline throughout.
+error-prone.  The other two noise parameters stay 0: with no spurious
+correspondences, selecting every candidate exchanges no wrong data, so
+all-candidates is as good as gold and scores data F1 1.000 at every
+level.  Collective and greedy tie and fall with the noise (0.962 at 0
+down to 0.675 at 100 on the default sweep), because the deleted facts
+make some gold tgds look error-prone enough to drop.
+
+The asserts check only the selectors' own trend: collective is near
+gold at zero noise, the clean level is its best, it is never more than
+0.05 below greedy, and its mean over the sweep is at least 0.5.  They
+do not compare it with all-candidates.
 """
 
 from benchmarks._common import record_result

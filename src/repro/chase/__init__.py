@@ -7,7 +7,6 @@ from repro.chase.engine import (
     exchanged_instance,
     match_body,
 )
-from repro.chase.target import TargetChaseResult, chase_target, violates_keys
 
 __all__ = [
     "ChaseResult",
@@ -15,7 +14,4 @@ __all__ = [
     "chase_single",
     "exchanged_instance",
     "match_body",
-    "TargetChaseResult",
-    "chase_target",
-    "violates_keys",
 ]

@@ -10,11 +10,9 @@
 """
 
 from repro.candidates import Correspondence, generate_candidates, logical_associations
-from repro.candidates.matcher import correspondences_from_names, match_schemas
-from repro.chase import chase, chase_single, chase_target, exchanged_instance
+from repro.chase import chase, chase_single, exchanged_instance
 from repro.datamodel import (
     Constant,
-    DataExample,
     Fact,
     ForeignKey,
     Instance,
@@ -35,7 +33,6 @@ from repro.evaluation import (
     run_methods,
     run_scenario,
 )
-from repro.homomorphism import CoverComputer, covers, creates, find_homomorphism
 from repro.ibench import ScenarioConfig, generate_scenario
 from repro.io import load_scenario, save_scenario
 from repro.queries import (
@@ -72,8 +69,6 @@ __all__ = [
     "CollectiveSettings",
     "Constant",
     "Correspondence",
-    "CoverComputer",
-    "DataExample",
     "EvaluationEngine",
     "Fact",
     "ForeignKey",
@@ -96,13 +91,9 @@ __all__ = [
     "build_selection_problem",
     "chase",
     "chase_single",
-    "chase_target",
-    "covers",
-    "creates",
     "data_quality",
     "exchanged_instance",
     "fact",
-    "find_homomorphism",
     "generate_candidates",
     "generate_scenario",
     "logical_associations",
@@ -120,10 +111,8 @@ __all__ = [
     "var",
     "ConjunctiveQuery",
     "certain_answers",
-    "correspondences_from_names",
     "learn_weights",
     "load_scenario",
-    "match_schemas",
     "parse_query",
     "preprocess",
     "problem_fingerprint",

@@ -1,6 +1,6 @@
-"""Relational data model: values, schemas, facts, instances, data examples."""
+"""Relational data model: values, schemas, facts, instances."""
 
-from repro.datamodel.instance import DataExample, Fact, Instance, fact
+from repro.datamodel.instance import Fact, Instance, fact
 from repro.datamodel.schema import Attribute, ForeignKey, Relation, Schema, relation
 from repro.datamodel.values import (
     Constant,
@@ -13,7 +13,6 @@ from repro.datamodel.values import (
 __all__ = [
     "Attribute",
     "Constant",
-    "DataExample",
     "Fact",
     "ForeignKey",
     "Instance",

@@ -325,15 +325,3 @@ class Instance:
             for f in sorted(self._by_relation[name], key=repr):
                 parts.append(repr(f))
         return "{" + ", ".join(parts) + "}"
-
-
-@dataclass(frozen=True)
-class DataExample:
-    """A data example (I, J): a source instance and a target instance.
-
-    The target instance J is the user's (possibly noisy, possibly partial)
-    assertion of what migrating I should produce.  J is normally ground.
-    """
-
-    source: Instance
-    target: Instance

@@ -28,10 +28,6 @@ class ParseError(MappingError):
     """A textual mapping or atom could not be parsed."""
 
 
-class ChaseError(ReproError):
-    """The chase could not be executed on the given input."""
-
-
 class InferenceError(ReproError):
     """MAP inference failed to produce a usable solution."""
 

@@ -1,26 +1,8 @@
-"""Homomorphisms and the graded covers/creates semantics of Eq. (9)."""
+"""Single-fact homomorphisms: matching facts with labeled nulls into instances."""
 
-from repro.homomorphism.core import core_of, fold_count, is_core
-from repro.homomorphism.covers import CoverComputer, covers, creates, error_facts
-from repro.homomorphism.search import (
-    fact_homomorphisms,
-    fact_matches,
-    find_homomorphism,
-    has_fact_homomorphism,
-    is_homomorphic,
-)
+from repro.homomorphism.search import fact_matches, image_ranks
 
 __all__ = [
-    "CoverComputer",
-    "core_of",
-    "covers",
-    "creates",
-    "fold_count",
-    "is_core",
-    "error_facts",
-    "fact_homomorphisms",
     "fact_matches",
-    "find_homomorphism",
-    "has_fact_homomorphism",
-    "is_homomorphic",
+    "image_ranks",
 ]

@@ -3,7 +3,7 @@
 from repro.mappings.atoms import Atom, atom
 from repro.mappings.parser import parse_tgd, parse_tgds
 from repro.mappings.terms import Term, Variable, is_variable, var
-from repro.mappings.tgd import StTgd, total_size
+from repro.mappings.tgd import StTgd
 
 __all__ = [
     "Atom",
@@ -14,6 +14,5 @@ __all__ = [
     "is_variable",
     "parse_tgd",
     "parse_tgds",
-    "total_size",
     "var",
 ]

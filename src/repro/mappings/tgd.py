@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import MappingError
 from repro.mappings.atoms import Atom
@@ -178,8 +178,3 @@ class StTgd:
         head = " & ".join(repr(a) for a in self.head)
         label = f"{self.name}: " if self.name else ""
         return f"{label}{body} -> {head}"
-
-
-def total_size(tgds: Iterable[StTgd]) -> int:
-    """Sum of :attr:`StTgd.size` over a collection of tgds."""
-    return sum(t.size for t in tgds)

@@ -2,8 +2,6 @@
 
 from repro.selection.baselines import (
     select_all,
-    select_none,
-    select_top_k_coverage,
     solve_independent,
 )
 from repro.selection.collective import (
@@ -92,8 +90,6 @@ __all__ = [
     "sample_selection_problem",
     "training_pairs_from_scenarios",
     "select_all",
-    "select_none",
-    "select_top_k_coverage",
     "solve_independent",
     "solve_collective",
     "solve_exhaustive",

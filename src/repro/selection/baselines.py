@@ -1,9 +1,9 @@
-"""Naive baselines: select everything, select nothing, coverage top-k.
+"""Non-collective baselines: select every candidate, or judge each alone.
 
-These bracket the quality spectrum in the evaluation: *all candidates*
-maximizes recall of the exchanged data but pays for every spurious
-candidate the correspondence noise introduced, while *top-k by coverage*
-ignores errors and size entirely.
+*All candidates* maximizes recall of the exchanged data but pays for
+every spurious candidate the correspondence noise introduced.  The
+*independent* baseline keeps each candidate that lowers F on its own,
+so overlapping candidates double-count the coverage they share.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ def select_all(
     return SelectionResult(selected, objective_evaluator(problem, weights)(selected))
 
 
-def select_none(
-    problem: SelectionProblem,
-    weights: ObjectiveWeights = DEFAULT_WEIGHTS,
-) -> SelectionResult:
-    """The trivial baseline M = {} (the overfitting guard of the appendix)."""
-    return SelectionResult(frozenset(), objective_evaluator(problem, weights)([]))
-
-
 def solve_independent(
     problem: SelectionProblem,
     weights: ObjectiveWeights = DEFAULT_WEIGHTS,
@@ -54,14 +46,3 @@ def solve_independent(
     )
     return SelectionResult(selected, evaluate(selected))
 
-
-def select_top_k_coverage(
-    problem: SelectionProblem,
-    k: int,
-    weights: ObjectiveWeights = DEFAULT_WEIGHTS,
-) -> SelectionResult:
-    """Pick the k candidates with the largest total cover mass."""
-    mass = problem.objective_index().cover_mass().tolist()
-    ranked = sorted(range(problem.num_candidates), key=lambda i: (-mass[i], i))
-    selected = frozenset(ranked[: max(0, k)])
-    return SelectionResult(selected, objective_evaluator(problem, weights)(selected))

@@ -176,10 +176,6 @@ class ObjectiveIndex:
         """Candidate *i*'s error-fact ids."""
         return self.error_fact[self.error_ptr[i] : self.error_ptr[i + 1]]
 
-    def cover_mass(self) -> np.ndarray:
-        """Per candidate, its summed cover numerators (total cover times L)."""
-        return row_sums(self.cover_ptr, self.cover_num)
-
     def components(self, selected: Iterable[int]) -> tuple[int, int, int]:
         """``(unexplained numerator, distinct errors, size)`` of *selected*."""
         mask = np.zeros(self.num_candidates, dtype=bool)

@@ -9,8 +9,9 @@ Selecting a mapping only needs three ingredients per candidate theta:
 * ``size(theta_i)``.
 
 :func:`build_selection_problem` chases the source once per candidate
-(:func:`chase_candidate`) and evaluates the homomorphism-based semantics
-of :mod:`repro.homomorphism.covers` in one pass over the chase
+(:func:`chase_candidate`) and evaluates the paper's homomorphism-based
+covers/creates semantics (Eq. (9); its literal definition is the test
+reference ``tests/covers_reference.py``) in one pass over the chase
 (:func:`candidate_metrics`): each chase fact's images in J are
 enumerated once, through J's
 :class:`~repro.datamodel.instance.MatchIndex`, and give its error flag,
@@ -340,8 +341,8 @@ def candidate_metrics(
 
     One pass enumerates every chase fact's images in J with one exact
     probe of J's match index each; a null's binding is the image's value
-    at the null's position.  A fact with no image is an error
-    (:func:`~repro.homomorphism.covers.creates`).  A null n bound to v
+    at the null's position.  A fact with no image is an error (the
+    paper's ``creates``).  A null n bound to v
     is corroborated for a chase fact iff some *other* chase fact has an
     image binding n to v, so counting, per ``(n, v)``, the chase facts
     with such an image turns every corroboration test into a lookup.
@@ -352,7 +353,8 @@ def candidate_metrics(
     The table is keyed in J's ``repr`` order, zeros left out.  It
     equals ``{t: CoverComputer(chase_instance, target).degree(t)}`` over
     J in ``repr`` order, and the error set equals
-    ``{f : creates(f, target)}``.
+    ``{f : creates(f, target)}``, with both references the literal
+    definitions in ``tests/covers_reference.py``.
     """
     index = target.match_index()
     ordered = index.ordered

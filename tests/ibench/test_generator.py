@@ -97,7 +97,7 @@ def test_added_facts_are_not_fully_explainable_by_gold():
     from fractions import Fraction
 
     from repro.chase.engine import chase
-    from repro.homomorphism.covers import CoverComputer
+    from tests.covers_reference import CoverComputer
 
     noisy = generate_scenario(
         ScenarioConfig(num_primitives=3, seed=7, pi_corresp=100, pi_unexplained=100)

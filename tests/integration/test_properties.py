@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chase.engine import chase
 from repro.datamodel.instance import Instance, fact
 from repro.datamodel.values import NullFactory
-from repro.homomorphism.search import fact_matches, find_homomorphism
+from repro.homomorphism.search import fact_matches
 from repro.mappings.atoms import Atom
 from repro.mappings.parser import parse_tgd
 from repro.mappings.tgd import StTgd
@@ -20,6 +20,7 @@ from repro.selection.objective import (
     ObjectiveWeights,
     objective_value,
 )
+from tests.covers_reference import find_homomorphism
 
 # --- strategies -----------------------------------------------------------
 

@@ -4,9 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chase.target import chase_target, violates_keys
 from repro.datamodel.instance import Instance, fact
-from repro.datamodel.schema import ForeignKey, Schema, relation
 from repro.datamodel.values import LabeledNull
 from repro.io.serialize import instance_from_json, instance_to_json
 from repro.psl.rounding import randomized_rounding, round_solution
@@ -43,54 +41,6 @@ def random_instances(draw):
 @settings(max_examples=60, deadline=None)
 def test_instance_json_roundtrip(instance):
     assert instance_from_json(instance_to_json(instance)) == instance
-
-
-# --- target chase ---------------------------------------------------------------
-
-_target_schema = Schema("T")
-_target_schema.add(relation("org", "oid", "company", key=("oid",)))
-_target_schema.add(relation("task", "pname", "oid"))
-_target_schema.add_foreign_key(ForeignKey("task", ("oid",), "org", ("oid",)))
-
-
-@st.composite
-def target_instances(draw):
-    facts = []
-    for __ in range(draw(st.integers(0, 6))):
-        oid = draw(st.one_of(st.integers(0, 2), st.builds(LabeledNull, st.integers(0, 2))))
-        company = draw(st.one_of(st.sampled_from(["sap", "ibm"]), st.builds(LabeledNull, st.integers(3, 5))))
-        facts.append(fact("org", oid, company))
-    for __ in range(draw(st.integers(0, 6))):
-        oid = draw(st.one_of(st.integers(0, 2), st.builds(LabeledNull, st.integers(0, 2))))
-        facts.append(fact("task", draw(st.sampled_from(["ml", "cv"])), oid))
-    return Instance(facts)
-
-
-@given(target_instances())
-@settings(max_examples=80, deadline=None)
-def test_target_chase_postconditions(instance):
-    result = chase_target(instance, _target_schema)
-    if result.failed:
-        return  # constant/constant key conflict: no solution exists
-    repaired = result.instance
-    # Keys hold and every FK child has its parent.
-    assert not violates_keys(repaired, _target_schema)
-    parent_keys = {f.values[0] for f in repaired.facts_of("org")}
-    for child in repaired.facts_of("task"):
-        assert child.values[1] in parent_keys
-
-
-@given(target_instances())
-@settings(max_examples=60, deadline=None)
-def test_target_chase_idempotent(instance):
-    first = chase_target(instance, _target_schema)
-    if first.failed:
-        return
-    second = chase_target(first.instance, _target_schema)
-    assert not second.failed
-    assert second.unifications == 0
-    assert second.invented == []
-    assert second.instance == first.instance
 
 
 # --- preprocessing and rounding over random selection problems ------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import MappingError
 from repro.mappings.atoms import atom
 from repro.mappings.parser import parse_tgd
-from repro.mappings.tgd import StTgd, total_size
+from repro.mappings.tgd import StTgd
 from repro.mappings.terms import Variable
 
 
@@ -28,11 +28,6 @@ def test_size_counts_atoms_plus_existentials():
     assert theta1.size == 3  # matches the appendix
     assert theta3.size == 4
     assert parse_tgd("r(X) -> s(X)").size == 2
-
-
-def test_total_size_sums():
-    tgds = [parse_tgd("r(X) -> s(X)"), parse_tgd("r(X) -> s(X) & t(X, Y)")]
-    assert total_size(tgds) == 2 + 4
 
 
 def test_empty_body_or_head_rejected():

@@ -9,7 +9,7 @@ from repro.errors import SelectionError
 from repro.examples_data import paper_example
 from repro.mappings.parser import parse_tgds
 from repro.selection import exact
-from repro.selection.baselines import select_all, select_none, select_top_k_coverage
+from repro.selection.baselines import select_all
 from repro.selection.exact import solve_exhaustive, solve_milp
 from repro.selection.greedy import solve_greedy
 from repro.selection.metrics import build_selection_problem
@@ -120,20 +120,10 @@ def test_greedy_matches_exact_on_small_instances(paper_problem):
     )
 
 
-def test_select_all_and_none(paper_problem):
+def test_select_all(paper_problem):
     all_result = select_all(paper_problem)
     assert all_result.selected == frozenset({0, 1})
     assert all_result.objective == 12
-    none_result = select_none(paper_problem)
-    assert none_result.selected == frozenset()
-    assert none_result.objective == 4
-
-
-def test_top_k_coverage(extended_problem):
-    top1 = select_top_k_coverage(extended_problem, 1)
-    assert top1.selected == frozenset({1})  # theta3 has the larger cover mass
-    top0 = select_top_k_coverage(extended_problem, 0)
-    assert top0.selected == frozenset()
 
 
 def test_weighted_objective_changes_optimum(extended_problem):
